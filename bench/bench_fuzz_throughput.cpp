@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
   cabt::platform::BoardConfig cfg;
   cfg.iss =
       cabt::platform::issConfigFor(cabt::xlat::DetailLevel::kICache);
-  cfg.iss.dispatch_mode = cabt::iss::DispatchMode::kChainedTraces;
   cfg.iss.trace_threshold = 2;
   cfg.iss.threaded_threshold = 2;
   cfg.quantum = setup.base.quantum;

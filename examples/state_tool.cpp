@@ -17,8 +17,8 @@
 //   state_tool recover <scenario> --interval=N --fault=SPEC [...]
 //                      [--to=N] [...common flags]
 //
-// `--dispatch=lookup|chained|traces|threaded` selects the ISS dispatch
-// engine (default: the detail level's stock engine). With selfcheck it
+// `--dispatch=step|threaded` selects the ISS engine: the step()
+// reference or the threaded engine (the default). With selfcheck it
 // exercises the cold-restore path of that engine from the CLI — e.g.
 // `--dispatch=threaded` restores into a board whose block cache (and
 // with it every lowered threaded-code program) starts empty.
@@ -91,22 +91,15 @@ xlat::DetailLevel parseLevel(const std::string& name) {
               "' (functional|static|branch|cache)");
 }
 
-iss::DispatchMode parseDispatch(const std::string& name) {
-  using iss::DispatchMode;
-  if (name == "lookup") {
-    return DispatchMode::kLookup;
-  }
-  if (name == "chained") {
-    return DispatchMode::kChained;
-  }
-  if (name == "traces") {
-    return DispatchMode::kChainedTraces;
+/// IssConfig::use_block_cache for a --dispatch engine name.
+bool parseDispatch(const std::string& name) {
+  if (name == "step") {
+    return false;
   }
   if (name == "threaded") {
-    return DispatchMode::kThreaded;
+    return true;
   }
-  throw Error("unknown dispatch mode '" + name +
-              "' (lookup|chained|traces|threaded)");
+  throw Error("unknown dispatch engine '" + name + "' (step|threaded)");
 }
 
 /// A stock scenario board: the images plus everything needed to build
@@ -150,7 +143,7 @@ Scenario makeScenario(const std::string& name, xlat::DetailLevel level,
   }
   s.cfg.iss = platform::issConfigFor(level);
   if (!dispatch.empty()) {
-    s.cfg.iss.dispatch_mode = parseDispatch(dispatch);
+    s.cfg.iss.use_block_cache = parseDispatch(dispatch);
   }
   s.cfg.quantum = quantum;
   s.cfg.parallel.enabled = parallel;
@@ -352,7 +345,7 @@ int main(int argc, char** argv) {
                    "[--level=functional|static|branch|cache] [--quantum=N] "
                    "[--interval=N] [--at=N] [--to=N] [--in=F] [--out=F] "
                    "[--parallel] [--cores=N] "
-                   "[--dispatch=lookup|chained|traces|threaded] "
+                   "[--dispatch=step|threaded] "
                    "[--fault=SPEC]... [--fi-armed] "
                    "[--trace-out=F] [--metrics] [--metrics-out=F] "
                    "[--period=N] [--top=N] [--fold-out=F]\n",

@@ -3,17 +3,17 @@
 
 Runs `state_tool digest` (examples/state_tool.cpp) for every stock
 scenario board — irq_ticks, mc_pair (producer/consumer), mc_worker and
-mc_quad — at all four detail levels under all four dispatch engines
-(lookup, chained, chained+traces, threaded), and compares the 64-bit
+mc_quad — at all four detail levels under both ISS engines (the step()
+reference and the threaded engine), and compares the 64-bit
 rolling state digest (snap::digest: registers, memory, cycle counts, bus
 traffic, device state — see DESIGN.md section 9) plus the final bus
 cycle and retired instruction count against the values committed in
 tests/golden_digests.json.
 
-The dispatch engine is a host-side implementation detail, so all four
-modes must produce the identical final line for every scenario/level —
-the script asserts that cross-mode equality itself, then checks the
-(mode-independent) result against the single golden entry.
+The engine is a host-side implementation detail, so both engines must
+produce the identical final line for every scenario/level — the script
+asserts that cross-engine equality itself, then checks the
+(engine-independent) result against the single golden entry.
 
 The simulation is a pure function of the architecture description, so
 these digests are stable across hosts and compilers: any change that
@@ -38,7 +38,7 @@ import sys
 
 SCENARIOS = ["irq_ticks", "mc_pair", "mc_worker", "mc_quad"]
 LEVELS = ["functional", "static", "branch", "cache"]
-DISPATCH_MODES = ["lookup", "chained", "traces", "threaded"]
+ENGINES = ["step", "threaded"]
 QUANTUM = 1024
 
 FINAL_RE = re.compile(
@@ -95,24 +95,24 @@ def collect(tool):
     status = 0
     for scenario in SCENARIOS:
         for level in LEVELS:
-            per_mode = {
-                mode: run_one(tool, scenario, level, mode)
-                for mode in DISPATCH_MODES
+            per_engine = {
+                engine: run_one(tool, scenario, level, engine)
+                for engine in ENGINES
             }
-            baseline = per_mode[DISPATCH_MODES[0]]
-            for mode, result in per_mode.items():
+            baseline = per_engine[ENGINES[0]]
+            for engine, result in per_engine.items():
                 if result != baseline:
                     print(
-                        f"DISPATCH DIVERGENCE {scenario}/{level}: "
-                        f"{DISPATCH_MODES[0]} {baseline} vs {mode} {result}",
+                        f"ENGINE DIVERGENCE {scenario}/{level}: "
+                        f"{ENGINES[0]} {baseline} vs {engine} {result}",
                         file=sys.stderr,
                     )
                     status = 1
             entries[f"{scenario}/{level}"] = baseline
     if status:
         print(
-            "error: dispatch engines disagree — the digest must be "
-            "dispatch-mode independent",
+            "error: ISS engines disagree — the digest must be "
+            "engine independent",
             file=sys.stderr,
         )
         sys.exit(1)
@@ -145,7 +145,7 @@ def main():
             "Each entry is asserted identical across all dispatch "
             "modes before it is recorded or checked.",
             "quantum": QUANTUM,
-            "dispatch_modes": DISPATCH_MODES,
+            "dispatch_modes": ENGINES,
             "entries": got,
         }
         with open(args.file, "w") as f:
@@ -191,7 +191,7 @@ def main():
             if key not in got:
                 continue
             armed = run_one(
-                tool, scenario, level, DISPATCH_MODES[0], fi_armed=True
+                tool, scenario, level, ENGINES[0], fi_armed=True
             )
             armed_checked += 1
             if armed != got[key]:
@@ -206,7 +206,7 @@ def main():
     if status == 0:
         print(f"golden-state check passed: {len(got)} scenario/level "
               f"digests match (each identical across "
-              f"{len(DISPATCH_MODES)} dispatch modes; {armed_checked} "
+              f"{len(ENGINES)} ISS engines; {armed_checked} "
               f"re-runs with an armed-idle fault campaign unchanged)")
     else:
         print(

@@ -106,6 +106,18 @@ class Reader {
     return s;
   }
 
+  /// Reads a u32 element count and rejects one whose `elem_bytes`-sized
+  /// elements could not fit in the remaining input, so a corrupt count
+  /// fails here instead of sizing an allocation.
+  size_t count(size_t elem_bytes) {
+    const uint32_t n = u32();
+    CABT_CHECK(n <= remaining() / elem_bytes,
+               "snapshot count " << n << " of " << elem_bytes
+                                 << "-byte elements exceeds the "
+                                 << remaining() << " bytes left");
+    return n;
+  }
+
   /// Verifies the next section tag; throws on mismatch.
   void tag(std::string_view want) {
     const std::string got = str();

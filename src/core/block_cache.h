@@ -49,6 +49,16 @@ namespace cabt::core {
 constexpr int32_t kTraceUnformed = -1;
 constexpr int32_t kTraceDeclined = -2;
 
+/// Trace-formation limits: blocks spliced per trace (a revisited block
+/// unrolls a hot loop into the trace) and instructions per trace.
+constexpr uint32_t kTraceMaxBlocks = 8;
+constexpr uint32_t kTraceMaxInstrs = 256;
+
+/// Total ThreadedOp records one core may lower. Exhaustion declines
+/// further lowerings permanently: hot code lowers first, cold tails stay
+/// on the chained tier.
+constexpr size_t kThreadedBudgetOps = size_t{1} << 16;
+
 /// One executable cached block: the per-core mutable residue plus a
 /// pointer into the shared artifact's immutable tables. The forwarding
 /// accessors keep dispatch reading the precomputed arrays exactly as
@@ -91,9 +101,8 @@ struct ExecBlock {
   /// block, or kTraceUnformed.
   int32_t trace = kTraceUnformed;
   /// Index into BlockCache::threadedPrograms() of this block's lowered
-  /// threaded-code form (DispatchMode::kThreaded), kTraceUnformed while
-  /// the block has not gone hot, or kTraceDeclined once the lowering op
-  /// budget is exhausted.
+  /// threaded-code form, kTraceUnformed while the block has not gone
+  /// hot, or kTraceDeclined once the lowering op budget is exhausted.
   int32_t threaded = kTraceUnformed;
   /// exec_count at which a declined trace formation is re-attempted
   /// (doubled on every refusal, so retries stay O(log) per block).
@@ -115,50 +124,32 @@ struct ExecBlock {
   uint64_t trace_execs = 0;
 };
 
-/// One constituent block of a Trace: a [first, first+count) slice of the
-/// trace's flattened arrays. `entry_addr` doubles as the guard of the
-/// *preceding* segment: execution stays on the trace only while the pc
-/// observed at the original block boundary equals the next segment's
-/// entry address.
+/// One constituent block of a Trace. `entry_addr` doubles as the guard
+/// of the *preceding* segment: execution stays on the trace only while
+/// the pc observed at the original block boundary equals the next
+/// segment's entry address.
 struct TraceSegment {
-  int32_t block = -1;      ///< index into BlockCache::blocks()
-  uint32_t first = 0;
-  uint32_t count = 0;
+  int32_t block = -1;  ///< index into BlockCache::blocks()
   uint32_t entry_addr = 0;
 };
 
-/// A superblock: a hot chain of blocks spliced into one contiguous
-/// dispatch unit. The flattened arrays are the constituents' predecoded
-/// data concatenated in chain order; `cum_cycles` restarts at every
-/// segment (the pipeline drains at the original block boundaries) and
-/// `new_line` keeps each segment's first instruction flagged (the icache
-/// touch sequence restarts there too). All architectural corrections
-/// still happen at the original block boundaries during dispatch, which
-/// is what keeps trace execution bit-identical to per-block execution.
-/// Traces are per-core (formed from this core's observed branch
-/// statistics), so they live in the overlay, not the shared artifact.
+/// A superblock: a hot chain of blocks dispatched as one unit once
+/// lowered into threaded code (lowerTraceThreaded reads each segment
+/// straight from its block's predecoded arrays). All architectural
+/// corrections still happen at the original block boundaries during
+/// dispatch, which is what keeps trace execution bit-identical to
+/// per-block execution. Traces are per-core (formed from this core's
+/// observed branch statistics), so they live in the overlay, not the
+/// shared artifact.
 struct Trace {
   uint32_t addr = 0;  ///< head block address
-  std::vector<trc::Instr> instrs;
-  std::vector<uint32_t> cum_cycles;
-  std::vector<uint8_t> new_line;
-  std::vector<uint32_t> line_set;
-  std::vector<uint32_t> line_tag;
   std::vector<TraceSegment> segs;
   /// Total instruction count across all segments. The dispatcher admits
   /// a trace only when the whole trace fits the remaining instruction
   /// budget, so no per-boundary budget test survives inside.
   uint32_t total_instrs = 0;
-  /// Hot-count statistic: number of times the trace was entered.
-  uint64_t dispatches = 0;
   /// Lowered threaded-code form of this trace (see ExecBlock::threaded).
   int32_t threaded = kTraceUnformed;
-};
-
-/// Trace-formation limits.
-struct TraceOptions {
-  uint32_t max_blocks = 8;
-  uint32_t max_instrs = 256;
 };
 
 class BlockCache {
@@ -195,20 +186,17 @@ class BlockCache {
   /// trace's index, or kTraceDeclined when no multi-block trace can be
   /// formed. Does not modify blocks()[head].trace — the caller records
   /// the verdict there.
-  int32_t formTrace(int32_t head, const TraceOptions& opts);
+  int32_t formTrace(int32_t head);
 
-  // -- threaded-code lowering (core/threaded.h, DESIGN.md section 10) --
+  // -- threaded-code lowering (core/threaded.h, DESIGN.md section 6) ---
 
   /// Lowers the block at `idx` / the trace at `trace_idx` into a
   /// threaded program using the ISS-supplied handler binder. Returns the
   /// new program's index, or kTraceDeclined when the lowering would push
-  /// the per-core op total past `budget_ops` (hot code is lowered first;
-  /// once the budget is gone, cold tails stay on the chained engine).
-  /// Like formTrace, the verdict is recorded by the caller.
-  int32_t lowerBlockThreaded(int32_t idx, const ThreadedBinder& binder,
-                             uint32_t budget_ops);
-  int32_t lowerTraceThreaded(int32_t trace_idx, const ThreadedBinder& binder,
-                             uint32_t budget_ops);
+  /// the per-core op total past kThreadedBudgetOps. Like formTrace, the
+  /// verdict is recorded by the caller.
+  int32_t lowerBlockThreaded(int32_t idx, const ThreadedBinder& binder);
+  int32_t lowerTraceThreaded(int32_t trace_idx, const ThreadedBinder& binder);
 
   [[nodiscard]] const std::vector<ThreadedProgram>& threadedPrograms()
       const {

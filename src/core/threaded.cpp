@@ -1,5 +1,5 @@
 // Threaded-code lowering: turns the block cache's predecoded arrays into
-// flat ThreadedOp programs (core/threaded.h, DESIGN.md section 10).
+// flat ThreadedOp programs (core/threaded.h, DESIGN.md section 6).
 //
 // Lowering is a pure per-instruction transcription — every dynamic
 // decision the specialized dispatch loops used to make per instruction
@@ -25,24 +25,24 @@ namespace cabt::core {
 
 namespace {
 
-/// Lowers instructions [0, n) of one segment into `out`. The cum/line
-/// arrays are the block cache's per-instruction tables for the same
-/// range (line data indexed only when the binder says the icache is on).
-void lowerSegment(const trc::Instr* instrs, const uint32_t* cum,
-                  const uint8_t* new_line, const uint32_t* line_set,
-                  const uint32_t* line_tag, size_t n,
-                  const arch::BranchModel& bm, const ThreadedBinder& binder,
+/// Lowers one block into `out` from its predecoded tables (line data
+/// indexed only when the binder says the icache is on). A trace lowers
+/// segment by segment through the same call: the pipeline drains and the
+/// line-group sequence restarts at every original block boundary.
+void lowerSegment(const StaticBlock& b, const arch::BranchModel& bm,
+                  const ThreadedBinder& binder,
                   std::vector<ThreadedOp>& out) {
   using trc::Opc;
+  const size_t n = b.instrs.size();
   for (size_t i = 0; i < n; ++i) {
-    const trc::Instr& in = instrs[i];
+    const trc::Instr& in = b.instrs[i];
     ThreadedOp op;
-    const bool touch = binder.icache_on && new_line[i] != 0;
+    const bool touch = binder.icache_on && b.new_line[i] != 0;
     op.fn = binder.select(in, touch);
-    op.cum = cum[i];
+    op.cum = b.cum_cycles[i];
     if (touch) {
-      op.line_set = line_set[i];
-      op.line_tag = line_tag[i];
+      op.line_set = b.line_set[i];
+      op.line_tag = b.line_tag[i];
     }
     op.rd = in.rd;
     op.ra = in.ra;
@@ -81,7 +81,7 @@ void lowerSegment(const trc::Instr* instrs, const uint32_t* cum,
     }
     out.push_back(op);
   }
-  const trc::Instr& last = instrs[n - 1];
+  const trc::Instr& last = b.instrs[n - 1];
   if (!last.isControlTransfer()) {
     // Leader-split segment end: no control transfer sets the pc, the
     // synthetic terminator advances it to the fall-through leader. (A
@@ -91,7 +91,7 @@ void lowerSegment(const trc::Instr* instrs, const uint32_t* cum,
     ThreadedOp end;
     end.fn = binder.end;
     end.a = last.addr + last.size;
-    end.cum = cum[n - 1];
+    end.cum = b.cum_cycles[n - 1];
     out.push_back(end);
   }
 }
@@ -99,23 +99,17 @@ void lowerSegment(const trc::Instr* instrs, const uint32_t* cum,
 }  // namespace
 
 int32_t BlockCache::lowerBlockThreaded(int32_t idx,
-                                       const ThreadedBinder& binder,
-                                       uint32_t budget_ops) {
+                                       const ThreadedBinder& binder) {
   const ExecBlock& block = blocks_[static_cast<size_t>(idx)];
   const size_t need = block.instrs().size() + 1;  // worst case: + terminator
-  if (threaded_ops_ + need > budget_ops) {
+  if (threaded_ops_ + need > kThreadedBudgetOps) {
     return kTraceDeclined;
   }
   ThreadedProgram prog;
   prog.addr = block.addr();
   prog.total_instrs = static_cast<uint32_t>(block.instrs().size());
   prog.ops.reserve(need);
-  const bool icache = binder.icache_on;
-  lowerSegment(block.instrs().data(), block.cum_cycles().data(),
-               icache ? block.new_line().data() : nullptr,
-               icache ? block.line_set().data() : nullptr,
-               icache ? block.line_tag().data() : nullptr, block.instrs().size(),
-               branch_, binder, prog.ops);
+  lowerSegment(*block.stat, branch_, binder, prog.ops);
   prog.segs.push_back({idx, 0, block.addr()});
   threaded_ops_ += prog.ops.size();
   threaded_.push_back(std::move(prog));
@@ -123,30 +117,21 @@ int32_t BlockCache::lowerBlockThreaded(int32_t idx,
 }
 
 int32_t BlockCache::lowerTraceThreaded(int32_t trace_idx,
-                                       const ThreadedBinder& binder,
-                                       uint32_t budget_ops) {
+                                       const ThreadedBinder& binder) {
   const Trace& trace = traces_[static_cast<size_t>(trace_idx)];
-  const size_t need = trace.instrs.size() + trace.segs.size();
-  if (threaded_ops_ + need > budget_ops) {
+  const size_t need = trace.total_instrs + trace.segs.size();
+  if (threaded_ops_ + need > kThreadedBudgetOps) {
     return kTraceDeclined;
   }
   ThreadedProgram prog;
   prog.addr = trace.addr;
   prog.total_instrs = trace.total_instrs;
   prog.ops.reserve(need);
-  const bool icache = binder.icache_on;
   for (const TraceSegment& seg : trace.segs) {
     prog.segs.push_back(
         {seg.block, static_cast<uint32_t>(prog.ops.size()), seg.entry_addr});
-    // The flattened trace arrays restart cum_cycles and the line-group
-    // sequence at every segment, so lowering a [first, first+count)
-    // slice is identical to lowering the constituent block.
-    lowerSegment(trace.instrs.data() + seg.first,
-                 trace.cum_cycles.data() + seg.first,
-                 icache ? trace.new_line.data() + seg.first : nullptr,
-                 icache ? trace.line_set.data() + seg.first : nullptr,
-                 icache ? trace.line_tag.data() + seg.first : nullptr,
-                 seg.count, branch_, binder, prog.ops);
+    lowerSegment(*blocks_[static_cast<size_t>(seg.block)].stat, branch_,
+                 binder, prog.ops);
   }
   threaded_ops_ += prog.ops.size();
   threaded_.push_back(std::move(prog));

@@ -1,8 +1,8 @@
 // Threaded-code programs: the lowered, execution-ready form of a cached
-// block or superblock trace (DispatchMode::kThreaded).
+// block or superblock trace (the hot tiers of the ISS threaded engine).
 //
 // Where the block cache removes the per-step address lookup and the
-// chained engine removes the per-block lookup, a threaded program removes
+// chained tier removes the per-block lookup, a threaded program removes
 // the last per-instruction work that is not the instruction's own
 // semantics: the decode switch and the operand extraction. A hot block
 // (or trace) is lowered *once* into a flat array of ThreadedOp records,
@@ -32,7 +32,7 @@
 // block cache and the traces they are lowered from: a pure function of
 // the immutable program image and the (fixed per core) ISS config. They
 // are never serialized; a restore into a cold process rebuilds them
-// lazily once blocks re-heat (src/snap, DESIGN.md section 10).
+// lazily once blocks re-heat (src/snap, DESIGN.md section 6).
 #pragma once
 
 #include <cstdint>

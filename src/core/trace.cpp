@@ -3,12 +3,11 @@
 // A trace stitches a hot block and its dominant successors into one
 // contiguous dispatch unit, in the style of a trace cache: the chain is
 // chosen from the successor outcomes observed by chained dispatch
-// (ExecBlock::taken_count / ft_count), flattened into concatenated
-// instruction / schedule / line-group arrays, and guarded at every
-// original block boundary by the next segment's entry address. The
-// builder only decides *which* blocks to splice; the execution-time
-// semantics (corrections at original boundaries, guard bails) live in
-// the ISS dispatch engine.
+// (ExecBlock::taken_count / ft_count) and guarded at every original
+// block boundary by the next segment's entry address. The builder only
+// decides *which* blocks to splice; lowering (threaded.cpp) reads the
+// constituents' predecoded arrays, and the execution-time semantics
+// (corrections at original boundaries, guard bails) live in the ISS.
 #include "core/block_cache.h"
 
 namespace cabt::core {
@@ -46,12 +45,12 @@ int32_t dominantSuccessor(const ExecBlock& b) {
 
 }  // namespace
 
-int32_t BlockCache::formTrace(int32_t head, const TraceOptions& opts) {
+int32_t BlockCache::formTrace(int32_t head) {
   std::vector<int32_t> chain;
   chain.push_back(head);
   uint32_t total = static_cast<uint32_t>(blocks_[head].instrs().size());
   int32_t cur = head;
-  while (chain.size() < opts.max_blocks) {
+  while (chain.size() < kTraceMaxBlocks) {
     const int32_t next = dominantSuccessor(blocks_[cur]);
     if (next < 0) {
       break;
@@ -61,7 +60,7 @@ int32_t BlockCache::formTrace(int32_t head, const TraceOptions& opts) {
     // reach them through the stepping fallback.
     const ExecBlock& nb = blocks_[next];
     if (nb.has_breakpoint != 0 ||
-        total + nb.instrs().size() > opts.max_instrs) {
+        total + nb.instrs().size() > kTraceMaxInstrs) {
       break;
     }
     total += static_cast<uint32_t>(nb.instrs().size());
@@ -75,34 +74,9 @@ int32_t BlockCache::formTrace(int32_t head, const TraceOptions& opts) {
   Trace tr;
   tr.addr = blocks_[head].addr();
   tr.total_instrs = total;
-  tr.instrs.reserve(total);
-  tr.cum_cycles.reserve(total);
   tr.segs.reserve(chain.size());
-  const bool have_lines = !blocks_[head].new_line().empty();
-  if (have_lines) {
-    tr.new_line.reserve(total);
-    tr.line_set.reserve(total);
-    tr.line_tag.reserve(total);
-  }
   for (const int32_t idx : chain) {
-    const ExecBlock& b = blocks_[idx];
-    TraceSegment seg;
-    seg.block = idx;
-    seg.first = static_cast<uint32_t>(tr.instrs.size());
-    seg.count = static_cast<uint32_t>(b.instrs().size());
-    seg.entry_addr = b.addr();
-    tr.segs.push_back(seg);
-    tr.instrs.insert(tr.instrs.end(), b.instrs().begin(), b.instrs().end());
-    tr.cum_cycles.insert(tr.cum_cycles.end(), b.cum_cycles().begin(),
-                         b.cum_cycles().end());
-    if (have_lines) {
-      tr.new_line.insert(tr.new_line.end(), b.new_line().begin(),
-                         b.new_line().end());
-      tr.line_set.insert(tr.line_set.end(), b.line_set().begin(),
-                         b.line_set().end());
-      tr.line_tag.insert(tr.line_tag.end(), b.line_tag().begin(),
-                         b.line_tag().end());
-    }
+    tr.segs.push_back({idx, blocks_[idx].addr()});
   }
   traces_.push_back(std::move(tr));
   return static_cast<int32_t>(traces_.size() - 1);

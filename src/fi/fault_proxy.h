@@ -14,7 +14,7 @@
 //
 // Determinism: device accesses happen only on the kernel's sequential drain
 // (soc/bus.h threading contract) at bit-identical soc_cycle timestamps
-// across all dispatch engines and seq/par kernels, so the set of stalled
+// across both ISS engines and seq/par kernels, so the set of stalled
 // accesses is identical too.
 #pragma once
 

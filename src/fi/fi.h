@@ -6,8 +6,8 @@
 //
 //   * core faults (register/pc/memory-word flips) become fi::CoreFault
 //     entries in per-core injectors, applied by the ISS at basic-block
-//     boundaries through the due-time ladder — bit-identical across every
-//     dispatch engine, stepping, and the seq/par kernels;
+//     boundaries through the due-time ladder — bit-identical across both
+//     ISS engines (threaded and step()) and the seq/par kernels;
 //   * bus errors become soc::BusFaultWindows whose on_error raises the
 //     precise bus-error line (platform::kBusErrorIrqLine) on the faulted
 //     core's interrupt controller, delivered — like every interrupt — at

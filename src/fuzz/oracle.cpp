@@ -22,28 +22,16 @@ const xlat::DetailLevel kLevels[] = {
     xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
     xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache};
 
-const iss::DispatchMode kModes[] = {
-    iss::DispatchMode::kLookup, iss::DispatchMode::kChained,
-    iss::DispatchMode::kChainedTraces, iss::DispatchMode::kThreaded};
+/// The ISS engine axis of the grid, as IssConfig::use_block_cache:
+/// the step() reference (false) and the threaded engine (true).
+constexpr bool kEngines[] = {false, true};
 
-const char* modeName(iss::DispatchMode m) {
-  switch (m) {
-    case iss::DispatchMode::kLookup:
-      return "lookup";
-    case iss::DispatchMode::kChained:
-      return "chained";
-    case iss::DispatchMode::kChainedTraces:
-      return "traces";
-    case iss::DispatchMode::kThreaded:
-      return "threaded";
-  }
-  return "?";
-}
+const char* engineName(bool threaded) { return threaded ? "threaded" : "step"; }
 
 /// The validity gate and in-level comparison baseline: icache detail,
-/// chained+traces dispatch, sequential kernel.
+/// threaded engine, sequential kernel.
 constexpr xlat::DetailLevel kRefLevel = xlat::DetailLevel::kICache;
-constexpr iss::DispatchMode kRefMode = iss::DispatchMode::kChainedTraces;
+constexpr bool kRefThreaded = true;
 
 uint64_t fnv1a(uint64_t h, const void* data, size_t n) {
   const auto* p = static_cast<const uint8_t*>(data);
@@ -55,7 +43,7 @@ uint64_t fnv1a(uint64_t h, const void* data, size_t n) {
 }
 
 std::string forkKey(const SeedCase& c, xlat::DetailLevel level,
-                    iss::DispatchMode mode, bool par) {
+                    bool threaded, bool par) {
   uint64_t h = 1469598103934665603ull;
   for (const std::string& p : c.programs) {
     h = fnv1a(h, p.data(), p.size());
@@ -63,8 +51,8 @@ std::string forkKey(const SeedCase& c, xlat::DetailLevel level,
   }
   std::ostringstream key;
   key << std::hex << h << std::dec << "-q" << c.quantum << "-f"
-      << c.fork_cycle << "-l" << static_cast<int>(level) << "-m"
-      << static_cast<int>(mode) << "-p" << (par ? 1 : 0);
+      << c.fork_cycle << "-l" << static_cast<int>(level) << "-e"
+      << (threaded ? 1 : 0) << "-p" << (par ? 1 : 0);
   return key.str();
 }
 
@@ -83,11 +71,11 @@ struct BoardObs {
 BoardObs runBoard(const arch::ArchDescription& desc,
                   const std::vector<const elf::Object*>& ptrs,
                   const SeedCase& c, const OracleOptions& opts,
-                  xlat::DetailLevel level, iss::DispatchMode mode, bool par,
+                  xlat::DetailLevel level, bool threaded, bool par,
                   SnapshotCache* cache, core::EdgeCoverage* coverage) {
   platform::BoardConfig cfg;
   cfg.iss = platform::issConfigFor(level);
-  cfg.iss.dispatch_mode = mode;
+  cfg.iss.use_block_cache = threaded;
   // Aggressive formation so short fuzz programs exercise traces and
   // threaded lowering (the random_program_test idiom).
   cfg.iss.trace_threshold = 2;
@@ -103,7 +91,7 @@ BoardObs runBoard(const arch::ArchDescription& desc,
   // warm and cold runs are bit-identical (snap:: contract; pinned by
   // tests/fuzz_test.cpp SnapshotForkMatchesColdRun).
   if (c.fork_cycle > 0) {
-    const std::string key = forkKey(c, level, mode, par);
+    const std::string key = forkKey(c, level, threaded, par);
     const std::vector<uint8_t>* snap_data =
         cache != nullptr ? cache->find(key) : nullptr;
     if (snap_data != nullptr) {
@@ -281,7 +269,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
   // ---- reference configuration: validity gate + coverage feedback ----
   BoardObs ref;
   try {
-    ref = runBoard(desc, ptrs, c, opts, kRefLevel, kRefMode,
+    ref = runBoard(desc, ptrs, c, opts, kRefLevel, kRefThreaded,
                    /*par=*/false, cache, coverage);
     ++result.executions;
   } catch (const Error& e) {
@@ -302,7 +290,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
       c.faults.empty() && (c.programs.size() == 1 || !c.hasSharedTraffic());
 
   try {
-    // ---- the board grid: detail x dispatch x seq/par -----------------
+    // ---- the board grid: detail x engine x seq/par -------------------
     for (const xlat::DetailLevel level : kLevels) {
       BoardObs leader;
       bool have_leader = false;
@@ -310,12 +298,12 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
         leader = ref;
         have_leader = true;
       }
-      for (const iss::DispatchMode mode : kModes) {
+      for (const bool threaded : kEngines) {
         for (const bool par : {false, true}) {
-          if (level == kRefLevel && mode == kRefMode && !par) {
+          if (level == kRefLevel && threaded == kRefThreaded && !par) {
             continue;  // already ran as the reference
           }
-          BoardObs got = runBoard(desc, ptrs, c, opts, level, mode, par,
+          BoardObs got = runBoard(desc, ptrs, c, opts, level, threaded, par,
                                   cache, nullptr);
           ++result.executions;
           if (!have_leader) {
@@ -327,7 +315,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
           if (!diff.empty()) {
             std::ostringstream out;
             out << "level=" << xlat::detailLevelName(level)
-                << " dispatch=" << modeName(mode) << " par=" << par << ": "
+                << " engine=" << engineName(threaded) << " par=" << par << ": "
                 << diff;
             result.mismatch = out.str();
             return result;

@@ -3,15 +3,15 @@
 //
 // One candidate SeedCase is executed across the full reference-board
 // grid — detail level {functional, static, branch-predict, icache} ×
-// dispatch {lookup, chained, chained+traces, threaded} × {sequential,
-// parallel-round} — and, for single-program cases without shared
-// traffic or faults, additionally against the RT-level model and the
-// translated platform at every detail level. Compared observables:
+// ISS engine {step, threaded} × {sequential, parallel-round} — and, for
+// single-program cases without shared traffic or faults, additionally
+// against the RT-level model and the translated platform at every
+// detail level. Compared observables:
 //
 //   * within one detail level: the rolling state digest (snap::digest),
 //     the full bus transaction log, per-core architectural stats,
 //     registers, pc and the interrupt delivery timestamps — everything
-//     must be bit-identical across dispatch modes and seq/par;
+//     must be bit-identical across the two engines and seq/par;
 //   * across detail levels (skipped when faults are armed or when
 //     multiple cores share traffic — cycle-keyed faults and shared-bus
 //     interleavings legitimately depend on the timing model): the
@@ -28,7 +28,7 @@
 // are bit-identical by the snap:: contract. The candidate's mutated
 // state (fi:: specs) applies on top of the restored board.
 //
-// The reference configuration (icache level, chained+traces, seq) runs
+// The reference configuration (icache level, threaded, seq) runs
 // first and gates validity: a candidate that does not halt there within
 // the instruction budget is discarded as invalid, never reported.
 #pragma once

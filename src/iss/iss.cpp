@@ -388,37 +388,6 @@ StopReason Iss::step() {
   return stop_;
 }
 
-void Iss::dispatchBlock(core::ExecBlock& block) {
-  ++block.exec_count;
-  ++stats_.cached_blocks;
-  const bool timing = config_.model_timing;
-  if (timing) {
-    current_block_ = BlockRecord{};
-    current_block_.addr = block.addr();
-    in_block_ = true;
-    ++stats_.blocks;
-  }
-  const size_t n = block.instrs().size();
-  for (size_t i = 0; i < n; ++i) {
-    const Instr& instr = block.instrs()[i];
-    if (timing) {
-      if (icacheOn() && block.new_line()[i] != 0) {
-        icacheAccess(instr.addr);
-      }
-      live_pipe_ = block.cum_cycles()[i];
-    }
-    execute(instr);
-    ++stats_.instructions;
-    if (stop_ != StopReason::kRunning) {
-      break;  // HALT or BKPT mid-block; live_pipe_ holds the partial cost
-    }
-  }
-  if (stop_ == StopReason::kHalted) {
-    finishBlock();
-    syncBusClock();
-  }
-}
-
 template <bool Timing, bool ICache>
 void Iss::bailOutOfBlockT(core::ExecBlock& block, size_t i) {
   bailed_shared_ = true;
@@ -530,96 +499,14 @@ int32_t Iss::afterBlock(core::ExecBlock& block) {
   return next;
 }
 
-template <bool Timing, bool ICache, bool BranchX>
-int32_t Iss::dispatchTraceT(core::Trace& trace, uint64_t time_limit,
-                            bool* epoch_done) {
-  // Admission (runChainedT) guaranteed the whole trace fits the
-  // instruction budget, so no budget test survives inside the trace.
-  ++trace.dispatches;
-  ++stats_.trace_dispatches;
-  std::vector<core::ExecBlock>& blocks = cache_->blocks();
-  const Instr* instrs = trace.instrs.data();
-  const uint32_t* cum = trace.cum_cycles.data();
-  const uint8_t* new_line = ICache ? trace.new_line.data() : nullptr;
-  const uint32_t* line_set = ICache ? trace.line_set.data() : nullptr;
-  const uint32_t* line_tag = ICache ? trace.line_tag.data() : nullptr;
-  const core::TraceSegment* segs = trace.segs.data();
-  const size_t num_segs = trace.segs.size();
-  for (size_t s = 0;; ++s) {
-    const core::TraceSegment& seg = segs[s];
-    core::ExecBlock& block = blocks[static_cast<size_t>(seg.block)];
-    ++block.exec_count;
-    ++block.trace_execs;
-    ++stats_.cached_blocks;
-    ++stats_.trace_blocks;
-    if constexpr (Timing) {
-      current_block_ = BlockRecord{};
-      current_block_.addr = block.addr();
-      in_block_ = true;
-      ++stats_.blocks;
-    }
-    const uint32_t first = seg.first;
-    const uint32_t count = seg.count;
-    for (uint32_t i = 0; i < count; ++i) {
-      const Instr& instr = instrs[first + i];
-      if constexpr (ICache) {
-        if (new_line[first + i] != 0) {
-          icacheAccessTagged(line_set[first + i], line_tag[first + i]);
-        }
-      }
-      if constexpr (Timing) {
-        live_pipe_ = cum[first + i];
-      }
-      executeT<BranchX>(instr);
-      ++stats_.instructions;
-      if (stop_ != StopReason::kRunning) {
-        if (stop_ == StopReason::kHalted) {
-          finishBlock();
-          syncBusClock();
-        }
-        return -1;  // HALT or BKPT mid-block
-      }
-    }
-    if (s + 1 == num_segs) {
-      return afterBlock<Timing>(block);  // chain off the trace end
-    }
-    // Original block boundary inside the trace: the identical epoch
-    // sequence the outer loop performs between two chained blocks —
-    // lazy commit, quantum yield, interrupt sample, then the guard.
-    finishBlock();
-    observeBoundary();
-    if (localTime() >= time_limit) {
-      return kDispatchYield;  // resumable: pc_ rests on the next leader
-    }
-    pollFaults();  // a pc-redirecting fault fails the guard below
-    if (irq_ != nullptr) {
-      maybeTakeIrq();
-    }
-    if (pc_ != segs[s + 1].entry_addr) {
-      // Guard failure: the branch went the non-dominant way or an
-      // interrupt redirected control. Bail to block granularity; the
-      // actual successor may still chain. This boundary's epoch has
-      // already run — the outer loop must not repeat it.
-      ++stats_.guard_bails;
-      if (trace_sink_ != nullptr) {
-        trace_sink_->instant(trace_lane_, "guard_bail", localTime(), "addr",
-                             block.addr());
-      }
-      *epoch_done = true;
-      return resolveNext(block);
-    }
-  }
-}
-
 template <bool Timing, bool ICache, bool BranchX, bool Bail>
-StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
-                            bool threaded) {
+StopReason Iss::runChainedT(uint64_t time_limit) {
   core::BlockCache& cache = blockCache();
   std::vector<core::ExecBlock>& blocks = cache.blocks();
-  const core::TraceOptions trace_opts{config_.trace_max_blocks,
-                                      config_.trace_max_instrs};
-  const core::ThreadedBinder binder =
-      threaded ? threadedBinder() : core::ThreadedBinder{};
+  [[maybe_unused]] const core::ThreadedBinder binder = threadedBinder();
+  [[maybe_unused]] const auto count_lowering = [this](int32_t verdict) {
+    ++(verdict >= 0 ? stats_.threaded_lowerings : stats_.threaded_declined);
+  };
   int32_t next_idx = -1;
   bool epoch_done = false;
   while (stop_ == StopReason::kRunning) {
@@ -703,14 +590,17 @@ StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
       ++stats_.chain_hits;
       ++block->chain_entries;
     }
-    if (traces) {
+    if constexpr (!Bail) {
+      // Hot tiers: a block past trace_threshold heads a superblock trace,
+      // lowered into threaded code on formation; a block past
+      // threaded_threshold is lowered on its own. Whatever the op budget
+      // declines runs on the chained tier below, block by block.
       if (block->trace == core::kTraceUnformed &&
           block->exec_count >= config_.trace_threshold &&
           block->exec_count >= block->trace_retry_at) {
-        block->trace = cache.formTrace(
-            static_cast<int32_t>(block - blocks.data()), trace_opts);
+        block->trace =
+            cache.formTrace(static_cast<int32_t>(block - blocks.data()));
         if (trace_sink_ != nullptr && block->trace >= 0) {
-          // Sequential path only: private slices run with traces off.
           trace_sink_->instant(trace_lane_, "trace_form", localTime(),
                                "addr", block->addr());
         }
@@ -728,45 +618,27 @@ StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
         if ((breakpoints_.empty() || !traceHasBreakpoint(trace)) &&
             stats_.instructions + trace.total_instrs <=
                 config_.max_instructions) {
-          if (threaded && trace.threaded == core::kTraceUnformed) {
-            // A formed trace is hot by definition (it is past
-            // trace_threshold dispatches): lower it on this entry.
-            trace.threaded = cache.lowerTraceThreaded(
-                block->trace, binder, config_.threaded_budget_ops);
-            if (trace.threaded >= 0) {
-              ++stats_.threaded_lowerings;
-            } else {
-              ++stats_.threaded_declined;
-            }
+          if (trace.threaded == core::kTraceUnformed) {
+            trace.threaded = cache.lowerTraceThreaded(block->trace, binder);
+            count_lowering(trace.threaded);
           }
-          if (threaded && trace.threaded >= 0) {
+          if (trace.threaded >= 0) {
             const uint64_t before = stats_.instructions;
             next_idx = dispatchThreadedTraceT<Timing>(
-                trace, cache.threaded(trace.threaded), time_limit,
-                &epoch_done);
+                cache.threaded(trace.threaded), time_limit, &epoch_done);
             stats_.threaded_instrs += stats_.instructions - before;
-          } else {
-            next_idx = dispatchTraceT<Timing, ICache, BranchX>(
-                trace, time_limit, &epoch_done);
+            if (next_idx == kDispatchYield) {
+              return StopReason::kCycleLimit;
+            }
+            continue;
           }
-          if (next_idx == kDispatchYield) {
-            return StopReason::kCycleLimit;
-          }
-          continue;
         }
       }
-    }
-    if (threaded) {
       if (block->threaded == core::kTraceUnformed &&
           block->exec_count >= config_.threaded_threshold) {
         block->threaded = cache.lowerBlockThreaded(
-            static_cast<int32_t>(block - blocks.data()), binder,
-            config_.threaded_budget_ops);
-        if (block->threaded >= 0) {
-          ++stats_.threaded_lowerings;
-        } else {
-          ++stats_.threaded_declined;
-        }
+            static_cast<int32_t>(block - blocks.data()), binder);
+        count_lowering(block->threaded);
       }
       if (block->threaded >= 0) {
         const uint64_t before = stats_.instructions;
@@ -816,100 +688,26 @@ StopReason Iss::runLoop(uint64_t time_limit) {
     }
     return stop_;
   }
-  if (private_mode_) {
-    // Private slices always run the Bail-instrumented chained engine
-    // (without trace formation or threaded programs), whatever
-    // dispatch_mode says: all engines are architecturally bit-identical,
-    // and the sequential drain finishes the slice on the configured
-    // engine.
-    return selectChainedT<true>(time_limit, /*traces=*/false,
-                                /*threaded=*/false);
-  }
-  if (config_.dispatch_mode == DispatchMode::kLookup) {
-    return runLoopLookup(time_limit);
-  }
-  return selectChainedT<false>(
-      time_limit, config_.dispatch_mode != DispatchMode::kChained,
-      config_.dispatch_mode == DispatchMode::kThreaded);
+  // Private slices run the Bail-instrumented cold chained tier only (no
+  // traces, no threaded programs; DESIGN.md section 6). The tiers are
+  // architecturally bit-identical, and the sequential drain finishes the
+  // slice on the full engine.
+  return private_mode_ ? selectChainedT<true>(time_limit)
+                       : selectChainedT<false>(time_limit);
 }
 
 template <bool Bail>
-StopReason Iss::selectChainedT(uint64_t time_limit, bool traces,
-                               bool threaded) {
+StopReason Iss::selectChainedT(uint64_t time_limit) {
   if (!config_.model_timing) {
-    return runChainedT<false, false, false, Bail>(time_limit, traces,
-                                                  threaded);
+    return runChainedT<false, false, false, Bail>(time_limit);
   }
   const bool with_extras = config_.model_branch_extras;
   if (icacheOn()) {
-    return with_extras ? runChainedT<true, true, true, Bail>(
-                             time_limit, traces, threaded)
-                       : runChainedT<true, true, false, Bail>(
-                             time_limit, traces, threaded);
+    return with_extras ? runChainedT<true, true, true, Bail>(time_limit)
+                       : runChainedT<true, true, false, Bail>(time_limit);
   }
-  return with_extras ? runChainedT<true, false, true, Bail>(
-                           time_limit, traces, threaded)
-                     : runChainedT<true, false, false, Bail>(
-                           time_limit, traces, threaded);
-}
-
-StopReason Iss::runLoopLookup(uint64_t time_limit) {
-  while (stop_ == StopReason::kRunning) {
-    if (stats_.instructions >= config_.max_instructions) {
-      stop_ = StopReason::kMaxInstructions;
-      break;
-    }
-    // A still-open block is committed lazily, exactly when the stepping
-    // engine would: at the first instruction of the next leader.
-    // (Deliberately the pre-chaining ordered-set probe, not the bitmap:
-    // this loop is the dispatch ablation's measured baseline.)
-    const bool boundary = graph_.leaders().count(pc_) != 0;
-    if (boundary && in_block_) {
-      finishBlock();
-    }
-    if (boundary) {
-      observeBoundary();
-      if (localTime() >= time_limit) {
-        return StopReason::kCycleLimit;  // resumable: stop_ stays running
-      }
-      pollFaults();  // a pc redirect is caught by the lookup below
-      maybeTakeIrq();  // may redirect pc_ to the vector (also a leader)
-    }
-    core::ExecBlock* block = in_block_ ? nullptr : blockCache().lookup(pc_);
-    if (block != nullptr && !breakpoints_.empty() &&
-        block->has_breakpoint != 0) {
-      // Never dispatch a cached block containing a breakpoint, however
-      // hot: the stepping fallback stops exactly on the breakpoint.
-      block = nullptr;
-    }
-    if (block == nullptr ||
-        stats_.instructions + block->instrs().size() >
-            config_.max_instructions) {
-      // Per-instruction fallback: mid-block landing addresses, blocks
-      // with breakpoints and the final instructions before the
-      // instruction limit.
-      step();
-      continue;
-    }
-    dispatchBlock(*block);
-    if (stop_ == StopReason::kRunning && config_.model_timing &&
-        graph_.leaders().count(pc_) == 0) {
-      // Indirect transfer into the middle of a block: per-instruction
-      // semantics keep the current block open across the jump, so restore
-      // the stepping engine's view of it (warm issue schedule and line
-      // tracking) before falling back.
-      timer_.reset();
-      for (const Instr& instr : block->instrs()) {
-        timer_.issue(instr.timedOp());
-      }
-      live_pipe_ = timer_.cycles();
-      if (icacheOn()) {
-        have_line_ = true;
-        last_line_ = desc_.icache.lineOf(block->instrs().back().addr);
-      }
-    }
-  }
-  return stop_;
+  return with_extras ? runChainedT<true, false, true, Bail>(time_limit)
+                     : runChainedT<true, false, false, Bail>(time_limit);
 }
 
 namespace {
@@ -984,7 +782,7 @@ void Iss::saveState(serial::Writer& w) const {
   // Compatibility record: the architectural configuration and a program
   // fingerprint. Restore requires an identical pair — a snapshot taken
   // at one detail level or of one program must not restore into another.
-  // Dispatch mode / block-cache knobs are deliberately absent: they are
+  // The engine choice and tier thresholds are deliberately absent: they are
   // host-side strategy, and a snapshot moves freely between them.
   w.b(config_.model_timing);
   w.b(config_.model_branch_extras);
@@ -1108,7 +906,7 @@ void Iss::digestState(serial::Writer& w) const {
   w.u32(have_line_ ? last_line_ : 0);
   timer_.saveState(w);
   icache_.saveState(w);
-  // Architectural counters only (identical across dispatch engines).
+  // Architectural counters only (identical across both engines).
   w.u64(stats_.instructions);
   w.u64(stats_.cycles);
   w.u64(stats_.pipeline_cycles);
@@ -1435,7 +1233,7 @@ void Iss::executeT(const Instr& in) {
   pc_ = next_pc;
 }
 
-// ---- threaded-code backend (DispatchMode::kThreaded) -----------------
+// ---- threaded tier: the hot half of the threaded engine ---------------
 //
 // One specialized host handler per opcode, in (Timing, BranchX) handler
 // sets mirroring the runChainedT specialization ladder, with the icache
@@ -1770,12 +1568,10 @@ void Iss::dispatchThreadedBlockT(core::ExecBlock& block,
 }
 
 template <bool Timing>
-int32_t Iss::dispatchThreadedTraceT(core::Trace& trace,
-                                    const core::ThreadedProgram& prog,
+int32_t Iss::dispatchThreadedTraceT(const core::ThreadedProgram& prog,
                                     uint64_t time_limit, bool* epoch_done) {
   // Admission (runChainedT) guaranteed the whole trace fits the
-  // instruction budget, exactly as for the interpreted trace engine.
-  ++trace.dispatches;
+  // instruction budget, so no budget test survives inside the trace.
   ++stats_.trace_dispatches;
   ++stats_.threaded_dispatches;
   std::vector<core::ExecBlock>& blocks = cache_->blocks();
@@ -1810,8 +1606,8 @@ int32_t Iss::dispatchThreadedTraceT(core::Trace& trace,
       return afterBlock<Timing>(block);  // chain off the trace end
     }
     // Original block boundary inside the trace: the identical epoch
-    // sequence dispatchTraceT performs between two segments — lazy
-    // commit, quantum yield, interrupt sample, then the guard.
+    // sequence the outer loop performs between two chained blocks —
+    // lazy commit, quantum yield, interrupt sample, then the guard.
     finishBlock();
     observeBoundary();
     if (localTime() >= time_limit) {
@@ -1822,8 +1618,10 @@ int32_t Iss::dispatchThreadedTraceT(core::Trace& trace,
       maybeTakeIrq();
     }
     if (pc_ != segs[s + 1].entry_addr) {
-      // Guard failure: this boundary's epoch has already run — the
-      // outer loop must not repeat it.
+      // Guard failure: the branch went the non-dominant way or an
+      // interrupt redirected control. Bail to block granularity; the
+      // actual successor may still chain. This boundary's epoch has
+      // already run — the outer loop must not repeat it.
       ++stats_.guard_bails;
       if (trace_sink_ != nullptr) {
         trace_sink_->instant(trace_lane_, "guard_bail", localTime(), "addr",

@@ -9,17 +9,20 @@
 // the precise fetch rule).
 //
 // Two execution engines share identical semantics:
-//   * a block-dispatch engine (the default for run()) that executes whole
-//     predecoded blocks from a core::BlockCache. After a block retires,
-//     the next block is resolved through its precomputed successor edges
-//     (direct chaining — no hash lookup on the common path), hot blocks
-//     are spliced with their dominant successors into guarded superblock
-//     traces, and the inner loop is specialized by template on the
-//     timing/icache/branch-extra knobs so no per-instruction config test
-//     survives in the hot path (see DESIGN.md section 6); and
-//   * a per-instruction step() engine, used by single stepping, as the
-//     fallback for addresses that are not block leaders, and to stop
-//     exactly at the instruction limit.
+//   * the threaded engine (the default for run()), which executes whole
+//     predecoded blocks from a core::BlockCache in three tiers: cold
+//     blocks run on a chained block loop (the next block is resolved
+//     through its precomputed successor edges, no hash lookup), blocks
+//     past a hot threshold are lowered into threaded code (core/
+//     threaded.h: pre-bound handler records, no decode switch), and hot
+//     blocks are spliced with their dominant successors into guarded
+//     superblock traces that are lowered the same way. The loops are
+//     specialized by template on the timing/icache/branch-extra knobs so
+//     no per-instruction config test survives in the hot path (see
+//     DESIGN.md section 6); and
+//   * the per-instruction step() engine, the interpretive reference: used
+//     by single stepping, as the fallback for addresses that are not
+//     block leaders, and to stop exactly at the instruction limit.
 // Block boundaries come from the same core::BlockGraph the translator
 // consumes, so the reference and the translated image can never disagree
 // about block structure. The two engines are bit-identical in both
@@ -94,7 +97,7 @@ struct IssStats {
   uint64_t irqs_taken = 0;        ///< interrupts accepted at block boundaries
   uint64_t irq_entry_cycles = 0;  ///< cycles charged for interrupt entry
   /// Blocks dispatched through the predecoded block cache (the rest ran
-  /// on the per-instruction fallback engine). Not part of the
+  /// on the per-instruction step() fallback). Not part of the
   /// architectural comparison between the two engines — nor are the
   /// dispatch-path counters below, which record *how* blocks were
   /// reached so the perf trajectory can explain why speed changed.
@@ -114,35 +117,14 @@ struct IssStats {
   /// sequential drain on a shared-bus touch before the quantum expired.
   uint64_t private_slices = 0;
   uint64_t private_bails = 0;
-  /// Threaded-code backend accounting (DispatchMode::kThreaded, also
-  /// non-architectural): programs entered (a lowered block or whole
-  /// trace each count one), instructions retired inside them, lowerings
-  /// performed, and lowerings declined by the op budget.
+  /// Threaded-tier accounting (also non-architectural): programs entered
+  /// (a lowered block or whole trace each count one), instructions
+  /// retired inside them, lowerings performed, and lowerings declined by
+  /// the per-core op budget (core::kThreadedBudgetOps).
   uint64_t threaded_dispatches = 0;
   uint64_t threaded_instrs = 0;
   uint64_t threaded_lowerings = 0;
   uint64_t threaded_declined = 0;
-};
-
-/// Block-dispatch strategy of the run()/runUntil() engine (only
-/// meaningful while `use_block_cache` is true).
-enum class DispatchMode {
-  /// Address lookup per dispatched block (hash map + ordered-set leader
-  /// probes) — the pre-chaining engine, kept verbatim as the measured
-  /// baseline of bench_ablation_dispatch.
-  kLookup,
-  /// Successor chaining over the precomputed target/fall-through edges
-  /// with an O(1) leader bitmap and template-specialized inner loops.
-  kChained,
-  /// kChained plus superblock trace formation for hot blocks.
-  kChainedTraces,
-  /// kChainedTraces plus threaded-code lowering: hot blocks and formed
-  /// traces are lowered once into flat arrays of pre-bound host handler
-  /// records (core/threaded.h) — zero per-instruction decode, no switch,
-  /// no operand extraction on the hot path. All corrections stay at the
-  /// original block boundaries, so the backend is bit-identical to
-  /// step() at every detail level (DESIGN.md section 10).
-  kThreaded,
 };
 
 struct IssConfig {
@@ -155,28 +137,16 @@ struct IssConfig {
   /// accesses, misses or penalty cycles are recorded.
   bool model_branch_extras = true;
   bool model_icache = true;
-  /// false = force the per-instruction engine even in run() (the
-  /// pre-block-cache behaviour; kept for differential testing and for
-  /// debugger-style consumers that want stepping semantics throughout).
+  /// The engine choice: true runs the threaded engine, false runs the
+  /// step() reference throughout (differential testing, and debugger-
+  /// style consumers that want stepping semantics everywhere).
   bool use_block_cache = true;
-  /// Block-dispatch strategy; kLookup/kChained exist for differential
-  /// testing and the dispatch ablation.
-  DispatchMode dispatch_mode = DispatchMode::kChainedTraces;
-  /// A block heads a superblock trace once dispatched this many times
-  /// (kChainedTraces only).
+  /// A block heads a superblock trace once dispatched this many times.
   uint32_t trace_threshold = 64;
-  /// Trace formation limits (blocks spliced per trace; a revisited
-  /// block unrolls a hot loop into the trace).
-  uint32_t trace_max_blocks = 8;
-  uint32_t trace_max_instrs = 256;
   /// A block is lowered into a threaded-code program once dispatched
-  /// this many times (kThreaded only); formed traces are lowered on
-  /// their next dispatch (they are already past trace_threshold).
+  /// this many times; formed traces are lowered on formation (they are
+  /// already past trace_threshold).
   uint32_t threaded_threshold = 16;
-  /// Total ThreadedOp records the per-core lowering budget allows.
-  /// Exhaustion declines further lowerings permanently: hot code lowers
-  /// first, cold tails stay on the chained engine.
-  uint32_t threaded_budget_ops = 1u << 16;
   uint64_t max_instructions = 500'000'000;
   /// Cycles charged when an interrupt is accepted (pipeline flush + the
   /// vector fetch), at the block boundary where it is taken.
@@ -280,8 +250,8 @@ class Iss {
   /// Connects a fault injector (src/fi, DESIGN.md section 12), polled at
   /// basic-block boundaries through pollFaults() — the same due-time-
   /// ladder discipline as the interrupt sample and the PC sampler, so a
-  /// scheduled fault lands at the identical boundary epoch across every
-  /// dispatch engine, stepping, and the seq/par kernels. The injector is
+  /// scheduled fault lands at the identical boundary epoch across both
+  /// engines, every tier, and the seq/par kernels. The injector is
   /// harness state: never serialized, never digested; nullptr detaches.
   void setInjector(fi::CoreInjector* injector) { injector_ = injector; }
 
@@ -402,15 +372,14 @@ class Iss {
   template <bool Timing, bool BranchX>
   friend struct ThreadedHandlers;
 
-  /// dispatchTraceT() result meaning "yield with kCycleLimit now";
-  /// non-negative results chain into the next block, -1 falls back to
-  /// lookup/stepping.
+  /// dispatchThreadedTraceT() result meaning "yield with kCycleLimit
+  /// now"; non-negative results chain into the next block, -1 falls back
+  /// to lookup/stepping.
   static constexpr int32_t kDispatchYield = -3;
 
   const trc::Instr& fetch(uint32_t addr) const;
   void commitBlock();
   void finishBlock();
-  void dispatchBlock(core::ExecBlock& block);
   uint32_t loadMem(uint32_t addr, unsigned size, bool sign);
   void storeMem(uint32_t addr, uint32_t value, unsigned size);
   void syncBusClock();
@@ -430,24 +399,20 @@ class Iss {
   /// ladder shared by normal runs (Bail=false) and private slices
   /// (Bail=true), so the two modes cannot drift apart.
   template <bool Bail>
-  StopReason selectChainedT(uint64_t time_limit, bool traces,
-                            bool threaded);
-  /// The pre-chaining dispatch loop (DispatchMode::kLookup): address
-  /// hash lookup + ordered-set leader probes per block. Kept verbatim as
-  /// the measured baseline of the dispatch ablation.
-  StopReason runLoopLookup(uint64_t time_limit);
-  /// The chained engine, specialized on (model_timing, icache-on,
-  /// model_branch_extras); `traces` enables superblock formation and
-  /// `threaded` additionally lowers hot blocks/traces into threaded-code
-  /// programs (DispatchMode::kThreaded; tested per block dispatch, never
-  /// per instruction). `Bail` compiles in the private-slice shared-touch
-  /// tests (the parallel prefix path); normal runs use the Bail=false
-  /// instantiations, so no new test reaches the sequential hot path —
-  /// and private slices never run threaded programs.
+  StopReason selectChainedT(uint64_t time_limit);
+  /// The threaded engine, specialized on (model_timing, icache-on,
+  /// model_branch_extras). Cold blocks run on the chained tier
+  /// (dispatchBlockT); with Bail=false, hot blocks are lowered into
+  /// threaded code and hot chains form traces (tested per block
+  /// dispatch, never per instruction). `Bail` compiles in the
+  /// private-slice shared-touch tests instead of the hot tiers: private
+  /// slices stay on the cold chained tier (DESIGN.md section 6), so no
+  /// new test reaches the sequential hot path.
   template <bool Timing, bool ICache, bool BranchX, bool Bail = false>
-  StopReason runChainedT(uint64_t time_limit, bool traces, bool threaded);
-  /// dispatchBlock with the per-instruction config tests hoisted into
-  /// template parameters.
+  StopReason runChainedT(uint64_t time_limit);
+  /// Executes one cached block on the chained tier: per-instruction
+  /// decode switch, with the config tests hoisted into template
+  /// parameters.
   template <bool Timing, bool ICache, bool BranchX, bool Bail = false>
   void dispatchBlockT(core::ExecBlock& block);
   /// True when executing `in` right now would touch the SoC bus (its
@@ -461,28 +426,22 @@ class Iss {
   /// bit-exactly via the per-instruction fallback.
   template <bool Timing, bool ICache>
   void bailOutOfBlockT(core::ExecBlock& block, size_t i);
-  /// Executes a superblock; applies every correction at the original
-  /// block boundaries and bails on guard failure. Returns the chained
-  /// next-block index, -1 (resolve via lookup/stepping) or
-  /// kDispatchYield (quantum expired at an internal boundary). Sets
-  /// *epoch_done when it bailed *after* running a boundary's commit/
-  /// yield/interrupt epoch, so the caller runs each epoch exactly once.
-  template <bool Timing, bool ICache, bool BranchX>
-  int32_t dispatchTraceT(core::Trace& trace, uint64_t time_limit,
-                         bool* epoch_done);
   /// Executes a lowered block via back-to-back handler dispatches; the
   /// timing/icache/branch-extra decisions are baked into the handlers,
   /// so only the block-entry bookkeeping is templated.
   template <bool Timing>
   void dispatchThreadedBlockT(core::ExecBlock& block,
                               const core::ThreadedProgram& prog);
-  /// dispatchTraceT over a lowered trace: runs each segment's handler
-  /// chain, with the identical boundary epoch (commit, yield, interrupt
-  /// sample, guard) between segments. Same return protocol as
-  /// dispatchTraceT.
+  /// Executes a lowered superblock: runs each segment's handler chain,
+  /// with the chained loop's boundary epoch (commit, yield, interrupt
+  /// sample) plus the trace guard between segments, so every correction
+  /// lands at an original block boundary. Returns the chained next-block
+  /// index, -1 (resolve via lookup/stepping) or kDispatchYield (quantum
+  /// expired at an internal boundary). Sets *epoch_done when it bailed
+  /// *after* running a boundary's epoch, so the caller runs each epoch
+  /// exactly once.
   template <bool Timing>
-  int32_t dispatchThreadedTraceT(core::Trace& trace,
-                                 const core::ThreadedProgram& prog,
+  int32_t dispatchThreadedTraceT(const core::ThreadedProgram& prog,
                                  uint64_t time_limit, bool* epoch_done);
   /// The handler table matching this core's configured detail level
   /// (handlers are bound per (timing, branch-extras) with the icache
@@ -492,7 +451,7 @@ class Iss {
   /// edges by comparing pc_ (no lookup); updates the outcome counters.
   int32_t resolveNext(core::ExecBlock& block);
   /// resolveNext plus the stepping-engine re-warm for indirect jumps
-  /// landing mid-block (see runLoopLookup for the original comment).
+  /// landing mid-block.
   template <bool Timing>
   int32_t afterBlock(core::ExecBlock& block);
   /// True when any constituent block of `trace` holds a breakpoint.

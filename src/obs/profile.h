@@ -6,7 +6,7 @@
 // fixed period steps and re-observations of the same boundary (a
 // quantum yield resuming, a private-slice bail re-dispatching) are
 // idempotent, so the sample stream is bit-identical between the
-// sequential and parallel kernels and across all dispatch modes.
+// sequential and parallel kernels and across both ISS engines.
 // Samplers are per-core and therefore race-free under the parallel
 // kernel — a core's slice (prefix or drain) runs on exactly one thread
 // at a time, with the round barrier ordering the hand-off.

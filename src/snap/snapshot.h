@@ -12,7 +12,7 @@
 //
 //     save(); restore(); run(N)   ==   run(N)
 //
-// bit-identically, at every detail level, under every dispatch mode and
+// bit-identically, at every detail level, on both ISS engines and
 // under the sequential and parallel-round kernels alike
 // (tests/snap_test.cpp). What a snapshot deliberately does NOT contain
 // is host-side derived state: block graphs, predecoded block caches and
@@ -55,7 +55,7 @@ void restore(platform::ReferenceBoard& board,
 /// digestState (registers, pc, timing residue, architectural counters,
 /// canonical memory), the bus clock, the transaction-log tail and all
 /// device state. Host-side dispatch-path counters and the kernel queue
-/// are excluded, so the digest is identical across dispatch modes,
+/// are excluded, so the digest is identical across both ISS engines,
 /// sequential/parallel kernels, and warm/cold restores of the same run —
 /// it is the value scripts/golden_state.py pins per workload.
 uint64_t digest(const platform::ReferenceBoard& board);

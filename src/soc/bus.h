@@ -251,7 +251,9 @@ class SocBus {
     r.tag("bus");
     soc_cycle_ = r.u64();
     dropped_transactions_ = r.u64();
-    log_.resize(r.u32());
+    // Serialized transaction: soc_cycle u64, addr u32, value u32, size
+    // u8, is_write u8.
+    log_.resize(r.count(18));
     for (Transaction& t : log_) {
       t.soc_cycle = r.u64();
       t.addr = r.u32();

@@ -185,7 +185,7 @@ class InterruptController : public Device, public IrqSource {
     master_enable_ = r.b();
     in_service_ = r.b();
     irqs_taken_ = r.u64();
-    delivery_times_.resize(r.u32());
+    delivery_times_.resize(r.count(sizeof(uint64_t)));
     for (uint64_t& t : delivery_times_) {
       t = r.u64();
     }

@@ -81,7 +81,7 @@ class CharDevice : public Device {
   }
   void restoreState(serial::Reader& r) override {
     output_ = r.str();
-    stamps_.resize(r.u32());
+    stamps_.resize(r.count(sizeof(uint64_t)));
     for (uint64_t& s : stamps_) {
       s = r.u64();
     }
@@ -206,6 +206,10 @@ class MailboxDevice : public Device {
     }
     head_ = r.u32();
     count_ = r.u32();
+    CABT_CHECK(head_ < kDepth && count_ <= kDepth,
+               "mailbox snapshot head " << head_ << " / count " << count_
+                                        << " out of range for depth "
+                                        << kDepth);
     pushes_ = r.u64();
     dropped_ = r.u64();
   }

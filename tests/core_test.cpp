@@ -186,7 +186,7 @@ loop:   addi16 d0, -1
   EXPECT_EQ(graph.blockIndexContaining(0xdeadbeef), -1);
 }
 
-TEST(Traces, FormsDominantChainWithFlattenedSchedules) {
+TEST(Traces, FormsDominantChain) {
   const elf::Object obj = trc::assemble(R"(
 _start: movi d0, 100
 loop:   add d1, d1, d0
@@ -203,32 +203,18 @@ loop:   add d1, d1, d0
   ASSERT_EQ(loop_idx, 1);
   cache.blocks()[1].taken_count = 99;
   cache.blocks()[1].ft_count = 1;
-  TraceOptions opts;
-  opts.max_blocks = 4;
-  const int32_t t = cache.formTrace(1, opts);
+  const int32_t t = cache.formTrace(1);
   ASSERT_GE(t, 0);
   const Trace& tr = cache.traces()[static_cast<size_t>(t)];
-  // The hot loop unrolls into max_blocks copies of itself, guarded by
-  // its own entry address at every internal boundary.
-  ASSERT_EQ(tr.segs.size(), 4u);
+  // The hot loop unrolls into kTraceMaxBlocks copies of itself, guarded
+  // by its own entry address at every internal boundary.
+  ASSERT_EQ(tr.segs.size(), kTraceMaxBlocks);
   const ExecBlock& loop = cache.blocks()[1];
   EXPECT_EQ(tr.addr, loop.addr());
-  EXPECT_EQ(tr.total_instrs, 4 * loop.instrs().size());
-  for (size_t s = 0; s < tr.segs.size(); ++s) {
-    const TraceSegment& seg = tr.segs[s];
+  EXPECT_EQ(tr.total_instrs, kTraceMaxBlocks * loop.instrs().size());
+  for (const TraceSegment& seg : tr.segs) {
     EXPECT_EQ(seg.block, 1);
     EXPECT_EQ(seg.entry_addr, loop.addr());
-    ASSERT_EQ(seg.count, loop.instrs().size());
-    // Flattened arrays are the block's predecoded data, per segment.
-    for (uint32_t i = 0; i < seg.count; ++i) {
-      EXPECT_EQ(tr.instrs[seg.first + i].addr, loop.instrs()[i].addr);
-      EXPECT_EQ(tr.cum_cycles[seg.first + i], loop.cum_cycles()[i]);
-      if (!loop.new_line().empty()) {
-        EXPECT_EQ(tr.new_line[seg.first + i], loop.new_line()[i]);
-        EXPECT_EQ(tr.line_set[seg.first + i], loop.line_set()[i]);
-        EXPECT_EQ(tr.line_tag[seg.first + i], loop.line_tag()[i]);
-      }
-    }
   }
 }
 
@@ -246,18 +232,18 @@ loop:   add d1, d1, d0
     BlockCache cache(makeArtifact(defaultArch(), obj));
     cache.blocks()[1].taken_count = 50;
     cache.blocks()[1].ft_count = 50;
-    EXPECT_EQ(cache.formTrace(1, TraceOptions{}), kTraceDeclined);
+    EXPECT_EQ(cache.formTrace(1), kTraceDeclined);
   }
   {
     // A breakpointed successor terminates the chain: from the halt
     // block (no successor at all) the trace is a single block and is
     // declined outright.
     BlockCache cache(makeArtifact(defaultArch(), obj));
-    EXPECT_EQ(cache.formTrace(2, TraceOptions{}), kTraceDeclined);
+    EXPECT_EQ(cache.formTrace(2), kTraceDeclined);
     // The dominant successor exists but carries a breakpoint flag.
     cache.blocks()[1].taken_count = 100;
     cache.blocks()[1].has_breakpoint = 1;
-    EXPECT_EQ(cache.formTrace(1, TraceOptions{}), kTraceDeclined);
+    EXPECT_EQ(cache.formTrace(1), kTraceDeclined);
   }
 }
 

@@ -1,6 +1,7 @@
-// Targeted tests of the chained / trace block-dispatch engine: successor
-// chaining, superblock formation and guarded dispatch, guard-failure
-// bails, indirect jumps into trace interiors and block middles,
+// Targeted tests of the threaded engine's tiers against the step()
+// reference: successor chaining, superblock formation and guarded
+// dispatch, guard-failure bails, threaded lowering and its budget
+// declines, indirect jumps into trace interiors and block middles,
 // instruction-limit stops inside hot traces, quantum slicing, and the
 // per-block breakpoint flags. The broad equivalence sweep lives in
 // random_program_test.cpp; these are the corner cases with a known
@@ -20,25 +21,17 @@ arch::ArchDescription defaultArch() {
   return arch::ArchDescription::defaultTc10gp();
 }
 
-iss::IssConfig traceConfig(uint32_t threshold = 2) {
-  iss::IssConfig cfg;
-  cfg.dispatch_mode = iss::DispatchMode::kChainedTraces;
-  cfg.trace_threshold = threshold;
-  return cfg;
-}
-
 iss::IssConfig steppingConfig() {
   iss::IssConfig cfg;
   cfg.use_block_cache = false;
   return cfg;
 }
 
-/// Threaded-code backend with aggressive lowering: blocks lower after
-/// two executions, traces form after two dispatches, so even short
-/// programs run mostly as host handler arrays.
+/// The threaded engine with aggressive hot tiers: blocks lower after two
+/// executions, traces form after two dispatches, so even short programs
+/// run mostly as superblocks of host handler arrays.
 iss::IssConfig threadedConfig() {
   iss::IssConfig cfg;
-  cfg.dispatch_mode = iss::DispatchMode::kThreaded;
   cfg.trace_threshold = 2;
   cfg.threaded_threshold = 2;
   return cfg;
@@ -79,14 +72,17 @@ void expectSameState(iss::Iss& a, iss::Iss& b) {
 
 TEST(ChainedDispatch, ChainsSuccessorsWithoutLookups) {
   const elf::Object obj = trc::assemble(kNestedLoops);
+  // Hot tiers out of reach: the whole run stays on the cold chained tier.
   iss::IssConfig cfg;
-  cfg.dispatch_mode = iss::DispatchMode::kChained;
+  cfg.trace_threshold = UINT32_MAX;
+  cfg.threaded_threshold = UINT32_MAX;
   iss::Iss iss(defaultArch(), obj, nullptr, cfg);
   ASSERT_EQ(iss.run(), iss::StopReason::kHalted);
   // 10 outer x 20 inner iterations: nearly every dispatch resolves
-  // through a chained edge; no traces in kChained mode.
+  // through a chained edge.
   EXPECT_GT(iss.stats().chain_hits, 200u);
   EXPECT_EQ(iss.stats().trace_dispatches, 0u);
+  EXPECT_EQ(iss.stats().threaded_dispatches, 0u);
   EXPECT_EQ(iss.stats().cached_blocks, iss.stats().blocks);
 
   iss::Iss slow(defaultArch(), obj, nullptr, steppingConfig());
@@ -96,7 +92,7 @@ TEST(ChainedDispatch, ChainsSuccessorsWithoutLookups) {
 
 TEST(TraceDispatch, FormsHotTracesAndStaysExact) {
   const elf::Object obj = trc::assemble(kNestedLoops);
-  iss::Iss iss(defaultArch(), obj, nullptr, traceConfig());
+  iss::Iss iss(defaultArch(), obj, nullptr, threadedConfig());
   ASSERT_EQ(iss.run(), iss::StopReason::kHalted);
   EXPECT_GT(iss.stats().trace_dispatches, 0u);
   EXPECT_GT(iss.stats().trace_blocks, iss.stats().trace_dispatches);
@@ -133,7 +129,7 @@ skip:   addi16 d0, -1
         halt
 )";
   const elf::Object obj = trc::assemble(kAlternating);
-  iss::Iss iss(defaultArch(), obj, nullptr, traceConfig());
+  iss::Iss iss(defaultArch(), obj, nullptr, threadedConfig());
   ASSERT_EQ(iss.run(), iss::StopReason::kHalted);
   iss::Iss slow(defaultArch(), obj, nullptr, steppingConfig());
   ASSERT_EQ(slow.run(), iss::StopReason::kHalted);
@@ -159,100 +155,20 @@ body:   add d1, d1, d0
 done:   halt
 )";
   const elf::Object obj = trc::assemble(kProgram);
-  iss::Iss iss(defaultArch(), obj, nullptr, traceConfig());
+  iss::Iss iss(defaultArch(), obj, nullptr, threadedConfig());
   ASSERT_EQ(iss.run(), iss::StopReason::kHalted);
   EXPECT_GT(iss.stats().trace_dispatches, 0u);
   iss::Iss slow(defaultArch(), obj, nullptr, steppingConfig());
   ASSERT_EQ(slow.run(), iss::StopReason::kHalted);
   expectSameState(iss, slow);
-}
-
-TEST(TraceDispatch, IndirectJumpIntoBlockMiddleFallsBack) {
-  // The indirect target is *not* a leader: per-instruction semantics
-  // keep the open block across the jump, so the dispatcher must re-warm
-  // the stepping engine even while the containing block is part of a
-  // hot trace.
-  const char* kProgram = R"(
-_start: movi d5, 3
-again:  movi d0, 30
-body:   add d1, d1, d0
-mid:    xor d2, d1, d5
-        addi16 d0, -1
-        jnz16 d0, body
-        addi16 d5, -1
-        jz16 d5, done
-        movha a2, hi(mid)
-        lea a2, a2, lo(mid)
-        movi d0, 1
-        ji a2
-done:   halt
-)";
-  const elf::Object obj = trc::assemble(kProgram);
-  iss::Iss iss(defaultArch(), obj, nullptr, traceConfig());
-  ASSERT_EQ(iss.run(), iss::StopReason::kHalted);
-  EXPECT_GT(iss.stats().trace_dispatches, 0u);
-  iss::Iss slow(defaultArch(), obj, nullptr, steppingConfig());
-  ASSERT_EQ(slow.run(), iss::StopReason::kHalted);
-  expectSameState(iss, slow);
-}
-
-TEST(TraceDispatch, InstructionLimitStopsExactlyInsideHotTrace) {
-  // The limit falls mid-way through what the trace engine executes as
-  // superblocks: the engine must refuse whole traces/blocks that would
-  // overshoot and step up to the precise instruction, like the
-  // stepping engine.
-  const elf::Object obj = trc::assemble(kNestedLoops);
-  for (const uint64_t limit : {57u, 100u, 333u, 801u}) {
-    SCOPED_TRACE("limit " + std::to_string(limit));
-    iss::IssConfig fast_cfg = traceConfig();
-    fast_cfg.max_instructions = limit;
-    iss::Iss fast(defaultArch(), obj, nullptr, fast_cfg);
-    EXPECT_EQ(fast.run(), iss::StopReason::kMaxInstructions);
-    iss::IssConfig slow_cfg = steppingConfig();
-    slow_cfg.max_instructions = limit;
-    iss::Iss slow(defaultArch(), obj, nullptr, slow_cfg);
-    EXPECT_EQ(slow.run(), iss::StopReason::kMaxInstructions);
-    EXPECT_EQ(fast.stats().instructions, limit);
-    expectSameState(fast, slow);
-  }
-}
-
-TEST(TraceDispatch, QuantumSlicesYieldAtIdenticalBoundaries) {
-  // runUntil must yield at the same block boundaries with the same
-  // local time whether blocks run stepped, chained or inside traces —
-  // including yields at trace-internal boundaries.
-  const elf::Object obj = trc::assemble(kNestedLoops);
-  iss::Iss fast(defaultArch(), obj, nullptr, traceConfig());
-  iss::Iss slow(defaultArch(), obj, nullptr, steppingConfig());
-  std::vector<std::pair<uint64_t, uint32_t>> fast_yields;
-  std::vector<std::pair<uint64_t, uint32_t>> slow_yields;
-  for (uint64_t t = 25;; t += 25) {
-    const iss::StopReason r = fast.runUntil(t);
-    if (r != iss::StopReason::kCycleLimit) {
-      ASSERT_EQ(r, iss::StopReason::kHalted);
-      break;
-    }
-    fast_yields.push_back({fast.localTime(), fast.pc()});
-  }
-  for (uint64_t t = 25;; t += 25) {
-    const iss::StopReason r = slow.runUntil(t);
-    if (r != iss::StopReason::kCycleLimit) {
-      ASSERT_EQ(r, iss::StopReason::kHalted);
-      break;
-    }
-    slow_yields.push_back({slow.localTime(), slow.pc()});
-  }
-  EXPECT_GT(fast.stats().trace_dispatches, 0u);
-  EXPECT_EQ(fast_yields, slow_yields);
-  expectSameState(fast, slow);
 }
 
 TEST(BreakpointFlags, BreakpointInTraceInteriorStopsExactly) {
   const elf::Object obj = trc::assemble(kNestedLoops);
-  iss::Iss iss(defaultArch(), obj, nullptr, traceConfig());
+  iss::Iss iss(defaultArch(), obj, nullptr, threadedConfig());
   // Heat the loop until traces dominate, then plant a breakpoint
   // mid-way inside the (trace-interior) inner block.
-  iss::IssConfig probe_cfg = traceConfig();
+  iss::IssConfig probe_cfg = threadedConfig();
   iss::Iss counter(defaultArch(), obj, nullptr, probe_cfg);
   ASSERT_EQ(counter.run(), iss::StopReason::kHalted);
   ASSERT_GT(counter.stats().trace_dispatches, 0u);
@@ -269,7 +185,7 @@ TEST(BreakpointFlags, BreakpointInTraceInteriorStopsExactly) {
   EXPECT_EQ(stops, 200u);  // every inner iteration crosses it
 
   // Breakpoints perturb nothing: final state equals an unbroken run.
-  iss::Iss ref(defaultArch(), obj, nullptr, traceConfig());
+  iss::Iss ref(defaultArch(), obj, nullptr, threadedConfig());
   ASSERT_EQ(ref.run(), iss::StopReason::kHalted);
   expectSameState(iss, ref);
 }
@@ -291,7 +207,7 @@ body:   addi16 d5, -1
 off:    halt
 )";
   const elf::Object obj = trc::assemble(kProgram);
-  iss::Iss iss(defaultArch(), obj, nullptr, traceConfig());
+  iss::Iss iss(defaultArch(), obj, nullptr, threadedConfig());
   ASSERT_NE(obj.findSymbol("body"), nullptr);
   const uint32_t body = obj.findSymbol("body")->value;
   iss.addBreakpoint(body);
@@ -422,10 +338,11 @@ TEST(ThreadedDispatch, InstructionLimitTruncatesExactly) {
 
 TEST(ThreadedDispatch, IndirectJumpLeavesLoweredRegionExactly) {
   // An indirect jump lands in the middle of a block whose region is
-  // already lowered: the landing is not a leader, so the dispatcher
-  // must re-warm the stepping engine mid-block — with the pipeline
-  // timer and icache line tracking replayed — before threaded dispatch
-  // resumes at the next leader.
+  // already lowered (and part of a hot trace): the landing is not a
+  // leader, so per-instruction semantics keep the open block across the
+  // jump and the dispatcher must re-warm the stepping engine mid-block —
+  // with the pipeline timer and icache line tracking replayed — before
+  // threaded dispatch resumes at the next leader.
   const char* kProgram = R"(
 _start: movi d5, 3
 again:  movi d0, 30
@@ -445,6 +362,38 @@ done:   halt
   iss::Iss fast(defaultArch(), obj, nullptr, threadedConfig());
   ASSERT_EQ(fast.run(), iss::StopReason::kHalted);
   EXPECT_GT(fast.stats().threaded_dispatches, 0u);
+  EXPECT_GT(fast.stats().trace_dispatches, 0u);
+  iss::Iss slow(defaultArch(), obj, nullptr, steppingConfig());
+  ASSERT_EQ(slow.run(), iss::StopReason::kHalted);
+  expectSameState(fast, slow);
+}
+
+TEST(ThreadedDispatch, LoweringDeclinesRunBlockByBlockExactly) {
+  // A hot loop body of 700 straight-line chunks (~70k instructions, past
+  // the per-core lowering budget of 65,536 ops), each chunk its own
+  // block ending in a jump to the next. Traces form over chunk pairs;
+  // once the budget is spent, further trace and block lowerings are
+  // declined and those chunks run on the chained tier, block by block.
+  std::string src = "_start: movi d7, 6\nloop:\n";
+  for (int c = 0; c < 700; ++c) {
+    for (int i = 0; i < 33; ++i) {
+      src += "        add d1, d1, d0\n        addi16 d0, 1\n"
+             "        xor d2, d2, d1\n";
+    }
+    src += "        j c" + std::to_string(c) + "\nc" + std::to_string(c) +
+           ":\n";
+  }
+  src += "        addi16 d7, -1\n        jz16 d7, done\n        j loop\n"
+         "done:   halt\n";
+  const elf::Object obj = trc::assemble(src);
+  iss::Iss fast(defaultArch(), obj, nullptr, threadedConfig());
+  ASSERT_EQ(fast.run(), iss::StopReason::kHalted);
+  EXPECT_GT(fast.stats().threaded_lowerings, 0u);
+  EXPECT_GT(fast.stats().threaded_declined, 0u);
+  EXPECT_GT(fast.stats().trace_dispatches, 0u);
+  // The declined chunks retired outside any threaded program.
+  EXPECT_LT(fast.stats().threaded_instrs, fast.stats().instructions);
+
   iss::Iss slow(defaultArch(), obj, nullptr, steppingConfig());
   ASSERT_EQ(slow.run(), iss::StopReason::kHalted);
   expectSameState(fast, slow);
@@ -452,11 +401,11 @@ done:   halt
 
 TEST(BreakpointFlags, AddAndRemoveMidRunTogglesTraceUse) {
   const elf::Object obj = trc::assemble(kNestedLoops);
-  iss::Iss iss(defaultArch(), obj, nullptr, traceConfig());
+  iss::Iss iss(defaultArch(), obj, nullptr, threadedConfig());
   const uint32_t bp = 0x80000010;
 
   // Phase 1: hot, traces active.
-  iss::IssConfig limit_cfg = traceConfig();
+  iss::IssConfig limit_cfg = threadedConfig();
   limit_cfg.max_instructions = 300;
   iss::Iss probe(defaultArch(), obj, nullptr, limit_cfg);
   EXPECT_EQ(probe.run(), iss::StopReason::kMaxInstructions);
@@ -466,7 +415,7 @@ TEST(BreakpointFlags, AddAndRemoveMidRunTogglesTraceUse) {
   // flagged block; removing it restores full-speed dispatch and the
   // run completes identically to the never-broken reference.
   ASSERT_EQ(iss.run() == iss::StopReason::kHalted, true);
-  iss::Iss broken(defaultArch(), obj, nullptr, traceConfig());
+  iss::Iss broken(defaultArch(), obj, nullptr, threadedConfig());
   broken.addBreakpoint(bp);
   ASSERT_EQ(broken.run(), iss::StopReason::kDebugBreak);
   EXPECT_EQ(broken.pc(), bp);

@@ -6,12 +6,12 @@
 //   * Non-perturbation: an armed campaign whose faults never fire leaves
 //     every observable — registers, memory checksums, IRQ timestamps,
 //     the full bus transaction log and the rolling state digest — byte-
-//     identical to an FI-off run, across all four dispatch engines and
-//     both kernels.
+//     identical to an FI-off run, on both ISS engines (step() and
+//     threaded) and both kernels.
 //   * Engine equivalence under fire: a firing fault lands at the same
-//     block-boundary epoch in every engine (lookup, chained, traces,
-//     threaded, per-instruction stepping, sequential and parallel
-//     rounds), so the post-fault timeline is bit-identical everywhere.
+//     block-boundary epoch on both engines, under sequential and
+//     parallel rounds, so the post-fault timeline is bit-identical
+//     everywhere.
 //   * Guest-visible consequences: bus-error windows raise the precise
 //     bus-error interrupt at block boundaries; the watchdog peripheral
 //     fires when the guest stops petting it.
@@ -82,7 +82,6 @@ GridBoard makeBoard(const std::vector<std::string>& names) {
 
 struct RunConfig {
   xlat::DetailLevel level = xlat::DetailLevel::kICache;
-  iss::DispatchMode mode = iss::DispatchMode::kChainedTraces;
   bool use_block_cache = true;
   bool parallel = false;
   sim::Cycle quantum = 1024;
@@ -94,7 +93,6 @@ std::unique_ptr<platform::ReferenceBoard> buildBoard(const GridBoard& grid,
   const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
   platform::BoardConfig cfg;
   cfg.iss = platform::issConfigFor(rc.level);
-  cfg.iss.dispatch_mode = rc.mode;
   cfg.iss.use_block_cache = rc.use_block_cache;
   cfg.iss.extra_leaders = grid.extra_leaders;
   cfg.quantum = rc.quantum;
@@ -188,33 +186,21 @@ const std::vector<RunConfig>& engineGrid() {
   static const std::vector<RunConfig>* grid = [] {
     auto* g = new std::vector<RunConfig>;
     for (const bool parallel : {false, true}) {
-      for (const iss::DispatchMode mode :
-           {iss::DispatchMode::kLookup, iss::DispatchMode::kChained,
-            iss::DispatchMode::kChainedTraces,
-            iss::DispatchMode::kThreaded}) {
+      for (const bool block_cache : {false, true}) {
         RunConfig rc;
-        rc.mode = mode;
+        rc.use_block_cache = block_cache;
         rc.parallel = parallel;
         g->push_back(rc);
       }
     }
-    RunConfig stepping;  // per-instruction engine (no block cache)
-    stepping.mode = iss::DispatchMode::kLookup;
-    stepping.use_block_cache = false;
-    g->push_back(stepping);
     return g;
   }();
   return *grid;
 }
 
 std::string configName(const RunConfig& rc) {
-  std::string name = !rc.use_block_cache ? "stepping"
-                     : rc.mode == iss::DispatchMode::kLookup ? "lookup"
-                     : rc.mode == iss::DispatchMode::kChained ? "chained"
-                     : rc.mode == iss::DispatchMode::kChainedTraces
-                         ? "traces"
-                         : "threaded";
-  return name + (rc.parallel ? "_par" : "_seq");
+  return std::string(rc.use_block_cache ? "threaded" : "step") +
+         (rc.parallel ? "_par" : "_seq");
 }
 
 // ---- spec parsing and injector validation -----------------------------

@@ -4,9 +4,9 @@
 //   1. EdgeCoverage is a well-behaved bitmap: deterministic edge
 //      hashing, merge/newBits algebra, clear.
 //   2. Coverage collection is non-perturbing: digests and bus logs are
-//      bit-identical with collection on and off, across every dispatch
-//      mode and both kernels (the obs_test idiom — coverage is an
-//      observer, never a participant).
+//      bit-identical with collection on and off, on both ISS engines
+//      and both kernels (the obs_test idiom — coverage is an observer,
+//      never a participant).
 //   3. The mutator is deterministic per seed and every product
 //      assembles and parses; the control-flow skeleton survives.
 //   4. Seed cases round-trip through the on-disk format; malformed
@@ -108,10 +108,10 @@ FuzzBoard makeBoard(const std::vector<std::string>& programs) {
   return b;
 }
 
-platform::BoardConfig boardConfig(iss::DispatchMode mode, bool parallel) {
+platform::BoardConfig boardConfig(bool threaded, bool parallel) {
   platform::BoardConfig cfg;
   cfg.iss = platform::issConfigFor(xlat::DetailLevel::kICache);
-  cfg.iss.dispatch_mode = mode;
+  cfg.iss.use_block_cache = threaded;
   cfg.iss.trace_threshold = 2;
   cfg.iss.threaded_threshold = 2;
   cfg.iss.max_instructions = 2'000'000;
@@ -127,10 +127,11 @@ struct CovRun {
   uint64_t bits = 0;
 };
 
-CovRun runWithCoverage(const FuzzBoard& fb, iss::DispatchMode mode,
-                       bool parallel, bool collect) {
+CovRun runWithCoverage(const FuzzBoard& fb, bool threaded, bool parallel,
+                       bool collect) {
   const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  platform::ReferenceBoard board(desc, fb.ptrs, boardConfig(mode, parallel));
+  platform::ReferenceBoard board(desc, fb.ptrs,
+                                 boardConfig(threaded, parallel));
   core::EdgeCoverage cov;
   if (collect) {
     for (size_t i = 0; i < board.numCores(); ++i) {
@@ -151,14 +152,12 @@ TEST(Coverage, CollectionNeverPerturbsArchitecturalState) {
   fuzz::ProgramGenerator gen0(testSeed() + 21, /*shared_traffic=*/true);
   fuzz::ProgramGenerator gen1(testSeed() + 22, /*shared_traffic=*/true);
   const FuzzBoard board = makeBoard({gen0.generate(), gen1.generate()});
-  for (const iss::DispatchMode mode :
-       {iss::DispatchMode::kLookup, iss::DispatchMode::kChained,
-        iss::DispatchMode::kChainedTraces, iss::DispatchMode::kThreaded}) {
+  for (const bool threaded : {false, true}) {
     for (const bool parallel : {false, true}) {
-      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) +
+      SCOPED_TRACE(std::string(threaded ? "threaded" : "step") +
                    (parallel ? " parallel" : " sequential"));
-      const CovRun off = runWithCoverage(board, mode, parallel, false);
-      const CovRun on = runWithCoverage(board, mode, parallel, true);
+      const CovRun off = runWithCoverage(board, threaded, parallel, false);
+      const CovRun on = runWithCoverage(board, threaded, parallel, true);
       EXPECT_EQ(off.digest, on.digest);
       ASSERT_EQ(off.bus_log.size(), on.bus_log.size());
       for (size_t i = 0; i < off.bus_log.size(); ++i) {
@@ -172,18 +171,13 @@ TEST(Coverage, CollectionNeverPerturbsArchitecturalState) {
   }
 }
 
-TEST(Coverage, SignalIsDeterministicAcrossDispatchModes) {
+TEST(Coverage, SignalIsDeterministicAcrossEngines) {
   fuzz::ProgramGenerator gen(testSeed() + 23);
   const FuzzBoard board = makeBoard({gen.generate()});
-  const CovRun baseline =
-      runWithCoverage(board, iss::DispatchMode::kLookup, false, true);
-  for (const iss::DispatchMode mode :
-       {iss::DispatchMode::kChained, iss::DispatchMode::kChainedTraces,
-        iss::DispatchMode::kThreaded}) {
-    const CovRun run = runWithCoverage(board, mode, false, true);
-    EXPECT_EQ(run.bits, baseline.bits)
-        << "mode " << static_cast<int>(mode);
-  }
+  const CovRun step = runWithCoverage(board, /*threaded=*/false, false, true);
+  const CovRun threaded =
+      runWithCoverage(board, /*threaded=*/true, false, true);
+  EXPECT_EQ(threaded.bits, step.bits);
 }
 
 // ---- 3. mutator -------------------------------------------------------
@@ -334,8 +328,9 @@ TEST(Oracle, CleanGeneratedCasePassesThreeWay) {
   EXPECT_TRUE(r.valid);
   EXPECT_TRUE(r.ok) << r.mismatch;
   EXPECT_GT(r.ref_cycles, 0u);
-  // Grid (32 combos) plus the standalone-ISS/rtl/translator extras.
-  EXPECT_GT(r.executions, 32u);
+  // Grid (4 levels x 2 engines x seq/par) plus the standalone ISS, the
+  // rtlsim and one translated platform per level.
+  EXPECT_EQ(r.executions, 16u + 2u + 4u);
 }
 
 TEST(Oracle, CatchesPlantedTranslatorSkew) {
@@ -391,7 +386,7 @@ TEST(SnapshotFork, ForksMatchColdRunsUnderDivergentMutations) {
   const FuzzBoard fb = makeBoard({longProgram(600)});
   const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
   const platform::BoardConfig cfg =
-      boardConfig(iss::DispatchMode::kChainedTraces, false);
+      boardConfig(/*threaded=*/true, false);
 
   // Clean-run length, then warm one board to the midpoint and snapshot.
   uint64_t total = 0;

@@ -9,8 +9,8 @@
 //      known function (`wait`), and its due-time ladder is idempotent.
 //   4. The determinism rule holds: enabling every obs sink changes no
 //      architectural byte — snap::digest and the full bus transaction
-//      log are bit-identical with obs on and off, across all four
-//      dispatch modes and both kernels, and the sample stream itself is
+//      log are bit-identical with obs on and off, on both ISS engines
+//      and both kernels, and the sample stream itself is
 //      bit-identical between the sequential and parallel kernels.
 #include <gtest/gtest.h>
 
@@ -305,12 +305,12 @@ struct ObsRun {
   obs::MetricsRegistry metrics;
 };
 
-ObsRun runBoard(const ObsBoard& grid, iss::DispatchMode mode, bool parallel,
+ObsRun runBoard(const ObsBoard& grid, bool threaded, bool parallel,
                 bool observe, uint64_t sample_period = 256) {
   const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
   platform::BoardConfig cfg;
   cfg.iss = platform::issConfigFor(xlat::DetailLevel::kICache);
-  cfg.iss.dispatch_mode = mode;
+  cfg.iss.use_block_cache = threaded;
   cfg.iss.extra_leaders = grid.extra_leaders;
   cfg.iss.max_instructions = 30'000;
   cfg.quantum = 256;
@@ -354,18 +354,16 @@ void expectSameArchitecture(const ObsRun& a, const ObsRun& b) {
   }
 }
 
-// The tentpole's hard requirement: all sinks enabled, nothing
-// architectural moves — across every dispatch mode and both kernels.
+// The hard requirement: all sinks enabled, nothing architectural moves
+// — on both ISS engines and both kernels.
 TEST(ObsDifferential, ObserversNeverPerturbArchitecturalState) {
   const ObsBoard board = makeBoard(4);
-  for (const iss::DispatchMode mode :
-       {iss::DispatchMode::kLookup, iss::DispatchMode::kChained,
-        iss::DispatchMode::kChainedTraces, iss::DispatchMode::kThreaded}) {
+  for (const bool threaded : {false, true}) {
     for (const bool parallel : {false, true}) {
-      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) +
+      SCOPED_TRACE(std::string(threaded ? "threaded" : "step") +
                    (parallel ? " parallel" : " sequential"));
-      const ObsRun off = runBoard(board, mode, parallel, false);
-      const ObsRun on = runBoard(board, mode, parallel, true);
+      const ObsRun off = runBoard(board, threaded, parallel, false);
+      const ObsRun on = runBoard(board, threaded, parallel, true);
       expectSameArchitecture(off, on);
       EXPECT_TRUE(JsonChecker(on.trace_json).valid());
       EXPECT_GT(on.metrics.size(), 0u);
@@ -374,20 +372,17 @@ TEST(ObsDifferential, ObserversNeverPerturbArchitecturalState) {
 }
 
 // The sampler's determinism claim: the sample stream itself (not just
-// the architecture) is bit-identical between the kernels and across
-// dispatch modes, because sampling is a pure function of (local time,
-// pc) at block boundaries.
-TEST(ObsDifferential, SampleStreamIdenticalAcrossKernelsAndModes) {
+// the architecture) is bit-identical between the kernels and across the
+// two engines, because sampling is a pure function of (local time, pc)
+// at block boundaries.
+TEST(ObsDifferential, SampleStreamIdenticalAcrossKernelsAndEngines) {
   const ObsBoard board = makeBoard(4);
-  const ObsRun baseline =
-      runBoard(board, iss::DispatchMode::kLookup, false, true);
-  for (const iss::DispatchMode mode :
-       {iss::DispatchMode::kLookup, iss::DispatchMode::kChained,
-        iss::DispatchMode::kChainedTraces, iss::DispatchMode::kThreaded}) {
+  const ObsRun baseline = runBoard(board, /*threaded=*/false, false, true);
+  for (const bool threaded : {false, true}) {
     for (const bool parallel : {false, true}) {
-      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) +
+      SCOPED_TRACE(std::string(threaded ? "threaded" : "step") +
                    (parallel ? " parallel" : " sequential"));
-      const ObsRun run = runBoard(board, mode, parallel, true);
+      const ObsRun run = runBoard(board, threaded, parallel, true);
       EXPECT_EQ(run.samples, baseline.samples);
     }
   }
@@ -395,8 +390,7 @@ TEST(ObsDifferential, SampleStreamIdenticalAcrossKernelsAndModes) {
 
 TEST(ObsDifferential, ParallelTraceContainsBoardLanes) {
   const ObsBoard board = makeBoard(4);
-  const ObsRun run =
-      runBoard(board, iss::DispatchMode::kChainedTraces, true, true);
+  const ObsRun run = runBoard(board, /*threaded=*/true, true, true);
   EXPECT_NE(run.trace_json.find("\"core0\""), std::string::npos);
   EXPECT_NE(run.trace_json.find("\"core3\""), std::string::npos);
   EXPECT_NE(run.trace_json.find("kernel rounds"), std::string::npos);
@@ -433,7 +427,6 @@ TEST(Profiler, AttributesIrqTicksHotLoopToWait) {
   const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
   platform::BoardConfig cfg;
   cfg.iss = platform::issConfigFor(xlat::DetailLevel::kICache);
-  cfg.iss.dispatch_mode = iss::DispatchMode::kChainedTraces;
   cfg.iss.extra_leaders = board.extra_leaders;
   platform::ReferenceBoard b(desc, board.image_ptrs, cfg);
   obs::PcSampler sampler(64);

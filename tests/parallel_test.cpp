@@ -7,8 +7,8 @@
 // because every shared-state access still happens at its sequential
 // dispatch position; only core-private quantum prefixes overlap on
 // worker threads. The grid crosses board size {1,2,4,8 cores} x quantum
-// {1,16,256,4096} x all four detail levels x all four dispatch modes
-// and compares every observable the simulation has.
+// {1,16,256,4096} x all four detail levels x both ISS engines (step()
+// and threaded) and compares every observable the simulation has.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -139,12 +139,11 @@ GridBoard makeBoard(size_t cores) {
 }
 
 BoardSnapshot runBoard(const GridBoard& grid, xlat::DetailLevel level,
-                       sim::Cycle quantum, iss::DispatchMode mode,
-                       bool use_block_cache, bool parallel) {
+                       sim::Cycle quantum, bool use_block_cache,
+                       bool parallel) {
   const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
   platform::BoardConfig cfg;
   cfg.iss = platform::issConfigFor(level);
-  cfg.iss.dispatch_mode = mode;
   cfg.iss.use_block_cache = use_block_cache;
   cfg.iss.extra_leaders = grid.extra_leaders;
   // Cap the long-running workers so the grid stays fast; the cap is
@@ -254,15 +253,16 @@ TEST_P(ParallelGrid, BitIdenticalToSequentialKernel) {
   for (const xlat::DetailLevel level :
        {xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
         xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache}) {
-    for (const iss::DispatchMode mode :
-         {iss::DispatchMode::kLookup, iss::DispatchMode::kChained,
-          iss::DispatchMode::kChainedTraces, iss::DispatchMode::kThreaded}) {
-      SCOPED_TRACE(std::string(xlat::detailLevelName(level)) + ", mode " +
-                   std::to_string(static_cast<int>(mode)));
+    // Both engines: the threaded engine's private slices run its
+    // Bail-instrumented chained tier, step() takes the per-instruction
+    // bail path.
+    for (const bool threaded : {false, true}) {
+      SCOPED_TRACE(std::string(xlat::detailLevelName(level)) +
+                   (threaded ? ", threaded" : ", step"));
       const BoardSnapshot seq =
-          runBoard(board, level, quantum, mode, true, false);
+          runBoard(board, level, quantum, threaded, false);
       const BoardSnapshot par =
-          runBoard(board, level, quantum, mode, true, true);
+          runBoard(board, level, quantum, threaded, true);
       expectIdentical(par, seq);
       EXPECT_EQ(seq.prefixes, 0u);
       total_prefixes += par.prefixes;
@@ -288,29 +288,12 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.quantum);
     });
 
-// The stepping-only configuration (use_block_cache = false) takes the
-// per-instruction bail path; prove it on the 4-core board too.
-TEST(ParallelGrid, SteppingEngineBitIdentical) {
-  const GridBoard board = makeBoard(4);
-  for (const sim::Cycle quantum : {16u, 1024u}) {
-    SCOPED_TRACE("quantum " + std::to_string(quantum));
-    const BoardSnapshot seq =
-        runBoard(board, xlat::DetailLevel::kICache, quantum,
-                 iss::DispatchMode::kLookup, false, false);
-    const BoardSnapshot par =
-        runBoard(board, xlat::DetailLevel::kICache, quantum,
-                 iss::DispatchMode::kLookup, false, true);
-    expectIdentical(par, seq);
-  }
-}
-
 // Workers bail mid-quantum on their beacons; the machinery must report
 // it (the bench's utilisation counters hang off these).
 TEST(ParallelGrid, PrivateSlicesAndBailsAreAccounted) {
   const GridBoard board = makeBoard(4);
-  const BoardSnapshot par = runBoard(board, xlat::DetailLevel::kICache, 4096,
-                                     iss::DispatchMode::kChainedTraces, true,
-                                     true);
+  const BoardSnapshot par =
+      runBoard(board, xlat::DetailLevel::kICache, 4096, true, true);
   EXPECT_GT(par.prefixes, 0u);
   uint64_t slices = 0;
   uint64_t bails = 0;

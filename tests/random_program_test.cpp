@@ -58,7 +58,7 @@ TEST_P(RandomPrograms, AllVehiclesAgree) {
   // Full generator config, so the failure log line alone reproduces the
   // program: one core, every detail level and dispatch engine below.
   SCOPED_TRACE("generator: cores=1 " + fuzz::describe(gen.config()) +
-               " detail=all dispatch=all");
+               " detail=all engine=all");
   const std::string source = gen.generate();
   SCOPED_TRACE("program:\n" + source);
 
@@ -69,13 +69,12 @@ TEST_P(RandomPrograms, AllVehiclesAgree) {
   ref.enableBlockTrace(true);
   ASSERT_EQ(ref.run(), iss::StopReason::kHalted);
 
-  // Every dispatch engine must match the reference (the run() default:
-  // chained + traces) instruction-for-instruction and cycle-for-cycle:
+  // Both engines must match the reference (the run() default: the
+  // threaded engine) instruction-for-instruction and cycle-for-cycle:
   // identical stats, registers and per-block timing records. The
-  // stepping engine is the ground truth; the lookup and chained-only
-  // block engines, and a low-threshold trace engine (superblocks form
-  // after two dispatches, so every loop exercises guarded traces), all
-  // have to agree bit-exactly.
+  // stepping engine is the ground truth; a low-threshold threaded engine
+  // (blocks lower and superblocks form after two dispatches, so every
+  // loop exercises lowered, guarded traces) has to agree bit-exactly.
   const auto compareEngines = [&](iss::IssConfig cfg, const char* label,
                                   bool expect_cached) {
     SCOPED_TRACE(label);
@@ -122,25 +121,6 @@ TEST_P(RandomPrograms, AllVehiclesAgree) {
   }
   {
     iss::IssConfig cfg;
-    cfg.dispatch_mode = iss::DispatchMode::kLookup;
-    compareEngines(cfg, "lookup", true);
-  }
-  {
-    iss::IssConfig cfg;
-    cfg.dispatch_mode = iss::DispatchMode::kChained;
-    compareEngines(cfg, "chained", true);
-  }
-  {
-    iss::IssConfig cfg;
-    cfg.dispatch_mode = iss::DispatchMode::kChainedTraces;
-    cfg.trace_threshold = 2;
-    compareEngines(cfg, "traces(threshold=2)", true);
-  }
-  {
-    // Low thresholds so even short random programs lower both hot
-    // blocks and formed traces into threaded-code programs.
-    iss::IssConfig cfg;
-    cfg.dispatch_mode = iss::DispatchMode::kThreaded;
     cfg.trace_threshold = 2;
     cfg.threaded_threshold = 2;
     compareEngines(cfg, "threaded(threshold=2)", true);
@@ -284,8 +264,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MultiCoreRandomPrograms,
 // registers, the full bus transaction log and the rolling state digest —
 // must match an uninterrupted run bit-exactly. Odd seeds run under the
 // parallel-round kernel, so the save point also lands between parallel
-// rounds; the dispatch mode cycles with the seed, so cold restores land
-// in every engine, including threaded-code programs re-lowered from a
+// rounds; the engine alternates with the seed, so cold restores land in
+// both engines, including threaded-code programs re-lowered from a
 // cache rebuilt after restore.
 
 class SnapshotFuzz : public ::testing::TestWithParam<uint32_t> {};
@@ -311,17 +291,13 @@ TEST_P(SnapshotFuzz, RandomCycleSaveRestoreBitIdentical) {
     ptrs.push_back(&obj);
   }
   const bool parallel = GetParam() % 2 == 1;
-  static const iss::DispatchMode kModes[] = {
-      iss::DispatchMode::kLookup, iss::DispatchMode::kChained,
-      iss::DispatchMode::kChainedTraces, iss::DispatchMode::kThreaded};
-  const iss::DispatchMode mode = kModes[GetParam() % 4];
+  const bool threaded = (GetParam() / 2) % 2 == 1;
   SCOPED_TRACE("config: parallel=" + std::to_string(parallel) +
-               " dispatch_mode=" +
-               std::to_string(static_cast<int>(mode)));
+               " engine=" + (threaded ? "threaded" : "step"));
   const auto build = [&] {
     platform::BoardConfig cfg;
     cfg.quantum = 256;
-    cfg.iss.dispatch_mode = mode;
+    cfg.iss.use_block_cache = threaded;
     // Aggressive formation so short fuzz programs still exercise traces
     // and threaded lowering before the random save point.
     cfg.iss.trace_threshold = 2;

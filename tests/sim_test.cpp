@@ -209,23 +209,21 @@ struct ScenarioRun {
   uint32_t d14 = 0;
 };
 
-/// Engine variants crossed with the IRQ scenario: stepping, the lookup
-/// and chained block engines, and the trace engine with a threshold low
+/// Engine variants crossed with the IRQ scenario: stepping, the stock
+/// threaded engine, and the threaded engine with a trace threshold low
 /// enough that the spin-wait loop forms superblocks almost immediately
 /// (so interrupts routinely arrive at trace-internal boundaries and
 /// redirect control off a speculated guard).
 struct EngineVariant {
   const char* name;
   bool use_block_cache;
-  iss::DispatchMode mode;
   uint32_t trace_threshold;
 };
 
 constexpr EngineVariant kEngineVariants[] = {
-    {"stepping", false, iss::DispatchMode::kLookup, 64},
-    {"lookup", true, iss::DispatchMode::kLookup, 64},
-    {"chained", true, iss::DispatchMode::kChained, 64},
-    {"traces", true, iss::DispatchMode::kChainedTraces, 2},
+    {"stepping", false, 64},
+    {"threaded", true, 64},
+    {"threaded, hot traces", true, 2},
 };
 
 ScenarioRun runIrqTicks(const EngineVariant& engine, sim::Cycle quantum,
@@ -236,7 +234,6 @@ ScenarioRun runIrqTicks(const EngineVariant& engine, sim::Cycle quantum,
   platform::BoardConfig cfg;
   cfg.iss = platform::issConfigFor(level);
   cfg.iss.use_block_cache = engine.use_block_cache;
-  cfg.iss.dispatch_mode = engine.mode;
   cfg.iss.trace_threshold = engine.trace_threshold;
   cfg.iss.extra_leaders = {platform::symbolAddr(obj, w.irq_handler)};
   cfg.quantum = quantum;
@@ -271,7 +268,7 @@ void expectIdentical(const ScenarioRun& a, const ScenarioRun& b) {
 }
 
 TEST(InterruptDriven, WorkloadRetiresWithExpectedChecksum) {
-  const ScenarioRun r = runIrqTicks(kEngineVariants[3], 1024);
+  const ScenarioRun r = runIrqTicks(kEngineVariants[2], 1024);
   EXPECT_EQ(r.checksum, 164u);
   EXPECT_EQ(r.d14, 8u);
   EXPECT_EQ(r.stats.irqs_taken, 8u);
@@ -284,10 +281,10 @@ TEST(InterruptDriven, WorkloadRetiresWithExpectedChecksum) {
   EXPECT_GT(r.stats.guard_bails, 0u);
 }
 
-// The step()-fallback proof: every dispatch engine — lookup, chained and
-// the trace engine included — and pure per-instruction execution take
-// all 8 interrupts at identical cycle counts and retire identically.
-TEST(InterruptDriven, AllDispatchEnginesTakeIrqsIdentically) {
+// The step()-fallback proof: the threaded engine — hot traces included
+// — and pure per-instruction execution take all 8 interrupts at
+// identical cycle counts and retire identically.
+TEST(InterruptDriven, BothEnginesTakeIrqsIdentically) {
   for (const xlat::DetailLevel level :
        {xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
         xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache}) {
@@ -303,19 +300,19 @@ TEST(InterruptDriven, AllDispatchEnginesTakeIrqsIdentically) {
 
 // Exact temporal-decoupling invariance: with one initiator, the quantum
 // slices host execution but never behaviour — final SoC cycle and all
-// state are bit-identical for quantum 1, 16, 256 and 4096, for the
-// chained and trace engines alike (a quantum boundary may now fall on a
+// state are bit-identical for quantum 1, 16, 256 and 4096, with stock
+// and hot trace thresholds alike (a quantum boundary may fall on a
 // trace-internal block boundary and must yield there).
 TEST(InterruptDriven, GeneratedCyclesAreQuantumInvariant) {
-  const ScenarioRun base = runIrqTicks(kEngineVariants[2], 1);
+  const ScenarioRun base = runIrqTicks(kEngineVariants[1], 1);
   EXPECT_EQ(base.checksum, 164u);
   for (const sim::Cycle quantum : {16u, 256u, 4096u}) {
     SCOPED_TRACE("quantum " + std::to_string(quantum));
-    expectIdentical(base, runIrqTicks(kEngineVariants[2], quantum));
+    expectIdentical(base, runIrqTicks(kEngineVariants[1], quantum));
   }
   for (const sim::Cycle quantum : {1u, 16u, 256u, 4096u}) {
-    SCOPED_TRACE("trace engine, quantum " + std::to_string(quantum));
-    expectIdentical(base, runIrqTicks(kEngineVariants[3], quantum));
+    SCOPED_TRACE("hot traces, quantum " + std::to_string(quantum));
+    expectIdentical(base, runIrqTicks(kEngineVariants[2], quantum));
   }
   // The stepping engine is quantum-invariant too, and agrees.
   expectIdentical(base, runIrqTicks(kEngineVariants[0], 4096));
@@ -363,7 +360,7 @@ TEST(InterruptDriven, HandlerBreakpointHitsOnEveryDelivery) {
 // regresses loudly here instead of silently drifting.
 
 TEST(GoldenTrace, IrqTicks) {
-  const ScenarioRun r = runIrqTicks(kEngineVariants[3], 1024);
+  const ScenarioRun r = runIrqTicks(kEngineVariants[2], 1024);
   EXPECT_EQ(r.stats.instructions, 2126u);
   EXPECT_EQ(r.stats.cycles, 3279u);
   EXPECT_EQ(r.stats.irqs_taken, 8u);

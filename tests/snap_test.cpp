@@ -2,8 +2,8 @@
 // (src/snap, DESIGN.md section 9).
 //
 // The claim under test: a snapshot is the *complete* observable state of
-// the platform. For every detail level, every dispatch mode and both
-// kernels (sequential and parallel rounds),
+// the platform. For every detail level, both ISS engines (step() and
+// threaded) and both kernels (sequential and parallel rounds),
 //
 //   run-to-T, save, continue          (the saved board)
 //   fresh board, restore, continue    (a cold process: no warm block
@@ -18,6 +18,7 @@
 // architectural behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
@@ -61,7 +62,6 @@ GridBoard makeBoard(const std::vector<std::string>& names) {
 
 struct RunConfig {
   xlat::DetailLevel level = xlat::DetailLevel::kICache;
-  iss::DispatchMode mode = iss::DispatchMode::kChainedTraces;
   bool use_block_cache = true;
   bool parallel = false;
   sim::Cycle quantum = 1024;
@@ -72,7 +72,6 @@ std::unique_ptr<platform::ReferenceBoard> buildBoard(const GridBoard& grid,
   const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
   platform::BoardConfig cfg;
   cfg.iss = platform::issConfigFor(rc.level);
-  cfg.iss.dispatch_mode = rc.mode;
   cfg.iss.use_block_cache = rc.use_block_cache;
   cfg.iss.extra_leaders = grid.extra_leaders;
   cfg.quantum = rc.quantum;
@@ -230,14 +229,14 @@ void roundTrip(const GridBoard& grid, const RunConfig& rc) {
 // ---- the differential grid -------------------------------------------
 
 struct GridParam {
-  iss::DispatchMode mode;
+  bool threaded;
   bool parallel;
 };
 
 class SnapshotGrid : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(SnapshotGrid, SaveRestoreRunIsBitIdentical) {
-  const auto [mode, parallel] = GetParam();
+  const auto [threaded, parallel] = GetParam();
   const GridBoard grid = makeBoard({"mc_producer", "mc_consumer"});
   for (const xlat::DetailLevel level :
        {xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
@@ -245,46 +244,31 @@ TEST_P(SnapshotGrid, SaveRestoreRunIsBitIdentical) {
     SCOPED_TRACE(xlat::detailLevelName(level));
     RunConfig rc;
     rc.level = level;
-    rc.mode = mode;
+    rc.use_block_cache = threaded;
     rc.parallel = parallel;
     roundTrip(grid, rc);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Modes, SnapshotGrid,
-    ::testing::Values(GridParam{iss::DispatchMode::kLookup, false},
-                      GridParam{iss::DispatchMode::kChained, false},
-                      GridParam{iss::DispatchMode::kChainedTraces, false},
-                      GridParam{iss::DispatchMode::kThreaded, false},
-                      GridParam{iss::DispatchMode::kLookup, true},
-                      GridParam{iss::DispatchMode::kChained, true},
-                      GridParam{iss::DispatchMode::kChainedTraces, true},
-                      GridParam{iss::DispatchMode::kThreaded, true}),
+    Engines, SnapshotGrid,
+    ::testing::Values(GridParam{false, false}, GridParam{true, false},
+                      GridParam{false, true}, GridParam{true, true}),
     [](const ::testing::TestParamInfo<GridParam>& info) {
-      const char* mode =
-          info.param.mode == iss::DispatchMode::kLookup ? "lookup"
-          : info.param.mode == iss::DispatchMode::kChained ? "chained"
-          : info.param.mode == iss::DispatchMode::kChainedTraces
-              ? "traces"
-              : "threaded";
-      return std::string(mode) + (info.param.parallel ? "_par" : "_seq");
+      return std::string(info.param.threaded ? "threaded" : "step") +
+             (info.param.parallel ? "_par" : "_seq");
     });
 
 // The stepping engine can carry an *open block* across a quantum yield
 // (the commit is lazy, so the pipeline scoreboard and line tracking are
-// live at the save point) — the snapshot must capture that residue.
+// live at the save point) — the snapshot must capture that residue. The
+// grid covers quantum 1024; a tiny quantum yields at nearly every block.
 TEST(SnapshotGrid, SteppingEngineSavesOpenBlockResidue) {
   const GridBoard grid = makeBoard({"mc_producer", "mc_consumer"});
   RunConfig rc;
   rc.use_block_cache = false;
-  rc.mode = iss::DispatchMode::kLookup;
-  for (const sim::Cycle quantum : {16u, 1024u}) {
-    SCOPED_TRACE("quantum " + std::to_string(quantum));
-    RunConfig q = rc;
-    q.quantum = quantum;
-    roundTrip(grid, q);
-  }
+  rc.quantum = 16;
+  roundTrip(grid, rc);
 }
 
 // The single-core interrupt scenario: a snapshot taken between two of
@@ -349,23 +333,14 @@ TEST(Replay, AutoSnapshotRingRetainsAndReplays) {
   EXPECT_EQ(snap::digest(*replay2), board->checkpoints().back().digest);
 }
 
-// The digest excludes host-side dispatch-path state by design: every
-// engine — and the parallel kernel — produces the identical value.
-TEST(Replay, DigestIsDispatchModeIndependent) {
+// The digest excludes host-side dispatch-path state by design: both
+// engines — and the parallel kernel — produce the identical value.
+TEST(Replay, DigestIsEngineIndependent) {
   const GridBoard grid = makeBoard({"irq_ticks"});
   RunConfig base;
   auto ref = buildBoard(grid, base);
   ref->run();
   const uint64_t want = snap::digest(*ref);
-  for (const iss::DispatchMode mode :
-       {iss::DispatchMode::kLookup, iss::DispatchMode::kChained,
-        iss::DispatchMode::kThreaded}) {
-    RunConfig rc;
-    rc.mode = mode;
-    auto board = buildBoard(grid, rc);
-    board->run();
-    EXPECT_EQ(snap::digest(*board), want);
-  }
   RunConfig stepping;
   stepping.use_block_cache = false;
   auto board = buildBoard(grid, stepping);
@@ -435,6 +410,43 @@ void refootSnapshot(std::vector<uint8_t>& snap) {
   }
 }
 
+uint32_t getU32(const std::vector<uint8_t>& snap, size_t at) {
+  return static_cast<uint32_t>(snap.at(at)) |
+         static_cast<uint32_t>(snap.at(at + 1)) << 8 |
+         static_cast<uint32_t>(snap.at(at + 2)) << 16 |
+         static_cast<uint32_t>(snap.at(at + 3)) << 24;
+}
+
+void putU32(std::vector<uint8_t>& snap, size_t at, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) {
+    snap.at(at + i) = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+/// Offset just past the first length-prefixed string `s` (a section tag
+/// or a device name) in a snapshot.
+size_t afterString(const std::vector<uint8_t>& snap, const std::string& s) {
+  std::vector<uint8_t> pattern(4);
+  putU32(pattern, 0, static_cast<uint32_t>(s.size()));
+  pattern.insert(pattern.end(), s.begin(), s.end());
+  const auto it =
+      std::search(snap.begin(), snap.end(), pattern.begin(), pattern.end());
+  EXPECT_NE(it, snap.end()) << "no '" << s << "' in the snapshot";
+  return static_cast<size_t>(it - snap.begin()) + pattern.size();
+}
+
+/// Offset of device `name`'s state: past its name and section length.
+size_t deviceState(const std::vector<uint8_t>& snap, const std::string& name) {
+  return afterString(snap, name) + 4;
+}
+
+/// Overwrites a u32 element count with one far larger than the bytes
+/// left (but small enough to allocate), then recomputes the footer.
+void oversizeCount(std::vector<uint8_t>& snap, size_t at) {
+  putU32(snap, at, 1'000'000);
+  refootSnapshot(snap);
+}
+
 // Every corruption class the recovery path can meet in a ring entry,
 // table-driven. Layout under attack: magic[8] | version u32 | cores u32
 // | kernel section | bus section | per-core sections | FNV footer u64.
@@ -451,7 +463,14 @@ TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
   ASSERT_GT(good.size(), 64u);
 
   using Mutate = std::function<void(std::vector<uint8_t>&)>;
-  const std::vector<std::pair<std::string, Mutate>> kCases = {
+  struct Case {
+    std::string name;
+    Mutate mutate;
+    /// When set, the rejection must carry this message: the gate the
+    /// mutation targets fired, not a later layer.
+    std::string error = {};
+  };
+  const std::vector<Case> kCases = {
       {"truncated mid-kernel-section",
        [](std::vector<uint8_t>& s) { s.resize(24); }},
       {"truncated mid-core-section",
@@ -485,14 +504,53 @@ TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
        }},
       {"flipped footer byte",
        [](std::vector<uint8_t>& s) { s[s.size() - 3] ^= 0x04; }},
+      // Input-sized allocations: each count is checked against the bytes
+      // left before anything is resized.
+      {"oversized chardev stamps count, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         const size_t out = deviceState(s, "chardev");
+         oversizeCount(s, out + 4 + getU32(s, out));  // past the output
+       },
+       "snapshot count 1000000"},
+      {"oversized delivery-times count, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         // raw, enable, vector u32; master_enable, in_service b; irqs u64
+         oversizeCount(s, deviceState(s, "intc0") + 12 + 2 + 8);
+       },
+       "snapshot count 1000000"},
+      {"oversized bus-log count, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         // soc_cycle u64, dropped_transactions u64
+         oversizeCount(s, afterString(s, "bus") + 16);
+       },
+       "snapshot count 1000000"},
+      // Out-of-range mailbox indices would index past the FIFO later.
+      {"mailbox head 7, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         putU32(s, deviceState(s, "mailbox") + 16, 7);  // past fifo[4]
+         refootSnapshot(s);
+       },
+       "mailbox snapshot head"},
+      {"mailbox count 5, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         putU32(s, deviceState(s, "mailbox") + 20, 5);
+         refootSnapshot(s);
+       },
+       "mailbox snapshot head"},
   };
 
-  for (const auto& [name, mutate] : kCases) {
+  for (const auto& [name, mutate, error] : kCases) {
     SCOPED_TRACE(name);
     std::vector<uint8_t> bad = good;
     mutate(bad);
     auto target = buildBoard(grid, rc);
-    EXPECT_THROW(snap::restore(*target, bad), Error);
+    try {
+      snap::restore(*target, bad);
+      ADD_FAILURE() << "corrupt snapshot restored without an error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
+          << e.what();
+    }
     // A rejected restore may have partially consumed the image only
     // when the footer was valid; either way the board must still
     // accept the intact snapshot and replay to the clean end state.
