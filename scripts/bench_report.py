@@ -5,10 +5,14 @@ Every bench binary writes a BENCH_<name>.json next to its working
 directory — or into $CABT_BENCH_DIR when set (one row per
 workload/variant, with host MIPS and — for ISS rows — the dispatch-path
 counters). This script collects them into a single BENCH_SUMMARY.md
-artifact and enforces three gates:
+artifact and enforces four gates:
 
   * engine ablation — the threaded engine must reach --min-ratio x the
     step() reference's host MIPS on every workload/level row;
+  * vehicle ablation — on BENCH_ablation_iss_vs_xlat.json, the
+    icache-level translated image on the V6X platform must reach
+    1/VEHICLE_MAX_SLOWDOWN of the ISS's host MIPS on every workload (the
+    V6X simulator's hot path must not fall back to its old speed);
   * parallel rounds — on every BENCH_parallel_cores.json row with
     quantum >= 256, the parallel kernel must not fall below the
     sequential kernel (at smaller quanta the round barrier is expected
@@ -45,6 +49,13 @@ import glob
 import json
 import os
 import sys
+
+# Vehicle gate: the ISS may be at most this many times faster (host MIPS)
+# than the V6X platform running the icache-level translation. Measured
+# best-of-3 rows on a 4-vCPU x86-64 host: ISS/xlat-l3 between 10x (gcd)
+# and 35x (ellip) with the predecoded simulator; 13x-69x before it
+# (dpcm 64x, ellip 69x, fir 56x, subband 52x would fail this gate).
+VEHICLE_MAX_SLOWDOWN = 50.0
 
 
 def load_records(directory):
@@ -176,6 +187,37 @@ def check_dispatch_gate(records, min_ratio):
                 f"{workload}/{level}: threaded {threaded_mips:.2f} MIPS "
                 f"vs step {step_mips:.2f} MIPS (ratio {ratio:.2f} < "
                 f"{min_ratio:.2f})"
+            )
+    return compared, failures
+
+
+def check_vehicle_gate(records, max_slowdown):
+    """Per workload, xlat-l3-host must reach iss-host / max_slowdown.
+
+    Returns (compared_pairs, failures), or None when there is no
+    vehicle-ablation record at all. Zero compared pairs fails at the
+    caller, as with the other gates.
+    """
+    rows = records.get("ablation_iss_vs_xlat")
+    if rows is None:
+        return None
+    by_key = {
+        (r.get("workload"), r.get("variant")): r.get("host_mips", 0.0)
+        for r in rows
+    }
+    compared = 0
+    failures = []
+    for (workload, variant), iss_mips in sorted(by_key.items()):
+        xlat_mips = by_key.get((workload, "xlat-l3-host"))
+        if variant != "iss-host" or xlat_mips is None or iss_mips <= 0:
+            continue
+        compared += 1
+        slowdown = iss_mips / xlat_mips if xlat_mips > 0 else float("inf")
+        if slowdown > max_slowdown:
+            failures.append(
+                f"{workload}: xlat-l3 {xlat_mips:.3f} MIPS vs iss "
+                f"{iss_mips:.2f} MIPS ({slowdown:.1f}x slower > "
+                f"{max_slowdown:.0f}x)"
             )
     return compared, failures
 
@@ -352,7 +394,8 @@ def main():
     parser.add_argument(
         "--require-ablation",
         action="store_true",
-        help="fail when BENCH_ablation_dispatch.json is absent",
+        help="fail when BENCH_ablation_dispatch.json or "
+        "BENCH_ablation_iss_vs_xlat.json is absent",
     )
     parser.add_argument(
         "--require-parallel",
@@ -423,6 +466,15 @@ def main():
         "passed": f"threaded >= {args.min_ratio:.2f} x step on {{n}} "
         "workload/level rows",
     }
+    vehicle_gate = {
+        "name": "vehicle",
+        "gate": check_vehicle_gate(records, VEHICLE_MAX_SLOWDOWN),
+        "required": args.require_ablation,
+        "record": "BENCH_ablation_iss_vs_xlat.json",
+        "empty": "no iss-host/xlat-l3-host pairs",
+        "passed": f"xlat-l3 >= iss / {VEHICLE_MAX_SLOWDOWN:.0f} on {{n}} "
+        "workloads",
+    }
     parallel_gate = {
         "name": "parallel",
         "gate": check_parallel_gate(records, args.min_parallel_ratio),
@@ -442,7 +494,7 @@ def main():
         "one decode per image, aggregate MIPS >= single board)",
     }
     status = 0
-    for g in (dispatch_gate, parallel_gate, fleet_gate):
+    for g in (dispatch_gate, vehicle_gate, parallel_gate, fleet_gate):
         if g["gate"] is None:
             if g["required"]:
                 print(f"error: {g['record']} missing", file=sys.stderr)

@@ -28,14 +28,34 @@ class SparseMemory {
     page(addr)[addr & (kPageSize - 1)] = v;
   }
 
+  /// Little-endian access of `size` (1..4) bytes. An access inside one
+  /// page costs one page lookup; one that straddles a page boundary (or
+  /// wraps the address space) goes byte by byte.
   [[nodiscard]] uint32_t read(uint32_t addr, unsigned size) const {
     uint32_t v = 0;
+    if (inOnePage(addr, size)) {
+      const Page* p = findPage(addr);
+      if (p != nullptr) {
+        const uint8_t* b = p->data() + (addr & (kPageSize - 1));
+        for (unsigned i = 0; i < size; ++i) {
+          v |= static_cast<uint32_t>(b[i]) << (8 * i);
+        }
+      }
+      return v;
+    }
     for (unsigned i = 0; i < size; ++i) {
       v |= static_cast<uint32_t>(read8(addr + i)) << (8 * i);
     }
     return v;
   }
   void write(uint32_t addr, uint32_t v, unsigned size) {
+    if (inOnePage(addr, size)) {
+      uint8_t* b = page(addr).data() + (addr & (kPageSize - 1));
+      for (unsigned i = 0; i < size; ++i) {
+        b[i] = static_cast<uint8_t>(v >> (8 * i));
+      }
+      return;
+    }
     for (unsigned i = 0; i < size; ++i) {
       write8(addr + i, static_cast<uint8_t>(v >> (8 * i)));
     }
@@ -129,6 +149,10 @@ class SparseMemory {
       }
     }
     return true;
+  }
+
+  [[nodiscard]] static bool inOnePage(uint32_t addr, unsigned size) {
+    return (addr & (kPageSize - 1)) + size <= kPageSize;
   }
 
   [[nodiscard]] const Page* findPage(uint32_t addr) const {

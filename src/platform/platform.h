@@ -47,12 +47,10 @@ struct PlatformConfig {
 /// Memory-mapped synchronization device front end for the V6X core.
 class SyncHandler : public vliw::IoHandler {
  public:
-  explicit SyncHandler(soc::SyncDevice* sync) : sync_(sync) {}
+  explicit SyncHandler(soc::SyncDevice* sync)
+      : IoHandler(xlat::kSyncDeviceBase, soc::SyncDevice::kWindowSize),
+        sync_(sync) {}
 
-  [[nodiscard]] bool covers(uint32_t addr) const override {
-    return addr >= xlat::kSyncDeviceBase &&
-           addr < xlat::kSyncDeviceBase + soc::SyncDevice::kWindowSize;
-  }
   bool ready(uint32_t addr, bool is_write) override {
     // Reading the status register waits for the end of cycle generation.
     if (!is_write &&
@@ -97,11 +95,8 @@ class BridgeHandler : public vliw::IoHandler {
  public:
   BridgeHandler(soc::SocBus* bus, soc::SyncDevice* sync, uint32_t io_base,
                 uint32_t io_size)
-      : bus_(bus), sync_(sync), io_base_(io_base), io_size_(io_size) {}
+      : IoHandler(io_base, io_size), bus_(bus), sync_(sync) {}
 
-  [[nodiscard]] bool covers(uint32_t addr) const override {
-    return addr >= io_base_ && addr - io_base_ < io_size_;
-  }
   bool ready(uint32_t, bool) override {
     return !sync_->busy() || edge_this_cycle_;
   }
@@ -117,8 +112,6 @@ class BridgeHandler : public vliw::IoHandler {
  private:
   soc::SocBus* bus_;
   soc::SyncDevice* sync_;
-  uint32_t io_base_;
-  uint32_t io_size_;
   bool edge_this_cycle_ = false;
 };
 

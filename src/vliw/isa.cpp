@@ -381,6 +381,7 @@ std::vector<Packet> decodeProgram(const std::vector<uint8_t>& bytes,
     current.ops.push_back(
         decodeOp(w, base_addr + static_cast<uint32_t>(off), &parallel));
     if (!parallel) {
+      validatePacket(current);
       packets.push_back(std::move(current));
       current = Packet{};
       current.addr = base_addr + static_cast<uint32_t>(off) + 4;

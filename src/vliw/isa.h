@@ -124,7 +124,9 @@ void validatePacket(const Packet& packet);
 std::vector<uint8_t> encodeProgram(std::vector<Packet>& packets,
                                    uint32_t base_addr);
 
-/// Decodes an encoded program back into packets.
+/// Decodes an encoded program back into packets. Every packet is checked
+/// with validatePacket, so a malformed image (an over-long p-bit chain,
+/// a NOP count outside 1..9, a unit conflict) throws cabt::Error here.
 std::vector<Packet> decodeProgram(const std::vector<uint8_t>& bytes,
                                   uint32_t base_addr);
 

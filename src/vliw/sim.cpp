@@ -1,6 +1,7 @@
 #include "vliw/sim.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bits.h"
 #include "common/strutil.h"
@@ -13,6 +14,8 @@ void V6xSim::loadProgram(const elf::Object& image) {
   CABT_CHECK(image.machine == elf::Machine::kV6x,
              "not a V6X image (wrong e_machine)");
   packets_.clear();
+  decoded_.clear();
+  ops_.clear();
   packet_at_.clear();
   bool any_code = false;
   for (const elf::Section& s : image.sections) {
@@ -26,35 +29,96 @@ void V6xSim::loadProgram(const elf::Object& image) {
     }
   }
   CABT_CHECK(any_code, "V6X image has no executable section");
+  CABT_CHECK(packets_.size() < kNoPacket, "too many V6X packets");
   for (size_t i = 0; i < packets_.size(); ++i) {
-    packet_at_.emplace(packets_[i].addr, i);
+    packet_at_.emplace(packets_[i].addr, static_cast<uint32_t>(i));
+  }
+
+  // Predecode. decodeProgram validated every packet, so none has more
+  // than kMaxPacketOps ops.
+  const auto slot = [](uint8_t reg) {
+    return reg == kNoReg ? kZeroSlot : reg;
+  };
+  for (const Packet& p : packets_) {
+    DecodedPacket d;
+    d.addr = p.addr;
+    d.first_op = static_cast<uint32_t>(ops_.size());
+    d.num_ops = static_cast<uint8_t>(p.ops.size());
+    d.next = packetIndex(p.addr + p.sizeBytes());
+    for (const MachineOp& m : p.ops) {
+      DecodedOp o;
+      o.opc = m.opc;
+      if (!m.pred.always()) {
+        o.pred = m.pred.regId();
+        o.pred_z = m.pred.z;
+      }
+      o.dst = slot(m.dst);
+      o.src1 = slot(m.src1);
+      o.src2 = slot(m.src2);
+      o.imm = m.imm;
+      if (isMem(m.opc)) {
+        o.mem_size = static_cast<uint8_t>(memAccessSize(m.opc));
+        o.store = isStore(m.opc);
+        o.sign_extend = m.opc == VOpc::kLdh || m.opc == VOpc::kLdb;
+        d.has_mem = true;
+      }
+      if (m.opc == VOpc::kB) {
+        o.target = packetIndex(static_cast<uint32_t>(m.imm));
+      }
+      ops_.push_back(o);
+    }
+    decoded_.push_back(d);
   }
   pc_ = image.entry;
+  cur_ = packetIndex(pc_);
   state_ = RunState::kRunning;
 }
 
 void V6xSim::addIoHandler(IoHandler* handler) {
   CABT_CHECK(handler != nullptr, "null IoHandler");
+  CABT_CHECK(handler->size() >= 1, "empty IoHandler window");
   handlers_.push_back(handler);
+  io_lo_ = std::min(io_lo_, static_cast<uint64_t>(handler->base()));
+  io_hi_ = std::max(io_hi_, static_cast<uint64_t>(handler->base()) +
+                                handler->size());
+}
+
+uint32_t V6xSim::reg(uint8_t r) const {
+  CABT_CHECK(r < kNumRegs, "bad V6X register id " << int{r});
+  return regs_[r];
+}
+
+void V6xSim::setReg(uint8_t r, uint32_t v) {
+  CABT_CHECK(r < kNumRegs, "bad V6X register id " << int{r});
+  regs_[r] = v;
 }
 
 void V6xSim::setPc(uint32_t pc) {
-  CABT_CHECK(packet_at_.count(pc) != 0,
+  const uint32_t index = packetIndex(pc);
+  CABT_CHECK(index != kNoPacket,
              "PC " << hex32(pc) << " is not a packet start");
   pc_ = pc;
+  cur_ = index;
   // A debugger PC change abandons in-flight control state.
   branch_pending_ = false;
   idle_cycles_ = 0;
 }
 
-const Packet& V6xSim::fetch(uint32_t addr) const {
+uint32_t V6xSim::packetIndex(uint32_t addr) const {
   const auto it = packet_at_.find(addr);
-  CABT_CHECK(it != packet_at_.end(),
-             "fetch from " << hex32(addr) << ": not a packet start");
-  return packets_[it->second];
+  return it == packet_at_.end() ? kNoPacket : it->second;
+}
+
+const V6xSim::DecodedPacket& V6xSim::fetch() const {
+  CABT_CHECK(cur_ != kNoPacket,
+             "fetch from " << hex32(pc_) << ": not a packet start");
+  return decoded_[cur_];
 }
 
 IoHandler* V6xSim::handlerFor(uint32_t addr) const {
+  if (addr < io_lo_ || addr >= io_hi_) {
+    return nullptr;
+  }
   for (IoHandler* h : handlers_) {
     if (h->covers(addr)) {
       return h;
@@ -63,177 +127,153 @@ IoHandler* V6xSim::handlerFor(uint32_t addr) const {
   return nullptr;
 }
 
-bool V6xSim::devicesReady(const Packet& packet) {
-  for (const MachineOp& op : packet.ops) {
-    if (!isMem(op.opc)) {
-      continue;
-    }
-    if (!op.pred.always()) {
-      const uint32_t p = regs_[op.pred.regId()];
-      const bool execute = op.pred.z ? p == 0 : p != 0;
-      if (!execute) {
-        continue;
-      }
-    }
-    const uint32_t addr = regs_[op.src1] + static_cast<uint32_t>(op.imm);
-    IoHandler* h = handlerFor(addr);
-    if (h != nullptr && !h->ready(addr, isStore(op.opc))) {
-      return false;
-    }
+void V6xSim::commitWrites(uint64_t slot) {
+  // run() commits every slot value before issue_cycles moves past it, so
+  // the ring entry holds only writes due in exactly this slot.
+  WriteSlot& s = writes_[slot % kWriteRing];
+  for (uint64_t m = s.regs; m != 0; m &= m - 1) {
+    const int r = std::countr_zero(m);
+    regs_[r] = s.value[r];
   }
-  return true;
-}
-
-void V6xSim::commitDueWrites() {
-  for (size_t i = 0; i < pending_.size();) {
-    if (pending_[i].due <= stats_.issue_cycles) {
-      regs_[pending_[i].reg] = pending_[i].value;
-      pending_[i] = pending_.back();
-      pending_.pop_back();
-    } else {
-      ++i;
-    }
-  }
+  s.regs = 0;
 }
 
 void V6xSim::drainPipeline() {
   // Architecturally-due writes commit lazily; flush them so a stopped
   // machine presents a consistent register state. At halt everything in
-  // flight lands as well.
+  // flight lands as well, in due order.
   commitDueWrites();
   if (state_ == RunState::kHalted) {
-    std::sort(pending_.begin(), pending_.end(),
-              [](const PendingWrite& a, const PendingWrite& b) {
-                return a.due < b.due;
-              });
-    for (const PendingWrite& w : pending_) {
-      regs_[w.reg] = w.value;
+    for (uint64_t k = 1; k < kWriteRing; ++k) {
+      commitWrites(stats_.issue_cycles + k);
     }
-    pending_.clear();
   }
 }
 
 void V6xSim::scheduleWrite(uint8_t reg, uint32_t value,
                            unsigned extra_slots) {
-  const uint64_t due = stats_.issue_cycles + 1 + extra_slots;
-  for (const PendingWrite& w : pending_) {
-    CABT_CHECK(!(w.reg == reg && w.due == due),
-               "two in-flight writes to " << regName(reg)
-                                          << " commit in the same cycle");
-  }
-  pending_.push_back({due, reg, value});
+  // Live writes are due within [issue_cycles, issue_cycles + 5], so the
+  // ring never holds two different due slots in one entry.
+  WriteSlot& s =
+      writes_[(stats_.issue_cycles + 1 + extra_slots) % kWriteRing];
+  const uint64_t bit = uint64_t{1} << reg;
+  CABT_CHECK((s.regs & bit) == 0,
+             "two in-flight writes to " << regName(reg)
+                                        << " commit in the same cycle");
+  s.regs |= bit;
+  s.value[reg] = value;
 }
 
-void V6xSim::issuePacket(const Packet& packet) {
-  ++stats_.packets;
-  stats_.ops += packet.ops.size();
-
-  // Gather all operand values first: every op in the packet reads the
-  // register state as of the start of this cycle.
-  struct Exec {
-    const MachineOp* op;
-    uint32_t s1, s2, dstv, ea;
-    bool run;
+bool V6xSim::issuePacket(const DecodedPacket& packet) {
+  const DecodedOp* const ops = &ops_[packet.first_op];
+  const auto runs = [this](const DecodedOp& op) {
+    return (regs_[op.pred] == 0) == op.pred_z;
   };
-  std::vector<Exec> execs;
-  execs.reserve(packet.ops.size());
-  for (const MachineOp& op : packet.ops) {
-    Exec e{};
-    e.op = &op;
-    e.run = true;
-    if (!op.pred.always()) {
-      const uint32_t p = regs_[op.pred.regId()];
-      e.run = op.pred.z ? p == 0 : p != 0;
+
+  // Device readiness first: a refused access stalls the whole packet.
+  // Each memory op's address and handler are resolved once per cycle.
+  struct Access {
+    uint32_t ea;
+    IoHandler* handler;
+  };
+  std::array<Access, kMaxPacketOps> access{};
+  if (packet.has_mem) {
+    for (unsigned i = 0; i < packet.num_ops; ++i) {
+      const DecodedOp& op = ops[i];
+      if (op.mem_size == 0 || !runs(op)) {
+        continue;
+      }
+      const uint32_t ea = regs_[op.src1] + static_cast<uint32_t>(op.imm);
+      IoHandler* h = handlerFor(ea);
+      if (h != nullptr && !h->ready(ea, op.store)) {
+        return false;
+      }
+      access[i] = {ea, h};
     }
-    e.s1 = op.src1 != kNoReg ? regs_[op.src1] : 0;
-    e.s2 = op.src2 != kNoReg ? regs_[op.src2] : 0;
-    e.dstv = op.dst != kNoReg ? regs_[op.dst] : 0;
-    if (isMem(op.opc)) {
-      e.ea = e.s1 + static_cast<uint32_t>(op.imm);
-    }
-    execs.push_back(e);
   }
 
-  for (const Exec& e : execs) {
-    const MachineOp& op = *e.op;
-    if (!e.run) {
+  ++stats_.packets;
+  stats_.ops += packet.num_ops;
+  // Register writes are deferred to later slots, so every op reads the
+  // register state as of the start of this cycle.
+  for (unsigned i = 0; i < packet.num_ops; ++i) {
+    const DecodedOp& op = ops[i];
+    if (!runs(op)) {
       continue;
     }
-    const auto aluResult = [&](uint32_t v) {
-      scheduleWrite(op.dst, v, 0);
-    };
+    const uint32_t s1 = regs_[op.src1];
+    const uint32_t s2 = regs_[op.src2];
+    const uint32_t dstv = regs_[op.dst];
+    const auto aluResult = [&](uint32_t v) { scheduleWrite(op.dst, v, 0); };
     switch (op.opc) {
       case VOpc::kAdd:
-        aluResult(e.s1 + e.s2);
+        aluResult(s1 + s2);
         break;
       case VOpc::kSub:
-        aluResult(e.s1 - e.s2);
+        aluResult(s1 - s2);
         break;
       case VOpc::kAnd:
-        aluResult(e.s1 & e.s2);
+        aluResult(s1 & s2);
         break;
       case VOpc::kOr:
-        aluResult(e.s1 | e.s2);
+        aluResult(s1 | s2);
         break;
       case VOpc::kXor:
-        aluResult(e.s1 ^ e.s2);
+        aluResult(s1 ^ s2);
         break;
       case VOpc::kCmpEq:
-        aluResult(e.s1 == e.s2 ? 1 : 0);
+        aluResult(s1 == s2 ? 1 : 0);
         break;
       case VOpc::kCmpNe:
-        aluResult(e.s1 != e.s2 ? 1 : 0);
+        aluResult(s1 != s2 ? 1 : 0);
         break;
       case VOpc::kCmpLt:
-        aluResult(static_cast<int32_t>(e.s1) < static_cast<int32_t>(e.s2)
-                      ? 1
-                      : 0);
+        aluResult(static_cast<int32_t>(s1) < static_cast<int32_t>(s2) ? 1
+                                                                      : 0);
         break;
       case VOpc::kCmpLtu:
-        aluResult(e.s1 < e.s2 ? 1 : 0);
+        aluResult(s1 < s2 ? 1 : 0);
         break;
       case VOpc::kCmpGt:
-        aluResult(static_cast<int32_t>(e.s1) > static_cast<int32_t>(e.s2)
-                      ? 1
-                      : 0);
+        aluResult(static_cast<int32_t>(s1) > static_cast<int32_t>(s2) ? 1
+                                                                      : 0);
         break;
       case VOpc::kCmpGtu:
-        aluResult(e.s1 > e.s2 ? 1 : 0);
+        aluResult(s1 > s2 ? 1 : 0);
         break;
       case VOpc::kCmpGe:
-        aluResult(static_cast<int32_t>(e.s1) >= static_cast<int32_t>(e.s2)
-                      ? 1
-                      : 0);
+        aluResult(static_cast<int32_t>(s1) >= static_cast<int32_t>(s2) ? 1
+                                                                       : 0);
         break;
       case VOpc::kCmpGeu:
-        aluResult(e.s1 >= e.s2 ? 1 : 0);
+        aluResult(s1 >= s2 ? 1 : 0);
         break;
       case VOpc::kMv:
-        aluResult(e.s1);
+        aluResult(s1);
         break;
       case VOpc::kShl:
-        aluResult(e.s1 << (e.s2 & 31));
+        aluResult(s1 << (s2 & 31));
         break;
       case VOpc::kShr:
-        aluResult(e.s1 >> (e.s2 & 31));
+        aluResult(s1 >> (s2 & 31));
         break;
       case VOpc::kSar:
-        aluResult(static_cast<uint32_t>(static_cast<int32_t>(e.s1) >>
-                                        (e.s2 & 31)));
+        aluResult(static_cast<uint32_t>(static_cast<int32_t>(s1) >>
+                                        (s2 & 31)));
         break;
       case VOpc::kMpy:
-        scheduleWrite(op.dst, e.s1 * e.s2, 1);
+        scheduleWrite(op.dst, s1 * s2, 1);
         break;
       case VOpc::kLdw:
       case VOpc::kLdh:
       case VOpc::kLdhu:
       case VOpc::kLdb:
       case VOpc::kLdbu: {
-        const unsigned size = memAccessSize(op.opc);
-        IoHandler* h = handlerFor(e.ea);
-        uint32_t v = h != nullptr ? h->load(e.ea, size) : mem_.read(e.ea, size);
-        if ((op.opc == VOpc::kLdh || op.opc == VOpc::kLdb) && size < 4) {
-          v = static_cast<uint32_t>(signExtend(v, size * 8));
+        const auto [ea, h] = access[i];
+        uint32_t v = h != nullptr ? h->load(ea, op.mem_size)
+                                  : mem_.read(ea, op.mem_size);
+        if (op.sign_extend) {
+          v = static_cast<uint32_t>(signExtend(v, op.mem_size * 8u));
         }
         scheduleWrite(op.dst, v, 4);
         break;
@@ -241,12 +281,11 @@ void V6xSim::issuePacket(const Packet& packet) {
       case VOpc::kStw:
       case VOpc::kSth:
       case VOpc::kStb: {
-        const unsigned size = memAccessSize(op.opc);
-        IoHandler* h = handlerFor(e.ea);
+        const auto [ea, h] = access[i];
         if (h != nullptr) {
-          h->store(e.ea, e.dstv, size);
+          h->store(ea, dstv, op.mem_size);
         } else {
-          mem_.write(e.ea, e.dstv, size);
+          mem_.write(ea, dstv, op.mem_size);
         }
         break;
       }
@@ -255,8 +294,13 @@ void V6xSim::issuePacket(const Packet& packet) {
         CABT_CHECK(!branch_pending_,
                    "branch issued while another branch is in flight");
         branch_pending_ = true;
-        branch_target_ =
-            op.opc == VOpc::kB ? static_cast<uint32_t>(op.imm) : e.s1;
+        if (op.opc == VOpc::kB) {
+          branch_target_ = static_cast<uint32_t>(op.imm);
+          branch_target_index_ = op.target;
+        } else {
+          branch_target_ = s1;
+          branch_target_index_ = packetIndex(s1);
+        }
         branch_remaining_ = delaySlots(op.opc);
         ++stats_.branches_taken;
         break;
@@ -265,15 +309,14 @@ void V6xSim::issuePacket(const Packet& packet) {
         scheduleWrite(op.dst, static_cast<uint32_t>(op.imm), 0);
         break;
       case VOpc::kMvkh:
-        scheduleWrite(op.dst, (e.dstv & 0xffffu) |
-                                  (static_cast<uint32_t>(op.imm) << 16),
+        scheduleWrite(op.dst,
+                      (dstv & 0xffffu) | (static_cast<uint32_t>(op.imm) << 16),
                       0);
         break;
       case VOpc::kAddk:
-        scheduleWrite(op.dst, e.dstv + static_cast<uint32_t>(op.imm), 0);
+        scheduleWrite(op.dst, dstv + static_cast<uint32_t>(op.imm), 0);
         break;
       case VOpc::kNop:
-        CABT_ASSERT(op.imm >= 1, "NOP with zero count");
         idle_cycles_ = static_cast<unsigned>(op.imm) - 1;
         stats_.nop_cycles += static_cast<unsigned>(op.imm);
         break;
@@ -287,7 +330,9 @@ void V6xSim::issuePacket(const Packet& packet) {
         CABT_FAIL("unhandled V6X opcode");
     }
   }
-  pc_ = packet.addr + packet.sizeBytes();
+  pc_ = packet.addr + 4u * packet.num_ops;
+  cur_ = packet.next;
+  return true;
 }
 
 void V6xSim::postIssueSlot() {
@@ -295,6 +340,7 @@ void V6xSim::postIssueSlot() {
   if (branch_pending_) {
     if (branch_remaining_ == 0) {
       pc_ = branch_target_;
+      cur_ = branch_target_index_;
       branch_pending_ = false;
     } else {
       --branch_remaining_;
@@ -317,38 +363,35 @@ RunState V6xSim::run(uint64_t max_cycles) {
     if (budget-- == 0) {
       return RunState::kMaxCycles;
     }
+    const bool issue_slot = idle_cycles_ == 0;
+    if (issue_slot) {
+      if (!breakpoints_.empty() && !step_over_breakpoint_ &&
+          breakpoints_.count(pc_) != 0) {
+        // Stop *before* issuing the breakpointed packet: no cycle runs.
+        state_ = RunState::kBreakpoint;
+        drainPipeline();
+        return state_;
+      }
+      step_over_breakpoint_ = false;
+    }
     if (hook_) {
       hook_();
     }
     ++stats_.cycles;
+    // Commit the writes due in this issue slot before anything reads the
+    // register state (including the device-readiness check).
+    commitDueWrites();
 
-    if (idle_cycles_ > 0) {
+    if (!issue_slot) {
       // Tail cycles of a multi-cycle NOP: issue slots without a packet.
       --idle_cycles_;
-      commitDueWrites();
       postIssueSlot();
       continue;
     }
-
-    // Commit the writes due in this issue slot before anything reads the
-    // register state (including the device-readiness pre-check).
-    commitDueWrites();
-
-    if (breakpoints_.count(pc_) != 0 && !step_over_breakpoint_) {
-      // Stop *before* issuing the breakpointed packet; undo this cycle.
-      --stats_.cycles;
-      state_ = RunState::kBreakpoint;
-      drainPipeline();
-      return state_;
-    }
-    step_over_breakpoint_ = false;
-
-    const Packet& packet = fetch(pc_);
-    if (!devicesReady(packet)) {
+    if (!issuePacket(fetch())) {
       ++stats_.stall_cycles;
       continue;  // whole-machine stall; devices keep ticking via the hook
     }
-    issuePacket(packet);
     postIssueSlot();
   }
   drainPipeline();

@@ -8,8 +8,17 @@
 // (synchronization device, bus bridge) is plugged in via IoHandler; a
 // handler can refuse an access, which stalls the whole machine for that
 // cycle (this is how "wait for end of cycle generation" behaves).
+//
+// The per-cycle path works on a form predecoded at loadProgram (DESIGN.md
+// section 15): validated packets sit in a dense array and sequential flow
+// follows each packet's next index, so only an indirect branch or setPc
+// looks an address up; every op carries its predicate register, operand
+// slots and memory width; in-flight register writes live in a ring
+// indexed by the issue slot they are due in. Nothing on that path
+// allocates.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -22,16 +31,29 @@
 
 namespace cabt::vliw {
 
-/// Memory-mapped hardware hook. ready() may be polled once per stall
-/// cycle; load()/store() are called exactly once, in the cycle the access
-/// completes.
+/// Memory-mapped hardware hook covering the fixed address window
+/// [base, base + size), declared once at construction so the simulator can
+/// reject every other address (RAM) with one bounding-box compare. ready()
+/// may be polled once per stall cycle; load()/store() are called exactly
+/// once, in the cycle the access completes.
 class IoHandler {
  public:
+  IoHandler(uint32_t base, uint32_t size) : base_(base), size_(size) {}
   virtual ~IoHandler() = default;
-  [[nodiscard]] virtual bool covers(uint32_t addr) const = 0;
+
+  [[nodiscard]] uint32_t base() const { return base_; }
+  [[nodiscard]] uint32_t size() const { return size_; }
+  [[nodiscard]] bool covers(uint32_t addr) const {
+    return addr - base_ < size_;
+  }
+
   virtual bool ready(uint32_t addr, bool is_write) = 0;
   virtual uint32_t load(uint32_t addr, unsigned size) = 0;
   virtual void store(uint32_t addr, uint32_t value, unsigned size) = 0;
+
+ private:
+  uint32_t base_;
+  uint32_t size_;
 };
 
 enum class RunState {
@@ -56,15 +78,17 @@ class V6xSim {
  public:
   V6xSim();
 
-  /// Loads a V6X ELF image: .text is decoded into execute packets, all
-  /// other PROGBITS sections are copied to memory.
+  /// Loads a V6X ELF image: .text is decoded (and validated) into execute
+  /// packets, all other PROGBITS sections are copied to memory.
   void loadProgram(const elf::Object& image);
 
-  /// Registers a memory-mapped hardware window (not owned).
+  /// Registers a memory-mapped hardware window (not owned). The first
+  /// registered handler covering an address serves it.
   void addIoHandler(IoHandler* handler);
 
-  /// Called once per wall cycle, before anything else — the platform uses
-  /// this to clock the synchronization device.
+  /// Called once per wall cycle the machine runs, before anything else —
+  /// the platform uses this to clock the synchronization device. A
+  /// breakpoint stop runs no cycle and so does not call it.
   void setCycleHook(std::function<void()> hook) { hook_ = std::move(hook); }
 
   /// Runs until HALT / YIELD / breakpoint / cycle limit.
@@ -76,8 +100,8 @@ class V6xSim {
   void addBreakpoint(uint32_t addr) { breakpoints_.insert(addr); }
   void removeBreakpoint(uint32_t addr) { breakpoints_.erase(addr); }
 
-  [[nodiscard]] uint32_t reg(uint8_t r) const { return regs_.at(r); }
-  void setReg(uint8_t r, uint32_t v) { regs_.at(r) = v; }
+  [[nodiscard]] uint32_t reg(uint8_t r) const;
+  void setReg(uint8_t r, uint32_t v);
   [[nodiscard]] uint32_t pc() const { return pc_; }
   void setPc(uint32_t pc);
   [[nodiscard]] RunState state() const { return state_; }
@@ -88,35 +112,78 @@ class V6xSim {
   [[nodiscard]] const std::vector<Packet>& packets() const { return packets_; }
 
  private:
-  struct PendingWrite {
-    uint64_t due = 0;  ///< issue-slot index when the value commits
-    uint8_t reg = 0;
-    uint32_t value = 0;
+  static constexpr int kNumRegs = 2 * kRegsPerFile;
+  /// Register slot that always reads 0; absent operands and the predicate
+  /// of an unpredicated op point here.
+  static constexpr uint8_t kZeroSlot = kNumRegs;
+  static constexpr uint32_t kNoPacket = UINT32_MAX;
+  static constexpr size_t kMaxPacketOps = 8;
+  /// Pending-write ring size: a power of two above the longest latency
+  /// (a load is due 5 slots after issue).
+  static constexpr size_t kWriteRing = 8;
+
+  /// A MachineOp with every per-cycle table query answered at load.
+  struct DecodedOp {
+    VOpc opc = VOpc::kInvalid;
+    uint8_t pred = kZeroSlot;  ///< register slot of the condition
+    bool pred_z = true;        ///< executes when that slot reads zero
+    uint8_t dst = kZeroSlot;   ///< for stores: the data register
+    uint8_t src1 = kZeroSlot;
+    uint8_t src2 = kZeroSlot;
+    uint8_t mem_size = 0;  ///< access width in bytes; 0 = not a memory op
+    bool store = false;
+    bool sign_extend = false;  ///< kLdh / kLdb
+    int32_t imm = 0;
+    uint32_t target = kNoPacket;  ///< kB: index of the target packet
   };
 
-  [[nodiscard]] const Packet& fetch(uint32_t addr) const;
+  struct DecodedPacket {
+    uint32_t addr = 0;
+    uint32_t first_op = 0;  ///< index into ops_
+    uint8_t num_ops = 0;
+    bool has_mem = false;
+    uint32_t next = kNoPacket;  ///< packet at addr + size, if any
+  };
+
+  /// The writes due in one issue slot, at most one per register (a
+  /// second is a scheduling error the simulator reports).
+  struct WriteSlot {
+    uint64_t regs = 0;  ///< bit r set: value[r] is pending
+    std::array<uint32_t, kNumRegs> value{};
+  };
+
+  [[nodiscard]] uint32_t packetIndex(uint32_t addr) const;
+  [[nodiscard]] const DecodedPacket& fetch() const;
   [[nodiscard]] IoHandler* handlerFor(uint32_t addr) const;
-  /// True when every device access in the packet can complete this cycle.
-  bool devicesReady(const Packet& packet);
-  void commitDueWrites();
+  /// Commits the writes due in issue slot `slot`.
+  void commitWrites(uint64_t slot);
+  void commitDueWrites() { commitWrites(stats_.issue_cycles); }
   void drainPipeline();
   void scheduleWrite(uint8_t reg, uint32_t value, unsigned extra_slots);
-  void issuePacket(const Packet& packet);
+  /// Issues the packet, or returns false without side effects beyond the
+  /// handlers' ready() polls when a device refuses an access this cycle.
+  bool issuePacket(const DecodedPacket& packet);
   void postIssueSlot();
 
   std::vector<Packet> packets_;
-  std::map<uint32_t, size_t> packet_at_;
+  std::vector<DecodedPacket> decoded_;  ///< parallel to packets_
+  std::vector<DecodedOp> ops_;
+  std::map<uint32_t, uint32_t> packet_at_;  ///< address -> packet index
   std::vector<IoHandler*> handlers_;
+  uint64_t io_lo_ = UINT64_MAX;  ///< bounding box of all handler windows
+  uint64_t io_hi_ = 0;
   std::function<void()> hook_;
   SparseMemory mem_;
 
-  std::array<uint32_t, 64> regs_{};
+  std::array<uint32_t, kNumRegs + 1> regs_{};  ///< + the zero slot
   uint32_t pc_ = 0;
+  uint32_t cur_ = kNoPacket;  ///< packet at pc_, or kNoPacket
   RunState state_ = RunState::kRunning;
 
-  std::vector<PendingWrite> pending_;
+  std::array<WriteSlot, kWriteRing> writes_{};  ///< by due slot % size
   bool branch_pending_ = false;
   uint32_t branch_target_ = 0;
+  uint32_t branch_target_index_ = kNoPacket;
   unsigned branch_remaining_ = 0;
   unsigned idle_cycles_ = 0;  ///< remaining cycles of a multi-cycle NOP
 

@@ -103,6 +103,50 @@ _start: movha a0, 0xf000
   EXPECT_EQ(plat.board().timer.count(), plat.sync().totalGenerated());
 }
 
+TEST(Platform, BreakpointStopsLeaveCycleGenerationUntouched) {
+  // Driving sim().run()/resume() directly, as the debugger does: stopping
+  // at breakpoints and resuming must not clock the synchronization device
+  // an extra time, so every modelled count matches a run without stops.
+  const arch::ArchDescription desc = defaultArch();
+  const elf::Object obj = workloads::assemble(workloads::get("gcd"));
+  xlat::TranslateOptions opts;
+  opts.level = xlat::DetailLevel::kICache;
+  const xlat::TranslationResult t = xlat::translate(desc, obj, opts);
+  PlatformConfig cfg;
+  cfg.vliw_cycles_per_soc_cycle = 4;  // generation lags: many sync stalls
+
+  EmulationPlatform plain(desc, t.image, cfg);
+  ASSERT_EQ(plain.sim().run(cfg.max_cycles), vliw::RunState::kHalted);
+
+  EmulationPlatform stopped(desc, t.image, cfg);
+  const std::vector<vliw::Packet>& packets = stopped.sim().packets();
+  for (size_t i = 1; i < packets.size(); i += 4) {
+    stopped.sim().addBreakpoint(packets[i].addr);
+  }
+  uint64_t stops = 0;
+  vliw::RunState state = stopped.sim().run(cfg.max_cycles);
+  while (state == vliw::RunState::kBreakpoint) {
+    ++stops;
+    state = stopped.sim().resume(cfg.max_cycles);
+  }
+  ASSERT_EQ(state, vliw::RunState::kHalted);
+  EXPECT_GT(stops, 10u);
+
+  const vliw::SimStats& a = plain.sim().stats();
+  const vliw::SimStats& b = stopped.sim().stats();
+  EXPECT_GT(a.stall_cycles, 0u);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.issue_cycles, b.issue_cycles);
+  EXPECT_EQ(a.packets, b.packets);
+  EXPECT_EQ(a.ops, b.ops);
+  EXPECT_EQ(a.nop_cycles, b.nop_cycles);
+  EXPECT_EQ(a.stall_cycles, b.stall_cycles);
+  EXPECT_EQ(a.branches_taken, b.branches_taken);
+  EXPECT_EQ(plain.sync().totalGenerated(), stopped.sync().totalGenerated());
+  EXPECT_EQ(plain.sync().correctionTotal(), stopped.sync().correctionTotal());
+  EXPECT_EQ(plain.sync().numStarts(), stopped.sync().numStarts());
+}
+
 TEST(Platform, ValuesMatchIsRemapAware) {
   const arch::ArchDescription desc = defaultArch();
   EXPECT_TRUE(valuesMatch(desc, 42, 42));

@@ -35,18 +35,78 @@ MachineOp mvk(uint8_t dst, int32_t imm, Unit u = S1) {
 MachineOp nop(int n) { return op(VOpc::kNop, {}, kNoReg, kNoReg, kNoReg, n); }
 MachineOp halt() { return op(VOpc::kHalt, S1, kNoReg); }
 
-/// Builds an image at 0x100000 from packets and loads it into a sim.
-elf::Object makeImage(std::vector<Packet> packets) {
+constexpr uint32_t kBase = 0x100000;
+
+/// Builds an image whose .text at kBase holds `code` verbatim.
+elf::Object rawImage(std::vector<uint8_t> code) {
   elf::Object obj;
   obj.machine = elf::Machine::kV6x;
-  obj.entry = 0x100000;
+  obj.entry = kBase;
   elf::Section text;
   text.name = ".text";
-  text.addr = 0x100000;
+  text.addr = kBase;
   text.executable = true;
-  text.data = encodeProgram(packets, 0x100000);
+  text.data = std::move(code);
   obj.sections.push_back(std::move(text));
   return obj;
+}
+
+/// Builds an image at kBase from packets.
+elf::Object makeImage(std::vector<Packet> packets) {
+  return rawImage(encodeProgram(packets, kBase));
+}
+
+/// Encodes every op as its own packet at kBase; tests then patch the
+/// words into shapes encodeProgram refuses to emit.
+std::vector<uint8_t> encodeSingles(const std::vector<MachineOp>& ops) {
+  std::vector<Packet> packets;
+  for (const MachineOp& m : ops) {
+    packets.push_back({0, {m}});
+  }
+  return encodeProgram(packets, kBase);
+}
+
+uint32_t word(const std::vector<uint8_t>& code, size_t i) {
+  return static_cast<uint32_t>(code[4 * i]) |
+         (static_cast<uint32_t>(code[4 * i + 1]) << 8) |
+         (static_cast<uint32_t>(code[4 * i + 2]) << 16) |
+         (static_cast<uint32_t>(code[4 * i + 3]) << 24);
+}
+
+void setWord(std::vector<uint8_t>& code, size_t i, uint32_t w) {
+  for (size_t b = 0; b < 4; ++b) {
+    code[4 * i + b] = static_cast<uint8_t>(w >> (8 * b));
+  }
+}
+
+/// Sets the p-bit of word i: it now chains into the next word's packet.
+void chainWord(std::vector<uint8_t>& code, size_t i) {
+  setWord(code, i, word(code, i) | 1u);
+}
+
+/// Expects loadProgram to reject `image` with a message containing `what`.
+void expectLoadError(const elf::Object& image, const std::string& what) {
+  V6xSim sim;
+  try {
+    sim.loadProgram(image);
+    ADD_FAILURE() << "malformed image loaded; expected \"" << what << "\"";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Expects run() to throw a cabt::Error whose message contains `what`.
+void expectRunError(std::vector<Packet> packets, const std::string& what) {
+  V6xSim sim;
+  sim.loadProgram(makeImage(std::move(packets)));
+  try {
+    sim.run(1000);
+    ADD_FAILURE() << "run finished; expected \"" << what << "\"";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
 }
 
 V6xSim runPackets(std::vector<Packet> packets) {
@@ -168,6 +228,37 @@ TEST(V6xValidate, SameDestOnlyWithComplementaryPreds) {
 TEST(V6xValidate, NopMustBeAlone) {
   Packet p{0, {nop(2), mvk(regA(1), 5)}};
   EXPECT_THROW(validatePacket(p), Error);
+}
+
+// A V6X image is read from outside: every decoded packet is validated, so
+// a malformed one fails at load instead of reaching the simulator.
+
+TEST(V6xValidate, LoadRejectsTwelveOpChain) {
+  std::vector<MachineOp> ops;
+  for (int i = 0; i < 11; ++i) {
+    ops.push_back(mvk(regA(i), i));
+  }
+  ops.push_back(halt());
+  std::vector<uint8_t> code = encodeSingles(ops);
+  for (size_t i = 0; i + 1 < ops.size(); ++i) {
+    chainWord(code, i);
+  }
+  expectLoadError(rawImage(code), "1..8 ops");
+}
+
+TEST(V6xValidate, LoadRejectsNopZero) {
+  std::vector<uint8_t> code = encodeSingles({nop(1), halt()});
+  // The NOP count is the 16-bit immediate at bits 12..27.
+  setWord(code, 0, word(code, 0) & ~(0xffffu << 12));
+  expectLoadError(rawImage(code), "NOP count out of range");
+}
+
+TEST(V6xValidate, LoadRejectsTwoOpsOnOneUnit) {
+  std::vector<uint8_t> code =
+      encodeSingles({op(VOpc::kAdd, L1, regA(1), regA(2), regA(3)),
+                     op(VOpc::kSub, L1, regA(4), regA(5), regA(6)), halt()});
+  chainWord(code, 0);
+  expectLoadError(rawImage(code), "used twice");
 }
 
 // ---- simulator semantics --------------------------------------------------
@@ -373,16 +464,140 @@ TEST(V6xSimTest, BranchWhileBranchPendingTrapped) {
   EXPECT_THROW(sim.run(1000), Error);
 }
 
+/// Stores 0x55 at 0x7000 and sets a1 = 6, a2 = 7; packets 0..2, so the
+/// next packet issues in slot 3.
+std::vector<Packet> memoryPrologue() {
+  return {
+      {0, {mvk(regA(8), 0x7000), mvk(regA(1), 6, S2)}},
+      {0, {mvk(regA(9), 0x55), mvk(regA(2), 7, S2)}},
+      {0, {op(VOpc::kStw, D1, regA(9), regA(8), kNoReg, 0)}},
+  };
+}
+
+MachineOp ldw(uint8_t dst) {
+  return op(VOpc::kLdw, D1, dst, regA(8), kNoReg, 0);
+}
+MachineOp mpy(uint8_t dst) {
+  return op(VOpc::kMpy, M1, dst, regA(1), regA(2));
+}
+MachineOp mv(uint8_t dst, uint8_t src) {
+  return op(VOpc::kMv, L1, dst, src);
+}
+
+TEST(V6xSimTest, SameRegisterWritesLandInDueOrderMidRun) {
+  // The load (slot 3) lands in slot 8; the mvk issued after it (slot 4)
+  // lands first, in slot 5, and is then overwritten by the load.
+  std::vector<Packet> packets = memoryPrologue();
+  packets.push_back({0, {ldw(regA(3))}});                  // slot 3
+  packets.push_back({0, {mvk(regA(3), 9)}});               // slot 4
+  packets.push_back({0, {mv(regA(10), regA(3))}});         // slot 5
+  packets.push_back({0, {mv(regA(11), regA(3))}});         // slot 6
+  packets.push_back({0, {mv(regA(12), regA(3))}});         // slot 7
+  packets.push_back({0, {mv(regA(13), regA(3))}});         // slot 8
+  packets.push_back({0, {halt()}});
+  const V6xSim sim = runPackets(std::move(packets));
+  EXPECT_EQ(sim.reg(regA(10)), 9u);
+  EXPECT_EQ(sim.reg(regA(11)), 9u);
+  EXPECT_EQ(sim.reg(regA(12)), 9u);
+  EXPECT_EQ(sim.reg(regA(13)), 0x55u);
+  EXPECT_EQ(sim.reg(regA(3)), 0x55u);
+}
+
+TEST(V6xSimTest, HaltDrainsSameRegisterWritesInDueOrder) {
+  // Issued load first, multiply second, but the multiply is due first
+  // (slot 6 vs slot 8): the load's value is the one left standing.
+  std::vector<Packet> early = memoryPrologue();
+  early.push_back({0, {ldw(regA(3))}});         // slot 3, due 8
+  early.push_back({0, {mpy(regA(3)), halt()}});  // slot 4, due 6
+  EXPECT_EQ(runPackets(std::move(early)).reg(regA(3)), 0x55u);
+
+  // Multiply issued late enough to be due after the load: it wins.
+  std::vector<Packet> late = memoryPrologue();
+  late.push_back({0, {ldw(regA(3))}});           // slot 3, due 8
+  late.push_back({0, {nop(3)}});                 // slots 4..6
+  late.push_back({0, {mpy(regA(3)), halt()}});   // slot 7, due 9
+  EXPECT_EQ(runPackets(std::move(late)).reg(regA(3)), 42u);
+}
+
+TEST(V6xSimTest, HaltLandsEveryInFlightWrite) {
+  std::vector<Packet> packets = memoryPrologue();
+  packets.push_back({0, {ldw(regA(5))}});  // slot 3, due 8
+  packets.push_back({0, {mpy(regA(6)), mvk(regA(7), 9, S2), halt()}});
+  const V6xSim sim = runPackets(std::move(packets));
+  EXPECT_EQ(sim.reg(regA(5)), 0x55u);
+  EXPECT_EQ(sim.reg(regA(6)), 42u);
+  EXPECT_EQ(sim.reg(regA(7)), 9u);
+  EXPECT_EQ(sim.stats().issue_cycles, 5u);
+}
+
+TEST(V6xSimTest, LoadAndAluDueInOneSlotTrapped) {
+  std::vector<Packet> packets = memoryPrologue();
+  packets.push_back({0, {ldw(regA(3))}});     // slot 3, due 8
+  packets.push_back({0, {nop(3)}});           // slots 4..6
+  packets.push_back({0, {mvk(regA(3), 1)}});  // slot 7, due 8
+  packets.push_back({0, {halt()}});
+  expectRunError(std::move(packets), "commit in the same cycle");
+}
+
+TEST(V6xSimTest, IndirectBranchToNonPacketAddressTrapped) {
+  // Outside the code, and into the middle of a two-op packet.
+  for (const uint32_t target : {kBase + 0x1000, kBase + 5 * 4}) {
+    std::vector<Packet> packets{
+        {0, {mvk(regA(5), static_cast<int32_t>(target & 0xffff))}},
+        {0, {op(VOpc::kMvkh, S1, regA(5), kNoReg, kNoReg,
+                static_cast<int32_t>(target >> 16))}},
+        {0, {op(VOpc::kBr, S1, kNoReg, regA(5))}},
+        {0, {nop(5)}},
+        {0, {mvk(regA(1), 1), mvk(regA(2), 2, S2)}},  // words 4 and 5
+        {0, {halt()}},
+    };
+    expectRunError(std::move(packets), "not a packet start");
+  }
+}
+
+TEST(V6xSimTest, BranchDelaySlotsSpanningANop) {
+  // Delay slots: mvk a1, NOP 3 (three slots), mvk a2; the redirect
+  // follows the fifth slot, so mvk a3 is skipped.
+  const V6xSim sim = runPackets({
+      {0, {op(VOpc::kB, S1, kNoReg, kNoReg, kNoReg,
+              static_cast<int32_t>(kBase + 5 * 4))}},
+      {0, {mvk(regA(1), 1)}},
+      {0, {nop(3)}},
+      {0, {mvk(regA(2), 1)}},
+      {0, {mvk(regA(3), 1)}},  // skipped
+      {0, {mvk(regA(4), 1)}},  // branch target
+      {0, {halt()}},
+  });
+  EXPECT_EQ(sim.reg(regA(2)), 1u);
+  EXPECT_EQ(sim.reg(regA(3)), 0u);
+  EXPECT_EQ(sim.reg(regA(4)), 1u);
+  EXPECT_EQ(sim.stats().cycles, 8u);
+  EXPECT_EQ(sim.stats().issue_cycles, 8u);
+}
+
+TEST(V6xSimTest, BranchRedirectInsideALongNop) {
+  // NOP 9 outlasts the five delay slots: the redirect happens while the
+  // machine idles, and the target issues right after the NOP.
+  const V6xSim sim = runPackets({
+      {0, {op(VOpc::kB, S1, kNoReg, kNoReg, kNoReg,
+              static_cast<int32_t>(kBase + 3 * 4))}},
+      {0, {nop(9)}},
+      {0, {mvk(regA(1), 1)}},  // skipped
+      {0, {halt()}},           // branch target
+  });
+  EXPECT_EQ(sim.reg(regA(1)), 0u);
+  EXPECT_EQ(sim.stats().cycles, 11u);
+  EXPECT_EQ(sim.stats().nop_cycles, 9u);
+  EXPECT_EQ(sim.stats().branches_taken, 1u);
+}
+
 // ---- device stalls ---------------------------------------------------------
 
 /// Handler that refuses the first `stall_cycles` attempts.
 class StallingHandler : public IoHandler {
  public:
   StallingHandler(uint32_t base, unsigned stall_cycles)
-      : base_(base), remaining_(stall_cycles) {}
-  [[nodiscard]] bool covers(uint32_t addr) const override {
-    return addr >= base_ && addr < base_ + 0x10;
-  }
+      : IoHandler(base, 0x10), remaining_(stall_cycles) {}
   bool ready(uint32_t, bool) override {
     if (remaining_ > 0) {
       --remaining_;
@@ -400,7 +615,6 @@ class StallingHandler : public IoHandler {
   uint32_t last_ = 0;
 
  private:
-  uint32_t base_;
   unsigned remaining_;
 };
 
@@ -474,6 +688,25 @@ TEST(V6xSimTest, BreakpointsStopBeforePacket) {
   EXPECT_EQ(sim.reg(regA(2)), 0u);
   EXPECT_EQ(sim.resume(1000), RunState::kHalted);
   EXPECT_EQ(sim.reg(regA(2)), 6u);
+}
+
+TEST(V6xSimTest, BreakpointStopDoesNotTickTheCycleHook) {
+  // The hook clocks the synchronization device: a stop must not give it
+  // a cycle the machine never ran.
+  V6xSim sim;
+  sim.loadProgram(makeImage({
+      {0, {mvk(regA(1), 5)}},
+      {0, {mvk(regA(2), 6)}},
+      {0, {halt()}},
+  }));
+  uint64_t hook_calls = 0;
+  sim.setCycleHook([&hook_calls] { ++hook_calls; });
+  sim.addBreakpoint(kBase + 4);
+  EXPECT_EQ(sim.run(1000), RunState::kBreakpoint);
+  EXPECT_EQ(hook_calls, sim.stats().cycles);
+  EXPECT_EQ(sim.resume(1000), RunState::kHalted);
+  EXPECT_EQ(hook_calls, sim.stats().cycles);
+  EXPECT_EQ(sim.stats().cycles, 3u);
 }
 
 TEST(V6xSimTest, ToStringIsReadable) {
