@@ -13,6 +13,7 @@
 #include <chrono>
 
 #include "bench_common.h"
+#include "snap/observe.h"
 
 namespace cabt::bench {
 namespace {
@@ -32,13 +33,11 @@ std::vector<std::string> workloadNames() {
 }
 
 struct DispatchRun {
-  uint64_t instructions = 0;
-  uint64_t cycles = 0;
+  snap::CoreObservation obs;
   double host_seconds = 0;
-  iss::IssStats stats;
   std::string hot_symbol;
   [[nodiscard]] double hostMips() const {
-    return static_cast<double>(instructions) / host_seconds / 1e6;
+    return static_cast<double>(obs.stats.instructions) / host_seconds / 1e6;
   }
 };
 
@@ -64,9 +63,7 @@ DispatchRun runDispatch(const elf::Object& obj, xlat::DetailLevel level,
     }
     const auto t1 = std::chrono::steady_clock::now();
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-    result.instructions = iss.stats().instructions;
-    result.cycles = iss.stats().cycles;
-    result.stats = iss.stats();
+    result.obs = snap::observe(iss);
     if (r + 1 == repeats) {
       const std::vector<iss::HotBlock> hot = iss.hotBlocks(1);
       if (!hot.empty()) {
@@ -91,7 +88,7 @@ void printComparison() {
               "threaded", "thrd x", "bails");
   for (const std::string& name : workloadNames()) {
     const elf::Object obj = workloads::assemble(workloads::get(name));
-    for (const xlat::DetailLevel level : allLevels()) {
+    for (const xlat::DetailLevel level : xlat::kDetailLevels) {
       DispatchRun runs[kNumVariants];
       for (size_t v = 0; v < kNumVariants; ++v) {
         // Whole programs retire in micro- to milliseconds: a generous
@@ -101,18 +98,20 @@ void printComparison() {
             kVariants[v].name;
         runs[v] = runDispatch(obj, level, kVariants[v].use_block_cache, 15,
                               &metrics, name + "." + variant + ".");
-        if (runs[v].instructions != runs[0].instructions ||
-            runs[v].cycles != runs[0].cycles) {
-          throw Error(std::string("ISS engines diverged on ") + name);
+        const std::string diff = snap::firstMismatch(runs[0].obs, runs[v].obs);
+        if (!diff.empty()) {
+          throw Error("ISS engines diverged on " + name + ": " + diff);
         }
-        report.add(name, variant, runs[v].cycles, runs[v].hostMips(),
-                   &runs[v].stats, runs[v].hot_symbol);
+        report.add(name, variant, runs[v].obs.stats.cycles,
+                   runs[v].hostMips(), &runs[v].obs.stats,
+                   runs[v].hot_symbol);
       }
       std::printf("%-10s %-14s %9.2f %9.2f %7.2fx %10llu\n", name.c_str(),
                   xlat::detailLevelName(level), runs[0].hostMips(),
                   runs[1].hostMips(),
                   runs[0].host_seconds / runs[1].host_seconds,
-                  static_cast<unsigned long long>(runs[1].stats.guard_bails));
+                  static_cast<unsigned long long>(
+                      runs[1].obs.stats.guard_bails));
     }
   }
   report.write();
@@ -136,7 +135,7 @@ void registerBenchmarks() {
               uint64_t instructions = 0;
               for (auto _ : state) {
                 const DispatchRun r = runDispatch(obj, level, block_cache, 1);
-                instructions = r.instructions;
+                instructions = r.obs.stats.instructions;
                 benchmark::DoNotOptimize(instructions);
               }
               state.counters["instructions"] =

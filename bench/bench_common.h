@@ -230,14 +230,6 @@ inline VariantRun runVariant(const arch::ArchDescription& desc,
           std::chrono::duration<double>(t1 - t0).count()};
 }
 
-/// All four translation variants of Figure 5 / Table 1, in paper order.
-inline const std::vector<xlat::DetailLevel>& allLevels() {
-  static const std::vector<xlat::DetailLevel> levels = {
-      xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
-      xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache};
-  return levels;
-}
-
 inline const char* variantLabel(xlat::DetailLevel level) {
   switch (level) {
     case xlat::DetailLevel::kFunctional:

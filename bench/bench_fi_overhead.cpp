@@ -19,16 +19,8 @@
 namespace cabt::bench {
 namespace {
 
-struct Board {
-  std::vector<elf::Object> images;
-  std::vector<const elf::Object*> ptrs;
-};
-
-Board makeWorker() {
-  Board b;
-  b.images.push_back(workloads::assemble(workloads::get("mc_worker")));
-  b.ptrs.push_back(&b.images.front());
-  return b;
+workloads::BoardImages makeWorker() {
+  return workloads::BoardImages::named({"mc_worker"});
 }
 
 enum class Mode { kOff, kArmedIdle, kArmedIdleRing };
@@ -54,14 +46,14 @@ struct FiRun {
   }
 };
 
-FiRun runBoard(const Board& b, Mode mode, int repeats) {
+FiRun runBoard(const workloads::BoardImages& b, Mode mode, int repeats) {
   const arch::ArchDescription desc = defaultArch();
   FiRun result;
   double best = 1e300;
   for (int r = 0; r < repeats; ++r) {
     platform::BoardConfig cfg;
     cfg.iss = platform::issConfigFor(xlat::DetailLevel::kICache);
-    platform::ReferenceBoard board(desc, b.ptrs, cfg);
+    platform::ReferenceBoard board(desc, b.ptrs(), cfg);
     fi::Campaign camp;
     if (mode != Mode::kOff) {
       // One armed-but-never-due fault per category: the fast-path cost
@@ -111,7 +103,7 @@ int main(int argc, char** argv) {
   using namespace cabt::bench;
   printHeader("Fault-injection armed-idle overhead",
               "non-perturbation invariant, DESIGN.md section 12");
-  const Board board = makeWorker();
+  const auto board = makeWorker();
   JsonReport report("fi_overhead");
   std::printf("%-20s %12s %12s %10s %8s\n", "mode", "instrs", "cycles",
               "host MIPS", "vs off");
@@ -144,7 +136,7 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(
         (std::string("fi_overhead/mc_worker/") + modeName(mode)).c_str(),
         [mode](benchmark::State& state) {
-          const Board b = makeWorker();
+          const auto b = makeWorker();
           FiRun run;
           for (auto _ : state) {
             run = runBoard(b, mode, 1);

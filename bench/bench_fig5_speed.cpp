@@ -17,7 +17,7 @@ namespace {
 struct Row {
   std::string workload;
   BoardRun board;
-  std::vector<VariantRun> variants;  // parallel to allLevels()
+  std::vector<VariantRun> variants;  // parallel to xlat::kDetailLevels
 };
 
 std::vector<Row> collect() {
@@ -28,7 +28,7 @@ std::vector<Row> collect() {
     Row row;
     row.workload = name;
     row.board = runBoard(desc, obj);
-    for (const xlat::DetailLevel level : allLevels()) {
+    for (const xlat::DetailLevel level : xlat::kDetailLevels) {
       row.variants.push_back(runVariant(desc, obj, level));
     }
     rows.push_back(std::move(row));
@@ -51,7 +51,7 @@ void printFigure(const std::vector<Row>& rows) {
                 static_cast<unsigned long long>(r.board.instructions));
     printBar("TC10GP board", r.board.mips(), max_mips, "MIPS");
     for (size_t v = 0; v < r.variants.size(); ++v) {
-      printBar(variantLabel(allLevels()[v]),
+      printBar(variantLabel(xlat::kDetailLevels[v]),
                r.variants[v].mips(r.board.instructions), max_mips, "MIPS");
     }
   }
@@ -94,7 +94,7 @@ void registerBenchmarks(const std::vector<Row>& rows) {
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
     for (size_t v = 0; v < row.variants.size(); ++v) {
-      const xlat::DetailLevel level = allLevels()[v];
+      const xlat::DetailLevel level = xlat::kDetailLevels[v];
       const std::string name =
           "fig5/" + row.workload + "/" + xlat::detailLevelName(level);
       const std::string workload = row.workload;
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
                       static_cast<uint64_t>(r.board.hostMips() * 100.0));
       for (size_t v = 0; v < r.variants.size(); ++v) {
         report.add(r.workload,
-                   cabt::xlat::detailLevelName(cabt::bench::allLevels()[v]),
+                   cabt::xlat::detailLevelName(cabt::xlat::kDetailLevels[v]),
                    r.variants[v].vliw_cycles,
                    r.variants[v].hostMips(r.board.instructions));
       }

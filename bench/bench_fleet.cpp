@@ -66,18 +66,6 @@ void writeFleetReport(const std::vector<FleetRow>& rows) {
   out << "  ]\n}\n";
 }
 
-struct Setup {
-  std::vector<elf::Object> images;
-  std::vector<const elf::Object*> ptrs;
-};
-
-Setup makeSetup() {
-  Setup s;
-  s.images.push_back(workloads::assemble(workloads::get("mc_worker")));
-  s.ptrs.push_back(&s.images.front());
-  return s;
-}
-
 fleet::FleetConfig fleetConfig(size_t boards) {
   fleet::FleetConfig cfg;
   cfg.desc = defaultArch();
@@ -89,16 +77,17 @@ fleet::FleetConfig fleetConfig(size_t boards) {
   return cfg;
 }
 
-fleet::FleetResult runFleet(const Setup& setup, size_t boards) {
+fleet::FleetResult runFleet(const workloads::BoardImages& images,
+                            size_t boards) {
   // A cold cache per sweep point makes the decode accounting exact:
   // the whole fleet must come to one decode per distinct image.
   core::ProgramArtifactCache::instance().clear();
   fleet::Driver driver(fleetConfig(boards));
-  fleet::FleetResult result = driver.run(setup.ptrs);
+  fleet::FleetResult result = driver.run(images.ptrs());
   if (!result.digestsAgree()) {
     throw Error("fleet boards diverged");
   }
-  if (result.artifact.decodes != setup.ptrs.size()) {
+  if (result.artifact.decodes != images.ptrs().size()) {
     throw Error("fleet re-decoded a shared image");
   }
   return result;
@@ -113,7 +102,7 @@ int main(int argc, char** argv) {
               "the fleet-driver extension (DESIGN.md §14)");
   std::printf("(M independent boards over the shared host pool; digests "
               "must agree across boards, repeats and fleet sizes)\n\n");
-  const Setup setup = makeSetup();
+  const auto images = cabt::workloads::BoardImages::named({"mc_worker"});
   constexpr int kRepeats = 2;
   std::vector<FleetRow> rows;
   cabt::obs::MetricsRegistry reg;
@@ -124,7 +113,7 @@ int main(int argc, char** argv) {
   for (const size_t boards : {1u, 2u, 4u, 8u}) {
     double best_mips = 0.0;
     for (int run = 0; run < kRepeats; ++run) {
-      const cabt::fleet::FleetResult r = runFleet(setup, boards);
+      const cabt::fleet::FleetResult r = runFleet(images, boards);
       const uint64_t digest = r.boards.front().digest;
       if (reference_digest == 0) {
         reference_digest = digest;
@@ -141,7 +130,7 @@ int main(int argc, char** argv) {
                           std::to_string(run),
                       cycles, r.aggregateMips(), r.boardsPerSec(), digest,
                       boards, r.artifact.decodes, r.artifact.hits,
-                      setup.ptrs.size()});
+                      images.ptrs().size()});
       std::printf("%-10zu %6d %12" PRIu64 " %12.2f %10.2f %8" PRIu64,
                   boards, run, r.totalInstructions(), r.boardsPerSec(),
                   r.aggregateMips(), r.artifact.decodes);
@@ -176,10 +165,10 @@ int main(int argc, char** argv) {
   for (const size_t boards : {1u, 4u}) {
     benchmark::RegisterBenchmark(
         ("fleet/boards_" + std::to_string(boards)).c_str(),
-        [&setup, boards](benchmark::State& state) {
+        [&images, boards](benchmark::State& state) {
           cabt::fleet::FleetResult r;
           for (auto _ : state) {
-            r = runFleet(setup, boards);
+            r = runFleet(images, boards);
           }
           state.counters["mips_aggregate"] = r.aggregateMips();
           state.counters["boards_per_sec"] = r.boardsPerSec();

@@ -35,56 +35,24 @@ struct ParallelRun {
   }
 };
 
-struct Board {
-  std::vector<const workloads::Workload*> programs;
-  std::vector<elf::Object> images;
-  std::vector<const elf::Object*> ptrs;
-  std::vector<uint32_t> extra_leaders;
-};
-
-Board makeWorkers(size_t n) {
-  Board b;
-  for (size_t i = 0; i < n; ++i) {
-    b.programs.push_back(&workloads::get("mc_worker"));
-  }
-  for (const workloads::Workload* w : b.programs) {
-    b.images.push_back(workloads::assemble(*w));
-  }
-  for (const elf::Object& obj : b.images) {
-    b.ptrs.push_back(&obj);
-  }
-  return b;
+/// workers_N: N copies of mc_worker.
+workloads::BoardImages makeWorkers(size_t n) {
+  return workloads::BoardImages::named(
+      std::vector<std::string>(n, "mc_worker"));
 }
 
-Board makeMcPair() {
-  Board b;
-  b.programs = {&workloads::get("mc_producer"),
-                &workloads::get("mc_consumer")};
-  for (const workloads::Workload* w : b.programs) {
-    b.images.push_back(workloads::assemble(*w));
-    if (!w->irq_handler.empty()) {
-      b.extra_leaders.push_back(
-          platform::symbolAddr(b.images.back(), w->irq_handler));
-    }
-  }
-  for (const elf::Object& obj : b.images) {
-    b.ptrs.push_back(&obj);
-  }
-  return b;
-}
-
-ParallelRun runBoard(const Board& b, sim::Cycle quantum, bool parallel,
-                     int repeats) {
+ParallelRun runBoard(const workloads::BoardImages& b, sim::Cycle quantum,
+                     bool parallel, int repeats) {
   const arch::ArchDescription desc = defaultArch();
   ParallelRun result;
   double best = 1e300;
   for (int r = 0; r < repeats; ++r) {
     platform::BoardConfig cfg;
     cfg.iss = platform::issConfigFor(xlat::DetailLevel::kICache);
-    cfg.iss.extra_leaders = b.extra_leaders;
+    cfg.iss.extra_leaders = b.extraLeaders();
     cfg.quantum = quantum;
     cfg.parallel.enabled = parallel;
-    platform::ReferenceBoard board(desc, b.ptrs, cfg);
+    platform::ReferenceBoard board(desc, b.ptrs(), cfg);
     const auto t0 = std::chrono::steady_clock::now();
     if (board.run() != iss::StopReason::kHalted) {
       throw Error("parallel-cores board did not halt");
@@ -102,8 +70,8 @@ ParallelRun runBoard(const Board& b, sim::Cycle quantum, bool parallel,
       result.bails += board.core(i).stats().private_bails;
     }
     for (size_t i = 0; i < board.numCores(); ++i) {
-      const uint32_t want = *b.programs[i]->expected_checksum;
-      if (workloads::readChecksum(b.images[i], board.core(i).memory()) !=
+      const uint32_t want = *b.programs()[i].expected_checksum;
+      if (workloads::readChecksum(b.image(i), board.core(i).memory()) !=
           want) {
         throw Error("parallel-cores checksum mismatch");
       }
@@ -130,7 +98,7 @@ int main(int argc, char** argv) {
               "mode", "instrs", "events", "prefixes", "host MIPS",
               "speedup");
   for (const size_t cores : {1u, 2u, 4u, 8u}) {
-    const Board board = makeWorkers(cores);
+    const auto board = makeWorkers(cores);
     const std::string name = "workers_" + std::to_string(cores);
     for (const cabt::sim::Cycle quantum : quanta) {
       const ParallelRun seq = runBoard(board, quantum, false, 3);
@@ -158,7 +126,7 @@ int main(int argc, char** argv) {
     }
   }
   {
-    const Board pair = makeMcPair();
+    const auto pair = cabt::workloads::BoardImages::family(2);
     for (const cabt::sim::Cycle quantum : quanta) {
       const ParallelRun seq = runBoard(pair, quantum, false, 3);
       const ParallelRun par = runBoard(pair, quantum, true, 3);
@@ -195,7 +163,7 @@ int main(int argc, char** argv) {
            (parallel ? "/par" : "/seq") + "/quantum_1024")
               .c_str(),
           [cores, parallel](benchmark::State& state) {
-            const Board board = makeWorkers(cores);
+            const auto board = makeWorkers(cores);
             ParallelRun run;
             for (auto _ : state) {
               run = runBoard(board, 1024, parallel, 1);

@@ -28,18 +28,17 @@ struct QuantumRun {
 QuantumRun runMulticore(xlat::DetailLevel level, sim::Cycle quantum,
                         int repeats) {
   const arch::ArchDescription desc = defaultArch();
-  const workloads::Workload& wp = workloads::get("mc_producer");
-  const elf::Object producer = workloads::assemble(wp);
-  const elf::Object consumer =
-      workloads::assemble(workloads::get("mc_consumer"));
+  const auto images = workloads::BoardImages::family(2);
+  const elf::Object& producer = images.image(0);
+  const elf::Object& consumer = images.image(1);
   QuantumRun result;
   double best = 1e300;
   for (int r = 0; r < repeats; ++r) {
     platform::BoardConfig cfg;
     cfg.iss = platform::issConfigFor(level);
-    cfg.iss.extra_leaders = {platform::symbolAddr(producer, wp.irq_handler)};
+    cfg.iss.extra_leaders = images.extraLeaders();
     cfg.quantum = quantum;
-    platform::ReferenceBoard board(desc, {&producer, &consumer}, cfg);
+    platform::ReferenceBoard board(desc, images.ptrs(), cfg);
     const auto t0 = std::chrono::steady_clock::now();
     if (board.run() != iss::StopReason::kHalted) {
       throw Error("multi-core run did not halt");

@@ -19,15 +19,15 @@ struct Averages {
 Averages collect() {
   const arch::ArchDescription desc = defaultArch();
   Averages avg;
-  avg.variants.assign(allLevels().size(), 0.0);
+  avg.variants.assign(xlat::kDetailLevels.size(), 0.0);
   const auto names = workloads::figure5Names();
   for (const std::string& name : names) {
     const elf::Object obj = workloads::assemble(workloads::get(name));
     const BoardRun board = runBoard(desc, obj);
     avg.board += static_cast<double>(board.cycles) /
                  static_cast<double>(board.instructions);
-    for (size_t v = 0; v < allLevels().size(); ++v) {
-      const VariantRun run = runVariant(desc, obj, allLevels()[v]);
+    for (size_t v = 0; v < xlat::kDetailLevels.size(); ++v) {
+      const VariantRun run = runVariant(desc, obj, xlat::kDetailLevels[v]);
       avg.variants[v] += run.cpi(board.instructions);
     }
   }
@@ -44,8 +44,8 @@ void printTable(const Averages& avg) {
   const double paper[] = {2.94, 4.28, 5.87, 35.34};
   std::printf("%-28s %10.2f %10.2f\n", "TC10GP Evaluation Board", avg.board,
               1.08);
-  for (size_t v = 0; v < allLevels().size(); ++v) {
-    std::printf("%-28s %10.2f %10.2f\n", variantLabel(allLevels()[v]),
+  for (size_t v = 0; v < xlat::kDetailLevels.size(); ++v) {
+    std::printf("%-28s %10.2f %10.2f\n", variantLabel(xlat::kDetailLevels[v]),
                 avg.variants[v], paper[v]);
   }
   std::printf("\nshape checks: cycle info adds %.2f cycles/instr "
@@ -66,18 +66,18 @@ int main(int argc, char** argv) {
     JsonReport report("table1_cpi");
     report.add("figure5-average", "board",
                static_cast<uint64_t>(avg.board * 1000), 0.0);
-    for (size_t v = 0; v < allLevels().size(); ++v) {
+    for (size_t v = 0; v < cabt::xlat::kDetailLevels.size(); ++v) {
       // CPI is dimensionless; record milli-CPI in the cycles column.
       report.add("figure5-average",
-                 cabt::xlat::detailLevelName(allLevels()[v]),
+                 cabt::xlat::detailLevelName(cabt::xlat::kDetailLevels[v]),
                  static_cast<uint64_t>(avg.variants[v] * 1000), 0.0);
     }
     report.write();
   }
 
   benchmark::Initialize(&argc, argv);
-  for (size_t v = 0; v < allLevels().size(); ++v) {
-    const cabt::xlat::DetailLevel level = allLevels()[v];
+  for (size_t v = 0; v < cabt::xlat::kDetailLevels.size(); ++v) {
+    const cabt::xlat::DetailLevel level = cabt::xlat::kDetailLevels[v];
     const double cpi = avg.variants[v];
     const std::string name =
         std::string("table1/cpi/") + cabt::xlat::detailLevelName(level);

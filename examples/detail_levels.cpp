@@ -34,9 +34,7 @@ int main(int argc, char** argv) {
   std::printf("%-16s %12s %10s %12s %12s %10s %9s\n", "detail level",
               "vliw cycles", "cpi", "mips@200MHz", "generated", "deviation",
               "code B");
-  for (const xlat::DetailLevel level :
-       {xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
-        xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache}) {
+  for (const xlat::DetailLevel level : xlat::kDetailLevels) {
     xlat::TranslateOptions options;
     options.level = level;
     const xlat::TranslationResult t = xlat::translate(desc, object, options);

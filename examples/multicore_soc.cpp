@@ -20,18 +20,18 @@ int main() {
   using namespace cabt;
 
   const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  const workloads::Workload& wp = workloads::get("mc_producer");
-  const workloads::Workload& wc = workloads::get("mc_consumer");
-  const elf::Object producer = workloads::assemble(wp);
-  const elf::Object consumer = workloads::assemble(wc);
+  const auto images =
+      workloads::BoardImages::named({"mc_producer", "mc_consumer"});
+  const elf::Object& producer = images.image(0);
+  const elf::Object& consumer = images.image(1);
 
   for (const sim::Cycle quantum : {16u, 1024u}) {
     platform::BoardConfig cfg;
     // The interrupt handler is only reachable through the controller's
     // vector register, so its entry must be declared a block leader.
-    cfg.iss.extra_leaders = {platform::symbolAddr(producer, wp.irq_handler)};
+    cfg.iss.extra_leaders = images.extraLeaders();
     cfg.quantum = quantum;
-    platform::ReferenceBoard board(desc, {&producer, &consumer}, cfg);
+    platform::ReferenceBoard board(desc, images.ptrs(), cfg);
     const iss::StopReason reason = board.run();
 
     std::printf("quantum %4llu: %s\n",
@@ -72,10 +72,10 @@ int main() {
   // point).
   {
     platform::BoardConfig cfg;
-    cfg.iss.extra_leaders = {platform::symbolAddr(producer, wp.irq_handler)};
+    cfg.iss.extra_leaders = images.extraLeaders();
     cfg.quantum = 1024;
     cfg.parallel.enabled = true;
-    platform::ReferenceBoard board(desc, {&producer, &consumer}, cfg);
+    platform::ReferenceBoard board(desc, images.ptrs(), cfg);
     board.run();
     std::printf("\nparallel rounds, quantum 1024: core0 %llu cycles, core1 "
                 "%llu cycles, %llu prefixes over %llu rounds — checksums "

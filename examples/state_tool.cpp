@@ -1,7 +1,8 @@
 // Checkpoint/replay driver for the stock scenario boards: computes the
 // rolling state digests scripts/golden_state.py pins in-repo, saves and
 // resumes full platform snapshots, and self-checks the save→restore→run
-// round trip.
+// round trip. selfcheck and recover compare whole board observations
+// (snap/observe.h) and, on a MISMATCH, print the first differing field.
 //
 // Usage:
 //   state_tool digest <scenario> [--level=...] [--quantum=N]
@@ -44,7 +45,7 @@
 // reference run first, then replays with the faults, divergence
 // detection against the reference digest trail, and auto-recovery
 // through the snapshot ring — exiting 0 only when the recovered run
-// converges on the clean digest. `--fi-armed` (any board-running
+// converges on the clean run. `--fi-armed` (any board-running
 // command) arms a campaign of never-due faults, the non-perturbation
 // probe scripts/golden_state.py --check uses: output must be identical
 // to an FI-off run.
@@ -66,6 +67,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "platform/platform.h"
+#include "snap/observe.h"
 #include "snap/snapshot.h"
 #include "workloads/workloads.h"
 
@@ -105,58 +107,46 @@ bool parseDispatch(const std::string& name) {
 /// A stock scenario board: the images plus everything needed to build
 /// identically configured boards repeatedly (cold restore targets).
 struct Scenario {
-  std::vector<elf::Object> images;
-  std::vector<const elf::Object*> image_ptrs;
+  workloads::BoardImages images;
   platform::BoardConfig cfg;
   arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
 
   std::unique_ptr<platform::ReferenceBoard> makeBoard() const {
-    return std::make_unique<platform::ReferenceBoard>(desc, image_ptrs, cfg);
+    return std::make_unique<platform::ReferenceBoard>(desc, images.ptrs(),
+                                                      cfg);
   }
 };
+
+/// The scenario's images; `cores` != 0 replicates a single-program
+/// scenario onto that many cores.
+workloads::BoardImages scenarioImages(const std::string& name,
+                                      size_t cores) {
+  if (name == "irq_ticks" || name == "mc_worker") {
+    return workloads::BoardImages::named(
+        std::vector<std::string>(cores == 0 ? 1 : cores, name));
+  }
+  if (name == "mc_pair" || name == "mc_quad") {
+    const size_t n = name == "mc_pair" ? 2 : 4;
+    CABT_CHECK(cores == 0 || cores == n,
+               "--cores only replicates single-program scenarios; '"
+                   << name << "' already has " << n);
+    return workloads::BoardImages::family(n);
+  }
+  throw Error("unknown scenario '" + name +
+              "' (irq_ticks|mc_pair|mc_worker|mc_quad)");
+}
 
 Scenario makeScenario(const std::string& name, xlat::DetailLevel level,
                       sim::Cycle quantum, bool parallel,
                       const std::string& dispatch, size_t cores) {
-  Scenario s;
-  std::vector<const workloads::Workload*> programs;
-  if (name == "irq_ticks") {
-    programs = {&workloads::get("irq_ticks")};
-  } else if (name == "mc_pair") {
-    programs = {&workloads::get("mc_producer"),
-                &workloads::get("mc_consumer")};
-  } else if (name == "mc_worker") {
-    programs = {&workloads::get("mc_worker")};
-  } else if (name == "mc_quad") {
-    programs = {&workloads::get("mc_producer"),
-                &workloads::get("mc_consumer"),
-                &workloads::get("mc_worker"), &workloads::get("mc_worker")};
-  } else {
-    throw Error("unknown scenario '" + name +
-                "' (irq_ticks|mc_pair|mc_worker|mc_quad)");
-  }
-  if (cores != 0 && cores != programs.size()) {
-    CABT_CHECK(programs.size() == 1,
-               "--cores only replicates single-program scenarios; '"
-                   << name << "' already has " << programs.size());
-    programs.resize(cores, programs.front());
-  }
+  Scenario s{scenarioImages(name, cores), {}};
   s.cfg.iss = platform::issConfigFor(level);
   if (!dispatch.empty()) {
     s.cfg.iss.use_block_cache = parseDispatch(dispatch);
   }
+  s.cfg.iss.extra_leaders = s.images.extraLeaders();
   s.cfg.quantum = quantum;
   s.cfg.parallel.enabled = parallel;
-  for (const workloads::Workload* w : programs) {
-    s.images.push_back(workloads::assemble(*w));
-    if (!w->irq_handler.empty()) {
-      s.cfg.iss.extra_leaders.push_back(
-          platform::symbolAddr(s.images.back(), w->irq_handler));
-    }
-  }
-  for (const elf::Object& obj : s.images) {
-    s.image_ptrs.push_back(&obj);
-  }
   return s;
 }
 
@@ -251,6 +241,13 @@ void printFired(const fi::Campaign& camp, size_t num_cores) {
           core, coreFaultKindName(f.fault.kind),
           static_cast<unsigned long long>(f.at), f.pc, f.before, f.after);
     }
+  }
+}
+
+/// Names the first differing field under a MISMATCH summary line.
+void printMismatch(const std::string& diff) {
+  if (!diff.empty()) {
+    std::printf("first mismatch: %s\n", diff.c_str());
   }
 }
 
@@ -422,7 +419,7 @@ int main(int argc, char** argv) {
       std::unique_ptr<platform::ReferenceBoard> ref = scenario.makeBoard();
       ref->setCheckpointing({interval, 4, ""});
       ref->run();
-      const uint64_t want = snap::digest(*ref);
+      const snap::Observation want = snap::observe(*ref);
       // Faulted run: same ring, trail-certified divergence detection,
       // auto-recovery bounded by RecoveryConfig defaults.
       std::unique_ptr<platform::ReferenceBoard> board = scenario.makeBoard();
@@ -440,17 +437,19 @@ int main(int argc, char** argv) {
       board->setRecovery(rec);
       board->runTo(to);
       printFired(camp, board->numCores());
-      const uint64_t got = snap::digest(*board);
+      const snap::Observation got = snap::observe(*board);
+      const std::string diff = snap::firstMismatch(want, got);
       std::printf("recover %s: fired=%llu recoveries=%zu divergences=%zu "
                   "clean=0x%016llx recovered=0x%016llx %s\n",
                   scenario_name.c_str(),
                   static_cast<unsigned long long>(camp.firedCount()),
                   board->recoveries(), board->divergences(),
-                  static_cast<unsigned long long>(want),
-                  static_cast<unsigned long long>(got),
-                  want == got ? "OK" : "MISMATCH");
+                  static_cast<unsigned long long>(want.digest),
+                  static_cast<unsigned long long>(got.digest),
+                  diff.empty() ? "OK" : "MISMATCH");
+      printMismatch(diff);
       obs_opts.finish(*board, sink, &camp);
-      return want == got ? 0 : 1;
+      return diff.empty() ? 0 : 1;
     }
 
     if (command == "profile") {
@@ -512,7 +511,7 @@ int main(int argc, char** argv) {
       // Uninterrupted reference run.
       std::unique_ptr<platform::ReferenceBoard> ref = scenario.makeBoard();
       ref->run();
-      const uint64_t want = snap::digest(*ref);
+      const snap::Observation want = snap::observe(*ref);
       // Save mid-run, restore into a cold board, run to completion.
       std::unique_ptr<platform::ReferenceBoard> warm = scenario.makeBoard();
       warm->runTo(at);
@@ -520,14 +519,16 @@ int main(int argc, char** argv) {
       std::unique_ptr<platform::ReferenceBoard> cold = scenario.makeBoard();
       snap::restore(*cold, snapshot);
       cold->run();
-      const uint64_t got = snap::digest(*cold);
+      const snap::Observation got = snap::observe(*cold);
+      const std::string diff = snap::firstMismatch(want, got);
       std::printf("selfcheck %s at=%llu: uninterrupted=0x%016llx "
                   "restored=0x%016llx %s\n",
                   scenario_name.c_str(), static_cast<unsigned long long>(at),
-                  static_cast<unsigned long long>(want),
-                  static_cast<unsigned long long>(got),
-                  want == got ? "OK" : "MISMATCH");
-      return want == got ? 0 : 1;
+                  static_cast<unsigned long long>(want.digest),
+                  static_cast<unsigned long long>(got.digest),
+                  diff.empty() ? "OK" : "MISMATCH");
+      printMismatch(diff);
+      return diff.empty() ? 0 : 1;
     }
 
     throw Error("unknown command '" + command + "'");

@@ -1,7 +1,7 @@
 #include "fuzz/oracle.h"
 
-#include <array>
-#include <memory>
+#include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "arch/arch.h"
@@ -10,28 +10,18 @@
 #include "iss/iss.h"
 #include "platform/platform.h"
 #include "rtlsim/rtlsim.h"
+#include "snap/observe.h"
 #include "snap/snapshot.h"
-#include "trc/assembler.h"
+#include "workloads/workloads.h"
 #include "xlat/translator.h"
 
 namespace cabt::fuzz {
 
 namespace {
 
-const xlat::DetailLevel kLevels[] = {
-    xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
-    xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache};
-
-/// The ISS engine axis of the grid, as IssConfig::use_block_cache:
-/// the step() reference (false) and the threaded engine (true).
-constexpr bool kEngines[] = {false, true};
-
-const char* engineName(bool threaded) { return threaded ? "threaded" : "step"; }
-
 /// The validity gate and in-level comparison baseline: icache detail,
 /// threaded engine, sequential kernel.
-constexpr xlat::DetailLevel kRefLevel = xlat::DetailLevel::kICache;
-constexpr bool kRefThreaded = true;
+constexpr snap::GridPoint kRef{xlat::DetailLevel::kICache, true, false};
 
 uint64_t fnv1a(uint64_t h, const void* data, size_t n) {
   const auto* p = static_cast<const uint8_t*>(data);
@@ -42,8 +32,7 @@ uint64_t fnv1a(uint64_t h, const void* data, size_t n) {
   return h;
 }
 
-std::string forkKey(const SeedCase& c, xlat::DetailLevel level,
-                    bool threaded, bool par) {
+std::string forkKey(const SeedCase& c, const snap::GridPoint& point) {
   uint64_t h = 1469598103934665603ull;
   for (const std::string& p : c.programs) {
     h = fnv1a(h, p.data(), p.size());
@@ -51,47 +40,32 @@ std::string forkKey(const SeedCase& c, xlat::DetailLevel level,
   }
   std::ostringstream key;
   key << std::hex << h << std::dec << "-q" << c.quantum << "-f"
-      << c.fork_cycle << "-l" << static_cast<int>(level) << "-e"
-      << (threaded ? 1 : 0) << "-p" << (par ? 1 : 0);
+      << c.fork_cycle << "-l" << static_cast<int>(point.level) << "-e"
+      << (point.threaded ? 1 : 0) << "-p" << (point.parallel ? 1 : 0);
   return key.str();
 }
 
-/// Everything one grid run exposes for comparison.
-struct BoardObs {
-  iss::StopReason stop = iss::StopReason::kRunning;
-  uint64_t digest = 0;
-  uint64_t bus_cycle = 0;
-  std::vector<soc::Transaction> log;
-  std::vector<iss::IssStats> stats;
-  std::vector<std::array<uint32_t, 32>> regs;
-  std::vector<uint32_t> pc;
-  std::vector<std::vector<uint64_t>> irq_times;
-};
-
-BoardObs runBoard(const arch::ArchDescription& desc,
-                  const std::vector<const elf::Object*>& ptrs,
-                  const SeedCase& c, const OracleOptions& opts,
-                  xlat::DetailLevel level, bool threaded, bool par,
-                  SnapshotCache* cache, core::EdgeCoverage* coverage) {
-  platform::BoardConfig cfg;
-  cfg.iss = platform::issConfigFor(level);
-  cfg.iss.use_block_cache = threaded;
+snap::Observation runBoard(const arch::ArchDescription& desc,
+                           const workloads::BoardImages& images,
+                           const SeedCase& c, const OracleOptions& opts,
+                           const snap::GridPoint& p, SnapshotCache* cache,
+                           core::EdgeCoverage* coverage) {
+  platform::BoardConfig base;
   // Aggressive formation so short fuzz programs exercise traces and
   // threaded lowering (the random_program_test idiom).
-  cfg.iss.trace_threshold = 2;
-  cfg.iss.threaded_threshold = 2;
-  cfg.iss.max_instructions = opts.max_instructions;
-  cfg.quantum = c.quantum;
-  cfg.parallel.enabled = par;
-  cfg.parallel.workers = 2;
-  platform::ReferenceBoard board(desc, ptrs, cfg);
+  base.iss.trace_threshold = 2;
+  base.iss.threaded_threshold = 2;
+  base.iss.max_instructions = opts.max_instructions;
+  base.quantum = c.quantum;
+  platform::ReferenceBoard board(desc, images.ptrs(),
+                                 snap::boardConfigFor(p, base));
 
   // Snapshot fork: warm to the fork cycle once per (programs, config),
   // restore everywhere else. Faults arm at the fork in both paths, so
   // warm and cold runs are bit-identical (snap:: contract; pinned by
   // tests/fuzz_test.cpp SnapshotForkMatchesColdRun).
   if (c.fork_cycle > 0) {
-    const std::string key = forkKey(c, level, threaded, par);
+    const std::string key = forkKey(c, p);
     const std::vector<uint8_t>* snap_data =
         cache != nullptr ? cache->find(key) : nullptr;
     if (snap_data != nullptr) {
@@ -119,112 +93,15 @@ BoardObs runBoard(const arch::ArchDescription& desc,
     }
   }
 
-  BoardObs o;
-  o.stop = board.run();
-  o.digest = snap::digest(board);
-  o.bus_cycle = board.board().bus.socCycle();
-  o.log = board.board().bus.log();
-  for (size_t i = 0; i < board.numCores(); ++i) {
-    o.stats.push_back(board.core(i).stats());
-    std::array<uint32_t, 32> regs{};
-    for (int j = 0; j < 16; ++j) {
-      regs[static_cast<size_t>(j)] = board.core(i).d(j);
-      regs[static_cast<size_t>(j) + 16] = board.core(i).a(j);
-    }
-    o.regs.push_back(regs);
-    o.pc.push_back(board.core(i).pc());
-    o.irq_times.push_back(board.intc(i).deliveryTimes());
-  }
-  return o;
+  board.run();
+  return snap::observe(board);
 }
 
-/// Bit-exact in-level comparison; returns the first difference or "".
-std::string diffObs(const BoardObs& want, const BoardObs& got) {
-  std::ostringstream out;
-  if (got.stop != want.stop) {
-    out << "stop reason " << static_cast<int>(got.stop) << " != "
-        << static_cast<int>(want.stop);
-    return out.str();
-  }
-  if (got.digest != want.digest) {
-    out << "digest 0x" << std::hex << got.digest << " != 0x" << want.digest;
-    return out.str();
-  }
-  if (got.bus_cycle != want.bus_cycle) {
-    out << "bus cycle " << got.bus_cycle << " != " << want.bus_cycle;
-    return out.str();
-  }
-  if (got.log.size() != want.log.size()) {
-    out << "bus log length " << got.log.size() << " != " << want.log.size();
-    return out.str();
-  }
-  for (size_t i = 0; i < want.log.size(); ++i) {
-    const soc::Transaction& a = want.log[i];
-    const soc::Transaction& b = got.log[i];
-    if (a.soc_cycle != b.soc_cycle || a.addr != b.addr ||
-        a.value != b.value || a.size != b.size || a.is_write != b.is_write) {
-      out << "bus txn " << i << " differs (cycle " << b.soc_cycle << "/"
-          << a.soc_cycle << " addr 0x" << std::hex << b.addr << "/0x"
-          << a.addr << ")";
-      return out.str();
-    }
-  }
-  for (size_t i = 0; i < want.stats.size(); ++i) {
-    const iss::IssStats& a = want.stats[i];
-    const iss::IssStats& b = got.stats[i];
-    if (b.instructions != a.instructions || b.cycles != a.cycles ||
-        b.pipeline_cycles != a.pipeline_cycles ||
-        b.branch_extra != a.branch_extra ||
-        b.cache_penalty != a.cache_penalty || b.blocks != a.blocks ||
-        b.io_reads != a.io_reads || b.io_writes != a.io_writes ||
-        b.irqs_taken != a.irqs_taken) {
-      out << "core " << i << " stats differ (instr " << b.instructions
-          << "/" << a.instructions << " cycles " << b.cycles << "/"
-          << a.cycles << ")";
-      return out.str();
-    }
-    if (got.regs[i] != want.regs[i]) {
-      out << "core " << i << " registers differ";
-      return out.str();
-    }
-    if (got.pc[i] != want.pc[i]) {
-      out << "core " << i << " pc 0x" << std::hex << got.pc[i] << " != 0x"
-          << want.pc[i];
-      return out.str();
-    }
-    if (got.irq_times[i] != want.irq_times[i]) {
-      out << "core " << i << " irq delivery timestamps differ";
-      return out.str();
-    }
-  }
-  return "";
-}
-
-/// Functional (timing-independent) comparison across detail levels.
-std::string diffFunctional(const BoardObs& want, const BoardObs& got) {
-  std::ostringstream out;
-  for (size_t i = 0; i < want.stats.size(); ++i) {
-    if (got.stats[i].instructions != want.stats[i].instructions) {
-      out << "core " << i << " instructions "
-          << got.stats[i].instructions << " != "
-          << want.stats[i].instructions;
-      return out.str();
-    }
-    if (got.stats[i].io_reads != want.stats[i].io_reads ||
-        got.stats[i].io_writes != want.stats[i].io_writes) {
-      out << "core " << i << " io counts differ";
-      return out.str();
-    }
-    if (got.regs[i] != want.regs[i]) {
-      out << "core " << i << " registers differ";
-      return out.str();
-    }
-    if (got.pc[i] != want.pc[i]) {
-      out << "core " << i << " pc differs";
-      return out.str();
-    }
-  }
-  return "";
+bool allHalted(const snap::Observation& o) {
+  return std::all_of(o.cores.begin(), o.cores.end(),
+                     [](const snap::CoreObservation& core) {
+                       return core.stop == iss::StopReason::kHalted;
+                     });
 }
 
 }  // namespace
@@ -252,31 +129,24 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
   OracleResult result;
   const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
 
-  std::vector<elf::Object> images;
-  std::vector<const elf::Object*> ptrs;
+  std::optional<workloads::BoardImages> images;
   try {
-    for (const std::string& p : c.programs) {
-      images.push_back(trc::assemble(p));
-    }
+    images.emplace(workloads::BoardImages::assembled(c.programs));
   } catch (const Error& e) {
     result.mismatch = std::string("assembly failed: ") + e.what();
     return result;  // invalid, not a finding
   }
-  for (const elf::Object& obj : images) {
-    ptrs.push_back(&obj);
-  }
 
   // ---- reference configuration: validity gate + coverage feedback ----
-  BoardObs ref;
+  snap::Observation ref;
   try {
-    ref = runBoard(desc, ptrs, c, opts, kRefLevel, kRefThreaded,
-                   /*par=*/false, cache, coverage);
+    ref = runBoard(desc, *images, c, opts, kRef, cache, coverage);
     ++result.executions;
   } catch (const Error& e) {
     result.mismatch = std::string("reference run failed: ") + e.what();
     return result;  // invalid
   }
-  if (ref.stop != iss::StopReason::kHalted) {
+  if (!allHalted(ref)) {
     result.mismatch = "reference run did not halt (instruction budget)";
     return result;  // invalid: mutant spins, discard
   }
@@ -291,39 +161,38 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
 
   try {
     // ---- the board grid: detail x engine x seq/par -------------------
-    for (const xlat::DetailLevel level : kLevels) {
-      BoardObs leader;
+    for (const xlat::DetailLevel level : xlat::kDetailLevels) {
+      snap::Observation leader;
       bool have_leader = false;
-      if (level == kRefLevel) {
+      if (level == kRef.level) {
         leader = ref;
         have_leader = true;
       }
-      for (const bool threaded : kEngines) {
-        for (const bool par : {false, true}) {
-          if (level == kRefLevel && threaded == kRefThreaded && !par) {
-            continue;  // already ran as the reference
-          }
-          BoardObs got = runBoard(desc, ptrs, c, opts, level, threaded, par,
-                                  cache, nullptr);
-          ++result.executions;
-          if (!have_leader) {
-            leader = std::move(got);
-            have_leader = true;
-            continue;
-          }
-          const std::string diff = diffObs(leader, got);
-          if (!diff.empty()) {
-            std::ostringstream out;
-            out << "level=" << xlat::detailLevelName(level)
-                << " engine=" << engineName(threaded) << " par=" << par << ": "
-                << diff;
-            result.mismatch = out.str();
-            return result;
-          }
+      for (const snap::GridPoint& p : snap::engineGrid(level)) {
+        if (level == kRef.level && p.threaded == kRef.threaded &&
+            p.parallel == kRef.parallel) {
+          continue;  // already ran as the reference
+        }
+        snap::Observation got =
+            runBoard(desc, *images, c, opts, p, cache, nullptr);
+        ++result.executions;
+        if (!have_leader) {
+          leader = std::move(got);
+          have_leader = true;
+          continue;
+        }
+        const std::string diff = snap::firstMismatch(leader, got);
+        if (!diff.empty()) {
+          std::ostringstream out;
+          out << "level=" << xlat::detailLevelName(level)
+              << " engine=" << (p.threaded ? "threaded" : "step")
+              << " par=" << p.parallel << ": " << diff;
+          result.mismatch = out.str();
+          return result;
         }
       }
-      if (cross_level_ok && level != kRefLevel) {
-        const std::string diff = diffFunctional(ref, leader);
+      if (cross_level_ok && level != kRef.level) {
+        const std::string diff = snap::firstFunctionalMismatch(ref, leader);
         if (!diff.empty()) {
           result.mismatch = std::string("cross-level level=") +
                             xlat::detailLevelName(level) + ": " + diff;
@@ -338,7 +207,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
     // campaigns, and both replay from reset.
     if (opts.three_way && c.programs.size() == 1 && c.faults.empty() &&
         !c.hasSharedTraffic()) {
-      const elf::Object& obj = images.front();
+      const elf::Object& obj = images->image(0);
       iss::IssConfig ref_cfg;
       ref_cfg.max_instructions = opts.max_instructions;
       iss::Iss iss_ref(desc, obj, nullptr, ref_cfg);
@@ -369,7 +238,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
         }
       }
 
-      for (const xlat::DetailLevel level : kLevels) {
+      for (const xlat::DetailLevel level : xlat::kDetailLevels) {
         xlat::TranslateOptions xopts;
         xopts.level = level;
         xopts.debug_skew_static_cycles = opts.xlat_skew;

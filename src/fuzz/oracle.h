@@ -8,14 +8,17 @@
 // against the RT-level model and the translated platform at every
 // detail level. Compared observables:
 //
-//   * within one detail level: the rolling state digest (snap::digest),
-//     the full bus transaction log, per-core architectural stats,
-//     registers, pc and the interrupt delivery timestamps — everything
-//     must be bit-identical across the two engines and seq/par;
+//   * within one detail level: the whole snap::Observation
+//     (snap/observe.h) — per-core stop, registers, pc, architectural
+//     stats and interrupt record, the full bus transaction log, device
+//     counters, scratch registers, kernel dispatch count and the rolling
+//     state digest — bit-identical across the two engines and seq/par
+//     (snap::firstMismatch);
 //   * across detail levels (skipped when faults are armed or when
 //     multiple cores share traffic — cycle-keyed faults and shared-bus
 //     interleavings legitimately depend on the timing model): the
-//     functional observables (instructions, registers, pc, io counts);
+//     functional observables (snap::firstFunctionalMismatch:
+//     instructions, io counts, registers, pc);
 //   * ISS vs rtlsim: exact cycle count and data registers;
 //   * ISS vs translated platform: final architectural state at every
 //     level, exact generated-cycle agreement at icache, exact-minus-
@@ -68,8 +71,9 @@ struct OracleResult {
   bool valid = false;
   /// Every comparison agreed. Meaningful only when valid.
   bool ok = false;
-  /// First mismatch, human-readable ("level=icache dispatch=threaded
-  /// par=1: digest 0x... != 0x..."); empty when ok.
+  /// First mismatch, human-readable ("level=icache engine=threaded
+  /// par=1: core 0 d3 0x... != 0x..."); empty when ok. The minimizer's
+  /// failure signature is the text up to the first ':'.
   std::string mismatch;
   /// Engine executions this candidate cost (board grid + extras).
   uint64_t executions = 0;

@@ -712,65 +712,18 @@ StopReason Iss::selectChainedT(uint64_t time_limit) {
 
 namespace {
 
-/// IssStats is serialized field by field, in declaration order; a new
-/// counter extends the end of this list (and bumps the snapshot format
-/// version in src/snap).
+/// IssStats is serialized in kStatCounters order; a new counter joins
+/// that list (and bumps the snapshot format version in src/snap).
 void saveStats(serial::Writer& w, const IssStats& s) {
-  w.u64(s.instructions);
-  w.u64(s.cycles);
-  w.u64(s.pipeline_cycles);
-  w.u64(s.branch_extra);
-  w.u64(s.cache_penalty);
-  w.u64(s.blocks);
-  w.u64(s.icache_accesses);
-  w.u64(s.icache_misses);
-  w.u64(s.cond_branches);
-  w.u64(s.cond_taken);
-  w.u64(s.mispredicts);
-  w.u64(s.io_reads);
-  w.u64(s.io_writes);
-  w.u64(s.irqs_taken);
-  w.u64(s.irq_entry_cycles);
-  w.u64(s.cached_blocks);
-  w.u64(s.chain_hits);
-  w.u64(s.trace_dispatches);
-  w.u64(s.trace_blocks);
-  w.u64(s.guard_bails);
-  w.u64(s.private_slices);
-  w.u64(s.private_bails);
-  w.u64(s.threaded_dispatches);
-  w.u64(s.threaded_instrs);
-  w.u64(s.threaded_lowerings);
-  w.u64(s.threaded_declined);
+  for (const StatCounter& c : kStatCounters) {
+    w.u64(s.*c.field);
+  }
 }
 
 void restoreStats(serial::Reader& r, IssStats& s) {
-  s.instructions = r.u64();
-  s.cycles = r.u64();
-  s.pipeline_cycles = r.u64();
-  s.branch_extra = r.u64();
-  s.cache_penalty = r.u64();
-  s.blocks = r.u64();
-  s.icache_accesses = r.u64();
-  s.icache_misses = r.u64();
-  s.cond_branches = r.u64();
-  s.cond_taken = r.u64();
-  s.mispredicts = r.u64();
-  s.io_reads = r.u64();
-  s.io_writes = r.u64();
-  s.irqs_taken = r.u64();
-  s.irq_entry_cycles = r.u64();
-  s.cached_blocks = r.u64();
-  s.chain_hits = r.u64();
-  s.trace_dispatches = r.u64();
-  s.trace_blocks = r.u64();
-  s.guard_bails = r.u64();
-  s.private_slices = r.u64();
-  s.private_bails = r.u64();
-  s.threaded_dispatches = r.u64();
-  s.threaded_instrs = r.u64();
-  s.threaded_lowerings = r.u64();
-  s.threaded_declined = r.u64();
+  for (const StatCounter& c : kStatCounters) {
+    s.*c.field = r.u64();
+  }
 }
 
 }  // namespace
@@ -907,21 +860,9 @@ void Iss::digestState(serial::Writer& w) const {
   timer_.saveState(w);
   icache_.saveState(w);
   // Architectural counters only (identical across both engines).
-  w.u64(stats_.instructions);
-  w.u64(stats_.cycles);
-  w.u64(stats_.pipeline_cycles);
-  w.u64(stats_.branch_extra);
-  w.u64(stats_.cache_penalty);
-  w.u64(stats_.blocks);
-  w.u64(stats_.icache_accesses);
-  w.u64(stats_.icache_misses);
-  w.u64(stats_.cond_branches);
-  w.u64(stats_.cond_taken);
-  w.u64(stats_.mispredicts);
-  w.u64(stats_.io_reads);
-  w.u64(stats_.io_writes);
-  w.u64(stats_.irqs_taken);
-  w.u64(stats_.irq_entry_cycles);
+  for (const StatCounter& c : kArchitecturalCounters) {
+    w.u64(stats_.*c.field);
+  }
   mem_.writeCanonical(w);
 }
 
@@ -940,35 +881,9 @@ std::vector<HotBlock> Iss::hotBlocks(size_t n) const {
 
 void Iss::publishMetrics(obs::MetricsRegistry& reg,
                          const std::string& prefix) const {
-  auto set = [&](const char* leaf, uint64_t v) {
-    reg.setCounter(prefix + leaf, v);
-  };
-  set("instructions", stats_.instructions);
-  set("cycles", stats_.cycles);
-  set("pipeline_cycles", stats_.pipeline_cycles);
-  set("branch_extra", stats_.branch_extra);
-  set("cache_penalty", stats_.cache_penalty);
-  set("blocks", stats_.blocks);
-  set("icache_accesses", stats_.icache_accesses);
-  set("icache_misses", stats_.icache_misses);
-  set("cond_branches", stats_.cond_branches);
-  set("cond_taken", stats_.cond_taken);
-  set("mispredicts", stats_.mispredicts);
-  set("io_reads", stats_.io_reads);
-  set("io_writes", stats_.io_writes);
-  set("irqs_taken", stats_.irqs_taken);
-  set("irq_entry_cycles", stats_.irq_entry_cycles);
-  set("cached_blocks", stats_.cached_blocks);
-  set("chain_hits", stats_.chain_hits);
-  set("trace_dispatches", stats_.trace_dispatches);
-  set("trace_blocks", stats_.trace_blocks);
-  set("guard_bails", stats_.guard_bails);
-  set("private_slices", stats_.private_slices);
-  set("private_bails", stats_.private_bails);
-  set("threaded_dispatches", stats_.threaded_dispatches);
-  set("threaded_instrs", stats_.threaded_instrs);
-  set("threaded_lowerings", stats_.threaded_lowerings);
-  set("threaded_declined", stats_.threaded_declined);
+  for (const StatCounter& c : kStatCounters) {
+    reg.setCounter(prefix + c.name, stats_.*c.field);
+  }
   reg.setGauge(prefix + "local_time", static_cast<double>(localTime()));
   if (cache_ != nullptr) {
     for (const core::ExecBlock* b : cache_->hottest(SIZE_MAX)) {

@@ -38,11 +38,13 @@
 // (sim/kernel.h) uses it to run cores in quantum-bounded slices.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -126,6 +128,56 @@ struct IssStats {
   uint64_t threaded_lowerings = 0;
   uint64_t threaded_declined = 0;
 };
+
+/// One IssStats counter: its name and its member.
+struct StatCounter {
+  const char* name;
+  uint64_t IssStats::*field;
+};
+
+/// Every IssStats counter, in declaration order: the order snapshots
+/// serialize them in and the names metrics publish them under.
+inline constexpr std::array<StatCounter, 26> kStatCounters = {{
+    {"instructions", &IssStats::instructions},
+    {"cycles", &IssStats::cycles},
+    {"pipeline_cycles", &IssStats::pipeline_cycles},
+    {"branch_extra", &IssStats::branch_extra},
+    {"cache_penalty", &IssStats::cache_penalty},
+    {"blocks", &IssStats::blocks},
+    {"icache_accesses", &IssStats::icache_accesses},
+    {"icache_misses", &IssStats::icache_misses},
+    {"cond_branches", &IssStats::cond_branches},
+    {"cond_taken", &IssStats::cond_taken},
+    {"mispredicts", &IssStats::mispredicts},
+    {"io_reads", &IssStats::io_reads},
+    {"io_writes", &IssStats::io_writes},
+    {"irqs_taken", &IssStats::irqs_taken},
+    {"irq_entry_cycles", &IssStats::irq_entry_cycles},
+    {"cached_blocks", &IssStats::cached_blocks},
+    {"chain_hits", &IssStats::chain_hits},
+    {"trace_dispatches", &IssStats::trace_dispatches},
+    {"trace_blocks", &IssStats::trace_blocks},
+    {"guard_bails", &IssStats::guard_bails},
+    {"private_slices", &IssStats::private_slices},
+    {"private_bails", &IssStats::private_bails},
+    {"threaded_dispatches", &IssStats::threaded_dispatches},
+    {"threaded_instrs", &IssStats::threaded_instrs},
+    {"threaded_lowerings", &IssStats::threaded_lowerings},
+    {"threaded_declined", &IssStats::threaded_declined},
+}};
+static_assert(sizeof(IssStats) == kStatCounters.size() * sizeof(uint64_t),
+              "every IssStats counter is listed in kStatCounters");
+
+/// The first 15 are the architectural counters, in digest order:
+/// identical across both engines, both kernels and warm/cold restores.
+/// Iss::digestState hashes exactly these, and snap::firstMismatch
+/// compares exactly these.
+inline constexpr std::span<const StatCounter> kArchitecturalCounters =
+    std::span(kStatCounters).first(15);
+/// The rest are dispatch-path accounting: how blocks were reached, not
+/// what they did.
+inline constexpr std::span<const StatCounter> kDispatchPathCounters =
+    std::span(kStatCounters).subspan(15);
 
 struct IssConfig {
   bool model_timing = true;  ///< false = functional-only (no cycle counts)

@@ -34,6 +34,8 @@ struct Transaction {
   uint32_t value = 0;
   uint8_t size = 4;
   bool is_write = false;
+
+  bool operator==(const Transaction&) const = default;
 };
 
 /// A bus-error injection window (fault injection, DESIGN.md section 12):

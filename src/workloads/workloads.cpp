@@ -1,5 +1,7 @@
 #include "workloads/workloads.h"
 
+#include <utility>
+
 #include "common/error.h"
 #include "trc/assembler.h"
 
@@ -575,6 +577,56 @@ uint32_t readChecksum(const elf::Object& source, const SparseMemory& memory,
   const elf::Symbol* sym = source.findSymbol("result");
   CABT_CHECK(sym != nullptr, "workload has no 'result' symbol");
   return memory.read32(sym->value + remap_delta);
+}
+
+BoardImages::BoardImages(std::vector<Workload> programs)
+    : programs_(std::move(programs)) {
+  for (size_t i = 0; i < programs_.size(); ++i) {
+    images_.push_back(assemble(programs_[i]));
+    if (!programs_[i].irq_handler.empty()) {
+      addLeader(i, programs_[i].irq_handler);
+    }
+  }
+}
+
+BoardImages BoardImages::named(const std::vector<std::string>& names) {
+  std::vector<Workload> programs;
+  for (const std::string& name : names) {
+    programs.push_back(get(name));
+  }
+  return BoardImages(std::move(programs));
+}
+
+BoardImages BoardImages::assembled(const std::vector<std::string>& sources) {
+  std::vector<Workload> programs(sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    programs[i].source = sources[i];
+  }
+  return BoardImages(std::move(programs));
+}
+
+BoardImages BoardImages::family(size_t cores) {
+  CABT_CHECK(cores > 0, "a board needs at least one core");
+  if (cores == 1) {
+    return named({"irq_ticks"});
+  }
+  std::vector<std::string> names = {"mc_producer", "mc_consumer"};
+  names.resize(cores, "mc_worker");
+  return named(names);
+}
+
+std::vector<const elf::Object*> BoardImages::ptrs() const {
+  std::vector<const elf::Object*> out;
+  for (const elf::Object& image : images_) {
+    out.push_back(&image);
+  }
+  return out;
+}
+
+void BoardImages::addLeader(size_t i, std::string_view symbol) {
+  const elf::Symbol* sym = image(i).findSymbol(symbol);
+  CABT_CHECK(sym != nullptr, "no symbol '" << std::string(symbol) << "'");
+  extra_leaders_.push_back(sym->value);
 }
 
 }  // namespace cabt::workloads

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/sparse_mem.h"
@@ -29,9 +30,9 @@ struct Workload {
   std::optional<uint32_t> expected_checksum;
   bool large_blocks = false;  ///< paper: "examples with large basic blocks"
   /// Interrupt handler entry symbol ("" when the program takes no
-  /// interrupts). Resolve with platform::symbolAddr and pass as an
-  /// iss::IssConfig::extra_leaders entry — handler entries are invisible
-  /// to static control flow.
+  /// interrupts). It must be an iss::IssConfig::extra_leaders entry —
+  /// handler entries are invisible to static control flow; BoardImages
+  /// resolves it into extraLeaders().
   std::string irq_handler;
 };
 
@@ -63,5 +64,44 @@ elf::Object assemble(const Workload& workload);
 /// the source object (applies `remap_delta` for translated memory).
 uint32_t readChecksum(const elf::Object& source, const SparseMemory& memory,
                       uint32_t remap_delta = 0);
+
+/// The program images of one reference board, assembled once and shared
+/// by every board built from them: the images, the pointer list
+/// platform::ReferenceBoard takes, and the interrupt-handler entries to
+/// pass as iss::IssConfig::extra_leaders.
+class BoardImages {
+ public:
+  /// One core per workload, in order.
+  explicit BoardImages(std::vector<Workload> programs);
+  /// Workloads looked up by name (see get()).
+  static BoardImages named(const std::vector<std::string>& names);
+  /// Raw TRC32 assembly sources, which take no interrupts; throws
+  /// cabt::Error when a source does not assemble.
+  static BoardImages assembled(const std::vector<std::string>& sources);
+  /// The N-core scenario family: irq_ticks alone (N = 1), mc_producer +
+  /// mc_consumer (N = 2), then that pair plus N - 2 mc_worker cores.
+  static BoardImages family(size_t cores);
+
+  [[nodiscard]] const std::vector<Workload>& programs() const {
+    return programs_;
+  }
+  [[nodiscard]] const elf::Object& image(size_t i) const {
+    return images_.at(i);
+  }
+  /// One image per core, in core order; valid while this object lives.
+  [[nodiscard]] std::vector<const elf::Object*> ptrs() const;
+  [[nodiscard]] const std::vector<uint32_t>& extraLeaders() const {
+    return extra_leaders_;
+  }
+
+  /// Adds `symbol` of image `i` as an extra block leader: an entry that
+  /// static control flow never reaches, such as a fault's pc target.
+  void addLeader(size_t i, std::string_view symbol);
+
+ private:
+  std::vector<Workload> programs_;
+  std::vector<elf::Object> images_;
+  std::vector<uint32_t> extra_leaders_;
+};
 
 }  // namespace cabt::workloads

@@ -20,6 +20,7 @@
 //   kICache         + dynamic instruction-cache simulation (section 3.4.2)
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -36,6 +37,14 @@ enum class DetailLevel : uint8_t {
   kStatic = 1,
   kBranchPredict = 2,
   kICache = 3,
+};
+
+/// The four detail levels, in paper order.
+inline constexpr std::array<DetailLevel, 4> kDetailLevels = {
+    DetailLevel::kFunctional,
+    DetailLevel::kStatic,
+    DetailLevel::kBranchPredict,
+    DetailLevel::kICache,
 };
 
 const char* detailLevelName(DetailLevel level);

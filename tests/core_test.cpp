@@ -16,6 +16,7 @@
 #include "core/program_artifact.h"
 #include "core/block_graph.h"
 #include "iss/iss.h"
+#include "snap/observe.h"
 #include "trc/assembler.h"
 #include "trc/program.h"
 #include "workloads/workloads.h"
@@ -318,28 +319,14 @@ loop:   addi16 d0, -1
 
 // ---- engine equivalence on targeted corner cases -------------------------
 
-iss::IssStats runStats(const elf::Object& obj, bool block_cache,
-                       bool timing = true) {
+snap::CoreObservation runCore(const elf::Object& obj, bool block_cache,
+                              bool timing = true) {
   iss::IssConfig cfg;
   cfg.use_block_cache = block_cache;
   cfg.model_timing = timing;
   iss::Iss iss(defaultArch(), obj, nullptr, cfg);
   iss.run();
-  return iss.stats();
-}
-
-void expectSameStats(const iss::IssStats& a, const iss::IssStats& b) {
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.pipeline_cycles, b.pipeline_cycles);
-  EXPECT_EQ(a.branch_extra, b.branch_extra);
-  EXPECT_EQ(a.cache_penalty, b.cache_penalty);
-  EXPECT_EQ(a.blocks, b.blocks);
-  EXPECT_EQ(a.icache_accesses, b.icache_accesses);
-  EXPECT_EQ(a.icache_misses, b.icache_misses);
-  EXPECT_EQ(a.cond_branches, b.cond_branches);
-  EXPECT_EQ(a.cond_taken, b.cond_taken);
-  EXPECT_EQ(a.mispredicts, b.mispredicts);
+  return snap::observe(iss);
 }
 
 TEST(EngineEquivalence, IndirectJumpIntoTheMiddleOfABlock) {
@@ -355,7 +342,7 @@ target: movi d9, 222
         add d8, d9, d9
         halt
 )");
-  expectSameStats(runStats(obj, true), runStats(obj, false));
+  EXPECT_EQ(snap::firstMismatch(runCore(obj, false), runCore(obj, true)), "");
 }
 
 TEST(EngineEquivalence, HaltInTheMiddleOfABlock) {
@@ -368,7 +355,7 @@ _start: movi d1, 1
         movi d3, 3
         add d4, d1, d2
 )");
-  expectSameStats(runStats(obj, true), runStats(obj, false));
+  EXPECT_EQ(snap::firstMismatch(runCore(obj, false), runCore(obj, true)), "");
 }
 
 TEST(EngineEquivalence, InstructionLimitStopsInsideABlock) {
@@ -390,8 +377,8 @@ loop:   addi16 d0, -1
     iss::Iss slow(defaultArch(), obj, nullptr, slow_cfg);
     EXPECT_EQ(fast.run(), iss::StopReason::kMaxInstructions);
     EXPECT_EQ(slow.run(), iss::StopReason::kMaxInstructions);
-    expectSameStats(fast.stats(), slow.stats());
-    EXPECT_EQ(fast.pc(), slow.pc());
+    EXPECT_EQ(snap::firstMismatch(snap::observe(slow), snap::observe(fast)),
+              "");
   }
 }
 
@@ -402,11 +389,11 @@ loop:   addi16 d0, -1
         jnz16 d0, loop
         halt
 )");
-  const iss::IssStats fast = runStats(obj, true, /*timing=*/false);
-  const iss::IssStats slow = runStats(obj, false, /*timing=*/false);
-  expectSameStats(fast, slow);
-  EXPECT_EQ(fast.cycles, 0u);
-  EXPECT_EQ(fast.blocks, 0u);
+  const snap::CoreObservation fast = runCore(obj, true, /*timing=*/false);
+  const snap::CoreObservation slow = runCore(obj, false, /*timing=*/false);
+  EXPECT_EQ(snap::firstMismatch(slow, fast), "");
+  EXPECT_EQ(fast.stats.cycles, 0u);
+  EXPECT_EQ(fast.stats.blocks, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "common/serial.h"
 #include "debug/debugger.h"
 #include "iss/iss.h"
+#include "snap/observe.h"
 #include "trc/assembler.h"
 #include "workloads/workloads.h"
 
@@ -251,13 +252,7 @@ TEST(IssBreakpoints, MidBlockBreakpointInHotCachedBlockFallsBack) {
 
   iss::Iss ref(defaultArch(), obj);
   ASSERT_EQ(ref.run(), iss::StopReason::kHalted);
-  EXPECT_EQ(iss.stats().instructions, ref.stats().instructions);
-  EXPECT_EQ(iss.stats().cycles, ref.stats().cycles);
-  EXPECT_EQ(iss.stats().branch_extra, ref.stats().branch_extra);
-  EXPECT_EQ(iss.stats().cache_penalty, ref.stats().cache_penalty);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(iss.d(i), ref.d(i)) << "d" << i;
-  }
+  EXPECT_EQ(snap::firstMismatch(snap::observe(ref), snap::observe(iss)), "");
   EXPECT_EQ(iss.d(3), 99u);
 }
 
@@ -275,13 +270,13 @@ TEST(IssBreakpoints, BlockAndSteppingEnginesStopIdentically) {
   for (int hit = 0; hit < 200; ++hit) {
     ASSERT_EQ(fast.run(), iss::StopReason::kDebugBreak) << hit;
     ASSERT_EQ(slow.run(), iss::StopReason::kDebugBreak) << hit;
-    ASSERT_EQ(fast.pc(), slow.pc()) << hit;
-    ASSERT_EQ(fast.stats().instructions, slow.stats().instructions) << hit;
-    ASSERT_EQ(fast.stats().cycles, slow.stats().cycles) << hit;
+    ASSERT_EQ(snap::firstMismatch(snap::observe(slow), snap::observe(fast)),
+              "")
+        << hit;
   }
   ASSERT_EQ(fast.run(), iss::StopReason::kHalted);
   ASSERT_EQ(slow.run(), iss::StopReason::kHalted);
-  EXPECT_EQ(fast.stats().cycles, slow.stats().cycles);
+  EXPECT_EQ(snap::firstMismatch(snap::observe(slow), snap::observe(fast)), "");
 }
 
 // ---- snapshot save/restore under breakpoints -----------------------------
@@ -321,11 +316,8 @@ TEST(IssBreakpoints, SaveRestoreWhileStoppedAtBreakpoint) {
   cold.removeBreakpoint(0x80000010);
   ASSERT_EQ(live.run(), iss::StopReason::kHalted);
   ASSERT_EQ(cold.run(), iss::StopReason::kHalted);
-  EXPECT_EQ(cold.stats().instructions, live.stats().instructions);
-  EXPECT_EQ(cold.stats().cycles, live.stats().cycles);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(cold.d(i), live.d(i)) << "d" << i;
-  }
+  EXPECT_EQ(snap::firstMismatch(snap::observe(live), snap::observe(cold)),
+            "");
 }
 
 // Restoring into a core whose block cache ran hot with *no* breakpoints

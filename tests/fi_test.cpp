@@ -4,10 +4,11 @@
 // The claims under test:
 //
 //   * Non-perturbation: an armed campaign whose faults never fire leaves
-//     every observable — registers, memory checksums, IRQ timestamps,
-//     the full bus transaction log and the rolling state digest — byte-
-//     identical to an FI-off run, on both ISS engines (step() and
-//     threaded) and both kernels.
+//     every observable (the whole snap::Observation: registers, IRQ
+//     timestamps, the full bus transaction log, device state and the
+//     rolling state digest, which covers memory) byte-identical to an
+//     FI-off run, on both ISS engines (step() and threaded) and both
+//     kernels.
 //   * Engine equivalence under fire: a firing fault lands at the same
 //     block-boundary epoch on both engines, under sequential and
 //     parallel rounds, so the post-fault timeline is bit-identical
@@ -22,7 +23,6 @@
 //     re-fire after a rewind).
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -37,8 +37,8 @@
 #include "fi/watchdog.h"
 #include "obs/metrics.h"
 #include "platform/platform.h"
+#include "snap/observe.h"
 #include "snap/snapshot.h"
-#include "soc/bus.h"
 #include "soc/peripherals.h"
 #include "workloads/workloads.h"
 
@@ -47,160 +47,10 @@ namespace {
 
 constexpr uint64_t kNever = fi::CoreInjector::kNever;
 
-// ---- board plumbing (same idiom as tests/snap_test.cpp) ---------------
-
-struct GridBoard {
-  std::vector<workloads::Workload> programs;
-  std::vector<elf::Object> images;
-  std::vector<const elf::Object*> image_ptrs;
-  std::vector<uint32_t> extra_leaders;
-};
-
-GridBoard makeBoard(const std::vector<workloads::Workload>& programs) {
-  GridBoard b;
-  b.programs = programs;
-  for (const workloads::Workload& w : b.programs) {
-    b.images.push_back(workloads::assemble(w));
-    if (!w.irq_handler.empty()) {
-      b.extra_leaders.push_back(
-          platform::symbolAddr(b.images.back(), w.irq_handler));
-    }
-  }
-  for (const elf::Object& obj : b.images) {
-    b.image_ptrs.push_back(&obj);
-  }
-  return b;
-}
-
-GridBoard makeBoard(const std::vector<std::string>& names) {
-  std::vector<workloads::Workload> programs;
-  for (const std::string& name : names) {
-    programs.push_back(workloads::get(name));
-  }
-  return makeBoard(programs);
-}
-
-struct RunConfig {
-  xlat::DetailLevel level = xlat::DetailLevel::kICache;
-  bool use_block_cache = true;
-  bool parallel = false;
-  sim::Cycle quantum = 1024;
-  bool watchdog = false;
-};
-
-std::unique_ptr<platform::ReferenceBoard> buildBoard(const GridBoard& grid,
-                                                     const RunConfig& rc) {
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
+platform::BoardConfig withWatchdog() {
   platform::BoardConfig cfg;
-  cfg.iss = platform::issConfigFor(rc.level);
-  cfg.iss.use_block_cache = rc.use_block_cache;
-  cfg.iss.extra_leaders = grid.extra_leaders;
-  cfg.quantum = rc.quantum;
-  cfg.parallel.enabled = rc.parallel;
-  cfg.parallel.workers = 2;  // real threads even on 1-core hosts
-  cfg.watchdog = rc.watchdog;
-  return std::make_unique<platform::ReferenceBoard>(desc, grid.image_ptrs,
-                                                    cfg);
-}
-
-/// Every observable the acceptance criteria name, plus the digest.
-struct BoardObs {
-  std::vector<uint64_t> instructions;
-  std::vector<iss::StopReason> stop;
-  std::vector<uint32_t> pc;
-  std::vector<std::array<uint32_t, 16>> d;
-  std::vector<std::array<uint32_t, 16>> a;
-  std::vector<uint32_t> checksum;
-  std::vector<std::vector<uint64_t>> irq_times;
-  std::vector<uint32_t> intc_pending;
-  std::vector<uint64_t> irqs_taken;
-  uint64_t bus_cycle = 0;
-  std::array<uint32_t, 16> scratch{};
-  std::vector<soc::Transaction> bus_log;
-  uint64_t kernel_events = 0;
-  uint64_t digest = 0;
-};
-
-BoardObs capture(platform::ReferenceBoard& board, const GridBoard& grid) {
-  BoardObs s;
-  for (size_t i = 0; i < board.numCores(); ++i) {
-    s.instructions.push_back(board.core(i).stats().instructions);
-    s.stop.push_back(board.core(i).stopReason());
-    s.pc.push_back(board.core(i).pc());
-    std::array<uint32_t, 16> d{};
-    std::array<uint32_t, 16> a{};
-    for (int r = 0; r < 16; ++r) {
-      d[static_cast<size_t>(r)] = board.core(i).d(r);
-      a[static_cast<size_t>(r)] = board.core(i).a(r);
-    }
-    s.d.push_back(d);
-    s.a.push_back(a);
-    s.checksum.push_back(
-        workloads::readChecksum(grid.images[i], board.core(i).memory()));
-    s.irq_times.push_back(board.intc(i).deliveryTimes());
-    s.intc_pending.push_back(board.intc(i).pending());
-    s.irqs_taken.push_back(board.core(i).stats().irqs_taken);
-  }
-  s.bus_cycle = board.board().bus.socCycle();
-  for (size_t r = 0; r < 16; ++r) {
-    s.scratch[r] = board.board().scratch.reg(r);
-  }
-  s.bus_log = board.board().bus.log();
-  s.kernel_events = board.kernel().eventsDispatched();
-  s.digest = snap::digest(board);
-  return s;
-}
-
-void expectIdentical(const BoardObs& got, const BoardObs& want) {
-  ASSERT_EQ(got.instructions.size(), want.instructions.size());
-  for (size_t i = 0; i < got.instructions.size(); ++i) {
-    SCOPED_TRACE("core " + std::to_string(i));
-    EXPECT_EQ(got.instructions[i], want.instructions[i]);
-    EXPECT_EQ(got.stop[i], want.stop[i]);
-    EXPECT_EQ(got.pc[i], want.pc[i]);
-    EXPECT_EQ(got.d[i], want.d[i]);
-    EXPECT_EQ(got.a[i], want.a[i]);
-    EXPECT_EQ(got.checksum[i], want.checksum[i]);
-    EXPECT_EQ(got.irq_times[i], want.irq_times[i])
-        << "IRQ delivery timestamps";
-    EXPECT_EQ(got.intc_pending[i], want.intc_pending[i]);
-    EXPECT_EQ(got.irqs_taken[i], want.irqs_taken[i]);
-  }
-  EXPECT_EQ(got.bus_cycle, want.bus_cycle);
-  EXPECT_EQ(got.scratch, want.scratch);
-  EXPECT_EQ(got.kernel_events, want.kernel_events);
-  EXPECT_EQ(got.digest, want.digest) << "rolling state digest";
-  ASSERT_EQ(got.bus_log.size(), want.bus_log.size());
-  for (size_t i = 0; i < got.bus_log.size(); ++i) {
-    const soc::Transaction& a = got.bus_log[i];
-    const soc::Transaction& b = want.bus_log[i];
-    EXPECT_EQ(a.soc_cycle, b.soc_cycle) << "transaction " << i;
-    EXPECT_EQ(a.addr, b.addr) << "transaction " << i;
-    EXPECT_EQ(a.value, b.value) << "transaction " << i;
-    EXPECT_EQ(a.size, b.size) << "transaction " << i;
-    EXPECT_EQ(a.is_write, b.is_write) << "transaction " << i;
-  }
-}
-
-const std::vector<RunConfig>& engineGrid() {
-  static const std::vector<RunConfig>* grid = [] {
-    auto* g = new std::vector<RunConfig>;
-    for (const bool parallel : {false, true}) {
-      for (const bool block_cache : {false, true}) {
-        RunConfig rc;
-        rc.use_block_cache = block_cache;
-        rc.parallel = parallel;
-        g->push_back(rc);
-      }
-    }
-    return g;
-  }();
-  return *grid;
-}
-
-std::string configName(const RunConfig& rc) {
-  return std::string(rc.use_block_cache ? "threaded" : "step") +
-         (rc.parallel ? "_par" : "_seq");
+  cfg.watchdog = true;
+  return cfg;
 }
 
 // ---- spec parsing and injector validation -----------------------------
@@ -329,15 +179,14 @@ TEST(FaultProxyUnit, StallsOnlyInsideTheWindow) {
 // An armed campaign whose faults never fire is invisible: digest and the
 // full bus log match an FI-off run on every engine and both kernels.
 TEST(NonPerturbation, ArmedIdleCampaignIsByteIdentical) {
-  const GridBoard grid =
-      makeBoard(std::vector<std::string>{"mc_producer", "mc_consumer"});
-  for (const RunConfig& rc : engineGrid()) {
-    SCOPED_TRACE(configName(rc));
-    auto ref = buildBoard(grid, rc);
+  const auto images = workloads::BoardImages::family(2);
+  for (const snap::GridPoint& point : snap::engineGrid()) {
+    SCOPED_TRACE(snap::gridPointName(point));
+    auto ref = snap::makeBoard(images, point);
     ref->run();
-    const BoardObs want = capture(*ref, grid);
+    const snap::Observation want = snap::observe(*ref);
 
-    auto board = buildBoard(grid, rc);
+    auto board = snap::makeBoard(images, point);
     fi::Campaign camp;
     for (size_t core = 0; core < 2; ++core) {
       fi::FaultSpec f;
@@ -360,7 +209,7 @@ TEST(NonPerturbation, ArmedIdleCampaignIsByteIdentical) {
     camp.add(stall);
     camp.arm(*board);
     board->run();
-    expectIdentical(capture(*board, grid), want);
+    EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");
     EXPECT_EQ(camp.firedCount(), 0u);
     EXPECT_EQ(board->board().bus.busFaultFires(), 0u);
 
@@ -379,19 +228,18 @@ TEST(NonPerturbation, ArmedIdleCampaignIsByteIdentical) {
 // the same boundary epoch in every engine: the post-fault timeline is
 // bit-identical everywhere, and differs from the clean run.
 TEST(FaultEquivalence, RegisterAndMemoryFlipsMatchAcrossEngines) {
-  const GridBoard grid = makeBoard(std::vector<std::string>{"mc_worker"});
-  const uint32_t x_addr = platform::symbolAddr(grid.images[0], "x");
+  const auto images = workloads::BoardImages::named({"mc_worker"});
+  const uint32_t x_addr = platform::symbolAddr(images.image(0), "x");
 
-  RunConfig clean_rc;
-  auto clean = buildBoard(grid, clean_rc);
+  auto clean = snap::makeBoard(images);
   clean->run();
   const uint64_t clean_digest = snap::digest(*clean);
 
   bool have_want = false;
-  BoardObs want;
-  for (const RunConfig& rc : engineGrid()) {
-    SCOPED_TRACE(configName(rc));
-    auto board = buildBoard(grid, rc);
+  snap::Observation want;
+  for (const snap::GridPoint& point : snap::engineGrid()) {
+    SCOPED_TRACE(snap::gridPointName(point));
+    auto board = snap::makeBoard(images, point);
     fi::Campaign camp;
     fi::FaultSpec reg;
     reg.kind = fi::FaultKind::kDataRegFlip;
@@ -407,7 +255,7 @@ TEST(FaultEquivalence, RegisterAndMemoryFlipsMatchAcrossEngines) {
     camp.add(mem);
     camp.arm(*board);
     board->run();
-    const BoardObs got = capture(*board, grid);
+    const snap::Observation got = snap::observe(*board);
     EXPECT_EQ(camp.firedCount(), 2u);
     const std::vector<fi::FiredFault>& fired = camp.fired(0);
     ASSERT_EQ(fired.size(), 2u);
@@ -422,7 +270,7 @@ TEST(FaultEquivalence, RegisterAndMemoryFlipsMatchAcrossEngines) {
       // the clean run's.
       EXPECT_NE(got.digest, clean_digest);
     } else {
-      expectIdentical(got, want);
+      EXPECT_EQ(snap::firstMismatch(want, got), "");
     }
   }
 }
@@ -475,13 +323,13 @@ TEST(BusError, WindowPoisonsReadsAndRaisesThePreciseTrap) {
   probe.description = "bus-error trap counter";
   probe.source = kBusErrProbe;
   probe.irq_handler = "isr";
-  const GridBoard grid = makeBoard(std::vector<workloads::Workload>{probe});
+  const workloads::BoardImages images({probe});
 
   bool have_want = false;
-  BoardObs want;
-  for (const RunConfig& rc : engineGrid()) {
-    SCOPED_TRACE(configName(rc));
-    auto board = buildBoard(grid, rc);
+  snap::Observation want;
+  for (const snap::GridPoint& point : snap::engineGrid()) {
+    SCOPED_TRACE(snap::gridPointName(point));
+    auto board = snap::makeBoard(images, point);
     fi::Campaign camp;
     fi::FaultSpec f;
     f.kind = fi::FaultKind::kBusError;
@@ -491,18 +339,20 @@ TEST(BusError, WindowPoisonsReadsAndRaisesThePreciseTrap) {
     camp.add(f);
     camp.arm(*board);
     board->run();
-    const BoardObs got = capture(*board, grid);
+    const snap::Observation got = snap::observe(*board);
     EXPECT_EQ(board->board().bus.busFaultFires(), 2u);
-    EXPECT_EQ(got.stop[0], iss::StopReason::kHalted);
-    EXPECT_EQ(got.d[0][14], 2u) << "ISR bus-error count";
+    EXPECT_EQ(got.cores[0].stop, iss::StopReason::kHalted);
+    EXPECT_EQ(got.cores[0].d[14], 2u) << "ISR bus-error count";
     // checksum = 2 poison reads + 4 real reads of scratch register 0 (0)
-    EXPECT_EQ(got.checksum[0], static_cast<uint32_t>(2 * 0xdeadbeefull));
-    EXPECT_GE(got.irqs_taken[0], 2u);
+    EXPECT_EQ(
+        workloads::readChecksum(images.image(0), board->core(0).memory()),
+        static_cast<uint32_t>(2 * 0xdeadbeefull));
+    EXPECT_GE(got.cores[0].stats.irqs_taken, 2u);
     if (!have_want) {
       want = got;
       have_want = true;
     } else {
-      expectIdentical(got, want);
+      EXPECT_EQ(snap::firstMismatch(want, got), "");
     }
   }
 }
@@ -540,40 +390,38 @@ hang:   j16 hang              ; fault target: stops petting
 result: .word 0
 )";
 
-GridBoard makeWdBoard() {
+workloads::BoardImages makeWdImages() {
   workloads::Workload pet;
   pet.name = "wd_pet";
   pet.description = "watchdog-petting compute loop";
   pet.source = kWdPet;
-  GridBoard grid = makeBoard(std::vector<workloads::Workload>{pet});
+  workloads::BoardImages images({pet});
   // The fault redirects pc into `hang`, which static control flow never
   // reaches — make it a known block leader like an interrupt handler.
-  grid.extra_leaders.push_back(platform::symbolAddr(grid.images[0], "hang"));
-  return grid;
+  images.addLeader(0, "hang");
+  return images;
 }
 
 TEST(Watchdog, FiresOnHungGuestAndRecoveryRewindsPastTheFault) {
-  GridBoard grid = makeWdBoard();
-  RunConfig rc;
-  rc.watchdog = true;
+  const workloads::BoardImages images = makeWdImages();
 
-  auto clean = buildBoard(grid, rc);
+  auto clean = snap::makeBoard(images, {}, withWatchdog());
   clean->setCheckpointing({512, 4, ""});
   clean->run();
-  const BoardObs want = capture(*clean, grid);
+  const snap::Observation want = snap::observe(*clean);
   const std::vector<std::pair<sim::Cycle, uint64_t>> trail =
       clean->digestTrail();
   ASSERT_GE(trail.size(), 3u);
   EXPECT_EQ(clean->watchdog().fired(), 0u);  // a petted dog never fires
 
-  auto board = buildBoard(grid, rc);
+  auto board = snap::makeBoard(images, {}, withWatchdog());
   board->setCheckpointing({512, 4, ""});
   board->setExpectedTrail(trail);
   fi::Campaign camp;
   fi::FaultSpec f;
   f.kind = fi::FaultKind::kPcSet;
   f.cycle = 1500;
-  f.addr = platform::symbolAddr(grid.images[0], "hang");
+  f.addr = platform::symbolAddr(images.image(0), "hang");
   camp.add(f);
   camp.arm(*board);
   board->runTo(4000);
@@ -593,7 +441,7 @@ TEST(Watchdog, FiresOnHungGuestAndRecoveryRewindsPastTheFault) {
   // The pcset fault was consumed before the rewind: replay runs clean
   // and converges on the uninterrupted run.
   board->run();
-  expectIdentical(capture(*board, grid), want);
+  EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");
   EXPECT_EQ(board->watchdog().fired(), 0u) << "rewound watchdog state";
 
   obs::MetricsRegistry reg;
@@ -604,16 +452,14 @@ TEST(Watchdog, FiresOnHungGuestAndRecoveryRewindsPastTheFault) {
 }
 
 TEST(Recovery, AutoRecoverRewindsOnTrailDivergence) {
-  GridBoard grid = makeWdBoard();
-  RunConfig rc;
-  rc.watchdog = true;
+  const workloads::BoardImages images = makeWdImages();
 
-  auto clean = buildBoard(grid, rc);
+  auto clean = snap::makeBoard(images, {}, withWatchdog());
   clean->setCheckpointing({512, 4, ""});
   clean->run();
-  const BoardObs want = capture(*clean, grid);
+  const snap::Observation want = snap::observe(*clean);
 
-  auto board = buildBoard(grid, rc);
+  auto board = snap::makeBoard(images, {}, withWatchdog());
   board->setCheckpointing({512, 4, ""});
   board->setExpectedTrail(clean->digestTrail());
   platform::RecoveryConfig recovery;
@@ -623,7 +469,7 @@ TEST(Recovery, AutoRecoverRewindsOnTrailDivergence) {
   fi::FaultSpec f;
   f.kind = fi::FaultKind::kPcSet;
   f.cycle = 1500;
-  f.addr = platform::symbolAddr(grid.images[0], "hang");
+  f.addr = platform::symbolAddr(images.image(0), "hang");
   camp.add(f);
   camp.arm(*board);
   // run() crosses the divergent checkpoint, auto-recovers to the newest
@@ -633,19 +479,18 @@ TEST(Recovery, AutoRecoverRewindsOnTrailDivergence) {
   EXPECT_EQ(board->divergences(), 1u);
   EXPECT_EQ(board->watchdog().fired(), 0u)
       << "divergence detection recovered before the watchdog expired";
-  expectIdentical(capture(*board, grid), want);
+  EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");
 }
 
 // ---- snapshot-ring corruption and graceful degradation ----------------
 
 TEST(Recovery, CorruptRingEntriesFallBackToTheNewestIntactOne) {
-  const GridBoard grid = makeBoard(std::vector<std::string>{"irq_ticks"});
-  const RunConfig rc;
-  auto clean = buildBoard(grid, rc);
+  const auto images = workloads::BoardImages::family(1);
+  auto clean = snap::makeBoard(images);
   clean->run();
-  const BoardObs want = capture(*clean, grid);
+  const snap::Observation want = snap::observe(*clean);
 
-  auto board = buildBoard(grid, rc);
+  auto board = snap::makeBoard(images);
   board->setCheckpointing({512, 4, ""});
   fi::Campaign camp;
   fi::FaultSpec f;
@@ -658,7 +503,7 @@ TEST(Recovery, CorruptRingEntriesFallBackToTheNewestIntactOne) {
   // Corrupting ring copies never touches live state: the run itself is
   // still byte-identical to the clean one. irq_ticks checkpoints at 512,
   // 1024 and 2560; the campaign corrupted the newer two.
-  expectIdentical(capture(*board, grid), want);
+  EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");
   ASSERT_EQ(board->checkpoints().size(), 3u);
   EXPECT_EQ(camp.ringCorruptions(), 2u);
   obs::MetricsRegistry reg;
@@ -673,22 +518,21 @@ TEST(Recovery, CorruptRingEntriesFallBackToTheNewestIntactOne) {
   EXPECT_EQ(rep.entries_corrupt, 2u);
   EXPECT_EQ(rep.resume_cycle, 512u);
   board->run();
-  expectIdentical(capture(*board, grid), want);
+  EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");
 }
 
 TEST(Recovery, SpilledRingRetriesUnreadableFilesThenFallsBack) {
-  const GridBoard grid = makeBoard(std::vector<std::string>{"irq_ticks"});
-  const RunConfig rc;
-  auto clean = buildBoard(grid, rc);
+  const auto images = workloads::BoardImages::family(1);
+  auto clean = snap::makeBoard(images);
   clean->run();
-  const BoardObs want = capture(*clean, grid);
+  const snap::Observation want = snap::observe(*clean);
 
   const std::string dir =
       (std::filesystem::path(::testing::TempDir()) / "fi_ring").string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  auto board = buildBoard(grid, rc);
+  auto board = snap::makeBoard(images);
   board->setCheckpointing({512, 4, dir});
   platform::RecoveryConfig recovery;
   recovery.io_attempts = 3;
@@ -721,7 +565,7 @@ TEST(Recovery, SpilledRingRetriesUnreadableFilesThenFallsBack) {
   EXPECT_EQ(rep.entries_corrupt, 2u);
   EXPECT_EQ(rep.io_retries, 2u) << "3 attempts on the deleted file";
   board->run();
-  expectIdentical(capture(*board, grid), want);
+  EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");
   std::filesystem::remove_all(dir);
 }
 

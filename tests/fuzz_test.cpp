@@ -36,9 +36,10 @@
 #include "fuzz/oracle.h"
 #include "fuzz/program_gen.h"
 #include "platform/platform.h"
+#include "snap/observe.h"
 #include "snap/snapshot.h"
-#include "soc/bus.h"
 #include "trc/assembler.h"
+#include "workloads/workloads.h"
 
 namespace cabt {
 namespace {
@@ -92,58 +93,35 @@ TEST(EdgeCoverage, MergeAndNewBits) {
 
 // ---- board helpers ----------------------------------------------------
 
-struct FuzzBoard {
-  std::vector<elf::Object> images;
-  std::vector<const elf::Object*> ptrs;
-};
-
-FuzzBoard makeBoard(const std::vector<std::string>& programs) {
-  FuzzBoard b;
-  for (const std::string& p : programs) {
-    b.images.push_back(trc::assemble(p));
-  }
-  for (const elf::Object& obj : b.images) {
-    b.ptrs.push_back(&obj);
-  }
-  return b;
-}
-
-platform::BoardConfig boardConfig(bool threaded, bool parallel) {
-  platform::BoardConfig cfg;
-  cfg.iss = platform::issConfigFor(xlat::DetailLevel::kICache);
-  cfg.iss.use_block_cache = threaded;
-  cfg.iss.trace_threshold = 2;
-  cfg.iss.threaded_threshold = 2;
-  cfg.iss.max_instructions = 2'000'000;
-  cfg.quantum = 256;
-  cfg.parallel.enabled = parallel;
-  cfg.parallel.workers = 2;
-  return cfg;
+/// An icache-level board with aggressive trace and threaded-code
+/// formation, as the oracle runs it.
+std::unique_ptr<platform::ReferenceBoard> fuzzBoard(
+    const workloads::BoardImages& images, bool threaded, bool parallel) {
+  platform::BoardConfig base;
+  base.iss.trace_threshold = 2;
+  base.iss.threaded_threshold = 2;
+  base.iss.max_instructions = 2'000'000;
+  base.quantum = 256;
+  return snap::makeBoard(
+      images, {xlat::DetailLevel::kICache, threaded, parallel}, base);
 }
 
 struct CovRun {
-  uint64_t digest = 0;
-  std::vector<soc::Transaction> bus_log;
+  snap::Observation obs;
   uint64_t bits = 0;
 };
 
-CovRun runWithCoverage(const FuzzBoard& fb, bool threaded, bool parallel,
-                       bool collect) {
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  platform::ReferenceBoard board(desc, fb.ptrs,
-                                 boardConfig(threaded, parallel));
+CovRun runWithCoverage(const workloads::BoardImages& images, bool threaded,
+                       bool parallel, bool collect) {
+  const auto board = fuzzBoard(images, threaded, parallel);
   core::EdgeCoverage cov;
   if (collect) {
-    for (size_t i = 0; i < board.numCores(); ++i) {
-      board.attachEdgeCoverage(i, &cov);
+    for (size_t i = 0; i < board->numCores(); ++i) {
+      board->attachEdgeCoverage(i, &cov);
     }
   }
-  board.run();
-  CovRun r;
-  r.digest = snap::digest(board);
-  r.bus_log = board.board().bus.log();
-  r.bits = cov.bitsSet();
-  return r;
+  board->run();
+  return {snap::observe(*board), cov.bitsSet()};
 }
 
 // ---- 2. coverage collection is non-perturbing -------------------------
@@ -151,21 +129,15 @@ CovRun runWithCoverage(const FuzzBoard& fb, bool threaded, bool parallel,
 TEST(Coverage, CollectionNeverPerturbsArchitecturalState) {
   fuzz::ProgramGenerator gen0(testSeed() + 21, /*shared_traffic=*/true);
   fuzz::ProgramGenerator gen1(testSeed() + 22, /*shared_traffic=*/true);
-  const FuzzBoard board = makeBoard({gen0.generate(), gen1.generate()});
+  const auto images =
+      workloads::BoardImages::assembled({gen0.generate(), gen1.generate()});
   for (const bool threaded : {false, true}) {
     for (const bool parallel : {false, true}) {
       SCOPED_TRACE(std::string(threaded ? "threaded" : "step") +
                    (parallel ? " parallel" : " sequential"));
-      const CovRun off = runWithCoverage(board, threaded, parallel, false);
-      const CovRun on = runWithCoverage(board, threaded, parallel, true);
-      EXPECT_EQ(off.digest, on.digest);
-      ASSERT_EQ(off.bus_log.size(), on.bus_log.size());
-      for (size_t i = 0; i < off.bus_log.size(); ++i) {
-        EXPECT_EQ(off.bus_log[i].soc_cycle, on.bus_log[i].soc_cycle) << i;
-        EXPECT_EQ(off.bus_log[i].addr, on.bus_log[i].addr) << i;
-        EXPECT_EQ(off.bus_log[i].value, on.bus_log[i].value) << i;
-        EXPECT_EQ(off.bus_log[i].is_write, on.bus_log[i].is_write) << i;
-      }
+      const CovRun off = runWithCoverage(images, threaded, parallel, false);
+      const CovRun on = runWithCoverage(images, threaded, parallel, true);
+      EXPECT_EQ(snap::firstMismatch(off.obs, on.obs), "");
       EXPECT_GT(on.bits, 0u);  // the observer did observe something
     }
   }
@@ -173,10 +145,10 @@ TEST(Coverage, CollectionNeverPerturbsArchitecturalState) {
 
 TEST(Coverage, SignalIsDeterministicAcrossEngines) {
   fuzz::ProgramGenerator gen(testSeed() + 23);
-  const FuzzBoard board = makeBoard({gen.generate()});
-  const CovRun step = runWithCoverage(board, /*threaded=*/false, false, true);
+  const auto images = workloads::BoardImages::assembled({gen.generate()});
+  const CovRun step = runWithCoverage(images, /*threaded=*/false, false, true);
   const CovRun threaded =
-      runWithCoverage(board, /*threaded=*/true, false, true);
+      runWithCoverage(images, /*threaded=*/true, false, true);
   EXPECT_EQ(threaded.bits, step.bits);
 }
 
@@ -383,23 +355,20 @@ TEST(Oracle, SnapshotCacheServesForkedRuns) {
 // ---- 6. snapshot-fork vs cold bit-identity ---------------------------
 
 TEST(SnapshotFork, ForksMatchColdRunsUnderDivergentMutations) {
-  const FuzzBoard fb = makeBoard({longProgram(600)});
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  const platform::BoardConfig cfg =
-      boardConfig(/*threaded=*/true, false);
+  const auto images = workloads::BoardImages::assembled({longProgram(600)});
 
   // Clean-run length, then warm one board to the midpoint and snapshot.
   uint64_t total = 0;
   {
-    platform::ReferenceBoard ref(desc, fb.ptrs, cfg);
-    ASSERT_EQ(ref.run(), iss::StopReason::kHalted);
-    total = ref.board().bus.socCycle();
+    const auto ref = fuzzBoard(images, /*threaded=*/true, false);
+    ASSERT_EQ(ref->run(), iss::StopReason::kHalted);
+    total = ref->board().bus.socCycle();
   }
   ASSERT_GT(total, 400u);
   const uint64_t fork = total / 2;
-  platform::ReferenceBoard warm(desc, fb.ptrs, cfg);
-  warm.runTo(fork);
-  const std::vector<uint8_t> snapshot = snap::save(warm);
+  const auto warm = fuzzBoard(images, true, false);
+  warm->runTo(fork);
+  const std::vector<uint8_t> snapshot = snap::save(*warm);
 
   std::set<uint64_t> final_digests;
   for (int n = 0; n < 4; ++n) {
@@ -408,21 +377,21 @@ TEST(SnapshotFork, ForksMatchColdRunsUnderDivergentMutations) {
                              ":core=0,index=" + std::to_string(n) +
                              ",mask=" + std::to_string(1u << (n + 1));
     // Forked run: restore the warmed snapshot, arm, finish.
-    platform::ReferenceBoard forked(desc, fb.ptrs, cfg);
-    snap::restore(forked, snapshot);
+    const auto forked = fuzzBoard(images, true, false);
+    snap::restore(*forked, snapshot);
     fi::Campaign fc;
     fc.add(fi::parseFaultSpec(spec));
-    fc.arm(forked);
-    forked.run();
+    fc.arm(*forked);
+    forked->run();
     // Cold run: same mutation armed from reset, same cycle.
-    platform::ReferenceBoard cold(desc, fb.ptrs, cfg);
+    const auto cold = fuzzBoard(images, true, false);
     fi::Campaign cc;
     cc.add(fi::parseFaultSpec(spec));
-    cc.arm(cold);
-    cold.run();
+    cc.arm(*cold);
+    cold->run();
     EXPECT_EQ(fc.firedCount(), cc.firedCount());
-    EXPECT_EQ(snap::digest(forked), snap::digest(cold));
-    final_digests.insert(snap::digest(forked));
+    EXPECT_EQ(snap::digest(*forked), snap::digest(*cold));
+    final_digests.insert(snap::digest(*forked));
   }
   // The four register mutations really diverged from one another.
   EXPECT_GT(final_digests.size(), 1u);

@@ -8,10 +8,11 @@
 //   3. The sampling profiler attributes the irq_ticks hot loop to its
 //      known function (`wait`), and its due-time ladder is idempotent.
 //   4. The determinism rule holds: enabling every obs sink changes no
-//      architectural byte — snap::digest and the full bus transaction
-//      log are bit-identical with obs on and off, on both ISS engines
-//      and both kernels, and the sample stream itself is
-//      bit-identical between the sequential and parallel kernels.
+//      architectural byte — the whole snap::Observation, digest and full
+//      bus transaction log included, is bit-identical with obs on and
+//      off, on both ISS engines and both kernels, and the sample stream
+//      itself is bit-identical between the sequential and parallel
+//      kernels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,8 +27,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "platform/platform.h"
-#include "snap/snapshot.h"
-#include "soc/bus.h"
+#include "snap/observe.h"
 #include "workloads/workloads.h"
 
 namespace cabt {
@@ -265,58 +265,22 @@ TEST(Trace, JsonIsWellFormed) {
 
 // ---- boards under observation ----------------------------------------
 
-struct ObsBoard {
-  std::vector<const workloads::Workload*> programs;
-  std::vector<elf::Object> images;
-  std::vector<const elf::Object*> image_ptrs;
-  std::vector<uint32_t> extra_leaders;
-};
-
-ObsBoard makeBoard(size_t cores) {
-  ObsBoard b;
-  if (cores == 1) {
-    b.programs = {&workloads::get("irq_ticks")};
-  } else {
-    b.programs = {&workloads::get("mc_producer"),
-                  &workloads::get("mc_consumer")};
-    while (b.programs.size() < cores) {
-      b.programs.push_back(&workloads::get("mc_worker"));
-    }
-  }
-  for (const workloads::Workload* w : b.programs) {
-    b.images.push_back(workloads::assemble(*w));
-    if (!w->irq_handler.empty()) {
-      b.extra_leaders.push_back(
-          platform::symbolAddr(b.images.back(), w->irq_handler));
-    }
-  }
-  for (const elf::Object& obj : b.images) {
-    b.image_ptrs.push_back(&obj);
-  }
-  return b;
-}
-
 struct ObsRun {
-  uint64_t digest = 0;
-  std::vector<soc::Transaction> bus_log;
+  snap::Observation obs;
   /// Per-core (pc, count) sample streams, sorted for comparison.
   std::vector<std::vector<std::pair<uint32_t, uint64_t>>> samples;
   std::string trace_json;
   obs::MetricsRegistry metrics;
 };
 
-ObsRun runBoard(const ObsBoard& grid, bool threaded, bool parallel,
-                bool observe, uint64_t sample_period = 256) {
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  platform::BoardConfig cfg;
-  cfg.iss = platform::issConfigFor(xlat::DetailLevel::kICache);
-  cfg.iss.use_block_cache = threaded;
-  cfg.iss.extra_leaders = grid.extra_leaders;
-  cfg.iss.max_instructions = 30'000;
-  cfg.quantum = 256;
-  cfg.parallel.enabled = parallel;
-  cfg.parallel.workers = 2;
-  platform::ReferenceBoard board(desc, grid.image_ptrs, cfg);
+ObsRun runBoard(const workloads::BoardImages& images, bool threaded,
+                bool parallel, bool observe, uint64_t sample_period = 256) {
+  platform::BoardConfig base;
+  base.iss.max_instructions = 30'000;
+  base.quantum = 256;
+  const auto owned = snap::makeBoard(
+      images, {xlat::DetailLevel::kICache, threaded, parallel}, base);
+  platform::ReferenceBoard& board = *owned;
   obs::TraceSink sink;
   std::vector<std::unique_ptr<obs::PcSampler>> samplers;
   if (observe) {
@@ -328,8 +292,7 @@ ObsRun runBoard(const ObsBoard& grid, bool threaded, bool parallel,
   }
   board.run();
   ObsRun r;
-  r.digest = snap::digest(board);
-  r.bus_log = board.board().bus.log();
+  r.obs = snap::observe(board);
   if (observe) {
     for (size_t i = 0; i < board.numCores(); ++i) {
       std::vector<std::pair<uint32_t, uint64_t>> s(
@@ -343,28 +306,17 @@ ObsRun runBoard(const ObsBoard& grid, bool threaded, bool parallel,
   return r;
 }
 
-void expectSameArchitecture(const ObsRun& a, const ObsRun& b) {
-  EXPECT_EQ(a.digest, b.digest);
-  ASSERT_EQ(a.bus_log.size(), b.bus_log.size());
-  for (size_t i = 0; i < a.bus_log.size(); ++i) {
-    EXPECT_EQ(a.bus_log[i].soc_cycle, b.bus_log[i].soc_cycle) << i;
-    EXPECT_EQ(a.bus_log[i].addr, b.bus_log[i].addr) << i;
-    EXPECT_EQ(a.bus_log[i].value, b.bus_log[i].value) << i;
-    EXPECT_EQ(a.bus_log[i].is_write, b.bus_log[i].is_write) << i;
-  }
-}
-
 // The hard requirement: all sinks enabled, nothing architectural moves
 // — on both ISS engines and both kernels.
 TEST(ObsDifferential, ObserversNeverPerturbArchitecturalState) {
-  const ObsBoard board = makeBoard(4);
+  const auto images = workloads::BoardImages::family(4);
   for (const bool threaded : {false, true}) {
     for (const bool parallel : {false, true}) {
       SCOPED_TRACE(std::string(threaded ? "threaded" : "step") +
                    (parallel ? " parallel" : " sequential"));
-      const ObsRun off = runBoard(board, threaded, parallel, false);
-      const ObsRun on = runBoard(board, threaded, parallel, true);
-      expectSameArchitecture(off, on);
+      const ObsRun off = runBoard(images, threaded, parallel, false);
+      const ObsRun on = runBoard(images, threaded, parallel, true);
+      EXPECT_EQ(snap::firstMismatch(off.obs, on.obs), "");
       EXPECT_TRUE(JsonChecker(on.trace_json).valid());
       EXPECT_GT(on.metrics.size(), 0u);
     }
@@ -376,21 +328,21 @@ TEST(ObsDifferential, ObserversNeverPerturbArchitecturalState) {
 // two engines, because sampling is a pure function of (local time, pc)
 // at block boundaries.
 TEST(ObsDifferential, SampleStreamIdenticalAcrossKernelsAndEngines) {
-  const ObsBoard board = makeBoard(4);
-  const ObsRun baseline = runBoard(board, /*threaded=*/false, false, true);
+  const auto images = workloads::BoardImages::family(4);
+  const ObsRun baseline = runBoard(images, /*threaded=*/false, false, true);
   for (const bool threaded : {false, true}) {
     for (const bool parallel : {false, true}) {
       SCOPED_TRACE(std::string(threaded ? "threaded" : "step") +
                    (parallel ? " parallel" : " sequential"));
-      const ObsRun run = runBoard(board, threaded, parallel, true);
+      const ObsRun run = runBoard(images, threaded, parallel, true);
       EXPECT_EQ(run.samples, baseline.samples);
     }
   }
 }
 
 TEST(ObsDifferential, ParallelTraceContainsBoardLanes) {
-  const ObsBoard board = makeBoard(4);
-  const ObsRun run = runBoard(board, /*threaded=*/true, true, true);
+  const auto images = workloads::BoardImages::family(4);
+  const ObsRun run = runBoard(images, /*threaded=*/true, true, true);
   EXPECT_NE(run.trace_json.find("\"core0\""), std::string::npos);
   EXPECT_NE(run.trace_json.find("\"core3\""), std::string::npos);
   EXPECT_NE(run.trace_json.find("kernel rounds"), std::string::npos);
@@ -423,18 +375,14 @@ TEST(Profiler, DueLadderIsIdempotentAndChargesMissedPeriods) {
 }
 
 TEST(Profiler, AttributesIrqTicksHotLoopToWait) {
-  const ObsBoard board = makeBoard(1);
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  platform::BoardConfig cfg;
-  cfg.iss = platform::issConfigFor(xlat::DetailLevel::kICache);
-  cfg.iss.extra_leaders = board.extra_leaders;
-  platform::ReferenceBoard b(desc, board.image_ptrs, cfg);
+  const auto images = workloads::BoardImages::family(1);
+  const auto b = snap::makeBoard(images);
   obs::PcSampler sampler(64);
-  b.attachSampler(0, &sampler);
-  b.run();
+  b->attachSampler(0, &sampler);
+  b->run();
   ASSERT_GT(sampler.totalSamples(), 0u);
   const std::vector<obs::ProfileEntry> entries =
-      obs::attributeSamples(sampler, b.iss().symbols());
+      obs::attributeSamples(sampler, b->iss().symbols());
   ASSERT_FALSE(entries.empty());
   // irq_ticks spends nearly all its time in the `wait` spin loop.
   EXPECT_EQ(entries.front().name, "wait");
@@ -446,11 +394,11 @@ TEST(Profiler, AttributesIrqTicksHotLoopToWait) {
 }
 
 TEST(Profiler, SymbolizedHotBlocks) {
-  const ObsBoard board = makeBoard(1);
+  const auto images = workloads::BoardImages::family(1);
   const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
   iss::IssConfig config = platform::issConfigFor(xlat::DetailLevel::kICache);
-  config.extra_leaders = board.extra_leaders;
-  platform::ReferenceBoard b(desc, *board.image_ptrs[0], config);
+  config.extra_leaders = images.extraLeaders();
+  platform::ReferenceBoard b(desc, images.image(0), config);
   b.run();
   const std::vector<iss::HotBlock> hot = b.iss().hotBlocks(5);
   ASSERT_FALSE(hot.empty());

@@ -12,7 +12,6 @@
 // over a wide program space rather than just the hand-written workloads.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdlib>
 #include <random>
 #include <sstream>
@@ -22,8 +21,10 @@
 #include "iss/iss.h"
 #include "platform/platform.h"
 #include "rtlsim/rtlsim.h"
+#include "snap/observe.h"
 #include "snap/snapshot.h"
 #include "trc/assembler.h"
+#include "workloads/workloads.h"
 #include "xlat/translator.h"
 
 namespace cabt {
@@ -81,22 +82,8 @@ TEST_P(RandomPrograms, AllVehiclesAgree) {
     iss::Iss other(desc, obj, nullptr, cfg);
     other.enableBlockTrace(true);
     ASSERT_EQ(other.run(), iss::StopReason::kHalted);
-    EXPECT_EQ(other.stats().instructions, ref.stats().instructions);
-    EXPECT_EQ(other.stats().cycles, ref.stats().cycles);
-    EXPECT_EQ(other.stats().pipeline_cycles, ref.stats().pipeline_cycles);
-    EXPECT_EQ(other.stats().branch_extra, ref.stats().branch_extra);
-    EXPECT_EQ(other.stats().cache_penalty, ref.stats().cache_penalty);
-    EXPECT_EQ(other.stats().blocks, ref.stats().blocks);
-    EXPECT_EQ(other.stats().icache_accesses, ref.stats().icache_accesses);
-    EXPECT_EQ(other.stats().icache_misses, ref.stats().icache_misses);
-    EXPECT_EQ(other.stats().cond_branches, ref.stats().cond_branches);
-    EXPECT_EQ(other.stats().cond_taken, ref.stats().cond_taken);
-    EXPECT_EQ(other.stats().mispredicts, ref.stats().mispredicts);
-    EXPECT_EQ(other.pc(), ref.pc());
-    for (int i = 0; i < 16; ++i) {
-      EXPECT_EQ(other.d(i), ref.d(i)) << "d" << i;
-      EXPECT_EQ(other.a(i), ref.a(i)) << "a" << i;
-    }
+    EXPECT_EQ(snap::firstMismatch(snap::observe(ref), snap::observe(other)),
+              "");
     ASSERT_EQ(other.blockTrace().size(), ref.blockTrace().size());
     for (size_t i = 0; i < other.blockTrace().size(); ++i) {
       const iss::BlockRecord& s = other.blockTrace()[i];
@@ -135,9 +122,7 @@ TEST_P(RandomPrograms, AllVehiclesAgree) {
   }
 
   // Translation at every level.
-  for (const xlat::DetailLevel level :
-       {xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
-        xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache}) {
+  for (const xlat::DetailLevel level : xlat::kDetailLevels) {
     SCOPED_TRACE(xlat::detailLevelName(level));
     xlat::TranslateOptions opts;
     opts.level = level;
@@ -172,6 +157,20 @@ TEST(RandomPrograms, GeneratorIsDeterministic) {
 // must agree bit-exactly: registers, cycles, and the shared bus's full
 // transaction log (order, payloads and SoC-cycle stamps).
 
+/// Three different random programs with shared mailbox/scratch chatter,
+/// one per core; appends each core's generator config to `described`.
+workloads::BoardImages threeCoreBoard(uint32_t seed, std::string& described) {
+  std::vector<std::string> sources;
+  for (uint32_t core = 0; core < 3; ++core) {
+    ProgramGenerator gen(
+        GeneratorConfig{seed + 1000 * core, /*shared_traffic=*/true});
+    described += " core" + std::to_string(core) + "=[" +
+                 fuzz::describe(gen.config()) + "]";
+    sources.push_back(gen.generate());
+  }
+  return workloads::BoardImages::assembled(sources);
+}
+
 class MultiCoreRandomPrograms : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(MultiCoreRandomPrograms, ParallelKernelBitIdentical) {
@@ -179,77 +178,21 @@ TEST_P(MultiCoreRandomPrograms, ParallelKernelBitIdentical) {
   SCOPED_TRACE("seed: " + std::to_string(seed) + " (CABT_TEST_SEED base " +
                std::to_string(seedBase()) + " + param " +
                std::to_string(GetParam()) + ")");
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  std::vector<elf::Object> images;
-  std::vector<const elf::Object*> ptrs;
   std::string gen_desc = "generator: cores=3 detail=icache";
-  for (uint32_t core = 0; core < 3; ++core) {
-    ProgramGenerator gen(
-        GeneratorConfig{seed + 1000 * core, /*shared_traffic=*/true});
-    gen_desc += " core" + std::to_string(core) + "=[" +
-                fuzz::describe(gen.config()) + "]";
-    images.push_back(trc::assemble(gen.generate()));
-  }
+  const auto images = threeCoreBoard(seed, gen_desc);
   SCOPED_TRACE(gen_desc);
-  for (const elf::Object& obj : images) {
-    ptrs.push_back(&obj);
-  }
 
   for (const sim::Cycle quantum : {16u, 512u}) {
     SCOPED_TRACE("quantum " + std::to_string(quantum));
-    struct Run {
-      std::vector<iss::IssStats> stats;
-      std::vector<std::array<uint32_t, 32>> regs;
-      std::vector<uint32_t> pc;
-      std::vector<soc::Transaction> log;
-      uint64_t bus_cycle = 0;
-      uint64_t events = 0;
-    };
     const auto runOnce = [&](bool parallel) {
-      platform::BoardConfig cfg;
-      cfg.quantum = quantum;
-      cfg.parallel.enabled = parallel;
-      cfg.parallel.workers = 2;  // real threads even on 1-core hosts
-      platform::ReferenceBoard board(desc, ptrs, cfg);
-      const iss::StopReason r = board.run();
-      EXPECT_EQ(r, iss::StopReason::kHalted);
-      Run run;
-      for (size_t i = 0; i < board.numCores(); ++i) {
-        run.stats.push_back(board.core(i).stats());
-        std::array<uint32_t, 32> regs{};
-        for (int j = 0; j < 16; ++j) {
-          regs[static_cast<size_t>(j)] = board.core(i).d(j);
-          regs[static_cast<size_t>(j) + 16] = board.core(i).a(j);
-        }
-        run.regs.push_back(regs);
-        run.pc.push_back(board.core(i).pc());
-      }
-      run.log = board.board().bus.log();
-      run.bus_cycle = board.board().bus.socCycle();
-      run.events = board.kernel().eventsDispatched();
-      return run;
+      platform::BoardConfig base;
+      base.quantum = quantum;
+      const auto board = snap::makeBoard(
+          images, {xlat::DetailLevel::kICache, true, parallel}, base);
+      EXPECT_EQ(board->run(), iss::StopReason::kHalted);
+      return snap::observe(*board);
     };
-    const Run seq = runOnce(false);
-    const Run par = runOnce(true);
-    ASSERT_EQ(par.stats.size(), seq.stats.size());
-    for (size_t i = 0; i < seq.stats.size(); ++i) {
-      SCOPED_TRACE("core " + std::to_string(i));
-      EXPECT_EQ(par.stats[i].instructions, seq.stats[i].instructions);
-      EXPECT_EQ(par.stats[i].cycles, seq.stats[i].cycles);
-      EXPECT_EQ(par.stats[i].io_reads, seq.stats[i].io_reads);
-      EXPECT_EQ(par.stats[i].io_writes, seq.stats[i].io_writes);
-      EXPECT_EQ(par.regs[i], seq.regs[i]);
-      EXPECT_EQ(par.pc[i], seq.pc[i]);
-    }
-    EXPECT_EQ(par.bus_cycle, seq.bus_cycle);
-    EXPECT_EQ(par.events, seq.events);
-    ASSERT_EQ(par.log.size(), seq.log.size());
-    for (size_t i = 0; i < seq.log.size(); ++i) {
-      EXPECT_EQ(par.log[i].soc_cycle, seq.log[i].soc_cycle) << "txn " << i;
-      EXPECT_EQ(par.log[i].addr, seq.log[i].addr) << "txn " << i;
-      EXPECT_EQ(par.log[i].value, seq.log[i].value) << "txn " << i;
-      EXPECT_EQ(par.log[i].is_write, seq.log[i].is_write) << "txn " << i;
-    }
+    EXPECT_EQ(snap::firstMismatch(runOnce(false), runOnce(true)), "");
   }
 }
 
@@ -275,67 +218,27 @@ TEST_P(SnapshotFuzz, RandomCycleSaveRestoreBitIdentical) {
   SCOPED_TRACE("seed: " + std::to_string(seed) + " (CABT_TEST_SEED base " +
                std::to_string(seedBase()) + " + param " +
                std::to_string(GetParam()) + ")");
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  std::vector<elf::Object> images;
-  std::vector<const elf::Object*> ptrs;
   std::string gen_desc = "generator: cores=3";
-  for (uint32_t core = 0; core < 3; ++core) {
-    ProgramGenerator gen(
-        GeneratorConfig{seed + 1000 * core, /*shared_traffic=*/true});
-    gen_desc += " core" + std::to_string(core) + "=[" +
-                fuzz::describe(gen.config()) + "]";
-    images.push_back(trc::assemble(gen.generate()));
-  }
+  const auto images = threeCoreBoard(seed, gen_desc);
   SCOPED_TRACE(gen_desc);
-  for (const elf::Object& obj : images) {
-    ptrs.push_back(&obj);
-  }
   const bool parallel = GetParam() % 2 == 1;
   const bool threaded = (GetParam() / 2) % 2 == 1;
   SCOPED_TRACE("config: parallel=" + std::to_string(parallel) +
                " engine=" + (threaded ? "threaded" : "step"));
   const auto build = [&] {
-    platform::BoardConfig cfg;
-    cfg.quantum = 256;
-    cfg.iss.use_block_cache = threaded;
+    platform::BoardConfig base;
+    base.quantum = 256;
     // Aggressive formation so short fuzz programs still exercise traces
     // and threaded lowering before the random save point.
-    cfg.iss.trace_threshold = 2;
-    cfg.iss.threaded_threshold = 2;
-    cfg.parallel.enabled = parallel;
-    cfg.parallel.workers = 2;
-    return std::make_unique<platform::ReferenceBoard>(desc, ptrs, cfg);
-  };
-
-  struct Obs {
-    std::vector<iss::IssStats> stats;
-    std::vector<std::array<uint32_t, 32>> regs;
-    std::vector<uint32_t> pc;
-    std::vector<soc::Transaction> log;
-    uint64_t bus_cycle = 0;
-    uint64_t digest = 0;
-  };
-  const auto observe = [](platform::ReferenceBoard& board) {
-    Obs o;
-    for (size_t i = 0; i < board.numCores(); ++i) {
-      o.stats.push_back(board.core(i).stats());
-      std::array<uint32_t, 32> regs{};
-      for (int j = 0; j < 16; ++j) {
-        regs[static_cast<size_t>(j)] = board.core(i).d(j);
-        regs[static_cast<size_t>(j) + 16] = board.core(i).a(j);
-      }
-      o.regs.push_back(regs);
-      o.pc.push_back(board.core(i).pc());
-    }
-    o.log = board.board().bus.log();
-    o.bus_cycle = board.board().bus.socCycle();
-    o.digest = snap::digest(board);
-    return o;
+    base.iss.trace_threshold = 2;
+    base.iss.threaded_threshold = 2;
+    return snap::makeBoard(
+        images, {xlat::DetailLevel::kICache, threaded, parallel}, base);
   };
 
   std::unique_ptr<platform::ReferenceBoard> ref = build();
   ASSERT_EQ(ref->run(), iss::StopReason::kHalted);
-  const Obs want = observe(*ref);
+  const snap::Observation want = snap::observe(*ref);
   // A seed-derived random save point anywhere inside the run. Short
   // programs can retire within the first kernel activation (global time
   // never advances past 0); the bus clock still measures the run's
@@ -354,27 +257,7 @@ TEST_P(SnapshotFuzz, RandomCycleSaveRestoreBitIdentical) {
   std::unique_ptr<platform::ReferenceBoard> fresh = build();
   snap::restore(*fresh, snapshot);
   ASSERT_EQ(fresh->run(), iss::StopReason::kHalted);
-  const Obs got = observe(*fresh);
-
-  ASSERT_EQ(got.stats.size(), want.stats.size());
-  for (size_t i = 0; i < want.stats.size(); ++i) {
-    SCOPED_TRACE("core " + std::to_string(i));
-    EXPECT_EQ(got.stats[i].instructions, want.stats[i].instructions);
-    EXPECT_EQ(got.stats[i].cycles, want.stats[i].cycles);
-    EXPECT_EQ(got.stats[i].io_reads, want.stats[i].io_reads);
-    EXPECT_EQ(got.stats[i].io_writes, want.stats[i].io_writes);
-    EXPECT_EQ(got.regs[i], want.regs[i]);
-    EXPECT_EQ(got.pc[i], want.pc[i]);
-  }
-  EXPECT_EQ(got.bus_cycle, want.bus_cycle);
-  EXPECT_EQ(got.digest, want.digest);
-  ASSERT_EQ(got.log.size(), want.log.size());
-  for (size_t i = 0; i < want.log.size(); ++i) {
-    EXPECT_EQ(got.log[i].soc_cycle, want.log[i].soc_cycle) << "txn " << i;
-    EXPECT_EQ(got.log[i].addr, want.log[i].addr) << "txn " << i;
-    EXPECT_EQ(got.log[i].value, want.log[i].value) << "txn " << i;
-    EXPECT_EQ(got.log[i].is_write, want.log[i].is_write) << "txn " << i;
-  }
+  EXPECT_EQ(snap::firstMismatch(want, snap::observe(*fresh)), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotFuzz,

@@ -15,6 +15,7 @@
 
 #include "platform/platform.h"
 #include "sim/kernel.h"
+#include "snap/observe.h"
 #include "soc/interrupts.h"
 #include "trc/assembler.h"
 #include "workloads/workloads.h"
@@ -200,15 +201,6 @@ TEST(Mailbox, FifoOrderStatusAndDoorbell) {
 
 // ---- interrupt-driven execution on the reference board --------------
 
-struct ScenarioRun {
-  iss::IssStats stats;
-  uint32_t checksum = 0;
-  uint64_t bus_cycle = 0;
-  uint64_t timer_expiries = 0;
-  uint64_t irqs_delivered = 0;
-  uint32_t d14 = 0;
-};
-
 /// Engine variants crossed with the IRQ scenario: stepping, the stock
 /// threaded engine, and the threaded engine with a trace threshold low
 /// enough that the spin-wait loop forms superblocks almost immediately
@@ -226,74 +218,59 @@ constexpr EngineVariant kEngineVariants[] = {
     {"threaded, hot traces", true, 2},
 };
 
-ScenarioRun runIrqTicks(const EngineVariant& engine, sim::Cycle quantum,
-                        xlat::DetailLevel level = xlat::DetailLevel::kICache) {
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  const workloads::Workload& w = workloads::get("irq_ticks");
-  const elf::Object obj = workloads::assemble(w);
-  platform::BoardConfig cfg;
-  cfg.iss = platform::issConfigFor(level);
-  cfg.iss.use_block_cache = engine.use_block_cache;
-  cfg.iss.trace_threshold = engine.trace_threshold;
-  cfg.iss.extra_leaders = {platform::symbolAddr(obj, w.irq_handler)};
-  cfg.quantum = quantum;
-  platform::ReferenceBoard board(desc, {&obj}, cfg);
-  EXPECT_EQ(board.run(), iss::StopReason::kHalted);
-  ScenarioRun r;
-  r.stats = board.iss().stats();
-  r.checksum = workloads::readChecksum(obj, board.iss().memory());
-  r.bus_cycle = board.board().bus.socCycle();
-  r.timer_expiries = board.ptimer().expiries();
-  r.irqs_delivered = board.intc(0).irqsTaken();
-  r.d14 = board.iss().d(14);
-  return r;
+/// Runs irq_ticks to halt and checks its known checksum (164: eight
+/// ticks summed by the ISR) on every run.
+snap::Observation runIrqTicks(
+    const EngineVariant& engine, sim::Cycle quantum,
+    xlat::DetailLevel level = xlat::DetailLevel::kICache) {
+  static const auto images = workloads::BoardImages::family(1);
+  platform::BoardConfig base;
+  base.iss.trace_threshold = engine.trace_threshold;
+  base.quantum = quantum;
+  const auto board =
+      snap::makeBoard(images, {level, engine.use_block_cache, false}, base);
+  EXPECT_EQ(board->run(), iss::StopReason::kHalted);
+  EXPECT_EQ(workloads::readChecksum(images.image(0), board->iss().memory()),
+            164u);
+  return snap::observe(*board);
 }
 
-void expectIdentical(const ScenarioRun& a, const ScenarioRun& b) {
-  EXPECT_EQ(a.stats.instructions, b.stats.instructions);
-  EXPECT_EQ(a.stats.cycles, b.stats.cycles);
-  EXPECT_EQ(a.stats.pipeline_cycles, b.stats.pipeline_cycles);
-  EXPECT_EQ(a.stats.branch_extra, b.stats.branch_extra);
-  EXPECT_EQ(a.stats.cache_penalty, b.stats.cache_penalty);
-  EXPECT_EQ(a.stats.blocks, b.stats.blocks);
-  EXPECT_EQ(a.stats.irqs_taken, b.stats.irqs_taken);
-  EXPECT_EQ(a.stats.irq_entry_cycles, b.stats.irq_entry_cycles);
-  EXPECT_EQ(a.stats.io_reads, b.stats.io_reads);
-  EXPECT_EQ(a.stats.io_writes, b.stats.io_writes);
-  EXPECT_EQ(a.checksum, b.checksum);
-  EXPECT_EQ(a.bus_cycle, b.bus_cycle);
-  EXPECT_EQ(a.timer_expiries, b.timer_expiries);
-  EXPECT_EQ(a.irqs_delivered, b.irqs_delivered);
-  EXPECT_EQ(a.d14, b.d14);
+/// Behaviour equality across engines and quanta. The quantum changes how
+/// many activations the kernel dispatches, never what the board does, so
+/// the kernel's dispatch count is the one field left out.
+void expectSameBehaviour(const snap::Observation& want,
+                         snap::Observation got) {
+  got.kernel_events = want.kernel_events;
+  EXPECT_EQ(snap::firstMismatch(want, got), "");
 }
 
 TEST(InterruptDriven, WorkloadRetiresWithExpectedChecksum) {
-  const ScenarioRun r = runIrqTicks(kEngineVariants[2], 1024);
-  EXPECT_EQ(r.checksum, 164u);
-  EXPECT_EQ(r.d14, 8u);
-  EXPECT_EQ(r.stats.irqs_taken, 8u);
-  EXPECT_EQ(r.irqs_delivered, 8u);
-  EXPECT_GE(r.timer_expiries, 8u);
-  EXPECT_GT(r.stats.irq_entry_cycles, 0u);
+  const snap::Observation r = runIrqTicks(kEngineVariants[2], 1024);
+  const snap::CoreObservation& core = r.cores[0];
+  EXPECT_EQ(core.d[14], 8u);
+  EXPECT_EQ(core.stats.irqs_taken, 8u);
+  EXPECT_EQ(core.intc_irqs_taken, 8u);
+  EXPECT_GE(r.ptimer_expiries, 8u);
+  EXPECT_GT(core.stats.irq_entry_cycles, 0u);
   // The spin-wait loop really did run as guarded superblocks, and
   // interrupts really did bail traces at internal boundaries.
-  EXPECT_GT(r.stats.trace_dispatches, 0u);
-  EXPECT_GT(r.stats.guard_bails, 0u);
+  EXPECT_GT(core.stats.trace_dispatches, 0u);
+  EXPECT_GT(core.stats.guard_bails, 0u);
 }
 
 // The step()-fallback proof: the threaded engine — hot traces included
 // — and pure per-instruction execution take all 8 interrupts at
 // identical cycle counts and retire identically.
 TEST(InterruptDriven, BothEnginesTakeIrqsIdentically) {
-  for (const xlat::DetailLevel level :
-       {xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
-        xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache}) {
+  for (const xlat::DetailLevel level : xlat::kDetailLevels) {
     SCOPED_TRACE(xlat::detailLevelName(level));
-    const ScenarioRun slow = runIrqTicks(kEngineVariants[0], 1024, level);
-    EXPECT_EQ(slow.checksum, 164u);
+    const snap::Observation slow =
+        runIrqTicks(kEngineVariants[0], 1024, level);
     for (size_t v = 1; v < std::size(kEngineVariants); ++v) {
       SCOPED_TRACE(kEngineVariants[v].name);
-      expectIdentical(runIrqTicks(kEngineVariants[v], 1024, level), slow);
+      EXPECT_EQ(snap::firstMismatch(
+                    slow, runIrqTicks(kEngineVariants[v], 1024, level)),
+                "");
     }
   }
 }
@@ -304,18 +281,17 @@ TEST(InterruptDriven, BothEnginesTakeIrqsIdentically) {
 // and hot trace thresholds alike (a quantum boundary may fall on a
 // trace-internal block boundary and must yield there).
 TEST(InterruptDriven, GeneratedCyclesAreQuantumInvariant) {
-  const ScenarioRun base = runIrqTicks(kEngineVariants[1], 1);
-  EXPECT_EQ(base.checksum, 164u);
+  const snap::Observation base = runIrqTicks(kEngineVariants[1], 1);
   for (const sim::Cycle quantum : {16u, 256u, 4096u}) {
     SCOPED_TRACE("quantum " + std::to_string(quantum));
-    expectIdentical(base, runIrqTicks(kEngineVariants[1], quantum));
+    expectSameBehaviour(base, runIrqTicks(kEngineVariants[1], quantum));
   }
   for (const sim::Cycle quantum : {1u, 16u, 256u, 4096u}) {
     SCOPED_TRACE("hot traces, quantum " + std::to_string(quantum));
-    expectIdentical(base, runIrqTicks(kEngineVariants[2], quantum));
+    expectSameBehaviour(base, runIrqTicks(kEngineVariants[2], quantum));
   }
   // The stepping engine is quantum-invariant too, and agrees.
-  expectIdentical(base, runIrqTicks(kEngineVariants[0], 4096));
+  expectSameBehaviour(base, runIrqTicks(kEngineVariants[0], 4096));
 }
 
 // A breakpoint on the interrupt handler entry must hit on every
@@ -323,13 +299,10 @@ TEST(InterruptDriven, GeneratedCyclesAreQuantumInvariant) {
 // very boundary where the interrupt redirects the pc — the resume's
 // step-over is keyed to the stop address, not consumed blindly.
 TEST(InterruptDriven, HandlerBreakpointHitsOnEveryDelivery) {
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  const workloads::Workload& w = workloads::get("irq_ticks");
-  const elf::Object obj = workloads::assemble(w);
-  platform::BoardConfig cfg;
-  cfg.iss.extra_leaders = {platform::symbolAddr(obj, w.irq_handler)};
-  platform::ReferenceBoard board(desc, {&obj}, cfg);
-  iss::Iss& core = board.iss();
+  const auto images = workloads::BoardImages::family(1);
+  const elf::Object& obj = images.image(0);
+  const auto board = snap::makeBoard(images);
+  iss::Iss& core = board->iss();
   const uint32_t wait_addr = platform::symbolAddr(obj, "wait");
   const uint32_t isr_addr = platform::symbolAddr(obj, "isr");
   core.addBreakpoint(wait_addr);  // hit on every spin iteration
@@ -360,116 +333,91 @@ TEST(InterruptDriven, HandlerBreakpointHitsOnEveryDelivery) {
 // regresses loudly here instead of silently drifting.
 
 TEST(GoldenTrace, IrqTicks) {
-  const ScenarioRun r = runIrqTicks(kEngineVariants[2], 1024);
-  EXPECT_EQ(r.stats.instructions, 2126u);
-  EXPECT_EQ(r.stats.cycles, 3279u);
-  EXPECT_EQ(r.stats.irqs_taken, 8u);
-  EXPECT_EQ(r.stats.irq_entry_cycles, 48u);
-  EXPECT_EQ(r.checksum, 164u);
+  const snap::Observation r = runIrqTicks(kEngineVariants[2], 1024);
+  EXPECT_EQ(r.cores[0].stats.instructions, 2126u);
+  EXPECT_EQ(r.cores[0].stats.cycles, 3279u);
+  EXPECT_EQ(r.cores[0].stats.irqs_taken, 8u);
+  EXPECT_EQ(r.cores[0].stats.irq_entry_cycles, 48u);
   EXPECT_EQ(r.bus_cycle, 3279u);
-  EXPECT_EQ(r.timer_expiries, 8u);
+  EXPECT_EQ(r.ptimer_expiries, 8u);
 }
 
 TEST(GoldenTrace, IrqTicksDeliveryTimestamps) {
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  const workloads::Workload& w = workloads::get("irq_ticks");
-  const elf::Object obj = workloads::assemble(w);
-  platform::BoardConfig cfg;
-  cfg.iss = platform::issConfigFor(xlat::DetailLevel::kICache);
-  cfg.iss.extra_leaders = {platform::symbolAddr(obj, w.irq_handler)};
-  cfg.quantum = 1024;
-  platform::ReferenceBoard board(desc, {&obj}, cfg);
-  ASSERT_EQ(board.run(), iss::StopReason::kHalted);
+  const snap::Observation r = runIrqTicks(kEngineVariants[1], 1024);
   const std::vector<uint64_t> expected = {447,  845,  1245, 1645,
                                           2045, 2445, 2845, 3245};
-  EXPECT_EQ(board.intc(0).deliveryTimes(), expected);
-  EXPECT_EQ(board.board().bus.log().size(), 23u);
+  EXPECT_EQ(r.cores[0].irq_times, expected);
+  EXPECT_EQ(r.bus_log.size(), 23u);
 }
 
 TEST(GoldenTrace, ProducerConsumerPair) {
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  const workloads::Workload& wp = workloads::get("mc_producer");
-  const elf::Object producer = workloads::assemble(wp);
-  const elf::Object consumer =
-      workloads::assemble(workloads::get("mc_consumer"));
-  platform::BoardConfig cfg;
-  cfg.iss = platform::issConfigFor(xlat::DetailLevel::kICache);
-  cfg.iss.extra_leaders = {platform::symbolAddr(producer, wp.irq_handler)};
-  cfg.quantum = 1024;
-  platform::ReferenceBoard board(desc, {&producer, &consumer}, cfg);
-  ASSERT_EQ(board.run(), iss::StopReason::kHalted);
-  EXPECT_EQ(board.core(0).stats().instructions, 3171u);
-  EXPECT_EQ(board.core(0).stats().cycles, 4891u);
-  EXPECT_EQ(board.core(0).stats().irqs_taken, 16u);
-  EXPECT_EQ(board.core(0).stats().irq_entry_cycles, 96u);
-  EXPECT_EQ(board.core(1).stats().instructions, 3275u);
-  EXPECT_EQ(board.core(1).stats().cycles, 4157u);
-  EXPECT_EQ(workloads::readChecksum(producer, board.core(0).memory()),
+  const auto images = workloads::BoardImages::family(2);
+  const elf::Object& producer = images.image(0);
+  const elf::Object& consumer = images.image(1);
+  const auto board = snap::makeBoard(images);
+  ASSERT_EQ(board->run(), iss::StopReason::kHalted);
+  EXPECT_EQ(board->core(0).stats().instructions, 3171u);
+  EXPECT_EQ(board->core(0).stats().cycles, 4891u);
+  EXPECT_EQ(board->core(0).stats().irqs_taken, 16u);
+  EXPECT_EQ(board->core(0).stats().irq_entry_cycles, 96u);
+  EXPECT_EQ(board->core(1).stats().instructions, 3275u);
+  EXPECT_EQ(board->core(1).stats().cycles, 4157u);
+  EXPECT_EQ(workloads::readChecksum(producer, board->core(0).memory()),
             1544u);
-  EXPECT_EQ(workloads::readChecksum(consumer, board.core(1).memory()),
+  EXPECT_EQ(workloads::readChecksum(consumer, board->core(1).memory()),
             1544u);
-  EXPECT_EQ(board.board().bus.socCycle(), 4891u);
-  EXPECT_EQ(board.ptimer().expiries(), 16u);
-  EXPECT_EQ(board.mailbox().pushes(), 16u);
-  EXPECT_EQ(board.board().bus.log().size(), 888u);
+  EXPECT_EQ(board->board().bus.socCycle(), 4891u);
+  EXPECT_EQ(board->ptimer().expiries(), 16u);
+  EXPECT_EQ(board->mailbox().pushes(), 16u);
+  EXPECT_EQ(board->board().bus.log().size(), 888u);
   std::vector<uint64_t> expected = {346};
   for (uint64_t t = 648; t <= 4848; t += 300) {
     expected.push_back(t);
   }
-  EXPECT_EQ(board.intc(0).deliveryTimes(), expected);
+  EXPECT_EQ(board->intc(0).deliveryTimes(), expected);
 }
 
 TEST(GoldenTrace, McWorkerSoloRun) {
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  const elf::Object obj = workloads::assemble(workloads::get("mc_worker"));
-  platform::BoardConfig cfg;
-  cfg.iss = platform::issConfigFor(xlat::DetailLevel::kICache);
-  cfg.quantum = 1024;
-  platform::ReferenceBoard board(desc, {&obj}, cfg);
-  ASSERT_EQ(board.run(), iss::StopReason::kHalted);
-  EXPECT_EQ(board.core(0).stats().instructions, 618606u);
-  EXPECT_EQ(board.core(0).stats().cycles, 824784u);
-  EXPECT_EQ(workloads::readChecksum(obj, board.core(0).memory()),
+  const auto images = workloads::BoardImages::named({"mc_worker"});
+  const auto board = snap::makeBoard(images);
+  ASSERT_EQ(board->run(), iss::StopReason::kHalted);
+  EXPECT_EQ(board->core(0).stats().instructions, 618606u);
+  EXPECT_EQ(board->core(0).stats().cycles, 824784u);
+  EXPECT_EQ(workloads::readChecksum(images.image(0), board->core(0).memory()),
             1644595200u);
   // One progress beacon per outer iteration, all on the shared bus.
-  EXPECT_EQ(board.board().bus.log().size(), 400u);
-  EXPECT_EQ(board.board().scratch.reg(7), 1644595200u);
+  EXPECT_EQ(board->board().bus.log().size(), 400u);
+  EXPECT_EQ(board->board().scratch.reg(7), 1644595200u);
 }
 
 // ---- multi-core board -----------------------------------------------
 
 TEST(MultiCore, ProducerConsumerCompletesAtEveryDetailLevelAndQuantum) {
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  const workloads::Workload& wp = workloads::get("mc_producer");
-  const workloads::Workload& wc = workloads::get("mc_consumer");
-  const elf::Object producer = workloads::assemble(wp);
-  const elf::Object consumer = workloads::assemble(wc);
-  for (const xlat::DetailLevel level :
-       {xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
-        xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache}) {
+  const auto images = workloads::BoardImages::family(2);
+  const elf::Object& producer = images.image(0);
+  const elf::Object& consumer = images.image(1);
+  for (const xlat::DetailLevel level : xlat::kDetailLevels) {
     for (const sim::Cycle quantum : {1u, 16u, 256u, 4096u}) {
       SCOPED_TRACE(std::string(xlat::detailLevelName(level)) + ", quantum " +
                    std::to_string(quantum));
-      platform::BoardConfig cfg;
-      cfg.iss = platform::issConfigFor(level);
-      cfg.iss.extra_leaders = {platform::symbolAddr(producer, wp.irq_handler)};
-      cfg.quantum = quantum;
-      platform::ReferenceBoard board(desc, {&producer, &consumer}, cfg);
-      ASSERT_EQ(board.run(), iss::StopReason::kHalted);
-      ASSERT_EQ(board.numCores(), 2u);
+      platform::BoardConfig base;
+      base.quantum = quantum;
+      const auto board = snap::makeBoard(images, {level, true, false}, base);
+      ASSERT_EQ(board->run(), iss::StopReason::kHalted);
+      ASSERT_EQ(board->numCores(), 2u);
       // The handshake is interleaving-robust: both sides agree on the
       // checksum whatever the quantum or detail level.
-      EXPECT_EQ(workloads::readChecksum(producer, board.core(0).memory()),
+      EXPECT_EQ(workloads::readChecksum(producer, board->core(0).memory()),
                 1544u);
-      EXPECT_EQ(workloads::readChecksum(consumer, board.core(1).memory()),
+      EXPECT_EQ(workloads::readChecksum(consumer, board->core(1).memory()),
                 1544u);
-      EXPECT_EQ(board.mailbox().pushes(), 16u);
-      EXPECT_EQ(board.mailbox().dropped(), 0u);
-      EXPECT_EQ(board.mailbox().depth(), 0u);
-      EXPECT_EQ(board.core(0).stats().irqs_taken, 16u);
+      EXPECT_EQ(board->mailbox().pushes(), 16u);
+      EXPECT_EQ(board->mailbox().dropped(), 0u);
+      EXPECT_EQ(board->mailbox().depth(), 0u);
+      EXPECT_EQ(board->core(0).stats().irqs_taken, 16u);
       if (level != xlat::DetailLevel::kFunctional) {
-        EXPECT_GT(board.core(0).stats().cycles, 0u);
-        EXPECT_GT(board.core(1).stats().cycles, 0u);
+        EXPECT_GT(board->core(0).stats().cycles, 0u);
+        EXPECT_GT(board->core(1).stats().cycles, 0u);
       }
     }
   }
@@ -479,20 +427,15 @@ TEST(MultiCore, ProducerConsumerCompletesAtEveryDetailLevelAndQuantum) {
 // own local time; with quantum q the skew between the two cores' local
 // clocks at any shared access is bounded by one quantum plus one block.
 TEST(MultiCore, CoresStayTemporallyDecoupledButOrdered) {
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  const workloads::Workload& wp = workloads::get("mc_producer");
-  const elf::Object producer = workloads::assemble(wp);
-  const elf::Object consumer =
-      workloads::assemble(workloads::get("mc_consumer"));
-  platform::BoardConfig cfg;
-  cfg.iss.extra_leaders = {platform::symbolAddr(producer, wp.irq_handler)};
-  cfg.quantum = 64;
-  platform::ReferenceBoard board(desc, {&producer, &consumer}, cfg);
-  ASSERT_EQ(board.run(), iss::StopReason::kHalted);
+  const auto images = workloads::BoardImages::family(2);
+  platform::BoardConfig base;
+  base.quantum = 64;
+  const auto board = snap::makeBoard(images, {}, base);
+  ASSERT_EQ(board->run(), iss::StopReason::kHalted);
   // The bus clock ends at the maximum of the cores' local times.
-  const uint64_t t0 = board.core(0).stats().cycles;
-  const uint64_t t1 = board.core(1).stats().cycles;
-  EXPECT_EQ(board.board().bus.socCycle(), std::max(t0, t1));
+  const uint64_t t0 = board->core(0).stats().cycles;
+  const uint64_t t1 = board->core(1).stats().cycles;
+  EXPECT_EQ(board->board().bus.socCycle(), std::max(t0, t1));
 }
 
 }  // namespace

@@ -10,16 +10,16 @@
 //                                      cache, no superblock traces)
 //   halted board, restore, continue   (a warm process re-restored)
 //
-// all reach observables bit-identical to one uninterrupted run: cycles,
-// registers, memory checksums, IRQ delivery timestamps, the full bus
-// transaction log, device state and the rolling state digest. The cold
+// all reach observables bit-identical to one uninterrupted run: the
+// whole snap::Observation — cycles, registers, IRQ delivery timestamps,
+// the full bus transaction log, device state and the rolling state
+// digest, which covers memory. The cold
 // path is the hard part — it proves the predecoded block caches and
 // traces really are derived state that rebuilds to the same
 // architectural behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,164 +28,19 @@
 
 #include "common/serial.h"
 #include "platform/platform.h"
+#include "snap/observe.h"
 #include "snap/snapshot.h"
-#include "soc/bus.h"
 #include "workloads/workloads.h"
 
 namespace cabt {
 namespace {
 
-struct GridBoard {
-  std::vector<const workloads::Workload*> programs;
-  std::vector<elf::Object> images;
-  std::vector<const elf::Object*> image_ptrs;
-  std::vector<uint32_t> extra_leaders;
-};
-
-GridBoard makeBoard(const std::vector<std::string>& names) {
-  GridBoard b;
-  for (const std::string& name : names) {
-    b.programs.push_back(&workloads::get(name));
-  }
-  for (const workloads::Workload* w : b.programs) {
-    b.images.push_back(workloads::assemble(*w));
-    if (!w->irq_handler.empty()) {
-      b.extra_leaders.push_back(
-          platform::symbolAddr(b.images.back(), w->irq_handler));
-    }
-  }
-  for (const elf::Object& obj : b.images) {
-    b.image_ptrs.push_back(&obj);
-  }
-  return b;
-}
-
-struct RunConfig {
-  xlat::DetailLevel level = xlat::DetailLevel::kICache;
-  bool use_block_cache = true;
-  bool parallel = false;
-  sim::Cycle quantum = 1024;
-};
-
-std::unique_ptr<platform::ReferenceBoard> buildBoard(const GridBoard& grid,
-                                                     const RunConfig& rc) {
-  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
-  platform::BoardConfig cfg;
-  cfg.iss = platform::issConfigFor(rc.level);
-  cfg.iss.use_block_cache = rc.use_block_cache;
-  cfg.iss.extra_leaders = grid.extra_leaders;
-  cfg.quantum = rc.quantum;
-  cfg.parallel.enabled = rc.parallel;
-  cfg.parallel.workers = 2;  // real threads even on 1-core hosts
-  return std::make_unique<platform::ReferenceBoard>(desc, grid.image_ptrs,
-                                                    cfg);
-}
-
-/// Every observable the acceptance criteria name, plus the digest.
-struct BoardObs {
-  std::vector<iss::IssStats> stats;
-  std::vector<iss::StopReason> stop;
-  std::vector<uint32_t> pc;
-  std::vector<std::array<uint32_t, 16>> d;
-  std::vector<std::array<uint32_t, 16>> a;
-  std::vector<uint32_t> checksum;
-  std::vector<std::vector<uint64_t>> irq_times;
-  std::vector<uint32_t> intc_pending;
-  uint64_t bus_cycle = 0;
-  uint64_t timer_expiries = 0;
-  uint64_t mailbox_pushes = 0;
-  uint64_t mailbox_dropped = 0;
-  size_t mailbox_depth = 0;
-  std::array<uint32_t, 16> scratch{};
-  std::vector<soc::Transaction> bus_log;
-  uint64_t kernel_events = 0;
-  uint64_t digest = 0;
-};
-
-BoardObs capture(platform::ReferenceBoard& board, const GridBoard& grid) {
-  BoardObs s;
-  for (size_t i = 0; i < board.numCores(); ++i) {
-    s.stats.push_back(board.core(i).stats());
-    s.stop.push_back(board.core(i).stopReason());
-    s.pc.push_back(board.core(i).pc());
-    std::array<uint32_t, 16> d{};
-    std::array<uint32_t, 16> a{};
-    for (int r = 0; r < 16; ++r) {
-      d[static_cast<size_t>(r)] = board.core(i).d(r);
-      a[static_cast<size_t>(r)] = board.core(i).a(r);
-    }
-    s.d.push_back(d);
-    s.a.push_back(a);
-    s.checksum.push_back(
-        workloads::readChecksum(grid.images[i], board.core(i).memory()));
-    s.irq_times.push_back(board.intc(i).deliveryTimes());
-    s.intc_pending.push_back(board.intc(i).pending());
-  }
-  s.bus_cycle = board.board().bus.socCycle();
-  s.timer_expiries = board.ptimer().expiries();
-  s.mailbox_pushes = board.mailbox().pushes();
-  s.mailbox_dropped = board.mailbox().dropped();
-  s.mailbox_depth = board.mailbox().depth();
-  for (size_t r = 0; r < 16; ++r) {
-    s.scratch[r] = board.board().scratch.reg(r);
-  }
-  s.bus_log = board.board().bus.log();
-  s.kernel_events = board.kernel().eventsDispatched();
-  s.digest = snap::digest(board);
-  return s;
-}
-
-/// Architectural equality only: the dispatch-path counters (cached_
-/// blocks, chain_hits, trace_*, guard_bails, private_*) legitimately
-/// differ between a warm continuation and a cold restore.
-void expectIdentical(const BoardObs& got, const BoardObs& want) {
-  ASSERT_EQ(got.stats.size(), want.stats.size());
-  for (size_t i = 0; i < got.stats.size(); ++i) {
-    SCOPED_TRACE("core " + std::to_string(i));
-    const iss::IssStats& g = got.stats[i];
-    const iss::IssStats& w = want.stats[i];
-    EXPECT_EQ(g.instructions, w.instructions);
-    EXPECT_EQ(g.cycles, w.cycles);
-    EXPECT_EQ(g.pipeline_cycles, w.pipeline_cycles);
-    EXPECT_EQ(g.branch_extra, w.branch_extra);
-    EXPECT_EQ(g.cache_penalty, w.cache_penalty);
-    EXPECT_EQ(g.blocks, w.blocks);
-    EXPECT_EQ(g.icache_accesses, w.icache_accesses);
-    EXPECT_EQ(g.icache_misses, w.icache_misses);
-    EXPECT_EQ(g.cond_branches, w.cond_branches);
-    EXPECT_EQ(g.cond_taken, w.cond_taken);
-    EXPECT_EQ(g.mispredicts, w.mispredicts);
-    EXPECT_EQ(g.io_reads, w.io_reads);
-    EXPECT_EQ(g.io_writes, w.io_writes);
-    EXPECT_EQ(g.irqs_taken, w.irqs_taken);
-    EXPECT_EQ(g.irq_entry_cycles, w.irq_entry_cycles);
-    EXPECT_EQ(got.stop[i], want.stop[i]);
-    EXPECT_EQ(got.pc[i], want.pc[i]);
-    EXPECT_EQ(got.d[i], want.d[i]);
-    EXPECT_EQ(got.a[i], want.a[i]);
-    EXPECT_EQ(got.checksum[i], want.checksum[i]);
-    EXPECT_EQ(got.irq_times[i], want.irq_times[i])
-        << "IRQ delivery timestamps";
-    EXPECT_EQ(got.intc_pending[i], want.intc_pending[i]);
-  }
-  EXPECT_EQ(got.bus_cycle, want.bus_cycle);
-  EXPECT_EQ(got.timer_expiries, want.timer_expiries);
-  EXPECT_EQ(got.mailbox_pushes, want.mailbox_pushes);
-  EXPECT_EQ(got.mailbox_dropped, want.mailbox_dropped);
-  EXPECT_EQ(got.mailbox_depth, want.mailbox_depth);
-  EXPECT_EQ(got.scratch, want.scratch);
-  EXPECT_EQ(got.kernel_events, want.kernel_events);
-  EXPECT_EQ(got.digest, want.digest) << "rolling state digest";
-  ASSERT_EQ(got.bus_log.size(), want.bus_log.size());
-  for (size_t i = 0; i < got.bus_log.size(); ++i) {
-    const soc::Transaction& a = got.bus_log[i];
-    const soc::Transaction& b = want.bus_log[i];
-    EXPECT_EQ(a.soc_cycle, b.soc_cycle) << "transaction " << i;
-    EXPECT_EQ(a.addr, b.addr) << "transaction " << i;
-    EXPECT_EQ(a.value, b.value) << "transaction " << i;
-    EXPECT_EQ(a.size, b.size) << "transaction " << i;
-    EXPECT_EQ(a.is_write, b.is_write) << "transaction " << i;
-  }
+/// Architectural equality only: the dispatch-path counters legitimately
+/// differ between a warm continuation and a cold restore, and
+/// firstMismatch ignores them.
+void expectMatch(const snap::Observation& want,
+                 platform::ReferenceBoard& board) {
+  EXPECT_EQ(snap::firstMismatch(want, snap::observe(board)), "");
 }
 
 constexpr sim::Cycle kSaveAt = 1500;  // mid-run at every detail level
@@ -196,67 +51,56 @@ constexpr sim::Cycle kSaveAt = 1500;  // mid-run at every detail level
 /// (b) a cold fresh board restored from the snapshot, and
 /// (c) the halted saved board re-restored and re-run (a warm process
 ///     with stale block-cache statistics, re-winding time).
-void roundTrip(const GridBoard& grid, const RunConfig& rc) {
-  auto ref = buildBoard(grid, rc);
+void roundTrip(const workloads::BoardImages& images,
+               const snap::GridPoint& point,
+               const platform::BoardConfig& base = {}) {
+  auto ref = snap::makeBoard(images, point, base);
   ref->run();
-  const BoardObs want = capture(*ref, grid);
+  const snap::Observation want = snap::observe(*ref);
 
-  auto saved = buildBoard(grid, rc);
+  auto saved = snap::makeBoard(images, point, base);
   saved->runTo(kSaveAt);
   const std::vector<uint8_t> snapshot = snap::save(*saved);
   saved->run();
   {
     SCOPED_TRACE("continue after save");
-    expectIdentical(capture(*saved, grid), want);
+    expectMatch(want, *saved);
   }
 
-  auto cold = buildBoard(grid, rc);
+  auto cold = snap::makeBoard(images, point, base);
   snap::restore(*cold, snapshot);
   cold->run();
   {
     SCOPED_TRACE("cold restore");
-    expectIdentical(capture(*cold, grid), want);
+    expectMatch(want, *cold);
   }
 
   snap::restore(*saved, snapshot);  // rewind the halted warm board
   saved->run();
   {
     SCOPED_TRACE("warm re-restore");
-    expectIdentical(capture(*saved, grid), want);
+    expectMatch(want, *saved);
   }
 }
 
 // ---- the differential grid -------------------------------------------
 
-struct GridParam {
-  bool threaded;
-  bool parallel;
-};
-
-class SnapshotGrid : public ::testing::TestWithParam<GridParam> {};
+class SnapshotGrid : public ::testing::TestWithParam<snap::GridPoint> {};
 
 TEST_P(SnapshotGrid, SaveRestoreRunIsBitIdentical) {
-  const auto [threaded, parallel] = GetParam();
-  const GridBoard grid = makeBoard({"mc_producer", "mc_consumer"});
-  for (const xlat::DetailLevel level :
-       {xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
-        xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache}) {
+  const auto images = workloads::BoardImages::family(2);
+  for (const xlat::DetailLevel level : xlat::kDetailLevels) {
     SCOPED_TRACE(xlat::detailLevelName(level));
-    RunConfig rc;
-    rc.level = level;
-    rc.use_block_cache = threaded;
-    rc.parallel = parallel;
-    roundTrip(grid, rc);
+    snap::GridPoint point = GetParam();
+    point.level = level;
+    roundTrip(images, point);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Engines, SnapshotGrid,
-    ::testing::Values(GridParam{false, false}, GridParam{true, false},
-                      GridParam{false, true}, GridParam{true, true}),
-    [](const ::testing::TestParamInfo<GridParam>& info) {
-      return std::string(info.param.threaded ? "threaded" : "step") +
-             (info.param.parallel ? "_par" : "_seq");
+    Engines, SnapshotGrid, ::testing::ValuesIn(snap::engineGrid()),
+    [](const ::testing::TestParamInfo<snap::GridPoint>& info) {
+      return snap::gridPointName(info.param);
     });
 
 // The stepping engine can carry an *open block* across a quantum yield
@@ -264,54 +108,52 @@ INSTANTIATE_TEST_SUITE_P(
 // live at the save point) — the snapshot must capture that residue. The
 // grid covers quantum 1024; a tiny quantum yields at nearly every block.
 TEST(SnapshotGrid, SteppingEngineSavesOpenBlockResidue) {
-  const GridBoard grid = makeBoard({"mc_producer", "mc_consumer"});
-  RunConfig rc;
-  rc.use_block_cache = false;
-  rc.quantum = 16;
-  roundTrip(grid, rc);
+  snap::GridPoint stepping;
+  stepping.threaded = false;
+  platform::BoardConfig tiny_quantum;
+  tiny_quantum.quantum = 16;
+  roundTrip(workloads::BoardImages::family(2), stepping, tiny_quantum);
 }
 
 // The single-core interrupt scenario: a snapshot taken between two of
 // the eight timer deliveries must preserve the interrupt phase exactly
 // (in-service flag, pending lines, timer next-expiry).
 TEST(SnapshotGrid, InterruptPhaseSurvivesRestore) {
-  const GridBoard grid = makeBoard({"irq_ticks"});
+  const auto images = workloads::BoardImages::family(1);
   for (const bool parallel : {false, true}) {
     SCOPED_TRACE(parallel ? "parallel" : "sequential");
-    RunConfig rc;
-    rc.parallel = parallel;
-    roundTrip(grid, rc);
+    snap::GridPoint point;
+    point.parallel = parallel;
+    roundTrip(images, point);
   }
 }
 
 // ---- deterministic replay --------------------------------------------
 
 TEST(Replay, RunToIsChunkInvariant) {
-  const GridBoard grid = makeBoard({"irq_ticks"});
-  const RunConfig rc;
-  auto whole = buildBoard(grid, rc);
+  const auto images = workloads::BoardImages::family(1);
+  auto whole = snap::makeBoard(images);
   whole->run();
-  const BoardObs want = capture(*whole, grid);
+  const snap::Observation want = snap::observe(*whole);
 
-  auto chunked = buildBoard(grid, rc);
+  auto chunked = snap::makeBoard(images);
   chunked->runTo(700);
   chunked->runTo(1900);
   chunked->runTo(sim::kForever);
-  expectIdentical(capture(*chunked, grid), want);
+  expectMatch(want, *chunked);
 }
 
 TEST(Replay, AutoSnapshotRingRetainsAndReplays) {
-  const GridBoard grid = makeBoard({"irq_ticks"});
-  const RunConfig rc;
-  auto ref = buildBoard(grid, rc);
+  const auto images = workloads::BoardImages::family(1);
+  auto ref = snap::makeBoard(images);
   ref->run();
-  const BoardObs want = capture(*ref, grid);
+  const snap::Observation want = snap::observe(*ref);
 
-  auto board = buildBoard(grid, rc);
+  auto board = snap::makeBoard(images);
   board->setCheckpointing({512, 2, ""});
   board->run();
   // Checkpointed execution is behaviour-neutral.
-  expectIdentical(capture(*board, grid), want);
+  expectMatch(want, *board);
   // The ring dropped down to the 2 most recent snapshots while the
   // trail recorded every boundary, strictly increasing.
   EXPECT_EQ(board->checkpoints().size(), 2u);
@@ -322,13 +164,13 @@ TEST(Replay, AutoSnapshotRingRetainsAndReplays) {
   }
   // Fast-forward replay: restore the oldest retained snapshot into a
   // cold board and run to completion — same observables again.
-  auto replay = buildBoard(grid, rc);
+  auto replay = snap::makeBoard(images);
   snap::restore(*replay, board->checkpoints().front().data);
   replay->run();
-  expectIdentical(capture(*replay, grid), want);
+  expectMatch(want, *replay);
   // And the digest recorded at that checkpoint matches the restored
   // board's digest before it runs (restore is digest-preserving).
-  auto replay2 = buildBoard(grid, rc);
+  auto replay2 = snap::makeBoard(images);
   snap::restore(*replay2, board->checkpoints().back().data);
   EXPECT_EQ(snap::digest(*replay2), board->checkpoints().back().digest);
 }
@@ -336,66 +178,59 @@ TEST(Replay, AutoSnapshotRingRetainsAndReplays) {
 // The digest excludes host-side dispatch-path state by design: both
 // engines — and the parallel kernel — produce the identical value.
 TEST(Replay, DigestIsEngineIndependent) {
-  const GridBoard grid = makeBoard({"irq_ticks"});
-  RunConfig base;
-  auto ref = buildBoard(grid, base);
+  const auto images = workloads::BoardImages::family(1);
+  auto ref = snap::makeBoard(images);
   ref->run();
   const uint64_t want = snap::digest(*ref);
-  RunConfig stepping;
-  stepping.use_block_cache = false;
-  auto board = buildBoard(grid, stepping);
-  board->run();
-  EXPECT_EQ(snap::digest(*board), want);
-  RunConfig par;
-  par.parallel = true;
-  auto pboard = buildBoard(grid, par);
-  pboard->run();
-  EXPECT_EQ(snap::digest(*pboard), want);
+  for (const snap::GridPoint& point : snap::engineGrid()) {
+    SCOPED_TRACE(snap::gridPointName(point));
+    auto board = snap::makeBoard(images, point);
+    board->run();
+    EXPECT_EQ(snap::digest(*board), want);
+  }
 }
 
 // ---- format safety ----------------------------------------------------
 
 TEST(SnapshotFormat, RejectsCorruptionTruncationAndMismatch) {
-  const GridBoard grid = makeBoard({"irq_ticks"});
-  const RunConfig rc;
-  auto board = buildBoard(grid, rc);
+  const auto images = workloads::BoardImages::family(1);
+  auto board = snap::makeBoard(images);
   board->runTo(kSaveAt);
   const std::vector<uint8_t> good = snap::save(*board);
 
   {  // bit flip in the middle fails the integrity footer
     std::vector<uint8_t> bad = good;
     bad[bad.size() / 2] ^= 0x40;
-    auto target = buildBoard(grid, rc);
+    auto target = snap::makeBoard(images);
     EXPECT_THROW(snap::restore(*target, bad), Error);
   }
   {  // truncation
     std::vector<uint8_t> bad(good.begin(), good.end() - 9);
-    auto target = buildBoard(grid, rc);
+    auto target = snap::makeBoard(images);
     EXPECT_THROW(snap::restore(*target, bad), Error);
   }
   {  // wrong board shape (core count)
-    const GridBoard pair = makeBoard({"mc_producer", "mc_consumer"});
-    auto target = buildBoard(pair, rc);
+    const auto pair = workloads::BoardImages::family(2);
+    auto target = snap::makeBoard(pair);
     EXPECT_THROW(snap::restore(*target, good), Error);
   }
   {  // wrong detail level (architectural config mismatch)
-    RunConfig functional;
+    snap::GridPoint functional;
     functional.level = xlat::DetailLevel::kFunctional;
-    auto target = buildBoard(grid, functional);
+    auto target = snap::makeBoard(images, functional);
     EXPECT_THROW(snap::restore(*target, good), Error);
   }
   {  // wrong program image
-    const GridBoard other = makeBoard({"mc_worker"});
-    auto target = buildBoard(other, rc);
+    const auto other = workloads::BoardImages::named({"mc_worker"});
+    auto target = snap::makeBoard(other);
     EXPECT_THROW(snap::restore(*target, good), Error);
   }
   {  // the good snapshot still restores after all those rejections
-    auto target = buildBoard(grid, rc);
+    auto target = snap::makeBoard(images);
     snap::restore(*target, good);
     target->run();
-    auto ref = buildBoard(grid, rc);
-    ref->run();
-    EXPECT_EQ(snap::digest(*target), snap::digest(*ref));
+    board->run();  // save has no side effects: the clean end state
+    expectMatch(snap::observe(*board), *target);
   }
 }
 
@@ -455,12 +290,13 @@ void oversizeCount(std::vector<uint8_t>& snap, size_t at) {
 // specific gate they target — restore() must throw either way and the
 // target board must remain usable.
 TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
-  const GridBoard grid = makeBoard({"irq_ticks"});
-  const RunConfig rc;
-  auto board = buildBoard(grid, rc);
+  const auto images = workloads::BoardImages::family(1);
+  auto board = snap::makeBoard(images);
   board->runTo(kSaveAt);
   const std::vector<uint8_t> good = snap::save(*board);
   ASSERT_GT(good.size(), 64u);
+  board->run();  // save has no side effects: the clean end state
+  const snap::Observation want = snap::observe(*board);
 
   using Mutate = std::function<void(std::vector<uint8_t>&)>;
   struct Case {
@@ -543,7 +379,7 @@ TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
     SCOPED_TRACE(name);
     std::vector<uint8_t> bad = good;
     mutate(bad);
-    auto target = buildBoard(grid, rc);
+    auto target = snap::makeBoard(images);
     try {
       snap::restore(*target, bad);
       ADD_FAILURE() << "corrupt snapshot restored without an error";
@@ -556,9 +392,7 @@ TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
     // accept the intact snapshot and replay to the clean end state.
     snap::restore(*target, good);
     target->run();
-    auto ref = buildBoard(grid, rc);
-    ref->run();
-    EXPECT_EQ(snap::digest(*target), snap::digest(*ref));
+    expectMatch(want, *target);
   }
 }
 
@@ -567,13 +401,12 @@ TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
 // them to the newest intact one and deterministic replay from there
 // converges on the clean run.
 TEST(SnapshotFormat, RecoverFallsThroughCorruptRingEntries) {
-  const GridBoard grid = makeBoard({"irq_ticks"});
-  const RunConfig rc;
-  auto ref = buildBoard(grid, rc);
+  const auto images = workloads::BoardImages::family(1);
+  auto ref = snap::makeBoard(images);
   ref->run();
-  const BoardObs want = capture(*ref, grid);
+  const snap::Observation want = snap::observe(*ref);
 
-  auto board = buildBoard(grid, rc);
+  auto board = snap::makeBoard(images);
   board->setCheckpointing({512, 4, ""});
   // Corrupt every ring entry recorded after cycle 600 as it is pushed
   // (same mechanism fi::Campaign ring faults use).
@@ -593,7 +426,118 @@ TEST(SnapshotFormat, RecoverFallsThroughCorruptRingEntries) {
   EXPECT_EQ(rep.entries_corrupt, corrupted);
   EXPECT_LE(rep.resume_cycle, 600u);
   board->run();
-  expectIdentical(capture(*board, grid), want);
+  expectMatch(want, *board);
+}
+
+// ---- the shared observation harness (snap/observe.h) ----------------
+
+/// A finished producer/consumer board: IRQ deliveries on core 0, mailbox
+/// traffic and a few hundred bus transactions.
+snap::Observation pairObservation() {
+  const auto images = workloads::BoardImages::family(2);
+  auto board = snap::makeBoard(images);
+  board->run();
+  return snap::observe(*board);
+}
+
+/// True when `diff` is one line that starts with `named`.
+bool names(const std::string& diff, const std::string& named) {
+  return diff.rfind(named, 0) == 0 && diff.find('\n') == std::string::npos;
+}
+
+TEST(Observation, FirstMismatchNamesEachPerturbedField) {
+  const snap::Observation want = pairObservation();
+  EXPECT_EQ(snap::firstMismatch(want, pairObservation()), "");
+  ASSERT_GT(want.bus_log.size(), 17u);
+  ASSERT_EQ(want.bus_log[17].size, 4u);
+  ASSERT_GT(want.cores[0].irq_times.size(), 2u);
+
+  using O = snap::Observation;
+  std::vector<std::pair<std::string, std::function<void(O&)>>> rows = {
+      {"core 1 stop max_instructions != halted",
+       [](O& o) { o.cores[1].stop = iss::StopReason::kMaxInstructions; }},
+      {"core 0 pc ", [](O& o) { o.cores[0].pc += 4; }},
+      {"core 1 d7 ", [](O& o) { o.cores[1].d[7] ^= 1; }},
+      {"core 0 a3 ", [](O& o) { o.cores[0].a[3] ^= 1; }},
+      {"core 0 irq 2 delivered at ", [](O& o) { ++o.cores[0].irq_times[2]; }},
+      {"core 0 irq deliveries ", [](O& o) { o.cores[0].irq_times.pop_back(); }},
+      {"core 1 intc pending ", [](O& o) { o.cores[1].intc_pending ^= 2; }},
+      {"core 0 intc irqs_taken ", [](O& o) { ++o.cores[0].intc_irqs_taken; }},
+      {"bus txn 17 soc_cycle ", [](O& o) { ++o.bus_log[17].soc_cycle; }},
+      {"bus txn 17 addr ", [](O& o) { o.bus_log[17].addr ^= 4; }},
+      {"bus txn 17 value ", [](O& o) { o.bus_log[17].value ^= 1; }},
+      {"bus txn 17 size 1 != 4", [](O& o) { o.bus_log[17].size = 1; }},
+      {"bus txn 17 is_write ",
+       [](O& o) { o.bus_log[17].is_write = !o.bus_log[17].is_write; }},
+      {"bus log length ", [](O& o) { o.bus_log.pop_back(); }},
+      {"scratch 5 ", [](O& o) { o.scratch[5] ^= 1; }},
+      {"bus cycle ", [](O& o) { ++o.bus_cycle; }},
+      {"ptimer expiries ", [](O& o) { ++o.ptimer_expiries; }},
+      {"mailbox pushes ", [](O& o) { ++o.mailbox_pushes; }},
+      {"mailbox dropped ", [](O& o) { ++o.mailbox_dropped; }},
+      {"mailbox depth ", [](O& o) { ++o.mailbox_depth; }},
+      {"kernel events ", [](O& o) { ++o.kernel_events; }},
+      {"digest ", [](O& o) { o.digest ^= 1; }},
+  };
+  for (const iss::StatCounter& c : iss::kArchitecturalCounters) {
+    rows.push_back({std::string("core 1 ") + c.name + " ",
+                    [c](O& o) { ++(o.cores[1].stats.*c.field); }});
+  }
+  for (const auto& [named, perturb] : rows) {
+    O got = want;
+    perturb(got);
+    const std::string diff = snap::firstMismatch(want, got);
+    EXPECT_TRUE(names(diff, named)) << named << " | " << diff;
+  }
+
+  // A bare core compares the same way, without the "core N" prefix.
+  const auto images = workloads::BoardImages::family(1);
+  auto board = snap::makeBoard(images);
+  board->run();
+  const snap::CoreObservation bare = snap::observe(board->core(0));
+  snap::CoreObservation flipped = bare;
+  EXPECT_EQ(snap::firstMismatch(bare, flipped), "");
+  flipped.d[2] ^= 1;
+  EXPECT_TRUE(names(snap::firstMismatch(bare, flipped), "d2 "));
+}
+
+// The dispatch-path counters record how blocks were reached, which
+// legitimately differs between engines, kernels and warm/cold restores.
+TEST(Observation, DispatchPathCountersAreIgnored) {
+  const snap::Observation want = pairObservation();
+  snap::Observation got = want;
+  // cached_blocks, chain_hits, trace_*, guard_bails, private_*, threaded_*
+  ASSERT_EQ(iss::kDispatchPathCounters.size(), 11u);
+  for (snap::CoreObservation& core : got.cores) {
+    for (const iss::StatCounter& c : iss::kDispatchPathCounters) {
+      ++(core.stats.*c.field);
+    }
+  }
+  EXPECT_EQ(snap::firstMismatch(want, got), "");
+}
+
+// Across detail levels only the functional observables must agree.
+TEST(Observation, FunctionalComparisonIgnoresTiming) {
+  const snap::Observation want = pairObservation();
+  snap::Observation got = want;
+  for (snap::CoreObservation& core : got.cores) {
+    core.stats.cycles += 7;
+    core.stats.cache_penalty += 3;
+    core.irq_times.clear();
+  }
+  got.bus_cycle += 7;
+  got.bus_log.clear();
+  got.digest ^= 1;
+  EXPECT_EQ(snap::firstFunctionalMismatch(want, got), "");
+  EXPECT_NE(snap::firstMismatch(want, got), "");
+  got.cores[1].a[5] ^= 1;
+  EXPECT_TRUE(names(snap::firstFunctionalMismatch(want, got), "core 1 a5 "));
+  ++got.cores[1].stats.io_writes;
+  EXPECT_TRUE(
+      names(snap::firstFunctionalMismatch(want, got), "core 1 io_writes "));
+  ++got.cores[0].stats.instructions;
+  EXPECT_TRUE(
+      names(snap::firstFunctionalMismatch(want, got), "core 0 instructions "));
 }
 
 }  // namespace

@@ -62,9 +62,7 @@ TEST_P(WorkloadsAtLevel, TranslationEquivalentToReference) {
 std::vector<WorkloadLevel> allCombos() {
   std::vector<WorkloadLevel> combos;
   for (const Workload& w : all()) {
-    for (const xlat::DetailLevel level :
-         {xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
-          xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache}) {
+    for (const xlat::DetailLevel level : xlat::kDetailLevels) {
       combos.push_back({w.name, level});
     }
   }

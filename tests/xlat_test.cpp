@@ -268,9 +268,7 @@ _start: movi d1, -5
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Levels, AllLevels,
-    ::testing::Values(DetailLevel::kFunctional, DetailLevel::kStatic,
-                      DetailLevel::kBranchPredict, DetailLevel::kICache),
+    Levels, AllLevels, ::testing::ValuesIn(kDetailLevels),
     [](const ::testing::TestParamInfo<DetailLevel>& info) {
       std::string name = detailLevelName(info.param);
       std::replace(name.begin(), name.end(), '-', '_');
@@ -354,9 +352,7 @@ TEST(Translate, FunctionalLevelHasNoSyncTraffic) {
 
 TEST(Translate, DetailLevelsIncreaseCost) {
   uint64_t prev = 0;
-  for (const DetailLevel level :
-       {DetailLevel::kFunctional, DetailLevel::kStatic,
-        DetailLevel::kBranchPredict, DetailLevel::kICache}) {
+  for (const DetailLevel level : kDetailLevels) {
     EndToEnd e = runBoth(kLoopProgram, level);
     EXPECT_GE(e.run.vliw_cycles, prev)
         << "level " << detailLevelName(level);
