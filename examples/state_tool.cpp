@@ -192,8 +192,9 @@ struct ObsOptions {
 };
 
 /// Builds the campaign for this invocation: every --fault=SPEC plus,
-/// with --fi-armed, one never-due fault per category (the armed-idle
-/// overhead/non-perturbation probe — nothing ever fires).
+/// with --fi-armed, one never-due fault per category — register flip,
+/// bus error, device stall (the armed-idle overhead/non-perturbation
+/// probe — nothing ever fires).
 fi::Campaign buildCampaign(const std::vector<std::string>& fault_specs,
                            bool fi_armed, size_t num_cores) {
   fi::Campaign camp;
@@ -215,6 +216,11 @@ fi::Campaign buildCampaign(const std::vector<std::string>& fault_specs,
     bus.cycle = fi::CoreInjector::kNever;
     bus.addr = 0xf0000300u;
     camp.add(bus);
+    fi::FaultSpec stall;  // likewise a window that never opens
+    stall.kind = fi::FaultKind::kDeviceStall;
+    stall.cycle = fi::CoreInjector::kNever;
+    stall.device = "scratch";
+    camp.add(stall);
   }
   return camp;
 }

@@ -80,6 +80,32 @@ FaultSpec parseFaultSpec(const std::string& spec) {
 
 void Campaign::arm(platform::ReferenceBoard& board) {
   CABT_CHECK(board_ == nullptr, "campaign is already armed");
+  // The checks against the board come first, on the spec's own field
+  // widths (before anything narrows them). A stall is a silent window
+  // over the device's bus range, resolved here and armed last.
+  soc::SocBus& bus = board.board().bus;
+  std::vector<soc::BusFaultWindow> stalls;
+  for (const FaultSpec& spec : specs_) {
+    CABT_CHECK(spec.core < board.numCores(),
+               "fault core " << spec.core << " is out of range for a "
+                             << board.numCores() << "-core board");
+    if (spec.kind == FaultKind::kDataRegFlip ||
+        spec.kind == FaultKind::kAddrRegFlip) {
+      CABT_CHECK(spec.index < 16,
+                 "fault register index out of range: " << spec.index);
+    }
+    if (spec.kind == FaultKind::kDeviceStall) {
+      CABT_CHECK(!spec.device.empty(), "stall fault needs device=<name>");
+      const auto [lo, hi] = bus.deviceRange(spec.device);
+      soc::BusFaultWindow w;
+      w.lo = lo;
+      w.hi = hi;
+      w.from = spec.cycle;
+      w.until = spec.until;
+      w.poison = 0;
+      stalls.push_back(std::move(w));
+    }
+  }
   board_ = &board;
   injectors_.clear();
   for (size_t i = 0; i < board.numCores(); ++i) {
@@ -138,18 +164,24 @@ void Campaign::arm(platform::ReferenceBoard& board) {
           intc->raise(platform::kBusErrorIrqLine);
           bus_fires_.push_back({core, {t.soc_cycle, t.addr}});
         };
-        board.board().bus.armBusFault(std::move(w));
+        bus.armBusFault(std::move(w));
         break;
       }
       case FaultKind::kDeviceStall:
-        CABT_CHECK(!spec.device.empty(), "stall fault needs device=<name>");
-        board.faultProxy(spec.device)->armStall(spec.cycle, spec.until);
-        break;
+        break;  // armed below
       case FaultKind::kRingCorrupt:
         hooked_ring = true;
         break;
     }
   }
+  // The bus takes the first matching window, so arming the stalls after
+  // every bus-error window makes an error win over a stall on the same
+  // access.
+  stall_windows_first_ = bus.busFaults().size();
+  for (soc::BusFaultWindow& w : stalls) {
+    bus.armBusFault(std::move(w));
+  }
+  stall_windows_end_ = bus.busFaults().size();
   if (hooked_ring) {
     board.setCheckpointHook([this](platform::Checkpoint& cp) {
       for (const FaultSpec& spec : specs_) {
@@ -190,11 +222,6 @@ void Campaign::disarm() {
     board_->attachInjector(i, nullptr);
   }
   board_->board().bus.clearBusFaults();
-  for (const FaultSpec& spec : specs_) {
-    if (spec.kind == FaultKind::kDeviceStall) {
-      board_->faultProxy(spec.device)->clearStall();
-    }
-  }
   board_->setCheckpointHook(nullptr);
   board_ = nullptr;
 }
@@ -214,12 +241,11 @@ void Campaign::publishMetrics(obs::MetricsRegistry& reg,
   reg.setCounter(prefix + "bus_error_fires", bus_fires_.size());
   reg.setCounter(prefix + "ring_corruptions", ring_corruptions_);
   if (board_ != nullptr) {
+    const std::vector<soc::BusFaultWindow>& windows =
+        board_->board().bus.busFaults();
     uint64_t stalled = 0;
-    for (const FaultSpec& spec : specs_) {
-      if (spec.kind == FaultKind::kDeviceStall) {
-        const fi::FaultProxy* p = board_->faultProxy(spec.device);
-        stalled += p->stalledReads() + p->stalledWrites();
-      }
+    for (size_t i = stall_windows_first_; i < stall_windows_end_; ++i) {
+      stalled += windows[i].fires;
     }
     reg.setCounter(prefix + "device_stall_hits", stalled);
   }

@@ -12,7 +12,11 @@
 //     precise bus-error line (platform::kBusErrorIrqLine) on the faulted
 //     core's interrupt controller, delivered — like every interrupt — at
 //     the next block boundary;
-//   * device stalls arm the fi::FaultProxy wrapping the named device;
+//   * device stalls become soc::BusFaultWindows over the named device's
+//     bus range: reads return 0, writes are dropped, nothing is raised.
+//     They are armed after every bus-error window, so an error wins over
+//     a stall on the same access (the bus takes the first matching
+//     window);
 //   * ring corruptions hook takeCheckpoint and flip a byte in the freshly
 //     recorded snapshot ring entry (breaking its FNV footer), which is how
 //     the recovery tests manufacture corrupt-ring scenarios on demand.
@@ -71,9 +75,12 @@ class Campaign {
  public:
   void add(const FaultSpec& spec) { specs_.push_back(spec); }
   /// Arms every spec on `board`. Call once, before the run; the campaign
-  /// owns the per-core injectors and must outlive the board's run.
+  /// owns the per-core injectors and must outlive the board's run. Throws
+  /// cabt::Error before arming anything when a spec names a core the
+  /// board does not have, a register index past 15 or a device not on
+  /// the bus.
   void arm(platform::ReferenceBoard& board);
-  /// Detaches everything armed (injectors, bus windows, stalls, hook).
+  /// Detaches everything armed (injectors, bus windows, hook).
   void disarm();
 
   [[nodiscard]] size_t scheduled() const { return specs_.size(); }
@@ -99,6 +106,9 @@ class Campaign {
   /// (core, soc_cycle, addr) of each bus-error fire, recorded by the
   /// on_error callbacks (sequential drain only).
   std::vector<std::pair<size_t, std::pair<uint64_t, uint32_t>>> bus_fires_;
+  /// The stall windows' slots in the bus's window list: [first, end).
+  size_t stall_windows_first_ = 0;
+  size_t stall_windows_end_ = 0;
   uint64_t ring_corruptions_ = 0;
 };
 

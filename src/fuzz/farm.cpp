@@ -9,6 +9,9 @@ namespace cabt::fuzz {
 
 namespace {
 
+/// Generator seeds used to bootstrap an empty corpus.
+constexpr size_t kBootstrapSeeds = 4;
+
 uint64_t nowMillis() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -199,7 +202,7 @@ FarmStats Farm::run() {
 
   // ---- bootstrap an empty corpus from the program generator ----------
   if (corpus.size() == 0) {
-    for (size_t i = 0; i < config_.bootstrap_seeds; ++i) {
+    for (size_t i = 0; i < kBootstrapSeeds; ++i) {
       SeedCase c;
       // Two of three bootstrap shapes are single-core without shared
       // traffic, keeping the three-way (rtl + translator) legs hot.

@@ -42,8 +42,6 @@ struct FarmConfig {
   /// in memory only (FarmStats::finding_paths stays empty).
   std::string findings_dir;
   uint32_t seed = 1;
-  /// Generator seeds used to bootstrap an empty corpus.
-  size_t bootstrap_seeds = 4;
   /// Stop conditions; 0 = unbounded. Candidates counts mutants tried,
   /// execs counts oracle engine runs, millis is wall clock.
   uint64_t max_candidates = 0;

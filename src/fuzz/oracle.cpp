@@ -6,6 +6,7 @@
 
 #include "arch/arch.h"
 #include "common/error.h"
+#include "common/serial.h"
 #include "fi/fi.h"
 #include "iss/iss.h"
 #include "platform/platform.h"
@@ -23,20 +24,16 @@ namespace {
 /// threaded engine, sequential kernel.
 constexpr snap::GridPoint kRef{xlat::DetailLevel::kICache, true, false};
 
-uint64_t fnv1a(uint64_t h, const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+/// VLIW-cycle budget for translated-platform runs.
+constexpr uint64_t kMaxVliwCycles = 80'000'000;
 
 std::string forkKey(const SeedCase& c, const snap::GridPoint& point) {
-  uint64_t h = 1469598103934665603ull;
+  static constexpr uint8_t kSeparator = '|';
+  uint64_t h = serial::kFnvOffset;
   for (const std::string& p : c.programs) {
-    h = fnv1a(h, p.data(), p.size());
-    h = fnv1a(h, "|", 1);
+    h = serial::fnv1a(reinterpret_cast<const uint8_t*>(p.data()), p.size(),
+                      h);
+    h = serial::fnv1a(&kSeparator, 1, h);
   }
   std::ostringstream key;
   key << std::hex << h << std::dec << "-q" << c.quantum << "-f"
@@ -244,7 +241,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
         xopts.debug_skew_static_cycles = opts.xlat_skew;
         const xlat::TranslationResult t = xlat::translate(desc, obj, xopts);
         platform::PlatformConfig pcfg;
-        pcfg.max_cycles = opts.max_vliw_cycles;
+        pcfg.max_cycles = kMaxVliwCycles;
         platform::EmulationPlatform plat(desc, t.image, pcfg);
         ++result.executions;
         const platform::RunResult run = plat.run();

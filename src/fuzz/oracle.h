@@ -58,8 +58,6 @@ struct OracleOptions {
   /// reference configuration marks the candidate invalid (mutants that
   /// spin are discarded, not reported).
   uint64_t max_instructions = 2'000'000;
-  /// VLIW-cycle budget for translated-platform runs.
-  uint64_t max_vliw_cycles = 80'000'000;
   /// Skip the rtlsim/translator legs entirely (used by grid-only unit
   /// tests; the farm keeps them on).
   bool three_way = true;

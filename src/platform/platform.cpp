@@ -1,10 +1,8 @@
 #include "platform/platform.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <thread>
 
 #include "common/strutil.h"
 #include "snap/snapshot.h"
@@ -31,45 +29,9 @@ EmulationPlatform::EmulationPlatform(const arch::ArchDescription& desc,
   });
 }
 
-namespace {
-
-/// The V6X core as an event-kernel process: one quantum of VLIW cycles
-/// per activation. The synchronization device and the bus bridge stay in
-/// the VLIW clock domain (the cycle hook), exactly as before — the
-/// kernel only owns the slicing, so the run is bit-identical to the old
-/// monolithic run() loop.
-class VliwProcess : public sim::Process {
- public:
-  VliwProcess(vliw::V6xSim* sim, uint64_t max_cycles)
-      : sim::Process("v6x"), sim_(sim), budget_(max_cycles) {}
-
-  void activate(sim::Kernel& kernel) override {
-    const uint64_t slice = std::min(kernel.quantum(), budget_);
-    const uint64_t before = sim_->stats().cycles;
-    state_ = sim_->run(slice);
-    budget_ -= sim_->stats().cycles - before;
-    if (state_ == vliw::RunState::kMaxCycles && budget_ > 0) {
-      kernel.sync(this, kernel.now() + slice);
-    }
-  }
-
-  [[nodiscard]] vliw::RunState state() const { return state_; }
-
- private:
-  vliw::V6xSim* sim_;
-  uint64_t budget_;
-  vliw::RunState state_ = vliw::RunState::kRunning;
-};
-
-}  // namespace
-
 RunResult EmulationPlatform::run() {
-  sim::Kernel kernel(config_.quantum);
-  VliwProcess proc(&sim_, config_.max_cycles);
-  kernel.addProcess(&proc);
-  kernel.run();
   RunResult r;
-  r.state = proc.state();
+  r.state = sim_.run(config_.max_cycles);
   r.vliw_cycles = sim_.stats().cycles;
   r.generated_cycles = sync_->totalGenerated();
   r.sync_stall_cycles = sim_.stats().stall_cycles;
@@ -216,23 +178,15 @@ void ReferenceBoard::init(const arch::ArchDescription& desc,
   board_ = std::make_unique<soc::StandardPeripherals>(io->base);
   ptimer_ = std::make_unique<soc::ProgrammableTimer>();
   mailbox_ = std::make_unique<soc::MailboxDevice>();
-  // Board-level devices go onto the bus through fault proxies, like the
-  // StandardPeripherals ports. The proxies forward everything (name,
-  // registers, snapshot bytes); internal wiring — doorbells, IRQ routing,
-  // attachIrq — deliberately stays on the raw devices: a stall models a
-  // hung *bus interface*, not a dead device.
-  ptimer_port_ = std::make_unique<fi::FaultProxy>(ptimer_.get());
-  mailbox_port_ = std::make_unique<fi::FaultProxy>(mailbox_.get());
-  board_->bus.attach(ptimer_port_.get(),
+  board_->bus.attach(ptimer_.get(),
                      io->base + soc::StandardIoMap::kPTimerOffset,
                      soc::StandardIoMap::kPTimerSize);
-  board_->bus.attach(mailbox_port_.get(),
+  board_->bus.attach(mailbox_.get(),
                      io->base + soc::StandardIoMap::kMailboxOffset,
                      soc::StandardIoMap::kMailboxSize);
   if (config.watchdog) {
     watchdog_ = std::make_unique<fi::WatchdogDevice>();
-    watchdog_port_ = std::make_unique<fi::FaultProxy>(watchdog_.get());
-    board_->bus.attach(watchdog_port_.get(),
+    board_->bus.attach(watchdog_.get(),
                        io->base + soc::StandardIoMap::kWatchdogOffset,
                        soc::StandardIoMap::kWatchdogSize);
     // The fire callback only flags; runTo() acts on the flag between
@@ -259,11 +213,6 @@ void ReferenceBoard::init(const arch::ArchDescription& desc,
   if (watchdog_ != nullptr) {
     watchdog_->setIrqTarget(intcs_.front().get(), kWatchdogIrqLine);
   }
-  proxies_ = {&board_->timer_port, &board_->chardev_port,
-              &board_->scratch_port, ptimer_port_.get(), mailbox_port_.get()};
-  if (watchdog_port_ != nullptr) {
-    proxies_.push_back(watchdog_port_.get());
-  }
   for (size_t i = 0; i < cores_.size(); ++i) {
     procs_.push_back(std::make_unique<CoreProcess>(
         cores_[i].get(), "core" + std::to_string(i)));
@@ -279,15 +228,6 @@ sim::Process* ReferenceBoard::process(size_t i) const {
 
 void ReferenceBoard::attachInjector(size_t i, fi::CoreInjector* injector) {
   cores_.at(i)->setInjector(injector);
-}
-
-fi::FaultProxy* ReferenceBoard::faultProxy(const std::string& name) {
-  for (fi::FaultProxy* p : proxies_) {
-    if (p->name() == name) {
-      return p;
-    }
-  }
-  CABT_FAIL("no fault-proxied device named '" << name << "'");
 }
 
 fi::WatchdogDevice& ReferenceBoard::watchdog() {
@@ -350,14 +290,6 @@ void ReferenceBoard::publishMetrics(obs::MetricsRegistry& reg,
   reg.setCounter(prefix + "fi.recoveries", recoveries_);
   reg.setCounter(prefix + "fi.divergences", divergences_);
   reg.setCounter(prefix + "fi.bus_fault_fires", board_->bus.busFaultFires());
-  uint64_t stalled_reads = 0;
-  uint64_t stalled_writes = 0;
-  for (const fi::FaultProxy* p : proxies_) {
-    stalled_reads += p->stalledReads();
-    stalled_writes += p->stalledWrites();
-  }
-  reg.setCounter(prefix + "fi.device_stalled_reads", stalled_reads);
-  reg.setCounter(prefix + "fi.device_stalled_writes", stalled_writes);
   if (watchdog_ != nullptr) {
     reg.setCounter(prefix + "fi.watchdog_fired", watchdog_->fired());
   }
@@ -444,12 +376,12 @@ sim::Cycle ReferenceBoard::runTo(sim::Cycle limit) {
       diverged = takeCheckpoint(chunk);
     }
     if ((diverged || watchdog_fire_pending_) && recovery_.auto_recover &&
-        recoveries_ < recovery_.max_recoveries) {
+        recoveries_ < kMaxAutoRecoveries) {
       // Graceful degradation between chunks: rewind to the newest intact
       // ring entry and replay. A consumed one-shot fault does not
       // re-fire, so the replayed timeline converges on the clean run; a
       // deterministic hang recovers identically every time, which is why
-      // max_recoveries bounds the loop (beyond it the board runs on
+      // kMaxAutoRecoveries bounds the loop (beyond it the board runs on
       // degraded).
       const RecoveryReport rep = recover();
       CABT_CHECK(rep.recovered,
@@ -467,22 +399,17 @@ RecoveryReport ReferenceBoard::recover() {
   RecoveryReport rep;
   for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
     ++rep.entries_tried;
-    // Load the bytes: spilled entries get bounded I/O retries with
-    // doubling backoff; an unreadable file counts as corrupt and falls
-    // through to the next-older entry.
+    // Load the bytes: spilled entries get bounded I/O retries; an
+    // unreadable file counts as corrupt and falls through to the
+    // next-older entry.
     std::vector<uint8_t> data;
     if (it->path.empty()) {
       data = it->data;
     } else {
       bool read_ok = false;
-      unsigned backoff = recovery_.backoff_ms;
-      for (size_t attempt = 0; attempt < recovery_.io_attempts; ++attempt) {
+      for (size_t attempt = 0; attempt < kRecoveryIoAttempts; ++attempt) {
         if (attempt > 0) {
           ++rep.io_retries;
-          if (backoff > 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-            backoff *= 2;
-          }
         }
         std::ifstream in(it->path, std::ios::binary);
         if (!in.good()) {

@@ -19,7 +19,6 @@
 
 #include "arch/arch.h"
 #include "elf/elf.h"
-#include "fi/fault_proxy.h"
 #include "fi/watchdog.h"
 #include "iss/iss.h"
 #include "obs/metrics.h"
@@ -38,10 +37,8 @@ namespace cabt::platform {
 struct PlatformConfig {
   /// VLIW clock cycles per generated SoC cycle (the FPGA generation rate).
   unsigned vliw_cycles_per_soc_cycle = 1;
-  uint64_t vliw_clock_hz = 200'000'000;
+  /// VLIW-cycle budget of run(); exhausting it stops with kMaxCycles.
   uint64_t max_cycles = 4'000'000'000ull;
-  /// VLIW cycles the core process runs per event-kernel activation.
-  uint64_t quantum = 65'536;
 };
 
 /// Memory-mapped synchronization device front end for the V6X core.
@@ -130,6 +127,10 @@ class EmulationPlatform {
   EmulationPlatform(const arch::ArchDescription& desc,
                     const elf::Object& image, PlatformConfig config = {});
 
+  /// Runs the V6X machine until it stops or config().max_cycles run out.
+  /// The synchronization device and the bus bridge advance in the VLIW
+  /// clock domain (the simulator's cycle hook), so no event kernel is
+  /// involved: the machine is the platform's only initiator.
   RunResult run();
 
   [[nodiscard]] vliw::V6xSim& sim() { return sim_; }
@@ -215,7 +216,7 @@ struct CheckpointConfig {
   size_t ring = 4;
   /// Non-empty: spill ring entries to `<dir>/cp_<cycle>.snap` instead of
   /// holding the bytes in memory (the directory must exist). recover()
-  /// then reads them back with bounded retries (RecoveryConfig).
+  /// then reads them back with bounded retries (kRecoveryIoAttempts).
   std::string dir;
 };
 
@@ -226,18 +227,16 @@ struct RecoveryConfig {
   /// a digest-trail divergence or a fired watchdog (checkpointing must
   /// be enabled — recovery needs a ring to fall back into).
   bool auto_recover = false;
-  /// Total automatic recoveries runTo() may perform before it gives up
-  /// and keeps running degraded (a deterministic hang would otherwise
-  /// recover forever).
-  size_t max_recoveries = 4;
-  /// Attempts per spilled ring entry when the file read fails (I/O, not
-  /// corruption: corrupt bytes fail the snapshot footer and fall through
-  /// to the next-older entry instead of being retried).
-  size_t io_attempts = 3;
-  /// Doubling backoff between those attempts; 0 (the default, used by
-  /// tests) retries immediately.
-  unsigned backoff_ms = 0;
 };
+
+/// Total automatic recoveries runTo() may perform before it gives up and
+/// keeps running degraded (a deterministic hang would otherwise recover
+/// forever).
+inline constexpr size_t kMaxAutoRecoveries = 4;
+/// Read attempts per spilled ring entry when the file read fails (I/O,
+/// not corruption: corrupt bytes fail the snapshot footer and fall
+/// through to the next-older entry instead of being retried).
+inline constexpr size_t kRecoveryIoAttempts = 3;
 
 /// What recover() did, entry by entry.
 struct RecoveryReport {
@@ -299,10 +298,6 @@ class ReferenceBoard {
   /// Connects a fault injector to core `i` (Iss::setInjector); the
   /// injector must outlive the run. nullptr detaches.
   void attachInjector(size_t i, fi::CoreInjector* injector);
-  /// The fault proxy wrapping the device named `name` ("timer",
-  /// "chardev", "scratch", "ptimer", "mailbox", "watchdog"); throws when
-  /// no such proxied device exists. Campaigns arm stall windows here.
-  [[nodiscard]] fi::FaultProxy* faultProxy(const std::string& name);
   /// The watchdog peripheral; only on boards built with
   /// BoardConfig::watchdog.
   [[nodiscard]] fi::WatchdogDevice& watchdog();
@@ -330,12 +325,12 @@ class ReferenceBoard {
   void setExpectedTrail(std::vector<std::pair<sim::Cycle, uint64_t>> trail);
 
   /// Graceful degradation: walks the snapshot ring newest-to-oldest and
-  /// restores the first entry that loads (bounded I/O retries with
-  /// backoff for spilled entries), passes the integrity footer and
-  /// reproduces its recorded digest (and matches the expected trail when
-  /// armed). On success the board has rewound to that entry — newer ring
-  /// entries and trail suffixes are discarded, the watchdog flag is
-  /// cleared — and deterministic replay (runTo) resumes from there.
+  /// restores the first entry that loads (kRecoveryIoAttempts reads for
+  /// spilled entries), passes the integrity footer and reproduces its
+  /// recorded digest (and matches the expected trail when armed). On
+  /// success the board has rewound to that entry — newer ring entries and
+  /// trail suffixes are discarded, the watchdog flag is cleared — and
+  /// deterministic replay (runTo) resumes from there.
   /// Returns a report either way; report.recovered == false means the
   /// whole ring was exhausted.
   RecoveryReport recover();
@@ -415,14 +410,8 @@ class ReferenceBoard {
   obs::TraceSink* trace_sink_ = nullptr;  ///< never serialized
 
   // Fault-injection & recovery harness state (never serialized, never
-  // digested). The board-level devices are attached to the bus through
-  // owned FaultProxy decorators; proxies_ indexes those plus the
-  // StandardPeripherals ports by device name for faultProxy().
+  // digested).
   std::unique_ptr<fi::WatchdogDevice> watchdog_;  ///< BoardConfig::watchdog
-  std::unique_ptr<fi::FaultProxy> ptimer_port_;
-  std::unique_ptr<fi::FaultProxy> mailbox_port_;
-  std::unique_ptr<fi::FaultProxy> watchdog_port_;
-  std::vector<fi::FaultProxy*> proxies_;
   std::function<void(Checkpoint&)> checkpoint_hook_;
   RecoveryConfig recovery_;
   std::vector<std::pair<sim::Cycle, uint64_t>> expected_trail_;

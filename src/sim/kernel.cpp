@@ -6,28 +6,6 @@
 
 namespace cabt::sim {
 
-void ClockedProcess::activate(Kernel& kernel) {
-  if (stopped_) {
-    return;
-  }
-  tick(kernel);
-  if (!stopped_) {
-    kernel.sync(this, kernel.now() + period_);
-  }
-}
-
-Event::Event(Kernel* kernel, std::string name)
-    : kernel_(kernel), name_(std::move(name)) {
-  CABT_CHECK(kernel_ != nullptr, "event needs a kernel");
-}
-
-void Event::notify(Cycle at) {
-  for (Process* p : waiting_) {
-    kernel_->sync(p, at);
-  }
-  waiting_.clear();
-}
-
 Kernel::Kernel(Cycle quantum) : quantum_(quantum) {
   CABT_CHECK(quantum_ >= 1, "quantum must be >= 1");
 }
@@ -46,13 +24,7 @@ void Kernel::saveState(
   w.u64(prefixes_);
   // Canonical event order (the comparator's total order), so the bytes
   // do not depend on the incidental heap layout.
-  std::vector<Ev> sorted;
-  sorted.reserve(queue_.size());
-  for (const Ev& ev : queue_) {
-    CABT_CHECK(ev.proc != nullptr,
-               "cannot snapshot a kernel holding schedule() callbacks");
-    sorted.push_back(Ev{ev.at, ev.seq, ev.proc, {}});
-  }
+  std::vector<Ev> sorted = queue_;
   std::sort(sorted.begin(), sorted.end(), [](const Ev& a, const Ev& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   });
@@ -85,24 +57,20 @@ void Kernel::restoreState(
     ev.seq = r.u64();
     ev.proc = process_at(r.u32());
     CABT_CHECK(ev.proc != nullptr, "snapshot names an unknown process");
-    queue_.push_back(std::move(ev));
+    queue_.push_back(ev);
   }
   std::make_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 void Kernel::dispatchOne() {
   std::pop_heap(queue_.begin(), queue_.end(), Later{});
-  Ev ev = std::move(queue_.back());
+  const Ev ev = queue_.back();
   queue_.pop_back();
   if (ev.at > now_) {
     now_ = ev.at;
   }
   ++dispatched_;
-  if (ev.proc != nullptr) {
-    ev.proc->activate(*this);
-  } else {
-    ev.fn();
-  }
+  ev.proc->activate(*this);
 }
 
 Cycle Kernel::run(Cycle limit) {
@@ -154,8 +122,7 @@ Cycle Kernel::runParallelRounds(Cycle limit) {
         start > kForever - quantum_ ? kForever : start + quantum_;
     ready.clear();
     for (const Ev& ev : queue_) {
-      if (ev.proc == nullptr || ev.at >= round_end || ev.at > limit ||
-          !ev.proc->parallelReady()) {
+      if (ev.at >= round_end || ev.at > limit || !ev.proc->parallelReady()) {
         continue;
       }
       // Defensive de-dup: a process with several queued activations runs

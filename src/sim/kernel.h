@@ -5,17 +5,15 @@
 // of the SystemC scheduler for the reproduction, in the loosely-timed
 // TLM-2.0 style that keeps binary-translation speed:
 //
-//   * one 64-bit cycle timebase (SoC cycles on the reference board, VLIW
-//     cycles on the emulation platform — the kernel is unit-agnostic);
-//   * an event queue dispatched in (time, insertion-order) order, so runs
-//     are deterministic for a fixed configuration;
+//   * one 64-bit cycle timebase (SoC cycles on the reference board; the
+//     kernel itself is unit-agnostic);
+//   * a queue of process activations dispatched in (time, insertion-
+//     order) order, so runs are deterministic for a fixed configuration;
 //   * processes that own *local* time and run ahead of global time by up
 //     to one quantum before yielding back via sync() — temporal
 //     decoupling. The scheduler always activates the process with the
 //     smallest wake time, so no process ever observes another more than
-//     one quantum behind it;
-//   * triggered wake-ups via Event (the sc_event analogue) and one-shot
-//     timed callbacks via schedule().
+//     one quantum behind it.
 //
 // Shared state (the SoC bus and its devices) advances *lazily* to a
 // transaction's timestamp (soc::SocBus::advanceTo), so a process slice
@@ -76,8 +74,7 @@ class Process {
 
   /// One activation at the process's wake time. The body runs up to the
   /// kernel's quantum, then either calls kernel.sync(this, t) to yield
-  /// until its local time t, waits on an Event, or returns without
-  /// rescheduling to finish.
+  /// until its local time t, or returns without rescheduling to finish.
   virtual void activate(Kernel& kernel) = 0;
 
   // -- parallel-round support (Kernel::ParallelConfig) ------------------
@@ -103,50 +100,6 @@ class Process {
 
  private:
   std::string name_;
-};
-
-/// A fixed-period (clocked) process: tick() runs once per period until
-/// stop(). Periods are in kernel cycles.
-class ClockedProcess : public Process {
- public:
-  ClockedProcess(std::string name, Cycle period)
-      : Process(std::move(name)), period_(period) {
-    CABT_CHECK(period_ >= 1, "clock period must be >= 1");
-  }
-
-  void activate(Kernel& kernel) final;
-  virtual void tick(Kernel& kernel) = 0;
-
-  void stop() { stopped_ = true; }
-  [[nodiscard]] bool stopped() const { return stopped_; }
-  [[nodiscard]] Cycle period() const { return period_; }
-
- private:
-  Cycle period_;
-  bool stopped_ = false;
-};
-
-/// A triggered wake-up source (the sc_event analogue): processes park on
-/// it with wait(); notify(at) schedules every parked process at `at`.
-class Event {
- public:
-  Event(Kernel* kernel, std::string name);
-
-  /// Parks `p` until the next notify(). A process may only wait from
-  /// inside its own activate() (after which it must not also sync()).
-  void wait(Process* p) { waiting_.push_back(p); }
-
-  /// Wakes every parked process at absolute time `at` (clamped to the
-  /// kernel's current time) and clears the wait list.
-  void notify(Cycle at);
-
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] size_t numWaiting() const { return waiting_.size(); }
-
- private:
-  Kernel* kernel_;
-  std::string name_;
-  std::vector<Process*> waiting_;
 };
 
 class Kernel {
@@ -191,21 +144,15 @@ class Kernel {
   /// Registers a process and schedules its first activation at `start`.
   void addProcess(Process* p, Cycle start = 0) {
     CABT_CHECK(p != nullptr, "null process");
-    push(start, p, {});
+    push(start, p);
   }
 
   /// From inside activate(): yield and resume at absolute local time
   /// `at`. Times before now() are clamped (the process fell behind global
-  /// time, e.g. after waiting on an event).
+  /// time).
   void sync(Process* p, Cycle at) {
     CABT_CHECK(p != nullptr, "null process");
-    push(at < now_ ? now_ : at, p, {});
-  }
-
-  /// One-shot timed callback (a degenerate triggered process).
-  void schedule(Cycle at, std::function<void()> fn) {
-    CABT_CHECK(fn != nullptr, "null callback");
-    push(at < now_ ? now_ : at, nullptr, std::move(fn));
+    push(at < now_ ? now_ : at, p);
   }
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
@@ -247,10 +194,9 @@ class Kernel {
   // The queue holds the process phases of the platform: one pending
   // activation time per live process. Processes are identified through
   // the caller's mapping (the platform owns the process list and its
-  // order); one-shot schedule() callbacks cannot be serialized, so a
-  // queue holding one refuses to save. Snapshots are taken between run()
-  // calls only — never inside a parallel round (no round is open then,
-  // so no prefix state exists outside the queue).
+  // order). Snapshots are taken between run() calls only — never inside
+  // a parallel round (no round is open then, so no prefix state exists
+  // outside the queue).
 
   /// Saves global time, the dispatch counters and every queued event as
   /// (time, insertion-order, process index).
@@ -267,7 +213,6 @@ class Kernel {
     Cycle at = 0;
     uint64_t seq = 0;  ///< insertion order: deterministic tie-break
     Process* proc = nullptr;
-    std::function<void()> fn;
   };
   struct Later {
     bool operator()(const Ev& a, const Ev& b) const {
@@ -275,8 +220,8 @@ class Kernel {
     }
   };
 
-  void push(Cycle at, Process* proc, std::function<void()> fn) {
-    queue_.push_back(Ev{at, seq_++, proc, std::move(fn)});
+  void push(Cycle at, Process* proc) {
+    queue_.push_back(Ev{at, seq_++, proc});
     std::push_heap(queue_.begin(), queue_.end(), Later{});
   }
   /// Dispatches the front event (pop-min in (time, insertion) order).

@@ -17,6 +17,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -38,15 +41,24 @@ struct Transaction {
   bool operator==(const Transaction&) const = default;
 };
 
-/// A bus-error injection window (fault injection, DESIGN.md section 12):
-/// accesses to [lo, hi] while `from <= soc_cycle < until` (and while fewer
-/// than `max_fires` accesses have matched, 0 = unlimited) error out instead
-/// of reaching a device. A faulted read returns `poison`, a faulted write is
-/// dropped; both are logged like normal transactions (the error response is
-/// an architectural observable) and invoke `on_error` — which is how the
-/// fi::Campaign raises the precise bus-error interrupt line. The window may
-/// cover unmapped space: a matching access then errors instead of tripping
-/// the unmapped-address check, modelling a bus error on a bad address.
+/// A bus fault window (fault injection, DESIGN.md section 12): accesses to
+/// [lo, hi] while `from <= soc_cycle < until` (and while fewer than
+/// `max_fires` accesses have matched, 0 = unlimited) are intercepted
+/// instead of reaching a device. A faulted read returns `poison`, a
+/// faulted write is dropped; both are logged like normal transactions (the
+/// response is an architectural observable) and invoke `on_error` when set.
+/// fi::Campaign builds both of its bus faults from this one window:
+///   * a bus error sets `on_error` to raise the precise bus-error line; the
+///     window may cover unmapped space, where a matching access errors
+///     instead of tripping the unmapped-address check;
+///   * a device stall (a hung bus interface) covers one device's range
+///     (deviceRange) with poison 0 and no `on_error`. The device keeps
+///     being clocked; only the guest's accesses vanish.
+/// Windows match in arming order: the first armed window that covers the
+/// address, is open at the bus cycle and has fires left takes the access.
+/// The campaign arms every bus-error window before any stall window, so
+/// when both cover an access the error wins — the error response ends the
+/// transaction before it reaches the device's interface.
 /// Windows themselves are harness state: never serialized, never digested.
 struct BusFaultWindow {
   uint32_t lo = 0;
@@ -116,6 +128,18 @@ class SocBus {
 
   [[nodiscard]] uint64_t socCycle() const { return soc_cycle_; }
 
+  /// The address range [lo, hi] (inclusive) of the attached device named
+  /// `name`. Throws when no attached device has that name.
+  [[nodiscard]] std::pair<uint32_t, uint32_t> deviceRange(
+      std::string_view name) const {
+    for (const Window& w : windows_) {
+      if (w.device->name() == name) {
+        return {w.base, w.base + (w.size - 1)};
+      }
+    }
+    CABT_FAIL("no device named '" << std::string(name) << "' on the bus");
+  }
+
   uint32_t read(uint32_t addr, unsigned size) {
     if (!bus_faults_.empty()) {
       if (BusFaultWindow* f = matchFault(addr)) {
@@ -161,7 +185,7 @@ class SocBus {
                     true});
   }
 
-  // -- bus-error injection (src/fi, DESIGN.md section 12) ----------------
+  // -- fault windows (src/fi, DESIGN.md section 12) ----------------------
   //
   // Arm/clear only between runs or from the sequential path; matchFault
   // runs inside read/write, which the threading contract above already

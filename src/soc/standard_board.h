@@ -2,17 +2,13 @@
 // the reference board (ISS) and the emulation platform attach the same
 // devices at the same offsets inside the source processor's I/O region.
 //
-// Every device is attached through a fi::FaultProxy (device stall/timeout
-// injection, DESIGN.md section 12). The proxies forward everything —
-// name, registers, clocking, snapshot state — verbatim, so an unfaulted
-// board is byte-identical to the pre-proxy assembly; they only matter when
-// a campaign arms a stall window on one of them.
+// Devices attach to the bus directly. Device stall/timeout injection
+// (DESIGN.md section 12) is a bus fault window over the device's range
+// (SocBus::deviceRange), so an unfaulted board carries no fault-injection
+// state at all.
 #pragma once
 
-#include <memory>
-
 #include "arch/arch.h"
-#include "fi/fault_proxy.h"
 #include "soc/bus.h"
 #include "soc/peripherals.h"
 
@@ -23,17 +19,14 @@ struct StandardPeripherals {
   TimerDevice timer;
   CharDevice chardev;
   ScratchDevice scratch;
-  fi::FaultProxy timer_port{&timer};
-  fi::FaultProxy chardev_port{&chardev};
-  fi::FaultProxy scratch_port{&scratch};
 
   /// Attaches the devices at the standard offsets inside `io_base`.
   explicit StandardPeripherals(uint32_t io_base) {
-    bus.attach(&timer_port, io_base + StandardIoMap::kTimerOffset,
+    bus.attach(&timer, io_base + StandardIoMap::kTimerOffset,
                StandardIoMap::kTimerSize);
-    bus.attach(&chardev_port, io_base + StandardIoMap::kCharOffset,
+    bus.attach(&chardev, io_base + StandardIoMap::kCharOffset,
                StandardIoMap::kCharSize);
-    bus.attach(&scratch_port, io_base + StandardIoMap::kScratchOffset,
+    bus.attach(&scratch, io_base + StandardIoMap::kScratchOffset,
                StandardIoMap::kScratchSize);
   }
 

@@ -14,8 +14,9 @@
 //     parallel rounds, so the post-fault timeline is bit-identical
 //     everywhere.
 //   * Guest-visible consequences: bus-error windows raise the precise
-//     bus-error interrupt at block boundaries; the watchdog peripheral
-//     fires when the guest stops petting it.
+//     bus-error interrupt at block boundaries; stall windows make a
+//     device's reads return 0 and drop its writes; the watchdog
+//     peripheral fires when the guest stops petting it.
 //   * Graceful degradation: recover() walks the snapshot ring newest to
 //     oldest past corrupt, unreadable and trail-divergent entries, and
 //     deterministic replay from the restored entry converges on the
@@ -29,9 +30,9 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "fi/fault_proxy.h"
 #include "fi/fi.h"
 #include "fi/inject.h"
 #include "fi/watchdog.h"
@@ -81,6 +82,27 @@ TEST(FaultSpecParse, RoundTripsFieldsAndRejectsGarbage) {
   EXPECT_THROW(fi::parseFaultSpec("pc@100:bogus=1"), Error);  // unknown key
   EXPECT_THROW(fi::parseFaultSpec("pc@100:mask"), Error);     // no '='
   EXPECT_THROW(fi::parseFaultSpec("pc@x"), Error);            // bad number
+}
+
+// Campaign::arm rejects what the board cannot honour with a cabt::Error,
+// judged on the spec's own field widths (index 256 must not wrap to d0,
+// a core past the board must not surface as std::out_of_range), before
+// arming anything — not even the valid spec ahead of the bad one.
+TEST(FaultSpecArm, RejectsSpecsOutsideTheBoard) {
+  const auto images = workloads::BoardImages::family(1);
+  for (const char* spec :
+       {"dreg@1500:index=256,mask=1", "areg@1500:index=16,mask=1",
+        "dreg@10:core=3,index=1,mask=1", "mem@10:core=1,addr=0,mask=1",
+        "buserr@10:core=1,addr=4026532608", "stall@10:device=nosuch",
+        "stall@10"}) {
+    SCOPED_TRACE(spec);
+    auto board = snap::makeBoard(images);
+    fi::Campaign camp;
+    camp.add(fi::parseFaultSpec("buserr@10:addr=4026532608"));
+    camp.add(fi::parseFaultSpec(spec));
+    EXPECT_THROW(camp.arm(*board), Error);
+    EXPECT_TRUE(board->board().bus.busFaults().empty());
+  }
 }
 
 TEST(CoreInjector, ValidatesSchedulesAndConsumesInOrder) {
@@ -155,23 +177,6 @@ TEST(WatchdogUnit, FiresOnceWhenNotPetted) {
   EXPECT_FALSE(wd.enabled());  // one-shot
   wd.advanceTo(200, 400);
   EXPECT_EQ(wd.fired(), 1u);
-}
-
-TEST(FaultProxyUnit, StallsOnlyInsideTheWindow) {
-  soc::ScratchDevice scratch;
-  fi::FaultProxy proxy(&scratch);
-  EXPECT_EQ(proxy.name(), "scratch");
-  proxy.write(0, 7, 4, 10);
-  EXPECT_EQ(proxy.read(0, 4, 11), 7u);
-  proxy.armStall(100, 200, 0xffffffffu);
-  EXPECT_EQ(proxy.read(0, 4, 99), 7u);
-  EXPECT_EQ(proxy.read(0, 4, 100), 0xffffffffu);  // stalled read
-  proxy.write(0, 9, 4, 150);                      // dropped write
-  EXPECT_EQ(proxy.read(0, 4, 200), 7u);  // window over, value kept
-  EXPECT_EQ(proxy.stalledReads(), 1u);
-  EXPECT_EQ(proxy.stalledWrites(), 1u);
-  proxy.clearStall();
-  EXPECT_FALSE(proxy.stalledAt(150));
 }
 
 // ---- non-perturbation -------------------------------------------------
@@ -357,6 +362,193 @@ TEST(BusError, WindowPoisonsReadsAndRaisesThePreciseTrap) {
   }
 }
 
+// Writes a countdown to scratch register 1 and reads each value back
+// (12 round trips). Nothing the guest does depends on the values read, so
+// a stall changes the bus log but not the timing.
+const char* kStallProbe = R"(
+; stall_probe - write, then read back, a scratch register
+_start: movha a6, 0xf000
+        movi d8, 12
+        movi d9, 0
+loop:   stw d8, [a6]0x304     ; scratch register 1
+        ldw d5, [a6]0x304
+        add d9, d9, d5
+        addi16 d8, -1
+        jnz16 d8, loop
+        halt
+)";
+
+constexpr uint32_t kScratchReg1 = 0xf0000304u;
+
+workloads::BoardImages makeStallImages() {
+  workloads::Workload probe;
+  probe.name = "stall_probe";
+  probe.description = "scratch write/read-back loop";
+  probe.source = kStallProbe;
+  return workloads::BoardImages({probe});
+}
+
+std::vector<soc::Transaction> scratchReg1Log(
+    const platform::ReferenceBoard& board) {
+  std::vector<soc::Transaction> log;
+  for (const soc::Transaction& t : board.board().bus.log()) {
+    if (t.addr == kScratchReg1) {
+      log.push_back(t);
+    }
+  }
+  return log;
+}
+
+struct StallTally {
+  uint64_t reads = 0;
+  uint64_t writes = 0;
+};
+
+/// Replays the stall semantics over a scratch-register log: inside a
+/// window [from, until) a read returns 0 and a write is dropped; outside,
+/// a read returns the last write that landed. Returns the stalled
+/// accesses.
+StallTally checkStalls(
+    const std::vector<soc::Transaction>& log,
+    const std::vector<std::pair<uint64_t, uint64_t>>& windows) {
+  StallTally tally;
+  uint32_t reg = 0;
+  for (const soc::Transaction& t : log) {
+    bool stalled = false;
+    for (const auto& [from, until] : windows) {
+      stalled = stalled || (t.soc_cycle >= from && t.soc_cycle < until);
+    }
+    if (t.is_write) {
+      tally.writes += stalled ? 1 : 0;
+      if (!stalled) {
+        reg = t.value;
+      }
+    } else {
+      tally.reads += stalled ? 1 : 0;
+      EXPECT_EQ(t.value, stalled ? 0u : reg)
+          << "read at SoC cycle " << t.soc_cycle;
+    }
+  }
+  return tally;
+}
+
+/// The clean run's scratch-register log: write i at [2i], read i at [2i+1].
+std::vector<soc::Transaction> cleanStallProbeLog() {
+  auto clean = snap::makeBoard(makeStallImages());
+  clean->run();
+  std::vector<soc::Transaction> log = scratchReg1Log(*clean);
+  EXPECT_EQ(log.size(), 24u);
+  for (size_t i = 0; i + 1 < log.size(); i += 2) {
+    EXPECT_TRUE(log[i].is_write);
+    EXPECT_LT(log[i].soc_cycle, log[i + 1].soc_cycle);
+  }
+  return log;
+}
+
+// A stall from write 3 up to (not including) read 6: reads 3..5 return 0,
+// writes 3..6 are logged but never land, so read 6 still sees write 2.
+TEST(DeviceStall, ReadsReturnZeroAndWritesDropInsideTheWindow) {
+  const workloads::BoardImages images = makeStallImages();
+  const std::vector<soc::Transaction> clean = cleanStallProbeLog();
+  ASSERT_EQ(clean.size(), 24u);
+  const uint64_t from = clean[6].soc_cycle;    // write 3
+  const uint64_t until = clean[13].soc_cycle;  // read 6
+
+  bool have_want = false;
+  snap::Observation want;
+  for (const snap::GridPoint& point : snap::engineGrid()) {
+    SCOPED_TRACE(snap::gridPointName(point));
+    auto board = snap::makeBoard(images, point);
+    fi::Campaign camp;
+    camp.add(fi::parseFaultSpec("stall@" + std::to_string(from) +
+                                ":device=scratch,until=" +
+                                std::to_string(until)));
+    camp.arm(*board);
+    board->run();
+    const StallTally tally =
+        checkStalls(scratchReg1Log(*board), {{from, until}});
+    EXPECT_EQ(tally.reads, 3u);
+    EXPECT_EQ(tally.writes, 4u);
+    EXPECT_EQ(board->board().scratch.reg(1), 1u) << "the last write lands";
+
+    obs::MetricsRegistry reg;
+    camp.publishMetrics(reg);
+    board->publishMetrics(reg);
+    EXPECT_EQ(reg.counterOr("fi.device_stall_hits"), tally.reads + tally.writes);
+    EXPECT_EQ(reg.counterOr("board.fi.bus_fault_fires"),
+              tally.reads + tally.writes);
+    EXPECT_EQ(reg.counterOr("fi.bus_error_fires"), 0u);
+
+    const snap::Observation got = snap::observe(*board);
+    if (!have_want) {
+      want = got;
+      have_want = true;
+    } else {
+      EXPECT_EQ(snap::firstMismatch(want, got), "");
+    }
+  }
+}
+
+// Every stall spec gets its own window, so two on one device both apply.
+TEST(DeviceStall, TwoStallsOnOneDeviceBothApply) {
+  const workloads::BoardImages images = makeStallImages();
+  const std::vector<soc::Transaction> clean = cleanStallProbeLog();
+  ASSERT_EQ(clean.size(), 24u);
+  const uint64_t until1 = clean[5].soc_cycle;  // read 2
+  const uint64_t from2 = clean[16].soc_cycle;  // write 8
+  const uint64_t until2 = clean[21].soc_cycle;  // read 10
+
+  auto board = snap::makeBoard(images);
+  fi::Campaign camp;
+  camp.add(fi::parseFaultSpec("stall@0:device=scratch,until=" +
+                              std::to_string(until1)));
+  camp.add(fi::parseFaultSpec("stall@" + std::to_string(from2) +
+                              ":device=scratch,until=" +
+                              std::to_string(until2)));
+  camp.arm(*board);
+  board->run();
+  const StallTally tally = checkStalls(scratchReg1Log(*board),
+                                       {{0, until1}, {from2, until2}});
+  EXPECT_EQ(tally.reads, 2u + 2u);
+  EXPECT_EQ(tally.writes, 3u + 3u);
+  const std::vector<soc::BusFaultWindow>& windows =
+      board->board().bus.busFaults();
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(windows[0].fires, 5u);
+  EXPECT_EQ(windows[1].fires, 5u);
+}
+
+// A stall armed before a bus error over the same register still loses to
+// it: the first two reads error (poison, precise trap), the remaining four
+// stall (0).
+TEST(DeviceStall, BusErrorWinsOverAStallOnTheSameAccess) {
+  workloads::Workload probe;
+  probe.name = "buserr_probe";
+  probe.description = "bus-error trap counter";
+  probe.source = kBusErrProbe;
+  probe.irq_handler = "isr";
+  const workloads::BoardImages images({probe});
+
+  for (const snap::GridPoint& point : snap::engineGrid()) {
+    SCOPED_TRACE(snap::gridPointName(point));
+    auto board = snap::makeBoard(images, point);
+    fi::Campaign camp;
+    camp.add(fi::parseFaultSpec("stall@0:device=scratch"));
+    camp.add(fi::parseFaultSpec("buserr@0:addr=4026532608,count=2"));
+    camp.arm(*board);
+    board->run();
+    EXPECT_EQ(board->core(0).stopReason(), iss::StopReason::kHalted);
+    EXPECT_EQ(board->core(0).d(14), 2u) << "ISR bus-error count";
+    EXPECT_EQ(
+        workloads::readChecksum(images.image(0), board->core(0).memory()),
+        static_cast<uint32_t>(2 * 0xdeadbeefull));
+    obs::MetricsRegistry reg;
+    camp.publishMetrics(reg);
+    EXPECT_EQ(reg.counterOr("fi.bus_error_fires"), 2u);
+    EXPECT_EQ(reg.counterOr("fi.device_stall_hits"), 4u);
+  }
+}
+
 // ---- watchdog + recovery ----------------------------------------------
 
 // Pets the watchdog from a compute loop, then disables it before
@@ -534,10 +726,6 @@ TEST(Recovery, SpilledRingRetriesUnreadableFilesThenFallsBack) {
 
   auto board = snap::makeBoard(images);
   board->setCheckpointing({512, 4, dir});
-  platform::RecoveryConfig recovery;
-  recovery.io_attempts = 3;
-  recovery.backoff_ms = 0;
-  board->setRecovery(recovery);
   board->run();
   ASSERT_EQ(board->checkpoints().size(), 3u);
   for (const platform::Checkpoint& cp : board->checkpoints()) {
@@ -563,7 +751,8 @@ TEST(Recovery, SpilledRingRetriesUnreadableFilesThenFallsBack) {
   ASSERT_TRUE(rep.recovered) << rep.detail;
   EXPECT_EQ(rep.entries_tried, 3u);
   EXPECT_EQ(rep.entries_corrupt, 2u);
-  EXPECT_EQ(rep.io_retries, 2u) << "3 attempts on the deleted file";
+  EXPECT_EQ(rep.io_retries, platform::kRecoveryIoAttempts - 1)
+      << "every attempt on the deleted file failed";
   board->run();
   EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");
   std::filesystem::remove_all(dir);

@@ -305,6 +305,18 @@ TEST(Oracle, CleanGeneratedCasePassesThreeWay) {
   EXPECT_EQ(r.executions, 16u + 2u + 4u);
 }
 
+// A fault naming a core the case does not have makes the candidate
+// invalid (Campaign::arm throws cabt::Error); it never escapes runOracle.
+TEST(Oracle, FaultOnAMissingCoreIsInvalid) {
+  fuzz::SeedCase c = makeCase(testSeed() + 51, 1, false);
+  c.faults.push_back("dreg@10:core=3,index=1,mask=1");
+  const fuzz::OracleResult r =
+      fuzz::runOracle(c, fuzz::OracleOptions{}, nullptr, nullptr);
+  EXPECT_FALSE(r.valid);
+  EXPECT_NE(r.mismatch.find("reference run failed"), std::string::npos)
+      << r.mismatch;
+}
+
 TEST(Oracle, CatchesPlantedTranslatorSkew) {
   fuzz::SeedCase c = makeCase(testSeed() + 51, 1, false);
   fuzz::OracleOptions opts;

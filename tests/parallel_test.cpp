@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "kernel_recorder.h"
 #include "platform/platform.h"
 #include "sim/kernel.h"
 #include "snap/observe.h"
@@ -24,56 +25,43 @@ namespace {
 
 // ---- kernel-level behaviour ------------------------------------------
 
-class StampingClock : public sim::ClockedProcess {
- public:
-  StampingClock(const char* name, sim::Cycle period, int limit,
-                std::vector<std::string>* trace)
-      : sim::ClockedProcess(name, period), limit_(limit), trace_(trace) {}
-  void tick(sim::Kernel& kernel) override {
-    trace_->push_back(name() + "@" + std::to_string(kernel.now()));
-    if (--limit_ == 0) {
-      stop();
-    }
-  }
-
- private:
-  int limit_;
-  std::vector<std::string>* trace_;
-};
+using test::Recorder;
 
 // Processes that do not opt into parallel prefixes dispatch in the
 // identical (time, insertion) order under both kernels.
 TEST(ParallelKernel, DispatchOrderMatchesSequentialKernel) {
   std::vector<std::string> sequential;
   std::vector<std::string> parallel;
-  for (std::vector<std::string>* trace : {&sequential, &parallel}) {
+  for (std::vector<std::string>* log : {&sequential, &parallel}) {
     sim::Kernel k(32);
-    if (trace == &parallel) {
+    if (log == &parallel) {
       k.setParallel({true, 2});
     }
-    StampingClock a("a", 7, 40, trace);
-    StampingClock b("b", 13, 20, trace);
-    StampingClock c("c", 32, 9, trace);
+    Recorder a("a", 7, 40, log);
+    Recorder b("b", 13, 20, log);
+    Recorder c("c", 32, 9, log);
+    Recorder once("once", 0, 1, log);
     k.addProcess(&a, 7);
     k.addProcess(&b, 13);
     k.addProcess(&c, 32);
-    k.schedule(100, [trace] { trace->push_back("cb@100"); });
+    k.addProcess(&once, 100);
     k.run();
   }
+  EXPECT_EQ(sequential.size(), 70u);
   EXPECT_EQ(parallel, sequential);
 }
 
 TEST(ParallelKernel, RunLimitLeavesLaterEventsQueued) {
   sim::Kernel k(16);
   k.setParallel({true, 1});
-  int fired = 0;
-  k.schedule(10, [&] { ++fired; });
-  k.schedule(20, [&] { ++fired; });
+  std::vector<std::string> log;
+  Recorder p("p", 10, 2, &log);
+  k.addProcess(&p, 10);
   k.run(15);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(log, (std::vector<std::string>{"p@10"}));
   EXPECT_FALSE(k.idle());
   k.run();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(log, (std::vector<std::string>{"p@10", "p@20"}));
 }
 
 // ---- the differential grid -------------------------------------------

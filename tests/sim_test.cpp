@@ -11,8 +11,10 @@
 //     at basic-block boundaries, which both engines share).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "kernel_recorder.h"
 #include "platform/platform.h"
 #include "sim/kernel.h"
 #include "snap/observe.h"
@@ -25,81 +27,35 @@ namespace {
 
 // ---- kernel ---------------------------------------------------------
 
+using test::Recorder;
+
 TEST(Kernel, DispatchesInTimeOrderWithStableTies) {
   sim::Kernel k;
-  std::vector<int> order;
-  k.schedule(10, [&] { order.push_back(1); });
-  k.schedule(5, [&] { order.push_back(2); });
-  k.schedule(10, [&] { order.push_back(3); });
+  std::vector<std::string> log;
+  Recorder a("a", 0, 1, &log);
+  Recorder b("b", 5, 2, &log);  // re-syncs to 10 after c was queued there
+  Recorder c("c", 0, 1, &log);
+  k.addProcess(&a, 10);
+  k.addProcess(&b, 5);
+  k.addProcess(&c, 10);
   EXPECT_EQ(k.run(), 10u);
-  EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
-  EXPECT_EQ(k.eventsDispatched(), 3u);
+  EXPECT_EQ(log, (std::vector<std::string>{"b@5", "a@10", "c@10", "b@10"}));
+  EXPECT_EQ(k.eventsDispatched(), 4u);
   EXPECT_TRUE(k.idle());
 }
 
 TEST(Kernel, RunLimitLeavesLaterEventsQueued) {
   sim::Kernel k;
-  int fired = 0;
-  k.schedule(10, [&] { ++fired; });
-  k.schedule(20, [&] { ++fired; });
-  k.run(15);
-  EXPECT_EQ(fired, 1);
+  std::vector<std::string> log;
+  Recorder p("p", 10, 3, &log);
+  k.addProcess(&p, 10);
+  EXPECT_EQ(k.run(20), 20u);  // the limit is inclusive
+  EXPECT_EQ(log, (std::vector<std::string>{"p@10", "p@20"}));
   EXPECT_FALSE(k.idle());
+  EXPECT_EQ(k.nextEventAt(), 30u);
   k.run();
-  EXPECT_EQ(fired, 2);
-}
-
-class CountingClock : public sim::ClockedProcess {
- public:
-  CountingClock(sim::Cycle period, int limit)
-      : sim::ClockedProcess("clock", period), limit_(limit) {}
-  void tick(sim::Kernel& kernel) override {
-    stamps.push_back(kernel.now());
-    if (static_cast<int>(stamps.size()) == limit_) {
-      stop();
-    }
-  }
-  std::vector<sim::Cycle> stamps;
-
- private:
-  int limit_;
-};
-
-TEST(Kernel, ClockedProcessTicksAtItsPeriod) {
-  sim::Kernel k;
-  CountingClock clock(7, 4);
-  k.addProcess(&clock, 7);
-  k.run();
-  EXPECT_EQ(clock.stamps, (std::vector<sim::Cycle>{7, 14, 21, 28}));
-}
-
-class Waiter : public sim::Process {
- public:
-  explicit Waiter(sim::Event* event)
-      : sim::Process("waiter"), event_(event) {}
-  void activate(sim::Kernel& kernel) override {
-    if (!woken) {
-      woken = true;
-      wake_time = kernel.now();
-      return;  // first activation is the notify itself in this test
-    }
-  }
-  sim::Event* event_;
-  bool woken = false;
-  sim::Cycle wake_time = 0;
-};
-
-TEST(Kernel, EventNotifyWakesParkedProcesses) {
-  sim::Kernel k;
-  sim::Event event(&k, "done");
-  Waiter w(&event);
-  event.wait(&w);
-  EXPECT_EQ(event.numWaiting(), 1u);
-  k.schedule(50, [&] { event.notify(60); });
-  k.run();
-  EXPECT_TRUE(w.woken);
-  EXPECT_EQ(w.wake_time, 60u);
-  EXPECT_EQ(event.numWaiting(), 0u);
+  EXPECT_EQ(log, (std::vector<std::string>{"p@10", "p@20", "p@30"}));
+  EXPECT_TRUE(k.idle());
 }
 
 // ---- interrupt-path devices -----------------------------------------
