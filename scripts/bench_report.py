@@ -59,6 +59,9 @@ VEHICLE_MAX_SLOWDOWN = 50.0
 
 
 def load_records(directory):
+    """BENCH_<name>.json -> {bench: rows}. Files without a "bench" key
+    (the committed bench/e2e run.py records, BENCH_e2e_*.json) are not
+    bench-binary records and are skipped silently."""
     records = {}
     for path in sorted(glob.glob(os.path.join(directory, "BENCH_*.json"))):
         try:
@@ -67,9 +70,9 @@ def load_records(directory):
         except (OSError, json.JSONDecodeError) as e:
             print(f"warning: skipping {path}: {e}", file=sys.stderr)
             continue
-        records[data.get("bench", os.path.basename(path))] = data.get(
-            "rows", []
-        )
+        if not isinstance(data, dict) or "bench" not in data:
+            continue
+        records[data["bench"]] = data.get("rows", [])
     return records
 
 

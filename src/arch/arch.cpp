@@ -60,6 +60,15 @@ RegionKind parseKind(const std::string& kind, int line) {
   CABT_FAIL("unknown region kind '" << kind << "' at line " << line);
 }
 
+/// A region address or size: a negative or wider value must not wrap
+/// into a plausible 32-bit one.
+uint32_t parseU32(const xml::Element& e, const char* attr, int64_t v) {
+  CABT_CHECK(v >= 0 && v <= int64_t{0xffffffff},
+             "region " << attr << " " << v << " at line " << e.line()
+                       << " is not a 32-bit value");
+  return static_cast<uint32_t>(v);
+}
+
 ICacheModel parseCache(const xml::Element& e) {
   ICacheModel cache;
   cache.enabled = e.intAttrOr("enabled", 1) != 0;
@@ -127,11 +136,11 @@ ArchDescription parseArchXml(std::string_view xml_text) {
     for (const xml::Element* r : mm->childrenNamed("region")) {
       MemRegion region;
       region.name = r->attr("name");
-      region.base = static_cast<uint32_t>(r->intAttr("base"));
-      region.size = static_cast<uint32_t>(r->intAttr("size"));
+      region.base = parseU32(*r, "base", r->intAttr("base"));
+      region.size = parseU32(*r, "size", r->intAttr("size"));
       region.kind = parseKind(r->attr("kind"), r->line());
       region.remap_base =
-          static_cast<uint32_t>(r->intAttrOr("remap", region.base));
+          parseU32(*r, "remap", r->intAttrOr("remap", region.base));
       desc.memory_map.addRegion(std::move(region));
     }
   }

@@ -43,6 +43,8 @@ class MemoryMap {
  public:
   void addRegion(MemRegion region) {
     CABT_CHECK(region.size > 0, "region '" << region.name << "' is empty");
+    CABT_CHECK(uint64_t{region.base} + region.size <= (uint64_t{1} << 32),
+               "region '" << region.name << "' wraps past 0xffffffff");
     for (const MemRegion& r : regions_) {
       const bool disjoint = region.base + (region.size - 1) < r.base ||
                             r.base + (r.size - 1) < region.base;

@@ -94,10 +94,6 @@ class WatchdogDevice : public soc::Device {
     }
   }
 
-  void clockCycle(uint64_t soc_cycle) override {
-    advanceTo(soc_cycle - 1, soc_cycle);
-  }
-
   void advanceTo(uint64_t, uint64_t to) override {
     if (enabled_ && deadline_ <= to) {
       ++fired_;
@@ -109,6 +105,10 @@ class WatchdogDevice : public soc::Device {
         on_fire_(deadline_);
       }
     }
+  }
+
+  [[nodiscard]] uint64_t nextEvent() const override {
+    return enabled_ ? deadline_ : soc::kNoEvent;
   }
 
   void saveState(serial::Writer& w) const override {

@@ -94,22 +94,15 @@ uint64_t Iss::localTime() const {
   return config_.model_timing ? currentCycle() : stats_.instructions;
 }
 
-void Iss::syncBusClock() {
-  if (bus_ == nullptr) {
-    return;
+void Iss::flushBusClock() {
+  // Inside a private slice the shared clock must only move at this
+  // core's sequential dispatch slot: the commit flushes instead. With
+  // decoupled initiators sharing the bus the advance is a no-op when
+  // another core already advanced it further (LT skew, bounded by the
+  // kernel quantum).
+  if (bus_ != nullptr && !private_mode_) {
+    bus_->advanceTo(deferred_advance_);
   }
-  if (private_mode_) {
-    // Private slice: the advance is recorded, not performed — the shared
-    // clock must only move at this core's sequential dispatch slot.
-    // Monotone per core, so the latest time subsumes the earlier ones.
-    deferred_advance_ = localTime();
-    return;
-  }
-  // Lazy time advancement: devices jump to this core's local time in one
-  // call. With decoupled initiators sharing the bus the call is a no-op
-  // when another core already advanced it further (LT skew, bounded by
-  // the kernel quantum).
-  bus_->advanceTo(localTime());
 }
 
 void Iss::beginPrivateSlice() {
@@ -117,7 +110,6 @@ void Iss::beginPrivateSlice() {
   private_mode_ = true;
   bailed_shared_ = false;
   skipped_samples_ = 0;
-  deferred_advance_ = 0;
   ++stats_.private_slices;
 }
 
@@ -133,9 +125,7 @@ bool Iss::commitPrivateSlice() {
                "private-slice certificate revoked mid-round (cross-core "
                "interrupt-controller write?)");
   }
-  if (bus_ != nullptr && deferred_advance_ > 0) {
-    bus_->advanceTo(deferred_advance_);
-  }
+  flushBusClock();
   const bool bailed = bailed_shared_;
   bailed_shared_ = false;
   if (bailed) {
@@ -167,24 +157,27 @@ bool Iss::touchesShared(const trc::Instr& in) const {
   }
 }
 
-void Iss::maybeTakeIrq() {
-  if (irq_ == nullptr || stop_ != StopReason::kRunning) {
-    return;
-  }
+void Iss::sampleIrq() {
   if (private_mode_) {
     // The quiescence certificate taken at privateSliceReady() guarantees
     // this sample returns nullopt whatever was raised meanwhile, and
-    // stays valid until one of this core's own (bailing) bus writes.
-    // Only its bus-clock advance is observable — record it for replay at
-    // the sequential dispatch slot.
+    // stays valid until one of this core's own (bailing) bus writes; the
+    // commit re-checks it.
     ++skipped_samples_;
-    syncBusClock();  // records the deferred advance in private mode
     return;
   }
-  syncBusClock();  // interrupt state is sampled at this core's local time
-  const std::optional<uint32_t> vector = irq_->takeIrq(localTime());
+  // Interrupt state is sampled at this core's local time, with every
+  // device advanced to it.
+  const uint64_t now = localTime();
+  if (bus_ != nullptr) {
+    bus_->advanceTo(now);
+  }
+  const std::optional<uint32_t> vector = irq_->takeIrq(now);
   if (!vector.has_value()) {
     return;
+  }
+  if (bus_ != nullptr) {
+    bus_->updateHorizon();  // the controller went in service
   }
   a_[kIrqLinkRegister] = pc_;
   pc_ = *vector;
@@ -194,8 +187,8 @@ void Iss::maybeTakeIrq() {
     stats_.irq_entry_cycles += config_.irq_entry_cycles;
   }
   if (trace_sink_ != nullptr) {
-    // Sequential path only: private slices returned above, so this
-    // never runs on a worker thread.
+    // Sequential path only: private slices never sample, so this never
+    // runs on a worker thread.
     trace_sink_->instant(trace_lane_, "irq", localTime(), "vector", *vector);
   }
 }
@@ -320,6 +313,12 @@ void Iss::finishBlock() {
 }
 
 StopReason Iss::step() {
+  const StopReason r = stepInstr();
+  flushBusClock();
+  return r;
+}
+
+StopReason Iss::stepInstr() {
   if (stop_ == StopReason::kDebugBreak) {
     stop_ = StopReason::kRunning;  // resume over the breakpoint
   }
@@ -343,7 +342,9 @@ StopReason Iss::step() {
     // epoch is already known not to yield: fault injection lands here,
     // matching the block engines' after-yield-check placement.
     pollFaults();
-    maybeTakeIrq();
+    if (irq_ != nullptr) {
+      irqEpoch();
+    }
   }
   if (checkDebugBreak()) {
     return stop_;
@@ -382,8 +383,7 @@ StopReason Iss::step() {
   execute(instr);
   ++stats_.instructions;
   if (stop_ == StopReason::kHalted) {
-    finishBlock();
-    syncBusClock();
+    finishHaltedBlock();
   }
   return stop_;
 }
@@ -452,8 +452,7 @@ void Iss::dispatchBlockT(core::ExecBlock& block) {
     }
   }
   if (stop_ == StopReason::kHalted) {
-    finishBlock();
-    syncBusClock();
+    finishHaltedBlock();
   }
 }
 
@@ -549,7 +548,7 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
         via_chain = false;
       }
       if (irq_ != nullptr) {
-        maybeTakeIrq();  // may redirect pc_ to the vector (also a leader)
+        irqEpoch();  // may redirect pc_ to the vector (also a leader)
         if (block != nullptr && pc_ != block->addr()) {
           block = nullptr;  // redirected: the chained edge no longer holds
           via_chain = false;
@@ -570,7 +569,7 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
       // Per-instruction fallback: mid-block landing addresses, blocks
       // with breakpoints and the final instructions before the
       // instruction limit.
-      step();
+      stepInstr();
       continue;
     }
     if constexpr (Bail) {
@@ -662,9 +661,13 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
   return stop_;
 }
 
-StopReason Iss::run() { return runLoop(~static_cast<uint64_t>(0)); }
+StopReason Iss::run() { return runUntil(~static_cast<uint64_t>(0)); }
 
-StopReason Iss::runUntil(uint64_t time_limit) { return runLoop(time_limit); }
+StopReason Iss::runUntil(uint64_t time_limit) {
+  const StopReason r = runLoop(time_limit);
+  flushBusClock();
+  return r;
+}
 
 StopReason Iss::runLoop(uint64_t time_limit) {
   if (stop_ == StopReason::kDebugBreak) {
@@ -681,7 +684,7 @@ StopReason Iss::runLoop(uint64_t time_limit) {
       if (isLeader(pc_) && localTime() >= time_limit) {
         return StopReason::kCycleLimit;
       }
-      step();
+      stepInstr();
       if (bailed_shared_) {
         return StopReason::kCycleLimit;  // private-slice shared touch
       }
@@ -833,7 +836,8 @@ void Iss::restoreState(serial::Reader& r) {
       block.has_breakpoint = blockHasBreakpoint(block) ? 1 : 0;
     }
   }
-  // No private slice survives a snapshot boundary.
+  // No private slice survives a snapshot boundary, and nothing is owed
+  // across one: the live value may belong to another timeline.
   bailed_shared_ = false;
   deferred_advance_ = 0;
   skipped_samples_ = 0;
@@ -898,7 +902,7 @@ uint32_t Iss::loadMem(uint32_t addr, unsigned size, bool sign) {
     // Safety net: a private slice must have bailed before reaching here
     // (the engines test touchesShared() pre-execution).
     CABT_CHECK(!private_mode_, "bus read escaped the private-slice bail");
-    syncBusClock();
+    bus_->advanceTo(localTime());  // a transaction is stamped at this time
     v = bus_->read(addr, size);
     ++stats_.io_reads;
   } else {
@@ -913,7 +917,7 @@ uint32_t Iss::loadMem(uint32_t addr, unsigned size, bool sign) {
 void Iss::storeMem(uint32_t addr, uint32_t value, unsigned size) {
   if (bus_ != nullptr && bus_->covers(addr)) {
     CABT_CHECK(!private_mode_, "bus write escaped the private-slice bail");
-    syncBusClock();
+    bus_->advanceTo(localTime());
     bus_->write(addr, value, size);
     ++stats_.io_writes;
   } else {
@@ -1477,8 +1481,7 @@ void Iss::dispatchThreadedBlockT(core::ExecBlock& block,
     op = op->fn(this, op);
   }
   if (stop_ == StopReason::kHalted) {
-    finishBlock();
-    syncBusClock();
+    finishHaltedBlock();
   }
 }
 
@@ -1512,8 +1515,7 @@ int32_t Iss::dispatchThreadedTraceT(const core::ThreadedProgram& prog,
     }
     if (stop_ != StopReason::kRunning) {
       if (stop_ == StopReason::kHalted) {
-        finishBlock();
-        syncBusClock();
+        finishHaltedBlock();
       }
       return -1;  // HALT or BKPT mid-block
     }
@@ -1530,7 +1532,7 @@ int32_t Iss::dispatchThreadedTraceT(const core::ThreadedProgram& prog,
     }
     pollFaults();  // a pc-redirecting fault fails the guard below
     if (irq_ != nullptr) {
-      maybeTakeIrq();
+      irqEpoch();
     }
     if (pc_ != segs[s + 1].entry_addr) {
       // Guard failure: the branch went the non-dominant way or an

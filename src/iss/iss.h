@@ -33,7 +33,11 @@
 // basic-block boundaries only, and debug breakpoints force the block
 // engine back onto the stepping engine for the containing block — both
 // rules keep the engines bit-identical under interrupts and debugging
-// (see DESIGN.md, "IRQ-at-block-boundary rule"). runUntil() yields at
+// (see DESIGN.md, "IRQ-at-block-boundary rule"). A boundary below the
+// bus horizon (soc::SocBus::horizon) skips the sample, which is provably
+// inert there, and only records the bus-clock advance it owes; the core
+// pays that advance at its next bus access or sample, or when it returns
+// (the lazy-clock contract, DESIGN.md section 5.1). runUntil() yields at
 // boundaries once a local-time limit is reached; the event kernel
 // (sim/kernel.h) uses it to run cores in quantum-bounded slices.
 #pragma once
@@ -239,8 +243,10 @@ struct ThreadedHandlers;
 
 class Iss {
  public:
-  /// `bus` may be null when the program performs no I/O; the bus is
-  /// clocked in lockstep with the modelled cycle count.
+  /// `bus` may be null when the program performs no I/O. The bus clock
+  /// follows the modelled cycle count lazily: at every return from run(),
+  /// runUntil() and step() it stands where advancing it at every sampled
+  /// boundary would have left it.
   Iss(const arch::ArchDescription& desc, const elf::Object& object,
       soc::SocBus* bus = nullptr, IssConfig config = {});
 
@@ -270,8 +276,9 @@ class Iss {
   // (runUntil/step return kCycleLimit with bailedOnShared() true and the
   // pc resting on that instruction), and the block-boundary interrupt
   // samples — provably inert under the IrqSource::quiescent certificate
-  // that privateSliceReady() requires — are skipped, with the bus-clock
-  // advance each one would have made recorded instead. The slice is
+  // that privateSliceReady() requires — are skipped without consulting
+  // the bus horizon, with the bus-clock advance each one would have made
+  // recorded as in normal mode; only the commit pays it. The slice is
   // therefore safe on a worker thread, and bit-identical to what the
   // sequential kernel would have executed up to the same point.
 
@@ -294,9 +301,11 @@ class Iss {
   /// True after a private slice stopped on a would-be shared access.
   [[nodiscard]] bool bailedOnShared() const { return bailed_shared_; }
 
-  /// Connects the core's interrupt input; sampled at every basic-block
-  /// boundary (after the bus has been advanced to localTime()). On
-  /// delivery: A14 = return PC, PC = vector, irq_entry_cycles charged.
+  /// Connects the core's interrupt input: a device on this core's bus,
+  /// so that the bus horizon covers it. Sampled at every basic-block
+  /// boundary at or past the horizon (after the bus has been advanced to
+  /// localTime()); with no bus, at every boundary. On delivery: A14 =
+  /// return PC, PC = vector, irq_entry_cycles charged.
   void attachIrq(soc::IrqSource* irq) { irq_ = irq; }
 
   /// Connects a fault injector (src/fi, DESIGN.md section 12), polled at
@@ -332,7 +341,7 @@ class Iss {
   /// transfer into the map. Same observer contract as the sampler —
   /// read-only, never serialized, never digested; nullptr detaches and
   /// resets the edge chain.
-  void setEdgeCoverage(core::EdgeCoverage* cov) {
+  void attachEdgeCoverage(core::EdgeCoverage* cov) {
     edge_cov_ = cov;
     cov_have_last_ = false;
   }
@@ -434,7 +443,13 @@ class Iss {
   void finishBlock();
   uint32_t loadMem(uint32_t addr, unsigned size, bool sign);
   void storeMem(uint32_t addr, uint32_t value, unsigned size);
-  void syncBusClock();
+  /// Pays the recorded bus-clock advance (deferred_advance_). Runs on
+  /// every return from run()/runUntil()/step() in normal mode and from
+  /// commitPrivateSlice(); a no-op while a private slice is open.
+  [[gnu::noinline]] void flushBusClock();
+  /// step() without the return flush: the engines' per-instruction
+  /// fallback.
+  StopReason stepInstr();
   [[nodiscard]] uint64_t currentCycle() const;
   void execute(const trc::Instr& instr);
   /// The execute switch with the branch-extra config test resolved at
@@ -491,10 +506,13 @@ class Iss {
   /// index, -1 (resolve via lookup/stepping) or kDispatchYield (quantum
   /// expired at an internal boundary). Sets *epoch_done when it bailed
   /// *after* running a boundary's epoch, so the caller runs each epoch
-  /// exactly once.
+  /// exactly once. Kept out of line so the chained loops' inlining does
+  /// not shift with edits elsewhere in iss.cpp (timing comparisons credit
+  /// the mechanism, not a layout change).
   template <bool Timing>
-  int32_t dispatchThreadedTraceT(const core::ThreadedProgram& prog,
-                                 uint64_t time_limit, bool* epoch_done);
+  [[gnu::noinline]] int32_t dispatchThreadedTraceT(
+      const core::ThreadedProgram& prog, uint64_t time_limit,
+      bool* epoch_done);
   /// The handler table matching this core's configured detail level
   /// (handlers are bound per (timing, branch-extras) with the icache
   /// touch decided per op at lowering).
@@ -511,8 +529,30 @@ class Iss {
   /// Recomputes the has_breakpoint flag of the block containing `addr`
   /// (no-op before the cache exists; the cache build replays the set).
   void refreshBreakpointFlag(uint32_t addr);
-  /// Samples the interrupt input at a block boundary; may redirect pc_.
-  void maybeTakeIrq();
+  /// Interrupt epoch of a block boundary (callers test irq_ first):
+  /// records the boundary's local time as the bus-clock advance this
+  /// core owes, and samples only once that time reaches the bus horizon.
+  /// Below it no device changes state or wants a sample, so the sample
+  /// would return nothing and change nothing; the first boundary at or
+  /// past a device event takes it. A private slice takes the cold path
+  /// without reading the horizon; without a bus every boundary samples.
+  void irqEpoch() {
+    deferred_advance_ = localTime();
+    if (private_mode_ || bus_ == nullptr ||
+        deferred_advance_ >= bus_->horizon()) {
+      sampleIrq();
+    }
+  }
+  /// The cold half of irqEpoch(): advances the bus to the boundary's
+  /// time and samples the interrupt input; may redirect pc_. Inside a
+  /// private slice it only counts the skipped sample.
+  [[gnu::noinline]] void sampleIrq();
+  /// Halt epoch: commits the open block and owes the bus an advance to
+  /// the halt time, paid on return.
+  void finishHaltedBlock() {
+    finishBlock();
+    deferred_advance_ = localTime();
+  }
   /// Block-boundary observability epoch: polls the PC sampler. Placed
   /// beside the quantum-yield/interrupt checks in every engine; the
   /// sampler's due-time ladder makes repeated calls at one local time
@@ -546,7 +586,7 @@ class Iss {
   /// epoch the engine does not yield at* with localTime() >= the fault's
   /// cycle: in the block engines it sits after the quantum-yield check
   /// (a yielding boundary re-runs its epoch on resume), in step() it sits
-  /// between observeBoundary() and maybeTakeIrq() (the stepping loop's
+  /// between observeBoundary() and irqEpoch() (the stepping loop's
   /// yield check runs before step()). The ladder makes re-observation of
   /// one epoch idempotent — consumed faults never re-apply. Returns true
   /// when a fault fired (callers may need to re-resolve a chained block
@@ -617,13 +657,17 @@ class Iss {
   bool trace_blocks_ = false;
   std::vector<BlockRecord> block_trace_;
 
-  // Private-slice (parallel prefix) state. `deferred_advance_` is the
-  // local time of the latest bus-clock advance the slice *would* have
-  // made (skipped interrupt samples, the halt-time sync); it is replayed
-  // by commitPrivateSlice() at the core's sequential dispatch slot.
+  // Lazy bus clock. `deferred_advance_` is the local time of the latest
+  // bus-clock advance this core owes: its latest boundary with an
+  // interrupt input, or its halt. flushBusClock() pays it on every
+  // return in normal mode; in a private slice (parallel prefix) it
+  // accumulates instead and commitPrivateSlice() pays it at the core's
+  // sequential dispatch slot. Advances act as a running maximum, so the
+  // latest time subsumes the earlier ones. Never serialized: nothing is
+  // owed between runs.
+  uint64_t deferred_advance_ = 0;
   bool private_mode_ = false;
   bool bailed_shared_ = false;
-  uint64_t deferred_advance_ = 0;
   uint64_t skipped_samples_ = 0;
 
   // Fault injection (never serialized, never digested — harness state,

@@ -24,9 +24,7 @@ EmulationPlatform::EmulationPlatform(const arch::ArchDescription& desc,
   sim_.loadProgram(image);
   sim_.addIoHandler(sync_handler_.get());
   sim_.addIoHandler(bridge_.get());
-  sim_.setCycleHook([this] {
-    bridge_->setEdge(sync_->tickVliwCycle());
-  });
+  sim_.setClock([this](uint64_t cycles) { sync_->advanceTo(cycles); });
 }
 
 RunResult EmulationPlatform::run() {
@@ -262,7 +260,7 @@ void ReferenceBoard::attachSampler(size_t i, obs::PcSampler* sampler) {
 }
 
 void ReferenceBoard::attachEdgeCoverage(size_t i, core::EdgeCoverage* cov) {
-  cores_.at(i)->setEdgeCoverage(cov);
+  cores_.at(i)->attachEdgeCoverage(cov);
 }
 
 uint64_t ReferenceBoard::instructionsRetired() const {

@@ -87,7 +87,8 @@ class SyncHandler : public vliw::IoHandler {
 /// over the source I/O region). While cycle generation is active, an
 /// access completes on the next generated SoC edge (bus handshake in the
 /// emulated clock domain); when generation is idle it completes
-/// immediately at the current SoC time.
+/// immediately at the current SoC time. The simulator has caught the
+/// sync device up to the current cycle before it polls ready().
 class BridgeHandler : public vliw::IoHandler {
  public:
   BridgeHandler(soc::SocBus* bus, soc::SyncDevice* sync, uint32_t io_base,
@@ -95,7 +96,7 @@ class BridgeHandler : public vliw::IoHandler {
       : IoHandler(io_base, io_size), bus_(bus), sync_(sync) {}
 
   bool ready(uint32_t, bool) override {
-    return !sync_->busy() || edge_this_cycle_;
+    return !sync_->busy() || sync_->edgeThisCycle();
   }
   uint32_t load(uint32_t addr, unsigned size) override {
     return bus_->read(addr, size);
@@ -104,12 +105,9 @@ class BridgeHandler : public vliw::IoHandler {
     bus_->write(addr, value, size);
   }
 
-  void setEdge(bool edge) { edge_this_cycle_ = edge; }
-
  private:
   soc::SocBus* bus_;
   soc::SyncDevice* sync_;
-  bool edge_this_cycle_ = false;
 };
 
 struct RunResult {
@@ -128,9 +126,10 @@ class EmulationPlatform {
                     const elf::Object& image, PlatformConfig config = {});
 
   /// Runs the V6X machine until it stops or config().max_cycles run out.
-  /// The synchronization device and the bus bridge advance in the VLIW
-  /// clock domain (the simulator's cycle hook), so no event kernel is
-  /// involved: the machine is the platform's only initiator.
+  /// The synchronization device advances in the VLIW clock domain — the
+  /// simulator reports its elapsed cycles before every I/O access and at
+  /// every stop (V6xSim::setClock) — so no event kernel is involved: the
+  /// machine is the platform's only initiator.
   RunResult run();
 
   [[nodiscard]] vliw::V6xSim& sim() { return sim_; }

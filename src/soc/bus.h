@@ -2,9 +2,16 @@
 // clock source (processor or synchronization device), and a transaction
 // log that tests use to check cycle-accurate I/O behaviour.
 //
+// Lazy clock (DESIGN.md section 5.1): the bus caches its *horizon*, the
+// minimum Device::nextEvent() over its devices, and recomputes it after
+// every read, write, advanceTo and restoreState. Below the horizon no
+// device changes state or wants an interrupt sampled on its own, so an
+// initiator advances the bus only once its time reaches the horizon, at
+// its own bus accesses and when it stops.
+//
 // Threading contract (the parallel-round kernel, DESIGN.md section 7):
 // the bus and its devices are *not* internally synchronized. All
-// mutating calls — read/write/clockCycle/advanceTo — happen on the
+// mutating calls — read/write/advanceTo/restoreState — happen on the
 // sequential drain of a round (one thread at a time, ordered by the
 // kernel's deterministic dispatch order). Worker-thread prefixes may
 // only call covers(), which touches nothing but the window table laid
@@ -53,7 +60,7 @@ struct Transaction {
 ///     instead of tripping the unmapped-address check;
 ///   * a device stall (a hung bus interface) covers one device's range
 ///     (deviceRange) with poison 0 and no `on_error`. The device keeps
-///     being clocked; only the guest's accesses vanish.
+///     advancing with time; only the guest's accesses vanish.
 /// Windows match in arming order: the first armed window that covers the
 /// address, is open at the bus cycle and has fires left takes the access.
 /// The campaign arms every bus-error window before any stall window, so
@@ -79,6 +86,10 @@ class SocBus {
   void attach(Device* device, uint32_t base, uint32_t size) {
     CABT_CHECK(device != nullptr, "null device");
     CABT_CHECK(size >= 1, "empty device window");
+    CABT_CHECK(uint64_t{base} + size <= (uint64_t{1} << 32),
+               "device window for '" << device->name() << "' at "
+                                     << hex32(base)
+                                     << " wraps past 0xffffffff");
     for (const Window& w : windows_) {
       const bool disjoint =
           base + (size - 1) < w.base || w.base + (w.size - 1) < base;
@@ -89,6 +100,7 @@ class SocBus {
     windows_.push_back({device, base, size});
     lo_ = std::min(lo_, static_cast<uint64_t>(base));
     hi_ = std::max(hi_, static_cast<uint64_t>(base) + size);
+    updateHorizon();
   }
 
   /// True when some device window maps `addr`. On the hot path of every
@@ -102,20 +114,11 @@ class SocBus {
     return findWindow(addr) != nullptr;
   }
 
-  /// One SoC clock edge; advances the bus cycle counter and clocks all
-  /// devices.
-  void clockCycle() {
-    ++soc_cycle_;
-    for (const Window& w : windows_) {
-      w.device->clockCycle(soc_cycle_);
-    }
-  }
-
-  /// Advances the bus clock to SoC cycle `to` in one jump (lazy time
-  /// advancement for the event kernel: each device jumps via
-  /// Device::advanceTo instead of being clocked cycle by cycle). Times in
-  /// the past are ignored — with temporally decoupled initiators a
-  /// transaction may arrive up to one quantum behind the bus clock.
+  /// Advances the bus clock to SoC cycle `to` in one jump: each device
+  /// jumps via Device::advanceTo. Times in the past are ignored — with
+  /// temporally decoupled initiators a transaction may arrive up to one
+  /// quantum behind the bus clock. An advance that stays below the
+  /// horizon fires no event, so the horizon stands.
   void advanceTo(uint64_t to) {
     if (to <= soc_cycle_) {
       return;
@@ -124,6 +127,26 @@ class SocBus {
       w.device->advanceTo(soc_cycle_, to);
     }
     soc_cycle_ = to;
+    if (to >= horizon_) {
+      updateHorizon();
+    }
+  }
+
+  /// The earliest SoC cycle at which some device changes state, or wants
+  /// an interrupt sampled, without a bus access (kNoEvent: never). An
+  /// initiator whose time is below it may skip its interrupt sample and
+  /// leave the bus clock behind until its next access or stop.
+  [[nodiscard]] uint64_t horizon() const { return horizon_; }
+
+  /// Recomputes the horizon. The bus does so itself after every access,
+  /// advance and restore; an initiator calls it after taking an interrupt
+  /// (IrqSource::takeIrq changes the controller outside a bus access).
+  void updateHorizon() {
+    uint64_t h = kNoEvent;
+    for (const Window& w : windows_) {
+      h = std::min(h, w.device->nextEvent());
+    }
+    horizon_ = h;
   }
 
   [[nodiscard]] uint64_t socCycle() const { return soc_cycle_; }
@@ -150,6 +173,7 @@ class SocBus {
         logTransaction(t);
         if (f->on_error) {
           f->on_error(t);
+          updateHorizon();  // a bus-error response may raise a line
         }
         return f->poison;
       }
@@ -160,6 +184,7 @@ class SocBus {
     ++reads_;
     logTransaction({soc_cycle_, addr, value, static_cast<uint8_t>(size),
                     false});
+    updateHorizon();
     return value;
   }
 
@@ -173,6 +198,7 @@ class SocBus {
         logTransaction(t);  // the dropped write is still an observable
         if (f->on_error) {
           f->on_error(t);
+          updateHorizon();
         }
         return;
       }
@@ -183,6 +209,7 @@ class SocBus {
     ++writes_;
     logTransaction({soc_cycle_, addr, value, static_cast<uint8_t>(size),
                     true});
+    updateHorizon();
   }
 
   // -- fault windows (src/fi, DESIGN.md section 12) ----------------------
@@ -303,6 +330,7 @@ class SocBus {
                  "device '" << name << "' restored " << (r.pos() - before)
                             << " bytes of a " << len << "-byte section");
     }
+    updateHorizon();
   }
 
  private:
@@ -357,6 +385,9 @@ class SocBus {
   size_t log_limit_ = 0;  ///< 0 = unbounded (full logging, the test default)
   uint64_t dropped_transactions_ = 0;
   uint64_t soc_cycle_ = 0;
+  /// Cached minimum of Device::nextEvent() (see horizon()). Derived from
+  /// device state, so never serialized.
+  uint64_t horizon_ = kNoEvent;
   /// Lifetime transaction tallies for publishMetrics. Observability
   /// only: never serialized (snapshot round-trips must stay byte-stable
   /// with pre-existing images) and never digested.

@@ -5,6 +5,17 @@
 // cycles produced by the synchronization device — which is exactly the
 // paper's point: the attached hardware cannot tell the difference as long
 // as the generated cycle stream is accurate.
+//
+// The lazy-clock contract (DESIGN.md section 5.1): a device is seen only
+// through bus transactions and interrupts, so it never needs clocking
+// cycle by cycle. It exposes one time interface — advanceTo() jumps it
+// over an interval, and nextEvent() names the earliest SoC cycle at which
+// it changes state, or wants an interrupt sampled, without a bus access.
+// The bus caches the minimum over its devices as its *horizon*; initiators
+// advance the bus only at the horizon, at their own bus accesses and when
+// they stop, which is bit-identical to advancing it at every boundary
+// because advances are pure functions of time that act as a running
+// maximum.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +24,9 @@
 #include "common/serial.h"
 
 namespace cabt::soc {
+
+/// nextEvent() of a device that never changes state on its own.
+inline constexpr uint64_t kNoEvent = ~static_cast<uint64_t>(0);
 
 class Device {
  public:
@@ -31,23 +45,21 @@ class Device {
   virtual void write(uint32_t offset, uint32_t value, unsigned size,
                      uint64_t soc_cycle) = 0;
 
-  /// One SoC clock edge.
-  virtual void clockCycle(uint64_t soc_cycle) { (void)soc_cycle; }
-
   /// Advances the device from SoC cycle `from` (exclusive) to `to`
-  /// (inclusive) in one jump. The default replays clockCycle() per cycle,
-  /// which is always correct; devices whose state is a pure function of
-  /// time override this with an O(1)/O(events) computation so that the
-  /// event kernel's lazy time advancement (sim/kernel.h) costs O(work)
-  /// instead of O(cycles). Like every mutating device entry point,
-  /// advanceTo runs only on the kernel's sequential drain — never
-  /// concurrently — under the parallel-round kernel (see the threading
-  /// contract in soc/bus.h); implementations need no locking.
-  virtual void advanceTo(uint64_t from, uint64_t to) {
-    for (uint64_t c = from + 1; c <= to; ++c) {
-      clockCycle(c);
-    }
-  }
+  /// (inclusive) in one jump, in O(1) or O(events): the result must be a
+  /// pure function of the interval, so one jump equals any split of it.
+  /// Like every mutating device entry point, advanceTo runs only on the
+  /// kernel's sequential drain — never concurrently — under the
+  /// parallel-round kernel (see the threading contract in soc/bus.h);
+  /// implementations need no locking.
+  virtual void advanceTo(uint64_t from, uint64_t to) = 0;
+
+  /// The earliest SoC cycle at which the device changes state, or wants
+  /// an interrupt sampled, without a bus access: kNoEvent when never, and
+  /// a time at or before the bus clock when a sample is due right away.
+  /// It moves only inside a bus read, write or restoreState, or an
+  /// advanceTo that reaches it; the bus recomputes its horizon after each.
+  [[nodiscard]] virtual uint64_t nextEvent() const = 0;
 
   // -- snapshot support (src/snap, DESIGN.md section 9) -----------------
   //

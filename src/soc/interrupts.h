@@ -14,7 +14,10 @@
 // expiries in the jumped-over interval arithmetically, so interrupt
 // behaviour is a pure function of transaction/sample timestamps — which
 // is what makes single-initiator simulation exactly quantum-invariant
-// under the event kernel (tests/sim_test.cpp).
+// under the event kernel (tests/sim_test.cpp). Their next events
+// (Device::nextEvent) are what lets the ISS skip inert samples: the
+// timer names its next expiry, the controller asks for a sample right
+// away exactly while it can deliver.
 #pragma once
 
 #include <cstdint>
@@ -163,6 +166,12 @@ class InterruptController : public Device, public IrqSource {
 
   void advanceTo(uint64_t, uint64_t) override {}  // no per-cycle state
 
+  /// A sample is due right away exactly while takeIrq() would deliver;
+  /// raises, register writes and deliveries are what change that.
+  [[nodiscard]] uint64_t nextEvent() const override {
+    return master_enable_ && !in_service_ && pending() != 0 ? 0 : kNoEvent;
+  }
+
   /// All interrupt state is architectural: a restored controller must
   /// deliver (or mask) exactly as the live one would, and the delivery
   /// timestamps are a compared observable of the differential fleets.
@@ -271,10 +280,6 @@ class ProgrammableTimer : public Device {
     }
   }
 
-  void clockCycle(uint64_t soc_cycle) override {
-    advanceTo(soc_cycle - 1, soc_cycle);
-  }
-
   /// Expiries in the jumped-over interval are computed arithmetically, so
   /// timer behaviour depends only on timestamps, never on slice shape.
   void advanceTo(uint64_t, uint64_t to) override {
@@ -291,6 +296,10 @@ class ProgrammableTimer : public Device {
         enabled_ = false;
       }
     }
+  }
+
+  [[nodiscard]] uint64_t nextEvent() const override {
+    return enabled_ ? next_expiry_ : kNoEvent;
   }
 
   /// IRQ routing is construction-time wiring; the counter phase

@@ -38,10 +38,10 @@ class TimerDevice : public Device {
     count_ = 0;
   }
 
-  void clockCycle(uint64_t) override { ++count_; }
-
-  /// Free-running count is a pure function of elapsed time.
+  /// Free-running count is a pure function of elapsed time, read only
+  /// through accesses: the timer never needs an event of its own.
   void advanceTo(uint64_t from, uint64_t to) override { count_ += to - from; }
+  [[nodiscard]] uint64_t nextEvent() const override { return kNoEvent; }
 
   void saveState(serial::Writer& w) const override { w.u64(count_); }
   void restoreState(serial::Reader& r) override { count_ = r.u64(); }
@@ -70,7 +70,9 @@ class CharDevice : public Device {
     stamps_.push_back(soc_cycle);
   }
 
-  void advanceTo(uint64_t, uint64_t) override {}  // no per-cycle state
+  // State changes only on access.
+  void advanceTo(uint64_t, uint64_t) override {}
+  [[nodiscard]] uint64_t nextEvent() const override { return kNoEvent; }
 
   void saveState(serial::Writer& w) const override {
     w.str(output_);
@@ -114,7 +116,9 @@ class ScratchDevice : public Device {
     regs_[offset / 4] = value;
   }
 
-  void advanceTo(uint64_t, uint64_t) override {}  // no per-cycle state
+  // State changes only on access.
+  void advanceTo(uint64_t, uint64_t) override {}
+  [[nodiscard]] uint64_t nextEvent() const override { return kNoEvent; }
 
   void saveState(serial::Writer& w) const override {
     for (const uint32_t v : regs_) {
@@ -187,7 +191,9 @@ class MailboxDevice : public Device {
     }
   }
 
-  void advanceTo(uint64_t, uint64_t) override {}  // no per-cycle state
+  // State changes only on access.
+  void advanceTo(uint64_t, uint64_t) override {}
+  [[nodiscard]] uint64_t nextEvent() const override { return kNoEvent; }
 
   /// Doorbell wiring is construction-time; only the FIFO and its
   /// counters are run-time state.

@@ -8,10 +8,16 @@
 // A second write port adds dynamically computed correction cycles
 // (branch prediction, instruction cache — paper section 3.4).
 //
-// Here the device drives the SocBus clock: every emitted cycle clocks all
-// attached peripherals.
+// Here the device drives the SocBus clock lazily (DESIGN.md section 5.1):
+// generation is a pure function of elapsed VLIW time, so the device
+// catches up in one step — a single SocBus::advanceTo over all the SoC
+// cycles generated since the last catch-up — whenever the VLIW machine
+// reports its time, which it does before every I/O handler call and at
+// every stop (vliw::V6xSim::setClock). Nothing else can observe the
+// attached hardware in between.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/error.h"
@@ -38,6 +44,7 @@ class SyncDevice {
 
   /// Starts generation of `n` further cycles (accumulates; the translated
   /// code's wait instruction is what enforces block-level synchrony).
+  /// Generation counts from the VLIW cycle of the last advanceTo().
   void start(uint32_t n) {
     remaining_ += n;
     ++num_starts_;
@@ -52,21 +59,39 @@ class SyncDevice {
 
   [[nodiscard]] bool busy() const { return remaining_ > 0; }
 
-  /// Advances the device by one VLIW clock cycle. Emits an SoC cycle every
-  /// `rate` VLIW cycles while generation is active. Returns true when an
-  /// SoC cycle was emitted in this tick.
-  bool tickVliwCycle() {
+  /// Catches generation up to `vliw_cycles` elapsed VLIW cycles. While
+  /// busy, every VLIW cycle is one generation tick and every `rate`-th
+  /// tick emits an SoC cycle, so the step emits min(remaining, ticks /
+  /// rate) cycles with one bus advance. Times at or before the last call
+  /// are ignored.
+  void advanceTo(uint64_t vliw_cycles) {
+    if (vliw_cycles <= vliw_now_) {
+      return;
+    }
+    const uint64_t from = vliw_now_;
+    vliw_now_ = vliw_cycles;
     if (remaining_ == 0) {
-      return false;
+      return;  // idle ticks emit nothing and leave the phase at 0
     }
-    if (++subcycle_ < rate_) {
-      return false;
+    const uint64_t phase = subcycle_ + (vliw_cycles - from);
+    const uint64_t n = std::min(remaining_, phase / rate_);
+    if (n == 0) {
+      subcycle_ = phase;
+      return;
     }
-    subcycle_ = 0;
-    --remaining_;
-    ++total_generated_;
-    bus_->clockCycle();
-    return true;
+    // The n-th edge falls on tick n*rate - subcycle_ after `from`.
+    last_edge_ = from + n * rate_ - subcycle_;
+    subcycle_ = n == remaining_ ? 0 : phase % rate_;
+    remaining_ -= n;
+    total_generated_ += n;
+    bus_->advanceTo(bus_->socCycle() + n);
+  }
+
+  /// True when the latest VLIW cycle passed to advanceTo() emitted an SoC
+  /// cycle: a bus access made in that cycle completes on its edge (the
+  /// bridge's handshake in the emulated clock domain).
+  [[nodiscard]] bool edgeThisCycle() const {
+    return last_edge_ != 0 && last_edge_ == vliw_now_;
   }
 
   [[nodiscard]] uint64_t totalGenerated() const { return total_generated_; }
@@ -77,8 +102,10 @@ class SyncDevice {
 
  private:
   SocBus* bus_;
-  unsigned rate_;
-  unsigned subcycle_ = 0;
+  uint64_t rate_;
+  uint64_t subcycle_ = 0;   ///< ticks toward the next edge; 0 while idle
+  uint64_t vliw_now_ = 0;   ///< VLIW cycles generation has caught up to
+  uint64_t last_edge_ = 0;  ///< VLIW cycle count at the latest edge
   uint64_t remaining_ = 0;
   uint64_t total_generated_ = 0;
   uint64_t num_starts_ = 0;

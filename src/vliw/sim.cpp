@@ -185,8 +185,13 @@ bool V6xSim::issuePacket(const DecodedPacket& packet) {
       }
       const uint32_t ea = regs_[op.src1] + static_cast<uint32_t>(op.imm);
       IoHandler* h = handlerFor(ea);
-      if (h != nullptr && !h->ready(ea, op.store)) {
-        return false;
+      if (h != nullptr) {
+        if (clock_) {
+          clock_(stats_.cycles);  // this cycle's generation comes first
+        }
+        if (!h->ready(ea, op.store)) {
+          return false;
+        }
       }
       access[i] = {ea, h};
     }
@@ -353,48 +358,74 @@ RunState V6xSim::resume(uint64_t max_cycles) {
   return run(max_cycles);
 }
 
+void V6xSim::skipIdleSlots(uint64_t k) {
+  // Nothing issues in a NOP tail, so no write is scheduled: the pending
+  // ones are due within the next 6 slots, and committing the first
+  // min(k, ring) slots in order lands each exactly as the per-cycle path
+  // would.
+  const uint64_t first = stats_.issue_cycles;
+  for (uint64_t j = 0; j < std::min<uint64_t>(k, kWriteRing); ++j) {
+    commitWrites(first + j);
+  }
+  stats_.cycles += k;
+  stats_.issue_cycles += k;
+  idle_cycles_ -= static_cast<unsigned>(k);
+  if (branch_pending_) {
+    // Slot j (0-based) of the tail redirects when branch_remaining_ == j.
+    if (branch_remaining_ < k) {
+      pc_ = branch_target_;
+      cur_ = branch_target_index_;
+      branch_pending_ = false;
+    } else {
+      branch_remaining_ -= static_cast<unsigned>(k);
+    }
+  }
+}
+
 RunState V6xSim::run(uint64_t max_cycles) {
   CABT_CHECK(!packets_.empty(), "no program loaded");
   if (state_ == RunState::kYielded || state_ == RunState::kBreakpoint) {
     state_ = RunState::kRunning;
   }
+  const RunState stop = runCycles(max_cycles);
+  drainPipeline();
+  if (clock_) {
+    clock_(stats_.cycles);
+  }
+  return stop;
+}
+
+RunState V6xSim::runCycles(uint64_t max_cycles) {
   uint64_t budget = max_cycles;
   while (state_ == RunState::kRunning) {
-    if (budget-- == 0) {
-      return RunState::kMaxCycles;
+    if (budget == 0) {
+      return RunState::kMaxCycles;  // resumable: state_ stays kRunning
     }
-    const bool issue_slot = idle_cycles_ == 0;
-    if (issue_slot) {
-      if (!breakpoints_.empty() && !step_over_breakpoint_ &&
-          breakpoints_.count(pc_) != 0) {
-        // Stop *before* issuing the breakpointed packet: no cycle runs.
-        state_ = RunState::kBreakpoint;
-        drainPipeline();
-        return state_;
-      }
-      step_over_breakpoint_ = false;
+    if (idle_cycles_ != 0) {
+      // Tail cycles of a multi-cycle NOP: issue slots without a packet.
+      const uint64_t k = std::min<uint64_t>(idle_cycles_, budget);
+      skipIdleSlots(k);
+      budget -= k;
+      continue;
     }
-    if (hook_) {
-      hook_();
+    if (!breakpoints_.empty() && !step_over_breakpoint_ &&
+        breakpoints_.count(pc_) != 0) {
+      // Stop *before* issuing the breakpointed packet: no cycle runs.
+      state_ = RunState::kBreakpoint;
+      return state_;
     }
+    step_over_breakpoint_ = false;
+    --budget;
     ++stats_.cycles;
     // Commit the writes due in this issue slot before anything reads the
     // register state (including the device-readiness check).
     commitDueWrites();
-
-    if (!issue_slot) {
-      // Tail cycles of a multi-cycle NOP: issue slots without a packet.
-      --idle_cycles_;
-      postIssueSlot();
-      continue;
-    }
     if (!issuePacket(fetch())) {
       ++stats_.stall_cycles;
-      continue;  // whole-machine stall; devices keep ticking via the hook
+      continue;  // whole-machine stall: the packet retries next cycle
     }
     postIssueSlot();
   }
-  drainPipeline();
   return state_;
 }
 

@@ -15,7 +15,10 @@
 // looks an address up; every op carries its predicate register, operand
 // slots and memory width; in-flight register writes live in a ring
 // indexed by the issue slot they are due in. Nothing on that path
-// allocates.
+// allocates, and nothing on it runs once per cycle for the hardware
+// outside: the clocked hardware (setClock) hears the elapsed cycle count
+// only before an I/O access and at a stop, and a multi-cycle NOP's idle
+// tail passes in one step.
 #pragma once
 
 #include <array>
@@ -86,12 +89,21 @@ class V6xSim {
   /// registered handler covering an address serves it.
   void addIoHandler(IoHandler* handler);
 
-  /// Called once per wall cycle the machine runs, before anything else —
-  /// the platform uses this to clock the synchronization device. A
-  /// breakpoint stop runs no cycle and so does not call it.
-  void setCycleHook(std::function<void()> hook) { hook_ = std::move(hook); }
+  /// Connects the hardware clocked by this machine (the platform's
+  /// synchronization device). `clock(cycles)` receives the elapsed wall
+  /// cycle count, stats().cycles, at two points only: before any I/O
+  /// handler call — the count then includes the current cycle, so the
+  /// hardware has run it before the access's readiness check — and before
+  /// every return from run()/resume(). Between those points nothing
+  /// outside the machine can observe time, so the hardware catches up in
+  /// one step. A breakpoint stop runs no cycle and so reports none.
+  void setClock(std::function<void(uint64_t)> clock) {
+    clock_ = std::move(clock);
+  }
 
-  /// Runs until HALT / YIELD / breakpoint / cycle limit.
+  /// Runs until HALT / YIELD / breakpoint / cycle limit. Every stop
+  /// commits the writes due in the current slot (all of them at halt) and
+  /// reports the elapsed cycles to the clock.
   RunState run(uint64_t max_cycles = UINT64_MAX);
 
   /// Resumes over a breakpoint (issues the breakpointed packet).
@@ -164,6 +176,12 @@ class V6xSim {
   /// handlers' ready() polls when a device refuses an access this cycle.
   bool issuePacket(const DecodedPacket& packet);
   void postIssueSlot();
+  /// Runs `k` (<= idle_cycles_) idle tail cycles of a multi-cycle NOP in
+  /// one step: the cycle and slot counts, the writes due in those slots
+  /// in due order, and the branch countdown with its redirect.
+  void skipIdleSlots(uint64_t k);
+  /// The cycle loop of run(); returns the stop without draining.
+  RunState runCycles(uint64_t max_cycles);
 
   std::vector<Packet> packets_;
   std::vector<DecodedPacket> decoded_;  ///< parallel to packets_
@@ -172,7 +190,7 @@ class V6xSim {
   std::vector<IoHandler*> handlers_;
   uint64_t io_lo_ = UINT64_MAX;  ///< bounding box of all handler windows
   uint64_t io_hi_ = 0;
-  std::function<void()> hook_;
+  std::function<void(uint64_t)> clock_;
   SparseMemory mem_;
 
   std::array<uint32_t, kNumRegs + 1> regs_{};  ///< + the zero slot

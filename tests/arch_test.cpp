@@ -51,6 +51,28 @@ TEST(ArchXml, RejectsBadInput) {
                             "<region name='x' base='0' size='16' kind='?'/>"
                             "</memorymap></processor>"),
                Error);
+  // A region that wraps past 0xffffffff onto another, and sizes or
+  // bases that are not 32-bit values.
+  EXPECT_THROW(
+      parseArchXml("<processor><memorymap>"
+                   "<region name='lo' base='0' size='0x100' kind='ram'/>"
+                   "<region name='hi' base='0xfffffff0' size='0x20' "
+                   "kind='ram'/></memorymap></processor>"),
+      Error);
+  EXPECT_THROW(parseArchXml("<processor><memorymap>"
+                            "<region name='x' base='0x10' size='-1' "
+                            "kind='ram'/></memorymap></processor>"),
+               Error);
+  EXPECT_THROW(parseArchXml("<processor><memorymap>"
+                            "<region name='x' base='0x100000000' size='4' "
+                            "kind='ram'/></memorymap></processor>"),
+               Error);
+  MemoryMap map;
+  EXPECT_THROW(map.addRegion({"wrap", 0xfffffff0u, 0x20, RegionKind::kRam,
+                              0xfffffff0u}),
+               Error);
+  map.addRegion({"top", 0xfffffff0u, 0x10, RegionKind::kRam, 0xfffffff0u});
+  EXPECT_EQ(map.find(0xffffffffu)->name, "top");
 }
 
 TEST(ICacheGeometry, AddressDecomposition) {

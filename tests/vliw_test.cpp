@@ -1,5 +1,6 @@
 // V6X ISA and simulator tests: packet encoding round trips, validation
-// rules, delay-slot timing, predication, device stalls.
+// rules, delay-slot timing, predication, device stalls, the batched clock
+// reports and NOP tails, and stops.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -114,6 +115,49 @@ V6xSim runPackets(std::vector<Packet> packets) {
   sim.loadProgram(makeImage(std::move(packets)));
   EXPECT_EQ(sim.run(100000), RunState::kHalted);
   return sim;
+}
+
+/// Expects two machines to be indistinguishable: every register, the pc,
+/// the run state and every statistic.
+void expectSameMachine(const V6xSim& want, const V6xSim& got,
+                       const std::string& where) {
+  for (uint8_t r = 0; r < 2 * kRegsPerFile; ++r) {
+    EXPECT_EQ(got.reg(r), want.reg(r)) << regName(r) << " " << where;
+  }
+  EXPECT_EQ(got.pc(), want.pc()) << where;
+  EXPECT_EQ(got.state(), want.state()) << where;
+  const SimStats& a = want.stats();
+  const SimStats& b = got.stats();
+  EXPECT_EQ(b.cycles, a.cycles) << where;
+  EXPECT_EQ(b.issue_cycles, a.issue_cycles) << where;
+  EXPECT_EQ(b.packets, a.packets) << where;
+  EXPECT_EQ(b.ops, a.ops) << where;
+  EXPECT_EQ(b.nop_cycles, a.nop_cycles) << where;
+  EXPECT_EQ(b.stall_cycles, a.stall_cycles) << where;
+  EXPECT_EQ(b.branches_taken, a.branches_taken) << where;
+}
+
+/// Runs `packets` in budgets of one cycle and, separately, stops once at
+/// every cycle budget `b` and resumes to halt. Each budget stop must
+/// equal the cycle-by-cycle machine at the same cycle, and every resumed
+/// run the uninterrupted one: NOP tails batch without a visible trace.
+void expectBudgetStopsInvisible(const std::vector<Packet>& packets) {
+  const elf::Object image = makeImage(packets);
+  V6xSim whole;
+  whole.loadProgram(image);
+  ASSERT_EQ(whole.run(100000), RunState::kHalted);
+  const uint64_t total = whole.stats().cycles;
+  V6xSim single;
+  single.loadProgram(image);
+  for (uint64_t b = 1; b < total; ++b) {
+    ASSERT_EQ(single.run(1), RunState::kMaxCycles);
+    V6xSim stopped;
+    stopped.loadProgram(image);
+    ASSERT_EQ(stopped.run(b), RunState::kMaxCycles);
+    expectSameMachine(single, stopped, "at budget " + std::to_string(b));
+    ASSERT_EQ(stopped.run(100000), RunState::kHalted);
+    expectSameMachine(whole, stopped, "resumed from " + std::to_string(b));
+  }
 }
 
 // ---- encoding -----------------------------------------------------------
@@ -589,6 +633,73 @@ TEST(V6xSimTest, BranchRedirectInsideALongNop) {
   EXPECT_EQ(sim.stats().cycles, 11u);
   EXPECT_EQ(sim.stats().nop_cycles, 9u);
   EXPECT_EQ(sim.stats().branches_taken, 1u);
+  // The tail passes in one step, the redirect inside it at its slot:
+  // budget stops before, at and after the redirect see the same machine
+  // as a cycle-by-cycle run.
+  expectBudgetStopsInvisible({
+      {0, {op(VOpc::kB, S1, kNoReg, kNoReg, kNoReg,
+              static_cast<int32_t>(kBase + 3 * 4))}},
+      {0, {nop(9)}},
+      {0, {mvk(regA(1), 1)}},
+      {0, {halt()}},
+  });
+}
+
+TEST(V6xSimTest, BudgetEndingInsideANopTailResumes) {
+  V6xSim sim;
+  sim.loadProgram(makeImage({
+      {0, {mvk(regA(1), 1)}},
+      {0, {nop(9)}},
+      {0, {mvk(regA(2), 2)}},
+      {0, {halt()}},
+  }));
+  EXPECT_EQ(sim.run(4), RunState::kMaxCycles);  // mvk, nop, 2 tail cycles
+  EXPECT_EQ(sim.stats().cycles, 4u);
+  EXPECT_EQ(sim.stats().issue_cycles, 4u);
+  EXPECT_EQ(sim.state(), RunState::kRunning);
+  EXPECT_EQ(sim.run(5), RunState::kMaxCycles);  // 5 of the 6 left
+  EXPECT_EQ(sim.stats().cycles, 9u);
+  EXPECT_EQ(sim.reg(regA(2)), 0u);
+  EXPECT_EQ(sim.run(100), RunState::kHalted);
+  EXPECT_EQ(sim.reg(regA(2)), 2u);
+  EXPECT_EQ(sim.stats().cycles, 12u);
+  EXPECT_EQ(sim.stats().nop_cycles, 9u);
+  expectBudgetStopsInvisible({
+      {0, {mvk(regA(1), 1)}},
+      {0, {nop(9)}},
+      {0, {mvk(regA(2), 2)}},
+      {0, {halt()}},
+  });
+}
+
+TEST(V6xSimTest, LoadLandingInsideNop9) {
+  // The load is due 5 slots after it issues, in the middle of the NOP's
+  // tail; a budget stop on either side of that slot shows the old or the
+  // new value exactly as a cycle-by-cycle run does.
+  const std::vector<Packet> packets{
+      {0, {mvk(regA(8), 0x7000)}},
+      {0, {mvk(regA(9), 0x55)}},
+      {0, {op(VOpc::kStw, D1, regA(9), regA(8), kNoReg, 0)}},
+      {0, {op(VOpc::kLdw, D1, regA(3), regA(8), kNoReg, 0)}},
+      {0, {op(VOpc::kMpy, M1, regA(4), regA(9), regA(9))}},  // due slot 6
+      {0, {nop(9)}},
+      {0, {halt()}},
+  };
+  V6xSim sim;
+  sim.loadProgram(makeImage(packets));
+  // ld issues in slot 3 and is due in slot 8, mpy in slot 4 and due in
+  // slot 6; the NOP issues in slot 5, so its tail covers slots 6..13. A
+  // stop presents the writes due in the slot it rests on: slot 7 after
+  // 7 cycles, slot 8 after 8.
+  EXPECT_EQ(sim.run(7), RunState::kMaxCycles);
+  EXPECT_EQ(sim.reg(regA(3)), 0u);
+  EXPECT_EQ(sim.reg(regA(4)), 0x55u * 0x55u);
+  EXPECT_EQ(sim.run(1), RunState::kMaxCycles);
+  EXPECT_EQ(sim.reg(regA(3)), 0x55u);
+  EXPECT_EQ(sim.run(100), RunState::kHalted);
+  EXPECT_EQ(sim.reg(regA(3)), 0x55u);
+  EXPECT_EQ(sim.stats().cycles, 15u);
+  expectBudgetStopsInvisible(packets);
 }
 
 // ---- device stalls ---------------------------------------------------------
@@ -638,22 +749,41 @@ TEST(V6xSimTest, DeviceStallFreezesMachine) {
   EXPECT_EQ(sim.stats().cycles, 12u);
 }
 
-TEST(V6xSimTest, CycleHookRunsEveryCycleIncludingStalls) {
-  StallingHandler handler(0xfe000000, 2);
-  std::vector<Packet> packets{
+TEST(V6xSimTest, ClockHearsEachAccessCycleAndEveryStop) {
+  // The clocked hardware hears the elapsed cycle count before each
+  // handler call, the current cycle included — so a device polled during
+  // a stall sees time advance — and once more at the stop. Nothing else.
+  class RecordingHandler : public StallingHandler {
+   public:
+    RecordingHandler(const std::vector<uint64_t>* heard, unsigned stalls)
+        : StallingHandler(0xfe000000, stalls), heard_(heard) {}
+    bool ready(uint32_t addr, bool is_write) override {
+      at_ready.push_back(heard_->empty() ? 0 : heard_->back());
+      return StallingHandler::ready(addr, is_write);
+    }
+    std::vector<uint64_t> at_ready;
+
+   private:
+    const std::vector<uint64_t>* heard_;
+  };
+  std::vector<uint64_t> heard;
+  RecordingHandler handler(&heard, 2);
+  V6xSim sim;
+  sim.loadProgram(makeImage({
       {0, {mvk(regA(8), 0)}},
       {0, {op(VOpc::kMvkh, S1, regA(8), kNoReg, kNoReg, 0xfe00)}},
       {0, {op(VOpc::kStw, D1, regA(8), regA(8), kNoReg, 0)}},
+      {0, {nop(9)}},
       {0, {halt()}},
-  };
-  V6xSim sim;
-  sim.loadProgram(makeImage(std::move(packets)));
+  }));
   sim.addIoHandler(&handler);
-  uint64_t hook_calls = 0;
-  sim.setCycleHook([&hook_calls] { ++hook_calls; });
+  sim.setClock([&heard](uint64_t cycles) { heard.push_back(cycles); });
   EXPECT_EQ(sim.run(1000), RunState::kHalted);
-  EXPECT_EQ(hook_calls, sim.stats().cycles);
   EXPECT_EQ(sim.stats().stall_cycles, 2u);
+  // The store tries in cycles 3, 4 and 5; the stop comes after cycle 15.
+  EXPECT_EQ(handler.at_ready, (std::vector<uint64_t>{3, 4, 5}));
+  EXPECT_EQ(heard, (std::vector<uint64_t>{3, 4, 5, 15}));
+  EXPECT_EQ(sim.stats().cycles, 15u);
 }
 
 TEST(V6xSimTest, YieldStopsAndResumes) {
@@ -690,8 +820,8 @@ TEST(V6xSimTest, BreakpointsStopBeforePacket) {
   EXPECT_EQ(sim.reg(regA(2)), 6u);
 }
 
-TEST(V6xSimTest, BreakpointStopDoesNotTickTheCycleHook) {
-  // The hook clocks the synchronization device: a stop must not give it
+TEST(V6xSimTest, BreakpointStopReportsNoExtraCycle) {
+  // The clock drives the synchronization device: a stop must not give it
   // a cycle the machine never ran.
   V6xSim sim;
   sim.loadProgram(makeImage({
@@ -699,14 +829,40 @@ TEST(V6xSimTest, BreakpointStopDoesNotTickTheCycleHook) {
       {0, {mvk(regA(2), 6)}},
       {0, {halt()}},
   }));
-  uint64_t hook_calls = 0;
-  sim.setCycleHook([&hook_calls] { ++hook_calls; });
+  std::vector<uint64_t> heard;
+  sim.setClock([&heard](uint64_t cycles) { heard.push_back(cycles); });
   sim.addBreakpoint(kBase + 4);
   EXPECT_EQ(sim.run(1000), RunState::kBreakpoint);
-  EXPECT_EQ(hook_calls, sim.stats().cycles);
+  EXPECT_EQ(heard, (std::vector<uint64_t>{1}));
   EXPECT_EQ(sim.resume(1000), RunState::kHalted);
-  EXPECT_EQ(hook_calls, sim.stats().cycles);
+  EXPECT_EQ(heard, (std::vector<uint64_t>{1, 3}));
   EXPECT_EQ(sim.stats().cycles, 3u);
+}
+
+TEST(V6xSimTest, BudgetStopCommitsLikeABreakpointStop) {
+  // Both stops rest before the second mvk with the first one's result
+  // due in the current slot: each must present it.
+  const elf::Object image = makeImage({
+      {0, {mvk(regA(1), 5)}},
+      {0, {mvk(regA(2), 7)}},
+      {0, {halt()}},
+  });
+  V6xSim budget;
+  budget.loadProgram(image);
+  EXPECT_EQ(budget.run(1), RunState::kMaxCycles);
+  EXPECT_EQ(budget.reg(regA(1)), 5u);
+  V6xSim bp;
+  bp.loadProgram(image);
+  bp.addBreakpoint(kBase + 4);
+  EXPECT_EQ(bp.run(1000), RunState::kBreakpoint);
+  for (uint8_t r = 0; r < 2 * kRegsPerFile; ++r) {
+    EXPECT_EQ(budget.reg(r), bp.reg(r)) << regName(r);
+  }
+  EXPECT_EQ(budget.pc(), bp.pc());
+  EXPECT_EQ(budget.stats().cycles, bp.stats().cycles);
+  EXPECT_EQ(budget.run(1000), RunState::kHalted);
+  EXPECT_EQ(bp.resume(1000), RunState::kHalted);
+  expectSameMachine(bp, budget, "after resuming both");
 }
 
 TEST(V6xSimTest, ToStringIsReadable) {
