@@ -14,7 +14,7 @@
 //
 // `run` executes one campaign: bootstrap or load the corpus, mutate,
 // run every candidate through the three-way oracle (ISS vs translator
-// vs RTL across the detail x engine x seq/par grid), admit mutants
+// vs RTL across the detail x engine grid), admit mutants
 // that light new edge-coverage bits, and write minimized findings as
 // self-contained seed files. The farm WRITES into --corpus: point it at
 // a scratch copy, never at the checked-in tests/fuzz_corpus tree.

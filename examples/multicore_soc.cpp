@@ -63,31 +63,5 @@ int main() {
   std::printf("(the checksums are quantum-independent; the cycle counts "
               "drift within one quantum — the loosely-timed accuracy "
               "trade-off)\n");
-
-  // The same board under parallel quantum rounds: core-private quantum
-  // prefixes run on worker threads, all shared traffic drains in the
-  // sequential dispatch order — every number printed below is
-  // bit-identical to the quantum-1024 run above by construction
-  // (DESIGN.md section 7; tests/parallel_test.cpp proves it per grid
-  // point).
-  {
-    platform::BoardConfig cfg;
-    cfg.iss.extra_leaders = images.extraLeaders();
-    cfg.quantum = 1024;
-    cfg.parallel.enabled = true;
-    platform::ReferenceBoard board(desc, images.ptrs(), cfg);
-    board.run();
-    std::printf("\nparallel rounds, quantum 1024: core0 %llu cycles, core1 "
-                "%llu cycles, %llu prefixes over %llu rounds — checksums "
-                "%u/%u, bit-identical to the sequential kernel\n",
-                static_cast<unsigned long long>(board.core(0).stats().cycles),
-                static_cast<unsigned long long>(board.core(1).stats().cycles),
-                static_cast<unsigned long long>(
-                    board.kernel().parallelPrefixes()),
-                static_cast<unsigned long long>(
-                    board.kernel().parallelRounds()),
-                workloads::readChecksum(producer, board.core(0).memory()),
-                workloads::readChecksum(consumer, board.core(1).memory()));
-  }
   return 0;
 }

@@ -6,7 +6,7 @@
 //
 // Usage:
 //   state_tool digest <scenario> [--level=...] [--quantum=N]
-//                     [--interval=N] [--parallel] [--dispatch=...]
+//                     [--interval=N] [--dispatch=...]
 //   state_tool selfcheck <scenario> [--level=...] [--quantum=N] [--at=N]
 //                        [--dispatch=...]
 //   state_tool save <scenario> --out=FILE [--at=N] [--level=...]
@@ -137,8 +137,8 @@ workloads::BoardImages scenarioImages(const std::string& name,
 }
 
 Scenario makeScenario(const std::string& name, xlat::DetailLevel level,
-                      sim::Cycle quantum, bool parallel,
-                      const std::string& dispatch, size_t cores) {
+                      sim::Cycle quantum, const std::string& dispatch,
+                      size_t cores) {
   Scenario s{scenarioImages(name, cores), {}};
   s.cfg.iss = platform::issConfigFor(level);
   if (!dispatch.empty()) {
@@ -146,7 +146,6 @@ Scenario makeScenario(const std::string& name, xlat::DetailLevel level,
   }
   s.cfg.iss.extra_leaders = s.images.extraLeaders();
   s.cfg.quantum = quantum;
-  s.cfg.parallel.enabled = parallel;
   return s;
 }
 
@@ -279,7 +278,6 @@ int main(int argc, char** argv) {
     sim::Cycle interval = 0;
     sim::Cycle at = 2000;
     sim::Cycle to = sim::kForever;
-    bool parallel = false;
     std::string dispatch;
     std::string in_path;
     std::string out_path;
@@ -327,8 +325,6 @@ int main(int argc, char** argv) {
         fi_armed = true;
       } else if (arg == "--metrics") {
         obs_opts.metrics_text = true;
-      } else if (arg == "--parallel") {
-        parallel = true;
       } else if (!arg.empty() && arg[0] != '-') {
         if (command.empty()) {
           command = arg;
@@ -347,7 +343,7 @@ int main(int argc, char** argv) {
                    "inject|recover <scenario> "
                    "[--level=functional|static|branch|cache] [--quantum=N] "
                    "[--interval=N] [--at=N] [--to=N] [--in=F] [--out=F] "
-                   "[--parallel] [--cores=N] "
+                   "[--cores=N] "
                    "[--dispatch=step|threaded] "
                    "[--fault=SPEC]... [--fi-armed] "
                    "[--trace-out=F] [--metrics] [--metrics-out=F] "
@@ -357,8 +353,7 @@ int main(int argc, char** argv) {
     }
 
     const Scenario scenario =
-        makeScenario(scenario_name, level, quantum, parallel, dispatch,
-                     cores);
+        makeScenario(scenario_name, level, quantum, dispatch, cores);
 
     if (command == "digest") {
       std::unique_ptr<platform::ReferenceBoard> board = scenario.makeBoard();

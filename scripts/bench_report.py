@@ -5,7 +5,7 @@ Every bench binary writes a BENCH_<name>.json next to its working
 directory — or into $CABT_BENCH_DIR when set (one row per
 workload/variant, with host MIPS and — for ISS rows — the dispatch-path
 counters). This script collects them into a single BENCH_SUMMARY.md
-artifact and enforces four gates:
+artifact and enforces three gates:
 
   * engine ablation — the threaded engine must reach --min-ratio x the
     step() reference's host MIPS on every workload/level row;
@@ -13,10 +13,6 @@ artifact and enforces four gates:
     icache-level translated image on the V6X platform must reach
     1/VEHICLE_MAX_SLOWDOWN of the ISS's host MIPS on every workload (the
     V6X simulator's hot path must not fall back to its old speed);
-  * parallel rounds — on every BENCH_parallel_cores.json row with
-    quantum >= 256, the parallel kernel must not fall below the
-    sequential kernel (at smaller quanta the round barrier is expected
-    to dominate; that region is reported but not gated);
   * fleet — on BENCH_fleet.json, fleet runs must be digest-reproducible
     run-to-run, report one artifact decode per distinct image, and keep
     aggregate host MIPS at M >= 2 boards at or above the single-board
@@ -35,11 +31,11 @@ bench binaries) are folded into the summary as collapsible sections.
 
 Usage:
     scripts/bench_report.py [--dir DIR] [--out BENCH_SUMMARY.md]
-                            [--min-ratio 1.5] [--min-parallel-ratio 0.85]
+                            [--min-ratio 1.5] [--min-fleet-ratio 0.9]
                             [--baseline DIR] [--baseline-min-ratio 0.9]
 
 Exit status 1 when a gate fails (or a required record is missing while
---require-ablation / --require-parallel is set). The default ratios give
+--require-ablation / --require-fleet is set). The default ratios give
 shared CI runners scheduling-noise headroom; real regressions show up
 far below them.
 """
@@ -225,49 +221,6 @@ def check_vehicle_gate(records, max_slowdown):
     return compared, failures
 
 
-def check_parallel_gate(records, min_ratio, min_quantum=256):
-    """parallel must reach min_ratio x the sequential host MIPS per row,
-    for every quantum >= min_quantum.
-
-    Returns (compared_pairs, failures), or None when there is no
-    parallel-cores record at all. Like the dispatch gate, zero compared
-    pairs means the record's variant naming drifted and must fail.
-    """
-    rows = records.get("parallel_cores")
-    if rows is None:
-        return None
-    by_key = {}
-    for r in rows:
-        variant = r.get("variant", "")
-        if "/" not in variant:
-            continue
-        mode, quantum_tag = variant.split("/", 1)
-        if not quantum_tag.startswith("quantum_"):
-            continue
-        try:
-            quantum = int(quantum_tag[len("quantum_"):])
-        except ValueError:
-            continue
-        by_key[(r.get("workload"), quantum, mode)] = r.get("host_mips", 0.0)
-    compared = 0
-    failures = []
-    for (workload, quantum, mode), seq_mips in sorted(by_key.items()):
-        if mode != "seq" or quantum < min_quantum:
-            continue
-        par_mips = by_key.get((workload, quantum, "par"))
-        if par_mips is None or seq_mips <= 0:
-            continue
-        compared += 1
-        ratio = par_mips / seq_mips
-        if ratio < min_ratio:
-            failures.append(
-                f"{workload}/quantum_{quantum}: parallel {par_mips:.2f} "
-                f"MIPS vs sequential {seq_mips:.2f} MIPS (ratio "
-                f"{ratio:.2f} < {min_ratio:.2f})"
-            )
-    return compared, failures
-
-
 def check_fleet_gate(records, min_ratio):
     """Three invariants over BENCH_fleet.json rows:
 
@@ -388,22 +341,10 @@ def main():
         "(measured rows sit at 2.2x-6.0x; the rest is runner noise)",
     )
     parser.add_argument(
-        "--min-parallel-ratio",
-        type=float,
-        default=0.85,
-        help="minimum parallel/sequential host-MIPS ratio at quantum >= "
-        "256 (noise tolerance; single-threaded runners sit near 1.0)",
-    )
-    parser.add_argument(
         "--require-ablation",
         action="store_true",
         help="fail when BENCH_ablation_dispatch.json or "
         "BENCH_ablation_iss_vs_xlat.json is absent",
-    )
-    parser.add_argument(
-        "--require-parallel",
-        action="store_true",
-        help="fail when BENCH_parallel_cores.json is absent",
     )
     parser.add_argument(
         "--min-fleet-ratio",
@@ -445,7 +386,7 @@ def main():
                 f"`{args.dir}`.\n"
             )
         print(f"wrote {args.out} (no bench records found in {args.dir})")
-        if args.require_ablation or args.require_parallel:
+        if args.require_ablation:
             print(
                 "error: no BENCH_*.json records, but a gate was requested",
                 file=sys.stderr,
@@ -478,15 +419,6 @@ def main():
         "passed": f"xlat-l3 >= iss / {VEHICLE_MAX_SLOWDOWN:.0f} on {{n}} "
         "workloads",
     }
-    parallel_gate = {
-        "name": "parallel",
-        "gate": check_parallel_gate(records, args.min_parallel_ratio),
-        "required": args.require_parallel,
-        "record": "BENCH_parallel_cores.json",
-        "empty": "no seq/par pairs at quantum >= 256",
-        "passed": "parallel >= sequential on {n} board/quantum rows "
-        "(quantum >= 256)",
-    }
     fleet_gate = {
         "name": "fleet",
         "gate": check_fleet_gate(records, args.min_fleet_ratio),
@@ -497,7 +429,7 @@ def main():
         "one decode per image, aggregate MIPS >= single board)",
     }
     status = 0
-    for g in (dispatch_gate, vehicle_gate, parallel_gate, fleet_gate):
+    for g in (dispatch_gate, vehicle_gate, fleet_gate):
         if g["gate"] is None:
             if g["required"]:
                 print(f"error: {g['record']} missing", file=sys.stderr)

@@ -13,6 +13,7 @@
 #include "arch/arch.h"
 #include "common/error.h"
 #include "common/serial.h"
+#include "common/strutil.h"
 
 namespace cabt::arch {
 
@@ -120,6 +121,11 @@ class ICacheState {
     }
     for (uint32_t& l : lru_) {
       l = r.u32();
+      // The miss path indexes the set's ways with the word's low byte.
+      CABT_CHECK(validLruWord(l, model_.ways),
+                 "snapshot icache LRU word " << hex32(l)
+                                             << " is not an age order of "
+                                             << model_.ways << " ways");
     }
     hits_ = r.u64();
     misses_ = r.u64();
@@ -132,6 +138,25 @@ class ICacheState {
       w |= i << (8 * i);
     }
     return w;
+  }
+
+  /// True when the low `ways` bytes of `word` are a permutation of
+  /// [0, ways) and every byte above them is zero.
+  static bool validLruWord(uint32_t word, uint32_t ways) {
+    uint32_t seen = 0;
+    for (uint32_t i = 0; i < 4; ++i) {
+      const uint32_t way = (word >> (8 * i)) & 0xffu;
+      if (i >= ways) {
+        if (way != 0) {
+          return false;
+        }
+      } else if (way >= ways || (seen & (1u << way)) != 0) {
+        return false;
+      } else {
+        seen |= 1u << way;
+      }
+    }
+    return true;
   }
 
   /// Moves `way` to most-recently-used position in the packed age list.

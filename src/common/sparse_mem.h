@@ -12,6 +12,7 @@
 
 #include "common/error.h"
 #include "common/serial.h"
+#include "common/strutil.h"
 
 namespace cabt {
 
@@ -106,16 +107,23 @@ class SparseMemory {
     }
   }
 
-  /// Replaces the full contents with a saved image.
+  /// Replaces the full contents with a saved image. The page bases must
+  /// be page-aligned and strictly increasing, as saveState writes them.
   void restoreState(serial::Reader& r) {
     r.tag("mem");
     pages_.clear();
     const uint32_t n = r.u32();
     for (uint32_t i = 0; i < n; ++i) {
       const uint32_t base = r.u32();
+      CABT_CHECK((base & (kPageSize - 1)) == 0,
+                 "snapshot memory page base " << hex32(base)
+                                              << " is not page-aligned");
+      CABT_CHECK(pages_.empty() || base > pages_.rbegin()->first,
+                 "snapshot memory page base "
+                     << hex32(base) << " does not follow the previous page");
       Page page(kPageSize, 0);
       r.bytes(page.data(), page.size());
-      pages_.emplace(base, std::move(page));
+      pages_.emplace_hint(pages_.end(), base, std::move(page));
     }
   }
 

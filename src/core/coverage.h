@@ -18,10 +18,7 @@
 // repository (a few hundred blocks per image) stays far below
 // saturation.
 //
-// Threading: one EdgeCoverage instance belongs to one core. Under the
-// parallel-round kernel a core runs on exactly one thread at a time and
-// the round barrier provides the happens-before handoff — the same
-// contract as obs::PcSampler; no locking.
+// One EdgeCoverage instance belongs to one core, like obs::PcSampler.
 #pragma once
 
 #include <cstdint>

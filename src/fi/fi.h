@@ -7,7 +7,7 @@
 //   * core faults (register/pc/memory-word flips) become fi::CoreFault
 //     entries in per-core injectors, applied by the ISS at basic-block
 //     boundaries through the due-time ladder — bit-identical across both
-//     ISS engines (threaded and step()) and the seq/par kernels;
+//     ISS engines (threaded and step());
 //   * bus errors become soc::BusFaultWindows whose on_error raises the
 //     precise bus-error line (platform::kBusErrorIrqLine) on the faulted
 //     core's interrupt controller, delivered — like every interrupt — at
@@ -95,8 +95,8 @@ class Campaign {
   /// device stalls, ring corruptions) under `prefix`.
   void publishMetrics(obs::MetricsRegistry& reg,
                       const std::string& prefix = "fi.") const;
-  /// Emits one timeline instant per fired fault, post-run (injection
-  /// itself can happen on worker threads, where the sink is off-limits).
+  /// Emits one timeline instant per fired fault, post-run (the injector
+  /// itself never writes the sink).
   void emitTrace(obs::TraceSink& sink) const;
 
  private:

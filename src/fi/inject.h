@@ -13,12 +13,8 @@
 // recovery wants: fall back to a pre-fault ring entry, replay, and converge
 // on the clean-run digest.
 //
-// Threading: an injector belongs to one core and is touched only from that
-// core's execution context. Under the parallel-round kernel that includes
-// worker-thread private prefixes — prefixes are real committed execution, so
-// core-private faults (registers, pc, private memory) must apply there too.
-// The round barrier provides the same happens-before handoff PcSampler
-// relies on; no locking.
+// An injector belongs to one core and is touched only from that core's
+// execution context.
 #pragma once
 
 #include <algorithm>

@@ -10,7 +10,7 @@
 //
 // Like soc::ProgrammableTimer the deadline check is arithmetic over the
 // lazily advanced SoC clock, so firing is a pure function of transaction
-// timestamps — bit-identical across both ISS engines and seq/par kernels.
+// timestamps — bit-identical across both ISS engines.
 // A fired watchdog is one-shot (disarms itself): the guest-visible
 // consequence is an interrupt line raise, the board-level consequence is
 // the on-fire callback, which platform::ReferenceBoard uses to trigger

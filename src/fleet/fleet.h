@@ -54,8 +54,7 @@ struct FleetConfig {
   /// Number of boards to schedule.
   size_t boards = 1;
   /// Host threads running boards, calling thread included; 0 picks
-  /// hardware_concurrency clamped to [1, 16]. (Each board may *also*
-  /// run its own parallel-round kernel; the two pools nest cleanly.)
+  /// hardware_concurrency clamped to [1, 16].
   unsigned host_threads = 0;
   /// Batch activation: at most this many boards are constructed and
   /// live at once, bounding peak host memory for large fleets. 0 means

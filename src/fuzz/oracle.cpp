@@ -21,8 +21,8 @@ namespace cabt::fuzz {
 namespace {
 
 /// The validity gate and in-level comparison baseline: icache detail,
-/// threaded engine, sequential kernel.
-constexpr snap::GridPoint kRef{xlat::DetailLevel::kICache, true, false};
+/// threaded engine.
+constexpr snap::GridPoint kRef{xlat::DetailLevel::kICache, true};
 
 /// VLIW-cycle budget for translated-platform runs.
 constexpr uint64_t kMaxVliwCycles = 80'000'000;
@@ -38,7 +38,7 @@ std::string forkKey(const SeedCase& c, const snap::GridPoint& point) {
   std::ostringstream key;
   key << std::hex << h << std::dec << "-q" << c.quantum << "-f"
       << c.fork_cycle << "-l" << static_cast<int>(point.level) << "-e"
-      << (point.threaded ? 1 : 0) << "-p" << (point.parallel ? 1 : 0);
+      << (point.threaded ? 1 : 0);
   return key.str();
 }
 
@@ -157,7 +157,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
       c.faults.empty() && (c.programs.size() == 1 || !c.hasSharedTraffic());
 
   try {
-    // ---- the board grid: detail x engine x seq/par -------------------
+    // ---- the board grid: detail x engine ------------------------------
     for (const xlat::DetailLevel level : xlat::kDetailLevels) {
       snap::Observation leader;
       bool have_leader = false;
@@ -166,8 +166,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
         have_leader = true;
       }
       for (const snap::GridPoint& p : snap::engineGrid(level)) {
-        if (level == kRef.level && p.threaded == kRef.threaded &&
-            p.parallel == kRef.parallel) {
+        if (level == kRef.level && p.threaded == kRef.threaded) {
           continue;  // already ran as the reference
         }
         snap::Observation got =
@@ -182,8 +181,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
         if (!diff.empty()) {
           std::ostringstream out;
           out << "level=" << xlat::detailLevelName(level)
-              << " engine=" << (p.threaded ? "threaded" : "step")
-              << " par=" << p.parallel << ": " << diff;
+              << " engine=" << snap::gridPointName(p) << ": " << diff;
           result.mismatch = out.str();
           return result;
         }

@@ -3,7 +3,7 @@
 //
 // One candidate SeedCase is executed across the full reference-board
 // grid — detail level {functional, static, branch-predict, icache} ×
-// ISS engine {step, threaded} × {sequential, parallel-round} — and, for
+// ISS engine {step, threaded}, eight boards — and, for
 // single-program cases without shared traffic or faults, additionally
 // against the RT-level model and the translated platform at every
 // detail level. Compared observables:
@@ -12,7 +12,7 @@
 //     (snap/observe.h) — per-core stop, registers, pc, architectural
 //     stats and interrupt record, the full bus transaction log, device
 //     counters, scratch registers, kernel dispatch count and the rolling
-//     state digest — bit-identical across the two engines and seq/par
+//     state digest — bit-identical across the two engines
 //     (snap::firstMismatch);
 //   * across detail levels (skipped when faults are armed or when
 //     multiple cores share traffic — cycle-keyed faults and shared-bus
@@ -31,7 +31,7 @@
 // are bit-identical by the snap:: contract. The candidate's mutated
 // state (fi:: specs) applies on top of the restored board.
 //
-// The reference configuration (icache level, threaded, seq) runs
+// The reference configuration (icache level, threaded) runs
 // first and gates validity: a candidate that does not halt there within
 // the instruction budget is discarded as invalid, never reported.
 #pragma once
@@ -69,8 +69,8 @@ struct OracleResult {
   bool valid = false;
   /// Every comparison agreed. Meaningful only when valid.
   bool ok = false;
-  /// First mismatch, human-readable ("level=icache engine=threaded
-  /// par=1: core 0 d3 0x... != 0x..."); empty when ok. The minimizer's
+  /// First mismatch, human-readable ("level=icache engine=step: core 0
+  /// d3 0x... != 0x..."); empty when ok. The minimizer's
   /// failure signature is the text up to the first ':'.
   std::string mismatch;
   /// Engine executions this candidate cost (board grid + extras).

@@ -22,7 +22,7 @@ struct GeneratorConfig {
   /// Additionally talk to the reference board's shared peripherals
   /// (scratch registers and the inter-core mailbox) between private
   /// compute sections — the workload shape of the multi-core
-  /// parallel-round scenario. Programs with shared traffic need a board
+  /// scenarios. Programs with shared traffic need a board
   /// (the standalone ISS has no bus).
   bool shared_traffic = false;
 };

@@ -95,77 +95,15 @@ uint64_t Iss::localTime() const {
 }
 
 void Iss::flushBusClock() {
-  // Inside a private slice the shared clock must only move at this
-  // core's sequential dispatch slot: the commit flushes instead. With
-  // decoupled initiators sharing the bus the advance is a no-op when
-  // another core already advanced it further (LT skew, bounded by the
-  // kernel quantum).
-  if (bus_ != nullptr && !private_mode_) {
+  // With decoupled initiators sharing the bus the advance is a no-op
+  // when another core already advanced it further (LT skew, bounded by
+  // the kernel quantum).
+  if (bus_ != nullptr) {
     bus_->advanceTo(deferred_advance_);
   }
 }
 
-void Iss::beginPrivateSlice() {
-  CABT_CHECK(!private_mode_, "private slice already open");
-  private_mode_ = true;
-  bailed_shared_ = false;
-  skipped_samples_ = 0;
-  ++stats_.private_slices;
-}
-
-bool Iss::commitPrivateSlice() {
-  CABT_CHECK(private_mode_, "no private slice open");
-  private_mode_ = false;
-  // The certificate (IrqSource::quiescent) justified skipping the
-  // boundary samples; only a cross-core write to *this* core's interrupt
-  // controller could have revoked it since — an access pattern the
-  // parallel contract forbids. Fail loudly rather than diverge silently.
-  if (skipped_samples_ > 0) {
-    CABT_CHECK(irq_ != nullptr && irq_->quiescent(),
-               "private-slice certificate revoked mid-round (cross-core "
-               "interrupt-controller write?)");
-  }
-  flushBusClock();
-  const bool bailed = bailed_shared_;
-  bailed_shared_ = false;
-  if (bailed) {
-    ++stats_.private_bails;
-  }
-  return bailed;
-}
-
-bool Iss::touchesShared(const trc::Instr& in) const {
-  if (bus_ == nullptr) {
-    return false;
-  }
-  switch (in.opc) {
-    case Opc::kLdw:
-    case Opc::kLdh:
-    case Opc::kLdhu:
-    case Opc::kLdb:
-    case Opc::kLdbu:
-    case Opc::kLda:
-    case Opc::kStw:
-    case Opc::kSth:
-    case Opc::kStb:
-    case Opc::kSta:
-      // Every TRC32 memory instruction addresses a_[ra] + imm, so the
-      // effective address is computable without executing anything.
-      return bus_->covers(a_[in.ra] + static_cast<uint32_t>(in.imm));
-    default:
-      return false;
-  }
-}
-
 void Iss::sampleIrq() {
-  if (private_mode_) {
-    // The quiescence certificate taken at privateSliceReady() guarantees
-    // this sample returns nullopt whatever was raised meanwhile, and
-    // stays valid until one of this core's own (bailing) bus writes; the
-    // commit re-checks it.
-    ++skipped_samples_;
-    return;
-  }
   // Interrupt state is sampled at this core's local time, with every
   // device advanced to it.
   const uint64_t now = localTime();
@@ -187,18 +125,13 @@ void Iss::sampleIrq() {
     stats_.irq_entry_cycles += config_.irq_entry_cycles;
   }
   if (trace_sink_ != nullptr) {
-    // Sequential path only: private slices never sample, so this never
-    // runs on a worker thread.
     trace_sink_->instant(trace_lane_, "irq", localTime(), "vector", *vector);
   }
 }
 
 bool Iss::applyDueFaults() {
-  // Runs in private slices too: worker-thread prefixes are real committed
-  // execution, so core-private faults must land there as well. Everything
-  // below touches only core-private state (the kMemWord bus check is
-  // covers(), which private mode may call); no trace-sink writes — the
-  // campaign emits the timeline instants post-run from the fired log.
+  // No trace-sink writes here: the campaign emits the timeline instants
+  // post-run from the fired log.
   bool fired = false;
   const uint64_t now = localTime();
   while (const fi::CoreFault* f = injector_->take(now)) {
@@ -350,13 +283,6 @@ StopReason Iss::stepInstr() {
     return stop_;
   }
   const Instr& instr = fetch(pc_);
-  if (private_mode_ && touchesShared(instr)) {
-    // Private-slice bail, before any of this step's state changes: the
-    // pc rests on the offending instruction and the sequential drain
-    // re-enters step() with a bit-identical core.
-    bailed_shared_ = true;
-    return StopReason::kCycleLimit;  // stop_ stays kRunning: resumable
-  }
 
   if (config_.model_timing) {
     if (!in_block_ || isLeader(pc_)) {
@@ -388,31 +314,7 @@ StopReason Iss::stepInstr() {
   return stop_;
 }
 
-template <bool Timing, bool ICache>
-void Iss::bailOutOfBlockT(core::ExecBlock& block, size_t i) {
-  bailed_shared_ = true;
-  // Instructions [0, i) executed; pc_ already rests on instruction i
-  // (interior instructions are straight-line by block construction).
-  // Rebuild the stepping engine's warm view so the drain's step()
-  // resumes mid-block bit-exactly: replayed issue schedule, live_pipe_
-  // at the partial block's cost, line tracking at instruction i-1 (the
-  // icache touch for instruction i has not happened yet — step() will
-  // perform it iff i starts a new consecutive line, which is exactly
-  // the block cache's precomputed new_line rule).
-  if constexpr (Timing) {
-    timer_.reset();
-    for (size_t j = 0; j < i; ++j) {
-      timer_.issue(block.instrs()[j].timedOp());
-    }
-    live_pipe_ = timer_.cycles();
-    if constexpr (ICache) {
-      have_line_ = true;
-      last_line_ = desc_.icache.lineOf(block.instrs()[i - 1].addr);
-    }
-  }
-}
-
-template <bool Timing, bool ICache, bool BranchX, bool Bail>
+template <bool Timing, bool ICache, bool BranchX>
 void Iss::dispatchBlockT(core::ExecBlock& block) {
   ++block.exec_count;
   ++stats_.cached_blocks;
@@ -430,13 +332,6 @@ void Iss::dispatchBlockT(core::ExecBlock& block) {
   const size_t n = block.instrs().size();
   for (size_t i = 0; i < n; ++i) {
     const Instr& instr = instrs[i];
-    if constexpr (Bail) {
-      // i == 0 was tested by the caller before the block bookkeeping.
-      if (i > 0 && touchesShared(instr)) {
-        bailOutOfBlockT<Timing, ICache>(block, i);
-        return;
-      }
-    }
     if constexpr (ICache) {
       if (new_line[i] != 0) {
         icacheAccessTagged(line_set[i], line_tag[i]);
@@ -498,12 +393,12 @@ int32_t Iss::afterBlock(core::ExecBlock& block) {
   return next;
 }
 
-template <bool Timing, bool ICache, bool BranchX, bool Bail>
+template <bool Timing, bool ICache, bool BranchX>
 StopReason Iss::runChainedT(uint64_t time_limit) {
   core::BlockCache& cache = blockCache();
   std::vector<core::ExecBlock>& blocks = cache.blocks();
-  [[maybe_unused]] const core::ThreadedBinder binder = threadedBinder();
-  [[maybe_unused]] const auto count_lowering = [this](int32_t verdict) {
+  const core::ThreadedBinder binder = threadedBinder();
+  const auto count_lowering = [this](int32_t verdict) {
     ++(verdict >= 0 ? stats_.threaded_lowerings : stats_.threaded_declined);
   };
   int32_t next_idx = -1;
@@ -512,11 +407,6 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
     if (stats_.instructions >= config_.max_instructions) {
       stop_ = StopReason::kMaxInstructions;
       break;
-    }
-    if constexpr (Bail) {
-      if (bailed_shared_) {
-        return StopReason::kCycleLimit;  // set by the step() fallback
-      }
     }
     core::ExecBlock* block =
         next_idx >= 0 ? &blocks[static_cast<size_t>(next_idx)] : nullptr;
@@ -572,16 +462,6 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
       stepInstr();
       continue;
     }
-    if constexpr (Bail) {
-      // First instruction of the block, tested before any block-entry
-      // bookkeeping: on a bail here the drain re-dispatches the whole
-      // block from scratch. Interior instructions are tested inside
-      // dispatchBlockT, which repairs the half-executed block instead.
-      if (touchesShared(block->instrs()[0])) {
-        bailed_shared_ = true;
-        return StopReason::kCycleLimit;
-      }
-    }
     if (via_chain) {
       // Counted only for dispatches that actually go through the cache
       // (not chained arrivals refused for breakpoints or budget), so
@@ -589,73 +469,62 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
       ++stats_.chain_hits;
       ++block->chain_entries;
     }
-    if constexpr (!Bail) {
-      // Hot tiers: a block past trace_threshold heads a superblock trace,
-      // lowered into threaded code on formation; a block past
-      // threaded_threshold is lowered on its own. Whatever the op budget
-      // declines runs on the chained tier below, block by block.
-      if (block->trace == core::kTraceUnformed &&
-          block->exec_count >= config_.trace_threshold &&
-          block->exec_count >= block->trace_retry_at) {
-        block->trace =
-            cache.formTrace(static_cast<int32_t>(block - blocks.data()));
-        if (trace_sink_ != nullptr && block->trace >= 0) {
-          trace_sink_->instant(trace_lane_, "trace_form", localTime(),
-                               "addr", block->addr());
-        }
-        if (block->trace == core::kTraceDeclined) {
-          // A refusal can be transient (breakpointed successor, not yet
-          // skewed branch statistics): re-attempt with geometric
-          // backoff instead of declining forever.
-          block->trace = core::kTraceUnformed;
-          block->trace_retry_at = block->exec_count * 2;
-        }
+    // Hot tiers: a block past trace_threshold heads a superblock trace,
+    // lowered into threaded code on formation; a block past
+    // threaded_threshold is lowered on its own. Whatever the op budget
+    // declines runs on the chained tier below, block by block.
+    if (block->trace == core::kTraceUnformed &&
+        block->exec_count >= config_.trace_threshold &&
+        block->exec_count >= block->trace_retry_at) {
+      block->trace =
+          cache.formTrace(static_cast<int32_t>(block - blocks.data()));
+      if (trace_sink_ != nullptr && block->trace >= 0) {
+        trace_sink_->instant(trace_lane_, "trace_form", localTime(), "addr",
+                             block->addr());
       }
-      if (block->trace >= 0) {
-        core::Trace& trace =
-            cache.traces()[static_cast<size_t>(block->trace)];
-        if ((breakpoints_.empty() || !traceHasBreakpoint(trace)) &&
-            stats_.instructions + trace.total_instrs <=
-                config_.max_instructions) {
-          if (trace.threaded == core::kTraceUnformed) {
-            trace.threaded = cache.lowerTraceThreaded(block->trace, binder);
-            count_lowering(trace.threaded);
-          }
-          if (trace.threaded >= 0) {
-            const uint64_t before = stats_.instructions;
-            next_idx = dispatchThreadedTraceT<Timing>(
-                cache.threaded(trace.threaded), time_limit, &epoch_done);
-            stats_.threaded_instrs += stats_.instructions - before;
-            if (next_idx == kDispatchYield) {
-              return StopReason::kCycleLimit;
-            }
-            continue;
-          }
-        }
-      }
-      if (block->threaded == core::kTraceUnformed &&
-          block->exec_count >= config_.threaded_threshold) {
-        block->threaded = cache.lowerBlockThreaded(
-            static_cast<int32_t>(block - blocks.data()), binder);
-        count_lowering(block->threaded);
-      }
-      if (block->threaded >= 0) {
-        const uint64_t before = stats_.instructions;
-        dispatchThreadedBlockT<Timing>(*block,
-                                       cache.threaded(block->threaded));
-        stats_.threaded_instrs += stats_.instructions - before;
-        next_idx = afterBlock<Timing>(*block);
-        continue;
+      if (block->trace == core::kTraceDeclined) {
+        // A refusal can be transient (breakpointed successor, not yet
+        // skewed branch statistics): re-attempt with geometric
+        // backoff instead of declining forever.
+        block->trace = core::kTraceUnformed;
+        block->trace_retry_at = block->exec_count * 2;
       }
     }
-    dispatchBlockT<Timing, ICache, BranchX, Bail>(*block);
-    if constexpr (Bail) {
-      if (bailed_shared_) {
-        // Mid-block bail: the block did not retire — the stepping view
-        // is warm (bailOutOfBlockT) and the drain resumes via step().
-        return StopReason::kCycleLimit;
+    if (block->trace >= 0) {
+      core::Trace& trace = cache.traces()[static_cast<size_t>(block->trace)];
+      if ((breakpoints_.empty() || !traceHasBreakpoint(trace)) &&
+          stats_.instructions + trace.total_instrs <=
+              config_.max_instructions) {
+        if (trace.threaded == core::kTraceUnformed) {
+          trace.threaded = cache.lowerTraceThreaded(block->trace, binder);
+          count_lowering(trace.threaded);
+        }
+        if (trace.threaded >= 0) {
+          const uint64_t before = stats_.instructions;
+          next_idx = dispatchThreadedTraceT<Timing>(
+              cache.threaded(trace.threaded), time_limit, &epoch_done);
+          stats_.threaded_instrs += stats_.instructions - before;
+          if (next_idx == kDispatchYield) {
+            return StopReason::kCycleLimit;
+          }
+          continue;
+        }
       }
     }
+    if (block->threaded == core::kTraceUnformed &&
+        block->exec_count >= config_.threaded_threshold) {
+      block->threaded = cache.lowerBlockThreaded(
+          static_cast<int32_t>(block - blocks.data()), binder);
+      count_lowering(block->threaded);
+    }
+    if (block->threaded >= 0) {
+      const uint64_t before = stats_.instructions;
+      dispatchThreadedBlockT<Timing>(*block, cache.threaded(block->threaded));
+      stats_.threaded_instrs += stats_.instructions - before;
+      next_idx = afterBlock<Timing>(*block);
+      continue;
+    }
+    dispatchBlockT<Timing, ICache, BranchX>(*block);
     next_idx = afterBlock<Timing>(*block);
   }
   return stop_;
@@ -685,32 +554,23 @@ StopReason Iss::runLoop(uint64_t time_limit) {
         return StopReason::kCycleLimit;
       }
       stepInstr();
-      if (bailed_shared_) {
-        return StopReason::kCycleLimit;  // private-slice shared touch
-      }
     }
     return stop_;
   }
-  // Private slices run the Bail-instrumented cold chained tier only (no
-  // traces, no threaded programs; DESIGN.md section 6). The tiers are
-  // architecturally bit-identical, and the sequential drain finishes the
-  // slice on the full engine.
-  return private_mode_ ? selectChainedT<true>(time_limit)
-                       : selectChainedT<false>(time_limit);
+  return selectChainedT(time_limit);
 }
 
-template <bool Bail>
 StopReason Iss::selectChainedT(uint64_t time_limit) {
   if (!config_.model_timing) {
-    return runChainedT<false, false, false, Bail>(time_limit);
+    return runChainedT<false, false, false>(time_limit);
   }
   const bool with_extras = config_.model_branch_extras;
   if (icacheOn()) {
-    return with_extras ? runChainedT<true, true, true, Bail>(time_limit)
-                       : runChainedT<true, true, false, Bail>(time_limit);
+    return with_extras ? runChainedT<true, true, true>(time_limit)
+                       : runChainedT<true, true, false>(time_limit);
   }
-  return with_extras ? runChainedT<true, false, true, Bail>(time_limit)
-                     : runChainedT<true, false, false, Bail>(time_limit);
+  return with_extras ? runChainedT<true, false, true>(time_limit)
+                     : runChainedT<true, false, false>(time_limit);
 }
 
 namespace {
@@ -732,8 +592,6 @@ void restoreStats(serial::Reader& r, IssStats& s) {
 }  // namespace
 
 void Iss::saveState(serial::Writer& w) const {
-  CABT_CHECK(!private_mode_,
-             "cannot snapshot a core inside an open private slice");
   w.tag("iss");
   // Compatibility record: the architectural configuration and a program
   // fingerprint. Restore requires an identical pair — a snapshot taken
@@ -781,8 +639,6 @@ void Iss::saveState(serial::Writer& w) const {
 }
 
 void Iss::restoreState(serial::Reader& r) {
-  CABT_CHECK(!private_mode_,
-             "cannot restore a core inside an open private slice");
   r.tag("iss");
   CABT_CHECK(r.b() == config_.model_timing &&
                  r.b() == config_.model_branch_extras && r.b() == icacheOn(),
@@ -793,7 +649,12 @@ void Iss::restoreState(serial::Reader& r) {
   CABT_CHECK(r.u64() == artifact_->fingerprint(),
              "snapshot program does not match this core's image");
   pc_ = r.u32();
-  stop_ = static_cast<StopReason>(r.u8());
+  // kCycleLimit is a return value only, never the stored state.
+  const uint8_t stop = r.u8();
+  CABT_CHECK(stop <= static_cast<uint8_t>(StopReason::kDebugBreak),
+             "snapshot stop reason " << static_cast<unsigned>(stop)
+                                     << " is not one the core stores");
+  stop_ = static_cast<StopReason>(stop);
   for (uint32_t& v : d_) {
     v = r.u32();
   }
@@ -836,11 +697,9 @@ void Iss::restoreState(serial::Reader& r) {
       block.has_breakpoint = blockHasBreakpoint(block) ? 1 : 0;
     }
   }
-  // No private slice survives a snapshot boundary, and nothing is owed
-  // across one: the live value may belong to another timeline.
-  bailed_shared_ = false;
+  // Nothing is owed across a snapshot boundary: the live value may
+  // belong to another timeline.
   deferred_advance_ = 0;
-  skipped_samples_ = 0;
 }
 
 void Iss::digestState(serial::Writer& w) const {
@@ -899,9 +758,6 @@ void Iss::publishMetrics(obs::MetricsRegistry& reg,
 uint32_t Iss::loadMem(uint32_t addr, unsigned size, bool sign) {
   uint32_t v;
   if (bus_ != nullptr && bus_->covers(addr)) {
-    // Safety net: a private slice must have bailed before reaching here
-    // (the engines test touchesShared() pre-execution).
-    CABT_CHECK(!private_mode_, "bus read escaped the private-slice bail");
     bus_->advanceTo(localTime());  // a transaction is stamped at this time
     v = bus_->read(addr, size);
     ++stats_.io_reads;
@@ -916,7 +772,6 @@ uint32_t Iss::loadMem(uint32_t addr, unsigned size, bool sign) {
 
 void Iss::storeMem(uint32_t addr, uint32_t value, unsigned size) {
   if (bus_ != nullptr && bus_->covers(addr)) {
-    CABT_CHECK(!private_mode_, "bus write escaped the private-slice bail");
     bus_->advanceTo(localTime());
     bus_->write(addr, value, size);
     ++stats_.io_writes;

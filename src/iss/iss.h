@@ -83,7 +83,9 @@ enum class StopReason {
   kBreakpoint,      ///< BKPT instruction executed
   kMaxInstructions,
   kDebugBreak,      ///< stopped *at* a debug breakpoint; resumable
-  kCycleLimit,      ///< runUntil() reached its local-time limit; resumable
+  /// runUntil() reached its local-time limit; resumable. Returned, never
+  /// stored, so it stays last: restoreState accepts the values before it.
+  kCycleLimit,
 };
 
 struct IssStats {
@@ -118,11 +120,6 @@ struct IssStats {
   /// did not match the speculated next segment (branch went the
   /// non-dominant way, or an interrupt redirected control).
   uint64_t guard_bails = 0;
-  /// Parallel-round accounting (also non-architectural): private slices
-  /// run as worker-thread prefixes, and how many of them bailed to the
-  /// sequential drain on a shared-bus touch before the quantum expired.
-  uint64_t private_slices = 0;
-  uint64_t private_bails = 0;
   /// Threaded-tier accounting (also non-architectural): programs entered
   /// (a lowered block or whole trace each count one), instructions
   /// retired inside them, lowerings performed, and lowerings declined by
@@ -141,7 +138,7 @@ struct StatCounter {
 
 /// Every IssStats counter, in declaration order: the order snapshots
 /// serialize them in and the names metrics publish them under.
-inline constexpr std::array<StatCounter, 26> kStatCounters = {{
+inline constexpr std::array<StatCounter, 24> kStatCounters = {{
     {"instructions", &IssStats::instructions},
     {"cycles", &IssStats::cycles},
     {"pipeline_cycles", &IssStats::pipeline_cycles},
@@ -162,8 +159,6 @@ inline constexpr std::array<StatCounter, 26> kStatCounters = {{
     {"trace_dispatches", &IssStats::trace_dispatches},
     {"trace_blocks", &IssStats::trace_blocks},
     {"guard_bails", &IssStats::guard_bails},
-    {"private_slices", &IssStats::private_slices},
-    {"private_bails", &IssStats::private_bails},
     {"threaded_dispatches", &IssStats::threaded_dispatches},
     {"threaded_instrs", &IssStats::threaded_instrs},
     {"threaded_lowerings", &IssStats::threaded_lowerings},
@@ -173,7 +168,7 @@ static_assert(sizeof(IssStats) == kStatCounters.size() * sizeof(uint64_t),
               "every IssStats counter is listed in kStatCounters");
 
 /// The first 15 are the architectural counters, in digest order:
-/// identical across both engines, both kernels and warm/cold restores.
+/// identical across both engines and warm/cold restores.
 /// Iss::digestState hashes exactly these, and snap::firstMismatch
 /// compares exactly these.
 inline constexpr std::span<const StatCounter> kArchitecturalCounters =
@@ -267,40 +262,6 @@ class Iss {
   /// functional cores still interleave and clock the bus deterministically.
   [[nodiscard]] uint64_t localTime() const;
 
-  // -- private-footprint slices (the parallel kernel's worker-thread
-  //    prefixes; see sim/kernel.h ParallelConfig and DESIGN.md §7) ------
-  //
-  // Between beginPrivateSlice() and commitPrivateSlice() the core runs
-  // touching nothing outside itself: any instruction whose effective
-  // address lands on the SoC bus yields *before* executing
-  // (runUntil/step return kCycleLimit with bailedOnShared() true and the
-  // pc resting on that instruction), and the block-boundary interrupt
-  // samples — provably inert under the IrqSource::quiescent certificate
-  // that privateSliceReady() requires — are skipped without consulting
-  // the bus horizon, with the bus-clock advance each one would have made
-  // recorded as in normal mode; only the commit pays it. The slice is
-  // therefore safe on a worker thread, and bit-identical to what the
-  // sequential kernel would have executed up to the same point.
-
-  /// True when the next quantum slice may start as a private prefix: the
-  /// core is resumable and its interrupt input (if any) holds the
-  /// quiescence certificate. Kernel-side: Process::parallelReady().
-  [[nodiscard]] bool privateSliceReady() const {
-    return stop_ == StopReason::kRunning &&
-           (irq_ == nullptr || irq_->quiescent());
-  }
-  /// Enters private-slice mode (call privateSliceReady() first).
-  void beginPrivateSlice();
-  /// Leaves private-slice mode at the core's sequential dispatch slot:
-  /// re-checks the certificate, then replays the recorded bus-clock
-  /// advance — so the shared clock sees exactly the advanceTo() calls
-  /// the sequential kernel would have issued, in dispatch order.
-  /// Returns true when the slice bailed and the remainder must be run
-  /// (sequentially) with another runUntil() to the same slice end.
-  bool commitPrivateSlice();
-  /// True after a private slice stopped on a would-be shared access.
-  [[nodiscard]] bool bailedOnShared() const { return bailed_shared_; }
-
   /// Connects the core's interrupt input: a device on this core's bus,
   /// so that the bus horizon covers it. Sampled at every basic-block
   /// boundary at or past the horizon (after the bus has been advanced to
@@ -312,7 +273,7 @@ class Iss {
   /// basic-block boundaries through pollFaults() — the same due-time-
   /// ladder discipline as the interrupt sample and the PC sampler, so a
   /// scheduled fault lands at the identical boundary epoch across both
-  /// engines, every tier, and the seq/par kernels. The injector is
+  /// engines and every tier. The injector is
   /// harness state: never serialized, never digested; nullptr detaches.
   void setInjector(fi::CoreInjector* injector) { injector_ = injector; }
 
@@ -321,12 +282,7 @@ class Iss {
   // Observers are strictly read-only: enabling any of them cannot
   // change architectural state, IssStats, snap::digest, or bus traffic
   // — they record what happened, they never feed back. Disabled cost is
-  // one null test per block boundary. Threading: under the parallel
-  // kernel a core (and with it its sampler) runs on exactly one thread
-  // at a time; the trace sink is only written from sequential-path code
-  // — trace formation, guard bails and IRQ delivery cannot occur inside
-  // a private slice (traces/threaded are off there and the interrupt
-  // sample is skipped under the quiescence certificate).
+  // one null test per block boundary.
 
   /// Routes this core's timeline events (IRQ delivery instants, trace
   /// formation, guard bails) to `sink` on lane `lane` (obs::coreLane).
@@ -415,8 +371,6 @@ class Iss {
   // the restored set) and anything missing rebuilds lazily, so a restore
   // into a cold process (no warm cache, no traces) reaches the same
   // architectural observables as the live core (tests/snap_test.cpp).
-  // Not restorable mid-private-slice: saveState refuses while a parallel
-  // prefix is open (the kernel never exposes that window between runs).
 
   void saveState(serial::Writer& w) const;
   void restoreState(serial::Reader& r);
@@ -424,7 +378,7 @@ class Iss {
   /// Writes the core's contribution to the rolling state digest
   /// (snap::digest): the architectural observables and micro-
   /// architectural timing state only — none of the dispatch-path
-  /// counters (chain_hits, trace_*, guard_bails, private_*) that depend
+  /// counters (chain_hits, trace_*, guard_bails, threaded_*) that depend
   /// on how blocks were reached — so a warm continuation and a cold
   /// restore of the same run digest identically.
   void digestState(serial::Writer& w) const;
@@ -444,8 +398,7 @@ class Iss {
   uint32_t loadMem(uint32_t addr, unsigned size, bool sign);
   void storeMem(uint32_t addr, uint32_t value, unsigned size);
   /// Pays the recorded bus-clock advance (deferred_advance_). Runs on
-  /// every return from run()/runUntil()/step() in normal mode and from
-  /// commitPrivateSlice(); a no-op while a private slice is open.
+  /// every return from run()/runUntil()/step().
   [[gnu::noinline]] void flushBusClock();
   /// step() without the return flush: the engines' per-instruction
   /// fallback.
@@ -462,37 +415,20 @@ class Iss {
   void icacheAccessTagged(uint32_t set, uint32_t want);
   StopReason runLoop(uint64_t time_limit);
   /// Resolves the (model_timing, icache-on, model_branch_extras) knobs
-  /// into the matching runChainedT instantiation — the single dispatch
-  /// ladder shared by normal runs (Bail=false) and private slices
-  /// (Bail=true), so the two modes cannot drift apart.
-  template <bool Bail>
+  /// into the matching runChainedT instantiation.
   StopReason selectChainedT(uint64_t time_limit);
   /// The threaded engine, specialized on (model_timing, icache-on,
   /// model_branch_extras). Cold blocks run on the chained tier
-  /// (dispatchBlockT); with Bail=false, hot blocks are lowered into
-  /// threaded code and hot chains form traces (tested per block
-  /// dispatch, never per instruction). `Bail` compiles in the
-  /// private-slice shared-touch tests instead of the hot tiers: private
-  /// slices stay on the cold chained tier (DESIGN.md section 6), so no
-  /// new test reaches the sequential hot path.
-  template <bool Timing, bool ICache, bool BranchX, bool Bail = false>
+  /// (dispatchBlockT); hot blocks are lowered into threaded code and hot
+  /// chains form traces (tested per block dispatch, never per
+  /// instruction).
+  template <bool Timing, bool ICache, bool BranchX>
   StopReason runChainedT(uint64_t time_limit);
   /// Executes one cached block on the chained tier: per-instruction
   /// decode switch, with the config tests hoisted into template
   /// parameters.
-  template <bool Timing, bool ICache, bool BranchX, bool Bail = false>
+  template <bool Timing, bool ICache, bool BranchX>
   void dispatchBlockT(core::ExecBlock& block);
-  /// True when executing `in` right now would touch the SoC bus (its
-  /// effective address — computable without side effects for every TRC32
-  /// memory instruction — lands on a device window).
-  [[nodiscard]] bool touchesShared(const trc::Instr& in) const;
-  /// Stops a private slice just before instruction `i` of a block being
-  /// fast-dispatched: restores the stepping engine's warm view of the
-  /// half-executed block (issue schedule of instructions [0, i), line
-  /// tracking at instruction i-1) so the sequential drain resumes
-  /// bit-exactly via the per-instruction fallback.
-  template <bool Timing, bool ICache>
-  void bailOutOfBlockT(core::ExecBlock& block, size_t i);
   /// Executes a lowered block via back-to-back handler dispatches; the
   /// timing/icache/branch-extra decisions are baked into the handlers,
   /// so only the block-entry bookkeeping is templated.
@@ -534,18 +470,15 @@ class Iss {
   /// core owes, and samples only once that time reaches the bus horizon.
   /// Below it no device changes state or wants a sample, so the sample
   /// would return nothing and change nothing; the first boundary at or
-  /// past a device event takes it. A private slice takes the cold path
-  /// without reading the horizon; without a bus every boundary samples.
+  /// past a device event takes it. Without a bus every boundary samples.
   void irqEpoch() {
     deferred_advance_ = localTime();
-    if (private_mode_ || bus_ == nullptr ||
-        deferred_advance_ >= bus_->horizon()) {
+    if (bus_ == nullptr || deferred_advance_ >= bus_->horizon()) {
       sampleIrq();
     }
   }
   /// The cold half of irqEpoch(): advances the bus to the boundary's
-  /// time and samples the interrupt input; may redirect pc_. Inside a
-  /// private slice it only counts the skipped sample.
+  /// time and samples the interrupt input; may redirect pc_.
   [[gnu::noinline]] void sampleIrq();
   /// Halt epoch: commits the open block and owes the bus an advance to
   /// the halt time, paid on return.
@@ -556,7 +489,7 @@ class Iss {
   /// Block-boundary observability epoch: polls the PC sampler. Placed
   /// beside the quantum-yield/interrupt checks in every engine; the
   /// sampler's due-time ladder makes repeated calls at one local time
-  /// idempotent, so yields and private-slice bails cannot double-count.
+  /// idempotent, so quantum yields cannot double-count.
   void observeBoundary() {
     if (sampler_ != nullptr) {
       sampler_->sample(localTime(), pc_);
@@ -566,10 +499,9 @@ class Iss {
     }
   }
   /// The cold half of the coverage poll. localTime() strictly increases
-  /// across retired blocks, so re-observing one epoch (quantum-yield
-  /// resume, private-slice bail) sees an unchanged time and records
-  /// nothing — the same idempotency the sampler gets from its due-time
-  /// ladder.
+  /// across retired blocks, so re-observing one epoch (a quantum-yield
+  /// resume) sees an unchanged time and records nothing — the same
+  /// idempotency the sampler gets from its due-time ladder.
   void recordCoverage() {
     const uint64_t now = localTime();
     if (cov_have_last_ && now == cov_last_time_) {
@@ -590,9 +522,7 @@ class Iss {
   /// yield check runs before step()). The ladder makes re-observation of
   /// one epoch idempotent — consumed faults never re-apply. Returns true
   /// when a fault fired (callers may need to re-resolve a chained block
-  /// if the fault redirected pc_). Safe inside private slices: core
-  /// faults touch only core-private state, and prefixes are real
-  /// committed execution, so skipping them there would diverge seq/par.
+  /// if the fault redirected pc_).
   bool pollFaults() {
     if (injector_ == nullptr || !injector_->due(localTime())) {
       return false;
@@ -660,15 +590,10 @@ class Iss {
   // Lazy bus clock. `deferred_advance_` is the local time of the latest
   // bus-clock advance this core owes: its latest boundary with an
   // interrupt input, or its halt. flushBusClock() pays it on every
-  // return in normal mode; in a private slice (parallel prefix) it
-  // accumulates instead and commitPrivateSlice() pays it at the core's
-  // sequential dispatch slot. Advances act as a running maximum, so the
-  // latest time subsumes the earlier ones. Never serialized: nothing is
-  // owed between runs.
+  // return. Advances act as a running maximum, so the latest time
+  // subsumes the earlier ones. Never serialized: nothing is owed
+  // between runs.
   uint64_t deferred_advance_ = 0;
-  bool private_mode_ = false;
-  bool bailed_shared_ = false;
-  uint64_t skipped_samples_ = 0;
 
   // Fault injection (never serialized, never digested — harness state,
   // like the observability hooks below). `exec_ranges_` guards kMemWord

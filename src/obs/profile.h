@@ -4,12 +4,8 @@
 // local time crosses a configurable guest-cycle period. Sampling is a
 // pure function of (local time, pc): the due-time ladder advances in
 // fixed period steps and re-observations of the same boundary (a
-// quantum yield resuming, a private-slice bail re-dispatching) are
-// idempotent, so the sample stream is bit-identical between the
-// sequential and parallel kernels and across both ISS engines.
-// Samplers are per-core and therefore race-free under the parallel
-// kernel — a core's slice (prefix or drain) runs on exactly one thread
-// at a time, with the round barrier ordering the hand-off.
+// quantum yield resuming) are idempotent, so the sample stream is
+// bit-identical across both ISS engines. Samplers are per-core.
 //
 // Attribution maps each sampled PC to its enclosing function through
 // elf::SymbolIndex; reports come as a top-N table and as

@@ -2,22 +2,15 @@
 // (DESIGN.md section 11).
 //
 // The sink collects duration ("X") and instant ("i") events on a set of
-// fixed lanes — one per core, one for the event kernel's parallel
-// rounds, one for snapshot activity, and one per prefix worker thread —
-// with guest SoC cycles as the timestamp unit. Writing the sink out
+// fixed lanes — one per core and one for snapshot activity — with guest
+// SoC cycles as the timestamp unit. Writing the sink out
 // produces a `{"traceEvents": [...]}` document that ui.perfetto.dev
 // (or chrome://tracing) opens directly; the viewer interprets `ts` as
 // microseconds, so one "us" on screen is one guest cycle.
 //
-// Threading contract (mirrors soc::SocBus): the sink itself is NOT
-// internally synchronized. Direct complete()/instant() calls are only
-// legal from the sequential dispatch path — the kernel's drain, or any
-// single-threaded run. Code that executes on a worker thread (the
-// parallel kernel's private-footprint prefixes) records into a
-// per-process Buffer instead and merges it at its sequential dispatch
-// slot (the round drain), riding the same happens-before edge that
-// already publishes the prefix's architectural state. Event names and
-// arg names must be string literals (the sink stores the pointers).
+// The sink is not internally synchronized: one board (and its sink)
+// runs on one thread at a time. Event names and arg names must be
+// string literals (the sink stores the pointers).
 //
 // Determinism rule: the sink observes, it never feeds back — no
 // simulation component may read it. Disabled cost is one null-pointer
@@ -32,18 +25,13 @@
 
 namespace cabt::obs {
 
-// Lane (Perfetto "tid") numbering. Cores take lanes [0, 64); the
-// remaining activity gets fixed lanes above them.
+// Lane (Perfetto "tid") numbering. Cores take lanes [0, 64); snapshot
+// activity gets a fixed lane above them.
 inline constexpr uint32_t kMaxCoreLanes = 64;
-inline constexpr uint32_t kKernelLane = 64;   ///< parallel-round spans
-inline constexpr uint32_t kSnapLane = 65;     ///< checkpoint/save/restore
-inline constexpr uint32_t kWorkerLaneBase = 66;  ///< +worker id
+inline constexpr uint32_t kSnapLane = 65;  ///< checkpoint/save/restore
 
 [[nodiscard]] constexpr uint32_t coreLane(size_t core) {
   return static_cast<uint32_t>(core);
-}
-[[nodiscard]] constexpr uint32_t workerLane(unsigned worker) {
-  return kWorkerLaneBase + worker;
 }
 
 class TraceSink {
@@ -56,28 +44,6 @@ class TraceSink {
     uint64_t dur = 0;           ///< 'X' only
     const char* arg_name = nullptr;  ///< optional single numeric arg
     uint64_t arg = 0;
-  };
-
-  /// Worker-thread scratch: a process-private event list a parallel
-  /// prefix appends to, merged into the sink at the process's
-  /// sequential dispatch slot. No locks — exclusivity comes from the
-  /// round structure (one prefix per process, merge after the barrier).
-  class Buffer {
-   public:
-    void complete(uint32_t tid, const char* name, uint64_t ts, uint64_t dur,
-                  const char* arg_name = nullptr, uint64_t arg = 0) {
-      events_.push_back({name, 'X', tid, ts, dur, arg_name, arg});
-    }
-    void instant(uint32_t tid, const char* name, uint64_t ts,
-                 const char* arg_name = nullptr, uint64_t arg = 0) {
-      events_.push_back({name, 'i', tid, ts, 0, arg_name, arg});
-    }
-    [[nodiscard]] bool empty() const { return events_.empty(); }
-    void clear() { events_.clear(); }
-
-   private:
-    friend class TraceSink;
-    std::vector<Event> events_;
   };
 
   /// `limit` caps retained events (a long run must not grow without
@@ -94,18 +60,9 @@ class TraceSink {
   }
 
   /// Names a lane (emitted as a "thread_name" metadata event).
-  /// Idempotent per tid, so lazily named lanes (workers discovered
-  /// mid-run) cost nothing on re-announcement.
+  /// Idempotent per tid: the first name wins.
   void setThreadName(uint32_t tid, const std::string& name) {
     thread_names_.emplace(tid, name);
-  }
-
-  /// Merges (and clears) a worker-side buffer. Sequential path only.
-  void merge(Buffer& buffer) {
-    for (const Event& e : buffer.events_) {
-      push(e);
-    }
-    buffer.clear();
   }
 
   [[nodiscard]] size_t numEvents() const { return events_.size(); }

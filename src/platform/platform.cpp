@@ -64,21 +64,11 @@ uint32_t symbolAddr(const elf::Object& object, std::string_view symbol) {
 /// One ISS core as an event-kernel process: runs until its local time
 /// reaches the next quantum boundary, then syncs; finishes (and stops
 /// rescheduling) on any non-resumable stop.
-///
-/// Under the parallel-round kernel the core additionally offers its
-/// quantum slice as a private prefix (Iss::beginPrivateSlice): the
-/// worker thread runs the slice until it would touch the shared bus,
-/// and activate() — at the core's unchanged sequential dispatch slot —
-/// commits the prefix (replaying the recorded bus-clock advance) and
-/// finishes any bailed remainder in normal mode. Either way the
-/// sequence of shared-state accesses is exactly the sequential one.
 class ReferenceBoard::CoreProcess : public sim::Process {
  public:
   CoreProcess(iss::Iss* core, std::string name)
       : sim::Process(std::move(name)), core_(core) {}
 
-  /// Wire before run(): the sink pointer is read from worker threads
-  /// during prefixes, so it must not change while the kernel runs.
   void setTraceSink(obs::TraceSink* sink, uint32_t lane) {
     sink_ = sink;
     lane_ = lane;
@@ -86,26 +76,9 @@ class ReferenceBoard::CoreProcess : public sim::Process {
 
   void activate(sim::Kernel& kernel) override {
     const uint64_t t0 = core_->localTime();
-    iss::StopReason r;
-    if (prefix_ran_) {
-      prefix_ran_ = false;
-      if (sink_ != nullptr && !prefix_buf_.empty()) {
-        // Sequential slot: the merge rides the same happens-before edge
-        // (the pool's round barrier) that already publishes the
-        // prefix's architectural state.
-        sink_->setThreadName(prefix_lane_, prefix_lane_name_);
-        sink_->merge(prefix_buf_);
-      }
-      r = prefix_result_;
-      if (core_->commitPrivateSlice()) {
-        r = core_->runUntil(slice_end_);  // finish the bailed remainder
-      }
-    } else {
-      r = core_->runUntil(core_->localTime() + kernel.quantum());
-    }
+    const iss::StopReason r =
+        core_->runUntil(core_->localTime() + kernel.quantum());
     if (sink_ != nullptr) {
-      // With a prefix, t0 is the prefix's end point: the worker lane
-      // shows the speculative part, this span the committed remainder.
       sink_->complete(lane_, "slice", t0, core_->localTime() - t0);
     }
     if (r == iss::StopReason::kCycleLimit) {
@@ -113,39 +86,10 @@ class ReferenceBoard::CoreProcess : public sim::Process {
     }
   }
 
-  [[nodiscard]] bool parallelReady() const override {
-    return core_->privateSliceReady();
-  }
-
-  void parallelPrefix(sim::Cycle quantum) override {
-    // The same slice-end formula activate() uses, so the prefix and a
-    // sequential activation run the identical slice.
-    slice_end_ = core_->localTime() + quantum;
-    const uint64_t t0 = core_->localTime();
-    core_->beginPrivateSlice();
-    prefix_result_ = core_->runUntil(slice_end_);
-    prefix_ran_ = true;
-    if (sink_ != nullptr) {
-      // Worker thread: everything below is process-private scratch; the
-      // shared sink is only touched at the sequential merge above.
-      const unsigned worker = sim::currentWorkerId();
-      prefix_lane_ = obs::workerLane(worker);
-      prefix_lane_name_ = "prefix runner " + std::to_string(worker);
-      prefix_buf_.complete(prefix_lane_, "prefix", t0,
-                           core_->localTime() - t0, "core", lane_);
-    }
-  }
-
  private:
   iss::Iss* core_;
-  bool prefix_ran_ = false;
-  iss::StopReason prefix_result_ = iss::StopReason::kRunning;
-  uint64_t slice_end_ = 0;
   obs::TraceSink* sink_ = nullptr;
   uint32_t lane_ = 0;
-  obs::TraceSink::Buffer prefix_buf_;
-  uint32_t prefix_lane_ = 0;
-  std::string prefix_lane_name_;
 };
 
 ReferenceBoard::ReferenceBoard(const arch::ArchDescription& desc,
@@ -172,7 +116,6 @@ void ReferenceBoard::init(const arch::ArchDescription& desc,
   const MemRegion* io = desc.memory_map.findNamed("io");
   CABT_CHECK(io != nullptr, "architecture has no 'io' region");
   kernel_.setQuantum(config.quantum);
-  kernel_.setParallel(config.parallel);
   board_ = std::make_unique<soc::StandardPeripherals>(io->base);
   ptimer_ = std::make_unique<soc::ProgrammableTimer>();
   mailbox_ = std::make_unique<soc::MailboxDevice>();
@@ -241,7 +184,6 @@ void ReferenceBoard::setExpectedTrail(
 
 void ReferenceBoard::setTraceSink(obs::TraceSink* sink) {
   trace_sink_ = sink;
-  kernel_.setTraceSink(sink);
   for (size_t i = 0; i < cores_.size(); ++i) {
     cores_[i]->setTraceSink(sink, obs::coreLane(i));
     procs_[i]->setTraceSink(sink, obs::coreLane(i));
@@ -250,7 +192,6 @@ void ReferenceBoard::setTraceSink(obs::TraceSink* sink) {
     for (size_t i = 0; i < cores_.size(); ++i) {
       sink->setThreadName(obs::coreLane(i), "core" + std::to_string(i));
     }
-    sink->setThreadName(obs::kKernelLane, "kernel rounds");
     sink->setThreadName(obs::kSnapLane, "snapshots");
   }
 }
@@ -356,8 +297,7 @@ sim::Cycle ReferenceBoard::runTo(sim::Cycle limit) {
   }
   // Interval-sized chunks. Chunking is behaviour-neutral: the kernel
   // dispatches the identical (time, insertion) order whether run() is
-  // called once or per chunk (sequential trivially; parallel rounds
-  // because every shared access drains at its sequential slot anyway).
+  // called once or per chunk.
   // Each chunk boundary lies strictly above the earliest pending event,
   // so every iteration dispatches at least one event.
   while (!kernel_.idle() && kernel_.nextEventAt() <= limit) {

@@ -181,12 +181,6 @@ struct BoardConfig {
   /// exactly quantum-invariant; with several it bounds cross-core
   /// visibility latency (see sim/kernel.h).
   sim::Cycle quantum = 1024;
-  /// Parallel-round execution (sim/kernel.h): cores whose quantum slice
-  /// has a core-private footprint run concurrently on worker threads;
-  /// everything shared drains in the sequential dispatch order, so the
-  /// run is bit-identical to `parallel.enabled = false` by construction
-  /// (tests/parallel_test.cpp).
-  sim::Kernel::ParallelConfig parallel;
   /// Attach the watchdog peripheral (fi::WatchdogDevice) at
   /// StandardIoMap::kWatchdogOffset, wired to core 0's controller on
   /// kWatchdogIrqLine. Opt-in: attaching a device changes the snapshot
@@ -367,15 +361,12 @@ class ReferenceBoard {
 
   /// Wires a timeline sink through the whole board: per-core slice spans
   /// and ISS instants (irq, trace_form, guard_bail) on lanes
-  /// [0, numCores), parallel-round spans on the kernel lane, checkpoint
-  /// instants on the snap lane, and private-prefix spans on the worker
-  /// lanes. Pass nullptr to detach. Observers never feed back: attaching
+  /// [0, numCores) and checkpoint instants on the snap lane. Pass
+  /// nullptr to detach. Observers never feed back: attaching
   /// a sink leaves every architectural byte — and therefore snap::digest
   /// — unchanged.
   void setTraceSink(obs::TraceSink* sink);
-  /// Attaches a guest PC sampler to core `i` (samplers are per-core, so
-  /// the sample stream is race-free under the parallel kernel — see
-  /// obs/profile.h).
+  /// Attaches a guest PC sampler to core `i` (samplers are per-core).
   void attachSampler(size_t i, obs::PcSampler* sampler);
   /// Attaches an edge-coverage map to core `i` (core/coverage.h; the
   /// fuzzing farm's feedback signal). Per-core like the sampler, with

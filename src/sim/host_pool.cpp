@@ -8,23 +8,12 @@
 
 namespace cabt::sim {
 
-namespace {
-// 0 on any thread that never entered a pool worker loop (the dispatch /
-// calling thread included); pool worker i runs with 1 + i.
-thread_local unsigned t_worker_id = 0;
-}  // namespace
-
-unsigned currentWorkerId() { return t_worker_id; }
-
 class HostPool::Impl {
  public:
   explicit Impl(unsigned workers) {
     threads_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i) {
-      threads_.emplace_back([this, i] {
-        t_worker_id = i + 1;  // 0 stays the calling thread's id
-        workerLoop();
-      });
+      threads_.emplace_back([this] { workerLoop(); });
     }
   }
 

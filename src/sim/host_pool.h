@@ -1,12 +1,8 @@
-// Reusable host worker-thread pool with a batch barrier.
-//
-// Extracted from the event kernel's parallel-round pool so every
-// host-side fan-out — the kernel's quantum-round process prefixes and
-// the fleet driver's board scheduling (src/fleet) — shares one
-// implementation and one worker-id convention. One batch = one
-// runAll(n, fn) call: the workers *and* the calling thread pull indices
-// until the batch is empty, and runAll returns only after every task
-// finished (the barrier). The mutex hand-off establishes the
+// Host worker-thread pool with a batch barrier, used by the fleet
+// driver's board scheduling (src/fleet). One batch = one runAll(n, fn)
+// call: the workers *and* the calling thread pull indices until the
+// batch is empty, and runAll returns only after every task finished
+// (the barrier). The mutex hand-off establishes the
 // happens-before edge that makes all task-side state visible to the
 // caller after the barrier.
 #pragma once
@@ -16,12 +12,6 @@
 #include <memory>
 
 namespace cabt::sim {
-
-/// Id of the pool worker the calling thread belongs to: 0 on any thread
-/// that never entered a worker loop (a pool's calling thread included);
-/// pool worker i runs with 1 + i. Observability sinks use it to pick a
-/// per-thread lane.
-unsigned currentWorkerId();
 
 class HostPool {
  public:

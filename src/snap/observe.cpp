@@ -226,26 +226,18 @@ std::string firstFunctionalMismatch(const Observation& want,
   return "";
 }
 
-std::array<GridPoint, 4> engineGrid(xlat::DetailLevel level) {
-  return {{{level, false, false},
-           {level, false, true},
-           {level, true, false},
-           {level, true, true}}};
+std::array<GridPoint, 2> engineGrid(xlat::DetailLevel level) {
+  return {{{level, false}, {level, true}}};
 }
 
 std::string gridPointName(const GridPoint& p) {
-  return std::string(p.threaded ? "threaded" : "step") +
-         (p.parallel ? "_par" : "_seq");
+  return p.threaded ? "threaded" : "step";
 }
 
 platform::BoardConfig boardConfigFor(const GridPoint& p,
                                      platform::BoardConfig base) {
   base.iss = platform::issConfigFor(p.level, base.iss);
   base.iss.use_block_cache = p.threaded;
-  base.parallel.enabled = p.parallel;
-  if (p.parallel) {
-    base.parallel.workers = 2;
-  }
   return base;
 }
 

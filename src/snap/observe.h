@@ -80,21 +80,18 @@ std::string firstFunctionalMismatch(const Observation& want,
 /// One point of the differential grid.
 struct GridPoint {
   xlat::DetailLevel level = xlat::DetailLevel::kICache;
-  bool threaded = true;   ///< IssConfig::use_block_cache
-  bool parallel = false;  ///< parallel-round kernel
+  bool threaded = true;  ///< IssConfig::use_block_cache
 };
 
-/// {step, threaded} x {sequential, parallel} at `level`, in the order
-/// step/seq, step/par, threaded/seq, threaded/par.
-std::array<GridPoint, 4> engineGrid(
+/// The two ISS engines at `level`, in the order step, threaded.
+std::array<GridPoint, 2> engineGrid(
     xlat::DetailLevel level = xlat::DetailLevel::kICache);
 
-/// "step_seq", "threaded_par" and so on (the level is not included).
+/// "step" or "threaded" (the level is not included).
 std::string gridPointName(const GridPoint& p);
 
 /// `base` moved to the point: issConfigFor(level) applied to base.iss,
-/// the engine and the kernel. Parallel points get two worker threads, so
-/// the prefixes run on real threads even on one-core hosts.
+/// and the engine.
 platform::BoardConfig boardConfigFor(const GridPoint& p,
                                      platform::BoardConfig base = {});
 

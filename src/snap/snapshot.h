@@ -12,8 +12,7 @@
 //
 //     save(); restore(); run(N)   ==   run(N)
 //
-// bit-identically, at every detail level, on both ISS engines and
-// under the sequential and parallel-round kernels alike
+// bit-identically, at every detail level and on both ISS engines
 // (tests/snap_test.cpp). What a snapshot deliberately does NOT contain
 // is host-side derived state: block graphs, predecoded block caches and
 // superblock traces are pure functions of the immutable program image —
@@ -37,7 +36,9 @@ namespace cabt::snap {
 /// Bumped whenever any layer's section layout changes. Old snapshots
 /// refuse to load — fast-forward state is cheap to regenerate, silent
 /// misinterpretation is not.
-inline constexpr uint32_t kFormatVersion = 2;  // v2: IssStats threaded counters
+/// v2 added the IssStats threaded counters; v3 dropped the kernel's
+/// parallel-round counters and the IssStats private-slice counters.
+inline constexpr uint32_t kFormatVersion = 3;
 
 /// Serializes the full platform state.
 std::vector<uint8_t> save(const platform::ReferenceBoard& board);
@@ -55,9 +56,9 @@ void restore(platform::ReferenceBoard& board,
 /// digestState (registers, pc, timing residue, architectural counters,
 /// canonical memory), the bus clock, the transaction-log tail and all
 /// device state. Host-side dispatch-path counters and the kernel queue
-/// are excluded, so the digest is identical across both ISS engines,
-/// sequential/parallel kernels, and warm/cold restores of the same run —
-/// it is the value scripts/golden_state.py pins per workload.
+/// are excluded, so the digest is identical across both ISS engines and
+/// warm/cold restores of the same run — it is the value
+/// scripts/golden_state.py pins per workload.
 uint64_t digest(const platform::ReferenceBoard& board);
 
 /// File convenience wrappers (the CLI and scripts use these).

@@ -8,15 +8,6 @@
 // device changes state or wants an interrupt sampled on its own, so an
 // initiator advances the bus only once its time reaches the horizon, at
 // its own bus accesses and when it stops.
-//
-// Threading contract (the parallel-round kernel, DESIGN.md section 7):
-// the bus and its devices are *not* internally synchronized. All
-// mutating calls — read/write/advanceTo/restoreState — happen on the
-// sequential drain of a round (one thread at a time, ordered by the
-// kernel's deterministic dispatch order). Worker-thread prefixes may
-// only call covers(), which touches nothing but the window table laid
-// down at construction time; iss::Iss enforces the rest by bailing out
-// of a private slice before any bus access.
 #pragma once
 
 #include <algorithm>
@@ -81,8 +72,7 @@ struct BusFaultWindow {
 class SocBus {
  public:
   /// Maps `device` at [base, base+size). The bus does not own devices.
-  /// Attach everything before the simulation starts: the window table is
-  /// read lock-free from covers() (see the threading contract above).
+  /// Attach everything before the simulation starts.
   void attach(Device* device, uint32_t base, uint32_t size) {
     CABT_CHECK(device != nullptr, "null device");
     CABT_CHECK(size >= 1, "empty device window");
@@ -104,9 +94,8 @@ class SocBus {
   }
 
   /// True when some device window maps `addr`. On the hot path of every
-  /// ISS load/store (and of the parallel prefix's shared-touch test), so
-  /// the all-windows bounding box rejects private-memory addresses in
-  /// one compare before the window scan.
+  /// ISS load/store, so the all-windows bounding box rejects private-
+  /// memory addresses in one compare before the window scan.
   [[nodiscard]] bool covers(uint32_t addr) const {
     if (addr < lo_ || addr >= hi_) {
       return false;
@@ -214,9 +203,7 @@ class SocBus {
 
   // -- fault windows (src/fi, DESIGN.md section 12) ----------------------
   //
-  // Arm/clear only between runs or from the sequential path; matchFault
-  // runs inside read/write, which the threading contract above already
-  // restricts to the sequential drain.
+  // Arm/clear only between runs; matchFault runs inside read/write.
 
   void armBusFault(BusFaultWindow w) {
     CABT_CHECK(w.lo <= w.hi, "bus-fault window [" << hex32(w.lo) << ", "

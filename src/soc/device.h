@@ -48,10 +48,6 @@ class Device {
   /// Advances the device from SoC cycle `from` (exclusive) to `to`
   /// (inclusive) in one jump, in O(1) or O(events): the result must be a
   /// pure function of the interval, so one jump equals any split of it.
-  /// Like every mutating device entry point, advanceTo runs only on the
-  /// kernel's sequential drain — never concurrently — under the
-  /// parallel-round kernel (see the threading contract in soc/bus.h);
-  /// implementations need no locking.
   virtual void advanceTo(uint64_t from, uint64_t to) = 0;
 
   /// The earliest SoC cycle at which the device changes state, or wants

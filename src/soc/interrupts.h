@@ -41,15 +41,6 @@ class IrqSource {
   /// commits to the delivery: further interrupts are masked until
   /// software signals end-of-interrupt. Returns nullopt otherwise.
   virtual std::optional<uint32_t> takeIrq(uint64_t soc_cycle) = 0;
-
-  /// Certificate for the parallel kernel's private slices (DESIGN.md
-  /// section 7): true when takeIrq() is guaranteed to return nullopt for
-  /// *any* sample in the near future, whatever lines get raised
-  /// meanwhile, and only register writes issued by the sampling core
-  /// itself (which bail a private slice before they happen) can change
-  /// that. Sources that cannot give this guarantee return false — their
-  /// core then simply runs its whole slice on the sequential drain.
-  [[nodiscard]] virtual bool quiescent() const { return false; }
 };
 
 /// A simple per-core interrupt controller with 32 level/latch lines.
@@ -107,13 +98,6 @@ class InterruptController : public Device, public IrqSource {
       delivery_times_.push_back(soc_cycle);
     }
     return vector_;
-  }
-
-  /// While masked or in service, no raise can make takeIrq() deliver,
-  /// and only the owning core's own register writes (CTRL/EOI — bus
-  /// writes, which bail a private slice) can lift that state.
-  [[nodiscard]] bool quiescent() const override {
-    return !master_enable_ || in_service_;
   }
 
   // -- Device ---------------------------------------------------------

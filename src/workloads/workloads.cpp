@@ -446,11 +446,9 @@ result: .word 0
 
 // Multi-core compute worker (any core): long private MAC kernel over a
 // core-local array, with one shared-bus "progress beacon" (a scratch-
-// register write) per outer iteration — the parallel-round sweet spot:
-// almost the whole quantum has a core-private footprint, and the rare
-// beacon exercises the bail-to-sequential-drain path so cross-core
-// transaction order stays deterministic. Used by the N-core boards of
-// tests/parallel_test.cpp and bench_parallel_cores.
+// register write) per outer iteration, so long quantum slices still
+// interleave one cross-core transaction each. Used by the N-core
+// family() boards (mc_quad, the quantum sweeps of tests/sim_test.cpp).
 const char* kMcWorker = R"(
 ; mc_worker - private MAC compute with a rare shared progress beacon
 _start: movha a6, 0xf000      ; I/O region (scratch block at +0x300)

@@ -44,7 +44,7 @@ const std::vector<Workload>& all();
 /// and multi-core workloads for the reference board's interrupt
 /// controller / programmable timer / mailbox (irq_ticks, mc_producer,
 /// mc_consumer) plus the compute-heavy mc_worker used by the N-core
-/// parallel-round boards. They require the board's peripherals and are
+/// boards. They require the board's peripherals and are
 /// not run through the translator comparisons.
 const std::vector<Workload>& scenarios();
 

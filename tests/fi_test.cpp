@@ -7,12 +7,10 @@
 //     every observable (the whole snap::Observation: registers, IRQ
 //     timestamps, the full bus transaction log, device state and the
 //     rolling state digest, which covers memory) byte-identical to an
-//     FI-off run, on both ISS engines (step() and threaded) and both
-//     kernels.
+//     FI-off run, on both ISS engines (step() and threaded).
 //   * Engine equivalence under fire: a firing fault lands at the same
-//     block-boundary epoch on both engines, under sequential and
-//     parallel rounds, so the post-fault timeline is bit-identical
-//     everywhere.
+//     block-boundary epoch on both engines, so the post-fault timeline
+//     is bit-identical everywhere.
 //   * Guest-visible consequences: bus-error windows raise the precise
 //     bus-error interrupt at block boundaries; stall windows make a
 //     device's reads return 0 and drop its writes; the watchdog
@@ -182,7 +180,7 @@ TEST(WatchdogUnit, FiresOnceWhenNotPetted) {
 // ---- non-perturbation -------------------------------------------------
 
 // An armed campaign whose faults never fire is invisible: digest and the
-// full bus log match an FI-off run on every engine and both kernels.
+// full bus log match an FI-off run on both engines.
 TEST(NonPerturbation, ArmedIdleCampaignIsByteIdentical) {
   const auto images = workloads::BoardImages::family(2);
   for (const snap::GridPoint& point : snap::engineGrid()) {

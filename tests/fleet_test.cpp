@@ -1,14 +1,14 @@
 // Differential tests for the board-fleet driver (src/fleet, DESIGN.md
 // section 14).
 //
-// The claims under test mirror the parallel-kernel grid one level up:
-// (1) scheduling M boards over host threads is bit-identical to running
-// the same M boards one after another — the same snap::Observation per
-// board, digest and bus transaction log included; (2) the whole fleet
-// shares one program artifact per distinct image (one decode, M-1 cache
-// hits), even under batch activation; (3) snapshot-forked fleets start
-// bit-identical to the warm prototype and only diverge where the
-// scenario hook diverges them.
+// The claims under test: (1) scheduling M boards over host threads is
+// bit-identical to running the same M boards one after another — the
+// same snap::Observation per board, digest and bus transaction log
+// included; (2) the whole fleet shares one program artifact per
+// distinct image (one decode, M-1 cache hits), even under batch
+// activation; (3) snapshot-forked fleets start bit-identical to the
+// warm prototype and only diverge where the scenario hook diverges
+// them.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -23,8 +23,8 @@
 namespace cabt {
 namespace {
 
-/// Boards of the parallel grid's family at the default grid point
-/// (icache detail, threaded engine, sequential kernel).
+/// family() boards at the default grid point (icache detail, threaded
+/// engine).
 platform::BoardConfig boardConfig(const workloads::BoardImages& images) {
   platform::BoardConfig base;
   base.iss.extra_leaders = images.extraLeaders();

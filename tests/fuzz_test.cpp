@@ -5,8 +5,8 @@
 //      hashing, merge/newBits algebra, clear.
 //   2. Coverage collection is non-perturbing: digests and bus logs are
 //      bit-identical with collection on and off, on both ISS engines
-//      and both kernels (the obs_test idiom — coverage is an observer,
-//      never a participant).
+//      (the obs_test idiom — coverage is an observer, never a
+//      participant).
 //   3. The mutator is deterministic per seed and every product
 //      assembles and parses; the control-flow skeleton survives.
 //   4. Seed cases round-trip through the on-disk format; malformed
@@ -96,14 +96,14 @@ TEST(EdgeCoverage, MergeAndNewBits) {
 /// An icache-level board with aggressive trace and threaded-code
 /// formation, as the oracle runs it.
 std::unique_ptr<platform::ReferenceBoard> fuzzBoard(
-    const workloads::BoardImages& images, bool threaded, bool parallel) {
+    const workloads::BoardImages& images, bool threaded) {
   platform::BoardConfig base;
   base.iss.trace_threshold = 2;
   base.iss.threaded_threshold = 2;
   base.iss.max_instructions = 2'000'000;
   base.quantum = 256;
-  return snap::makeBoard(
-      images, {xlat::DetailLevel::kICache, threaded, parallel}, base);
+  return snap::makeBoard(images, {xlat::DetailLevel::kICache, threaded},
+                         base);
 }
 
 struct CovRun {
@@ -112,8 +112,8 @@ struct CovRun {
 };
 
 CovRun runWithCoverage(const workloads::BoardImages& images, bool threaded,
-                       bool parallel, bool collect) {
-  const auto board = fuzzBoard(images, threaded, parallel);
+                       bool collect) {
+  const auto board = fuzzBoard(images, threaded);
   core::EdgeCoverage cov;
   if (collect) {
     for (size_t i = 0; i < board->numCores(); ++i) {
@@ -132,23 +132,19 @@ TEST(Coverage, CollectionNeverPerturbsArchitecturalState) {
   const auto images =
       workloads::BoardImages::assembled({gen0.generate(), gen1.generate()});
   for (const bool threaded : {false, true}) {
-    for (const bool parallel : {false, true}) {
-      SCOPED_TRACE(std::string(threaded ? "threaded" : "step") +
-                   (parallel ? " parallel" : " sequential"));
-      const CovRun off = runWithCoverage(images, threaded, parallel, false);
-      const CovRun on = runWithCoverage(images, threaded, parallel, true);
-      EXPECT_EQ(snap::firstMismatch(off.obs, on.obs), "");
-      EXPECT_GT(on.bits, 0u);  // the observer did observe something
-    }
+    SCOPED_TRACE(threaded ? "threaded" : "step");
+    const CovRun off = runWithCoverage(images, threaded, false);
+    const CovRun on = runWithCoverage(images, threaded, true);
+    EXPECT_EQ(snap::firstMismatch(off.obs, on.obs), "");
+    EXPECT_GT(on.bits, 0u);  // the observer did observe something
   }
 }
 
 TEST(Coverage, SignalIsDeterministicAcrossEngines) {
   fuzz::ProgramGenerator gen(testSeed() + 23);
   const auto images = workloads::BoardImages::assembled({gen.generate()});
-  const CovRun step = runWithCoverage(images, /*threaded=*/false, false, true);
-  const CovRun threaded =
-      runWithCoverage(images, /*threaded=*/true, false, true);
+  const CovRun step = runWithCoverage(images, /*threaded=*/false, true);
+  const CovRun threaded = runWithCoverage(images, /*threaded=*/true, true);
   EXPECT_EQ(threaded.bits, step.bits);
 }
 
@@ -300,9 +296,9 @@ TEST(Oracle, CleanGeneratedCasePassesThreeWay) {
   EXPECT_TRUE(r.valid);
   EXPECT_TRUE(r.ok) << r.mismatch;
   EXPECT_GT(r.ref_cycles, 0u);
-  // Grid (4 levels x 2 engines x seq/par) plus the standalone ISS, the
-  // rtlsim and one translated platform per level.
-  EXPECT_EQ(r.executions, 16u + 2u + 4u);
+  // Grid (4 levels x 2 engines) plus the standalone ISS, the rtlsim and
+  // one translated platform per level.
+  EXPECT_EQ(r.executions, 8u + 2u + 4u);
 }
 
 // A fault naming a core the case does not have makes the candidate
@@ -372,13 +368,13 @@ TEST(SnapshotFork, ForksMatchColdRunsUnderDivergentMutations) {
   // Clean-run length, then warm one board to the midpoint and snapshot.
   uint64_t total = 0;
   {
-    const auto ref = fuzzBoard(images, /*threaded=*/true, false);
+    const auto ref = fuzzBoard(images, /*threaded=*/true);
     ASSERT_EQ(ref->run(), iss::StopReason::kHalted);
     total = ref->board().bus.socCycle();
   }
   ASSERT_GT(total, 400u);
   const uint64_t fork = total / 2;
-  const auto warm = fuzzBoard(images, true, false);
+  const auto warm = fuzzBoard(images, true);
   warm->runTo(fork);
   const std::vector<uint8_t> snapshot = snap::save(*warm);
 
@@ -389,14 +385,14 @@ TEST(SnapshotFork, ForksMatchColdRunsUnderDivergentMutations) {
                              ":core=0,index=" + std::to_string(n) +
                              ",mask=" + std::to_string(1u << (n + 1));
     // Forked run: restore the warmed snapshot, arm, finish.
-    const auto forked = fuzzBoard(images, true, false);
+    const auto forked = fuzzBoard(images, true);
     snap::restore(*forked, snapshot);
     fi::Campaign fc;
     fc.add(fi::parseFaultSpec(spec));
     fc.arm(*forked);
     forked->run();
     // Cold run: same mutation armed from reset, same cycle.
-    const auto cold = fuzzBoard(images, true, false);
+    const auto cold = fuzzBoard(images, true);
     fi::Campaign cc;
     cc.add(fi::parseFaultSpec(spec));
     cc.arm(*cold);

@@ -10,9 +10,8 @@
 //   4. The determinism rule holds: enabling every obs sink changes no
 //      architectural byte — the whole snap::Observation, digest and full
 //      bus transaction log included, is bit-identical with obs on and
-//      off, on both ISS engines and both kernels, and the sample stream
-//      itself is bit-identical between the sequential and parallel
-//      kernels.
+//      off, on both ISS engines, and the sample stream itself is
+//      bit-identical between the two engines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -227,15 +226,11 @@ TEST(Metrics, JsonAndTextDumpsAreWellFormedAndSorted) {
 
 // ---- trace sink ------------------------------------------------------
 
-TEST(Trace, EventsMergeAndLimits) {
+TEST(Trace, EventsAndLimits) {
   obs::TraceSink sink(4);
-  sink.complete(0, "slice", 100, 50);
-  sink.instant(obs::kKernelLane, "irq", 120, "vector", 2);
-  obs::TraceSink::Buffer buf;
-  buf.complete(obs::workerLane(1), "prefix", 100, 40);
-  EXPECT_FALSE(buf.empty());
-  sink.merge(buf);
-  EXPECT_TRUE(buf.empty());
+  sink.complete(obs::coreLane(0), "slice", 100, 50);
+  sink.instant(obs::coreLane(1), "irq", 120, "vector", 2);
+  sink.instant(obs::kSnapLane, "checkpoint", 128);
   EXPECT_EQ(sink.numEvents(), 3u);
   // Drop-oldest: pushing past 2x the cap trims to the cap.
   for (int i = 0; i < 16; ++i) {
@@ -274,12 +269,12 @@ struct ObsRun {
 };
 
 ObsRun runBoard(const workloads::BoardImages& images, bool threaded,
-                bool parallel, bool observe, uint64_t sample_period = 256) {
+                bool observe, uint64_t sample_period = 256) {
   platform::BoardConfig base;
   base.iss.max_instructions = 30'000;
   base.quantum = 256;
-  const auto owned = snap::makeBoard(
-      images, {xlat::DetailLevel::kICache, threaded, parallel}, base);
+  const auto owned =
+      snap::makeBoard(images, {xlat::DetailLevel::kICache, threaded}, base);
   platform::ReferenceBoard& board = *owned;
   obs::TraceSink sink;
   std::vector<std::unique_ptr<obs::PcSampler>> samplers;
@@ -307,48 +302,36 @@ ObsRun runBoard(const workloads::BoardImages& images, bool threaded,
 }
 
 // The hard requirement: all sinks enabled, nothing architectural moves
-// — on both ISS engines and both kernels.
+// — on both ISS engines.
 TEST(ObsDifferential, ObserversNeverPerturbArchitecturalState) {
   const auto images = workloads::BoardImages::family(4);
   for (const bool threaded : {false, true}) {
-    for (const bool parallel : {false, true}) {
-      SCOPED_TRACE(std::string(threaded ? "threaded" : "step") +
-                   (parallel ? " parallel" : " sequential"));
-      const ObsRun off = runBoard(images, threaded, parallel, false);
-      const ObsRun on = runBoard(images, threaded, parallel, true);
-      EXPECT_EQ(snap::firstMismatch(off.obs, on.obs), "");
-      EXPECT_TRUE(JsonChecker(on.trace_json).valid());
-      EXPECT_GT(on.metrics.size(), 0u);
-    }
+    SCOPED_TRACE(threaded ? "threaded" : "step");
+    const ObsRun off = runBoard(images, threaded, false);
+    const ObsRun on = runBoard(images, threaded, true);
+    EXPECT_EQ(snap::firstMismatch(off.obs, on.obs), "");
+    EXPECT_TRUE(JsonChecker(on.trace_json).valid());
+    EXPECT_GT(on.metrics.size(), 0u);
   }
 }
 
 // The sampler's determinism claim: the sample stream itself (not just
-// the architecture) is bit-identical between the kernels and across the
-// two engines, because sampling is a pure function of (local time, pc)
-// at block boundaries.
-TEST(ObsDifferential, SampleStreamIdenticalAcrossKernelsAndEngines) {
+// the architecture) is bit-identical across the two engines, because
+// sampling is a pure function of (local time, pc) at block boundaries.
+TEST(ObsDifferential, SampleStreamIdenticalAcrossEngines) {
   const auto images = workloads::BoardImages::family(4);
-  const ObsRun baseline = runBoard(images, /*threaded=*/false, false, true);
-  for (const bool threaded : {false, true}) {
-    for (const bool parallel : {false, true}) {
-      SCOPED_TRACE(std::string(threaded ? "threaded" : "step") +
-                   (parallel ? " parallel" : " sequential"));
-      const ObsRun run = runBoard(images, threaded, parallel, true);
-      EXPECT_EQ(run.samples, baseline.samples);
-    }
-  }
+  const ObsRun step = runBoard(images, /*threaded=*/false, true);
+  const ObsRun threaded = runBoard(images, /*threaded=*/true, true);
+  EXPECT_EQ(threaded.samples, step.samples);
 }
 
-TEST(ObsDifferential, ParallelTraceContainsBoardLanes) {
+TEST(ObsDifferential, TraceContainsBoardLanes) {
   const auto images = workloads::BoardImages::family(4);
-  const ObsRun run = runBoard(images, /*threaded=*/true, true, true);
+  const ObsRun run = runBoard(images, /*threaded=*/true, true);
   EXPECT_NE(run.trace_json.find("\"core0\""), std::string::npos);
   EXPECT_NE(run.trace_json.find("\"core3\""), std::string::npos);
-  EXPECT_NE(run.trace_json.find("kernel rounds"), std::string::npos);
-  EXPECT_NE(run.trace_json.find("\"round\""), std::string::npos);
+  EXPECT_NE(run.trace_json.find("\"snapshots\""), std::string::npos);
   EXPECT_NE(run.trace_json.find("\"slice\""), std::string::npos);
-  EXPECT_NE(run.trace_json.find("\"prefix\""), std::string::npos);
   // Metrics cover every subsystem the board aggregates.
   EXPECT_GT(run.metrics.counterOr("board.core0.iss.instructions"), 0u);
   EXPECT_GT(run.metrics.counterOr("board.kernel.events_dispatched"), 0u);

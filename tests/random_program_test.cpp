@@ -153,8 +153,8 @@ TEST(RandomPrograms, GeneratorIsDeterministic) {
 //
 // Three cores run three different random programs (private compute plus
 // random shared-mailbox/scratch chatter) on one reference board, under
-// the sequential kernel and under parallel rounds. Everything observable
-// must agree bit-exactly: registers, cycles, and the shared bus's full
+// step() and under the threaded engine. Everything observable must
+// agree bit-exactly: registers, cycles, and the shared bus's full
 // transaction log (order, payloads and SoC-cycle stamps).
 
 /// Three different random programs with shared mailbox/scratch chatter,
@@ -173,7 +173,7 @@ workloads::BoardImages threeCoreBoard(uint32_t seed, std::string& described) {
 
 class MultiCoreRandomPrograms : public ::testing::TestWithParam<uint32_t> {};
 
-TEST_P(MultiCoreRandomPrograms, ParallelKernelBitIdentical) {
+TEST_P(MultiCoreRandomPrograms, EnginesBitIdentical) {
   const uint32_t seed = seedBase() + GetParam();
   SCOPED_TRACE("seed: " + std::to_string(seed) + " (CABT_TEST_SEED base " +
                std::to_string(seedBase()) + " + param " +
@@ -184,11 +184,11 @@ TEST_P(MultiCoreRandomPrograms, ParallelKernelBitIdentical) {
 
   for (const sim::Cycle quantum : {16u, 512u}) {
     SCOPED_TRACE("quantum " + std::to_string(quantum));
-    const auto runOnce = [&](bool parallel) {
+    const auto runOnce = [&](bool threaded) {
       platform::BoardConfig base;
       base.quantum = quantum;
       const auto board = snap::makeBoard(
-          images, {xlat::DetailLevel::kICache, true, parallel}, base);
+          images, {xlat::DetailLevel::kICache, threaded}, base);
       EXPECT_EQ(board->run(), iss::StopReason::kHalted);
       return snap::observe(*board);
     };
@@ -205,11 +205,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MultiCoreRandomPrograms,
 // chatter), snapshotted at a random mid-run cycle and restored into a
 // completely fresh platform. Every observable — per-core stats,
 // registers, the full bus transaction log and the rolling state digest —
-// must match an uninterrupted run bit-exactly. Odd seeds run under the
-// parallel-round kernel, so the save point also lands between parallel
-// rounds; the engine alternates with the seed, so cold restores land in
-// both engines, including threaded-code programs re-lowered from a
-// cache rebuilt after restore.
+// must match an uninterrupted run bit-exactly. The engine alternates with
+// the seed, so cold restores land in both engines, including threaded-
+// code programs re-lowered from a cache rebuilt after restore.
 
 class SnapshotFuzz : public ::testing::TestWithParam<uint32_t> {};
 
@@ -221,10 +219,8 @@ TEST_P(SnapshotFuzz, RandomCycleSaveRestoreBitIdentical) {
   std::string gen_desc = "generator: cores=3";
   const auto images = threeCoreBoard(seed, gen_desc);
   SCOPED_TRACE(gen_desc);
-  const bool parallel = GetParam() % 2 == 1;
-  const bool threaded = (GetParam() / 2) % 2 == 1;
-  SCOPED_TRACE("config: parallel=" + std::to_string(parallel) +
-               " engine=" + (threaded ? "threaded" : "step"));
+  const bool threaded = GetParam() % 2 == 1;
+  SCOPED_TRACE(std::string("engine: ") + (threaded ? "threaded" : "step"));
   const auto build = [&] {
     platform::BoardConfig base;
     base.quantum = 256;
@@ -232,8 +228,8 @@ TEST_P(SnapshotFuzz, RandomCycleSaveRestoreBitIdentical) {
     // and threaded lowering before the random save point.
     base.iss.trace_threshold = 2;
     base.iss.threaded_threshold = 2;
-    return snap::makeBoard(
-        images, {xlat::DetailLevel::kICache, threaded, parallel}, base);
+    return snap::makeBoard(images, {xlat::DetailLevel::kICache, threaded},
+                           base);
   };
 
   std::unique_ptr<platform::ReferenceBoard> ref = build();

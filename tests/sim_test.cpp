@@ -12,9 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "kernel_recorder.h"
 #include "platform/platform.h"
 #include "sim/kernel.h"
 #include "snap/observe.h"
@@ -27,7 +27,27 @@ namespace {
 
 // ---- kernel ---------------------------------------------------------
 
-using test::Recorder;
+/// A scripted process: logs each activation as "name@now" and re-syncs
+/// itself `period` cycles later until it has run `runs` times, so a test
+/// can read the kernel's dispatch order off the log.
+class Recorder : public sim::Process {
+ public:
+  Recorder(const char* name, sim::Cycle period, int runs,
+           std::vector<std::string>* log)
+      : sim::Process(name), period_(period), runs_(runs), log_(log) {}
+
+  void activate(sim::Kernel& kernel) override {
+    log_->push_back(name() + "@" + std::to_string(kernel.now()));
+    if (--runs_ > 0) {
+      kernel.sync(this, kernel.now() + period_);
+    }
+  }
+
+ private:
+  sim::Cycle period_;
+  int runs_;
+  std::vector<std::string>* log_;
+};
 
 TEST(Kernel, DispatchesInTimeOrderWithStableTies) {
   sim::Kernel k;
@@ -184,7 +204,7 @@ snap::Observation runIrqTicks(
   base.iss.trace_threshold = engine.trace_threshold;
   base.quantum = quantum;
   const auto board =
-      snap::makeBoard(images, {level, engine.use_block_cache, false}, base);
+      snap::makeBoard(images, {level, engine.use_block_cache}, base);
   EXPECT_EQ(board->run(), iss::StopReason::kHalted);
   EXPECT_EQ(workloads::readChecksum(images.image(0), board->iss().memory()),
             164u);
@@ -358,7 +378,7 @@ TEST(MultiCore, ProducerConsumerCompletesAtEveryDetailLevelAndQuantum) {
                    std::to_string(quantum));
       platform::BoardConfig base;
       base.quantum = quantum;
-      const auto board = snap::makeBoard(images, {level, true, false}, base);
+      const auto board = snap::makeBoard(images, {level, true}, base);
       ASSERT_EQ(board->run(), iss::StopReason::kHalted);
       ASSERT_EQ(board->numCores(), 2u);
       // The handshake is interleaving-robust: both sides agree on the
@@ -378,6 +398,45 @@ TEST(MultiCore, ProducerConsumerCompletesAtEveryDetailLevelAndQuantum) {
     }
   }
 }
+
+// The engine grid over board size and quantum: the 1-, 2-, 4- and 8-core
+// family() boards at quantum 1, 16, 256 and 4096, at all four detail
+// levels. step() and the threaded engine must agree on every observable,
+// the bus transaction log included: the same transactions, with the
+// same payloads, at the same SoC cycles, in the same order.
+class EngineGrid
+    : public ::testing::TestWithParam<std::tuple<size_t, sim::Cycle>> {};
+
+TEST_P(EngineGrid, StepAndThreadedAgreeOnEveryObservable) {
+  const auto [cores, quantum] = GetParam();
+  const auto images = workloads::BoardImages::family(cores);
+  platform::BoardConfig base;
+  // Cap the long-running workers so the grid stays fast; the cap is
+  // architectural state (instruction counts are per core), so capped
+  // runs still compare bit-exactly.
+  base.iss.max_instructions = 30'000;
+  base.quantum = quantum;
+  for (const xlat::DetailLevel level : xlat::kDetailLevels) {
+    SCOPED_TRACE(xlat::detailLevelName(level));
+    const auto [step, threaded] = snap::engineGrid(level);
+    const auto step_board = snap::makeBoard(images, step, base);
+    step_board->run();
+    const auto threaded_board = snap::makeBoard(images, threaded, base);
+    threaded_board->run();
+    EXPECT_EQ(snap::firstMismatch(snap::observe(*step_board),
+                                  snap::observe(*threaded_board)),
+              "");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Boards, EngineGrid,
+    ::testing::Combine(::testing::Values<size_t>(1, 2, 4, 8),
+                       ::testing::Values<sim::Cycle>(1, 16, 256, 4096)),
+    [](const auto& info) {
+      return "cores" + std::to_string(std::get<0>(info.param)) +
+             "_quantum" + std::to_string(std::get<1>(info.param));
+    });
 
 // A core that runs ahead only ever sees the shared bus at or after its
 // own local time; with quantum q the skew between the two cores' local

@@ -2,8 +2,8 @@
 // (src/snap, DESIGN.md section 9).
 //
 // The claim under test: a snapshot is the *complete* observable state of
-// the platform. For every detail level, both ISS engines (step() and
-// threaded) and both kernels (sequential and parallel rounds),
+// the platform. For every detail level and both ISS engines (step() and
+// threaded),
 //
 //   run-to-T, save, continue          (the saved board)
 //   fresh board, restore, continue    (a cold process: no warm block
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/serial.h"
+#include "common/sparse_mem.h"
 #include "platform/platform.h"
 #include "snap/observe.h"
 #include "snap/snapshot.h"
@@ -119,13 +120,7 @@ TEST(SnapshotGrid, SteppingEngineSavesOpenBlockResidue) {
 // the eight timer deliveries must preserve the interrupt phase exactly
 // (in-service flag, pending lines, timer next-expiry).
 TEST(SnapshotGrid, InterruptPhaseSurvivesRestore) {
-  const auto images = workloads::BoardImages::family(1);
-  for (const bool parallel : {false, true}) {
-    SCOPED_TRACE(parallel ? "parallel" : "sequential");
-    snap::GridPoint point;
-    point.parallel = parallel;
-    roundTrip(images, point);
-  }
+  roundTrip(workloads::BoardImages::family(1), snap::GridPoint{});
 }
 
 // ---- deterministic replay --------------------------------------------
@@ -176,7 +171,7 @@ TEST(Replay, AutoSnapshotRingRetainsAndReplays) {
 }
 
 // The digest excludes host-side dispatch-path state by design: both
-// engines — and the parallel kernel — produce the identical value.
+// engines produce the identical value.
 TEST(Replay, DigestIsEngineIndependent) {
   const auto images = workloads::BoardImages::family(1);
   auto ref = snap::makeBoard(images);
@@ -275,6 +270,13 @@ size_t deviceState(const std::vector<uint8_t>& snap, const std::string& name) {
   return afterString(snap, name) + 4;
 }
 
+/// Offset of the first core's stored stop reason: past the "iss" tag,
+/// the compatibility record (three flags, irq_entry_cycles u32,
+/// max_instructions u64, the program fingerprint u64) and the pc u32.
+size_t issStop(const std::vector<uint8_t>& snap) {
+  return afterString(snap, "iss") + 3 + 4 + 8 + 8 + 4;
+}
+
 /// Overwrites a u32 element count with one far larger than the bytes
 /// left (but small enough to allocate), then recomputes the footer.
 void oversizeCount(std::vector<uint8_t>& snap, size_t at) {
@@ -331,7 +333,7 @@ TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
       {"flipped kernel-section byte",
        [](std::vector<uint8_t>& s) { s[20] ^= 0x40; }},
       {"flipped bus-section byte",
-       [](std::vector<uint8_t>& s) { s[s.size() / 3] ^= 0x40; }},
+       [](std::vector<uint8_t>& s) { s[afterString(s, "bus") + 4] ^= 0x40; }},
       {"flipped core-section byte",
        [](std::vector<uint8_t>& s) { s[s.size() * 3 / 4] ^= 0x40; }},
       {"zeroed footer",
@@ -373,6 +375,48 @@ TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
          refootSnapshot(s);
        },
        "mailbox snapshot head"},
+      // Values the core never stores: kCycleLimit is only returned (a
+      // restored one would re-sync forever), and 200 names no reason.
+      {"stop reason 5, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         s.at(issStop(s)) = 5;
+         refootSnapshot(s);
+       },
+       "snapshot stop reason 5"},
+      {"stop reason 200, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         s.at(issStop(s)) = 200;
+         refootSnapshot(s);
+       },
+       "snapshot stop reason 200"},
+      // The miss path evicts the way the LRU word's low byte names.
+      {"icache LRU words 0xffffffff, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         const size_t at = afterString(s, "icache");
+         const uint32_t sets = getU32(s, at);
+         const size_t lru = at + 8 + 4 * size_t{sets} * getU32(s, at + 4);
+         for (uint32_t set = 0; set < sets; ++set) {
+           putU32(s, lru + 4 * set, 0xffffffffu);
+         }
+         refootSnapshot(s);
+       },
+       "snapshot icache LRU word"},
+      {"unaligned memory page base, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         const size_t first = afterString(s, "mem") + 4;
+         putU32(s, first, getU32(s, first) + 1);
+         refootSnapshot(s);
+       },
+       "is not page-aligned"},
+      {"repeated memory page base, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         const size_t at = afterString(s, "mem");
+         ASSERT_GE(getU32(s, at), 2u);
+         const size_t first = at + 4;
+         putU32(s, first + 4 + SparseMemory::kPageSize, getU32(s, first));
+         refootSnapshot(s);
+       },
+       "does not follow the previous page"},
   };
 
   for (const auto& [name, mutate, error] : kCases) {
@@ -502,12 +546,12 @@ TEST(Observation, FirstMismatchNamesEachPerturbedField) {
 }
 
 // The dispatch-path counters record how blocks were reached, which
-// legitimately differs between engines, kernels and warm/cold restores.
+// legitimately differs between engines and warm/cold restores.
 TEST(Observation, DispatchPathCountersAreIgnored) {
   const snap::Observation want = pairObservation();
   snap::Observation got = want;
-  // cached_blocks, chain_hits, trace_*, guard_bails, private_*, threaded_*
-  ASSERT_EQ(iss::kDispatchPathCounters.size(), 11u);
+  // cached_blocks, chain_hits, trace_*, guard_bails, threaded_*
+  ASSERT_EQ(iss::kDispatchPathCounters.size(), 9u);
   for (snap::CoreObservation& core : got.cores) {
     for (const iss::StatCounter& c : iss::kDispatchPathCounters) {
       ++(core.stats.*c.field);
