@@ -1,11 +1,11 @@
-// Driver for the checkpoint-accelerated differential fuzzing farm
-// (src/fuzz, DESIGN.md section 13).
+// Driver for the differential fuzzing farm (src/fuzz, DESIGN.md
+// section 13).
 //
 // Usage:
 //   fuzz_tool run --corpus=DIR [--findings=DIR] [--seed=N]
 //                 [--max-execs=N] [--max-candidates=N] [--max-seconds=N]
-//                 [--max-findings=N] [--no-forks] [--no-minimize]
-//                 [--inject-skew] [--metrics-out=FILE]
+//                 [--max-findings=N] [--no-minimize] [--inject-skew]
+//                 [--metrics-out=FILE]
 //   fuzz_tool replay <seed-file> [--inject-skew]
 //   fuzz_tool minimize <seed-file> --out=FILE [--inject-skew]
 //                      [--budget=N]
@@ -48,7 +48,7 @@ void printStats(const fuzz::FarmStats& s) {
   std::printf(
       "farm candidates=%llu invalid=%llu oracle_execs=%llu "
       "corpus=%llu adds=%llu coverage_bits=%llu findings=%llu "
-      "fork_hits=%llu fork_misses=%llu elapsed_ms=%llu execs/s=%.1f\n",
+      "elapsed_ms=%llu execs/s=%.1f\n",
       static_cast<unsigned long long>(s.candidates),
       static_cast<unsigned long long>(s.invalid),
       static_cast<unsigned long long>(s.oracle_execs),
@@ -56,8 +56,6 @@ void printStats(const fuzz::FarmStats& s) {
       static_cast<unsigned long long>(s.corpus_adds),
       static_cast<unsigned long long>(s.coverage_bits),
       static_cast<unsigned long long>(s.findings),
-      static_cast<unsigned long long>(s.fork_hits),
-      static_cast<unsigned long long>(s.fork_misses),
       static_cast<unsigned long long>(s.elapsed_millis), s.execs_per_sec);
   for (size_t i = 0; i < s.finding_mismatches.size(); ++i) {
     std::printf("finding %zu: %s\n", i, s.finding_mismatches[i].c_str());
@@ -84,7 +82,6 @@ int main(int argc, char** argv) {
     uint64_t max_findings = 8;
     unsigned budget = 120;
     size_t cores = 1;
-    bool no_forks = false;
     bool no_minimize = false;
     bool inject_skew = false;
     bool shared = false;
@@ -114,8 +111,6 @@ int main(int argc, char** argv) {
             std::strtoul(arg.c_str() + 9, nullptr, 0));
       } else if (arg.rfind("--cores=", 0) == 0) {
         cores = std::strtoull(arg.c_str() + 8, nullptr, 0);
-      } else if (arg == "--no-forks") {
-        no_forks = true;
       } else if (arg == "--no-minimize") {
         no_minimize = true;
       } else if (arg == "--inject-skew") {
@@ -140,8 +135,8 @@ int main(int argc, char** argv) {
                    "[<seed-file>] [--corpus=DIR] [--findings=DIR] "
                    "[--seed=N] [--max-execs=N] [--max-candidates=N] "
                    "[--max-seconds=N] [--max-findings=N] [--budget=N] "
-                   "[--no-forks] [--no-minimize] [--inject-skew] "
-                   "[--shared] [--cores=N] [--out=F] [--metrics-out=F]\n",
+                   "[--no-minimize] [--inject-skew] [--shared] "
+                   "[--cores=N] [--out=F] [--metrics-out=F]\n",
                    argv[0]);
       return 2;
     }
@@ -159,7 +154,6 @@ int main(int argc, char** argv) {
       cfg.max_candidates = max_candidates;
       cfg.max_millis = max_seconds * 1000;
       cfg.max_findings = max_findings;
-      cfg.use_forks = !no_forks;
       cfg.minimize = !no_minimize;
       cfg.minimize_budget = budget;
       cfg.oracle = oracle;
@@ -182,7 +176,7 @@ int main(int argc, char** argv) {
       CABT_CHECK(!seed_path.empty(), "replay needs a <seed-file>");
       const fuzz::SeedCase c = fuzz::loadSeedFile(seed_path);
       const fuzz::OracleResult r =
-          fuzz::runOracle(c, oracle, nullptr, nullptr);
+          fuzz::runOracle(c, oracle, nullptr);
       std::printf("replay %s: valid=%d execs=%llu ref_cycles=%llu %s\n",
                   seed_path.c_str(), r.valid ? 1 : 0,
                   static_cast<unsigned long long>(r.executions),
@@ -198,7 +192,7 @@ int main(int argc, char** argv) {
       CABT_CHECK(!out_path.empty(), "minimize needs --out=FILE");
       fuzz::SeedCase c = fuzz::loadSeedFile(seed_path);
       const fuzz::OracleResult before =
-          fuzz::runOracle(c, oracle, nullptr, nullptr);
+          fuzz::runOracle(c, oracle, nullptr);
       CABT_CHECK(before.valid && !before.ok,
                  "seed does not fail the oracle; nothing to minimize");
       uint64_t trials = 0;
@@ -217,24 +211,18 @@ int main(int argc, char** argv) {
       fuzz::Corpus corpus(corpus_dir);
       size_t lines = 0;
       size_t with_faults = 0;
-      size_t with_forks = 0;
       for (const std::string& p : corpus.paths()) {
         const fuzz::SeedCase c = fuzz::loadSeedFile(p);
         lines += c.totalLines();
         with_faults += c.faults.empty() ? 0 : 1;
-        with_forks += c.fork_cycle != 0 ? 1 : 0;
-        std::printf("%s: programs=%zu lines=%zu quantum=%llu fork=%llu "
-                    "faults=%zu%s%s\n",
+        std::printf("%s: programs=%zu lines=%zu quantum=%llu faults=%zu%s%s\n",
                     p.c_str(), c.programs.size(), c.totalLines(),
                     static_cast<unsigned long long>(c.quantum),
-                    static_cast<unsigned long long>(c.fork_cycle),
                     c.faults.size(), c.note.empty() ? "" : " note=",
                     c.note.c_str());
       }
-      std::printf("corpus %s: entries=%zu lines=%zu with_faults=%zu "
-                  "with_forks=%zu\n",
-                  corpus.dir().c_str(), corpus.size(), lines, with_faults,
-                  with_forks);
+      std::printf("corpus %s: entries=%zu lines=%zu with_faults=%zu\n",
+                  corpus.dir().c_str(), corpus.size(), lines, with_faults);
       return 0;
     }
 

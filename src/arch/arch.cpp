@@ -9,11 +9,24 @@ namespace cabt::arch {
 unsigned ICacheModel::offsetBits() const { return log2Exact(line_bytes); }
 unsigned ICacheModel::setBits() const { return log2Exact(sets); }
 
+namespace {
+
+/// ICacheState packs a set's LRU age order into one 32-bit word, one byte
+/// per way.
+constexpr uint32_t kMaxWays = 4;
+/// Bounds the tag array an input geometry can ask for (1 MiB of tag words
+/// at 4 ways).
+constexpr uint32_t kMaxSets = 65'536;
+
+}  // namespace
+
 void ICacheModel::validate() const {
-  CABT_CHECK(isPowerOfTwo(sets), "cache sets must be a power of two");
+  CABT_CHECK(isPowerOfTwo(sets) && sets <= kMaxSets,
+             "cache sets must be a power of two <= " << kMaxSets);
   CABT_CHECK(isPowerOfTwo(line_bytes) && line_bytes >= 4,
              "cache line size must be a power of two >= 4");
-  CABT_CHECK(ways >= 1 && ways <= 8, "cache associativity out of range");
+  CABT_CHECK(ways >= 1 && ways <= kMaxWays,
+             "cache associativity must be 1.." << kMaxWays);
 }
 
 ArchDescription ArchDescription::defaultTc10gp() {

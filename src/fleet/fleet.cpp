@@ -75,44 +75,14 @@ Driver::Driver(FleetConfig config) : config_(std::move(config)) {}
 
 FleetResult Driver::run(const std::vector<const elf::Object*>& images) {
   const auto before = core::ProgramArtifactCache::instance().stats();
-  FleetResult result = runBoards(images, nullptr);
-  result.artifact = statsDelta(before);
-  return result;
-}
-
-FleetResult Driver::runForked(
-    const std::vector<const elf::Object*>& images, sim::Cycle warm_to,
-    const std::function<void(size_t, platform::ReferenceBoard&)>& diverge) {
-  const auto before = core::ProgramArtifactCache::instance().stats();
-  // The prototype pays the warm-up once; it stays alive through the
-  // fleet run so its shared artifacts stay live in the cache (the forks
-  // then hit instead of re-decoding).
-  platform::ReferenceBoard prototype(config_.desc, images, config_.board);
-  prototype.runTo(warm_to);
-  const snap::Fork fork(prototype);
-  FleetResult result = runBoards(
-      images, [&fork, &diverge](size_t index, platform::ReferenceBoard& b) {
-        fork.into(b);
-        if (diverge) {
-          diverge(index, b);
-        }
-      });
-  result.artifact = statsDelta(before);
-  return result;
-}
-
-FleetResult Driver::runBoards(
-    const std::vector<const elf::Object*>& images,
-    const std::function<void(size_t, platform::ReferenceBoard&)>& prepare) {
   FleetResult result;
   const size_t m = config_.boards;
   result.boards.resize(m);
 
-  // Pin one artifact per image for the whole run: without this, batch
-  // activation could destroy every board of one wave before the next
-  // constructs, letting the weak cache entries expire and forcing a
-  // re-decode per wave. Pinned, the fleet pays exactly one decode per
-  // distinct image no matter how it is batched.
+  // Pin one artifact per image for the whole run: with one host thread
+  // each board is destroyed before the next one is built, which would
+  // let the weak cache entries expire and force a re-decode per board.
+  // Pinned, the fleet pays exactly one decode per distinct image.
   std::vector<std::shared_ptr<const core::ProgramArtifact>> pinned;
   pinned.reserve(images.size());
   for (const elf::Object* image : images) {
@@ -127,38 +97,25 @@ FleetResult Driver::runBoards(
   result.host_parallelism = parallelism;
   sim::HostPool pool(parallelism - 1);  // the calling thread participates
 
-  const size_t batch = config_.batch != 0 ? std::min(config_.batch, m) : m;
   const auto t0 = Clock::now();
-  for (size_t base = 0; base < m; base += batch) {
-    const size_t count = std::min(batch, m - base);
-    pool.runAll(count, [this, &images, &prepare, &result,
-                        base](size_t k) {
-      const size_t index = base + k;
-      const auto board_t0 = Clock::now();
-      platform::ReferenceBoard board(config_.desc, images, config_.board);
-      if (prepare) {
-        prepare(index, board);
-      }
-      BoardResult& r = result.boards[index];
-      if (config_.run_to != 0) {
-        board.runTo(config_.run_to);
-        r.stop = board.core(0).stopReason();
-      } else {
-        r.stop = board.run();
-      }
-      r.digest = snap::digest(board);
-      r.instructions = board.instructionsRetired();
-      r.soc_cycles = board.board().bus.socCycle();
-      r.host_seconds = secondsSince(board_t0);
-      if (index == 0) {
-        board.publishMetrics(result.exemplar, "");
-      }
-      if (config_.inspect) {
-        config_.inspect(index, board);
-      }
-    });
-  }
+  pool.runAll(m, [this, &images, &result](size_t index) {
+    const auto board_t0 = Clock::now();
+    platform::ReferenceBoard board(config_.desc, images, config_.board);
+    BoardResult& r = result.boards[index];
+    r.stop = board.run();
+    r.digest = snap::digest(board);
+    r.instructions = board.instructionsRetired();
+    r.soc_cycles = board.board().bus.socCycle();
+    r.host_seconds = secondsSince(board_t0);
+    if (index == 0) {
+      board.publishMetrics(result.exemplar, "");
+    }
+    if (config_.inspect) {
+      config_.inspect(index, board);
+    }
+  });
   result.host_seconds = secondsSince(t0);
+  result.artifact = statsDelta(before);
   return result;
 }
 

@@ -17,17 +17,14 @@
 //  * Bit-identical scheduling independence. Boards never share mutable
 //    state — each owns its kernel, cores, peripherals and memory, and
 //    reads only const images and const artifacts — so the host
-//    schedule (thread count, batch size, run order) cannot leak into
-//    any board's architectural state. A fleet run of M identical
-//    boards produces M identical snap::digest values, each equal to a
-//    plain single-board run's (tests/fleet_test.cpp).
+//    schedule (thread count, run order) cannot leak into any board's
+//    architectural state. A fleet run of M identical boards produces M
+//    identical snap::digest values, each equal to a plain single-board
+//    run's (tests/fleet_test.cpp).
 //
-// Fan-out comes in two shapes: run() boots every board cold from the
-// images, runForked() warms one prototype board to a cycle, snapshots
-// it once (snap::Fork) and cold-restores the bytes into K boards that
-// each diverge from the common warm point — the fuzzing and
-// fault-campaign pattern of paying initialization once per scenario
-// family instead of once per scenario.
+// Every board boots from reset, and each host task builds, runs and
+// destroys its board before it takes the next one, so at most
+// host_threads boards are live at once.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +38,6 @@
 #include "iss/iss.h"
 #include "obs/metrics.h"
 #include "platform/platform.h"
-#include "sim/kernel.h"
 
 namespace cabt::fleet {
 
@@ -56,12 +52,6 @@ struct FleetConfig {
   /// Host threads running boards, calling thread included; 0 picks
   /// hardware_concurrency clamped to [1, 16].
   unsigned host_threads = 0;
-  /// Batch activation: at most this many boards are constructed and
-  /// live at once, bounding peak host memory for large fleets. 0 means
-  /// one batch holding the whole fleet.
-  size_t batch = 0;
-  /// Non-zero: each board runs runTo(run_to) instead of run().
-  sim::Cycle run_to = 0;
   /// Optional per-board inspection hook, called right after a board's
   /// run completes and before the board is destroyed. Runs on a worker
   /// thread: it must only touch state private to this board's index
@@ -110,29 +100,14 @@ class Driver {
  public:
   explicit Driver(FleetConfig config);
 
-  /// Runs config.boards identical boards cold-booted from `images`
-  /// (one core per image, as with ReferenceBoard). Boards are
-  /// dispatched to the pool in activation batches; results land in
-  /// board order regardless of completion order.
+  /// Runs config.boards identical boards booted from `images` (one
+  /// core per image, as with ReferenceBoard) over the host pool;
+  /// results land in board order regardless of completion order.
   FleetResult run(const std::vector<const elf::Object*>& images);
-
-  /// Warms one prototype board to SoC cycle `warm_to`, snapshots it,
-  /// then runs `config.boards` forks: each starts from the common warm
-  /// state, is passed to `diverge` (may be null) to make the scenario
-  /// differ, and runs to completion like run(). The warm-up is paid
-  /// once, not per fork.
-  FleetResult runForked(
-      const std::vector<const elf::Object*>& images, sim::Cycle warm_to,
-      const std::function<void(size_t index, platform::ReferenceBoard&)>&
-          diverge);
 
   [[nodiscard]] const FleetConfig& config() const { return config_; }
 
  private:
-  FleetResult runBoards(
-      const std::vector<const elf::Object*>& images,
-      const std::function<void(size_t, platform::ReferenceBoard&)>& prepare);
-
   FleetConfig config_;
 };
 

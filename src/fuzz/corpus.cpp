@@ -13,7 +13,7 @@ namespace cabt::fuzz {
 namespace fs = std::filesystem;
 
 namespace {
-constexpr const char* kMagic = "cabt-fuzz-seed v1";
+constexpr const char* kMagic = "cabt-fuzz-seed v2";
 constexpr const char* kProgramEnd = "%%";
 }  // namespace
 
@@ -64,7 +64,6 @@ std::string serializeSeed(const SeedCase& c) {
     out << "note " << c.note << "\n";
   }
   out << "quantum " << c.quantum << "\n";
-  out << "fork " << c.fork_cycle << "\n";
   if (c.horizon != 0) {
     out << "horizon " << c.horizon << "\n";
   }
@@ -102,8 +101,6 @@ SeedCase parseSeed(const std::string& text) {
     } else if (key == "quantum") {
       c.quantum = static_cast<uint64_t>(parseInt(value));
       CABT_CHECK(c.quantum > 0, "seed file: quantum must be positive");
-    } else if (key == "fork") {
-      c.fork_cycle = static_cast<uint64_t>(parseInt(value));
     } else if (key == "horizon") {
       c.horizon = static_cast<uint64_t>(parseInt(value));
     } else if (key == "fault") {

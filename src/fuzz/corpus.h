@@ -3,17 +3,17 @@
 //
 // A SeedCase is everything needed to re-run one differential candidate
 // bit-identically anywhere: the per-core TRC32 assembly sources, the
-// board quantum, the snapshot-fork cycle, and the mid-run state
-// mutations as `fi::` fault-spec strings ("dreg@800:core=0,index=3,
-// mask=0x10"). The serialized form is a line-oriented text file — seed
-// files are regression artifacts meant to be read, diffed and checked
-// into tests/fuzz_seeds/, so they favour `git diff` over compactness.
+// board quantum, and the mid-run state mutations as `fi::` fault-spec
+// strings ("dreg@800:core=0,index=3,mask=0x10"). The serialized form is
+// a line-oriented text file — seed files are regression artifacts meant
+// to be read, diffed and checked into tests/fuzz_seeds/, so they favour
+// `git diff` over compactness.
 //
-// Format (order fixed, unknown keys rejected):
-//   cabt-fuzz-seed v1
+// Format (magic line first, then keys in any order; unknown keys are
+// rejected, and serializeSeed writes them in the order below):
+//   cabt-fuzz-seed v2
 //   note <free text>            (optional)
 //   quantum <cycles>
-//   fork <cycle>                (0 = always replay from reset)
 //   horizon <cycles>            (optional; estimated clean run length)
 //   fault <fi spec>             (zero or more)
 //   program                     (one or more; body ends at a '%%' line)
@@ -35,12 +35,8 @@ struct SeedCase {
   std::vector<std::string> programs;
   /// Board temporal-decoupling quantum (SoC cycles).
   uint64_t quantum = 256;
-  /// Snapshot-fork point: mutated-state runs warm a board to this cycle
-  /// once, snapshot it, and every fork restores instead of replaying
-  /// from reset. 0 disables forking for this case.
-  uint64_t fork_cycle = 0;
   /// Estimated clean-run length in SoC cycles (advisory; the mutator
-  /// places fault cycles inside [fork_cycle, horizon]).
+  /// places fault cycles inside [0, horizon)).
   uint64_t horizon = 0;
   /// Mid-run state mutations as fi:: fault-spec strings.
   std::vector<std::string> faults;

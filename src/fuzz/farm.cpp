@@ -34,7 +34,7 @@ std::string signatureOf(const std::string& mismatch) {
 bool stillFails(const SeedCase& c, const OracleOptions& opts,
                 const std::string& signature, uint64_t* trials) {
   ++*trials;
-  const OracleResult r = runOracle(c, opts, nullptr, nullptr);
+  const OracleResult r = runOracle(c, opts, nullptr);
   return r.valid && !r.ok && signatureOf(r.mismatch) == signature;
 }
 
@@ -65,7 +65,7 @@ SeedCase minimizeCase(const SeedCase& failing, const OracleOptions& opts,
 
   // The signature every accepted reduction must reproduce.
   uint64_t probe_trials = 0;
-  const OracleResult orig = runOracle(failing, opts, nullptr, nullptr);
+  const OracleResult orig = runOracle(failing, opts, nullptr);
   ++probe_trials;
   *t += probe_trials;
   if (!orig.valid || orig.ok) {
@@ -146,15 +146,9 @@ SeedCase minimizeCase(const SeedCase& failing, const OracleOptions& opts,
     }
   }
 
-  // Phase 4: a fork-free, fault-free reproduction replays simplest.
-  if ((best.fork_cycle != 0 || best.horizon != 0) && *t < budget) {
-    SeedCase c = best;
-    c.fork_cycle = 0;
-    c.horizon = 0;
-    if (stillFails(c, opts, signature, t)) {
-      best = std::move(c);
-    }
-  }
+  // Phase 4: the oracle never reads the horizon, so clearing it needs no
+  // trial.
+  best.horizon = 0;
   return best;
 }
 
@@ -162,8 +156,6 @@ FarmStats Farm::run() {
   const uint64_t t0 = nowMillis();
   stats_ = FarmStats{};
   Corpus corpus(config_.corpus_dir);
-  SnapshotCache cache;
-  SnapshotCache* cache_ptr = config_.use_forks ? &cache : nullptr;
   core::EdgeCoverage global_cov;
   std::mt19937 rng(config_.seed);
   Mutator mutator(config_.seed ^ 0x9e3779b9u);
@@ -222,7 +214,7 @@ FarmStats Farm::run() {
   }
 
   // ---- admission pass: oracle every corpus entry, seed the coverage
-  // map, stamp horizons and fork cycles ---------------------------------
+  // map, stamp horizons ------------------------------------------------
   std::vector<SeedCase> entries;
   for (const std::string& path : corpus.paths()) {
     if (out_of_budget()) {
@@ -230,8 +222,7 @@ FarmStats Farm::run() {
     }
     SeedCase c = loadSeedFile(path);
     core::EdgeCoverage scratch;
-    const OracleResult r =
-        runOracle(c, config_.oracle, cache_ptr, &scratch);
+    const OracleResult r = runOracle(c, config_.oracle, &scratch);
     stats_.oracle_execs += r.executions;
     if (!r.valid) {
       ++stats_.invalid;
@@ -243,9 +234,6 @@ FarmStats Farm::run() {
       continue;  // a failing entry is a finding, not a mutation base
     }
     c.horizon = r.ref_cycles;
-    if (config_.use_forks && c.fork_cycle == 0 && r.ref_cycles > 400) {
-      c.fork_cycle = r.ref_cycles / 2;
-    }
     entries.push_back(std::move(c));
   }
 
@@ -260,8 +248,7 @@ FarmStats Farm::run() {
       continue;
     }
     core::EdgeCoverage scratch;
-    const OracleResult r =
-        runOracle(*mutant, config_.oracle, cache_ptr, &scratch);
+    const OracleResult r = runOracle(*mutant, config_.oracle, &scratch);
     stats_.oracle_execs += r.executions;
     if (!r.valid) {
       ++stats_.invalid;
@@ -275,10 +262,6 @@ FarmStats Farm::run() {
       global_cov.merge(scratch);
       SeedCase admitted = *mutant;
       admitted.horizon = r.ref_cycles;
-      if (config_.use_forks && admitted.fork_cycle == 0 &&
-          r.ref_cycles > 400) {
-        admitted.fork_cycle = r.ref_cycles / 2;
-      }
       if (admitted.note.empty()) {
         admitted.note = "coverage: " + mutator.lastOperator();
       }
@@ -290,8 +273,6 @@ FarmStats Farm::run() {
 
   stats_.corpus_entries = corpus.size();
   stats_.coverage_bits = global_cov.bitsSet();
-  stats_.fork_hits = cache.hits();
-  stats_.fork_misses = cache.misses();
   stats_.elapsed_millis = nowMillis() - t0;
   stats_.execs_per_sec =
       stats_.elapsed_millis > 0
@@ -310,8 +291,6 @@ void Farm::publishMetrics(obs::MetricsRegistry& reg,
   reg.setCounter(prefix + "corpus_adds", stats_.corpus_adds);
   reg.setCounter(prefix + "findings", stats_.findings);
   reg.setCounter(prefix + "coverage_bits", stats_.coverage_bits);
-  reg.setCounter(prefix + "fork_hits", stats_.fork_hits);
-  reg.setCounter(prefix + "fork_misses", stats_.fork_misses);
   reg.setCounter(prefix + "minimize_trials", stats_.minimize_trials);
   reg.setCounter(prefix + "elapsed_millis", stats_.elapsed_millis);
   reg.setGauge(prefix + "execs_per_sec", stats_.execs_per_sec);

@@ -12,11 +12,8 @@
 //   * admit it into the corpus when it lights edge-coverage map bits
 //     (core/coverage.h) the campaign has never seen.
 //
-// Snapshot forking makes mutated-state candidates cheap: corpus entries
-// get a fork cycle stamped at half their measured clean-run length, and
-// the oracle then restores a warmed snapshot per board configuration
-// instead of replaying from reset (bench/bench_fuzz_throughput.cpp
-// measures the speedup; BENCH_fuzz_throughput.json asserts it).
+// Corpus entries get their measured clean-run length stamped as the
+// mutation horizon, so state mutations land inside the run.
 //
 // Determinism: one (corpus, seed, budget) triple always walks the same
 // candidate sequence — wall-clock budgets only cut the walk short, they
@@ -49,8 +46,6 @@ struct FarmConfig {
   uint64_t max_millis = 0;
   /// Stop after this many findings (each costs a minimization pass).
   uint64_t max_findings = 8;
-  /// Stamp fork cycles onto corpus entries and fork warmed snapshots.
-  bool use_forks = true;
   /// Minimize findings before writing them.
   bool minimize = true;
   /// Oracle runs the minimizer may spend per finding.
@@ -66,6 +61,8 @@ struct FarmStats {
   uint64_t corpus_adds = 0;    ///< coverage-admitted mutants
   uint64_t findings = 0;
   uint64_t coverage_bits = 0;  ///< distinct edge-map bits lit
+  /// Always 0: candidates replay from reset. Kept for bench/e2e, which
+  /// still reads them.
   uint64_t fork_hits = 0;
   uint64_t fork_misses = 0;
   uint64_t minimize_trials = 0;
@@ -81,9 +78,9 @@ struct FarmStats {
 /// chunks (halving chunk sizes down to single lines; label and
 /// directive lines are never removed), re-running the oracle after each
 /// reduction and keeping it only when the case still fails with the
-/// same mismatch signature as the original finding. Consumes at most
-/// `budget` oracle runs; `trials` (optional) returns how many were
-/// spent.
+/// same mismatch signature as the original finding, and finally clears
+/// the horizon. Consumes at most `budget` oracle runs; `trials`
+/// (optional) returns how many were spent.
 SeedCase minimizeCase(const SeedCase& failing, const OracleOptions& opts,
                       unsigned budget, uint64_t* trials = nullptr);
 

@@ -283,12 +283,11 @@ bool Mutator::reshapeSharedTraffic(Lines& lines) {
 std::string Mutator::makeFault(const SeedCase& c) {
   const size_t cores = std::min(c.programs.size(), config_.max_cores);
   const size_t core = pick(static_cast<uint32_t>(cores));
-  // Land inside the warmed run: at or after the fork point, within the
-  // case's estimated horizon (plus slack for short cases).
-  const uint64_t lo = c.fork_cycle;
-  const uint64_t span =
-      c.horizon > lo + 100 ? c.horizon - lo : 200;
-  const uint64_t cycle = lo + pick(static_cast<uint32_t>(span));
+  // Land inside the case's estimated clean run (plus slack for short
+  // cases). The draw stays 64-bit, so a horizon of 2^32 or more cannot
+  // narrow the span to 0.
+  const uint64_t span = c.horizon > 100 ? c.horizon : 200;
+  const uint64_t cycle = rng_() % span;
   const uint32_t mask = 1u << pick(32);
   switch (pick(4)) {
     case 0:

@@ -7,7 +7,7 @@
 // mutation and mutants keep terminating. State operators edit the
 // fault-spec list instead: they mutate mid-run architectural state
 // (registers, memory words, pending bus-error IRQs) through the fi::
-// grammar, applied after the snapshot fork.
+// grammar, at cycles inside the case's horizon.
 //
 // Every product is validated before it leaves mutate(): each changed
 // program must assemble (trc::assemble inside a catch) and each fault

@@ -6,13 +6,11 @@
 
 #include "arch/arch.h"
 #include "common/error.h"
-#include "common/serial.h"
 #include "fi/fi.h"
 #include "iss/iss.h"
 #include "platform/platform.h"
 #include "rtlsim/rtlsim.h"
 #include "snap/observe.h"
-#include "snap/snapshot.h"
 #include "workloads/workloads.h"
 #include "xlat/translator.h"
 
@@ -27,25 +25,10 @@ constexpr snap::GridPoint kRef{xlat::DetailLevel::kICache, true};
 /// VLIW-cycle budget for translated-platform runs.
 constexpr uint64_t kMaxVliwCycles = 80'000'000;
 
-std::string forkKey(const SeedCase& c, const snap::GridPoint& point) {
-  static constexpr uint8_t kSeparator = '|';
-  uint64_t h = serial::kFnvOffset;
-  for (const std::string& p : c.programs) {
-    h = serial::fnv1a(reinterpret_cast<const uint8_t*>(p.data()), p.size(),
-                      h);
-    h = serial::fnv1a(&kSeparator, 1, h);
-  }
-  std::ostringstream key;
-  key << std::hex << h << std::dec << "-q" << c.quantum << "-f"
-      << c.fork_cycle << "-l" << static_cast<int>(point.level) << "-e"
-      << (point.threaded ? 1 : 0);
-  return key.str();
-}
-
 snap::Observation runBoard(const arch::ArchDescription& desc,
                            const workloads::BoardImages& images,
                            const SeedCase& c, const OracleOptions& opts,
-                           const snap::GridPoint& p, SnapshotCache* cache,
+                           const snap::GridPoint& p,
                            core::EdgeCoverage* coverage) {
   platform::BoardConfig base;
   // Aggressive formation so short fuzz programs exercise traces and
@@ -56,26 +39,6 @@ snap::Observation runBoard(const arch::ArchDescription& desc,
   base.quantum = c.quantum;
   platform::ReferenceBoard board(desc, images.ptrs(),
                                  snap::boardConfigFor(p, base));
-
-  // Snapshot fork: warm to the fork cycle once per (programs, config),
-  // restore everywhere else. Faults arm at the fork in both paths, so
-  // warm and cold runs are bit-identical (snap:: contract; pinned by
-  // tests/fuzz_test.cpp SnapshotForkMatchesColdRun).
-  if (c.fork_cycle > 0) {
-    const std::string key = forkKey(c, p);
-    const std::vector<uint8_t>* snap_data =
-        cache != nullptr ? cache->find(key) : nullptr;
-    if (snap_data != nullptr) {
-      snap::restore(board, *snap_data);
-      cache->countHit();
-    } else {
-      board.runTo(c.fork_cycle);
-      if (cache != nullptr) {
-        cache->put(key, snap::save(board));
-        cache->countMiss();
-      }
-    }
-  }
 
   fi::Campaign campaign;
   for (const std::string& f : c.faults) {
@@ -103,26 +66,8 @@ bool allHalted(const snap::Observation& o) {
 
 }  // namespace
 
-const std::vector<uint8_t>* SnapshotCache::find(
-    const std::string& key) const {
-  const auto it = map_.find(key);
-  return it == map_.end() ? nullptr : &it->second;
-}
-
-void SnapshotCache::put(const std::string& key, std::vector<uint8_t> data) {
-  if (map_.count(key) != 0) {
-    return;
-  }
-  while (map_.size() >= capacity_ && !order_.empty()) {
-    map_.erase(order_.front());
-    order_.pop_front();
-  }
-  order_.push_back(key);
-  map_.emplace(key, std::move(data));
-}
-
 OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
-                       SnapshotCache* cache, core::EdgeCoverage* coverage) {
+                       core::EdgeCoverage* coverage) {
   OracleResult result;
   const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
 
@@ -137,7 +82,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
   // ---- reference configuration: validity gate + coverage feedback ----
   snap::Observation ref;
   try {
-    ref = runBoard(desc, *images, c, opts, kRef, cache, coverage);
+    ref = runBoard(desc, *images, c, opts, kRef, coverage);
     ++result.executions;
   } catch (const Error& e) {
     result.mismatch = std::string("reference run failed: ") + e.what();
@@ -170,7 +115,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
           continue;  // already ran as the reference
         }
         snap::Observation got =
-            runBoard(desc, *images, c, opts, p, cache, nullptr);
+            runBoard(desc, *images, c, opts, p, nullptr);
         ++result.executions;
         if (!have_leader) {
           leader = std::move(got);
@@ -198,9 +143,9 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
 
     // ---- three-way extras: rtlsim + translated platform --------------
     // Only single-program cases without shared traffic or faults: the
-    // RT model has no bus, the translated platform replays no fi::
-    // campaigns, and both replay from reset.
-    if (opts.three_way && c.programs.size() == 1 && c.faults.empty() &&
+    // RT model has no bus and the translated platform replays no fi::
+    // campaigns.
+    if (c.programs.size() == 1 && c.faults.empty() &&
         !c.hasSharedTraffic()) {
       const elf::Object& obj = images->image(0);
       iss::IssConfig ref_cfg;

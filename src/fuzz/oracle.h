@@ -24,24 +24,15 @@
 //     level, exact generated-cycle agreement at icache, exact-minus-
 //     cache-penalty at branch-predict.
 //
-// Snapshot forking: cases with fork_cycle > 0 warm each grid board to
-// the fork once per (programs, config) and every later run restores
-// that snapshot instead of replaying from reset; fault campaigns arm at
-// the fork in both the warm and the cold path, so fork and cold runs
-// are bit-identical by the snap:: contract. The candidate's mutated
-// state (fi:: specs) applies on top of the restored board.
-//
-// The reference configuration (icache level, threaded) runs
-// first and gates validity: a candidate that does not halt there within
-// the instruction budget is discarded as invalid, never reported.
+// Every board boots from reset, with the candidate's fi:: faults armed
+// before its first cycle. The reference configuration (icache level,
+// threaded) runs first and gates validity: a candidate that does not
+// halt there within the instruction budget is discarded as invalid,
+// never reported.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "core/coverage.h"
 #include "fuzz/corpus.h"
@@ -58,9 +49,6 @@ struct OracleOptions {
   /// reference configuration marks the candidate invalid (mutants that
   /// spin are discarded, not reported).
   uint64_t max_instructions = 2'000'000;
-  /// Skip the rtlsim/translator legs entirely (used by grid-only unit
-  /// tests; the farm keeps them on).
-  bool three_way = true;
 };
 
 struct OracleResult {
@@ -80,33 +68,9 @@ struct OracleResult {
   uint64_t ref_cycles = 0;
 };
 
-/// Bounded warm-snapshot store keyed by (programs, board config, fork
-/// cycle). Shared across candidates so state-only mutants of one corpus
-/// entry restore instead of re-warming.
-class SnapshotCache {
- public:
-  explicit SnapshotCache(size_t capacity = 128) : capacity_(capacity) {}
-
-  [[nodiscard]] const std::vector<uint8_t>* find(const std::string& key) const;
-  void put(const std::string& key, std::vector<uint8_t> data);
-
-  [[nodiscard]] uint64_t hits() const { return hits_; }
-  [[nodiscard]] uint64_t misses() const { return misses_; }
-  void countHit() { ++hits_; }
-  void countMiss() { ++misses_; }
-
- private:
-  size_t capacity_;
-  std::unordered_map<std::string, std::vector<uint8_t>> map_;
-  std::deque<std::string> order_;  // FIFO eviction
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-};
-
-/// Runs the full oracle. `cache` may be null (every fork warms cold);
-/// `coverage` may be null (no feedback collected) — when set, the
-/// reference configuration's runs record edges into it.
+/// Runs the full oracle. `coverage` may be null (no feedback collected)
+/// — when set, the reference configuration's run records edges into it.
 OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
-                       SnapshotCache* cache, core::EdgeCoverage* coverage);
+                       core::EdgeCoverage* coverage);
 
 }  // namespace cabt::fuzz

@@ -66,26 +66,4 @@ void saveFile(const platform::ReferenceBoard& board,
               const std::string& path);
 void restoreFile(platform::ReferenceBoard& board, const std::string& path);
 
-/// Snapshot-fork primitive: serialize a warmed-up board once, then stamp
-/// the bytes into any number of identically configured cold boards.
-/// This is the fleet driver's fan-out path (src/fleet): warm one
-/// prototype past reset/init, fork it into K boards, diverge each
-/// (inject faults, poke inputs, raise IRQs) and run the K scenarios —
-/// paying the warm-up once instead of K times. `into` is const and the
-/// serialized bytes are immutable, so forking from many host threads
-/// concurrently is safe.
-class Fork {
- public:
-  explicit Fork(const platform::ReferenceBoard& warm) : bytes_(save(warm)) {}
-
-  /// Cold-restores the warm state into `board` (same construction-time
-  /// wiring required, as with restore()).
-  void into(platform::ReferenceBoard& board) const { restore(board, bytes_); }
-
-  [[nodiscard]] const std::vector<uint8_t>& bytes() const { return bytes_; }
-
- private:
-  std::vector<uint8_t> bytes_;
-};
-
 }  // namespace cabt::snap

@@ -67,6 +67,16 @@ TEST(ArchXml, RejectsBadInput) {
                             "<region name='x' base='0x100000000' size='4' "
                             "kind='ram'/></memorymap></processor>"),
                Error);
+  // Cache geometries ICacheState cannot hold: more ways than its packed
+  // 32-bit LRU word has bytes, and a set count whose tag array would be
+  // sized by the input (2^31 sets ask for 16 GiB).
+  for (const char* cache : {"sets='64' ways='5'", "sets='64' ways='8'",
+                            "sets='2147483648' ways='2'"}) {
+    SCOPED_TRACE(cache);
+    EXPECT_THROW(parseArchXml(std::string("<processor><icache ") + cache +
+                              "/></processor>"),
+                 Error);
+  }
   MemoryMap map;
   EXPECT_THROW(map.addRegion({"wrap", 0xfffffff0u, 0x20, RegionKind::kRam,
                               0xfffffff0u}),

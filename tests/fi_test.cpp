@@ -10,7 +10,8 @@
 //     FI-off run, on both ISS engines (step() and threaded).
 //   * Engine equivalence under fire: a firing fault lands at the same
 //     block-boundary epoch on both engines, so the post-fault timeline
-//     is bit-identical everywhere.
+//     is bit-identical everywhere; a campaign armed on a board restored
+//     mid-run fires like one armed at reset.
 //   * Guest-visible consequences: bus-error windows raise the precise
 //     bus-error interrupt at block boundaries; stall windows make a
 //     device's reads return 0 and drop its writes; the watchdog
@@ -27,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -276,6 +278,84 @@ TEST(FaultEquivalence, RegisterAndMemoryFlipsMatchAcrossEngines) {
       EXPECT_EQ(snap::firstMismatch(want, got), "");
     }
   }
+}
+
+/// A long-running loop: it runs long enough that a restore point at its
+/// midpoint leaves room for faults after it.
+std::string longProgram(int iterations) {
+  std::string p;
+  p += "_start: movha a0, hi(buf)\n";
+  p += "        lea a0, a0, lo(buf)\n";
+  p += "        movi d0, 3\n";
+  p += "        movi d1, 5\n";
+  p += "        movi d10, " + std::to_string(iterations) + "\n";
+  p += "l0:\n";
+  p += "        add d0, d0, d1\n";
+  p += "        mul d1, d0, d0\n";
+  p += "        stw d0, [a0]16\n";
+  p += "        ldw d2, [a0]16\n";
+  p += "        xor d1, d1, d2\n";
+  p += "        addi16 d10, -1\n";
+  p += "        jnz16 d10, l0\n";
+  p += "        add d9, d9, d0\n";
+  p += "        add d9, d9, d1\n";
+  p += "        halt\n";
+  p += "        .bss\nbuf:    .space 256\n";
+  return p;
+}
+
+// A campaign armed on a board restored from a mid-run snapshot fires
+// exactly like the same campaign armed at reset: four divergent register
+// flips after the restore point each end at the cold run's digest.
+TEST(FaultEquivalence, ArmedAfterRestoreMatchesArmedAtReset) {
+  const auto images = workloads::BoardImages::assembled({longProgram(600)});
+  // An icache-level threaded board with aggressive trace and
+  // threaded-code formation, as the fuzz oracle runs it.
+  platform::BoardConfig base;
+  base.iss.trace_threshold = 2;
+  base.iss.threaded_threshold = 2;
+  base.iss.max_instructions = 2'000'000;
+  base.quantum = 256;
+  const snap::GridPoint point{xlat::DetailLevel::kICache, true};
+
+  // Clean-run length, then run one board to the midpoint and save it.
+  uint64_t total = 0;
+  {
+    const auto ref = snap::makeBoard(images, point, base);
+    ASSERT_EQ(ref->run(), iss::StopReason::kHalted);
+    total = ref->board().bus.socCycle();
+  }
+  ASSERT_GT(total, 400u);
+  const uint64_t mid = total / 2;
+  const auto warm = snap::makeBoard(images, point, base);
+  warm->runTo(mid);
+  const std::vector<uint8_t> snapshot = snap::save(*warm);
+
+  std::set<uint64_t> final_digests;
+  for (int n = 0; n < 4; ++n) {
+    SCOPED_TRACE("flip " + std::to_string(n));
+    const std::string spec = "dreg@" + std::to_string(mid + 100) +
+                             ":core=0,index=" + std::to_string(n) +
+                             ",mask=" + std::to_string(1u << (n + 1));
+    // Restored run: restore the snapshot, arm, finish.
+    const auto restored = snap::makeBoard(images, point, base);
+    snap::restore(*restored, snapshot);
+    fi::Campaign rc;
+    rc.add(fi::parseFaultSpec(spec));
+    rc.arm(*restored);
+    restored->run();
+    // Cold run: the same fault armed at reset.
+    const auto cold = snap::makeBoard(images, point, base);
+    fi::Campaign cc;
+    cc.add(fi::parseFaultSpec(spec));
+    cc.arm(*cold);
+    cold->run();
+    EXPECT_EQ(rc.firedCount(), cc.firedCount());
+    EXPECT_EQ(snap::digest(*restored), snap::digest(*cold));
+    final_digests.insert(snap::digest(*restored));
+  }
+  // The four register flips really diverged from one another.
+  EXPECT_GT(final_digests.size(), 1u);
 }
 
 // ---- guest-visible consequences ---------------------------------------

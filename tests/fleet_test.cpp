@@ -5,10 +5,8 @@
 // bit-identical to running the same M boards one after another — the
 // same snap::Observation per board, digest and bus transaction log
 // included; (2) the whole fleet shares one program artifact per
-// distinct image (one decode, M-1 cache hits), even under batch
-// activation; (3) snapshot-forked fleets start bit-identical to the
-// warm prototype and only diverge where the scenario hook diverges
-// them.
+// distinct image (one decode, M-1 cache hits), even when each board is
+// destroyed before the next one is built.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -17,7 +15,6 @@
 #include "fleet/fleet.h"
 #include "platform/platform.h"
 #include "snap/observe.h"
-#include "snap/snapshot.h"
 #include "workloads/workloads.h"
 
 namespace cabt {
@@ -73,17 +70,17 @@ TEST(Fleet, ConcurrentBoardsMatchSequentialRuns) {
   }
 }
 
-// Batch activation bounds how many boards are live at once, yet the
-// whole fleet still pays exactly one decode per distinct image: the
-// driver pins the shared artifacts for the duration of the run, so a
-// wave boundary cannot expire them.
-TEST(Fleet, BatchedFleetDecodesEachImageOnce) {
+// The whole fleet pays exactly one decode per distinct image, even on
+// one host thread, where each board is destroyed before the next one is
+// built: the driver pins the shared artifacts for the duration of the
+// run, so a board's teardown cannot expire them.
+TEST(Fleet, FleetDecodesEachImageOnce) {
   const auto images = workloads::BoardImages::family(1);
   constexpr size_t kBoards = 6;
 
   core::ProgramArtifactCache::instance().clear();
   fleet::FleetConfig cfg = fleetConfig(images, kBoards);
-  cfg.batch = 2;  // three activation waves
+  cfg.host_threads = 1;  // boards run one after another
   fleet::Driver driver(cfg);
   const fleet::FleetResult result = driver.run(images.ptrs());
 
@@ -91,65 +88,6 @@ TEST(Fleet, BatchedFleetDecodesEachImageOnce) {
   EXPECT_EQ(result.artifact.decodes, 1u);
   // The pin plus every board's core resolve to the same live artifact.
   EXPECT_GE(result.artifact.hits, kBoards);
-}
-
-// Snapshot-forked fleet, no divergence hook: every fork resumes from
-// the warm prototype's state and finishes bit-identical to a board that
-// simply ran the whole way through.
-TEST(Fleet, UndivergedForksMatchStraightRun) {
-  const auto images = workloads::BoardImages::family(1);
-  constexpr size_t kForks = 3;
-
-  platform::ReferenceBoard straight(arch::ArchDescription::defaultTc10gp(),
-                                    images.ptrs(), boardConfig(images));
-  straight.run();
-  const uint64_t straight_digest = snap::digest(straight);
-
-  fleet::Driver driver(fleetConfig(images, kForks));
-  const fleet::FleetResult result =
-      driver.runForked(images.ptrs(), 512, nullptr);
-
-  ASSERT_EQ(result.boards.size(), kForks);
-  for (size_t i = 0; i < kForks; ++i) {
-    EXPECT_EQ(result.boards[i].digest, straight_digest)
-        << "fork " << i << " diverged from the straight run";
-  }
-}
-
-// With a divergence hook, each fork becomes a distinct scenario: the
-// per-fork state poke lands in the digest, so all forks differ from the
-// undiverged run and from each other, deterministically run-to-run.
-TEST(Fleet, DivergedForksDifferDeterministically) {
-  const auto images = workloads::BoardImages::family(1);
-  constexpr size_t kForks = 3;
-  constexpr sim::Cycle kWarm = 512;
-
-  const auto diverge = [](size_t index, platform::ReferenceBoard& board) {
-    // A nonzero poke into an otherwise untouched page: architectural
-    // state, so it must show up in the digest.
-    board.core(0).memory().write(
-        0x000F'F000u, 0xD1000000u + static_cast<uint32_t>(index + 1), 4);
-  };
-
-  fleet::Driver driver(fleetConfig(images, kForks));
-  const fleet::FleetResult first =
-      driver.runForked(images.ptrs(), kWarm, diverge);
-  const fleet::FleetResult second =
-      driver.runForked(images.ptrs(), kWarm, diverge);
-  const fleet::FleetResult baseline =
-      driver.runForked(images.ptrs(), kWarm, nullptr);
-
-  ASSERT_EQ(first.boards.size(), kForks);
-  for (size_t i = 0; i < kForks; ++i) {
-    EXPECT_NE(first.boards[i].digest, baseline.boards[i].digest)
-        << "fork " << i << " ignored the divergence hook";
-    EXPECT_EQ(first.boards[i].digest, second.boards[i].digest)
-        << "fork " << i << " is not reproducible";
-    for (size_t j = i + 1; j < kForks; ++j) {
-      EXPECT_NE(first.boards[i].digest, first.boards[j].digest)
-          << "forks " << i << " and " << j << " collided";
-    }
-  }
 }
 
 // The artifact cache itself: same image + config shares, different

@@ -65,7 +65,7 @@ TEST(Seeds, CheckedInSeedsReplayClean) {
     SCOPED_TRACE(path);
     const fuzz::SeedCase c = fuzz::loadSeedFile(path);
     const fuzz::OracleResult r =
-        fuzz::runOracle(c, fuzz::OracleOptions{}, nullptr, nullptr);
+        fuzz::runOracle(c, fuzz::OracleOptions{}, nullptr);
     EXPECT_TRUE(r.valid) << r.mismatch;
     EXPECT_TRUE(r.ok) << r.mismatch;
   }
@@ -79,11 +79,11 @@ TEST(Seeds, SkewFindingStaysRedUnderPlantedBug) {
   fuzz::OracleOptions skew;
   skew.xlat_skew = true;
   const fuzz::OracleResult bad =
-      fuzz::runOracle(c, skew, nullptr, nullptr);
+      fuzz::runOracle(c, skew, nullptr);
   EXPECT_TRUE(bad.valid) << bad.mismatch;
   EXPECT_FALSE(bad.ok) << "planted translator bug went undetected";
   const fuzz::OracleResult good =
-      fuzz::runOracle(c, fuzz::OracleOptions{}, nullptr, nullptr);
+      fuzz::runOracle(c, fuzz::OracleOptions{}, nullptr);
   EXPECT_TRUE(good.valid) << good.mismatch;
   EXPECT_TRUE(good.ok) << good.mismatch;
 }
@@ -128,11 +128,11 @@ TEST(Farm, FindsMinimizesAndReplaysPlantedSkew) {
   fuzz::OracleOptions skew;
   skew.xlat_skew = true;
   const fuzz::OracleResult bad =
-      fuzz::runOracle(minimized, skew, nullptr, nullptr);
+      fuzz::runOracle(minimized, skew, nullptr);
   EXPECT_TRUE(bad.valid) << bad.mismatch;
   EXPECT_FALSE(bad.ok);
   const fuzz::OracleResult good =
-      fuzz::runOracle(minimized, fuzz::OracleOptions{}, nullptr, nullptr);
+      fuzz::runOracle(minimized, fuzz::OracleOptions{}, nullptr);
   EXPECT_TRUE(good.valid) << good.mismatch;
   EXPECT_TRUE(good.ok) << good.mismatch;
 

@@ -8,16 +8,14 @@
 //      (the obs_test idiom — coverage is an observer, never a
 //      participant).
 //   3. The mutator is deterministic per seed and every product
-//      assembles and parses; the control-flow skeleton survives.
+//      assembles and parses; the control-flow skeleton survives, and
+//      fault cycles stay below the case's horizon.
 //   4. Seed cases round-trip through the on-disk format; malformed
 //      files are rejected with a diagnosis, not accepted quietly.
 //   5. The oracle passes a clean generated case and catches the planted
 //      translator skew (debug_skew_static_cycles) — the acceptance
-//      drill — and the snapshot cache actually serves forked runs.
-//   6. Snapshot-forked runs with divergent register mutations are
-//      bit-identical to cold runs applying the same mutation at the
-//      same cycle (the fork determinism contract).
-//   7. The minimizer only ever returns still-failing, no-larger cases.
+//      drill.
+//   6. The minimizer only ever returns still-failing, no-larger cases.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -37,7 +35,6 @@
 #include "fuzz/program_gen.h"
 #include "platform/platform.h"
 #include "snap/observe.h"
-#include "snap/snapshot.h"
 #include "trc/assembler.h"
 #include "workloads/workloads.h"
 
@@ -219,19 +216,41 @@ TEST(Mutator, PreservesControlFlowSkeleton) {
   }
 }
 
+// Fault cycles are drawn below the case's horizon in 64 bits: a horizon
+// of 2^32 or more must neither narrow the span to zero (a division by
+// zero) nor wrap the cycle.
+TEST(Mutator, FaultCyclesStayBelowWideHorizons) {
+  for (const uint64_t horizon : {uint64_t{1} << 32, uint64_t{1} << 40}) {
+    SCOPED_TRACE(horizon);
+    fuzz::SeedCase base = makeCase(testSeed() + 34, 1, false);
+    base.horizon = horizon;
+    fuzz::Mutator mutator(5);
+    size_t faults = 0;
+    for (int i = 0; i < 200 && faults == 0; ++i) {
+      const std::optional<fuzz::SeedCase> m = mutator.mutate(base);
+      if (!m.has_value()) {
+        continue;
+      }
+      for (const std::string& f : m->faults) {
+        EXPECT_LT(fi::parseFaultSpec(f).cycle, horizon) << f;
+        ++faults;
+      }
+    }
+    EXPECT_GT(faults, 0u);
+  }
+}
+
 // ---- 4. corpus format -------------------------------------------------
 
 TEST(Corpus, SeedRoundTrips) {
   fuzz::SeedCase c = makeCase(testSeed() + 41, 2, true);
   c.quantum = 512;
-  c.fork_cycle = 1234;
   c.horizon = 9999;
   c.faults = {"dreg@2000:core=1,index=3,mask=16"};
   c.note = "round trip";
   const fuzz::SeedCase back = fuzz::parseSeed(fuzz::serializeSeed(c));
   EXPECT_EQ(back.programs, c.programs);
   EXPECT_EQ(back.quantum, c.quantum);
-  EXPECT_EQ(back.fork_cycle, c.fork_cycle);
   EXPECT_EQ(back.horizon, c.horizon);
   EXPECT_EQ(back.faults, c.faults);
   EXPECT_EQ(back.note, c.note);
@@ -239,12 +258,20 @@ TEST(Corpus, SeedRoundTrips) {
 
 TEST(Corpus, RejectsMalformedSeeds) {
   EXPECT_THROW((void)fuzz::parseSeed("not a seed\n"), Error);
-  EXPECT_THROW((void)fuzz::parseSeed("cabt-fuzz-seed v1\nbogus 1\n"), Error);
+  EXPECT_THROW((void)fuzz::parseSeed("cabt-fuzz-seed v2\nbogus 1\n"), Error);
   EXPECT_THROW(
-      (void)fuzz::parseSeed("cabt-fuzz-seed v1\nprogram\nhalt\n"),
+      (void)fuzz::parseSeed("cabt-fuzz-seed v2\nprogram\nhalt\n"),
       Error);  // unterminated program
-  EXPECT_THROW((void)fuzz::parseSeed("cabt-fuzz-seed v1\nquantum 4\n"),
+  EXPECT_THROW((void)fuzz::parseSeed("cabt-fuzz-seed v2\nquantum 4\n"),
                Error);  // no programs
+  // A v1 file fails on its magic line, and v1's `fork` key is unknown in
+  // v2.
+  EXPECT_THROW((void)fuzz::parseSeed(
+                   "cabt-fuzz-seed v1\nquantum 4\nprogram\nhalt\n%%\n"),
+               Error);
+  EXPECT_THROW((void)fuzz::parseSeed(
+                   "cabt-fuzz-seed v2\nfork 0\nprogram\nhalt\n%%\n"),
+               Error);
 }
 
 TEST(Corpus, DirectoryScanAndAdd) {
@@ -263,36 +290,12 @@ TEST(Corpus, DirectoryScanAndAdd) {
   EXPECT_EQ(rescan.paths(), corpus.paths());
 }
 
-/// A long-running loop for the fork tests: generator programs halt in a
-/// few hundred cycles, too short for a meaningful fork point.
-std::string longProgram(int iterations) {
-  std::string p;
-  p += "_start: movha a0, hi(buf)\n";
-  p += "        lea a0, a0, lo(buf)\n";
-  p += "        movi d0, 3\n";
-  p += "        movi d1, 5\n";
-  p += "        movi d10, " + std::to_string(iterations) + "\n";
-  p += "l0:\n";
-  p += "        add d0, d0, d1\n";
-  p += "        mul d1, d0, d0\n";
-  p += "        stw d0, [a0]16\n";
-  p += "        ldw d2, [a0]16\n";
-  p += "        xor d1, d1, d2\n";
-  p += "        addi16 d10, -1\n";
-  p += "        jnz16 d10, l0\n";
-  p += "        add d9, d9, d0\n";
-  p += "        add d9, d9, d1\n";
-  p += "        halt\n";
-  p += "        .bss\nbuf:    .space 256\n";
-  return p;
-}
-
 // ---- 5. oracle --------------------------------------------------------
 
 TEST(Oracle, CleanGeneratedCasePassesThreeWay) {
   fuzz::SeedCase c = makeCase(testSeed() + 51, 1, false);
   fuzz::OracleOptions opts;
-  const fuzz::OracleResult r = fuzz::runOracle(c, opts, nullptr, nullptr);
+  const fuzz::OracleResult r = fuzz::runOracle(c, opts, nullptr);
   EXPECT_TRUE(r.valid);
   EXPECT_TRUE(r.ok) << r.mismatch;
   EXPECT_GT(r.ref_cycles, 0u);
@@ -307,7 +310,7 @@ TEST(Oracle, FaultOnAMissingCoreIsInvalid) {
   fuzz::SeedCase c = makeCase(testSeed() + 51, 1, false);
   c.faults.push_back("dreg@10:core=3,index=1,mask=1");
   const fuzz::OracleResult r =
-      fuzz::runOracle(c, fuzz::OracleOptions{}, nullptr, nullptr);
+      fuzz::runOracle(c, fuzz::OracleOptions{}, nullptr);
   EXPECT_FALSE(r.valid);
   EXPECT_NE(r.mismatch.find("reference run failed"), std::string::npos)
       << r.mismatch;
@@ -317,7 +320,7 @@ TEST(Oracle, CatchesPlantedTranslatorSkew) {
   fuzz::SeedCase c = makeCase(testSeed() + 51, 1, false);
   fuzz::OracleOptions opts;
   opts.xlat_skew = true;
-  const fuzz::OracleResult r = fuzz::runOracle(c, opts, nullptr, nullptr);
+  const fuzz::OracleResult r = fuzz::runOracle(c, opts, nullptr);
   EXPECT_TRUE(r.valid);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.mismatch.find("translated platform"), std::string::npos)
@@ -327,92 +330,19 @@ TEST(Oracle, CatchesPlantedTranslatorSkew) {
 TEST(Oracle, MultiCoreSharedCasePassesGrid) {
   fuzz::SeedCase c = makeCase(testSeed() + 52, 2, true);
   fuzz::OracleOptions opts;
-  const fuzz::OracleResult r = fuzz::runOracle(c, opts, nullptr, nullptr);
+  const fuzz::OracleResult r = fuzz::runOracle(c, opts, nullptr);
   EXPECT_TRUE(r.valid);
   EXPECT_TRUE(r.ok) << r.mismatch;
 }
 
-TEST(Oracle, SnapshotCacheServesForkedRuns) {
-  fuzz::SeedCase c;
-  c.programs.push_back(longProgram(800));
-  fuzz::OracleOptions opts;
-  opts.three_way = false;
-  const fuzz::OracleResult probe =
-      fuzz::runOracle(c, opts, nullptr, nullptr);
-  ASSERT_TRUE(probe.valid && probe.ok) << probe.mismatch;
-  ASSERT_GT(probe.ref_cycles, 400u);
-  c.fork_cycle = probe.ref_cycles / 2;
-  c.horizon = probe.ref_cycles;
-  fuzz::SnapshotCache cache;
-  const fuzz::OracleResult first =
-      fuzz::runOracle(c, opts, &cache, nullptr);
-  EXPECT_TRUE(first.valid && first.ok) << first.mismatch;
-  EXPECT_GT(cache.misses(), 0u);  // every config warmed once
-  const uint64_t misses_after_first = cache.misses();
-  // A state-only mutant of the same programs restores, never re-warms.
-  c.faults = {"dreg@" + std::to_string(c.fork_cycle + 50) +
-              ":core=0,index=2,mask=4"};
-  const fuzz::OracleResult second =
-      fuzz::runOracle(c, opts, &cache, nullptr);
-  EXPECT_TRUE(second.valid) << second.mismatch;
-  EXPECT_TRUE(second.ok) << second.mismatch;
-  EXPECT_EQ(cache.misses(), misses_after_first);
-  EXPECT_GT(cache.hits(), 0u);
-}
-
-// ---- 6. snapshot-fork vs cold bit-identity ---------------------------
-
-TEST(SnapshotFork, ForksMatchColdRunsUnderDivergentMutations) {
-  const auto images = workloads::BoardImages::assembled({longProgram(600)});
-
-  // Clean-run length, then warm one board to the midpoint and snapshot.
-  uint64_t total = 0;
-  {
-    const auto ref = fuzzBoard(images, /*threaded=*/true);
-    ASSERT_EQ(ref->run(), iss::StopReason::kHalted);
-    total = ref->board().bus.socCycle();
-  }
-  ASSERT_GT(total, 400u);
-  const uint64_t fork = total / 2;
-  const auto warm = fuzzBoard(images, true);
-  warm->runTo(fork);
-  const std::vector<uint8_t> snapshot = snap::save(*warm);
-
-  std::set<uint64_t> final_digests;
-  for (int n = 0; n < 4; ++n) {
-    SCOPED_TRACE("fork " + std::to_string(n));
-    const std::string spec = "dreg@" + std::to_string(fork + 100) +
-                             ":core=0,index=" + std::to_string(n) +
-                             ",mask=" + std::to_string(1u << (n + 1));
-    // Forked run: restore the warmed snapshot, arm, finish.
-    const auto forked = fuzzBoard(images, true);
-    snap::restore(*forked, snapshot);
-    fi::Campaign fc;
-    fc.add(fi::parseFaultSpec(spec));
-    fc.arm(*forked);
-    forked->run();
-    // Cold run: same mutation armed from reset, same cycle.
-    const auto cold = fuzzBoard(images, true);
-    fi::Campaign cc;
-    cc.add(fi::parseFaultSpec(spec));
-    cc.arm(*cold);
-    cold->run();
-    EXPECT_EQ(fc.firedCount(), cc.firedCount());
-    EXPECT_EQ(snap::digest(*forked), snap::digest(*cold));
-    final_digests.insert(snap::digest(*forked));
-  }
-  // The four register mutations really diverged from one another.
-  EXPECT_GT(final_digests.size(), 1u);
-}
-
-// ---- 7. minimizer -----------------------------------------------------
+// ---- 6. minimizer -----------------------------------------------------
 
 TEST(Minimizer, ShrinksSkewFindingAndKeepsItFailing) {
   fuzz::SeedCase c = makeCase(testSeed() + 51, 1, false);
   fuzz::OracleOptions opts;
   opts.xlat_skew = true;
   const fuzz::OracleResult before =
-      fuzz::runOracle(c, opts, nullptr, nullptr);
+      fuzz::runOracle(c, opts, nullptr);
   ASSERT_TRUE(before.valid);
   ASSERT_FALSE(before.ok);
   uint64_t trials = 0;
@@ -421,13 +351,13 @@ TEST(Minimizer, ShrinksSkewFindingAndKeepsItFailing) {
   EXPECT_GT(trials, 0u);
   EXPECT_LE(trials, 40u);
   const fuzz::OracleResult after =
-      fuzz::runOracle(min, opts, nullptr, nullptr);
+      fuzz::runOracle(min, opts, nullptr);
   EXPECT_TRUE(after.valid);
   EXPECT_FALSE(after.ok);
   // And the minimized case is clean without the planted bug.
   fuzz::OracleOptions clean;
   const fuzz::OracleResult sane =
-      fuzz::runOracle(min, clean, nullptr, nullptr);
+      fuzz::runOracle(min, clean, nullptr);
   EXPECT_TRUE(sane.valid);
   EXPECT_TRUE(sane.ok) << sane.mismatch;
 }
