@@ -26,19 +26,22 @@
 // `replay` exits 0 when the oracle agrees, 1 on a mismatch — which is
 // how a checked-in finding seed stays red under --inject-skew and green
 // without it (tests/fuzz_regression_test.cpp automates this).
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/strutil.h"
 #include "fuzz/corpus.h"
 #include "fuzz/farm.h"
 #include "fuzz/oracle.h"
 #include "fuzz/program_gen.h"
 #include "obs/metrics.h"
+#include "soc/peripherals.h"
 
 namespace {
 
@@ -97,20 +100,23 @@ int main(int argc, char** argv) {
       } else if (arg.rfind("--metrics-out=", 0) == 0) {
         metrics_out = arg.substr(14);
       } else if (arg.rfind("--seed=", 0) == 0) {
-        seed = static_cast<uint32_t>(std::strtoul(arg.c_str() + 7, nullptr, 0));
+        seed = static_cast<uint32_t>(
+            parseUnsigned(arg.substr(7), "--seed", UINT32_MAX));
       } else if (arg.rfind("--max-execs=", 0) == 0) {
-        max_execs = std::strtoull(arg.c_str() + 12, nullptr, 0);
+        max_execs = parseUnsigned(arg.substr(12), "--max-execs");
       } else if (arg.rfind("--max-candidates=", 0) == 0) {
-        max_candidates = std::strtoull(arg.c_str() + 17, nullptr, 0);
+        max_candidates = parseUnsigned(arg.substr(17), "--max-candidates");
       } else if (arg.rfind("--max-seconds=", 0) == 0) {
-        max_seconds = std::strtoull(arg.c_str() + 14, nullptr, 0);
+        // Converted to milliseconds below, so capped to stay in range.
+        max_seconds =
+            parseUnsigned(arg.substr(14), "--max-seconds", UINT64_MAX / 1000);
       } else if (arg.rfind("--max-findings=", 0) == 0) {
-        max_findings = std::strtoull(arg.c_str() + 15, nullptr, 0);
+        max_findings = parseUnsigned(arg.substr(15), "--max-findings");
       } else if (arg.rfind("--budget=", 0) == 0) {
         budget = static_cast<unsigned>(
-            std::strtoul(arg.c_str() + 9, nullptr, 0));
+            parseUnsigned(arg.substr(9), "--budget", UINT_MAX));
       } else if (arg.rfind("--cores=", 0) == 0) {
-        cores = std::strtoull(arg.c_str() + 8, nullptr, 0);
+        cores = parseUnsigned(arg.substr(8), "--cores");
       } else if (arg == "--no-minimize") {
         no_minimize = true;
       } else if (arg == "--inject-skew") {
@@ -227,6 +233,7 @@ int main(int argc, char** argv) {
     }
 
     if (command == "gen") {
+      soc::checkCoreCount(cores, "--cores");
       fuzz::SeedCase c;
       for (size_t i = 0; i < (cores == 0 ? 1 : cores); ++i) {
         fuzz::ProgramGenerator gen(fuzz::GeneratorConfig{

@@ -31,6 +31,7 @@
 //   --metrics           print the metrics registry as text on stdout
 //   --metrics-out=FILE  write the metrics registry as JSON
 //   --cores=N           replicate a single-program scenario onto N cores
+//                       (N <= soc::StandardIoMap::kMaxCores, 8)
 // `profile` runs the guest sampling profiler: samples the PC every
 // --period guest cycles at block boundaries, attributes samples through
 // the image's symbol table, prints a per-core top-N table and writes
@@ -55,13 +56,13 @@
 // `trail <cycle> <digest>` line per checkpoint interval (when
 // --interval is given) and a final machine-parsable summary line.
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/strutil.h"
 #include "fi/fi.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -69,6 +70,7 @@
 #include "platform/platform.h"
 #include "snap/observe.h"
 #include "snap/snapshot.h"
+#include "soc/peripherals.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -121,6 +123,7 @@ struct Scenario {
 /// scenario onto that many cores.
 workloads::BoardImages scenarioImages(const std::string& name,
                                       size_t cores) {
+  soc::checkCoreCount(cores, "--cores");
   if (name == "irq_ticks" || name == "mc_worker") {
     return workloads::BoardImages::named(
         std::vector<std::string>(cores == 0 ? 1 : cores, name));
@@ -294,13 +297,13 @@ int main(int argc, char** argv) {
       if (arg.rfind("--level=", 0) == 0) {
         level = parseLevel(arg.substr(8));
       } else if (arg.rfind("--quantum=", 0) == 0) {
-        quantum = std::strtoull(arg.c_str() + 10, nullptr, 0);
+        quantum = parseUnsigned(arg.substr(10), "--quantum");
       } else if (arg.rfind("--interval=", 0) == 0) {
-        interval = std::strtoull(arg.c_str() + 11, nullptr, 0);
+        interval = parseUnsigned(arg.substr(11), "--interval");
       } else if (arg.rfind("--at=", 0) == 0) {
-        at = std::strtoull(arg.c_str() + 5, nullptr, 0);
+        at = parseUnsigned(arg.substr(5), "--at");
       } else if (arg.rfind("--to=", 0) == 0) {
-        to = std::strtoull(arg.c_str() + 5, nullptr, 0);
+        to = parseUnsigned(arg.substr(5), "--to");
       } else if (arg.rfind("--dispatch=", 0) == 0) {
         dispatch = arg.substr(11);
       } else if (arg.rfind("--in=", 0) == 0) {
@@ -308,11 +311,11 @@ int main(int argc, char** argv) {
       } else if (arg.rfind("--out=", 0) == 0) {
         out_path = arg.substr(6);
       } else if (arg.rfind("--cores=", 0) == 0) {
-        cores = std::strtoull(arg.c_str() + 8, nullptr, 0);
+        cores = parseUnsigned(arg.substr(8), "--cores");
       } else if (arg.rfind("--period=", 0) == 0) {
-        period = std::strtoull(arg.c_str() + 9, nullptr, 0);
+        period = parseUnsigned(arg.substr(9), "--period");
       } else if (arg.rfind("--top=", 0) == 0) {
-        top_n = std::strtoull(arg.c_str() + 6, nullptr, 0);
+        top_n = parseUnsigned(arg.substr(6), "--top");
       } else if (arg.rfind("--fold-out=", 0) == 0) {
         fold_out = arg.substr(11);
       } else if (arg.rfind("--trace-out=", 0) == 0) {

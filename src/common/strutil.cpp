@@ -50,6 +50,36 @@ std::vector<std::string_view> splitOperands(std::string_view s) {
   return out;
 }
 
+namespace {
+
+/// Strips a 0x (hex) or 0b (binary) prefix from `s`; returns the base.
+int takeBase(std::string_view& s) {
+  if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
+    s.remove_prefix(2);
+    return 16;
+  }
+  if (s.size() > 2 && s[0] == '0' && (s[1] == 'b' || s[1] == 'B')) {
+    s.remove_prefix(2);
+    return 2;
+  }
+  return 10;
+}
+
+/// The value of digit `c` in `base`, or -1 when it is not one.
+int digitValue(char c, int base) {
+  int digit = -1;
+  if (c >= '0' && c <= '9') {
+    digit = c - '0';
+  } else if (c >= 'a' && c <= 'f') {
+    digit = c - 'a' + 10;
+  } else if (c >= 'A' && c <= 'F') {
+    digit = c - 'A' + 10;
+  }
+  return digit < base ? digit : -1;
+}
+
+}  // namespace
+
 int64_t parseInt(std::string_view s) {
   s = trim(s);
   CABT_CHECK(!s.empty(), "empty integer literal");
@@ -59,33 +89,40 @@ int64_t parseInt(std::string_view s) {
     s.remove_prefix(1);
   }
   CABT_CHECK(!s.empty(), "sign with no digits");
-  int base = 10;
-  if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
-    base = 16;
-    s.remove_prefix(2);
-  } else if (s.size() > 2 && s[0] == '0' && (s[1] == 'b' || s[1] == 'B')) {
-    base = 2;
-    s.remove_prefix(2);
-  }
+  const int base = takeBase(s);
   uint64_t value = 0;
   for (char c : s) {
-    int digit = -1;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      digit = c - 'A' + 10;
-    } else if (c == '_') {
+    if (c == '_') {
       continue;  // digit group separator
     }
-    CABT_CHECK(digit >= 0 && digit < base, "bad digit '" << c
-                                                         << "' in integer");
+    const int digit = digitValue(c, base);
+    CABT_CHECK(digit >= 0, "bad digit '" << c << "' in integer");
     value = value * static_cast<uint64_t>(base) + static_cast<uint64_t>(digit);
     CABT_CHECK(value <= (uint64_t{1} << 32), "integer literal out of range");
   }
   const int64_t v = static_cast<int64_t>(value);
   return neg ? -v : v;
+}
+
+uint64_t parseUnsigned(std::string_view s, std::string_view what,
+                       uint64_t max) {
+  const std::string_view literal = s;
+  const int base = takeBase(s);
+  CABT_CHECK(!s.empty(), what << ": '" << literal
+                              << "' is not a non-negative integer");
+  uint64_t value = 0;
+  for (const char c : s) {
+    const int digit = digitValue(c, base);
+    CABT_CHECK(digit >= 0, what << ": '" << literal
+                                << "' is not a non-negative integer");
+    const auto d = static_cast<uint64_t>(digit);
+    const auto b = static_cast<uint64_t>(base);
+    CABT_CHECK(d <= max && value <= (max - d) / b,
+               what << ": " << literal << " is out of range (at most " << max
+                    << ")");
+    value = value * b + d;
+  }
+  return value;
 }
 
 bool isIdentifier(std::string_view s) {

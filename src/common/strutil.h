@@ -22,6 +22,13 @@ std::vector<std::string_view> splitOperands(std::string_view s);
 /// optional leading '-'. Throws cabt::Error on malformed input.
 int64_t parseInt(std::string_view s);
 
+/// Parses a non-negative integer (a command-line value): decimal, 0x hex
+/// or 0b binary digits making up the whole of `s`, at most `max`. Throws
+/// cabt::Error naming `what` on a sign, stray characters, an empty
+/// string or a value past `max`.
+uint64_t parseUnsigned(std::string_view s, std::string_view what,
+                       uint64_t max = UINT64_MAX);
+
 /// True when `s` is a valid identifier ([A-Za-z_][A-Za-z0-9_.]*).
 bool isIdentifier(std::string_view s);
 

@@ -16,7 +16,8 @@
 //     from the static instruction addresses).
 // The BlockCache is now the *per-core overlay* over that artifact: hot
 // counters, breakpoint flags, formed traces and lowered threaded-code
-// programs — everything dispatch mutates — stays private per core, while
+// programs (each block lowered at its first dispatch, each trace on
+// formation) — everything dispatch mutates — stays private per core, while
 // N cores across M boards running the same image point at one shared
 // artifact that is never written after publication. Dynamic state —
 // register values, icache tags/LRU, branch outcomes — stays in the ISS;
@@ -44,8 +45,9 @@ namespace cabt::core {
 /// transient — a breakpoint later removed, or branch statistics that
 /// only skew once the program leaves its warm-up phase.
 /// ExecBlock::threaded / Trace::threaded reuse the same sentinels for
-/// the lowered threaded-code program (kTraceDeclined there is permanent:
-/// it only means the lowering op budget ran out).
+/// the lowered threaded-code program. A block always lowers, so its
+/// program is unformed or an index; only a trace lowering can be
+/// declined, permanently, when the trace op budget runs out.
 constexpr int32_t kTraceUnformed = -1;
 constexpr int32_t kTraceDeclined = -2;
 
@@ -54,16 +56,19 @@ constexpr int32_t kTraceDeclined = -2;
 constexpr uint32_t kTraceMaxBlocks = 8;
 constexpr uint32_t kTraceMaxInstrs = 256;
 
-/// Total ThreadedOp records one core may lower. Exhaustion declines
-/// further lowerings permanently: hot code lowers first, cold tails stay
-/// on the chained tier.
+/// Total ThreadedOp records one core may lower into traces. Blocks
+/// repeat across traces, so trace programs are not bounded by the image
+/// and need this cap; exhaustion declines further trace lowerings
+/// permanently (their heads keep running block by block). Block programs
+/// draw nothing from it: each block lowers at most once, so they are
+/// bounded by the image, like the artifact's predecode.
 constexpr size_t kThreadedBudgetOps = size_t{1} << 16;
 
 /// One executable cached block: the per-core mutable residue plus a
 /// pointer into the shared artifact's immutable tables. The forwarding
-/// accessors keep dispatch reading the precomputed arrays exactly as
-/// before; everything dispatch *writes* is a plain member here, so the
-/// shared StaticBlock is never touched.
+/// accessors give dispatch the block's shape (lowering reads the rest of
+/// `stat` directly); everything dispatch *writes* is a plain member
+/// here, so the shared StaticBlock is never touched.
 struct ExecBlock {
   /// The immutable half, owned by the BlockCache's ProgramArtifact
   /// (whose shared_ptr outlives every ExecBlock pointing into it).
@@ -73,26 +78,6 @@ struct ExecBlock {
   [[nodiscard]] const std::vector<trc::Instr>& instrs() const {
     return stat->instrs;
   }
-  /// Issue-schedule cycles consumed after instruction i has issued
-  /// (PipelineTimer::cycles() from a drained pipeline). Always filled;
-  /// functional-only execution simply ignores it.
-  [[nodiscard]] const std::vector<uint32_t>& cum_cycles() const {
-    return stat->cum_cycles;
-  }
-  /// 1 when instruction i is the first of a new cache-line group within
-  /// the block (always set for instruction 0). Empty without an icache.
-  [[nodiscard]] const std::vector<uint8_t>& new_line() const {
-    return stat->new_line;
-  }
-  /// Precomputed icache set index and combined tag+valid word per
-  /// instruction (meaningful where new_line[i] != 0, so dispatch skips
-  /// the per-access address arithmetic). Empty without an icache.
-  [[nodiscard]] const std::vector<uint32_t>& line_set() const {
-    return stat->line_set;
-  }
-  [[nodiscard]] const std::vector<uint32_t>& line_tag() const {
-    return stat->line_tag;
-  }
   /// Successor indices into BlockCache::blocks() (-1 = none / dynamic).
   [[nodiscard]] int32_t target() const { return stat->target; }
   [[nodiscard]] int32_t fall_through() const { return stat->fall_through; }
@@ -100,9 +85,8 @@ struct ExecBlock {
   /// Index into BlockCache::traces() of the superblock headed by this
   /// block, or kTraceUnformed.
   int32_t trace = kTraceUnformed;
-  /// Index into BlockCache::threadedPrograms() of this block's lowered
-  /// threaded-code form, kTraceUnformed while the block has not gone
-  /// hot, or kTraceDeclined once the lowering op budget is exhausted.
+  /// Index into BlockCache::threaded() of this block's lowered
+  /// threaded-code form, or kTraceUnformed before its first dispatch.
   int32_t threaded = kTraceUnformed;
   /// exec_count at which a declined trace formation is re-attempted
   /// (doubled on every refusal, so retries stay O(log) per block).
@@ -191,29 +175,23 @@ class BlockCache {
   // -- threaded-code lowering (core/threaded.h, DESIGN.md section 6) ---
 
   /// Lowers the block at `idx` / the trace at `trace_idx` into a
-  /// threaded program using the ISS-supplied handler binder. Returns the
-  /// new program's index, or kTraceDeclined when the lowering would push
-  /// the per-core op total past kThreadedBudgetOps. Like formTrace, the
-  /// verdict is recorded by the caller.
+  /// threaded program using the ISS-supplied handler binder and returns
+  /// the new program's index. A trace lowering returns kTraceDeclined
+  /// instead when it would push the per-core trace op total past
+  /// kThreadedBudgetOps. Like formTrace, the caller records the verdict.
   int32_t lowerBlockThreaded(int32_t idx, const ThreadedBinder& binder);
   int32_t lowerTraceThreaded(int32_t trace_idx, const ThreadedBinder& binder);
 
-  [[nodiscard]] const std::vector<ThreadedProgram>& threadedPrograms()
-      const {
-    return threaded_;
-  }
   [[nodiscard]] const ThreadedProgram& threaded(int32_t idx) const {
     return threaded_[static_cast<size_t>(idx)];
   }
-  /// Total ThreadedOp records lowered so far (budget accounting).
-  [[nodiscard]] size_t threadedOps() const { return threaded_ops_; }
 
  private:
   std::shared_ptr<const ProgramArtifact> artifact_;
   std::vector<ExecBlock> blocks_;
   std::vector<Trace> traces_;
   std::vector<ThreadedProgram> threaded_;
-  size_t threaded_ops_ = 0;
+  size_t trace_ops_ = 0;  ///< ops lowered into traces (the budget's count)
   arch::BranchModel branch_;
 };
 

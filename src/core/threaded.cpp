@@ -2,8 +2,8 @@
 // flat ThreadedOp programs (core/threaded.h, DESIGN.md section 6).
 //
 // Lowering is a pure per-instruction transcription — every dynamic
-// decision the specialized dispatch loops used to make per instruction
-// is resolved here, once:
+// decision step()'s decode switch makes per instruction is resolved
+// here, once, at a block's first dispatch or a trace's formation:
 //   * the handler is selected through the ISS's binder with the icache
 //     line-group touch (the block cache's new_line rule) baked in;
 //   * immediates are materialized (kMovh/kMovha pre-shifted), branch
@@ -101,17 +101,12 @@ void lowerSegment(const StaticBlock& b, const arch::BranchModel& bm,
 int32_t BlockCache::lowerBlockThreaded(int32_t idx,
                                        const ThreadedBinder& binder) {
   const ExecBlock& block = blocks_[static_cast<size_t>(idx)];
-  const size_t need = block.instrs().size() + 1;  // worst case: + terminator
-  if (threaded_ops_ + need > kThreadedBudgetOps) {
-    return kTraceDeclined;
-  }
   ThreadedProgram prog;
   prog.addr = block.addr();
   prog.total_instrs = static_cast<uint32_t>(block.instrs().size());
-  prog.ops.reserve(need);
+  prog.ops.reserve(block.instrs().size() + 1);  // worst case: + terminator
   lowerSegment(*block.stat, branch_, binder, prog.ops);
   prog.segs.push_back({idx, 0, block.addr()});
-  threaded_ops_ += prog.ops.size();
   threaded_.push_back(std::move(prog));
   return static_cast<int32_t>(threaded_.size()) - 1;
 }
@@ -120,7 +115,7 @@ int32_t BlockCache::lowerTraceThreaded(int32_t trace_idx,
                                        const ThreadedBinder& binder) {
   const Trace& trace = traces_[static_cast<size_t>(trace_idx)];
   const size_t need = trace.total_instrs + trace.segs.size();
-  if (threaded_ops_ + need > kThreadedBudgetOps) {
+  if (trace_ops_ + need > kThreadedBudgetOps) {
     return kTraceDeclined;
   }
   ThreadedProgram prog;
@@ -133,7 +128,7 @@ int32_t BlockCache::lowerTraceThreaded(int32_t trace_idx,
     lowerSegment(*blocks_[static_cast<size_t>(seg.block)].stat, branch_,
                  binder, prog.ops);
   }
-  threaded_ops_ += prog.ops.size();
+  trace_ops_ += prog.ops.size();
   threaded_.push_back(std::move(prog));
   return static_cast<int32_t>(threaded_.size()) - 1;
 }

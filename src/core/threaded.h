@@ -1,17 +1,18 @@
 // Threaded-code programs: the lowered, execution-ready form of a cached
-// block or superblock trace (the hot tiers of the ISS threaded engine).
+// block or superblock trace (the two tiers of the ISS threaded engine).
 //
-// Where the block cache removes the per-step address lookup and the
-// chained tier removes the per-block lookup, a threaded program removes
-// the last per-instruction work that is not the instruction's own
-// semantics: the decode switch and the operand extraction. A hot block
-// (or trace) is lowered *once* into a flat array of ThreadedOp records,
-// each pairing a specialized host handler — a function pointer the ISS
-// bound per opcode with the timing/icache-touch/branch-extra decisions
-// baked in at lowering time — with fully predecoded operands: register
-// indices, materialized immediates, the precomputed icache set/tag words
-// and the cumulative issue-schedule cycles of the block cache, plus the
-// statically known branch-outcome extra cycles. The hot path is then
+// Where the block cache removes the per-step address lookup and
+// successor chaining removes the per-block lookup, a threaded program
+// removes the last per-instruction work that is not the instruction's
+// own semantics: the decode switch and the operand extraction. Every
+// block is lowered *once*, at its first dispatch (a trace on formation),
+// into a flat array of ThreadedOp records, each pairing a specialized
+// host handler — a function pointer the ISS bound per opcode with the
+// timing/icache-touch/branch-extra decisions baked in at lowering time —
+// with fully predecoded operands: register indices, materialized
+// immediates, the precomputed icache set/tag words and the cumulative
+// issue-schedule cycles of the block cache, plus the statically known
+// branch-outcome extra cycles. The hot path is then
 //
 //     while (op != nullptr) op = op->fn(cpu, op);
 //
@@ -32,7 +33,8 @@
 // block cache and the traces they are lowered from: a pure function of
 // the immutable program image and the (fixed per core) ISS config. They
 // are never serialized; a restore into a cold process rebuilds them
-// lazily once blocks re-heat (src/snap, DESIGN.md section 6).
+// lazily: each block at its first dispatch, each trace once its head
+// re-heats (src/snap, DESIGN.md section 6).
 #pragma once
 
 #include <cstdint>
@@ -63,9 +65,9 @@ struct ThreadedOp {
   uint32_t a = 0;
   /// Direct branches: the precomputed target address.
   uint32_t b = 0;
-  /// Cumulative issue-schedule cycles after this op (the block cache's
-  /// cum_cycles entry); handlers bound with timing assign it to the
-  /// open block's live pipeline cost.
+  /// Cumulative issue-schedule cycles after this op (the block's
+  /// StaticBlock::cum_cycles entry); handlers bound with timing assign
+  /// it to the open block's live pipeline cost.
   uint32_t cum = 0;
   /// Precomputed icache set index / tag word, meaningful only for ops
   /// whose handler was bound with the line-group touch baked in.

@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/strutil.h"
+#include "soc/peripherals.h"
 
 namespace cabt::fuzz {
 
@@ -125,7 +126,7 @@ SeedCase parseSeed(const std::string& text) {
     }
   }
   CABT_CHECK(have_program, "seed file: no program sections");
-  CABT_CHECK(c.programs.size() <= 8, "seed file: too many programs");
+  soc::checkCoreCount(c.programs.size(), "seed file (a core per program)");
   return c;
 }
 

@@ -12,6 +12,12 @@ namespace cabt::fuzz {
 
 namespace {
 
+/// Re-rolls before mutate() gives up on a base case.
+constexpr unsigned kAttempts = 8;
+/// Cores the state operators may target (clamped to the case's program
+/// count).
+constexpr size_t kMaxFaultCores = 3;
+
 /// "Plain" = safely movable/duplicable: a label-free data or private-
 /// memory instruction over d0..d7. Excludes control flow, directives,
 /// and anything touching the loop counters d10..d15 — moving those
@@ -67,7 +73,7 @@ bool assembles(const std::string& source) {
 }  // namespace
 
 std::optional<SeedCase> Mutator::mutate(const SeedCase& base) {
-  for (unsigned attempt = 0; attempt < config_.attempts; ++attempt) {
+  for (unsigned attempt = 0; attempt < kAttempts; ++attempt) {
     SeedCase c = base;
     if (!apply(c)) {
       continue;
@@ -281,7 +287,7 @@ bool Mutator::reshapeSharedTraffic(Lines& lines) {
 }
 
 std::string Mutator::makeFault(const SeedCase& c) {
-  const size_t cores = std::min(c.programs.size(), config_.max_cores);
+  const size_t cores = std::min(c.programs.size(), kMaxFaultCores);
   const size_t core = pick(static_cast<uint32_t>(cores));
   // Land inside the case's estimated clean run (plus slack for short
   // cases). The draw stays 64-bit, so a horizon of 2^32 or more cannot

@@ -26,18 +26,9 @@
 
 namespace cabt::fuzz {
 
-struct MutatorConfig {
-  /// Re-rolls before mutate() gives up on a base case.
-  unsigned attempts = 8;
-  /// Cores the state operators may target (clamped to the case's
-  /// program count).
-  size_t max_cores = 3;
-};
-
 class Mutator {
  public:
-  explicit Mutator(uint32_t seed, MutatorConfig config = {})
-      : rng_(seed), config_(config) {}
+  explicit Mutator(uint32_t seed) : rng_(seed) {}
 
   /// One mutated copy of `base`, or nullopt when nothing applied.
   std::optional<SeedCase> mutate(const SeedCase& base);
@@ -62,7 +53,6 @@ class Mutator {
   std::string makeFault(const SeedCase& c);
 
   std::mt19937 rng_;
-  MutatorConfig config_;
   std::string last_op_;
 };
 

@@ -31,10 +31,9 @@ snap::Observation runBoard(const arch::ArchDescription& desc,
                            const snap::GridPoint& p,
                            core::EdgeCoverage* coverage) {
   platform::BoardConfig base;
-  // Aggressive formation so short fuzz programs exercise traces and
-  // threaded lowering (the random_program_test idiom).
+  // Aggressive formation so short fuzz programs exercise traces (the
+  // random_program_test idiom); every block lowers at its first dispatch.
   base.iss.trace_threshold = 2;
-  base.iss.threaded_threshold = 2;
   base.iss.max_instructions = opts.max_instructions;
   base.quantum = c.quantum;
   platform::ReferenceBoard board(desc, images.ptrs(),

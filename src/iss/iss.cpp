@@ -121,8 +121,8 @@ void Iss::sampleIrq() {
   pc_ = *vector;
   ++stats_.irqs_taken;
   if (config_.model_timing) {
-    committed_cycles_ += config_.irq_entry_cycles;
-    stats_.irq_entry_cycles += config_.irq_entry_cycles;
+    committed_cycles_ += kIrqEntryCycles;
+    stats_.irq_entry_cycles += kIrqEntryCycles;
   }
   if (trace_sink_ != nullptr) {
     trace_sink_->instant(trace_lane_, "irq", localTime(), "vector", *vector);
@@ -314,43 +314,6 @@ StopReason Iss::stepInstr() {
   return stop_;
 }
 
-template <bool Timing, bool ICache, bool BranchX>
-void Iss::dispatchBlockT(core::ExecBlock& block) {
-  ++block.exec_count;
-  ++stats_.cached_blocks;
-  if constexpr (Timing) {
-    current_block_ = BlockRecord{};
-    current_block_.addr = block.addr();
-    in_block_ = true;
-    ++stats_.blocks;
-  }
-  const Instr* instrs = block.instrs().data();
-  const uint32_t* cum = block.cum_cycles().data();
-  const uint8_t* new_line = ICache ? block.new_line().data() : nullptr;
-  const uint32_t* line_set = ICache ? block.line_set().data() : nullptr;
-  const uint32_t* line_tag = ICache ? block.line_tag().data() : nullptr;
-  const size_t n = block.instrs().size();
-  for (size_t i = 0; i < n; ++i) {
-    const Instr& instr = instrs[i];
-    if constexpr (ICache) {
-      if (new_line[i] != 0) {
-        icacheAccessTagged(line_set[i], line_tag[i]);
-      }
-    }
-    if constexpr (Timing) {
-      live_pipe_ = cum[i];
-    }
-    executeT<BranchX>(instr);
-    ++stats_.instructions;
-    if (stop_ != StopReason::kRunning) {
-      break;  // HALT or BKPT mid-block; live_pipe_ holds the partial cost
-    }
-  }
-  if (stop_ == StopReason::kHalted) {
-    finishHaltedBlock();
-  }
-}
-
 int32_t Iss::resolveNext(core::ExecBlock& block) {
   if (stop_ != StopReason::kRunning) {
     return -1;
@@ -393,14 +356,11 @@ int32_t Iss::afterBlock(core::ExecBlock& block) {
   return next;
 }
 
-template <bool Timing, bool ICache, bool BranchX>
+template <bool Timing>
 StopReason Iss::runChainedT(uint64_t time_limit) {
   core::BlockCache& cache = blockCache();
   std::vector<core::ExecBlock>& blocks = cache.blocks();
   const core::ThreadedBinder binder = threadedBinder();
-  const auto count_lowering = [this](int32_t verdict) {
-    ++(verdict >= 0 ? stats_.threaded_lowerings : stats_.threaded_declined);
-  };
   int32_t next_idx = -1;
   bool epoch_done = false;
   while (stop_ == StopReason::kRunning) {
@@ -469,10 +429,9 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
       ++stats_.chain_hits;
       ++block->chain_entries;
     }
-    // Hot tiers: a block past trace_threshold heads a superblock trace,
-    // lowered into threaded code on formation; a block past
-    // threaded_threshold is lowered on its own. Whatever the op budget
-    // declines runs on the chained tier below, block by block.
+    // A block past trace_threshold heads a superblock trace, lowered
+    // into threaded code on formation. A trace the op budget declines,
+    // and every other dispatch, runs the block's own lowered program.
     if (block->trace == core::kTraceUnformed &&
         block->exec_count >= config_.trace_threshold &&
         block->exec_count >= block->trace_retry_at) {
@@ -497,7 +456,8 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
               config_.max_instructions) {
         if (trace.threaded == core::kTraceUnformed) {
           trace.threaded = cache.lowerTraceThreaded(block->trace, binder);
-          count_lowering(trace.threaded);
+          ++(trace.threaded >= 0 ? stats_.threaded_lowerings
+                                 : stats_.threaded_declined);
         }
         if (trace.threaded >= 0) {
           const uint64_t before = stats_.instructions;
@@ -511,20 +471,14 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
         }
       }
     }
-    if (block->threaded == core::kTraceUnformed &&
-        block->exec_count >= config_.threaded_threshold) {
+    if (block->threaded == core::kTraceUnformed) {
       block->threaded = cache.lowerBlockThreaded(
           static_cast<int32_t>(block - blocks.data()), binder);
-      count_lowering(block->threaded);
+      ++stats_.threaded_lowerings;
     }
-    if (block->threaded >= 0) {
-      const uint64_t before = stats_.instructions;
-      dispatchThreadedBlockT<Timing>(*block, cache.threaded(block->threaded));
-      stats_.threaded_instrs += stats_.instructions - before;
-      next_idx = afterBlock<Timing>(*block);
-      continue;
-    }
-    dispatchBlockT<Timing, ICache, BranchX>(*block);
+    const uint64_t before = stats_.instructions;
+    dispatchThreadedBlockT<Timing>(*block, cache.threaded(block->threaded));
+    stats_.threaded_instrs += stats_.instructions - before;
     next_idx = afterBlock<Timing>(*block);
   }
   return stop_;
@@ -557,20 +511,8 @@ StopReason Iss::runLoop(uint64_t time_limit) {
     }
     return stop_;
   }
-  return selectChainedT(time_limit);
-}
-
-StopReason Iss::selectChainedT(uint64_t time_limit) {
-  if (!config_.model_timing) {
-    return runChainedT<false, false, false>(time_limit);
-  }
-  const bool with_extras = config_.model_branch_extras;
-  if (icacheOn()) {
-    return with_extras ? runChainedT<true, true, true>(time_limit)
-                       : runChainedT<true, true, false>(time_limit);
-  }
-  return with_extras ? runChainedT<true, false, true>(time_limit)
-                     : runChainedT<true, false, false>(time_limit);
+  return config_.model_timing ? runChainedT<true>(time_limit)
+                              : runChainedT<false>(time_limit);
 }
 
 namespace {
@@ -601,7 +543,7 @@ void Iss::saveState(serial::Writer& w) const {
   w.b(config_.model_timing);
   w.b(config_.model_branch_extras);
   w.b(icacheOn());
-  w.u32(config_.irq_entry_cycles);
+  w.u32(kIrqEntryCycles);
   w.u64(config_.max_instructions);
   // The artifact caches the fingerprint (same bytes as the
   // historical per-save computation, see program_artifact.cpp).
@@ -643,7 +585,7 @@ void Iss::restoreState(serial::Reader& r) {
   CABT_CHECK(r.b() == config_.model_timing &&
                  r.b() == config_.model_branch_extras && r.b() == icacheOn(),
              "snapshot detail level does not match this core's config");
-  CABT_CHECK(r.u32() == config_.irq_entry_cycles &&
+  CABT_CHECK(r.u32() == kIrqEntryCycles &&
                  r.u64() == config_.max_instructions,
              "snapshot limits do not match this core's config");
   CABT_CHECK(r.u64() == artifact_->fingerprint(),
@@ -691,7 +633,8 @@ void Iss::restoreState(serial::Reader& r) {
   // traces nor threaded programs ever dispatch through a flagged block
   // (the refusal is a dispatch-time flag test, not a lowering-time
   // decision), so correctness needs only the flags. A cold restore has
-  // no cache at all and re-lowers lazily once blocks re-heat.
+  // no cache at all: it re-lowers each block at its first dispatch and
+  // re-forms traces once their heads re-heat.
   if (cache_ != nullptr) {
     for (core::ExecBlock& block : cache_->blocks()) {
       block.has_breakpoint = blockHasBreakpoint(block) ? 1 : 0;
@@ -781,21 +724,16 @@ void Iss::storeMem(uint32_t addr, uint32_t value, unsigned size) {
 }
 
 void Iss::execute(const Instr& in) {
-  // The stepping engine resolves the branch-extra knob per call; the
-  // templated dispatch loops bind executeT<BranchX> directly so the test
-  // is hoisted out of the per-instruction path entirely.
-  if (config_.model_timing && config_.model_branch_extras) {
-    executeT<true>(in);
-  } else {
-    executeT<false>(in);
-  }
-}
-
-template <bool BranchX>
-void Iss::executeT(const Instr& in) {
-  [[maybe_unused]] const arch::BranchModel& bm = desc_.branch;
+  const arch::BranchModel& bm = desc_.branch;
+  const bool branch_extras =
+      config_.model_timing && config_.model_branch_extras;
   uint32_t next_pc = pc_ + in.size;
 
+  const auto chargeExtra = [&](unsigned extra) {
+    committed_cycles_ += extra;
+    stats_.branch_extra += extra;
+    current_block_.branch_extra += extra;
+  };
   const auto condBranch = [&](bool taken) {
     ++stats_.cond_branches;
     const bool predicted_taken = arch::BranchModel::predictsTaken(in.imm);
@@ -806,19 +744,13 @@ void Iss::executeT(const Instr& in) {
     if (predicted_taken != taken) {
       ++stats_.mispredicts;
     }
-    if constexpr (BranchX) {
-      const unsigned extra = bm.conditionalExtra(predicted_taken, taken);
-      committed_cycles_ += extra;
-      stats_.branch_extra += extra;
-      current_block_.branch_extra += extra;
+    if (branch_extras) {
+      chargeExtra(bm.conditionalExtra(predicted_taken, taken));
     }
   };
   const auto uncondExtra = [&] {
-    if constexpr (BranchX) {
-      const unsigned extra = bm.unconditionalExtra(in.cls());
-      committed_cycles_ += extra;
-      stats_.branch_extra += extra;
-      current_block_.branch_extra += extra;
+    if (branch_extras) {
+      chargeExtra(bm.unconditionalExtra(in.cls()));
     }
   };
 
@@ -1007,16 +939,16 @@ void Iss::executeT(const Instr& in) {
   pc_ = next_pc;
 }
 
-// ---- threaded tier: the hot half of the threaded engine ---------------
+// ---- threaded code: how the threaded engine executes every block ------
 //
 // One specialized host handler per opcode, in (Timing, BranchX) handler
-// sets mirroring the runChainedT specialization ladder, with the icache
-// line-group touch baked in per op at lowering (`Touch`: the block
-// cache's new_line decision, so no runtime test survives). Each handler
-// performs exactly the per-instruction sequence of dispatchBlockT —
-// line-group touch, live pipeline cost, the instruction's semantics,
-// retirement count — against fully predecoded operands, then returns the
-// next record; control transfers, HALT/BKPT and the fall-through
+// sets, with the icache line-group touch baked in per op at lowering
+// (`Touch`: the block cache's new_line decision, so no runtime test
+// survives). Each handler performs exactly the per-instruction sequence
+// of step() — line-group touch, live pipeline cost, the instruction's
+// semantics, retirement count — against fully predecoded operands (the
+// cumulative schedule stands in for step()'s PipelineTimer), then
+// returns the next record; control transfers, HALT/BKPT and the fall-through
 // terminator return nullptr, which both ends the dispatch loop (no
 // per-op stop-flag poll) and marks the original block boundary where the
 // dispatcher applies every correction. Mid-block observables are
@@ -1034,8 +966,8 @@ struct ThreadedHandlers {
 
   static Iss& cpu(void* p) { return *static_cast<Iss*>(p); }
 
-  /// Per-op prologue in dispatchBlockT's order: the baked-in line-group
-  /// touch, then the open block's live pipeline cost.
+  /// Per-op prologue in step()'s order: the baked-in line-group touch,
+  /// then the open block's live pipeline cost.
   template <bool Touch>
   static void prologue(Iss& c, const Op* op) {
     if constexpr (Touch) {
@@ -1300,9 +1232,8 @@ struct ThreadedHandlers {
 
 core::ThreadedBinder Iss::threadedBinder() const {
   core::ThreadedBinder binder;
-  // The same knob resolution as selectChainedT: functional mode never
-  // touches the icache (and needs no extras), so the touch and the
-  // handler set collapse together.
+  // Functional mode never touches the icache (and needs no extras), so
+  // the touch and the handler set collapse together.
   if (!config_.model_timing) {
     binder.select = &ThreadedHandlers<false, false>::select;
     binder.end = &ThreadedHandlers<false, false>::end;

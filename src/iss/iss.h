@@ -10,19 +10,19 @@
 //
 // Two execution engines share identical semantics:
 //   * the threaded engine (the default for run()), which executes whole
-//     predecoded blocks from a core::BlockCache in three tiers: cold
-//     blocks run on a chained block loop (the next block is resolved
-//     through its precomputed successor edges, no hash lookup), blocks
-//     past a hot threshold are lowered into threaded code (core/
-//     threaded.h: pre-bound handler records, no decode switch), and hot
-//     blocks are spliced with their dominant successors into guarded
-//     superblock traces that are lowered the same way. The loops are
-//     specialized by template on the timing/icache/branch-extra knobs so
-//     no per-instruction config test survives in the hot path (see
+//     predecoded blocks from a core::BlockCache in two tiers: every
+//     block is lowered into threaded code at its first dispatch (core/
+//     threaded.h: pre-bound handler records, no decode switch) and
+//     chained to its successor through precomputed edges (no hash
+//     lookup), and hot blocks are spliced with their dominant successors
+//     into guarded superblock traces that are lowered the same way. The
+//     handlers are specialized on the timing/icache/branch-extra knobs
+//     so no per-instruction config test survives in the hot path (see
 //     DESIGN.md section 6); and
-//   * the per-instruction step() engine, the interpretive reference: used
-//     by single stepping, as the fallback for addresses that are not
-//     block leaders, and to stop exactly at the instruction limit.
+//   * the per-instruction step() engine, the interpretive reference (the
+//     one decode switch): used by single stepping, as the fallback for
+//     addresses that are not block leaders, and to stop exactly at the
+//     instruction limit.
 // Block boundaries come from the same core::BlockGraph the translator
 // consumes, so the reference and the translated image can never disagree
 // about block structure. The two engines are bit-identical in both
@@ -77,6 +77,10 @@ namespace cabt::iss {
 /// that take interrupts must keep A14 free.
 constexpr int kIrqLinkRegister = 14;
 
+/// Cycles charged when an interrupt is accepted (pipeline flush + the
+/// vector fetch), at the block boundary where it is taken.
+constexpr unsigned kIrqEntryCycles = 6;
+
 enum class StopReason {
   kRunning,
   kHalted,
@@ -120,10 +124,10 @@ struct IssStats {
   /// did not match the speculated next segment (branch went the
   /// non-dominant way, or an interrupt redirected control).
   uint64_t guard_bails = 0;
-  /// Threaded-tier accounting (also non-architectural): programs entered
+  /// Threaded-code accounting (also non-architectural): programs entered
   /// (a lowered block or whole trace each count one), instructions
-  /// retired inside them, lowerings performed, and lowerings declined by
-  /// the per-core op budget (core::kThreadedBudgetOps).
+  /// retired inside them, lowerings performed, and trace lowerings
+  /// declined by the per-core trace op budget (core::kThreadedBudgetOps).
   uint64_t threaded_dispatches = 0;
   uint64_t threaded_instrs = 0;
   uint64_t threaded_lowerings = 0;
@@ -192,16 +196,11 @@ struct IssConfig {
   /// step() reference throughout (differential testing, and debugger-
   /// style consumers that want stepping semantics everywhere).
   bool use_block_cache = true;
-  /// A block heads a superblock trace once dispatched this many times.
+  /// A block heads a superblock trace once dispatched this many times
+  /// (traces are lowered on formation; single blocks at their first
+  /// dispatch).
   uint32_t trace_threshold = 64;
-  /// A block is lowered into a threaded-code program once dispatched
-  /// this many times; formed traces are lowered on formation (they are
-  /// already past trace_threshold).
-  uint32_t threaded_threshold = 16;
   uint64_t max_instructions = 500'000'000;
-  /// Cycles charged when an interrupt is accepted (pipeline flush + the
-  /// vector fetch), at the block boundary where it is taken.
-  unsigned irq_entry_cycles = 6;
   /// Additional block leaders (interrupt handler entries — reached only
   /// through the vector register, invisible to static control flow).
   std::vector<uint32_t> extra_leaders;
@@ -266,7 +265,7 @@ class Iss {
   /// so that the bus horizon covers it. Sampled at every basic-block
   /// boundary at or past the horizon (after the bus has been advanced to
   /// localTime()); with no bus, at every boundary. On delivery: A14 =
-  /// return PC, PC = vector, irq_entry_cycles charged.
+  /// return PC, PC = vector, kIrqEntryCycles charged.
   void attachIrq(soc::IrqSource* irq) { irq_ = irq; }
 
   /// Connects a fault injector (src/fi, DESIGN.md section 12), polled at
@@ -404,31 +403,20 @@ class Iss {
   /// fallback.
   StopReason stepInstr();
   [[nodiscard]] uint64_t currentCycle() const;
+  /// The step() reference's decode switch: one instruction's semantics.
   void execute(const trc::Instr& instr);
-  /// The execute switch with the branch-extra config test resolved at
-  /// compile time (BranchX = model_timing && model_branch_extras).
-  template <bool BranchX>
-  void executeT(const trc::Instr& instr);
   /// One icache line-group touch: access + miss accounting. The tagged
   /// form takes the set/tag the block cache precomputed per line group.
   void icacheAccess(uint32_t addr);
   void icacheAccessTagged(uint32_t set, uint32_t want);
   StopReason runLoop(uint64_t time_limit);
-  /// Resolves the (model_timing, icache-on, model_branch_extras) knobs
-  /// into the matching runChainedT instantiation.
-  StopReason selectChainedT(uint64_t time_limit);
-  /// The threaded engine, specialized on (model_timing, icache-on,
-  /// model_branch_extras). Cold blocks run on the chained tier
-  /// (dispatchBlockT); hot blocks are lowered into threaded code and hot
-  /// chains form traces (tested per block dispatch, never per
+  /// The threaded engine, specialized on model_timing (the block-entry
+  /// bookkeeping depends on it; the handlers carry the other knobs).
+  /// Every block is lowered into threaded code at its first dispatch and
+  /// hot chains form traces (tested per block dispatch, never per
   /// instruction).
-  template <bool Timing, bool ICache, bool BranchX>
+  template <bool Timing>
   StopReason runChainedT(uint64_t time_limit);
-  /// Executes one cached block on the chained tier: per-instruction
-  /// decode switch, with the config tests hoisted into template
-  /// parameters.
-  template <bool Timing, bool ICache, bool BranchX>
-  void dispatchBlockT(core::ExecBlock& block);
   /// Executes a lowered block via back-to-back handler dispatches; the
   /// timing/icache/branch-extra decisions are baked into the handlers,
   /// so only the block-entry bookkeeping is templated.
@@ -442,7 +430,7 @@ class Iss {
   /// index, -1 (resolve via lookup/stepping) or kDispatchYield (quantum
   /// expired at an internal boundary). Sets *epoch_done when it bailed
   /// *after* running a boundary's epoch, so the caller runs each epoch
-  /// exactly once. Kept out of line so the chained loops' inlining does
+  /// exactly once. Kept out of line so the chained loop's inlining does
   /// not shift with edits elsewhere in iss.cpp (timing comparisons credit
   /// the mechanism, not a layout change).
   template <bool Timing>

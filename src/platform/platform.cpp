@@ -113,6 +113,7 @@ void ReferenceBoard::init(const arch::ArchDescription& desc,
                           const std::vector<const elf::Object*>& images,
                           const BoardConfig& config) {
   CABT_CHECK(!images.empty(), "reference board needs at least one core");
+  soc::checkCoreCount(images.size(), "reference board");
   const MemRegion* io = desc.memory_map.findNamed("io");
   CABT_CHECK(io != nullptr, "architecture has no 'io' region");
   kernel_.setQuantum(config.quantum);

@@ -8,7 +8,7 @@
 // take every interrupt at the identical cycle count. The controller owns
 // all interrupt state (pending lines, master enable, vector, in-service
 // flag); the core contributes only the IRQ link register (A14) and the
-// fixed entry latency (iss::IssConfig::irq_entry_cycles).
+// fixed entry latency (iss::kIrqEntryCycles).
 //
 // Both devices advance lazily (Device::advanceTo): the timer computes its
 // expiries in the jumped-over interval arithmetically, so interrupt

@@ -5,9 +5,11 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
@@ -257,6 +259,10 @@ struct StandardIoMap {
   static constexpr uint32_t kIntcStride = 0x20;
   static constexpr uint32_t kPTimerOffset = 0x500;
   static constexpr uint32_t kPTimerSize = 0x10;
+  /// Cores one board fits: core kMaxCores's interrupt-controller window
+  /// would land on the programmable timer.
+  static constexpr size_t kMaxCores =
+      (kPTimerOffset - kIntcOffset) / kIntcStride;
   static constexpr uint32_t kMailboxOffset = 0x600;
   static constexpr uint32_t kMailboxSize = 0x10;
   /// Watchdog (fi::WatchdogDevice) — attached only on boards that opt in
@@ -264,5 +270,20 @@ struct StandardIoMap {
   static constexpr uint32_t kWatchdogOffset = 0x700;
   static constexpr uint32_t kWatchdogSize = 0x10;
 };
+static_assert(StandardIoMap::kIntcOffset +
+                      StandardIoMap::kMaxCores * StandardIoMap::kIntcStride ==
+                  StandardIoMap::kPTimerOffset,
+              "the interrupt-controller windows fill the gap before the "
+              "programmable timer exactly");
+
+/// Throws cabt::Error naming the limit unless one board fits `cores`
+/// cores; `what` names the request.
+inline void checkCoreCount(size_t cores, std::string_view what) {
+  CABT_CHECK(cores <= StandardIoMap::kMaxCores,
+             what << ": " << cores
+                  << " cores requested, but a board fits at most "
+                  << StandardIoMap::kMaxCores
+                  << " cores (soc::StandardIoMap::kMaxCores)");
+}
 
 }  // namespace cabt::soc

@@ -259,10 +259,10 @@ TEST(BlockCache, LineGroupsMatchCacheAnalysisBlocks) {
     xlat::computeCacheAnalysisBlocks(desc.icache, sb);
     ASSERT_EQ(cache.blocks().size(), sb.size());
     for (size_t i = 0; i < sb.size(); ++i) {
-      const ExecBlock& eb = cache.blocks()[i];
+      const StaticBlock& st = *cache.blocks()[i].stat;
       std::vector<size_t> starts;
-      for (size_t k = 0; k < eb.new_line().size(); ++k) {
-        if (eb.new_line()[k] != 0) {
+      for (size_t k = 0; k < st.new_line.size(); ++k) {
+        if (st.new_line[k] != 0) {
           starts.push_back(k);
         }
       }
@@ -279,11 +279,11 @@ TEST(BlockCache, CumulativeCyclesEndAtStaticSchedule) {
     graph.computeStaticCycles(desc);
     const BlockCache cache(makeArtifact(desc, obj));
     for (size_t i = 0; i < cache.blocks().size(); ++i) {
-      const ExecBlock& eb = cache.blocks()[i];
+      const StaticBlock& st = *cache.blocks()[i].stat;
       const Block& b = graph.blocks()[i];
-      ASSERT_FALSE(eb.cum_cycles().empty());
+      ASSERT_FALSE(st.cum_cycles.empty());
       // static_cycles = schedule + static branch extra >= schedule.
-      const uint32_t schedule = eb.cum_cycles().back();
+      const uint32_t schedule = st.cum_cycles.back();
       EXPECT_LE(schedule, b.static_cycles);
       const trc::Instr& last = graph.last(b);
       const uint32_t extra =
@@ -293,8 +293,8 @@ TEST(BlockCache, CumulativeCyclesEndAtStaticSchedule) {
               : 0;
       EXPECT_EQ(schedule + extra, b.static_cycles);
       // The cumulative schedule is monotone.
-      for (size_t k = 1; k < eb.cum_cycles().size(); ++k) {
-        EXPECT_LE(eb.cum_cycles()[k - 1], eb.cum_cycles()[k]);
+      for (size_t k = 1; k < st.cum_cycles.size(); ++k) {
+        EXPECT_LE(st.cum_cycles[k - 1], st.cum_cycles[k]);
       }
     }
   }

@@ -313,7 +313,6 @@ TEST(FaultEquivalence, ArmedAfterRestoreMatchesArmedAtReset) {
   // threaded-code formation, as the fuzz oracle runs it.
   platform::BoardConfig base;
   base.iss.trace_threshold = 2;
-  base.iss.threaded_threshold = 2;
   base.iss.max_instructions = 2'000'000;
   base.quantum = 256;
   const snap::GridPoint point{xlat::DetailLevel::kICache, true};

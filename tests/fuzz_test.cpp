@@ -35,6 +35,7 @@
 #include "fuzz/program_gen.h"
 #include "platform/platform.h"
 #include "snap/observe.h"
+#include "soc/peripherals.h"
 #include "trc/assembler.h"
 #include "workloads/workloads.h"
 
@@ -96,7 +97,6 @@ std::unique_ptr<platform::ReferenceBoard> fuzzBoard(
     const workloads::BoardImages& images, bool threaded) {
   platform::BoardConfig base;
   base.iss.trace_threshold = 2;
-  base.iss.threaded_threshold = 2;
   base.iss.max_instructions = 2'000'000;
   base.quantum = 256;
   return snap::makeBoard(images, {xlat::DetailLevel::kICache, threaded},
@@ -272,6 +272,15 @@ TEST(Corpus, RejectsMalformedSeeds) {
   EXPECT_THROW((void)fuzz::parseSeed(
                    "cabt-fuzz-seed v2\nfork 0\nprogram\nhalt\n%%\n"),
                Error);
+  // A board fits kMaxCores cores, so a seed holds at most that many
+  // programs.
+  std::string full = "cabt-fuzz-seed v2\n";
+  for (size_t i = 0; i < soc::StandardIoMap::kMaxCores; ++i) {
+    full += "program\nhalt\n%%\n";
+  }
+  EXPECT_EQ(fuzz::parseSeed(full).programs.size(),
+            soc::StandardIoMap::kMaxCores);
+  EXPECT_THROW((void)fuzz::parseSeed(full + "program\nhalt\n%%\n"), Error);
 }
 
 TEST(Corpus, DirectoryScanAndAdd) {

@@ -48,6 +48,13 @@ uint32_t seedBase() {
              : 0;
 }
 
+/// The threaded engine has one block tier: every cached dispatch outside
+/// a trace ran the block's lowered threaded-code program.
+void expectLoweredOutsideTraces(const iss::IssStats& s) {
+  EXPECT_EQ(s.cached_blocks - s.trace_blocks,
+            s.threaded_dispatches - s.trace_dispatches);
+}
+
 class RandomPrograms : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(RandomPrograms, AllVehiclesAgree) {
@@ -74,8 +81,8 @@ TEST_P(RandomPrograms, AllVehiclesAgree) {
   // threaded engine) instruction-for-instruction and cycle-for-cycle:
   // identical stats, registers and per-block timing records. The
   // stepping engine is the ground truth; a low-threshold threaded engine
-  // (blocks lower and superblocks form after two dispatches, so every
-  // loop exercises lowered, guarded traces) has to agree bit-exactly.
+  // (superblocks form after two dispatches, so every loop exercises
+  // lowered, guarded traces) has to agree bit-exactly.
   const auto compareEngines = [&](iss::IssConfig cfg, const char* label,
                                   bool expect_cached) {
     SCOPED_TRACE(label);
@@ -96,11 +103,13 @@ TEST_P(RandomPrograms, AllVehiclesAgree) {
     if (expect_cached) {
       // Every block of a leader-entered program runs from the cache.
       EXPECT_EQ(other.stats().cached_blocks, other.stats().blocks);
+      expectLoweredOutsideTraces(other.stats());
     } else {
       EXPECT_EQ(other.stats().cached_blocks, 0u);
     }
   };
   EXPECT_EQ(ref.stats().cached_blocks, ref.stats().blocks);
+  expectLoweredOutsideTraces(ref.stats());
   {
     iss::IssConfig cfg;
     cfg.use_block_cache = false;
@@ -109,7 +118,6 @@ TEST_P(RandomPrograms, AllVehiclesAgree) {
   {
     iss::IssConfig cfg;
     cfg.trace_threshold = 2;
-    cfg.threaded_threshold = 2;
     compareEngines(cfg, "threaded(threshold=2)", true);
   }
 
@@ -227,7 +235,6 @@ TEST_P(SnapshotFuzz, RandomCycleSaveRestoreBitIdentical) {
     // Aggressive formation so short fuzz programs still exercise traces
     // and threaded lowering before the random save point.
     base.iss.trace_threshold = 2;
-    base.iss.threaded_threshold = 2;
     return snap::makeBoard(images, {xlat::DetailLevel::kICache, threaded},
                            base);
   };

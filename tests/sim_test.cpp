@@ -19,6 +19,7 @@
 #include "sim/kernel.h"
 #include "snap/observe.h"
 #include "soc/interrupts.h"
+#include "soc/peripherals.h"
 #include "trc/assembler.h"
 #include "workloads/workloads.h"
 
@@ -437,6 +438,27 @@ INSTANTIATE_TEST_SUITE_P(
       return "cores" + std::to_string(std::get<0>(info.param)) +
              "_quantum" + std::to_string(std::get<1>(info.param));
     });
+
+// Core i's interrupt controller sits at kIntcOffset + i * kIntcStride, so
+// one core past kMaxCores would land on the programmable timer: the board
+// refuses it before attaching anything, with an error naming the limit.
+TEST(MultiCore, BoardFitsAtMostMaxCores) {
+  const size_t max = soc::StandardIoMap::kMaxCores;
+  const auto fits = workloads::BoardImages::named(
+      std::vector<std::string>(max, "mc_worker"));
+  EXPECT_EQ(snap::makeBoard(fits)->numCores(), max);
+  const auto over = workloads::BoardImages::named(
+      std::vector<std::string>(max + 1, "mc_worker"));
+  try {
+    (void)snap::makeBoard(over);
+    ADD_FAILURE() << "a board with kMaxCores + 1 cores was built";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("at most " + std::to_string(max) +
+                                         " cores"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 // A core that runs ahead only ever sees the shared bus at or after its
 // own local time; with quantum q the skew between the two cores' local

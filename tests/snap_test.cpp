@@ -271,7 +271,7 @@ size_t deviceState(const std::vector<uint8_t>& snap, const std::string& name) {
 }
 
 /// Offset of the first core's stored stop reason: past the "iss" tag,
-/// the compatibility record (three flags, irq_entry_cycles u32,
+/// the compatibility record (three flags, kIrqEntryCycles u32,
 /// max_instructions u64, the program fingerprint u64) and the pc u32.
 size_t issStop(const std::vector<uint8_t>& snap) {
   return afterString(snap, "iss") + 3 + 4 + 8 + 8 + 4;
