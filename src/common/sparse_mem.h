@@ -69,9 +69,16 @@ class SparseMemory {
   void write16(uint32_t addr, uint16_t v) { write(addr, v, 2); }
   void write32(uint32_t addr, uint32_t v) { write(addr, v, 4); }
 
+  /// Writes `size` bytes from `data` at `addr`, one page lookup per page
+  /// touched. The address wraps at 2^32, as byte-by-byte writes would.
   void writeBlock(uint32_t addr, const uint8_t* data, size_t size) {
-    for (size_t i = 0; i < size; ++i) {
-      write8(addr + static_cast<uint32_t>(i), data[i]);
+    while (size > 0) {
+      const uint32_t offset = addr & (kPageSize - 1);
+      const size_t n = std::min<size_t>(size, kPageSize - offset);
+      std::memcpy(page(addr).data() + offset, data, n);
+      addr += static_cast<uint32_t>(n);
+      data += n;
+      size -= n;
     }
   }
 
@@ -127,22 +134,27 @@ class SparseMemory {
     }
   }
 
-  /// Canonical *content* serialization for the rolling state digest:
-  /// all-zero pages are skipped, so a page touched with only zeros
-  /// digests identically to an untouched page (the same equivalence
-  /// contentEquals uses). Two memories with equal contents always
-  /// produce identical bytes here, whatever their allocation history.
-  void writeCanonical(serial::Writer& w) const {
+  /// Folds the canonical *content* image into the running FNV-1a hash
+  /// `h` of the rolling state digest, in place: every page holding a
+  /// non-zero byte, in address order, contributes its base (u32, little
+  /// endian) and then its bytes. All-zero pages contribute nothing, so a
+  /// page touched with only zeros digests identically to an untouched
+  /// page (the same equivalence contentEquals uses): two memories with
+  /// equal contents always hash alike, whatever their allocation
+  /// history. The result equals serial::fnv1a over those bytes written
+  /// out in that order.
+  [[nodiscard]] uint64_t hashCanonical(uint64_t h) const {
     for (const auto& [base, page] : pages_) {
-      const bool all_zero =
-          std::all_of(page.begin(), page.end(),
-                      [](uint8_t v) { return v == 0; });
-      if (all_zero) {
+      if (allZero(page)) {
         continue;
       }
-      w.u32(base);
-      w.bytes(page.data(), page.size());
+      const uint8_t le_base[4] = {
+          static_cast<uint8_t>(base), static_cast<uint8_t>(base >> 8),
+          static_cast<uint8_t>(base >> 16), static_cast<uint8_t>(base >> 24)};
+      h = serial::fnv1a(le_base, sizeof le_base, h);
+      h = serial::fnv1a(page.data(), page.size(), h);
     }
+    return h;
   }
 
  private:
@@ -154,6 +166,18 @@ class SparseMemory {
         if (page[i] != other.read8(base + i)) {
           return false;
         }
+      }
+    }
+    return true;
+  }
+
+  /// True when every byte of `page` is zero, tested a word at a time.
+  [[nodiscard]] static bool allZero(const Page& page) {
+    for (size_t i = 0; i < kPageSize; i += sizeof(uint64_t)) {
+      uint64_t word = 0;
+      std::memcpy(&word, page.data() + i, sizeof word);
+      if (word != 0) {
+        return false;
       }
     }
     return true;

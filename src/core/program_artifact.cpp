@@ -178,6 +178,18 @@ std::shared_ptr<const ProgramArtifact> ProgramArtifactCache::acquire(
   return artifact;
 }
 
+std::vector<std::shared_ptr<const ProgramArtifact>> ProgramArtifactCache::pin(
+    const arch::ArchDescription& desc,
+    const std::vector<const elf::Object*>& images,
+    const std::vector<uint32_t>& extra_leaders) {
+  std::vector<std::shared_ptr<const ProgramArtifact>> pinned;
+  pinned.reserve(images.size());
+  for (const elf::Object* image : images) {
+    pinned.push_back(acquire(desc, *image, extra_leaders));
+  }
+  return pinned;
+}
+
 ProgramArtifactCache::Stats ProgramArtifactCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;

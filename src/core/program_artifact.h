@@ -113,6 +113,16 @@ class ProgramArtifactCache {
       const arch::ArchDescription& desc, const elf::Object& object,
       const std::vector<uint32_t>& extra_leaders = {});
 
+  /// Acquires every image's artifact under one (desc, extra_leaders)
+  /// key, in image order. Holding the result pins them: boards built
+  /// and destroyed one after another on these images, under that key,
+  /// then share one decode per image instead of each re-decoding an
+  /// expired entry. Throws what the decode throws.
+  std::vector<std::shared_ptr<const ProgramArtifact>> pin(
+      const arch::ArchDescription& desc,
+      const std::vector<const elf::Object*>& images,
+      const std::vector<uint32_t>& extra_leaders);
+
   [[nodiscard]] Stats stats() const;
   /// Number of cache entries holding a still-live artifact.
   [[nodiscard]] size_t size() const;

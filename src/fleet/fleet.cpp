@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <thread>
 
 #include "sim/host_pool.h"
@@ -83,12 +82,8 @@ FleetResult Driver::run(const std::vector<const elf::Object*>& images) {
   // each board is destroyed before the next one is built, which would
   // let the weak cache entries expire and force a re-decode per board.
   // Pinned, the fleet pays exactly one decode per distinct image.
-  std::vector<std::shared_ptr<const core::ProgramArtifact>> pinned;
-  pinned.reserve(images.size());
-  for (const elf::Object* image : images) {
-    pinned.push_back(core::ProgramArtifactCache::instance().acquire(
-        config_.desc, *image, config_.board.iss.extra_leaders));
-  }
+  const auto pinned = core::ProgramArtifactCache::instance().pin(
+      config_.desc, images, config_.board.iss.extra_leaders);
 
   unsigned parallelism = config_.host_threads != 0
                              ? config_.host_threads

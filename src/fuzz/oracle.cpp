@@ -1,11 +1,14 @@
 #include "fuzz/oracle.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <sstream>
+#include <vector>
 
 #include "arch/arch.h"
 #include "common/error.h"
+#include "core/program_artifact.h"
 #include "fi/fi.h"
 #include "iss/iss.h"
 #include "platform/platform.h"
@@ -25,17 +28,24 @@ constexpr snap::GridPoint kRef{xlat::DetailLevel::kICache, true};
 /// VLIW-cycle budget for translated-platform runs.
 constexpr uint64_t kMaxVliwCycles = 80'000'000;
 
-snap::Observation runBoard(const arch::ArchDescription& desc,
-                           const workloads::BoardImages& images,
-                           const SeedCase& c, const OracleOptions& opts,
-                           const snap::GridPoint& p,
-                           core::EdgeCoverage* coverage) {
+/// The configuration every grid board starts from (snap::boardConfigFor
+/// adds the detail level and the engine).
+platform::BoardConfig gridBase(const SeedCase& c, const OracleOptions& opts) {
   platform::BoardConfig base;
   // Aggressive formation so short fuzz programs exercise traces (the
   // random_program_test idiom); every block lowers at its first dispatch.
   base.iss.trace_threshold = 2;
   base.iss.max_instructions = opts.max_instructions;
   base.quantum = c.quantum;
+  return base;
+}
+
+snap::Observation runBoard(const arch::ArchDescription& desc,
+                           const workloads::BoardImages& images,
+                           const SeedCase& c,
+                           const platform::BoardConfig& base,
+                           const snap::GridPoint& p,
+                           core::EdgeCoverage* coverage) {
   platform::ReferenceBoard board(desc, images.ptrs(),
                                  snap::boardConfigFor(p, base));
 
@@ -79,9 +89,19 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
   }
 
   // ---- reference configuration: validity gate + coverage feedback ----
+  const platform::BoardConfig base = gridBase(c, opts);
+  // Pin each image's artifact until the candidate is done, under the key
+  // the boards use: the grid builds and destroys one board after
+  // another, and the standalone ISS and the translations acquire the
+  // same key, so the candidate pays one decode per image. Pinning
+  // decodes, and text that does not decode makes the candidate invalid,
+  // so it sits inside the reference run's try.
+  std::vector<std::shared_ptr<const core::ProgramArtifact>> pinned;
   snap::Observation ref;
   try {
-    ref = runBoard(desc, *images, c, opts, kRef, coverage);
+    pinned = core::ProgramArtifactCache::instance().pin(
+        desc, images->ptrs(), base.iss.extra_leaders);
+    ref = runBoard(desc, *images, c, base, kRef, coverage);
     ++result.executions;
   } catch (const Error& e) {
     result.mismatch = std::string("reference run failed: ") + e.what();
@@ -114,7 +134,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
           continue;  // already ran as the reference
         }
         snap::Observation got =
-            runBoard(desc, *images, c, opts, p, nullptr);
+            runBoard(desc, *images, c, base, p, nullptr);
         ++result.executions;
         if (!have_leader) {
           leader = std::move(got);

@@ -645,7 +645,8 @@ void Iss::restoreState(serial::Reader& r) {
   deferred_advance_ = 0;
 }
 
-void Iss::digestState(serial::Writer& w) const {
+uint64_t Iss::digestState(uint64_t h) const {
+  serial::Writer w;
   w.u32(pc_);
   w.u8(static_cast<uint8_t>(stop_));
   for (const uint32_t v : d_) {
@@ -669,7 +670,8 @@ void Iss::digestState(serial::Writer& w) const {
   for (const StatCounter& c : kArchitecturalCounters) {
     w.u64(stats_.*c.field);
   }
-  mem_.writeCanonical(w);
+  // Memory last, hashed in place (no page is copied).
+  return mem_.hashCanonical(serial::fnv1a(w.data(), h));
 }
 
 std::vector<HotBlock> Iss::hotBlocks(size_t n) const {

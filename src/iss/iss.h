@@ -374,13 +374,15 @@ class Iss {
   void saveState(serial::Writer& w) const;
   void restoreState(serial::Reader& r);
 
-  /// Writes the core's contribution to the rolling state digest
-  /// (snap::digest): the architectural observables and micro-
-  /// architectural timing state only — none of the dispatch-path
-  /// counters (chain_hits, trace_*, guard_bails, threaded_*) that depend
-  /// on how blocks were reached — so a warm continuation and a cold
-  /// restore of the same run digest identically.
-  void digestState(serial::Writer& w) const;
+  /// Folds the core's contribution to the rolling state digest
+  /// (snap::digest) into the running FNV-1a hash `h` and returns it: the
+  /// architectural observables and micro-architectural timing state
+  /// only — none of the dispatch-path counters (chain_hits, trace_*,
+  /// guard_bails, threaded_*) that depend on how blocks were reached —
+  /// so a warm continuation and a cold restore of the same run digest
+  /// identically. The small fields go through a Writer; memory is
+  /// hashed in place (SparseMemory::hashCanonical).
+  [[nodiscard]] uint64_t digestState(uint64_t h) const;
 
  private:
   template <bool Timing, bool BranchX>

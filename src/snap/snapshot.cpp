@@ -83,15 +83,19 @@ void restore(platform::ReferenceBoard& board,
 }
 
 uint64_t digest(const platform::ReferenceBoard& board) {
-  serial::Writer w;
+  // One running FNV-1a, chained through every section: the value equals
+  // fnv1a over the sections' bytes concatenated, but memory pages are
+  // folded in place, never copied into a buffer.
+  uint64_t h = serial::kFnvOffset;
   for (size_t i = 0; i < board.numCores(); ++i) {
-    board.core(i).digestState(w);
+    h = board.core(i).digestState(h);
   }
   // Bus section: the clock, the log tail and every device's serialized
   // state are all deterministic observables (the same bytes save()
   // writes), so reusing saveState keeps the two definitions aligned.
+  serial::Writer w;
   board.board().bus.saveState(w);
-  return serial::fnv1a(w.data());
+  return serial::fnv1a(w.data(), h);
 }
 
 void saveFile(const platform::ReferenceBoard& board,

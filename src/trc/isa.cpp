@@ -359,15 +359,28 @@ std::vector<uint8_t> encode(const Instr& instr) {
 
 namespace {
 
-/// Reverse lookup: encoding value -> opcode, per width.
-const OpInfo* findByEncoding(uint8_t encoding, bool narrow) {
-  for (const Opc opc : allOpcodes()) {
-    const OpInfo& info = opInfo(opc);
-    if (info.encoding == encoding && is16Bit(opc) == narrow) {
-      return &info;
+/// Reverse lookup, encoding value -> opcode, one table per width (the
+/// 16-bit opcode field is 4 bits wide, the 32-bit one 7 bits), built
+/// once from the opcode table. nullptr marks an unknown encoding.
+struct DecodeTables {
+  std::array<const OpInfo*, 16> narrow{};
+  std::array<const OpInfo*, 128> wide{};
+};
+
+const DecodeTables& decodeTables() {
+  static const DecodeTables tables = [] {
+    DecodeTables t;
+    for (const Opc opc : allOpcodes()) {
+      const OpInfo& info = opInfo(opc);
+      if (is16Bit(opc)) {
+        t.narrow.at(info.encoding) = &info;
+      } else {
+        t.wide.at(info.encoding) = &info;
+      }
     }
-  }
-  return nullptr;
+    return t;
+  }();
+  return tables;
 }
 
 }  // namespace
@@ -380,8 +393,7 @@ Instr decode(const uint8_t* bytes, size_t available, uint32_t addr) {
   instr.addr = addr;
   if ((h0 & 1u) == 0) {
     instr.size = 2;
-    const OpInfo* info = findByEncoding(
-        static_cast<uint8_t>(bitField(h0, 1, 4)), /*narrow=*/true);
+    const OpInfo* info = decodeTables().narrow[bitField(h0, 1, 4)];
     CABT_CHECK(info != nullptr, "unknown 16-bit opcode at " << hex32(addr));
     instr.opc = info->opc;
     switch (info->fmt) {
@@ -409,8 +421,7 @@ Instr decode(const uint8_t* bytes, size_t available, uint32_t addr) {
   const uint32_t w = h0 | (static_cast<uint32_t>(bytes[2]) << 16) |
                      (static_cast<uint32_t>(bytes[3]) << 24);
   instr.size = 4;
-  const OpInfo* info = findByEncoding(
-      static_cast<uint8_t>(bitField(w, 1, 7)), /*narrow=*/false);
+  const OpInfo* info = decodeTables().wide[bitField(w, 1, 7)];
   CABT_CHECK(info != nullptr, "unknown 32-bit opcode at " << hex32(addr));
   instr.opc = info->opc;
   switch (info->fmt) {

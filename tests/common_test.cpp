@@ -1,10 +1,16 @@
 // Unit tests for the common utilities: bits, strings, XML parser,
-// memory map, sparse memory.
+// memory map, sparse memory, FNV-1a.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
+#include <string_view>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/error.h"
 #include "common/memmap.h"
+#include "common/serial.h"
 #include "common/sparse_mem.h"
 #include "common/strutil.h"
 #include "common/xml.h"
@@ -170,6 +176,77 @@ TEST(SparseMem, ContentEqualsIgnoresZeroPages) {
   EXPECT_TRUE(a.contentEquals(b));
   b.write32(0x6000, 7);
   EXPECT_FALSE(a.contentEquals(b));
+}
+
+// writeBlock copies a page at a time; the bytes it leaves must be the
+// ones byte-by-byte writes leave, across a page boundary and across the
+// 2^32 wrap.
+TEST(SparseMem, WriteBlockSpansPages) {
+  std::vector<uint8_t> data(2 * SparseMemory::kPageSize + 100);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  for (const uint32_t addr : {SparseMemory::kPageSize - 3, 0xfffff000u - 9,
+                              0xffffffffu - 40}) {
+    SCOPED_TRACE(addr);
+    SparseMemory block;
+    SparseMemory bytes;
+    block.writeBlock(addr, data.data(), data.size());
+    for (size_t i = 0; i < data.size(); ++i) {
+      bytes.write8(addr + static_cast<uint32_t>(i), data[i]);
+    }
+    EXPECT_EQ(block.touchedPages(), bytes.touchedPages());
+    EXPECT_TRUE(block.contentEquals(bytes));
+    EXPECT_EQ(block.read8(addr), data.front());
+    EXPECT_EQ(block.read8(addr + static_cast<uint32_t>(data.size() - 1)),
+              data.back());
+  }
+}
+
+// fnv1a folds all-zero 8-byte words with one multiply by kFnvPrime^8;
+// every digest, snapshot footer and artifact key depends on that fast
+// path equalling the plain byte loop, so it is checked against the
+// published FNV-1a-64 vectors and against a byte loop written here.
+TEST(Serial, Fnv1aMatchesTheByteLoop) {
+  const auto fnv = [](std::string_view s) {
+    return serial::fnv1a(reinterpret_cast<const uint8_t*>(s.data()),
+                         s.size());
+  };
+  EXPECT_EQ(fnv(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv("foobar"), 0x85944171f73967e8ull);
+
+  const auto byteLoop = [](const std::vector<uint8_t>& v, uint64_t h) {
+    for (const uint8_t b : v) {
+      h ^= b;
+      h *= serial::kFnvPrime;
+    }
+    return h;
+  };
+  std::mt19937 rng(20);
+  uint64_t chained = serial::kFnvOffset;
+  for (size_t len = 0; len <= 80; ++len) {
+    // Random bytes, then an all-zero word planted at every offset (and
+    // the all-zero buffer), each hashed from a seed chained from the
+    // previous result.
+    std::vector<uint8_t> v(len);
+    for (uint8_t& b : v) {
+      b = static_cast<uint8_t>(rng() | 1);
+    }
+    std::vector<std::vector<uint8_t>> cases = {v, std::vector<uint8_t>(len)};
+    for (size_t at = 0; at + 8 <= len; ++at) {
+      std::vector<uint8_t> z = v;
+      std::fill(z.begin() + static_cast<std::ptrdiff_t>(at),
+                z.begin() + static_cast<std::ptrdiff_t>(at + 8), 0);
+      cases.push_back(std::move(z));
+    }
+    for (const std::vector<uint8_t>& c : cases) {
+      SCOPED_TRACE(len);
+      const uint64_t want = byteLoop(c, chained);
+      ASSERT_EQ(serial::fnv1a(c, chained), want);
+      chained = want;
+    }
+  }
 }
 
 TEST(Error, MacrosThrowWithContext) {

@@ -14,7 +14,8 @@
 //      files are rejected with a diagnosis, not accepted quietly.
 //   5. The oracle passes a clean generated case and catches the planted
 //      translator skew (debug_skew_static_cycles) — the acceptance
-//      drill.
+//      drill; it decodes each image once per candidate, and text that
+//      does not decode makes the candidate invalid.
 //   6. The minimizer only ever returns still-failing, no-larger cases.
 #include <gtest/gtest.h>
 
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "core/coverage.h"
+#include "core/program_artifact.h"
 #include "fi/fi.h"
 #include "fuzz/corpus.h"
 #include "fuzz/farm.h"
@@ -38,6 +40,10 @@
 #include "soc/peripherals.h"
 #include "trc/assembler.h"
 #include "workloads/workloads.h"
+
+#ifndef CABT_SOURCE_DIR
+#error "fuzz_test needs -DCABT_SOURCE_DIR=\"...\""
+#endif
 
 namespace cabt {
 namespace {
@@ -322,6 +328,42 @@ TEST(Oracle, FaultOnAMissingCoreIsInvalid) {
       fuzz::runOracle(c, fuzz::OracleOptions{}, nullptr);
   EXPECT_FALSE(r.valid);
   EXPECT_NE(r.mismatch.find("reference run failed"), std::string::npos)
+      << r.mismatch;
+}
+
+// The oracle pins each image's artifact for the whole candidate, so the
+// eight grid boards, the standalone ISS and the translations share one
+// decode per image instead of re-decoding after every board.
+TEST(Oracle, CandidateDecodesEachImageOnce) {
+  const std::vector<fuzz::SeedCase> cases = {
+      makeCase(testSeed() + 51, 1, false),
+      fuzz::loadSeedFile(CABT_SOURCE_DIR "/tests/fuzz_corpus/boot-3.seed")};
+  for (const fuzz::SeedCase& c : cases) {
+    SCOPED_TRACE(c.programs.size());
+    const std::set<std::string> distinct(c.programs.begin(),
+                                         c.programs.end());
+    core::ProgramArtifactCache& cache = core::ProgramArtifactCache::instance();
+    cache.clear();
+    const fuzz::OracleResult r =
+        fuzz::runOracle(c, fuzz::OracleOptions{}, nullptr);
+    EXPECT_TRUE(r.ok) << r.mismatch;
+    EXPECT_EQ(cache.stats().decodes, distinct.size());
+  }
+}
+
+// Text that does not decode fails the candidate's artifact decode,
+// before any board runs; the candidate is invalid, and the error never
+// escapes runOracle.
+TEST(Oracle, UndecodableTextIsInvalid) {
+  fuzz::SeedCase c;
+  c.programs.push_back("_start: movi d0, 1\n        halt\n"
+                       "        .word 0xfffffffd\n");
+  const fuzz::OracleResult r =
+      fuzz::runOracle(c, fuzz::OracleOptions{}, nullptr);
+  EXPECT_FALSE(r.valid);
+  EXPECT_NE(r.mismatch.find("reference run failed: decode: unknown 32-bit "
+                            "opcode at 0x80000008"),
+            std::string::npos)
       << r.mismatch;
 }
 

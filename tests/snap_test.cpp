@@ -185,6 +185,29 @@ TEST(Replay, DigestIsEngineIndependent) {
   }
 }
 
+// The digest hashes memory content, not allocation: a page touched only
+// with zeros must digest like an untouched one (the canonical rule the
+// in-place page hash keeps), while one non-zero byte there must count.
+TEST(Replay, DigestSkipsAllZeroPages) {
+  const auto images = workloads::BoardImages::family(1);
+  auto board = snap::makeBoard(images);
+  board->run();
+  const uint64_t want = snap::digest(*board);
+  SparseMemory& mem = board->core(0).memory();
+  constexpr uint32_t kPage = 0x40000000;
+  const auto touched = [&] {
+    const std::vector<uint32_t> pages = mem.touchedPages();
+    return std::find(pages.begin(), pages.end(), kPage) != pages.end();
+  };
+  ASSERT_FALSE(touched());
+  const std::vector<uint8_t> zeros(SparseMemory::kPageSize, 0);
+  mem.writeBlock(kPage, zeros.data(), zeros.size());
+  ASSERT_TRUE(touched());
+  EXPECT_EQ(snap::digest(*board), want);
+  mem.write8(kPage + 123, 1);
+  EXPECT_NE(snap::digest(*board), want);
+}
+
 // ---- format safety ----------------------------------------------------
 
 TEST(SnapshotFormat, RejectsCorruptionTruncationAndMismatch) {

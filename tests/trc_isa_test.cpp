@@ -126,6 +126,36 @@ TEST(Isa, DecodeRejectsUnknownOpcodes) {
   EXPECT_THROW(decode(bad16, 2, 0), Error);
 }
 
+// decode() looks opcodes up in two tables built from the opcode table;
+// every value of the 4-bit narrow and 7-bit wide opcode fields must
+// decode to the one opcode of that width and OpInfo::encoding, or throw
+// when there is none.
+TEST(Isa, DecodeTableMatchesOpcodeTable) {
+  for (const bool narrow : {true, false}) {
+    const uint32_t values = narrow ? 16 : 128;
+    for (uint32_t enc = 0; enc < values; ++enc) {
+      SCOPED_TRACE((narrow ? "narrow " : "wide ") + std::to_string(enc));
+      const OpInfo* want = nullptr;
+      for (const Opc opc : allOpcodes()) {
+        if (is16Bit(opc) == narrow && opInfo(opc).encoding == enc) {
+          want = &opInfo(opc);
+        }
+      }
+      // The opcode field sits above the width bit; every operand is 0.
+      const uint32_t word = narrow ? enc << 1 : (enc << 1) | 1u;
+      const uint8_t bytes[] = {static_cast<uint8_t>(word),
+                               static_cast<uint8_t>(word >> 8), 0, 0};
+      if (want == nullptr) {
+        EXPECT_THROW(decode(bytes, sizeof bytes, 0), Error);
+        continue;
+      }
+      const Instr in = decode(bytes, sizeof bytes, 0);
+      EXPECT_EQ(in.opc, want->opc);
+      EXPECT_EQ(in.size, narrow ? 2 : 4);
+    }
+  }
+}
+
 TEST(Isa, DecodeRejectsTruncatedInput) {
   const Instr in = make(Opc::kAdd, 1, 2, 3);
   const std::vector<uint8_t> bytes = encode(in);
