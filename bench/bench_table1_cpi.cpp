@@ -5,7 +5,11 @@
 // Paper values for orientation: board 1.08; C6x without cycle information
 // 2.94; with cycle information 4.28; branch prediction 5.87; caches
 // 35.34. We reproduce the ordering and the rough factors (the absolute
-// values depend on the exact ISA pair).
+// values depend on the exact ISA pair). The cache level is about 3.3x the
+// branch-prediction level here, not the paper's 6.0x, because the
+// translator emits no lookup for a cache analysis block it proves to hit
+// the most recently used way (DESIGN.md section 2.4; 15.45 cycles per
+// instruction without that analysis, 10.01 with it).
 #include "bench_common.h"
 
 namespace cabt::bench {

@@ -104,11 +104,12 @@ int main(int argc, char** argv) {
                     reference.stats().icache_misses));
 
     const xlat::TranslationResult t = xlat::translate(desc, object, options);
-    std::printf("translation : level=%s, %llu blocks, %llu cabs, %llu "
-                "machine ops in %llu packets (%llu bytes)\n",
+    std::printf("translation : level=%s, %llu blocks, %llu cabs (%llu "
+                "elided), %llu machine ops in %llu packets (%llu bytes)\n",
                 xlat::detailLevelName(options.level),
                 static_cast<unsigned long long>(t.stats.blocks),
                 static_cast<unsigned long long>(t.stats.cabs),
+                static_cast<unsigned long long>(t.stats.cab_lookups_elided),
                 static_cast<unsigned long long>(t.stats.machine_ops),
                 static_cast<unsigned long long>(t.stats.packets),
                 static_cast<unsigned long long>(t.stats.code_bytes));

@@ -57,10 +57,13 @@ result: .word 0
   options.level = xlat::DetailLevel::kICache;
   const xlat::TranslationResult translation =
       xlat::translate(desc, object, options);
-  std::printf("translation     : %llu blocks, %llu cache analysis blocks, "
-              "%llu bytes of VLIW code\n",
+  std::printf("translation     : %llu blocks, %llu cache analysis blocks "
+              "(%llu proven MRU hits, no lookup emitted), %llu bytes of "
+              "VLIW code\n",
               static_cast<unsigned long long>(translation.stats.blocks),
               static_cast<unsigned long long>(translation.stats.cabs),
+              static_cast<unsigned long long>(
+                  translation.stats.cab_lookups_elided),
               static_cast<unsigned long long>(translation.stats.code_bytes));
 
   // Execute on the emulation platform.

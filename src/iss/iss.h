@@ -341,6 +341,10 @@ class Iss {
   }
   [[nodiscard]] const core::BlockGraph& blockGraph() const { return graph_; }
   [[nodiscard]] const arch::ICacheState& icache() const { return icache_; }
+  /// True when this core models the instruction cache (icache() is live).
+  [[nodiscard]] bool icacheOn() const {
+    return desc_.icache.enabled && config_.model_icache;
+  }
 
   /// The `n` hottest blocks by dispatch count (block-cache engine only).
   [[nodiscard]] std::vector<HotBlock> hotBlocks(size_t n) const;
@@ -527,9 +531,6 @@ class Iss {
   bool checkDebugBreak();
   [[nodiscard]] bool isLeader(uint32_t addr) const {
     return graph_.isLeaderFast(addr);
-  }
-  [[nodiscard]] bool icacheOn() const {
-    return desc_.icache.enabled && config_.model_icache;
   }
   [[nodiscard]] bool blockHasBreakpoint(const core::ExecBlock& block) const;
 

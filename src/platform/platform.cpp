@@ -22,6 +22,9 @@ EmulationPlatform::EmulationPlatform(const arch::ArchDescription& desc,
   bridge_ = std::make_unique<BridgeHandler>(&board_->bus, sync_.get(),
                                             io->base, io->size);
   sim_.loadProgram(image);
+  if (const elf::Section* cache = image.findSection(".cachedata")) {
+    cache_data_addr_ = cache->addr;
+  }
   sim_.addIoHandler(sync_handler_.get());
   sim_.addIoHandler(bridge_.get());
   sim_.setClock([this](uint64_t cycles) { sync_->advanceTo(cycles); });
@@ -477,6 +480,33 @@ std::string compareFinalState(const arch::ArchDescription& desc,
         return "memory " + s.name + "+" + std::to_string(off) +
                " (src " + hex32(src_addr) + "): reference " +
                std::to_string(want) + " vs platform " + std::to_string(got);
+      }
+    }
+  }
+  // The simulated cache state: one tag+valid word per way and one LRU
+  // word per set, laid out as the translator emits `.cachedata`.
+  const std::optional<uint32_t> cache_data = platform.cacheDataAddr();
+  if (cache_data.has_value() && reference.icacheOn()) {
+    const arch::ICacheState& ref = reference.icache();
+    const arch::ICacheModel& m = ref.model();
+    const SparseMemory& mem = platform.sim().memory();
+    for (uint32_t set = 0; set < m.sets; ++set) {
+      const uint32_t base = *cache_data + set * (m.ways + 1) * 4;
+      const std::string where = "icache set " + std::to_string(set);
+      for (uint32_t way = 0; way < m.ways; ++way) {
+        const uint32_t want = ref.tagEntry(set, way);
+        const uint32_t got = mem.read32(base + way * 4);
+        if (want != got) {
+          return where + " way " + std::to_string(way) +
+                 " tag word: reference " + hex32(want) + " vs platform " +
+                 hex32(got);
+        }
+      }
+      const uint32_t want = ref.lruWay(set);
+      const uint32_t got = mem.read32(base + m.ways * 4) & 0xffu;
+      if (want != got) {
+        return where + " LRU way: reference " + std::to_string(want) +
+               " vs platform " + std::to_string(got);
       }
     }
   }

@@ -12,6 +12,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -137,6 +138,11 @@ class EmulationPlatform {
   [[nodiscard]] soc::SyncDevice& sync() { return *sync_; }
   [[nodiscard]] soc::StandardPeripherals& board() { return *board_; }
   [[nodiscard]] const PlatformConfig& config() const { return config_; }
+  /// Address of the image's simulated cache state (`.cachedata`, paper
+  /// Fig. 4), or nullopt when the image simulates no cache.
+  [[nodiscard]] std::optional<uint32_t> cacheDataAddr() const {
+    return cache_data_addr_;
+  }
 
   /// Reads the V6X register holding source data register Di.
   [[nodiscard]] uint32_t srcD(int i) const {
@@ -154,6 +160,7 @@ class EmulationPlatform {
   std::unique_ptr<SyncHandler> sync_handler_;
   std::unique_ptr<BridgeHandler> bridge_;
   vliw::V6xSim sim_;
+  std::optional<uint32_t> cache_data_addr_;
 };
 
 /// ISS configuration equivalent to a translator detail level, for the
@@ -416,8 +423,10 @@ bool valuesMatch(const arch::ArchDescription& desc, uint32_t iss_value,
                  uint32_t platform_value);
 
 /// Compares the full architectural state (data registers, address
-/// registers, remapped memory) after both sides halted. Returns a
-/// human-readable description of the first mismatch, or an empty string.
+/// registers, remapped memory) after both sides halted, and, when the
+/// platform's image simulates the cache and the reference models it,
+/// every tag word and each set's LRU way. Returns a human-readable
+/// description of the first mismatch, or an empty string.
 std::string compareFinalState(const arch::ArchDescription& desc,
                               const iss::Iss& reference,
                               const EmulationPlatform& platform,

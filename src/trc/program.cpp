@@ -24,6 +24,12 @@ std::set<uint32_t> findLeaders(const elf::Object& object,
   std::set<uint32_t> leaders;
   leaders.insert(object.entry);
   for (const Instr& instr : instrs) {
+    if (instr.opc == Opc::kHalt) {
+      // Execution stops at HALT, so what follows it (alignment padding,
+      // dead code) must not join its block and its static cycle count.
+      leaders.insert(instr.addr + instr.size);
+      continue;
+    }
     if (!instr.isControlTransfer()) {
       continue;
     }

@@ -20,7 +20,8 @@ namespace cabt::trc {
 std::vector<Instr> decodeText(const elf::Object& object);
 
 /// Basic-block leader addresses: the entry point, every direct branch /
-/// call target, and every address following a control transfer.
+/// call target, and every address following a control transfer or a
+/// HALT. (BKPT resumes with the next instruction and ends no block.)
 std::set<uint32_t> findLeaders(const elf::Object& object,
                                const std::vector<Instr>& instrs);
 

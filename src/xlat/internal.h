@@ -34,11 +34,21 @@ struct XOp {
   bool is_call = false;  ///< segment boundary: delay slots must stay empty
 };
 
+/// One cache analysis block (paper section 3.4.2): a maximal run of
+/// instructions within a basic block whose first bytes share a cache line.
+struct CacheAnalysisBlock {
+  uint32_t first_addr = 0;
+  uint32_t tag_word = 0;    ///< (tag << 1) | valid, as stored in memory
+  uint32_t set_offset = 0;  ///< byte offset of the set's state in the area
+};
+
 /// A source basic block plus everything the passes attach to it.
 struct SourceBlock {
   uint32_t addr = 0;
   std::vector<trc::Instr> instrs;
   uint32_t static_cycles = 0;
+  /// The block's cache lookups, in order. After elideMruHits only the
+  /// lookups the translated code must perform remain.
   std::vector<CacheAnalysisBlock> cabs;
   /// Index into instrs at which each CAB begins (parallel to cabs).
   std::vector<size_t> cab_starts;
@@ -112,6 +122,15 @@ void computeStaticCycles(const arch::ArchDescription& desc,
 /// Splits each block into cache analysis blocks (paper section 3.4.2).
 void computeCacheAnalysisBlocks(const arch::ICacheModel& icache,
                                 std::vector<SourceBlock>& blocks);
+
+/// Static MRU-hit analysis (DESIGN.md section 2.4): removes from
+/// `blocks` (one per graph block, in graph order) every CAB whose line is
+/// the most recently used line of its set on every path reaching it.
+/// Such a lookup hits and changes no tag or LRU word. Returns how many
+/// CABs it removed.
+uint64_t elideMruHits(const arch::ICacheModel& icache,
+                      const core::BlockGraph& graph,
+                      std::vector<SourceBlock>& blocks);
 
 /// Lowers every block to target ops, inserting annotation and dynamic
 /// correction code according to the detail level.

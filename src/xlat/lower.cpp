@@ -156,6 +156,8 @@ class Lowerer {
     if (ctx_.options.level < DetailLevel::kBranchPredict) {
       return false;
     }
+    // A block whose lookups were all proven MRU hits collects no cache
+    // correction (elideMruHits left its cabs empty).
     if (ctx_.options.level >= DetailLevel::kICache && !block_.cabs.empty()) {
       return true;
     }
@@ -349,14 +351,8 @@ class Lowerer {
       case Opc::kAddi16:
         push(make(VOpc::kAddk, srcD(in.rd), kNoReg, kNoReg, in.imm));
         break;
-      case Opc::kHalt:
-        // HALT in the middle of a block (unreachable tail exists): treat
-        // as a terminator anyway.
-        emitBlockEpilogue();
-        push(make(VOpc::kHalt, kNoReg));
-        break;
       default:
-        CABT_FAIL("control transfer reached lowerPlain: "
+        CABT_FAIL("block terminator reached lowerPlain: "
                   << in.info().mnemonic);
     }
   }

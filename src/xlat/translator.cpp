@@ -109,10 +109,16 @@ TranslationResult translate(const arch::ArchDescription& desc,
       }
     }
   }
+  uint64_t cab_lookups_elided = 0;
   if (options.level >= DetailLevel::kICache) {
     CABT_CHECK(desc.icache.enabled,
                "icache detail level requires an enabled icache model");
     computeCacheAnalysisBlocks(desc.icache, blocks);
+    // Block-oriented translation only: the instruction-oriented
+    // (stepping) image keeps every lookup (DESIGN.md section 2.4).
+    if (!options.instruction_oriented) {
+      cab_lookups_elided = elideMruHits(desc.icache, graph, blocks);
+    }
   }
 
   bool has_indirect = false;
@@ -170,9 +176,12 @@ TranslationResult translate(const arch::ArchDescription& desc,
   for (const SourceBlock& b : blocks) {
     scheduled.push_back(scheduleBlock(b.code));
   }
+  // The cache routine is emitted only when some lookup still calls it.
   const bool need_routine =
-      options.level >= DetailLevel::kICache &&
-      options.inline_cache_threshold != 1;
+      std::any_of(blocks.begin(), blocks.end(), [](const SourceBlock& b) {
+        return std::any_of(b.code.begin(), b.code.end(),
+                           [](const XOp& x) { return x.is_call; });
+      });
   ScheduledBlock routine_sched;
   if (need_routine) {
     routine_sched =
@@ -200,7 +209,6 @@ TranslationResult translate(const arch::ArchDescription& desc,
     info.tgt_addr = tgt;
     info.num_instrs = static_cast<uint32_t>(blocks[i].instrs.size());
     info.static_cycles = blocks[i].static_cycles;
-    info.cabs = blocks[i].cabs;
     result.blocks.emplace(blocks[i].addr, info);
     if (options.instruction_oriented) {
       result.instr_map.emplace(blocks[i].addr, tgt);
@@ -341,6 +349,8 @@ TranslationResult translate(const arch::ArchDescription& desc,
   // ---- stats -------------------------------------------------------------
   TranslationStats& st = result.stats;
   st.blocks = blocks.size();
+  st.cab_lookups_elided = cab_lookups_elided;
+  st.cabs = cab_lookups_elided;  // elided CABs left SourceBlock::cabs
   for (const SourceBlock& b : blocks) {
     st.source_instructions += b.instrs.size();
     st.cabs += b.cabs.size();

@@ -81,27 +81,21 @@ struct TranslateOptions {
   bool debug_skew_static_cycles = false;
 };
 
-/// One cache analysis block (paper section 3.4.2): a maximal run of
-/// instructions within a basic block whose first bytes share a cache line.
-struct CacheAnalysisBlock {
-  uint32_t first_addr = 0;
-  uint32_t tag_word = 0;    ///< (tag << 1) | valid, as stored in memory
-  uint32_t set_offset = 0;  ///< byte offset of the set's state in the area
-};
-
 /// Per-source-block translation record (also drives debugging).
 struct BlockInfo {
   uint32_t src_addr = 0;
   uint32_t tgt_addr = 0;  ///< address of the block's first execute packet
   uint32_t num_instrs = 0;
   uint32_t static_cycles = 0;  ///< n of the block's "start cycle generation"
-  std::vector<CacheAnalysisBlock> cabs;
 };
 
 struct TranslationStats {
   uint64_t source_instructions = 0;  ///< static count
   uint64_t blocks = 0;
   uint64_t cabs = 0;
+  /// CABs proven to hit the most recently used way of their set on every
+  /// path (static count; no lookup code is emitted for them).
+  uint64_t cab_lookups_elided = 0;
   uint64_t machine_ops = 0;
   uint64_t packets = 0;
   uint64_t code_bytes = 0;

@@ -345,9 +345,9 @@ target: movi d9, 222
   EXPECT_EQ(snap::firstMismatch(runCore(obj, false), runCore(obj, true)), "");
 }
 
-TEST(EngineEquivalence, HaltInTheMiddleOfABlock) {
-  // The halt is not preceded by a control transfer, so its block
-  // continues past it; execution must stop with a partial block commit.
+TEST(EngineEquivalence, HaltFollowedByDeadCode) {
+  // The instruction after a halt starts a new block that never runs; both
+  // engines must stop at the halt with the same state.
   const elf::Object obj = trc::assemble(R"(
 _start: movi d1, 1
         movi d2, 2

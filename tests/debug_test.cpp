@@ -186,6 +186,29 @@ TEST(Debugger, CycleGenerationContinuesWhileDebugging) {
   EXPECT_GT(dbg.platform().sync().totalGenerated(), 0u);
 }
 
+TEST(Debugger, CacheWordsStayExactAcrossImageSwitches) {
+  // At icache level the block image omits the lookups the MRU analysis
+  // proved to be hits ('loop' re-enters its own line), while the stepping
+  // image keeps every lookup and shares the cache area. Stepping to a
+  // mid-block breakpoint on each pass and re-entering the block image at
+  // the next leader must leave the cache words equal to the reference's.
+  const arch::ArchDescription desc = defaultArch();
+  const elf::Object src = trc::assemble(kProgram);
+  Debugger dbg(desc, src, xlat::DetailLevel::kICache);
+  EXPECT_GT(dbg.dual().block.stats.cab_lookups_elided, 0u);
+  dbg.addBreakpoint(0x8000000c);
+  int hits = 0;
+  for (Stop s = dbg.run(); s.kind == StopKind::kBreakpoint && hits < 10;
+       s = dbg.run()) {
+    ++hits;
+    dbg.step();  // past the breakpoint, then back to full speed
+  }
+  EXPECT_EQ(hits, 3);
+  iss::Iss ref(desc, src);
+  ASSERT_EQ(ref.run(), iss::StopReason::kHalted);
+  EXPECT_EQ(platform::compareFinalState(desc, ref, dbg.platform(), src), "");
+}
+
 TEST(Debugger, WorksOnWorkload) {
   const workloads::Workload& w = workloads::get("gcd");
   const elf::Object src = workloads::assemble(w);

@@ -174,6 +174,39 @@ _start: movi d5, 7
             std::string::npos);
 }
 
+TEST(Platform, CompareFinalStateChecksTheSimulatedCache) {
+  // At icache level every comparison also checks the translated image's
+  // cache words against the reference's behavioural model, and names the
+  // first set and way that differ.
+  const elf::Object obj = trc::assemble(R"(
+_start: movi d5, 7
+        halt
+)");
+  const arch::ArchDescription desc = defaultArch();
+  iss::Iss ref(desc, obj);
+  EXPECT_EQ(ref.run(), iss::StopReason::kHalted);
+  xlat::TranslateOptions opts;
+  opts.level = xlat::DetailLevel::kICache;
+  const xlat::TranslationResult t = xlat::translate(desc, obj, opts);
+  EmulationPlatform plat(desc, t.image);
+  EXPECT_EQ(plat.run().state, vliw::RunState::kHalted);
+  ASSERT_TRUE(plat.cacheDataAddr().has_value());
+  EXPECT_EQ(compareFinalState(desc, ref, plat, obj), "");
+  // Flip the valid bit of set 5, way 1 (two tag words and one LRU word
+  // per set).
+  const uint32_t word = *plat.cacheDataAddr() + 5 * 12 + 4;
+  SparseMemory& mem = plat.sim().memory();
+  mem.write32(word, mem.read32(word) ^ 1u);
+  EXPECT_NE(compareFinalState(desc, ref, plat, obj)
+                .find("icache set 5 way 1 tag word"),
+            std::string::npos);
+  mem.write32(word, mem.read32(word) ^ 1u);
+  // Make way 1 the LRU way of set 5.
+  mem.write32(word + 4, 1u);
+  EXPECT_NE(compareFinalState(desc, ref, plat, obj).find("icache set 5 LRU"),
+            std::string::npos);
+}
+
 // ---- architecture variants (retargetability via the description) --------
 
 struct ArchVariant {
