@@ -10,7 +10,8 @@
 // of SoC cycles before yielding back to the kernel, which always resumes
 // the core with the smallest local time. Run it twice with different
 // quanta to see the speed/accuracy knob: the checksums never change, the
-// modelled completion times drift within one quantum.
+// modelled completion times drift within one quantum. Exits 1 unless both
+// cores halt with both checksums at 1544 at every quantum.
 #include <cstdio>
 
 #include "platform/platform.h"
@@ -25,6 +26,8 @@ int main() {
   const elf::Object& producer = images.image(0);
   const elf::Object& consumer = images.image(1);
 
+  constexpr uint32_t kExpectedChecksum = 1544;
+  bool ok = true;
   for (const sim::Cycle quantum : {16u, 1024u}) {
     platform::BoardConfig cfg;
     // The interrupt handler is only reachable through the controller's
@@ -56,12 +59,17 @@ int main() {
                 static_cast<unsigned long long>(board.ptimer().expiries()),
                 static_cast<unsigned long long>(
                     board.kernel().eventsDispatched()));
-    std::printf("  checksums: producer %u, consumer %u (expected 1544)\n\n",
-                workloads::readChecksum(producer, board.core(0).memory()),
-                workloads::readChecksum(consumer, board.core(1).memory()));
+    const uint32_t produced =
+        workloads::readChecksum(producer, board.core(0).memory());
+    const uint32_t consumed =
+        workloads::readChecksum(consumer, board.core(1).memory());
+    std::printf("  checksums: producer %u, consumer %u (expected %u)\n\n",
+                produced, consumed, kExpectedChecksum);
+    ok = ok && reason == iss::StopReason::kHalted &&
+         produced == kExpectedChecksum && consumed == kExpectedChecksum;
   }
   std::printf("(the checksums are quantum-independent; the cycle counts "
               "drift within one quantum — the loosely-timed accuracy "
               "trade-off)\n");
-  return 0;
+  return ok ? 0 : 1;
 }

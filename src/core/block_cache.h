@@ -15,8 +15,7 @@
 //     per distinct consecutive line within a block; the groups follow
 //     from the static instruction addresses).
 // The BlockCache is now the *per-core overlay* over that artifact: hot
-// counters, breakpoint flags, formed traces and lowered threaded-code
-// programs (each block lowered at its first dispatch, each trace on
+// counters, formed traces and lowered threaded-code programs (each block lowered at its first dispatch, each trace on
 // formation) — everything dispatch mutates — stays private per core, while
 // N cores across M boards running the same image point at one shared
 // artifact that is never written after publication. Dynamic state —
@@ -39,11 +38,11 @@ namespace cabt::core {
 
 /// ExecBlock::trace value while no trace exists; formTrace() returns
 /// kTraceDeclined when it refuses to splice (cold or ambiguous
-/// successors, indirect terminator, breakpoints). A decline is not
-/// permanent: the dispatcher re-attempts with geometric backoff
+/// successors, indirect terminator). A decline is not permanent: the
+/// dispatcher re-attempts with geometric backoff
 /// (ExecBlock::trace_retry_at), since the refusal may have been
-/// transient — a breakpoint later removed, or branch statistics that
-/// only skew once the program leaves its warm-up phase.
+/// transient — branch statistics that only skew once the program
+/// leaves its warm-up phase.
 /// ExecBlock::threaded / Trace::threaded reuse the same sentinels for
 /// the lowered threaded-code program. A block always lowers, so its
 /// program is unformed or an index; only a trace lowering can be
@@ -91,10 +90,6 @@ struct ExecBlock {
   /// exec_count at which a declined trace formation is re-attempted
   /// (doubled on every refusal, so retries stay O(log) per block).
   uint64_t trace_retry_at = 0;
-  /// 1 when the block contains a debug breakpoint. Maintained by the ISS
-  /// on addBreakpoint/removeBreakpoint so dispatch tests one byte
-  /// instead of probing the breakpoint set per block.
-  uint8_t has_breakpoint = 0;
   /// Hot-count statistic: number of times the block was dispatched.
   uint64_t exec_count = 0;
   /// Observed successor outcomes under chained dispatch: retired with

@@ -78,25 +78,6 @@ BlockGraph BlockGraph::build(const elf::Object& object,
   return graph;
 }
 
-int32_t BlockGraph::blockIndexContaining(uint32_t addr) const {
-  if (addr - text_base_ >= text_span_) {
-    return -1;
-  }
-  // Blocks are sorted by address: the containing block is the last one
-  // starting at or before `addr` (blocks tile .text, so it exists).
-  size_t lo = 0;
-  size_t hi = blocks_.size();
-  while (hi - lo > 1) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (blocks_[mid].addr <= addr) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return static_cast<int32_t>(lo);
-}
-
 uint32_t staticBlockCycles(const arch::ArchDescription& desc,
                            const trc::Instr* instrs, size_t count) {
   CABT_CHECK(count > 0, "empty basic block");

@@ -79,10 +79,6 @@ class BlockGraph {
     return ((leader_bits_[bit >> 6] >> (bit & 63)) & 1u) != 0;
   }
 
-  /// Index of the block whose [addr, last-instruction] range contains
-  /// `addr`, or -1 when `addr` is outside .text. Used to maintain the
-  /// per-block breakpoint flags without scanning on dispatch.
-  [[nodiscard]] int32_t blockIndexContaining(uint32_t addr) const;
   [[nodiscard]] const Block* blockAt(uint32_t addr) const {
     const int32_t i = indexAt(addr);
     return i < 0 ? nullptr : &blocks_[static_cast<size_t>(i)];

@@ -12,8 +12,7 @@
 // fleet pays one decode (decode once, execute everywhere).
 //
 // The artifact is never written after publication. All mutable residue —
-// hot counters, breakpoint flags, formed traces, lowered threaded
-// programs — lives in the per-core BlockCache overlay (block_cache.h),
+// hot counters, formed traces, lowered threaded programs — lives in the per-core BlockCache overlay (block_cache.h),
 // which holds a shared_ptr to its artifact and points into it.
 #pragma once
 

@@ -69,13 +69,15 @@ void lowerSegment(const StaticBlock& b, const arch::BranchModel& bm,
       case arch::OpClass::kBranchInd:
         op.x0 = static_cast<uint8_t>(bm.unconditionalExtra(in.cls()));
         break;
-      case arch::OpClass::kHalt:
-        // HALT leaves the pc on itself; BKPT advances past itself.
-        op.a = in.opc == Opc::kBkpt ? in.addr + in.size : in.addr;
-        break;
       default:
+        // Keyed on the opcode: BKPT's class is kNop, not kHalt. HALT
+        // leaves the pc on itself; BKPT advances past itself.
         if (in.opc == Opc::kMovh || in.opc == Opc::kMovha) {
           op.a = static_cast<uint32_t>(in.imm) << 16;
+        } else if (in.opc == Opc::kHalt) {
+          op.a = in.addr;
+        } else if (in.opc == Opc::kBkpt) {
+          op.a = in.addr + in.size;
         }
         break;
     }

@@ -56,11 +56,9 @@ int32_t BlockCache::formTrace(int32_t head) {
       break;
     }
     // A revisited block is allowed (it unrolls hot loops into the
-    // trace); breakpointed blocks are never spliced — dispatch must
-    // reach them through the stepping fallback.
+    // trace).
     const ExecBlock& nb = blocks_[next];
-    if (nb.has_breakpoint != 0 ||
-        total + nb.instrs().size() > kTraceMaxInstrs) {
+    if (total + nb.instrs().size() > kTraceMaxInstrs) {
       break;
     }
     total += static_cast<uint32_t>(nb.instrs().size());

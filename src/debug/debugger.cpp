@@ -136,28 +136,35 @@ Stop Debugger::instrStep() {
   return {StopKind::kStep, current_src_};
 }
 
-Stop Debugger::run() {
-  CABT_CHECK(!halted_, "program has halted");
-  // If paused mid-block in the instruction image, step until a breakpoint
-  // or a block leader, then drop back to the block image.
-  while (mode_ == Mode::kInstr) {
-    if (breakpoints_.count(current_src_) != 0 && !at_block_breakpoint_) {
-      return {StopKind::kBreakpoint, current_src_};
-    }
-    at_block_breakpoint_ = false;
-    if (dual_.block.blocks.count(current_src_) != 0) {
-      // Block leader: switch back to the fast image.
-      platform_.sim().setPc(dual_.block.blocks.at(current_src_).tgt_addr);
-      mode_ = Mode::kBlock;
-      break;
-    }
+std::optional<Stop> Debugger::stepToBreakpointOrLeader() {
+  for (;;) {
     const Stop s = instrStep();
     if (s.kind == StopKind::kHalted) {
       return s;
     }
+    if (breakpoints_.count(current_src_) != 0) {
+      return Stop{StopKind::kBreakpoint, current_src_};
+    }
+    const auto leader = dual_.block.blocks.find(current_src_);
+    if (leader != dual_.block.blocks.end()) {
+      // Block leader: switch back to the fast image.
+      platform_.sim().setPc(leader->second.tgt_addr);
+      mode_ = Mode::kBlock;
+      return std::nullopt;
+    }
   }
+}
 
+Stop Debugger::run() {
+  CABT_CHECK(!halted_, "program has halted");
   for (;;) {
+    if (mode_ == Mode::kInstr) {
+      // Paused in the instruction image (after a step or a mid-block
+      // breakpoint): execute the stopped-at instruction, then step on.
+      if (const std::optional<Stop> s = stepToBreakpointOrLeader()) {
+        return *s;
+      }
+    }
     armBlockBreakpoints();
     const vliw::RunState state =
         at_block_breakpoint_
@@ -182,29 +189,12 @@ Stop Debugger::run() {
     CABT_CHECK(block_src != 0, "breakpoint at unmapped target address");
     current_src_ = block_src;
     if (breakpoints_.count(block_src) != 0) {
-      mode_ = Mode::kBlock;
       at_block_breakpoint_ = true;
       return {StopKind::kBreakpoint, block_src};
     }
-    // Mid-block breakpoint: single-step from the block start to it.
+    // Mid-block breakpoint: enter the instruction image at the block
+    // start, which holds none, and single-step to it.
     enterInstrImage(block_src);
-    for (;;) {
-      if (breakpoints_.count(current_src_) != 0) {
-        return {StopKind::kBreakpoint, current_src_};
-      }
-      const Stop s = instrStep();
-      if (s.kind == StopKind::kHalted) {
-        return s;
-      }
-      if (dual_.block.blocks.count(current_src_) != 0) {
-        // Left the block without hitting it (e.g. an early branch out):
-        // resume full speed.
-        platform_.sim().setPc(
-            dual_.block.blocks.at(current_src_).tgt_addr);
-        mode_ = Mode::kBlock;
-        break;
-      }
-    }
   }
 }
 

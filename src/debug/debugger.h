@@ -67,6 +67,8 @@ class Debugger {
 
   /// Runs at full speed (block image) until a breakpoint or halt;
   /// mid-block breakpoints are reached by automatic single stepping.
+  /// After any stop, the stopped-at instruction executes before a
+  /// breakpoint is honoured, so each run() makes progress.
   Stop run();
 
   /// Executes exactly one source instruction.
@@ -100,6 +102,10 @@ class Debugger {
   void enterInstrImage(uint32_t src_leader);
   /// One instruction-image step; updates current_src_ / halted state.
   Stop instrStep();
+  /// Executes the instruction the instruction image is poised at, then
+  /// steps until a requested breakpoint or a halt (returned) or the next
+  /// block leader (switches to the block image, returns nullopt).
+  std::optional<Stop> stepToBreakpointOrLeader();
   void armBlockBreakpoints();
   void disarmBlockBreakpoints();
 

@@ -1,5 +1,7 @@
 #include "iss/iss.h"
 
+#include <optional>
+
 #include "common/bits.h"
 #include "common/strutil.h"
 #include "trc/program.h"
@@ -37,45 +39,8 @@ Iss::Iss(const arch::ArchDescription& desc, const elf::Object& object,
 core::BlockCache& Iss::blockCache() {
   if (cache_ == nullptr) {
     cache_ = std::make_unique<core::BlockCache>(artifact_);
-    // Breakpoints planted before the first dispatch: replay them into
-    // the per-block flags the dispatcher tests.
-    for (const uint32_t addr : breakpoints_) {
-      refreshBreakpointFlag(addr);
-    }
   }
   return *cache_;
-}
-
-void Iss::refreshBreakpointFlag(uint32_t addr) {
-  if (cache_ == nullptr) {
-    return;  // the lazy cache build replays the whole set
-  }
-  const int32_t idx = graph_.blockIndexContaining(addr);
-  if (idx < 0) {
-    return;
-  }
-  core::ExecBlock& block = cache_->blocks()[static_cast<size_t>(idx)];
-  block.has_breakpoint = blockHasBreakpoint(block) ? 1 : 0;
-}
-
-void Iss::addBreakpoint(uint32_t addr) {
-  breakpoints_.insert(addr);
-  refreshBreakpointFlag(addr);
-}
-
-void Iss::removeBreakpoint(uint32_t addr) {
-  breakpoints_.erase(addr);
-  refreshBreakpointFlag(addr);
-}
-
-bool Iss::traceHasBreakpoint(const core::Trace& trace) const {
-  for (const core::TraceSegment& seg : trace.segs) {
-    if (cache_->blocks()[static_cast<size_t>(seg.block)].has_breakpoint !=
-        0) {
-      return true;
-    }
-  }
-  return false;
 }
 
 const Instr& Iss::fetch(uint32_t addr) const {
@@ -180,29 +145,6 @@ bool Iss::applyDueFaults() {
   return fired;
 }
 
-bool Iss::checkDebugBreak() {
-  if (skip_breakpoint_at_.has_value() && *skip_breakpoint_at_ == pc_) {
-    // Resume over the breakpoint we stopped at: this call is immediately
-    // followed by the instruction's execution. The skip is keyed to the
-    // stop address so an interrupt redirecting pc_ to the handler first
-    // (with its own breakpoint) still stops there, and the skip survives
-    // until control returns to the original instruction.
-    skip_breakpoint_at_.reset();
-    return false;
-  }
-  if (breakpoints_.count(pc_) == 0) {
-    return false;
-  }
-  stop_ = StopReason::kDebugBreak;
-  skip_breakpoint_at_ = pc_;  // the resume executes this instruction
-  return true;
-}
-
-bool Iss::blockHasBreakpoint(const core::ExecBlock& block) const {
-  const auto it = breakpoints_.lower_bound(block.addr());
-  return it != breakpoints_.end() && *it <= block.instrs().back().addr;
-}
-
 void Iss::icacheAccess(uint32_t addr) {
   ++stats_.icache_accesses;
   if (!icache_.access(addr)) {
@@ -246,15 +188,6 @@ void Iss::finishBlock() {
 }
 
 StopReason Iss::step() {
-  const StopReason r = stepInstr();
-  flushBusClock();
-  return r;
-}
-
-StopReason Iss::stepInstr() {
-  if (stop_ == StopReason::kDebugBreak) {
-    stop_ = StopReason::kRunning;  // resume over the breakpoint
-  }
   if (stop_ != StopReason::kRunning) {
     return stop_;
   }
@@ -278,9 +211,6 @@ StopReason Iss::stepInstr() {
     if (irq_ != nullptr) {
       irqEpoch();
     }
-  }
-  if (checkDebugBreak()) {
-    return stop_;
   }
   const Instr& instr = fetch(pc_);
 
@@ -408,23 +338,16 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
         block = cache.lookup(pc_);
       }
     }
-    if (block != nullptr && !breakpoints_.empty() &&
-        block->has_breakpoint != 0) {
-      // Never dispatch a cached block containing a breakpoint, however
-      // hot: the stepping fallback stops exactly on the breakpoint.
-      block = nullptr;
-    }
     if (block == nullptr || stats_.instructions + block->instrs().size() >
                                 config_.max_instructions) {
-      // Per-instruction fallback: mid-block landing addresses, blocks
-      // with breakpoints and the final instructions before the
-      // instruction limit.
-      stepInstr();
+      // Per-instruction fallback: mid-block landing addresses and the
+      // final instructions before the instruction limit.
+      step();
       continue;
     }
     if (via_chain) {
       // Counted only for dispatches that actually go through the cache
-      // (not chained arrivals refused for breakpoints or budget), so
+      // (not chained arrivals refused for the instruction budget), so
       // chain_entries never exceeds exec_count.
       ++stats_.chain_hits;
       ++block->chain_entries;
@@ -442,18 +365,17 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
                              block->addr());
       }
       if (block->trace == core::kTraceDeclined) {
-        // A refusal can be transient (breakpointed successor, not yet
-        // skewed branch statistics): re-attempt with geometric
-        // backoff instead of declining forever.
+        // A refusal can be transient (branch statistics that have not
+        // skewed yet): re-attempt with geometric backoff instead of
+        // declining forever.
         block->trace = core::kTraceUnformed;
         block->trace_retry_at = block->exec_count * 2;
       }
     }
     if (block->trace >= 0) {
       core::Trace& trace = cache.traces()[static_cast<size_t>(block->trace)];
-      if ((breakpoints_.empty() || !traceHasBreakpoint(trace)) &&
-          stats_.instructions + trace.total_instrs <=
-              config_.max_instructions) {
+      if (stats_.instructions + trace.total_instrs <=
+          config_.max_instructions) {
         if (trace.threaded == core::kTraceUnformed) {
           trace.threaded = cache.lowerTraceThreaded(block->trace, binder);
           ++(trace.threaded >= 0 ? stats_.threaded_lowerings
@@ -493,9 +415,6 @@ StopReason Iss::runUntil(uint64_t time_limit) {
 }
 
 StopReason Iss::runLoop(uint64_t time_limit) {
-  if (stop_ == StopReason::kDebugBreak) {
-    stop_ = StopReason::kRunning;  // resume over the breakpoint
-  }
   if (!config_.use_block_cache) {
     while (stop_ == StopReason::kRunning) {
       if (stats_.instructions >= config_.max_instructions) {
@@ -507,7 +426,7 @@ StopReason Iss::runLoop(uint64_t time_limit) {
       if (isLeader(pc_) && localTime() >= time_limit) {
         return StopReason::kCycleLimit;
       }
-      stepInstr();
+      step();
     }
     return stop_;
   }
@@ -570,13 +489,6 @@ void Iss::saveState(serial::Writer& w) const {
   timer_.saveState(w);
   icache_.saveState(w);
   saveStats(w, stats_);
-  // Debug state: the breakpoint set and a pending step-over.
-  w.u32(static_cast<uint32_t>(breakpoints_.size()));
-  for (const uint32_t addr : breakpoints_) {
-    w.u32(addr);
-  }
-  w.b(skip_breakpoint_at_.has_value());
-  w.u32(skip_breakpoint_at_.value_or(0));
   mem_.saveState(w);
 }
 
@@ -593,7 +505,7 @@ void Iss::restoreState(serial::Reader& r) {
   pc_ = r.u32();
   // kCycleLimit is a return value only, never the stored state.
   const uint8_t stop = r.u8();
-  CABT_CHECK(stop <= static_cast<uint8_t>(StopReason::kDebugBreak),
+  CABT_CHECK(stop < static_cast<uint8_t>(StopReason::kCycleLimit),
              "snapshot stop reason " << static_cast<unsigned>(stop)
                                      << " is not one the core stores");
   stop_ = static_cast<StopReason>(stop);
@@ -615,31 +527,12 @@ void Iss::restoreState(serial::Reader& r) {
   timer_.restoreState(r);
   icache_.restoreState(r);
   restoreStats(r, stats_);
-  breakpoints_.clear();
-  const uint32_t num_bps = r.u32();
-  for (uint32_t i = 0; i < num_bps; ++i) {
-    breakpoints_.insert(r.u32());
-  }
-  const bool have_skip = r.b();
-  const uint32_t skip_addr = r.u32();
-  skip_breakpoint_at_ =
-      have_skip ? std::optional<uint32_t>(skip_addr) : std::nullopt;
   mem_.restoreState(r);
-  // Derived-state revalidation: the predecoded cache (if one exists) is
-  // still a valid decode of the immutable image, but its per-block
-  // breakpoint flags mirror the old breakpoint set — recompute every one
-  // from the restored set. Trace formation state (exec counts, formed
-  // superblocks) and lowered threaded-code programs stay warm: neither
-  // traces nor threaded programs ever dispatch through a flagged block
-  // (the refusal is a dispatch-time flag test, not a lowering-time
-  // decision), so correctness needs only the flags. A cold restore has
-  // no cache at all: it re-lowers each block at its first dispatch and
-  // re-forms traces once their heads re-heat.
-  if (cache_ != nullptr) {
-    for (core::ExecBlock& block : cache_->blocks()) {
-      block.has_breakpoint = blockHasBreakpoint(block) ? 1 : 0;
-    }
-  }
+  // Derived state stays as it is: the predecoded cache (if one exists),
+  // its traces and its lowered threaded-code programs are built from the
+  // immutable image, and every trace guard re-checks the pc. A cold
+  // restore has no cache at all: it re-lowers each block at its first
+  // dispatch and re-forms traces once their heads re-heat.
   // Nothing is owed across a snapshot boundary: the live value may
   // belong to another timeline.
   deferred_advance_ = 0;

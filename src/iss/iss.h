@@ -20,8 +20,9 @@
 //     so no per-instruction config test survives in the hot path (see
 //     DESIGN.md section 6); and
 //   * the per-instruction step() engine, the interpretive reference (the
-//     one decode switch): used by single stepping, as the fallback for
-//     addresses that are not block leaders, and to stop exactly at the
+//     one decode switch): selected with IssConfig::use_block_cache =
+//     false, and the threaded engine's fallback for addresses that are
+//     not block leaders and for the last instructions before the
 //     instruction limit.
 // Block boundaries come from the same core::BlockGraph the translator
 // consumes, so the reference and the translated image can never disagree
@@ -30,24 +31,24 @@
 // tests/random_program_test.cpp).
 //
 // Interrupts (soc::IrqSource, attached via attachIrq) are sampled at
-// basic-block boundaries only, and debug breakpoints force the block
-// engine back onto the stepping engine for the containing block — both
-// rules keep the engines bit-identical under interrupts and debugging
-// (see DESIGN.md, "IRQ-at-block-boundary rule"). A boundary below the
-// bus horizon (soc::SocBus::horizon) skips the sample, which is provably
-// inert there, and only records the bus-clock advance it owes; the core
-// pays that advance at its next bus access or sample, or when it returns
-// (the lazy-clock contract, DESIGN.md section 5.1). runUntil() yields at
-// boundaries once a local-time limit is reached; the event kernel
-// (sim/kernel.h) uses it to run cores in quantum-bounded slices.
+// basic-block boundaries only, which keeps the engines bit-identical
+// under interrupts (see DESIGN.md, "IRQ-at-block-boundary rule"). A
+// boundary below the bus horizon (soc::SocBus::horizon) skips the
+// sample, which is provably inert there, and only records the bus-clock
+// advance it owes; the core pays that advance at its next bus access or
+// sample, or when it returns (the lazy-clock contract, DESIGN.md
+// section 5.1). runUntil() yields at boundaries once a local-time limit
+// is reached; the event kernel (sim/kernel.h) uses it to run cores in
+// quantum-bounded slices.
+//
+// The ISS has no debugger of its own: debugging happens on the
+// translated program (debug/debugger.h, paper section 3.5).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -86,7 +87,6 @@ enum class StopReason {
   kHalted,
   kBreakpoint,      ///< BKPT instruction executed
   kMaxInstructions,
-  kDebugBreak,      ///< stopped *at* a debug breakpoint; resumable
   /// runUntil() reached its local-time limit; resumable. Returned, never
   /// stored, so it stays last: restoreState accepts the values before it.
   kCycleLimit,
@@ -193,8 +193,8 @@ struct IssConfig {
   bool model_branch_extras = true;
   bool model_icache = true;
   /// The engine choice: true runs the threaded engine, false runs the
-  /// step() reference throughout (differential testing, and debugger-
-  /// style consumers that want stepping semantics everywhere).
+  /// step() reference throughout (the differential tests' reference and
+  /// the dispatch ablation's baseline).
   bool use_block_cache = true;
   /// A block heads a superblock trace once dispatched this many times
   /// (traces are lowered on formation; single blocks at their first
@@ -238,14 +238,14 @@ struct ThreadedHandlers;
 class Iss {
  public:
   /// `bus` may be null when the program performs no I/O. The bus clock
-  /// follows the modelled cycle count lazily: at every return from run(),
-  /// runUntil() and step() it stands where advancing it at every sampled
+  /// follows the modelled cycle count lazily: at every return from run()
+  /// and runUntil() it stands where advancing it at every sampled
   /// boundary would have left it.
   Iss(const arch::ArchDescription& desc, const elf::Object& object,
       soc::SocBus* bus = nullptr, IssConfig config = {});
 
-  /// Runs until HALT/BKPT, a debug breakpoint or the instruction limit,
-  /// dispatching whole cached blocks when possible.
+  /// Runs until HALT/BKPT or the instruction limit, dispatching whole
+  /// cached blocks when possible.
   StopReason run();
   /// Runs like run() but additionally yields with kCycleLimit once
   /// localTime() reaches `time_limit`, checked at basic-block boundaries
@@ -253,8 +253,6 @@ class Iss {
   /// decoupling hook: a kernel-hosted core runs one quantum per
   /// activation and stays resumable.
   StopReason runUntil(uint64_t time_limit);
-  /// Executes a single instruction (the per-instruction engine).
-  StopReason step();
 
   /// Local time of this core: the modelled cycle count, or the retired
   /// instruction count in functional mode (model_timing = false), so
@@ -310,36 +308,16 @@ class Iss {
     return artifact_->symbols();
   }
 
-  /// Debugger-style breakpoints: run()/step() stop with kDebugBreak
-  /// *before* executing the instruction at `addr` (pc() == addr). The
-  /// block engine refuses to dispatch any cached block — or any trace
-  /// with a constituent block — containing a breakpoint and falls back
-  /// to stepping, no matter how hot the block is. Both calls maintain
-  /// the per-block `has_breakpoint` flags the dispatcher tests.
-  /// Resuming (the next run()/step()) executes the instruction.
-  void addBreakpoint(uint32_t addr);
-  void removeBreakpoint(uint32_t addr);
-  [[nodiscard]] const std::set<uint32_t>& breakpoints() const {
-    return breakpoints_;
-  }
-
   [[nodiscard]] uint32_t pc() const { return pc_; }
-  /// Stop state of the last run()/runUntil()/step() (kRunning while the
-  /// core is resumable, including after a kCycleLimit yield).
+  /// Stop state of the last run()/runUntil() (kRunning while the core is
+  /// resumable, including after a kCycleLimit yield).
   [[nodiscard]] StopReason stopReason() const { return stop_; }
   [[nodiscard]] uint32_t d(int i) const { return d_.at(i); }
   [[nodiscard]] uint32_t a(int i) const { return a_.at(i); }
-  void setPc(uint32_t pc) { pc_ = pc; }
-  void setD(int i, uint32_t v) { d_.at(i) = v; }
-  void setA(int i, uint32_t v) { a_.at(i) = v; }
 
   [[nodiscard]] const IssStats& stats() const { return stats_; }
   [[nodiscard]] SparseMemory& memory() { return mem_; }
   [[nodiscard]] const SparseMemory& memory() const { return mem_; }
-  [[nodiscard]] const std::set<uint32_t>& leaders() const {
-    return graph_.leaders();
-  }
-  [[nodiscard]] const core::BlockGraph& blockGraph() const { return graph_; }
   [[nodiscard]] const arch::ICacheState& icache() const { return icache_; }
   /// True when this core models the instruction cache (icache() is live).
   [[nodiscard]] bool icacheOn() const {
@@ -348,12 +326,6 @@ class Iss {
 
   /// The `n` hottest blocks by dispatch count (block-cache engine only).
   [[nodiscard]] std::vector<HotBlock> hotBlocks(size_t n) const;
-
-  /// Forces construction of the predecoded block cache now instead of
-  /// lazily on the first run() dispatch. Decode-once cost is one-time
-  /// per program; benchmarks call this to keep it out of the measured
-  /// execution window.
-  void prebuildBlockCache() { blockCache(); }
 
   void enableBlockTrace(bool on) { trace_blocks_ = on; }
   [[nodiscard]] const std::vector<BlockRecord>& blockTrace() const {
@@ -365,15 +337,14 @@ class Iss {
   // saveState captures everything the next instruction can observe:
   // architectural state (registers, pc, stop reason, memory) plus the
   // micro-architectural residue of the open block (pipeline scoreboard,
-  // lazy-commit cycle accounting, icache tags/LRU, line tracking), the
-  // full IssStats record and the debug state (breakpoint set, pending
-  // step-over). The block graph, predecoded block cache and superblock
-  // traces are host-side *derived* state — a pure function of the
-  // immutable program image — and are never serialized: restoreState
-  // revalidates what exists (per-block breakpoint flags recomputed from
-  // the restored set) and anything missing rebuilds lazily, so a restore
-  // into a cold process (no warm cache, no traces) reaches the same
-  // architectural observables as the live core (tests/snap_test.cpp).
+  // lazy-commit cycle accounting, icache tags/LRU, line tracking) and the
+  // full IssStats record. The block graph, predecoded block cache and
+  // superblock traces are host-side *derived* state — a pure function of
+  // the immutable program image — and are never serialized: what exists
+  // stays valid across a restore and anything missing rebuilds lazily,
+  // so a restore into a cold process (no warm cache, no traces) reaches
+  // the same architectural observables as the live core
+  // (tests/snap_test.cpp).
 
   void saveState(serial::Writer& w) const;
   void restoreState(serial::Reader& r);
@@ -403,11 +374,13 @@ class Iss {
   uint32_t loadMem(uint32_t addr, unsigned size, bool sign);
   void storeMem(uint32_t addr, uint32_t value, unsigned size);
   /// Pays the recorded bus-clock advance (deferred_advance_). Runs on
-  /// every return from run()/runUntil()/step().
+  /// every return from run()/runUntil().
   [[gnu::noinline]] void flushBusClock();
-  /// step() without the return flush: the engines' per-instruction
+  /// The step() engine: executes one instruction, with the block-boundary
+  /// epoch first when the pc sits on a leader. Drives every run of the
+  /// stepping engine, and the threaded engine's per-instruction
   /// fallback.
-  StopReason stepInstr();
+  StopReason step();
   [[nodiscard]] uint64_t currentCycle() const;
   /// The step() reference's decode switch: one instruction's semantics.
   void execute(const trc::Instr& instr);
@@ -454,11 +427,6 @@ class Iss {
   /// landing mid-block.
   template <bool Timing>
   int32_t afterBlock(core::ExecBlock& block);
-  /// True when any constituent block of `trace` holds a breakpoint.
-  [[nodiscard]] bool traceHasBreakpoint(const core::Trace& trace) const;
-  /// Recomputes the has_breakpoint flag of the block containing `addr`
-  /// (no-op before the cache exists; the cache build replays the set).
-  void refreshBreakpointFlag(uint32_t addr);
   /// Interrupt epoch of a block boundary (callers test irq_ first):
   /// records the boundary's local time as the bus-clock advance this
   /// core owes, and samples only once that time reaches the bus horizon.
@@ -526,13 +494,9 @@ class Iss {
   /// Applies every fault with cycle <= localTime(); the cold half of
   /// pollFaults().
   bool applyDueFaults();
-  /// Stops with kDebugBreak when pc_ sits on a breakpoint (once per
-  /// arrival: a resume steps over it). Returns true when stopped.
-  bool checkDebugBreak();
   [[nodiscard]] bool isLeader(uint32_t addr) const {
     return graph_.isLeaderFast(addr);
   }
-  [[nodiscard]] bool blockHasBreakpoint(const core::ExecBlock& block) const;
 
   /// Builds the predecoded cache on first block-engine dispatch, so
   /// stepping-only and forced-per-instruction configurations never pay
@@ -552,11 +516,6 @@ class Iss {
   /// through it with zero indirection changes.
   const core::BlockGraph& graph_;
   std::unique_ptr<core::BlockCache> cache_;
-  std::set<uint32_t> breakpoints_;
-  /// Address whose breakpoint the next arrival skips (a resume must
-  /// execute the instruction it stopped at; keyed by address so an
-  /// interrupt redirect in between cannot consume the skip elsewhere).
-  std::optional<uint32_t> skip_breakpoint_at_;
 
   std::array<uint32_t, 16> d_{};
   std::array<uint32_t, 16> a_{};

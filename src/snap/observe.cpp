@@ -11,9 +11,8 @@ namespace cabt::snap {
 
 namespace {
 
-constexpr const char* kStopNames[] = {"running",     "halted",
-                                      "breakpoint",  "max_instructions",
-                                      "debug_break", "cycle_limit"};
+constexpr const char* kStopNames[] = {"running", "halted", "breakpoint",
+                                      "max_instructions", "cycle_limit"};
 static_assert(std::size(kStopNames) ==
               static_cast<size_t>(iss::StopReason::kCycleLimit) + 1);
 

@@ -5,7 +5,7 @@
 // A snapshot captures everything the next simulated cycle can observe:
 // every core's architectural and micro-architectural ISS state (register
 // files, pc, lazy-commit cycle accounting, pipeline scoreboard, icache
-// tags/LRU, IssStats, breakpoints), every SparseMemory image, the SoC
+// tags/LRU, IssStats), every SparseMemory image, the SoC
 // bus clock with its transaction-log tail and all device state
 // (interrupt controllers, timers, mailbox, scratch, chardev), and the
 // event kernel's queue with each process's pending activation — so
@@ -16,8 +16,8 @@
 // (tests/snap_test.cpp). What a snapshot deliberately does NOT contain
 // is host-side derived state: block graphs, predecoded block caches and
 // superblock traces are pure functions of the immutable program image —
-// a restore revalidates what exists and rebuilds the rest lazily, which
-// is what makes a snapshot restorable into a cold process.
+// what exists stays valid across a restore and the rest rebuilds lazily,
+// which is what makes a snapshot restorable into a cold process.
 //
 // Snapshots are taken between kernel runs only (the platform's
 // checkpointing loop guarantees that); the format is little-endian,
@@ -37,8 +37,9 @@ namespace cabt::snap {
 /// refuse to load — fast-forward state is cheap to regenerate, silent
 /// misinterpretation is not.
 /// v2 added the IssStats threaded counters; v3 dropped the kernel's
-/// parallel-round counters and the IssStats private-slice counters.
-inline constexpr uint32_t kFormatVersion = 3;
+/// parallel-round counters and the IssStats private-slice counters; v4
+/// dropped the ISS's breakpoint set and pending step-over.
+inline constexpr uint32_t kFormatVersion = 4;
 
 /// Serializes the full platform state.
 std::vector<uint8_t> save(const platform::ReferenceBoard& board);

@@ -165,28 +165,6 @@ TEST(BlockGraph, LeaderBitmapMatchesLeaderSet) {
   }
 }
 
-TEST(BlockGraph, BlockIndexContaining) {
-  const elf::Object obj = trc::assemble(R"(
-_start: movi d0, 3
-loop:   addi16 d0, -1
-        add d1, d1, d0
-        jnz16 d0, loop
-        halt
-)");
-  const BlockGraph graph = BlockGraph::build(obj);
-  ASSERT_EQ(graph.blocks().size(), 3u);
-  for (size_t i = 0; i < graph.blocks().size(); ++i) {
-    const Block& b = graph.blocks()[i];
-    // Every instruction address of a block maps back to its index.
-    for (const trc::Instr* in = graph.begin(b); in != graph.end(b); ++in) {
-      EXPECT_EQ(graph.blockIndexContaining(in->addr),
-                static_cast<int32_t>(i));
-    }
-  }
-  EXPECT_EQ(graph.blockIndexContaining(0), -1);
-  EXPECT_EQ(graph.blockIndexContaining(0xdeadbeef), -1);
-}
-
 TEST(Traces, FormsDominantChain) {
   const elf::Object obj = trc::assemble(R"(
 _start: movi d0, 100
@@ -236,15 +214,10 @@ loop:   add d1, d1, d0
     EXPECT_EQ(cache.formTrace(1), kTraceDeclined);
   }
   {
-    // A breakpointed successor terminates the chain: from the halt
-    // block (no successor at all) the trace is a single block and is
-    // declined outright.
+    // From the halt block (no successor at all) the trace is a single
+    // block and is declined outright.
     BlockCache cache(makeArtifact(defaultArch(), obj));
     EXPECT_EQ(cache.formTrace(2), kTraceDeclined);
-    // The dominant successor exists but carries a breakpoint flag.
-    cache.blocks()[1].taken_count = 100;
-    cache.blocks()[1].has_breakpoint = 1;
-    EXPECT_EQ(cache.formTrace(1), kTraceDeclined);
   }
 }
 
@@ -356,6 +329,46 @@ _start: movi d1, 1
         add d4, d1, d2
 )");
   EXPECT_EQ(snap::firstMismatch(runCore(obj, false), runCore(obj, true)), "");
+}
+
+TEST(EngineEquivalence, BkptStopsPastItself) {
+  // BKPT stops the core with the pc past itself on both engines, whether
+  // it sits mid-block or ends its block (`next` is a branch target, so
+  // the BKPT before it is the last instruction of the entry block).
+  struct Case {
+    const char* name;
+    const char* source;
+    uint32_t past_bkpt;
+  };
+  const Case cases[] = {
+      {"mid-block", R"(
+_start: movi d1, 1
+        bkpt
+        movi d1, 2
+        halt
+)",
+       0x80000008},
+      {"block end", R"(
+_start: movi d1, 1
+        movi d0, 0
+        bkpt
+next:   movi d1, 2
+        jnz16 d0, next
+        halt
+)",
+       0x8000000c},
+  };
+  for (const Case& c : cases) {
+    const elf::Object obj = trc::assemble(c.source);
+    for (const bool timing : {true, false}) {
+      SCOPED_TRACE(std::string(c.name) + (timing ? ", timing" : ""));
+      const snap::CoreObservation slow = runCore(obj, false, timing);
+      EXPECT_EQ(slow.stop, iss::StopReason::kBreakpoint);
+      EXPECT_EQ(slow.pc, c.past_bkpt);
+      EXPECT_EQ(slow.d[1], 1u);
+      EXPECT_EQ(snap::firstMismatch(slow, runCore(obj, true, timing)), "");
+    }
+  }
 }
 
 TEST(EngineEquivalence, InstructionLimitStopsInsideABlock) {

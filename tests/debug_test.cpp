@@ -5,10 +5,8 @@
 
 #include <vector>
 
-#include "common/serial.h"
 #include "debug/debugger.h"
 #include "iss/iss.h"
-#include "snap/observe.h"
 #include "trc/assembler.h"
 #include "workloads/workloads.h"
 
@@ -74,6 +72,28 @@ TEST(Debugger, MidBlockBreakpointViaSingleStep) {
   EXPECT_EQ(stop.src_addr, 0x8000000cu);
   EXPECT_EQ(dbg.d(1), 3u);  // the add before it has executed
   EXPECT_EQ(dbg.d(0), 3u);  // the addi16 has not
+}
+
+TEST(Debugger, RunContinuesFromMidBlockBreakpoint) {
+  // Each run() from a mid-block stop executes the stopped-at instruction
+  // first: the breakpoint hits once per loop pass, then the program
+  // halts. The bound turns a run() that makes no progress into a
+  // failure, not a hang.
+  const elf::Object src = trc::assemble(kProgram);
+  Debugger dbg(defaultArch(), src);
+  dbg.addBreakpoint(0x8000000c);
+  std::vector<uint32_t> d0_at_stops;
+  Stop stop = dbg.run();
+  for (int runs = 1; stop.kind == StopKind::kBreakpoint && runs < 10;
+       ++runs) {
+    EXPECT_EQ(stop.src_addr, 0x8000000cu);
+    d0_at_stops.push_back(dbg.d(0));
+    stop = dbg.run();
+  }
+  EXPECT_EQ(d0_at_stops, (std::vector<uint32_t>{3, 2, 1}));
+  ASSERT_EQ(stop.kind, StopKind::kHalted);
+  EXPECT_EQ(dbg.d(1), 6u);
+  EXPECT_EQ(dbg.d(2), 99u);
 }
 
 TEST(Debugger, SingleStepsThroughTheProgram) {
@@ -190,8 +210,9 @@ TEST(Debugger, CacheWordsStayExactAcrossImageSwitches) {
   // At icache level the block image omits the lookups the MRU analysis
   // proved to be hits ('loop' re-enters its own line), while the stepping
   // image keeps every lookup and shares the cache area. Stepping to a
-  // mid-block breakpoint on each pass and re-entering the block image at
-  // the next leader must leave the cache words equal to the reference's.
+  // mid-block breakpoint on each pass, and on from it to the next leader
+  // where the block image resumes, must leave the cache words equal to
+  // the reference's.
   const arch::ArchDescription desc = defaultArch();
   const elf::Object src = trc::assemble(kProgram);
   Debugger dbg(desc, src, xlat::DetailLevel::kICache);
@@ -201,7 +222,6 @@ TEST(Debugger, CacheWordsStayExactAcrossImageSwitches) {
   for (Stop s = dbg.run(); s.kind == StopKind::kBreakpoint && hits < 10;
        s = dbg.run()) {
     ++hits;
-    dbg.step();  // past the breakpoint, then back to full speed
   }
   EXPECT_EQ(hits, 3);
   iss::Iss ref(desc, src);
@@ -215,160 +235,6 @@ TEST(Debugger, WorksOnWorkload) {
   Debugger dbg(defaultArch(), src);
   EXPECT_EQ(dbg.run().kind, StopKind::kHalted);
   EXPECT_EQ(dbg.d(9), 214u);  // gcd checksum
-}
-
-// ---- ISS debug breakpoints vs the block-dispatch engine ------------------
-
-// A nested loop whose inner block gets hot in the predecoded block cache
-// before a breakpoint is planted mid-way inside it.
-const char* kNestedLoops = R"(
-_start: movi d5, 10          ; 0x80000000  outer counter
-        movi d1, 0           ; 0x80000004
-outer:  movi d0, 20          ; 0x80000008  inner counter
-inner:  add d1, d1, d0       ; 0x8000000c  <- hot block leader
-        xor d2, d1, d5       ; 0x80000010  <- mid-block breakpoint site
-        addi16 d0, -1        ; 0x80000014
-        jnz16 d0, inner      ; 0x80000016
-        addi16 d5, -1        ; 0x80000018  <- staging breakpoint (leader)
-        jnz16 d5, outer      ; 0x8000001a
-        movi d3, 99          ; 0x8000001c
-        halt
-)";
-
-TEST(IssBreakpoints, MidBlockBreakpointInHotCachedBlockFallsBack) {
-  const elf::Object obj = trc::assemble(kNestedLoops);
-  iss::Iss iss(defaultArch(), obj);
-
-  // Phase 1: run the first outer iteration at full block-dispatch speed,
-  // stopping at the (block-leader) staging breakpoint. The inner block
-  // is now hot in the cache: dispatched 20 times.
-  iss.addBreakpoint(0x80000018);
-  ASSERT_EQ(iss.run(), iss::StopReason::kDebugBreak);
-  EXPECT_EQ(iss.pc(), 0x80000018u);
-  const auto hot = iss.hotBlocks(1);
-  ASSERT_EQ(hot.size(), 1u);
-  EXPECT_EQ(hot[0].addr, 0x8000000cu);
-  EXPECT_EQ(hot[0].exec_count, 20u);
-
-  // Phase 2: plant a breakpoint mid-way inside that already-hot block.
-  // The dispatcher must refuse the cached block and stop exactly on the
-  // breakpoint, not at the block end.
-  iss.removeBreakpoint(0x80000018);
-  iss.addBreakpoint(0x80000010);
-  ASSERT_EQ(iss.run(), iss::StopReason::kDebugBreak);
-  EXPECT_EQ(iss.pc(), 0x80000010u);
-  // The leader instruction of the re-entered block has executed, the
-  // breakpointed one has not: 2 prologue + (1 + 20*4) first outer
-  // iteration + 2 outer-loop tail + 1 inner re-entry leader + the
-  // re-entered add = 87.
-  EXPECT_EQ(iss.stats().instructions, 87u);
-
-  // Every further resume stops at the next crossing, once per iteration.
-  ASSERT_EQ(iss.run(), iss::StopReason::kDebugBreak);
-  EXPECT_EQ(iss.pc(), 0x80000010u);
-
-  // Phase 3: remove it; the rest of the program runs to completion with
-  // a final state identical to an unbroken reference run — breakpoints
-  // perturb neither architectural state nor the cycle model.
-  iss.removeBreakpoint(0x80000010);
-  ASSERT_EQ(iss.run(), iss::StopReason::kHalted);
-
-  iss::Iss ref(defaultArch(), obj);
-  ASSERT_EQ(ref.run(), iss::StopReason::kHalted);
-  EXPECT_EQ(snap::firstMismatch(snap::observe(ref), snap::observe(iss)), "");
-  EXPECT_EQ(iss.d(3), 99u);
-}
-
-TEST(IssBreakpoints, BlockAndSteppingEnginesStopIdentically) {
-  const elf::Object obj = trc::assemble(kNestedLoops);
-  iss::IssConfig step_cfg;
-  step_cfg.use_block_cache = false;
-  iss::Iss fast(defaultArch(), obj);
-  iss::Iss slow(defaultArch(), obj, nullptr, step_cfg);
-  for (iss::Iss* v : {&fast, &slow}) {
-    v->addBreakpoint(0x80000010);
-  }
-  // Both engines stop at the same pc with the same state at every one of
-  // the 200 crossings.
-  for (int hit = 0; hit < 200; ++hit) {
-    ASSERT_EQ(fast.run(), iss::StopReason::kDebugBreak) << hit;
-    ASSERT_EQ(slow.run(), iss::StopReason::kDebugBreak) << hit;
-    ASSERT_EQ(snap::firstMismatch(snap::observe(slow), snap::observe(fast)),
-              "")
-        << hit;
-  }
-  ASSERT_EQ(fast.run(), iss::StopReason::kHalted);
-  ASSERT_EQ(slow.run(), iss::StopReason::kHalted);
-  EXPECT_EQ(snap::firstMismatch(snap::observe(slow), snap::observe(fast)), "");
-}
-
-// ---- snapshot save/restore under breakpoints -----------------------------
-
-// A core saved while stopped *at* a breakpoint (mid-block, pending
-// step-over) must restore into a cold core that resumes exactly like the
-// live one: the stopped-at instruction executes on resume (no double
-// break), and the next crossing stops at the identical instruction and
-// cycle counts.
-TEST(IssBreakpoints, SaveRestoreWhileStoppedAtBreakpoint) {
-  const elf::Object obj = trc::assemble(kNestedLoops);
-  iss::Iss live(defaultArch(), obj);
-  live.addBreakpoint(0x80000010);
-  ASSERT_EQ(live.run(), iss::StopReason::kDebugBreak);
-  ASSERT_EQ(live.run(), iss::StopReason::kDebugBreak);  // second crossing
-  serial::Writer w;
-  live.saveState(w);
-  const std::vector<uint8_t> snapshot = w.take();
-
-  ASSERT_EQ(live.run(), iss::StopReason::kDebugBreak);  // third crossing
-  const uint64_t want_instr = live.stats().instructions;
-  const uint64_t want_cycles = live.stats().cycles;
-
-  iss::Iss cold(defaultArch(), obj);
-  serial::Reader r(snapshot);
-  cold.restoreState(r);
-  EXPECT_EQ(cold.stopReason(), iss::StopReason::kDebugBreak);
-  EXPECT_EQ(cold.pc(), 0x80000010u);
-  EXPECT_EQ(cold.breakpoints().size(), 1u);
-  ASSERT_EQ(cold.run(), iss::StopReason::kDebugBreak);
-  EXPECT_EQ(cold.pc(), 0x80000010u);
-  EXPECT_EQ(cold.stats().instructions, want_instr);
-  EXPECT_EQ(cold.stats().cycles, want_cycles);
-
-  // Both finish identically after the breakpoint is lifted.
-  live.removeBreakpoint(0x80000010);
-  cold.removeBreakpoint(0x80000010);
-  ASSERT_EQ(live.run(), iss::StopReason::kHalted);
-  ASSERT_EQ(cold.run(), iss::StopReason::kHalted);
-  EXPECT_EQ(snap::firstMismatch(snap::observe(live), snap::observe(cold)),
-            "");
-}
-
-// Restoring into a core whose block cache ran hot with *no* breakpoints
-// must revalidate the per-block breakpoint flags from the restored set —
-// the warm cached inner block may not dispatch past the restored
-// mid-block breakpoint, however hot it is.
-TEST(IssBreakpoints, RestoredBreakpointSetRevalidatesHotBlocks) {
-  const elf::Object obj = trc::assemble(kNestedLoops);
-  // Donor: stopped at the staging leader, then a breakpoint planted
-  // mid-way inside the hot inner block (the Phase-2 state of
-  // MidBlockBreakpointInHotCachedBlockFallsBack).
-  iss::Iss donor(defaultArch(), obj);
-  donor.addBreakpoint(0x80000018);
-  ASSERT_EQ(donor.run(), iss::StopReason::kDebugBreak);
-  donor.removeBreakpoint(0x80000018);
-  donor.addBreakpoint(0x80000010);
-  serial::Writer w;
-  donor.saveState(w);
-
-  // Target: the same program run hot to completion with clean per-block
-  // flags, then rewound via the snapshot.
-  iss::Iss target(defaultArch(), obj);
-  ASSERT_EQ(target.run(), iss::StopReason::kHalted);
-  serial::Reader r(w.data());
-  target.restoreState(r);
-  ASSERT_EQ(target.run(), iss::StopReason::kDebugBreak);
-  EXPECT_EQ(target.pc(), 0x80000010u);
-  EXPECT_EQ(target.stats().instructions, 87u);  // the live run's count
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // formation and guarded dispatch, guard-failure bails, threaded lowering
 // and trace budget declines, indirect jumps into trace interiors and
 // block middles, instruction-limit stops inside hot traces, quantum
-// slicing, and the per-block breakpoint flags. The broad equivalence
-// sweep lives in random_program_test.cpp; these are the corner cases
-// with a known shape.
+// slicing, and the retry of a declined trace formation. The broad
+// equivalence sweep lives in random_program_test.cpp; these are the
+// corner cases with a known shape.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -153,66 +153,47 @@ done:   halt
   EXPECT_EQ(mismatch(slow, iss), "");
 }
 
-TEST(BreakpointFlags, BreakpointInTraceInteriorStopsExactly) {
-  const elf::Object obj = trc::assemble(kNestedLoops);
-  iss::Iss iss(defaultArch(), obj, nullptr, threadedConfig());
-  // Heat the loop until traces dominate, then plant a breakpoint
-  // mid-way inside the (trace-interior) inner block.
-  iss::IssConfig probe_cfg = threadedConfig();
-  iss::Iss counter(defaultArch(), obj, nullptr, probe_cfg);
-  ASSERT_EQ(counter.run(), iss::StopReason::kHalted);
-  ASSERT_GT(counter.stats().trace_dispatches, 0u);
-
-  const uint32_t bp = 0x80000010;  // 'xor' inside the inner block
-  iss.addBreakpoint(bp);
-  uint64_t stops = 0;
-  while (iss.run() == iss::StopReason::kDebugBreak) {
-    EXPECT_EQ(iss.pc(), bp);
-    ++stops;
-    ASSERT_LT(stops, 1000u);
-  }
-  EXPECT_EQ(iss.stopReason(), iss::StopReason::kHalted);
-  EXPECT_EQ(stops, 200u);  // every inner iteration crosses it
-
-  // Breakpoints perturb nothing: final state equals an unbroken run.
-  iss::Iss ref(defaultArch(), obj, nullptr, threadedConfig());
-  ASSERT_EQ(ref.run(), iss::StopReason::kHalted);
-  EXPECT_EQ(mismatch(ref, iss), "");
-}
-
-TEST(BreakpointFlags, DeclinedFormationRetriesAfterBreakpointRemoval) {
-  // The hot block's dominant successor carries a breakpoint when the
-  // head first crosses the trace threshold, so formation is declined.
-  // A decline must not be permanent: after the breakpoint is removed,
-  // the geometric-backoff retry forms the trace and the rest of the
-  // run dispatches superblocks.
+TEST(TraceDispatch, DeclinedFormationRetriesOnceBranchesSkew) {
+  // The loop's branch alternates while d5 >= 380 and then always falls
+  // through. Formation at the trace threshold is declined on the
+  // balanced warm-up statistics; a decline must not be permanent: the
+  // geometric-backoff retry forms the trace once the fall-through
+  // dominates. Both successors end in indirect jumps, so no other block
+  // can head a trace. The program never halts; the instruction limit
+  // ends it, before the retry (200) and well after it (2,000).
   const char* kProgram = R"(
-_start: movi d5, 400
-        movi d4, 0
-loop:   add d1, d1, d5
-        jnz16 d4, off
-body:   addi16 d5, -1
-        jnz16 d5, loop
-        halt
-off:    halt
+_start: movi d5, 401
+        movi d7, 1
+        movi d10, 380
+        movha a2, hi(loop)
+        lea a2, a2, lo(loop)
+        j loop
+loop:   addi16 d5, -1
+        ge d11, d5, d10
+        and d8, d5, d7
+        and d8, d8, d11
+        jnz16 d8, odd
+even:   ji a2
+odd:    ji a2
 )";
   const elf::Object obj = trc::assemble(kProgram);
-  iss::Iss iss(defaultArch(), obj, nullptr, threadedConfig());
-  ASSERT_NE(obj.findSymbol("body"), nullptr);
-  const uint32_t body = obj.findSymbol("body")->value;
-  iss.addBreakpoint(body);
-  for (int stops = 0; stops < 20; ++stops) {
-    ASSERT_EQ(iss.run(), iss::StopReason::kDebugBreak);
-    ASSERT_EQ(iss.pc(), body);
+  for (const uint64_t limit : {200u, 2000u}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    iss::IssConfig fast_cfg = threadedConfig();
+    fast_cfg.max_instructions = limit;
+    iss::Iss fast(defaultArch(), obj, nullptr, fast_cfg);
+    ASSERT_EQ(fast.run(), iss::StopReason::kMaxInstructions);
+    if (limit == 200) {
+      EXPECT_EQ(fast.stats().trace_dispatches, 0u);
+    } else {
+      EXPECT_GT(fast.stats().trace_dispatches, 0u);
+    }
+    iss::IssConfig slow_cfg = steppingConfig();
+    slow_cfg.max_instructions = limit;
+    iss::Iss slow(defaultArch(), obj, nullptr, slow_cfg);
+    ASSERT_EQ(slow.run(), iss::StopReason::kMaxInstructions);
+    EXPECT_EQ(mismatch(slow, fast), "");
   }
-  EXPECT_EQ(iss.stats().trace_dispatches, 0u);
-  iss.removeBreakpoint(body);
-  ASSERT_EQ(iss.run(), iss::StopReason::kHalted);
-  EXPECT_GT(iss.stats().trace_dispatches, 0u);
-
-  iss::Iss slow(defaultArch(), obj, nullptr, steppingConfig());
-  ASSERT_EQ(slow.run(), iss::StopReason::kHalted);
-  EXPECT_EQ(mismatch(slow, iss), "");
 }
 
 // ---- threaded-code backend corner cases ------------------------------
@@ -232,47 +213,6 @@ TEST(ThreadedDispatch, LowersHotBlocksAndTracesAndStaysExact) {
   iss::Iss slow(defaultArch(), obj, nullptr, steppingConfig());
   ASSERT_EQ(slow.run(), iss::StopReason::kHalted);
   EXPECT_EQ(mismatch(slow, fast), "");
-}
-
-TEST(ThreadedDispatch, BreakpointOnLoweredBlockForcesFallback) {
-  // The inner block is already lowered to a threaded program when the
-  // breakpoint lands on it: the dispatch-time flag test must refuse the
-  // lowered program (and the trace containing it) and fall back to the
-  // stepping engine, without invalidating the lowering — removal
-  // restores full threaded dispatch.
-  const elf::Object obj = trc::assemble(kNestedLoops);
-  iss::Iss iss(defaultArch(), obj, nullptr, threadedConfig());
-  iss::IssConfig limit_cfg = threadedConfig();
-  limit_cfg.max_instructions = 300;
-  iss::Iss probe(defaultArch(), obj, nullptr, limit_cfg);
-  EXPECT_EQ(probe.run(), iss::StopReason::kMaxInstructions);
-  EXPECT_GT(probe.stats().threaded_dispatches, 0u);
-
-  const uint32_t bp = 0x80000010;  // 'xor' inside the lowered inner block
-  iss::Iss broken(defaultArch(), obj, nullptr, threadedConfig());
-  broken.addBreakpoint(bp);
-  uint64_t stops = 0;
-  while (broken.run() == iss::StopReason::kDebugBreak) {
-    EXPECT_EQ(broken.pc(), bp);
-    if (++stops == 5 && broken.stats().threaded_dispatches > 0) {
-      // Heated past the threshold mid-phase: the flagged block must
-      // still never dispatch through its threaded program.
-      break;
-    }
-    ASSERT_LT(stops, 1000u);
-  }
-  if (broken.stopReason() == iss::StopReason::kDebugBreak) {
-    broken.removeBreakpoint(bp);
-    const uint64_t threaded_before = broken.stats().threaded_dispatches;
-    ASSERT_EQ(broken.run(), iss::StopReason::kHalted);
-    EXPECT_GT(broken.stats().threaded_dispatches, threaded_before);
-  } else {
-    ASSERT_EQ(broken.stopReason(), iss::StopReason::kHalted);
-    EXPECT_EQ(stops, 200u);  // every inner iteration crossed it
-  }
-
-  ASSERT_EQ(iss.run(), iss::StopReason::kHalted);
-  EXPECT_EQ(mismatch(iss, broken), "");
 }
 
 TEST(ThreadedDispatch, QuantumSliceExpiryMidProgramYieldsExactly) {
@@ -388,33 +328,6 @@ TEST(ThreadedDispatch, LoweringDeclinesRunBlockByBlockExactly) {
   iss::Iss slow(defaultArch(), obj, nullptr, steppingConfig());
   ASSERT_EQ(slow.run(), iss::StopReason::kHalted);
   EXPECT_EQ(mismatch(slow, fast), "");
-}
-
-TEST(BreakpointFlags, AddAndRemoveMidRunTogglesTraceUse) {
-  const elf::Object obj = trc::assemble(kNestedLoops);
-  iss::Iss iss(defaultArch(), obj, nullptr, threadedConfig());
-  const uint32_t bp = 0x80000010;
-
-  // Phase 1: hot, traces active.
-  iss::IssConfig limit_cfg = threadedConfig();
-  limit_cfg.max_instructions = 300;
-  iss::Iss probe(defaultArch(), obj, nullptr, limit_cfg);
-  EXPECT_EQ(probe.run(), iss::StopReason::kMaxInstructions);
-  EXPECT_GT(probe.stats().trace_dispatches, 0u);
-
-  // Phase 2: planting the breakpoint stops trace/block dispatch of the
-  // flagged block; removing it restores full-speed dispatch and the
-  // run completes identically to the never-broken reference.
-  ASSERT_EQ(iss.run() == iss::StopReason::kHalted, true);
-  iss::Iss broken(defaultArch(), obj, nullptr, threadedConfig());
-  broken.addBreakpoint(bp);
-  ASSERT_EQ(broken.run(), iss::StopReason::kDebugBreak);
-  EXPECT_EQ(broken.pc(), bp);
-  broken.removeBreakpoint(bp);
-  const uint64_t traces_before = broken.stats().trace_dispatches;
-  ASSERT_EQ(broken.run(), iss::StopReason::kHalted);
-  EXPECT_GT(broken.stats().trace_dispatches, traces_before);
-  EXPECT_EQ(mismatch(iss, broken), "");
 }
 
 }  // namespace

@@ -271,35 +271,6 @@ TEST(InterruptDriven, GeneratedCyclesAreQuantumInvariant) {
   expectSameBehaviour(base, runIrqTicks(kEngineVariants[0], 4096));
 }
 
-// A breakpoint on the interrupt handler entry must hit on every
-// delivery, even when the core is resumed from another breakpoint at the
-// very boundary where the interrupt redirects the pc — the resume's
-// step-over is keyed to the stop address, not consumed blindly.
-TEST(InterruptDriven, HandlerBreakpointHitsOnEveryDelivery) {
-  const auto images = workloads::BoardImages::family(1);
-  const elf::Object& obj = images.image(0);
-  const auto board = snap::makeBoard(images);
-  iss::Iss& core = board->iss();
-  const uint32_t wait_addr = platform::symbolAddr(obj, "wait");
-  const uint32_t isr_addr = platform::symbolAddr(obj, "isr");
-  core.addBreakpoint(wait_addr);  // hit on every spin iteration
-  core.addBreakpoint(isr_addr);
-  uint64_t isr_stops = 0;
-  uint64_t other_stops = 0;
-  while (core.run() == iss::StopReason::kDebugBreak) {
-    if (core.pc() == isr_addr) {
-      ++isr_stops;
-    } else {
-      ASSERT_EQ(core.pc(), wait_addr);
-      ++other_stops;
-    }
-    ASSERT_LT(other_stops, 100000u) << "spin without progress";
-  }
-  EXPECT_EQ(core.stopReason(), iss::StopReason::kHalted);
-  EXPECT_EQ(isr_stops, 8u);  // one stop per delivered interrupt
-  EXPECT_EQ(workloads::readChecksum(obj, core.memory()), 164u);
-}
-
 // ---- golden-trace snapshots -----------------------------------------
 //
 // Committed expected values for the stock scenario workloads at one

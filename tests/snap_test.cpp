@@ -400,12 +400,12 @@ TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
        "mailbox snapshot head"},
       // Values the core never stores: kCycleLimit is only returned (a
       // restored one would re-sync forever), and 200 names no reason.
-      {"stop reason 5, footer recomputed",
+      {"stop reason 4, footer recomputed",
        [](std::vector<uint8_t>& s) {
-         s.at(issStop(s)) = 5;
+         s.at(issStop(s)) = 4;
          refootSnapshot(s);
        },
-       "snapshot stop reason 5"},
+       "snapshot stop reason 4"},
       {"stop reason 200, footer recomputed",
        [](std::vector<uint8_t>& s) {
          s.at(issStop(s)) = 200;
