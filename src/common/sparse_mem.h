@@ -194,11 +194,15 @@ class SparseMemory {
 
   Page& page(uint32_t addr) {
     const uint32_t base = addr >> kPageBits << kPageBits;
-    auto it = pages_.find(base);
-    if (it == pages_.end()) {
-      it = pages_.emplace(base, Page(kPageSize, 0)).first;
-    }
-    return it->second;
+    const auto it = pages_.find(base);
+    return it != pages_.end() ? it->second : newPage(base);
+  }
+
+  /// A page's first touch, out of line: the write paths that inline
+  /// page() (the ISS's and the V6X simulator's stores) carry no 4 KiB
+  /// clear of their own.
+  [[gnu::noinline]] Page& newPage(uint32_t base) {
+    return pages_.emplace(base, Page(kPageSize, 0)).first->second;
   }
 
   std::map<uint32_t, Page> pages_;

@@ -266,20 +266,28 @@ template <bool Timing>
 int32_t Iss::afterBlock(core::ExecBlock& block) {
   const int32_t next = resolveNext(block);
   if constexpr (Timing) {
-    if (next < 0 && stop_ == StopReason::kRunning &&
-        !graph_.isLeaderFast(pc_)) {
-      // Indirect transfer into the middle of a block: per-instruction
-      // semantics keep the current block open across the jump, so restore
-      // the stepping engine's view of it (warm issue schedule and line
-      // tracking) before falling back.
+    const bool bkpt = stop_ == StopReason::kBreakpoint;
+    if (bkpt || (next < 0 && stop_ == StopReason::kRunning &&
+                 !graph_.isLeaderFast(pc_))) {
+      // The block stays open: an indirect transfer landed mid-block
+      // (per-instruction semantics keep the block open across the jump),
+      // or a BKPT stopped the dispatch inside it. Restore the stepping
+      // engine's view of it (warm issue schedule and line tracking) over
+      // the instructions retired, so the stop digests as the stepping
+      // engine's does and a resume steps on from it.
       timer_.reset();
+      uint32_t last = 0;
       for (const Instr& instr : block.instrs()) {
         timer_.issue(instr.timedOp());
+        last = instr.addr;
+        if (bkpt && instr.opc == Opc::kBkpt) {
+          break;  // a dispatch stops at its block's first BKPT
+        }
       }
       live_pipe_ = timer_.cycles();
       if (icacheOn()) {
         have_line_ = true;
-        last_line_ = desc_.icache.lineOf(block.instrs().back().addr);
+        last_line_ = desc_.icache.lineOf(last);
       }
     }
   }
@@ -409,6 +417,9 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
 StopReason Iss::run() { return runUntil(~static_cast<uint64_t>(0)); }
 
 StopReason Iss::runUntil(uint64_t time_limit) {
+  if (stop_ == StopReason::kBreakpoint) {
+    stop_ = StopReason::kRunning;  // BKPT resumes with the next instruction
+  }
   const StopReason r = runLoop(time_limit);
   flushBusClock();
   return r;
@@ -1198,7 +1209,7 @@ int32_t Iss::dispatchThreadedTraceT(const core::ThreadedProgram& prog,
       if (stop_ == StopReason::kHalted) {
         finishHaltedBlock();
       }
-      return -1;  // HALT or BKPT mid-block
+      return afterBlock<Timing>(block);  // -1; re-warms at a BKPT stop
     }
     if (s + 1 == num_segs) {
       return afterBlock<Timing>(block);  // chain off the trace end

@@ -85,7 +85,9 @@ constexpr unsigned kIrqEntryCycles = 6;
 enum class StopReason {
   kRunning,
   kHalted,
-  kBreakpoint,      ///< BKPT instruction executed
+  /// BKPT executed: the pc rests past it, and the next run()/runUntil()
+  /// resumes there, inside the same open block.
+  kBreakpoint,
   kMaxInstructions,
   /// runUntil() reached its local-time limit; resumable. Returned, never
   /// stored, so it stays last: restoreState accepts the values before it.
@@ -245,7 +247,11 @@ class Iss {
       soc::SocBus* bus = nullptr, IssConfig config = {});
 
   /// Runs until HALT/BKPT or the instruction limit, dispatching whole
-  /// cached blocks when possible.
+  /// cached blocks when possible. After a BKPT stop it resumes with the
+  /// next instruction; the block the BKPT sits in stays open, and both
+  /// engines leave the same issue schedule and line tracking at the
+  /// stop, so the stop digests identically and the resumed block costs
+  /// what it costs without the stop (the translated code's cycles).
   StopReason run();
   /// Runs like run() but additionally yields with kCycleLimit once
   /// localTime() reaches `time_limit`, checked at basic-block boundaries

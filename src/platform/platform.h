@@ -43,19 +43,22 @@ struct PlatformConfig {
 };
 
 /// Memory-mapped synchronization device front end for the V6X core.
+/// Reading the status register waits for the end of cycle generation:
+/// it is refused until the cycle of the last edge, which the device
+/// computes (SyncDevice::cyclesToIdle), so the whole wait is charged in
+/// one step. Every other access completes at once.
 class SyncHandler : public vliw::IoHandler {
  public:
   explicit SyncHandler(soc::SyncDevice* sync)
       : IoHandler(xlat::kSyncDeviceBase, soc::SyncDevice::kWindowSize),
         sync_(sync) {}
 
-  bool ready(uint32_t addr, bool is_write) override {
-    // Reading the status register waits for the end of cycle generation.
+  uint64_t refusedCycles(uint32_t addr, bool is_write) override {
     if (!is_write &&
         addr == xlat::kSyncDeviceBase + soc::SyncDevice::kStatusOffset) {
-      return !sync_->busy();
+      return sync_->cyclesToIdle();
     }
-    return true;
+    return 0;
   }
   uint32_t load(uint32_t addr, unsigned) override {
     switch (addr - xlat::kSyncDeviceBase) {
@@ -87,17 +90,19 @@ class SyncHandler : public vliw::IoHandler {
 /// Bus interface between the V6X core and the SoC bus (identity-mapped
 /// over the source I/O region). While cycle generation is active, an
 /// access completes on the next generated SoC edge (bus handshake in the
-/// emulated clock domain); when generation is idle it completes
-/// immediately at the current SoC time. The simulator has caught the
-/// sync device up to the current cycle before it polls ready().
+/// emulated clock domain): it is refused until that edge's cycle
+/// (SyncDevice::cyclesToNextEdge), or not at all in a cycle that has an
+/// edge. When generation is idle it completes immediately at the current
+/// SoC time. The simulator has caught the sync device up to the current
+/// cycle before it asks.
 class BridgeHandler : public vliw::IoHandler {
  public:
   BridgeHandler(soc::SocBus* bus, soc::SyncDevice* sync, uint32_t io_base,
                 uint32_t io_size)
       : IoHandler(io_base, io_size), bus_(bus), sync_(sync) {}
 
-  bool ready(uint32_t, bool) override {
-    return !sync_->busy() || sync_->edgeThisCycle();
+  uint64_t refusedCycles(uint32_t, bool) override {
+    return sync_->edgeThisCycle() ? 0 : sync_->cyclesToNextEdge();
   }
   uint32_t load(uint32_t addr, unsigned size) override {
     return bus_->read(addr, size);

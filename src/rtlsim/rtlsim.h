@@ -64,7 +64,11 @@ class RtlCore {
   /// Runs one clock cycle; returns false once halted.
   bool clockCycle();
 
-  /// Runs until HALT or the cycle limit.
+  /// Runs until HALT or the cycle limit. The model only runs to halt, so
+  /// BKPT is a no-op here (a plain issue slot): the ISS and the
+  /// translated code stop at it and resume past it without an extra
+  /// cycle, so their runs with every stop resumed count what this model
+  /// counts.
   void run(uint64_t max_cycles = 2'000'000'000ull);
 
   [[nodiscard]] bool halted() const { return halted_; }

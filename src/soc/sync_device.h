@@ -15,6 +15,12 @@
 // reports its time, which it does before every I/O handler call and at
 // every stop (vliw::V6xSim::setClock). Nothing else can observe the
 // attached hardware in between.
+//
+// The same arithmetic names the cycle a wait ends: cyclesToIdle() and
+// cyclesToNextEdge() say how far generation is from its last edge and
+// from its next one, so the VLIW machine can charge a whole sync-wait
+// stall in one step. That is exact because advanceTo() is a pure
+// function of elapsed cycles: one jump equals any split of it.
 #pragma once
 
 #include <algorithm>
@@ -57,8 +63,6 @@ class SyncDevice {
     ++num_corrections_;
   }
 
-  [[nodiscard]] bool busy() const { return remaining_ > 0; }
-
   /// Catches generation up to `vliw_cycles` elapsed VLIW cycles. While
   /// busy, every VLIW cycle is one generation tick and every `rate`-th
   /// tick emits an SoC cycle, so the step emits min(remaining, ticks /
@@ -92,6 +96,21 @@ class SyncDevice {
   /// bridge's handshake in the emulated clock domain).
   [[nodiscard]] bool edgeThisCycle() const {
     return last_edge_ != 0 && last_edge_ == vliw_now_;
+  }
+
+  /// VLIW cycles from the latest advanceTo() time to the cycle of the
+  /// last edge of the current generation: advancing by this many leaves
+  /// the device idle, advancing by one less does not. 0 when idle. A
+  /// status read made at that time waits this long.
+  [[nodiscard]] uint64_t cyclesToIdle() const {
+    return remaining_ * rate_ - subcycle_;
+  }
+
+  /// VLIW cycles from the latest advanceTo() time to the next edge:
+  /// advancing by this many makes edgeThisCycle() true, advancing by one
+  /// less does not. 0 when idle (no edge is coming).
+  [[nodiscard]] uint64_t cyclesToNextEdge() const {
+    return remaining_ == 0 ? 0 : rate_ - subcycle_;
   }
 
   [[nodiscard]] uint64_t totalGenerated() const { return total_generated_; }

@@ -21,7 +21,9 @@ std::vector<Instr> decodeText(const elf::Object& object);
 
 /// Basic-block leader addresses: the entry point, every direct branch /
 /// call target, and every address following a control transfer or a
-/// HALT. (BKPT resumes with the next instruction and ends no block.)
+/// HALT. (BKPT ends no block: it stops the core past itself, and the
+/// next run resumes with the next instruction inside the same block, in
+/// the ISS as in the translated code, where it is a V6X YIELD.)
 std::set<uint32_t> findLeaders(const elf::Object& object,
                                const std::vector<Instr>& instrs);
 

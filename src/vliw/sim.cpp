@@ -164,20 +164,18 @@ void V6xSim::scheduleWrite(uint8_t reg, uint32_t value,
   s.value[reg] = value;
 }
 
-bool V6xSim::issuePacket(const DecodedPacket& packet) {
+uint64_t V6xSim::issuePacket(const DecodedPacket& packet) {
   const DecodedOp* const ops = &ops_[packet.first_op];
   const auto runs = [this](const DecodedOp& op) {
     return (regs_[op.pred] == 0) == op.pred_z;
   };
 
   // Device readiness first: a refused access stalls the whole packet.
-  // Each memory op's address and handler are resolved once per cycle.
-  struct Access {
-    uint32_t ea;
-    IoHandler* handler;
-  };
-  std::array<Access, kMaxPacketOps> access{};
+  // Only the memory ops that run are resolved, in op order, and
+  // execution takes them back in the same order: no register changes in
+  // between, so both passes agree on which ops run.
   if (packet.has_mem) {
+    Access* resolved = access_.data();
     for (unsigned i = 0; i < packet.num_ops; ++i) {
       const DecodedOp& op = ops[i];
       if (op.mem_size == 0 || !runs(op)) {
@@ -189,13 +187,15 @@ bool V6xSim::issuePacket(const DecodedPacket& packet) {
         if (clock_) {
           clock_(stats_.cycles);  // this cycle's generation comes first
         }
-        if (!h->ready(ea, op.store)) {
-          return false;
+        if (const uint64_t refused = h->refusedCycles(ea, op.store);
+            refused != 0) {
+          return refused;
         }
       }
-      access[i] = {ea, h};
+      *resolved++ = {ea, h};
     }
   }
+  const Access* next_access = access_.data();
 
   ++stats_.packets;
   stats_.ops += packet.num_ops;
@@ -274,7 +274,7 @@ bool V6xSim::issuePacket(const DecodedPacket& packet) {
       case VOpc::kLdhu:
       case VOpc::kLdb:
       case VOpc::kLdbu: {
-        const auto [ea, h] = access[i];
+        const auto [ea, h] = *next_access++;
         uint32_t v = h != nullptr ? h->load(ea, op.mem_size)
                                   : mem_.read(ea, op.mem_size);
         if (op.sign_extend) {
@@ -286,7 +286,7 @@ bool V6xSim::issuePacket(const DecodedPacket& packet) {
       case VOpc::kStw:
       case VOpc::kSth:
       case VOpc::kStb: {
-        const auto [ea, h] = access[i];
+        const auto [ea, h] = *next_access++;
         if (h != nullptr) {
           h->store(ea, dstv, op.mem_size);
         } else {
@@ -337,7 +337,7 @@ bool V6xSim::issuePacket(const DecodedPacket& packet) {
   }
   pc_ = packet.addr + 4u * packet.num_ops;
   cur_ = packet.next;
-  return true;
+  return 0;
 }
 
 void V6xSim::postIssueSlot() {
@@ -414,16 +414,26 @@ RunState V6xSim::runCycles(uint64_t max_cycles) {
       state_ = RunState::kBreakpoint;
       return state_;
     }
-    step_over_breakpoint_ = false;
     --budget;
     ++stats_.cycles;
     // Commit the writes due in this issue slot before anything reads the
     // register state (including the device-readiness check).
     commitDueWrites();
-    if (!issuePacket(fetch())) {
-      ++stats_.stall_cycles;
-      continue;  // whole-machine stall: the packet retries next cycle
+    if (const uint64_t refused = issuePacket(fetch()); refused != 0) {
+      // Whole-machine stall. A refused attempt moves only the cycle
+      // counts (the issue slot, the write ring and the branch countdown
+      // stay frozen) and readiness is a pure function of time, so the
+      // whole refusal passes in one step, clipped to the budget, and the
+      // packet retries at its end.
+      const uint64_t more = std::min(refused - 1, budget);
+      stats_.cycles += more;
+      stats_.stall_cycles += 1 + more;
+      budget -= more;
+      continue;
     }
+    // Cleared on issue, not on the attempt: a resumed packet that stalls
+    // first does not stop again at its retry.
+    step_over_breakpoint_ = false;
     postIssueSlot();
   }
   return state_;

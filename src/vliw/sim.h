@@ -6,8 +6,9 @@
 // the committed register state of the current cycle, predicated ops read
 // their condition register in the same cycle. Memory-mapped hardware
 // (synchronization device, bus bridge) is plugged in via IoHandler; a
-// handler can refuse an access, which stalls the whole machine for that
-// cycle (this is how "wait for end of cycle generation" behaves).
+// handler can refuse an access, which stalls the whole machine until the
+// cycle the handler names (this is how "wait for end of cycle generation"
+// behaves).
 //
 // The per-cycle path works on a form predecoded at loadProgram (DESIGN.md
 // section 15): validated packets sit in a dense array and sequential flow
@@ -16,9 +17,11 @@
 // slots and memory width; in-flight register writes live in a ring
 // indexed by the issue slot they are due in. Nothing on that path
 // allocates, and nothing on it runs once per cycle for the hardware
-// outside: the clocked hardware (setClock) hears the elapsed cycle count
-// only before an I/O access and at a stop, and a multi-cycle NOP's idle
-// tail passes in one step.
+// outside, a wait included: the clocked hardware (setClock) hears the
+// elapsed cycle count only before an I/O access and at a stop, a
+// multi-cycle NOP's idle tail passes in one step, and so does a device
+// stall. An issue costs only what its packet holds: the memory ops that
+// run are resolved once, and nothing is cleared per issue.
 #pragma once
 
 #include <array>
@@ -36,9 +39,18 @@ namespace cabt::vliw {
 
 /// Memory-mapped hardware hook covering the fixed address window
 /// [base, base + size), declared once at construction so the simulator can
-/// reject every other address (RAM) with one bounding-box compare. ready()
-/// may be polled once per stall cycle; load()/store() are called exactly
-/// once, in the cycle the access completes.
+/// reject every other address (RAM) with one bounding-box compare.
+///
+/// refusedCycles() is asked about an access attempted in the current
+/// cycle, after the clocked hardware has run that cycle. It returns how
+/// many consecutive cycles the handler refuses the access, the current
+/// one included; 0 means the access completes now. The simulator charges
+/// the refused cycles as stall cycles in one step and asks again only at
+/// the first cycle after them. So the count must not exceed the cycles
+/// the handler would refuse one by one (fewer is safe: the retry is
+/// refused again), and no answer may depend on being asked in the cycles
+/// in between. load()/store() are called exactly once, in the cycle the
+/// access completes.
 class IoHandler {
  public:
   IoHandler(uint32_t base, uint32_t size) : base_(base), size_(size) {}
@@ -50,7 +62,7 @@ class IoHandler {
     return addr - base_ < size_;
   }
 
-  virtual bool ready(uint32_t addr, bool is_write) = 0;
+  virtual uint64_t refusedCycles(uint32_t addr, bool is_write) = 0;
   virtual uint32_t load(uint32_t addr, unsigned size) = 0;
   virtual void store(uint32_t addr, uint32_t value, unsigned size) = 0;
 
@@ -96,7 +108,9 @@ class V6xSim {
   /// hardware has run it before the access's readiness check — and before
   /// every return from run()/resume(). Between those points nothing
   /// outside the machine can observe time, so the hardware catches up in
-  /// one step. A breakpoint stop runs no cycle and so reports none.
+  /// one step. A refused access therefore reports the cycle it was
+  /// refused in and the cycle it is retried in, none in between. A
+  /// breakpoint stop runs no cycle and so reports none.
   void setClock(std::function<void(uint64_t)> clock) {
     clock_ = std::move(clock);
   }
@@ -106,7 +120,8 @@ class V6xSim {
   /// reports the elapsed cycles to the clock.
   RunState run(uint64_t max_cycles = UINT64_MAX);
 
-  /// Resumes over a breakpoint (issues the breakpointed packet).
+  /// Resumes over a breakpoint: the breakpointed packet is not checked
+  /// again until it issues, so a packet that stalls first stops once.
   RunState resume(uint64_t max_cycles = UINT64_MAX);
 
   void addBreakpoint(uint32_t addr) { breakpoints_.insert(addr); }
@@ -164,6 +179,13 @@ class V6xSim {
     std::array<uint32_t, kNumRegs> value{};
   };
 
+  /// A memory op of the packet being issued, resolved by the readiness
+  /// pass: its effective address and handler (nullptr for RAM).
+  struct Access {
+    uint32_t ea = 0;
+    IoHandler* handler = nullptr;
+  };
+
   [[nodiscard]] uint32_t packetIndex(uint32_t addr) const;
   [[nodiscard]] const DecodedPacket& fetch() const;
   [[nodiscard]] IoHandler* handlerFor(uint32_t addr) const;
@@ -172,9 +194,11 @@ class V6xSim {
   void commitDueWrites() { commitWrites(stats_.issue_cycles); }
   void drainPipeline();
   void scheduleWrite(uint8_t reg, uint32_t value, unsigned extra_slots);
-  /// Issues the packet, or returns false without side effects beyond the
-  /// handlers' ready() polls when a device refuses an access this cycle.
-  bool issuePacket(const DecodedPacket& packet);
+  /// Issues the packet and returns 0, or returns the cycles a device
+  /// refuses one of its accesses (IoHandler::refusedCycles) without
+  /// issuing: a refusal has no side effect beyond the clock report and
+  /// the handlers' queries.
+  uint64_t issuePacket(const DecodedPacket& packet);
   void postIssueSlot();
   /// Runs `k` (<= idle_cycles_) idle tail cycles of a multi-cycle NOP in
   /// one step: the cycle and slot counts, the writes due in those slots
@@ -199,6 +223,10 @@ class V6xSim {
   RunState state_ = RunState::kRunning;
 
   std::array<WriteSlot, kWriteRing> writes_{};  ///< by due slot % size
+  /// The running memory ops of the packet being issued, in op order;
+  /// execution takes them back in that order. An issue reads only the
+  /// entries it wrote, so nothing is cleared between issues.
+  std::array<Access, kMaxPacketOps> access_{};
   bool branch_pending_ = false;
   uint32_t branch_target_ = 0;
   uint32_t branch_target_index_ = kNoPacket;

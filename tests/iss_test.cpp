@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "arch/arch.h"
+#include "common/serial.h"
 #include "iss/iss.h"
+#include "platform/platform.h"
+#include "rtlsim/rtlsim.h"
 #include "soc/standard_board.h"
 #include "trc/assembler.h"
+#include "xlat/translator.h"
 
 namespace cabt::iss {
 namespace {
@@ -175,15 +179,89 @@ _start: movi16 d1, 40
 }
 
 TEST(IssFunctional, BkptStopsAndResumes) {
-  const elf::Object obj = trc::assemble(R"(
+  // BKPT stops the core past itself and the next run() resumes with the
+  // next instruction, on both engines at every detail level. The
+  // engines digest identically at every stop, and at halt the cycle
+  // count is the one the translated program generates and the RT-level
+  // model (for which BKPT is a no-op) counts. The loop forms a trace
+  // whose last segment stops at the BKPT.
+  struct Case {
+    const char* name;
+    const char* source;
+    uint64_t stops;
+    uint32_t d1;
+  };
+  const Case cases[] = {
+      {"straight line", R"(
 _start: movi d1, 1
         bkpt
         movi d1, 2
         halt
-)");
-  Iss iss(archNoCache(), obj);
-  EXPECT_EQ(iss.run(), StopReason::kBreakpoint);
-  EXPECT_EQ(iss.d(1), 1u);
+)",
+       1, 2},
+      {"loop", R"(
+_start: movi d0, 70
+        movi d1, 0
+loop:   addi16 d1, 3
+        jz16 d0, skip
+        addi16 d1, 1
+skip:   bkpt
+        addi16 d1, 2
+        addi16 d0, -1
+        jnz16 d0, loop
+        halt
+)",
+       70, 420},
+  };
+  const arch::ArchDescription desc = arch::ArchDescription::defaultTc10gp();
+  for (const Case& c : cases) {
+    const elf::Object obj = trc::assemble(c.source);
+    for (const xlat::DetailLevel level :
+         {xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
+          xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache}) {
+      SCOPED_TRACE(std::string(c.name) + ", level " +
+                   std::to_string(static_cast<int>(level)));
+      IssConfig step_cfg = platform::issConfigFor(level);
+      step_cfg.use_block_cache = false;
+      Iss step(desc, obj, nullptr, step_cfg);
+      Iss threaded(desc, obj, nullptr, platform::issConfigFor(level));
+      uint64_t stops = 0;
+      StopReason stop = StopReason::kBreakpoint;
+      while (stop == StopReason::kBreakpoint && stops <= c.stops) {
+        stop = step.run();
+        ASSERT_EQ(threaded.run(), stop);
+        ASSERT_EQ(threaded.digestState(serial::kFnvOffset),
+                  step.digestState(serial::kFnvOffset))
+            << "at stop " << stops;
+        stops += stop == StopReason::kBreakpoint ? 1 : 0;
+      }
+      ASSERT_EQ(stop, StopReason::kHalted);
+      EXPECT_EQ(stops, c.stops);
+      EXPECT_EQ(step.d(1), c.d1);
+      EXPECT_EQ(threaded.d(1), c.d1);
+      EXPECT_EQ(threaded.stats().cycles, step.stats().cycles);
+      if (c.stops > 64) {
+        EXPECT_GT(threaded.stats().trace_dispatches, 0u);
+      }
+      if (level != xlat::DetailLevel::kICache) {
+        continue;
+      }
+      xlat::TranslateOptions opts;
+      opts.level = level;
+      platform::EmulationPlatform plat(
+          desc, xlat::translate(desc, obj, opts).image);
+      platform::RunResult r = plat.run();
+      while (r.state == vliw::RunState::kYielded) {
+        r = plat.run();
+      }
+      ASSERT_EQ(r.state, vliw::RunState::kHalted);
+      EXPECT_EQ(r.generated_cycles, step.stats().cycles);
+      rtlsim::RtlCore rtl(desc, obj);
+      rtl.run();
+      ASSERT_TRUE(rtl.halted());
+      EXPECT_EQ(rtl.stats().cycles, step.stats().cycles);
+    }
+  }
 }
 
 TEST(IssFunctional, MaxInstructionsGuard) {

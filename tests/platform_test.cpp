@@ -147,6 +147,132 @@ TEST(Platform, BreakpointStopsLeaveCycleGenerationUntouched) {
   EXPECT_EQ(plain.sync().numStarts(), stopped.sync().numStarts());
 }
 
+TEST(Platform, ResumedWaitStopsOncePerArrival) {
+  // A breakpoint on the packet holding the status wait stops once when
+  // the packet arrives. Resuming issues the packet after its whole wait,
+  // without stopping again at the retry, and the run ends with the same
+  // totals as one without the breakpoint.
+  const elf::Object obj = trc::assemble(R"(
+_start: movi d1, 1
+        movi d2, 2
+        movi d3, 3
+        halt
+)");
+  const arch::ArchDescription desc = defaultArch();
+  xlat::TranslateOptions opts;
+  opts.level = xlat::DetailLevel::kStatic;
+  const xlat::TranslationResult t = xlat::translate(desc, obj, opts);
+  PlatformConfig cfg;
+  cfg.vliw_cycles_per_soc_cycle = 8;
+
+  // The wait's packet is where the cycle-by-cycle run first stalls.
+  EmulationPlatform plain(desc, t.image, cfg);
+  while (plain.sim().stats().stall_cycles == 0) {
+    ASSERT_EQ(plain.sim().run(1), vliw::RunState::kMaxCycles);
+  }
+  const uint32_t wait_packet = plain.sim().pc();
+  ASSERT_EQ(plain.sim().run(cfg.max_cycles), vliw::RunState::kHalted);
+
+  EmulationPlatform stopped(desc, t.image, cfg);
+  stopped.sim().addBreakpoint(wait_packet);
+  uint64_t stops = 0;
+  vliw::RunState state = stopped.sim().run(cfg.max_cycles);
+  while (state == vliw::RunState::kBreakpoint && stops < 100) {
+    ++stops;
+    EXPECT_EQ(stopped.sim().pc(), wait_packet);
+    state = stopped.sim().resume(cfg.max_cycles);
+  }
+  ASSERT_EQ(state, vliw::RunState::kHalted);
+  EXPECT_EQ(stops, 1u);
+
+  const vliw::SimStats& a = plain.sim().stats();
+  const vliw::SimStats& b = stopped.sim().stats();
+  EXPECT_GT(a.stall_cycles, 1u);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.issue_cycles, b.issue_cycles);
+  EXPECT_EQ(a.packets, b.packets);
+  EXPECT_EQ(a.stall_cycles, b.stall_cycles);
+  EXPECT_EQ(plain.sync().totalGenerated(), stopped.sync().totalGenerated());
+}
+
+/// Expects two platforms to be indistinguishable: every SimStats field,
+/// all 64 V6X registers, the pc, the generated cycle count, the timer,
+/// the bus log and the chardev output.
+void expectSamePlatform(EmulationPlatform& want, EmulationPlatform& got,
+                        const std::string& where) {
+  const vliw::SimStats& a = want.sim().stats();
+  const vliw::SimStats& b = got.sim().stats();
+  EXPECT_EQ(b.cycles, a.cycles) << where;
+  EXPECT_EQ(b.issue_cycles, a.issue_cycles) << where;
+  EXPECT_EQ(b.packets, a.packets) << where;
+  EXPECT_EQ(b.ops, a.ops) << where;
+  EXPECT_EQ(b.nop_cycles, a.nop_cycles) << where;
+  EXPECT_EQ(b.stall_cycles, a.stall_cycles) << where;
+  EXPECT_EQ(b.branches_taken, a.branches_taken) << where;
+  for (uint8_t r = 0; r < 2 * vliw::kRegsPerFile; ++r) {
+    EXPECT_EQ(got.sim().reg(r), want.sim().reg(r))
+        << vliw::regName(r) << " " << where;
+  }
+  EXPECT_EQ(got.sim().pc(), want.sim().pc()) << where;
+  EXPECT_EQ(got.sync().totalGenerated(), want.sync().totalGenerated())
+      << where;
+  EXPECT_EQ(got.board().timer.count(), want.board().timer.count()) << where;
+  EXPECT_TRUE(got.board().bus.log() == want.board().bus.log()) << where;
+  EXPECT_EQ(got.board().chardev.output(), want.board().chardev.output())
+      << where;
+}
+
+TEST(Platform, StallJumpsEqualCycleByCycle) {
+  // A sync-wait or bridge stall passes in one step: one run() must equal
+  // a run of one-cycle budgets, which asks the handlers and reports the
+  // clock at every cycle, on every program, level and generation rate.
+  std::vector<std::pair<std::string, elf::Object>> programs;
+  for (const std::string& name : workloads::figure5Names()) {
+    programs.emplace_back(name, workloads::assemble(workloads::get(name)));
+  }
+  programs.emplace_back("fibonacci",
+                        workloads::assemble(workloads::get("fibonacci")));
+  programs.emplace_back("bridge", trc::assemble(R"(
+_start: movha a0, 0xf000
+        movi d0, 12
+loop:   movi d1, 64
+        add d1, d1, d0
+        stw d1, [a0]0x200
+        ldw d2, [a0]0x100
+        add d3, d3, d2
+        addi16 d0, -1
+        jnz16 d0, loop
+        halt
+)"));
+  const arch::ArchDescription desc = defaultArch();
+  for (const auto& [name, obj] : programs) {
+    for (const xlat::DetailLevel level :
+         {xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
+          xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache}) {
+      xlat::TranslateOptions opts;
+      opts.level = level;
+      const xlat::TranslationResult t = xlat::translate(desc, obj, opts);
+      for (const unsigned rate : {1u, 2u, 5u, 8u}) {
+        const std::string where = name + ", level " +
+                                  std::to_string(static_cast<int>(level)) +
+                                  ", rate " + std::to_string(rate);
+        PlatformConfig cfg;
+        cfg.vliw_cycles_per_soc_cycle = rate;
+        EmulationPlatform whole(desc, t.image, cfg);
+        ASSERT_EQ(whole.sim().run(cfg.max_cycles), vliw::RunState::kHalted)
+            << where;
+        EmulationPlatform single(desc, t.image, cfg);
+        vliw::RunState state = vliw::RunState::kMaxCycles;
+        while (state == vliw::RunState::kMaxCycles) {
+          state = single.sim().run(1);
+        }
+        ASSERT_EQ(state, vliw::RunState::kHalted) << where;
+        expectSamePlatform(whole, single, where);
+      }
+    }
+  }
+}
+
 TEST(Platform, ValuesMatchIsRemapAware) {
   const arch::ArchDescription desc = defaultArch();
   EXPECT_TRUE(valuesMatch(desc, 42, 42));

@@ -143,11 +143,11 @@ TEST(SyncDevice, GeneratesExactlyRequestedCycles) {
   bus.attach(&timer, 0x0, 0x10);
   SyncDevice sync(&bus, /*rate=*/1);
   sync.start(5);
-  EXPECT_TRUE(sync.busy());
+  EXPECT_NE(sync.remaining(), 0u);
   sync.advanceTo(3);
   EXPECT_EQ(sync.totalGenerated(), 3u);
   sync.advanceTo(10);
-  EXPECT_FALSE(sync.busy());
+  EXPECT_EQ(sync.remaining(), 0u);
   EXPECT_EQ(sync.totalGenerated(), 5u);
   EXPECT_EQ(bus.socCycle(), 5u);
   EXPECT_EQ(timer.count(), 5u);  // the attached hardware saw every cycle
@@ -159,10 +159,10 @@ TEST(SyncDevice, RateDividesVliwClock) {
   sync.start(2);
   sync.advanceTo(7);
   EXPECT_EQ(sync.totalGenerated(), 1u);
-  EXPECT_TRUE(sync.busy());
+  EXPECT_NE(sync.remaining(), 0u);
   sync.advanceTo(8);  // 2 SoC cycles at 4 VLIW cycles each
   EXPECT_EQ(sync.totalGenerated(), 2u);
-  EXPECT_FALSE(sync.busy());
+  EXPECT_EQ(sync.remaining(), 0u);
 }
 
 TEST(SyncDevice, CorrectionAccumulates) {
@@ -240,6 +240,42 @@ TEST(SyncDevice, CatchUpInStepsEqualsCycleByCycle) {
       }
     }
     EXPECT_GT(a.totalGenerated(), 100u);
+  }
+}
+
+TEST(SyncDevice, WaitCountsNameTheCycleTheWaitEnds) {
+  // After starts and corrections at seeded VLIW times, mid-generation
+  // included, cyclesToIdle() and cyclesToNextEdge() name the cycle
+  // generation ends and the cycle of the next edge: catching up cycle
+  // by cycle reaches idle (the next edge) exactly that many cycles on,
+  // and not one cycle earlier.
+  for (unsigned rate : {1u, 2u, 5u}) {
+    std::mt19937 rng(rate);
+    SocBus bus;
+    SyncDevice dev(&bus, rate);
+    uint64_t now = 0;
+    for (int i = 0; i < 200; ++i) {
+      const uint32_t n = rng() % 6;
+      if (rng() % 4 == 0) {
+        dev.correct(n);
+      } else {
+        dev.start(n);
+      }
+      const uint64_t idle_at = now + dev.cyclesToIdle();
+      const uint64_t edge_at = now + dev.cyclesToNextEdge();
+      ASSERT_EQ(idle_at > now, dev.remaining() != 0) << "t=" << now;
+      ASSERT_EQ(edge_at > now, dev.remaining() != 0) << "t=" << now;
+      const uint64_t next = now + 1 + rng() % 12;
+      for (uint64_t c = now + 1; c <= next; ++c) {
+        dev.advanceTo(c);
+        ASSERT_EQ(dev.remaining() != 0, c < idle_at) << "t=" << c;
+        if (c <= edge_at) {
+          ASSERT_EQ(dev.edgeThisCycle(), c == edge_at) << "t=" << c;
+        }
+      }
+      now = next;
+    }
+    EXPECT_GT(dev.totalGenerated(), 100u);
   }
 }
 

@@ -137,27 +137,85 @@ void expectSameMachine(const V6xSim& want, const V6xSim& got,
   EXPECT_EQ(b.branches_taken, a.branches_taken) << where;
 }
 
+constexpr uint32_t kIoBase = 0xfe000000;
+
+/// Device whose every access is refused for `stall_cycles` cycles from
+/// its first attempt, then completes: a wait that ends at a cycle the
+/// device can name, like the sync device's. It keeps time by its
+/// machine's cycle count, which includes the cycle being attempted.
+class StallingHandler : public IoHandler {
+ public:
+  StallingHandler(const V6xSim* sim, unsigned stall_cycles)
+      : IoHandler(kIoBase, 0x10), sim_(sim), stall_cycles_(stall_cycles) {}
+  uint64_t refusedCycles(uint32_t, bool) override {
+    const uint64_t now = sim_->stats().cycles;
+    if (!waiting_) {
+      waiting_ = true;
+      ready_at_ = now + stall_cycles_;
+    }
+    return ready_at_ > now ? ready_at_ - now : 0;
+  }
+  uint32_t load(uint32_t, unsigned) override {
+    waiting_ = false;
+    ++loads_;
+    return 0xabcd;
+  }
+  void store(uint32_t, uint32_t value, unsigned) override {
+    waiting_ = false;
+    last_ = value;
+  }
+
+  unsigned loads_ = 0;
+  uint32_t last_ = 0;
+
+ private:
+  const V6xSim* sim_;
+  unsigned stall_cycles_;
+  bool waiting_ = false;
+  uint64_t ready_at_ = 0;
+};
+
+/// A machine loaded with `image` and, when `stall_cycles` > 0, its own
+/// StallingHandler at kIoBase.
+struct Rig {
+  Rig(const elf::Object& image, unsigned stall_cycles)
+      : handler(&sim, stall_cycles) {
+    sim.loadProgram(image);
+    if (stall_cycles != 0) {
+      sim.addIoHandler(&handler);
+    }
+  }
+  V6xSim sim;
+  StallingHandler handler;
+};
+
 /// Runs `packets` in budgets of one cycle and, separately, stops once at
 /// every cycle budget `b` and resumes to halt. Each budget stop must
 /// equal the cycle-by-cycle machine at the same cycle, and every resumed
-/// run the uninterrupted one: NOP tails batch without a visible trace.
-void expectBudgetStopsInvisible(const std::vector<Packet>& packets) {
+/// run the uninterrupted one: NOP tails and device stalls batch without
+/// a visible trace. `stall_cycles` > 0 gives every machine a device at
+/// kIoBase that refuses each access for that many cycles.
+void expectBudgetStopsInvisible(const std::vector<Packet>& packets,
+                                unsigned stall_cycles = 0) {
   const elf::Object image = makeImage(packets);
-  V6xSim whole;
-  whole.loadProgram(image);
-  ASSERT_EQ(whole.run(100000), RunState::kHalted);
-  const uint64_t total = whole.stats().cycles;
-  V6xSim single;
-  single.loadProgram(image);
+  Rig whole(image, stall_cycles);
+  ASSERT_EQ(whole.sim.run(100000), RunState::kHalted);
+  const uint64_t total = whole.sim.stats().cycles;
+  Rig single(image, stall_cycles);
   for (uint64_t b = 1; b < total; ++b) {
-    ASSERT_EQ(single.run(1), RunState::kMaxCycles);
-    V6xSim stopped;
-    stopped.loadProgram(image);
-    ASSERT_EQ(stopped.run(b), RunState::kMaxCycles);
-    expectSameMachine(single, stopped, "at budget " + std::to_string(b));
-    ASSERT_EQ(stopped.run(100000), RunState::kHalted);
-    expectSameMachine(whole, stopped, "resumed from " + std::to_string(b));
+    ASSERT_EQ(single.sim.run(1), RunState::kMaxCycles);
+    Rig stopped(image, stall_cycles);
+    ASSERT_EQ(stopped.sim.run(b), RunState::kMaxCycles);
+    expectSameMachine(single.sim, stopped.sim,
+                      "at budget " + std::to_string(b));
+    ASSERT_EQ(stopped.sim.run(100000), RunState::kHalted);
+    expectSameMachine(whole.sim, stopped.sim,
+                      "resumed from " + std::to_string(b));
+    EXPECT_EQ(stopped.handler.loads_, whole.handler.loads_);
+    EXPECT_EQ(stopped.handler.last_, whole.handler.last_);
   }
+  ASSERT_EQ(single.sim.run(1), RunState::kHalted);
+  expectSameMachine(whole.sim, single.sim, "cycle by cycle");
 }
 
 // ---- encoding -----------------------------------------------------------
@@ -704,33 +762,9 @@ TEST(V6xSimTest, LoadLandingInsideNop9) {
 
 // ---- device stalls ---------------------------------------------------------
 
-/// Handler that refuses the first `stall_cycles` attempts.
-class StallingHandler : public IoHandler {
- public:
-  StallingHandler(uint32_t base, unsigned stall_cycles)
-      : IoHandler(base, 0x10), remaining_(stall_cycles) {}
-  bool ready(uint32_t, bool) override {
-    if (remaining_ > 0) {
-      --remaining_;
-      return false;
-    }
-    return true;
-  }
-  uint32_t load(uint32_t, unsigned) override {
-    ++loads_;
-    return 0xabcd;
-  }
-  void store(uint32_t, uint32_t value, unsigned) override { last_ = value; }
-
-  unsigned loads_ = 0;
-  uint32_t last_ = 0;
-
- private:
-  unsigned remaining_;
-};
-
 TEST(V6xSimTest, DeviceStallFreezesMachine) {
-  StallingHandler handler(0xfe000000, 3);
+  V6xSim sim;
+  StallingHandler handler(&sim, 3);
   std::vector<Packet> packets{
       {0, {mvk(regA(8), 0)}},
       {0, {op(VOpc::kMvkh, S1, regA(8), kNoReg, kNoReg, 0xfe00)}},
@@ -738,7 +772,6 @@ TEST(V6xSimTest, DeviceStallFreezesMachine) {
       {0, {nop(5)}},
       {0, {halt()}},
   };
-  V6xSim sim;
   sim.loadProgram(makeImage(std::move(packets)));
   sim.addIoHandler(&handler);
   EXPECT_EQ(sim.run(1000), RunState::kHalted);
@@ -751,24 +784,26 @@ TEST(V6xSimTest, DeviceStallFreezesMachine) {
 
 TEST(V6xSimTest, ClockHearsEachAccessCycleAndEveryStop) {
   // The clocked hardware hears the elapsed cycle count before each
-  // handler call, the current cycle included — so a device polled during
-  // a stall sees time advance — and once more at the stop. Nothing else.
+  // handler call, the current cycle included, and once more at the stop.
+  // A refused access is asked about in the cycle it is refused in and in
+  // the cycle its refusal ends, never in between. Nothing else.
   class RecordingHandler : public StallingHandler {
    public:
-    RecordingHandler(const std::vector<uint64_t>* heard, unsigned stalls)
-        : StallingHandler(0xfe000000, stalls), heard_(heard) {}
-    bool ready(uint32_t addr, bool is_write) override {
-      at_ready.push_back(heard_->empty() ? 0 : heard_->back());
-      return StallingHandler::ready(addr, is_write);
+    RecordingHandler(const V6xSim* sim,
+                     const std::vector<uint64_t>* heard, unsigned stalls)
+        : StallingHandler(sim, stalls), heard_(heard) {}
+    uint64_t refusedCycles(uint32_t addr, bool is_write) override {
+      asked_at.push_back(heard_->empty() ? 0 : heard_->back());
+      return StallingHandler::refusedCycles(addr, is_write);
     }
-    std::vector<uint64_t> at_ready;
+    std::vector<uint64_t> asked_at;
 
    private:
     const std::vector<uint64_t>* heard_;
   };
   std::vector<uint64_t> heard;
-  RecordingHandler handler(&heard, 2);
   V6xSim sim;
+  RecordingHandler handler(&sim, &heard, 2);
   sim.loadProgram(makeImage({
       {0, {mvk(regA(8), 0)}},
       {0, {op(VOpc::kMvkh, S1, regA(8), kNoReg, kNoReg, 0xfe00)}},
@@ -780,10 +815,67 @@ TEST(V6xSimTest, ClockHearsEachAccessCycleAndEveryStop) {
   sim.setClock([&heard](uint64_t cycles) { heard.push_back(cycles); });
   EXPECT_EQ(sim.run(1000), RunState::kHalted);
   EXPECT_EQ(sim.stats().stall_cycles, 2u);
-  // The store tries in cycles 3, 4 and 5; the stop comes after cycle 15.
-  EXPECT_EQ(handler.at_ready, (std::vector<uint64_t>{3, 4, 5}));
-  EXPECT_EQ(heard, (std::vector<uint64_t>{3, 4, 5, 15}));
+  // The store is refused in cycle 3 for cycles 3 and 4 and completes in
+  // cycle 5; the stop comes after cycle 15.
+  EXPECT_EQ(handler.asked_at, (std::vector<uint64_t>{3, 5}));
+  EXPECT_EQ(heard, (std::vector<uint64_t>{3, 5, 15}));
   EXPECT_EQ(sim.stats().cycles, 15u);
+}
+
+TEST(V6xSimTest, BudgetEndingInsideAStallResumes) {
+  // A refusal of 6 cycles passes in one step, clipped to the budget: a
+  // budget that ends inside it leaves the packet to retry, and the retry
+  // is refused for the rest of the wait.
+  const std::vector<Packet> packets{
+      {0, {mvk(regA(8), 0)}},
+      {0, {op(VOpc::kMvkh, S1, regA(8), kNoReg, kNoReg, 0xfe00)}},
+      {0, {op(VOpc::kLdw, D1, regA(3), regA(8), kNoReg, 0)}},
+      {0, {nop(5)}},
+      {0, {halt()}},
+  };
+  V6xSim sim;
+  StallingHandler handler(&sim, 6);
+  sim.loadProgram(makeImage(packets));
+  sim.addIoHandler(&handler);
+  EXPECT_EQ(sim.run(4), RunState::kMaxCycles);  // mvk, mvkh, 2 stalls
+  EXPECT_EQ(sim.stats().cycles, 4u);
+  EXPECT_EQ(sim.stats().stall_cycles, 2u);
+  EXPECT_EQ(sim.stats().issue_cycles, 2u);
+  EXPECT_EQ(sim.run(3), RunState::kMaxCycles);  // 3 of the 4 stalls left
+  EXPECT_EQ(sim.stats().stall_cycles, 5u);
+  EXPECT_EQ(handler.loads_, 0u);
+  EXPECT_EQ(sim.run(100), RunState::kHalted);
+  EXPECT_EQ(handler.loads_, 1u);
+  EXPECT_EQ(sim.reg(regA(3)), 0xabcdu);
+  EXPECT_EQ(sim.stats().stall_cycles, 6u);
+  // mvk + mvkh + (6 stalls + ld) + nop5 + halt = 2 + 7 + 5 + 1 = 15.
+  EXPECT_EQ(sim.stats().cycles, 15u);
+  expectBudgetStopsInvisible(packets, 6);
+}
+
+TEST(V6xSimTest, StallJumpEqualsCycleByCycle) {
+  // Stalls of 1 to 7 cycles on a load and a store in a counted loop, with
+  // a load in flight and a branch counting down across each stall: one
+  // run(), a run(1) loop and a budget stop at every cycle see the same
+  // machine.
+  MachineOp loop_back = op(VOpc::kB, S1, kNoReg, kNoReg, kNoReg,
+                           static_cast<int32_t>(kBase + 3 * 4));
+  loop_back.pred = {PredReg::kA1, false};  // while a1 != 0
+  const std::vector<Packet> packets{
+      {0, {mvk(regA(8), 0)}},
+      {0, {op(VOpc::kMvkh, S1, regA(8), kNoReg, kNoReg, 0xfe00),
+           mvk(regA(1), 3, S2)}},
+      {0, {op(VOpc::kLdw, D1, regA(3), regA(8), kNoReg, 0)}},  // kBase + 12
+      {0, {loop_back, op(VOpc::kAddk, S2, regA(1), kNoReg, kNoReg, -1)}},
+      {0, {op(VOpc::kStw, D1, regA(3), regA(8), kNoReg, 4)}},
+      {0, {mvk(regA(4), 1)}},
+      {0, {nop(3)}},
+      {0, {halt()}},
+  };
+  for (unsigned stall = 1; stall <= 7; ++stall) {
+    SCOPED_TRACE("stall " + std::to_string(stall));
+    expectBudgetStopsInvisible(packets, stall);
+  }
 }
 
 TEST(V6xSimTest, YieldStopsAndResumes) {
