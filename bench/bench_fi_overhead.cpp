@@ -77,7 +77,7 @@ FiRun runBoard(const workloads::BoardImages& b, Mode mode, int repeats) {
       camp.arm(board);
     }
     if (mode == Mode::kArmedIdleRing) {
-      board.setCheckpointing({65536, 2, ""});
+      board.setCheckpointing({65536, 2});
     }
     const auto t0 = std::chrono::steady_clock::now();
     if (board.run() != iss::StopReason::kHalted) {

@@ -370,7 +370,7 @@ int main(int argc, char** argv) {
         camp.arm(*board);
       }
       if (interval != 0) {
-        board->setCheckpointing({interval, 1, ""});
+        board->setCheckpointing({interval, 1});
       }
       board->run();
       for (const auto& [cycle, digest] : board->digestTrail()) {
@@ -396,7 +396,7 @@ int main(int argc, char** argv) {
           buildCampaign(fault_specs, fi_armed, board->numCores());
       camp.arm(*board);
       if (interval != 0) {
-        board->setCheckpointing({interval, 4, ""});
+        board->setCheckpointing({interval, 4});
       }
       board->runTo(to);
       printFired(camp, board->numCores());
@@ -421,7 +421,7 @@ int main(int argc, char** argv) {
       // Clean reference run: the convergence target and the expected
       // digest trail for divergence detection.
       std::unique_ptr<platform::ReferenceBoard> ref = scenario.makeBoard();
-      ref->setCheckpointing({interval, 4, ""});
+      ref->setCheckpointing({interval, 4});
       ref->run();
       const snap::Observation want = snap::observe(*ref);
       // Faulted run: same ring, trail-certified divergence detection,
@@ -434,7 +434,7 @@ int main(int argc, char** argv) {
       fi::Campaign camp =
           buildCampaign(fault_specs, fi_armed, board->numCores());
       camp.arm(*board);
-      board->setCheckpointing({interval, 4, ""});
+      board->setCheckpointing({interval, 4});
       board->setExpectedTrail(ref->digestTrail());
       platform::RecoveryConfig rec;
       rec.auto_recover = true;

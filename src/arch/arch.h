@@ -123,8 +123,8 @@ struct BranchModel {
 /// prefetches the straddled remainder of mixed 16/32-bit instructions);
 /// consecutive touches of the same line within one basic block count as a
 /// single access, and the touch sequence restarts at every basic-block
-/// boundary. This rule is what the translator's cache analysis blocks
-/// reproduce exactly.
+/// boundary. core::BlockGraph applies this rule once, as each block's
+/// cache analysis blocks, for the ISS and the translator alike.
 struct ICacheModel {
   bool enabled = true;
   uint32_t sets = 64;

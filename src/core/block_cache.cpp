@@ -7,10 +7,10 @@ namespace cabt::core {
 
 BlockCache::BlockCache(std::shared_ptr<const ProgramArtifact> artifact)
     : artifact_(std::move(artifact)), branch_(artifact_->branch()) {
-  const std::vector<StaticBlock>& stat = artifact_->blocks();
-  blocks_.resize(stat.size());
-  for (size_t i = 0; i < stat.size(); ++i) {
-    blocks_[i].stat = &stat[i];
+  const std::vector<Block>& recs = artifact_->graph().blocks();
+  blocks_.resize(recs.size());
+  for (size_t i = 0; i < recs.size(); ++i) {
+    blocks_[i].rec = &recs[i];
   }
 }
 

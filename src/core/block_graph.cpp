@@ -1,12 +1,28 @@
 #include "core/block_graph.h"
 
+#include "arch/icache_model.h"
 #include "arch/timing.h"
 #include "common/error.h"
 #include "trc/program.h"
 
 namespace cabt::core {
 
-BlockGraph BlockGraph::build(const elf::Object& object,
+namespace {
+
+/// The static part of a block's branch cost: the fixed extra of a
+/// terminating unconditional control transfer (a conditional branch
+/// contributes its minimum, zero).
+uint32_t staticBranchExtra(const arch::ArchDescription& desc,
+                           const trc::Instr& last) {
+  return last.isControlTransfer() && last.cls() != arch::OpClass::kBranchCond
+             ? desc.branch.unconditionalExtra(last.cls())
+             : 0;
+}
+
+}  // namespace
+
+BlockGraph BlockGraph::build(const arch::ArchDescription& desc,
+                             const elf::Object& object,
                              const std::vector<uint32_t>& extra_leaders) {
   BlockGraph graph;
   graph.instrs_ = trc::decodeText(object);
@@ -75,6 +91,34 @@ BlockGraph BlockGraph::build(const elf::Object& object,
         break;
     }
   }
+
+  // Static timing and cache analysis blocks, once per block.
+  graph.schedule_.reserve(graph.instrs_.size());
+  for (Block& b : graph.blocks_) {
+    const std::span<const trc::Instr> instrs = graph.instrs(b);
+    arch::PipelineTimer timer(desc.pipeline);
+    for (const trc::Instr& in : instrs) {
+      timer.issue(in.timedOp());
+      graph.schedule_.push_back(static_cast<uint32_t>(timer.cycles()));
+    }
+    b.static_cycles =
+        graph.schedule_.back() + staticBranchExtra(desc, instrs.back());
+    if (!desc.icache.enabled) {
+      continue;
+    }
+    b.cab_first = static_cast<uint32_t>(graph.cabs_.size());
+    for (uint32_t k = 0; k < b.count; ++k) {
+      const uint32_t addr = instrs[k].addr;
+      if (k > 0 &&
+          desc.icache.lineOf(addr) == desc.icache.lineOf(instrs[k - 1].addr)) {
+        continue;  // same line as the previous touch: one access
+      }
+      graph.cabs_.push_back(
+          {k, desc.icache.setOf(addr),
+           arch::ICacheState::tagWord(desc.icache.tagOf(addr))});
+    }
+    b.cab_count = static_cast<uint32_t>(graph.cabs_.size()) - b.cab_first;
+  }
   return graph;
 }
 
@@ -85,19 +129,8 @@ uint32_t staticBlockCycles(const arch::ArchDescription& desc,
   for (size_t i = 0; i < count; ++i) {
     timer.issue(instrs[i].timedOp());
   }
-  uint64_t cycles = timer.cycles();
-  const trc::Instr& last = instrs[count - 1];
-  if (last.isControlTransfer() && last.cls() != arch::OpClass::kBranchCond) {
-    cycles += desc.branch.unconditionalExtra(last.cls());
-  }
-  CABT_CHECK(cycles <= 30000, "basic block too long for annotation");
-  return static_cast<uint32_t>(cycles);
-}
-
-void BlockGraph::computeStaticCycles(const arch::ArchDescription& desc) {
-  for (Block& b : blocks_) {
-    b.static_cycles = staticBlockCycles(desc, begin(b), b.count);
-  }
+  return static_cast<uint32_t>(timer.cycles()) +
+         staticBranchExtra(desc, instrs[count - 1]);
 }
 
 }  // namespace cabt::core

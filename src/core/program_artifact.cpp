@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "arch/icache_model.h"
-#include "arch/timing.h"
 #include "common/serial.h"
 
 namespace cabt::core {
@@ -60,8 +58,8 @@ uint64_t imageKey(const elf::Object& object) {
 }
 
 /// Identity of the timing configuration the artifact bakes in: the
-/// pipeline schedule (cum_cycles), the branch model (static cycles and
-/// the per-core lowering tables), the icache geometry (line groups) and
+/// pipeline schedule (issue schedules), the branch model (static cycles
+/// and the per-core lowering tables), the icache geometry (CABs) and
 /// the extra leaders (block partition). Architecture fields the
 /// artifact never reads (clock rate, dcache, memory map) are deliberately
 /// excluded so boards differing only there still share one decode.
@@ -94,53 +92,14 @@ uint64_t configKey(const arch::ArchDescription& desc,
 ProgramArtifact::ProgramArtifact(const arch::ArchDescription& desc,
                                  const elf::Object& object,
                                  const std::vector<uint32_t>& extra_leaders)
-    : graph_(BlockGraph::build(object, extra_leaders)),
+    : graph_(BlockGraph::build(desc, object, extra_leaders)),
       symbols_(object),
       branch_(desc.branch) {
-  graph_.computeStaticCycles(desc);
-
   const std::vector<trc::Instr>& instrs = graph_.instrs();
   instr_by_addr_.reserve(instrs.size());
   for (size_t i = 0; i < instrs.size(); ++i) {
     instr_by_addr_.emplace(instrs[i].addr, static_cast<uint32_t>(i));
   }
-
-  blocks_.reserve(graph_.blocks().size());
-  for (const Block& b : graph_.blocks()) {
-    StaticBlock sb;
-    sb.addr = b.addr;
-    sb.instrs.assign(graph_.begin(b), graph_.end(b));
-    sb.target = b.target;
-    sb.fall_through = b.fall_through;
-
-    sb.cum_cycles.reserve(sb.instrs.size());
-    arch::PipelineTimer timer(desc.pipeline);
-    for (const trc::Instr& in : sb.instrs) {
-      timer.issue(in.timedOp());
-      sb.cum_cycles.push_back(static_cast<uint32_t>(timer.cycles()));
-    }
-
-    if (desc.icache.enabled) {
-      sb.new_line.reserve(sb.instrs.size());
-      sb.line_set.reserve(sb.instrs.size());
-      sb.line_tag.reserve(sb.instrs.size());
-      bool have_line = false;
-      uint32_t last_line = 0;
-      for (const trc::Instr& in : sb.instrs) {
-        const uint32_t line = desc.icache.lineOf(in.addr);
-        const bool starts_group = !have_line || line != last_line;
-        have_line = true;
-        last_line = line;
-        sb.new_line.push_back(starts_group ? 1 : 0);
-        sb.line_set.push_back(desc.icache.setOf(in.addr));
-        sb.line_tag.push_back(
-            arch::ICacheState::tagWord(desc.icache.tagOf(in.addr)));
-      }
-    }
-
-    blocks_.push_back(std::move(sb));
-  }
-
   fingerprint_ = computeFingerprint(graph_);
 }
 

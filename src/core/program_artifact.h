@@ -1,19 +1,22 @@
 // Immutable, image-keyed shared program artifacts (DESIGN.md section 14).
 //
-// Everything the execution engines precompute from a program image and an
-// architecture description — the block graph, the per-block predecoded
-// instruction/schedule/line-group tables, the instruction address index,
-// the symbol index and the content fingerprint — is a pure function of
-// (image, pipeline model, branch model, icache geometry, extra leaders).
-// A ProgramArtifact packages that computation once, immutable after
-// construction; the process-wide ProgramArtifactCache hands the same
-// `shared_ptr<const ProgramArtifact>` to every board/core running the
-// same image under the same timing configuration, so a thousand-board
-// fleet pays one decode (decode once, execute everywhere).
+// Everything the execution engines and the translator precompute from a
+// program image and an architecture description — the block graph with
+// its one record per block (instructions, successors, static cycles,
+// issue schedule, cache analysis blocks; core/block_graph.h), the
+// instruction address index, the symbol index and the content
+// fingerprint — is a pure function of (image, pipeline model, branch
+// model, icache geometry, extra leaders). A ProgramArtifact packages that
+// computation once, immutable after construction; the process-wide
+// ProgramArtifactCache hands the same `shared_ptr<const ProgramArtifact>`
+// to every board/core running the same image under the same timing
+// configuration, and to the translator, so a thousand-board fleet and
+// its translations pay one decode (decode once, execute everywhere).
 //
 // The artifact is never written after publication. All mutable residue —
-// hot counters, formed traces, lowered threaded programs — lives in the per-core BlockCache overlay (block_cache.h),
-// which holds a shared_ptr to its artifact and points into it.
+// hot counters and lowered threaded programs (blocks and traces) — lives
+// in the per-core BlockCache overlay (block_cache.h), which holds a
+// shared_ptr to its artifact and points into it.
 #pragma once
 
 #include <cstdint>
@@ -29,31 +32,6 @@
 
 namespace cabt::core {
 
-/// The immutable, shareable half of one executable cached block: the
-/// predecoded instructions and every table that is a pure function of
-/// the image and the architecture description. See ExecBlock
-/// (block_cache.h) for the field semantics and the per-core residue.
-struct StaticBlock {
-  uint32_t addr = 0;
-  std::vector<trc::Instr> instrs;
-  /// Issue-schedule cycles consumed after instruction i has issued
-  /// (PipelineTimer::cycles() from a drained pipeline). Always filled;
-  /// functional-only execution simply ignores it.
-  std::vector<uint32_t> cum_cycles;
-  /// 1 when instruction i starts a new cache-line group within the
-  /// block (always set for instruction 0). Empty without an icache.
-  std::vector<uint8_t> new_line;
-  /// Precomputed icache set index and combined tag+valid word per
-  /// instruction (meaningful where new_line[i] != 0). Empty without an
-  /// icache.
-  std::vector<uint32_t> line_set;
-  std::vector<uint32_t> line_tag;
-  /// Successor indices into the artifact's block array (-1 = none /
-  /// dynamic).
-  int32_t target = -1;
-  int32_t fall_through = -1;
-};
-
 /// One decoded, scheduled, indexed program image. Immutable after
 /// construction — every accessor is const and the object is only ever
 /// handed out as `shared_ptr<const ProgramArtifact>`.
@@ -63,10 +41,8 @@ class ProgramArtifact {
                   const elf::Object& object,
                   const std::vector<uint32_t>& extra_leaders);
 
+  /// The block graph and its per-block records (core::Block).
   [[nodiscard]] const BlockGraph& graph() const { return graph_; }
-  [[nodiscard]] const std::vector<StaticBlock>& blocks() const {
-    return blocks_;
-  }
   /// Instruction address -> index into graph().instrs() (the stepping
   /// engine's fetch path).
   [[nodiscard]] const std::unordered_map<uint32_t, uint32_t>& instrByAddr()
@@ -84,7 +60,6 @@ class ProgramArtifact {
 
  private:
   BlockGraph graph_;
-  std::vector<StaticBlock> blocks_;
   std::unordered_map<uint32_t, uint32_t> instr_by_addr_;
   elf::SymbolIndex symbols_;
   arch::BranchModel branch_;

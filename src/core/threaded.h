@@ -1,5 +1,7 @@
 // Threaded-code programs: the lowered, execution-ready form of a cached
-// block or superblock trace (the two tiers of the ISS threaded engine).
+// block or of a superblock trace (the two tiers of the ISS threaded
+// engine). A trace has no other form: BlockCache::formTrace picks its
+// chain and lowers it in one step, so a trace is its threaded program.
 //
 // Where the block cache removes the per-step address lookup and
 // successor chaining removes the per-block lookup, a threaded program
@@ -10,9 +12,10 @@
 // host handler — a function pointer the ISS bound per opcode with the
 // timing/icache-touch/branch-extra decisions baked in at lowering time —
 // with fully predecoded operands: register indices, materialized
-// immediates, the precomputed icache set/tag words and the cumulative
-// issue-schedule cycles of the block cache, plus the statically known
-// branch-outcome extra cycles. The hot path is then
+// immediates, the icache set/tag words of the block's cache analysis
+// blocks and its cumulative issue-schedule cycles (both from the block's
+// record in the shared artifact, core/block_graph.h), plus the statically
+// known branch-outcome extra cycles. The hot path is then
 //
 //     while (op != nullptr) op = op->fn(cpu, op);
 //
@@ -29,12 +32,12 @@
 // in through a ThreadedBinder — core never depends on iss. The `void*`
 // context in ThreadedFn is the ISS instance.
 //
-// Threaded programs are host-side *derived* state, exactly like the
-// block cache and the traces they are lowered from: a pure function of
-// the immutable program image and the (fixed per core) ISS config. They
-// are never serialized; a restore into a cold process rebuilds them
-// lazily: each block at its first dispatch, each trace once its head
-// re-heats (src/snap, DESIGN.md section 6).
+// Threaded programs are host-side *derived* state, like the block cache
+// whose counters pick the traces: a function of the immutable program
+// image, the (fixed per core) ISS config and, for traces, the observed
+// branch statistics. They are never serialized; a restore into a cold
+// process rebuilds them lazily: each block at its first dispatch, each
+// trace once its head re-heats (src/snap, DESIGN.md section 6).
 #pragma once
 
 #include <cstdint>
@@ -66,11 +69,12 @@ struct ThreadedOp {
   /// Direct branches: the precomputed target address.
   uint32_t b = 0;
   /// Cumulative issue-schedule cycles after this op (the block's
-  /// StaticBlock::cum_cycles entry); handlers bound with timing assign
-  /// it to the open block's live pipeline cost.
+  /// BlockGraph::schedule entry); handlers bound with timing assign it to
+  /// the open block's live pipeline cost.
   uint32_t cum = 0;
-  /// Precomputed icache set index / tag word, meaningful only for ops
-  /// whose handler was bound with the line-group touch baked in.
+  /// Icache set index / tag word of the cache analysis block this op
+  /// starts, meaningful only for ops whose handler was bound with the
+  /// line touch baked in.
   uint32_t line_set = 0;
   uint32_t line_tag = 0;
   uint8_t rd = 0;
@@ -86,8 +90,10 @@ struct ThreadedOp {
 };
 
 /// One constituent block of a threaded program: ops [first, ...] up to
-/// the segment's nullptr-returning terminator. `entry_addr` guards the
-/// *preceding* segment exactly like TraceSegment::entry_addr.
+/// the segment's nullptr-returning terminator. `entry_addr` doubles as
+/// the guard of the *preceding* segment: execution stays on a trace only
+/// while the pc observed at the original block boundary equals the next
+/// segment's entry address.
 struct ThreadedSegment {
   int32_t block = -1;  ///< index into BlockCache::blocks()
   uint32_t first = 0;  ///< index into ThreadedProgram::ops
@@ -100,18 +106,20 @@ struct ThreadedProgram {
   uint32_t addr = 0;  ///< head block address
   std::vector<ThreadedOp> ops;
   std::vector<ThreadedSegment> segs;
-  /// Total instruction count (excludes synthetic terminators); mirrors
-  /// Trace::total_instrs for the admission check.
+  /// Total instruction count (excludes synthetic terminators). The
+  /// dispatcher admits a trace only when the whole trace fits the
+  /// remaining instruction budget, so no per-boundary budget test
+  /// survives inside.
   uint32_t total_instrs = 0;
 };
 
 /// The ISS's contribution to lowering: handler selection. `select`
 /// returns the specialized handler for one instruction, with `touch`
-/// (this op performs the block's next icache line-group access) baked
-/// in; `end` is the synthetic fall-through terminator for segments whose
-/// last instruction does not transfer control. `icache_on` tells the
-/// lowering whether the per-op line-group data is meaningful under the
-/// core's configured detail level.
+/// (this op performs the access of the block's next cache analysis
+/// block) baked in; `end` is the synthetic fall-through terminator for
+/// segments whose last instruction does not transfer control.
+/// `icache_on` tells the lowering whether the per-op line data is
+/// meaningful under the core's configured detail level.
 struct ThreadedBinder {
   ThreadedFn (*select)(const trc::Instr& in, bool touch) = nullptr;
   ThreadedFn end = nullptr;

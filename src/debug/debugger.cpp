@@ -5,12 +5,6 @@
 #include "xlat/regmap.h"
 
 namespace cabt::debug {
-namespace {
-
-constexpr uint32_t kInstrImageText = 0x0030'0000;
-constexpr uint32_t kInstrImageTable = 0x0038'0000;
-
-}  // namespace
 
 DualTranslation translateDual(const arch::ArchDescription& desc,
                               const elf::Object& source,
@@ -21,23 +15,20 @@ DualTranslation translateDual(const arch::ArchDescription& desc,
   block_opts.level = level;
   dual.block = xlat::translate(desc, source, block_opts);
 
+  // The instruction-oriented image is placed beside the block image
+  // (xlat::kInstrTextBase). The cache state area stays shared: both
+  // images simulate the same instruction cache, so switching between
+  // them keeps the state consistent.
   xlat::TranslateOptions instr_opts;
   instr_opts.level = level;
   instr_opts.instruction_oriented = true;
-  instr_opts.text_base = kInstrImageText;
-  instr_opts.jump_table_base = kInstrImageTable;
-  instr_opts.text_section_name = ".text.instr";
-  instr_opts.dispatch_reg = xlat::kAltDispatchReg;
-  // The cache state area stays shared: both images simulate the same
-  // instruction cache, so switching between them keeps the state
-  // consistent.
   dual.instr = xlat::translate(desc, source, instr_opts);
 
   // Merge: everything from the block image, plus the instruction image's
   // code and dispatch table (data sections are identical copies).
   dual.image = dual.block.image;
   for (const elf::Section& s : dual.instr.image.sections) {
-    if (s.name == ".text.instr" || s.name == ".jumptab") {
+    if (s.name == xlat::kInstrTextSection || s.name == ".jumptab") {
       elf::Section copy = s;
       if (s.name == ".jumptab") {
         copy.name = ".jumptab.instr";
@@ -48,7 +39,7 @@ DualTranslation translateDual(const arch::ArchDescription& desc,
 
   // Build the yield-PC map: each unit's first packet is the YIELD packet;
   // the machine stops right after it.
-  const elf::Section* itext = dual.image.findSection(".text.instr");
+  const elf::Section* itext = dual.image.findSection(xlat::kInstrTextSection);
   CABT_ASSERT(itext != nullptr, "instruction image lost in merge");
   std::map<uint32_t, uint32_t> packet_size;
   for (const vliw::Packet& p :
@@ -73,7 +64,7 @@ Debugger::Debugger(const arch::ArchDescription& desc,
   // block image), so its dispatch constant is installed here.
   const elf::Section* src_text = source.findSection(".text");
   platform_.sim().setReg(xlat::kAltDispatchReg,
-                         kInstrImageTable - 2u * src_text->addr);
+                         xlat::kInstrJumpTableBase - 2u * src_text->addr);
 }
 
 void Debugger::addBreakpoint(uint32_t src_addr) {

@@ -1,7 +1,6 @@
 #include "fi/fi.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "common/error.h"
 #include "common/strutil.h"
@@ -191,23 +190,7 @@ void Campaign::arm(platform::ReferenceBoard& board) {
         }
         const uint8_t flip =
             spec.mask != 0 ? static_cast<uint8_t>(spec.mask) : uint8_t{0x40};
-        if (!cp.path.empty()) {
-          // Spilled entry: flip the byte in the file.
-          std::fstream f(cp.path,
-                         std::ios::binary | std::ios::in | std::ios::out);
-          CABT_CHECK(f.good(), "cannot corrupt spilled checkpoint " << cp.path);
-          f.seekg(0, std::ios::end);
-          const auto size = static_cast<uint64_t>(f.tellg());
-          const uint64_t pos = spec.addr % size;
-          f.seekg(static_cast<std::streamoff>(pos));
-          char b = 0;
-          f.read(&b, 1);
-          b = static_cast<char>(static_cast<uint8_t>(b) ^ flip);
-          f.seekp(static_cast<std::streamoff>(pos));
-          f.write(&b, 1);
-        } else {
-          cp.data[spec.addr % cp.data.size()] ^= flip;
-        }
+        cp.data[spec.addr % cp.data.size()] ^= flip;
         ++ring_corruptions_;
       }
     });

@@ -277,7 +277,7 @@ int32_t Iss::afterBlock(core::ExecBlock& block) {
       // engine's does and a resume steps on from it.
       timer_.reset();
       uint32_t last = 0;
-      for (const Instr& instr : block.instrs()) {
+      for (const Instr& instr : graph_.instrs(*block.rec)) {
         timer_.issue(instr.timedOp());
         last = instr.addr;
         if (bkpt && instr.opc == Opc::kBkpt) {
@@ -346,8 +346,8 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
         block = cache.lookup(pc_);
       }
     }
-    if (block == nullptr || stats_.instructions + block->instrs().size() >
-                                config_.max_instructions) {
+    if (block == nullptr ||
+        stats_.instructions + block->size() > config_.max_instructions) {
       // Per-instruction fallback: mid-block landing addresses and the
       // final instructions before the instruction limit.
       step();
@@ -360,45 +360,41 @@ StopReason Iss::runChainedT(uint64_t time_limit) {
       ++stats_.chain_hits;
       ++block->chain_entries;
     }
-    // A block past trace_threshold heads a superblock trace, lowered
-    // into threaded code on formation. A trace the op budget declines,
-    // and every other dispatch, runs the block's own lowered program.
+    // A block past trace_threshold heads a superblock trace, formed and
+    // lowered into threaded code in one step. A trace the op budget
+    // declines, and every other dispatch, runs the block's own lowered
+    // program.
     if (block->trace == core::kTraceUnformed &&
         block->exec_count >= config_.trace_threshold &&
         block->exec_count >= block->trace_retry_at) {
-      block->trace =
-          cache.formTrace(static_cast<int32_t>(block - blocks.data()));
-      if (trace_sink_ != nullptr && block->trace >= 0) {
-        trace_sink_->instant(trace_lane_, "trace_form", localTime(), "addr",
-                             block->addr());
-      }
-      if (block->trace == core::kTraceDeclined) {
+      block->trace = cache.formTrace(
+          static_cast<int32_t>(block - blocks.data()), binder);
+      if (block->trace == core::kTraceUnformed) {
         // A refusal can be transient (branch statistics that have not
         // skewed yet): re-attempt with geometric backoff instead of
         // declining forever.
-        block->trace = core::kTraceUnformed;
         block->trace_retry_at = block->exec_count * 2;
+      } else {
+        ++(block->trace >= 0 ? stats_.threaded_lowerings
+                             : stats_.threaded_declined);
+        if (trace_sink_ != nullptr) {
+          trace_sink_->instant(trace_lane_, "trace_form", localTime(),
+                               "addr", block->addr());
+        }
       }
     }
     if (block->trace >= 0) {
-      core::Trace& trace = cache.traces()[static_cast<size_t>(block->trace)];
+      const core::ThreadedProgram& trace = cache.threaded(block->trace);
       if (stats_.instructions + trace.total_instrs <=
           config_.max_instructions) {
-        if (trace.threaded == core::kTraceUnformed) {
-          trace.threaded = cache.lowerTraceThreaded(block->trace, binder);
-          ++(trace.threaded >= 0 ? stats_.threaded_lowerings
-                                 : stats_.threaded_declined);
+        const uint64_t before = stats_.instructions;
+        next_idx = dispatchThreadedTraceT<Timing>(trace, time_limit,
+                                                  &epoch_done);
+        stats_.threaded_instrs += stats_.instructions - before;
+        if (next_idx == kDispatchYield) {
+          return StopReason::kCycleLimit;
         }
-        if (trace.threaded >= 0) {
-          const uint64_t before = stats_.instructions;
-          next_idx = dispatchThreadedTraceT<Timing>(
-              cache.threaded(trace.threaded), time_limit, &epoch_done);
-          stats_.threaded_instrs += stats_.instructions - before;
-          if (next_idx == kDispatchYield) {
-            return StopReason::kCycleLimit;
-          }
-          continue;
-        }
+        continue;
       }
     }
     if (block->threaded == core::kTraceUnformed) {
@@ -584,7 +580,7 @@ std::vector<HotBlock> Iss::hotBlocks(size_t n) const {
     return out;  // the block engine never ran
   }
   for (const core::ExecBlock* b : cache_->hottest(n)) {
-    out.push_back({b->addr(), static_cast<uint32_t>(b->instrs().size()),
+    out.push_back({b->addr(), b->size(),
                    b->exec_count, b->chain_entries, b->trace_execs,
                    artifact_->symbols().describe(b->addr())});
   }
@@ -848,16 +844,17 @@ void Iss::execute(const Instr& in) {
 // ---- threaded code: how the threaded engine executes every block ------
 //
 // One specialized host handler per opcode, in (Timing, BranchX) handler
-// sets, with the icache line-group touch baked in per op at lowering
-// (`Touch`: the block cache's new_line decision, so no runtime test
-// survives). Each handler performs exactly the per-instruction sequence
-// of step() — line-group touch, live pipeline cost, the instruction's
-// semantics, retirement count — against fully predecoded operands (the
-// cumulative schedule stands in for step()'s PipelineTimer), then
-// returns the next record; control transfers, HALT/BKPT and the fall-through
-// terminator return nullptr, which both ends the dispatch loop (no
-// per-op stop-flag poll) and marks the original block boundary where the
-// dispatcher applies every correction. Mid-block observables are
+// sets, with the icache line touch baked in per op at lowering
+// (`Touch`: the op starts one of its block's cache analysis blocks, so
+// no runtime test survives). Each handler performs exactly the
+// per-instruction sequence of step() — line touch, live pipeline cost,
+// the instruction's semantics, retirement count — against fully
+// predecoded operands (the cumulative schedule stands in for step()'s
+// PipelineTimer), then returns the next record; control transfers,
+// HALT/BKPT and the fall-through terminator return nullptr, which both
+// ends the dispatch loop (no per-op stop-flag poll) and marks the
+// original block boundary where the dispatcher applies every
+// correction. Mid-block observables are
 // preserved exactly: memory handlers see live_pipe_ already at this
 // op's cumulative cost (the bus clock advances to localTime() on device
 // access), the retirement count increments after the access (functional
@@ -872,7 +869,7 @@ struct ThreadedHandlers {
 
   static Iss& cpu(void* p) { return *static_cast<Iss*>(p); }
 
-  /// Per-op prologue in step()'s order: the baked-in line-group touch,
+  /// Per-op prologue in step()'s order: the baked-in line touch,
   /// then the open block's live pipeline cost.
   template <bool Touch>
   static void prologue(Iss& c, const Op* op) {

@@ -390,8 +390,8 @@ class Iss {
   [[nodiscard]] uint64_t currentCycle() const;
   /// The step() reference's decode switch: one instruction's semantics.
   void execute(const trc::Instr& instr);
-  /// One icache line-group touch: access + miss accounting. The tagged
-  /// form takes the set/tag the block cache precomputed per line group.
+  /// One icache line touch: access + miss accounting. The tagged form
+  /// takes the set/tag of a cache analysis block from its block record.
   void icacheAccess(uint32_t addr);
   void icacheAccessTagged(uint32_t set, uint32_t want);
   StopReason runLoop(uint64_t time_limit);

@@ -1,8 +1,6 @@
 #include "platform/platform.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
 #include "common/strutil.h"
 #include "snap/snapshot.h"
@@ -267,20 +265,8 @@ bool ReferenceBoard::takeCheckpoint(sim::Cycle cycle) {
       return true;
     }
   }
-  Checkpoint cp;
-  cp.cycle = cycle;
-  cp.digest = digest;
-  if (checkpoint_.dir.empty()) {
-    cp.data = snap::save(*this);
-  } else {
-    cp.path = checkpoint_.dir + "/cp_" + std::to_string(cycle) + ".snap";
-    snap::saveFile(*this, cp.path);
-  }
-  checkpoints_.push_back(std::move(cp));
+  checkpoints_.push_back({cycle, digest, snap::save(*this)});
   while (checkpoints_.size() > checkpoint_.ring) {
-    if (!checkpoints_.front().path.empty()) {
-      std::remove(checkpoints_.front().path.c_str());
-    }
     checkpoints_.pop_front();
   }
   digest_trail_.emplace_back(cycle, checkpoints_.back().digest);
@@ -341,39 +327,10 @@ RecoveryReport ReferenceBoard::recover() {
   RecoveryReport rep;
   for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
     ++rep.entries_tried;
-    // Load the bytes: spilled entries get bounded I/O retries; an
-    // unreadable file counts as corrupt and falls through to the
-    // next-older entry.
-    std::vector<uint8_t> data;
-    if (it->path.empty()) {
-      data = it->data;
-    } else {
-      bool read_ok = false;
-      for (size_t attempt = 0; attempt < kRecoveryIoAttempts; ++attempt) {
-        if (attempt > 0) {
-          ++rep.io_retries;
-        }
-        std::ifstream in(it->path, std::ios::binary);
-        if (!in.good()) {
-          continue;
-        }
-        data.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-        if (in.good() || in.eof()) {
-          read_ok = true;
-          break;
-        }
-      }
-      if (!read_ok) {
-        ++rep.entries_corrupt;
-        rep.detail += "cp@" + std::to_string(it->cycle) + ": unreadable; ";
-        continue;
-      }
-    }
     // snap::restore verifies the integrity footer before mutating any
     // state, so a corrupt entry leaves the board exactly as it was.
     try {
-      snap::restore(*this, data);
+      snap::restore(*this, it->data);
     } catch (const Error& e) {
       ++rep.entries_corrupt;
       rep.detail += "cp@" + std::to_string(it->cycle) + ": " + e.what() + "; ";

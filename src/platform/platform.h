@@ -202,13 +202,11 @@ struct BoardConfig {
 };
 
 /// One periodic checkpoint: the full platform snapshot (snap::save) plus
-/// the cycle it was taken at and the rolling state digest there. With a
-/// spill directory configured the bytes live in `path` instead of `data`.
+/// the cycle it was taken at and the rolling state digest there.
 struct Checkpoint {
   sim::Cycle cycle = 0;
   uint64_t digest = 0;
   std::vector<uint8_t> data;
-  std::string path;  ///< non-empty = spilled to disk, data is empty
 };
 
 /// Periodic auto-snapshot during run()/runTo(). The board runs the
@@ -219,10 +217,6 @@ struct Checkpoint {
 struct CheckpointConfig {
   sim::Cycle interval = 0;
   size_t ring = 4;
-  /// Non-empty: spill ring entries to `<dir>/cp_<cycle>.snap` instead of
-  /// holding the bytes in memory (the directory must exist). recover()
-  /// then reads them back with bounded retries (kRecoveryIoAttempts).
-  std::string dir;
 };
 
 /// Graceful-degradation knobs for ReferenceBoard::recover() (DESIGN.md
@@ -238,10 +232,6 @@ struct RecoveryConfig {
 /// keeps running degraded (a deterministic hang would otherwise recover
 /// forever).
 inline constexpr size_t kMaxAutoRecoveries = 4;
-/// Read attempts per spilled ring entry when the file read fails (I/O,
-/// not corruption: corrupt bytes fail the snapshot footer and fall
-/// through to the next-older entry instead of being retried).
-inline constexpr size_t kRecoveryIoAttempts = 3;
 
 /// What recover() did, entry by entry.
 struct RecoveryReport {
@@ -251,7 +241,6 @@ struct RecoveryReport {
   size_t entries_tried = 0;
   size_t entries_corrupt = 0;   ///< failed integrity/restore
   size_t entries_diverged = 0;  ///< restored but digest-mismatched
-  size_t io_retries = 0;        ///< extra file-read attempts consumed
   std::string detail;           ///< human-readable failure summary
 };
 
@@ -330,9 +319,9 @@ class ReferenceBoard {
   void setExpectedTrail(std::vector<std::pair<sim::Cycle, uint64_t>> trail);
 
   /// Graceful degradation: walks the snapshot ring newest-to-oldest and
-  /// restores the first entry that loads (kRecoveryIoAttempts reads for
-  /// spilled entries), passes the integrity footer and reproduces its
-  /// recorded digest (and matches the expected trail when armed). On
+  /// restores the first entry that passes the integrity footer and
+  /// reproduces its recorded digest (and matches the expected trail when
+  /// armed). On
   /// success the board has rewound to that entry — newer ring entries and
   /// trail suffixes are discarded, the watchdog flag is cleared — and
   /// deterministic replay (runTo) resumes from there.

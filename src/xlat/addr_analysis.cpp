@@ -130,9 +130,8 @@ AddressAnalysis analyzeAddresses(const arch::ArchDescription& desc,
     const size_t i = worklist.front();
     worklist.pop_front();
     BlockState s = entry_state[i];
-    for (const trc::Instr* in = graph.begin(blocks[i]);
-         in != graph.end(blocks[i]); ++in) {
-      transfer(*in, s);
+    for (const trc::Instr& in : graph.instrs(blocks[i])) {
+      transfer(in, s);
     }
     for (const size_t succ : successors(i)) {
       const BlockState merged = entry_state[succ].meet(s);
@@ -147,9 +146,7 @@ AddressAnalysis analyzeAddresses(const arch::ArchDescription& desc,
   AddressAnalysis out;
   for (size_t i = 0; i < blocks.size(); ++i) {
     BlockState s = entry_state[i];
-    for (const trc::Instr* it = graph.begin(blocks[i]);
-         it != graph.end(blocks[i]); ++it) {
-      const trc::Instr& in = *it;
+    for (const trc::Instr& in : graph.instrs(blocks[i])) {
       if (in.cls() == arch::OpClass::kLoad ||
           in.cls() == arch::OpClass::kStore) {
         if (s.regs[in.ra].isConst()) {

@@ -1,14 +1,21 @@
 // Internal data structures shared between the translator's passes.
+//
+// Every static fact about a source block — its instructions, successors,
+// static cycles and cache analysis blocks — is read from the block's one
+// record in the shared artifact (core::Block, core/block_graph.h), the
+// record the reference ISS executes from. A translation unit
+// (SourceBlock) views the record's instructions and copies its static
+// cycles; the passes attach only per-translation state: which CABs keep
+// their lookup after the MRU-hit analysis, and the emitted code.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "arch/arch.h"
 #include "core/block_graph.h"
-#include "elf/elf.h"
 #include "trc/isa.h"
 #include "vliw/isa.h"
 #include "xlat/translator.h"
@@ -34,31 +41,34 @@ struct XOp {
   bool is_call = false;  ///< segment boundary: delay slots must stay empty
 };
 
-/// One cache analysis block (paper section 3.4.2): a maximal run of
-/// instructions within a basic block whose first bytes share a cache line.
-struct CacheAnalysisBlock {
-  uint32_t first_addr = 0;
-  uint32_t tag_word = 0;    ///< (tag << 1) | valid, as stored in memory
-  uint32_t set_offset = 0;  ///< byte offset of the set's state in the area
-};
-
-/// A source basic block plus everything the passes attach to it.
+/// One translation unit: a graph block, or in instruction-oriented mode
+/// one instruction of it (paper section 3.5), and what the passes attach
+/// to it.
 struct SourceBlock {
-  uint32_t addr = 0;
-  std::vector<trc::Instr> instrs;
+  /// The unit's instructions: a view into the graph's decoded array.
+  std::span<const trc::Instr> instrs;
+  /// n of the unit's "start cycle generation": the block record's static
+  /// cycles, or core::staticBlockCycles of the unit's one instruction.
   uint32_t static_cycles = 0;
-  /// The block's cache lookups, in order. After elideMruHits only the
-  /// lookups the translated code must perform remain.
-  std::vector<CacheAnalysisBlock> cabs;
-  /// Index into instrs at which each CAB begins (parallel to cabs).
-  std::vector<size_t> cab_starts;
+  /// The CABs whose lookups the translated code performs, in order, with
+  /// `start` relative to the unit: the block record's CABs (for a
+  /// one-instruction unit, the CAB that holds the instruction) until
+  /// elideMruHits drops the proven hits. Empty below icache level.
+  std::vector<core::CacheAnalysisBlock> lookups;
   std::vector<XOp> code;
 
+  [[nodiscard]] uint32_t addr() const { return instrs.front().addr; }
   [[nodiscard]] const trc::Instr& last() const { return instrs.back(); }
   [[nodiscard]] bool endsWithControlTransfer() const {
-    return !instrs.empty() && instrs.back().isControlTransfer();
+    return last().isControlTransfer();
   }
 };
+
+/// Byte stride of one set's state in the cache data area: `ways`
+/// combined tag+valid words plus one LRU word.
+inline uint32_t cacheSetStride(const arch::ICacheModel& icache) {
+  return (icache.ways + 1) * 4;
+}
 
 /// Constant-propagation lattice value for an address register.
 struct AddrValue {
@@ -107,27 +117,11 @@ struct AddressAnalysis {
 AddressAnalysis analyzeAddresses(const arch::ArchDescription& desc,
                                  const core::BlockGraph& graph);
 
-/// Converts the shared block graph into the translator's per-pass records.
-std::vector<SourceBlock> buildBlocks(const core::BlockGraph& graph);
-
-/// Convenience overload that builds the graph internally.
-std::vector<SourceBlock> buildBlocks(const elf::Object& object);
-
-/// Fills SourceBlock::static_cycles (paper section 3.3) via
-/// core::staticBlockCycles; also used on the single-instruction units of
-/// the instruction-oriented mode, which is why it stays block-list based.
-void computeStaticCycles(const arch::ArchDescription& desc,
-                         std::vector<SourceBlock>& blocks);
-
-/// Splits each block into cache analysis blocks (paper section 3.4.2).
-void computeCacheAnalysisBlocks(const arch::ICacheModel& icache,
-                                std::vector<SourceBlock>& blocks);
-
-/// Static MRU-hit analysis (DESIGN.md section 2.4): removes from
-/// `blocks` (one per graph block, in graph order) every CAB whose line is
-/// the most recently used line of its set on every path reaching it.
-/// Such a lookup hits and changes no tag or LRU word. Returns how many
-/// CABs it removed.
+/// Static MRU-hit analysis (DESIGN.md section 2.4): removes from the
+/// lookups of `blocks` (one per graph block, in graph order) every CAB
+/// whose line is the most recently used line of its set on every path
+/// reaching it. Such a lookup hits and changes no tag or LRU word.
+/// Returns how many lookups it removed.
 uint64_t elideMruHits(const arch::ICacheModel& icache,
                       const core::BlockGraph& graph,
                       std::vector<SourceBlock>& blocks);
@@ -138,9 +132,7 @@ struct LowerContext {
   const arch::ArchDescription* desc = nullptr;
   const AddressAnalysis* addresses = nullptr;
   TranslateOptions options;
-  bool has_indirect_jumps = false;
-  uint32_t source_text_base = 0;
-  uint8_t dispatch_reg = 0;  ///< resolved register for the dispatch constant
+  uint8_t dispatch_reg = 0;  ///< register holding the dispatch constant
 };
 void lowerBlocks(const LowerContext& ctx, std::vector<SourceBlock>& blocks);
 

@@ -3,6 +3,7 @@
 // (section 3.4.1) and instruction-cache instrumentation (section 3.4.2,
 // Figs. 3 and 4).
 #include "common/error.h"
+#include "common/strutil.h"
 #include "soc/sync_device.h"
 #include "xlat/internal.h"
 #include "xlat/regmap.h"
@@ -16,6 +17,10 @@ using vliw::MachineOp;
 using vliw::Pred;
 using vliw::PredReg;
 using vliw::VOpc;
+
+/// Largest static cycle count a block's "start cycle generation" can
+/// carry (its MVK immediate is 16 bits wide).
+constexpr uint32_t kMaxAnnotatedCycles = 30000;
 
 /// Block-local temporary allocator over the fixed pool. Temporaries never
 /// live across source instructions, so the per-expansion reset keeps the
@@ -46,13 +51,11 @@ class Lowerer {
     size_t next_cab = 0;
     for (size_t i = 0; i < block_.instrs.size(); ++i) {
       temps_.reset();
-      if (level >= DetailLevel::kICache) {
-        while (next_cab < block_.cabs.size() &&
-               block_.cab_starts[next_cab] == i) {
-          emitCabLookup(block_.cabs[next_cab]);
-          ++next_cab;
-          temps_.reset();
-        }
+      if (next_cab < block_.lookups.size() &&
+          block_.lookups[next_cab].start == i) {
+        emitCabLookup(block_.lookups[next_cab]);
+        ++next_cab;
+        temps_.reset();
       }
       const trc::Instr& in = block_.instrs[i];
       const bool is_terminator = i + 1 == block_.instrs.size() &&
@@ -138,6 +141,11 @@ class Lowerer {
   // ---- annotation (paper Fig. 2 / Fig. 3) --------------------------------
 
   void emitSyncStart(uint32_t n) {
+    // The count travels as a 16-bit MVK immediate.
+    CABT_CHECK(n <= kMaxAnnotatedCycles,
+               "basic block too long for annotation: "
+                   << n << " static cycles at " << hex32(block_.addr())
+                   << " (at most " << kMaxAnnotatedCycles << ")");
     const uint8_t t = temps_.get();
     push(make(VOpc::kMvk, t, kNoReg, kNoReg, static_cast<int32_t>(n)));
     push(make(VOpc::kStw, t, kSyncBaseReg, kNoReg,
@@ -157,8 +165,8 @@ class Lowerer {
       return false;
     }
     // A block whose lookups were all proven MRU hits collects no cache
-    // correction (elideMruHits left its cabs empty).
-    if (ctx_.options.level >= DetailLevel::kICache && !block_.cabs.empty()) {
+    // correction (elideMruHits left its lookups empty).
+    if (!block_.lookups.empty()) {
       return true;
     }
     return block_.endsWithControlTransfer() &&
@@ -185,10 +193,11 @@ class Lowerer {
 
   // ---- cache instrumentation (paper section 3.4.2) -----------------------
 
-  void emitCabLookup(const CacheAnalysisBlock& cab) {
+  void emitCabLookup(const core::CacheAnalysisBlock& cab) {
     // Arguments: A6 = combined tag+valid word, A7 = set byte offset.
     push(make(VOpc::kMvk, kCacheSetReg, kNoReg, kNoReg,
-              static_cast<int32_t>(cab.set_offset)));
+              static_cast<int32_t>(cab.set *
+                                   cacheSetStride(ctx_.desc->icache))));
     emitConst(kCacheTagReg, cab.tag_word);
     if (inlineCache()) {
       for (const XOp& x : buildCacheRoutine(ctx_.desc->icache,

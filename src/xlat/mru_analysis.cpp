@@ -48,9 +48,9 @@ uint64_t elideMruHits(const arch::ICacheModel& icache,
   CABT_CHECK(entry >= 0, "entry point is not a block leader");
 
   // Every lookup, hit or miss, leaves its line MRU in its set.
-  const auto transfer = [&icache](MruState& state, const SourceBlock& b) {
-    for (const CacheAnalysisBlock& cab : b.cabs) {
-      state[icache.setOf(cab.first_addr)] = cab.tag_word;
+  const auto transfer = [&graph](MruState& state, const core::Block& b) {
+    for (const core::CacheAnalysisBlock& cab : graph.cabs(b)) {
+      state[cab.set] = cab.tag_word;
     }
   };
 
@@ -69,7 +69,7 @@ uint64_t elideMruHits(const arch::ICacheModel& icache,
         continue;
       }
       MruState out = in[i];
-      transfer(out, blocks[i]);
+      transfer(out, nodes[i]);
       for (const int32_t succ : {nodes[i].target, nodes[i].fall_through}) {
         if (succ >= 0) {
           changed |= meetInto(in[static_cast<size_t>(succ)], out);
@@ -93,21 +93,18 @@ uint64_t elideMruHits(const arch::ICacheModel& icache,
     if (state.empty()) {
       continue;
     }
-    SourceBlock& b = blocks[i];
+    std::vector<core::CacheAnalysisBlock>& lookups = blocks[i].lookups;
     size_t kept = 0;
-    for (size_t k = 0; k < b.cabs.size(); ++k) {
-      uint32_t& mru = state[icache.setOf(b.cabs[k].first_addr)];
-      if (mru == b.cabs[k].tag_word) {
+    for (size_t k = 0; k < lookups.size(); ++k) {
+      uint32_t& mru = state[lookups[k].set];
+      if (mru == lookups[k].tag_word) {
         ++elided;
         continue;
       }
-      mru = b.cabs[k].tag_word;
-      b.cabs[kept] = b.cabs[k];
-      b.cab_starts[kept] = b.cab_starts[k];
-      ++kept;
+      mru = lookups[k].tag_word;
+      lookups[kept++] = lookups[k];
     }
-    b.cabs.resize(kept);
-    b.cab_starts.resize(kept);
+    lookups.resize(kept);
   }
   return elided;
 }

@@ -8,7 +8,6 @@
 #include "common/strutil.h"
 #include "core/block_graph.h"
 #include "core/program_artifact.h"
-#include "trc/program.h"
 #include "xlat/internal.h"
 #include "xlat/regmap.h"
 
@@ -42,21 +41,71 @@ void pushConst(std::vector<XOp>& out, uint8_t reg, uint32_t value) {
   out.push_back(hi);
 }
 
-/// Splits blocks into single-instruction units for the instruction-
-/// oriented translation (paper section 3.5), each prefixed with a YIELD
-/// into the debug runtime.
-std::vector<SourceBlock> splitPerInstruction(
-    const std::vector<SourceBlock>& blocks) {
-  std::vector<SourceBlock> out;
-  for (const SourceBlock& b : blocks) {
-    for (const trc::Instr& in : b.instrs) {
-      SourceBlock unit;
-      unit.addr = in.addr;
-      unit.instrs.push_back(in);
-      out.push_back(std::move(unit));
+/// Where the translated image goes in the V6X address space. The
+/// instruction-oriented image is the debugger's second image
+/// (debug::translateDual): it sits beside the block-oriented one, with its
+/// own code section, jump table and dispatch register, and shares the
+/// cache state area with it.
+struct Placement {
+  uint32_t text_base;
+  const char* text_section;
+  uint32_t table_base;
+  uint8_t dispatch_reg;
+};
+
+Placement placementFor(const TranslateOptions& options) {
+  if (options.instruction_oriented) {
+    return {kInstrTextBase, kInstrTextSection, kInstrJumpTableBase,
+            kAltDispatchReg};
+  }
+  return {kTextBase, ".text", kJumpTableBase, kDispatchReg};
+}
+
+/// One unit per graph block, read from the block records. `icache`: the
+/// units carry the records' CABs as their lookups.
+std::vector<SourceBlock> blockUnits(const core::BlockGraph& graph,
+                                    bool icache) {
+  std::vector<SourceBlock> units;
+  units.reserve(graph.blocks().size());
+  for (const core::Block& b : graph.blocks()) {
+    SourceBlock& unit = units.emplace_back();
+    unit.instrs = graph.instrs(b);
+    unit.static_cycles = b.static_cycles;
+    if (icache) {
+      const std::span<const core::CacheAnalysisBlock> cabs = graph.cabs(b);
+      unit.lookups.assign(cabs.begin(), cabs.end());
     }
   }
-  return out;
+  return units;
+}
+
+/// One unit per instruction, for the instruction-oriented translation
+/// (paper section 3.5; each unit is later prefixed with a YIELD into the
+/// debug runtime). A unit costs its one instruction from a drained
+/// pipeline and looks up the CAB of its block that holds the
+/// instruction.
+std::vector<SourceBlock> instructionUnits(const arch::ArchDescription& desc,
+                                          const core::BlockGraph& graph,
+                                          bool icache) {
+  std::vector<SourceBlock> units;
+  units.reserve(graph.instrs().size());
+  for (const core::Block& b : graph.blocks()) {
+    const std::span<const trc::Instr> instrs = graph.instrs(b);
+    const std::span<const core::CacheAnalysisBlock> cabs = graph.cabs(b);
+    size_t cab = 0;
+    for (size_t k = 0; k < instrs.size(); ++k) {
+      SourceBlock& unit = units.emplace_back();
+      unit.instrs = instrs.subspan(k, 1);
+      unit.static_cycles = core::staticBlockCycles(desc, &instrs[k], 1);
+      if (icache) {
+        while (cab + 1 < cabs.size() && cabs[cab + 1].start <= k) {
+          ++cab;
+        }
+        unit.lookups.push_back({0, cabs[cab].set, cabs[cab].tag_word});
+      }
+    }
+  }
+  return units;
 }
 
 }  // namespace
@@ -86,22 +135,24 @@ TranslationResult translate(const arch::ArchDescription& desc,
   const uint32_t src_text_size =
       static_cast<uint32_t>(src_text->data.size());
 
+  const Placement place = placementFor(options);
+
   // ---- analysis passes ----------------------------------------------------
-  // The shared core::BlockGraph is the single source of block boundaries;
-  // the reference ISS executes from the very same structure — literally:
-  // both sides acquire it through the ProgramArtifactCache, so a board
-  // fleet plus its translator pay one decode per image. (The skew drill
-  // below mutates only the local SourceBlock copies, never the shared
-  // graph.)
+  // Every static fact about a block is read from its one record in the
+  // shared artifact, the record the reference ISS executes from: both
+  // sides acquire it through the ProgramArtifactCache, so a board fleet
+  // plus its translator pay one decode per image. (The skew drill below
+  // mutates only the local units, never the shared record.)
   const std::shared_ptr<const core::ProgramArtifact> artifact =
       core::ProgramArtifactCache::instance().acquire(desc, object);
   const core::BlockGraph& graph = artifact->graph();
-  std::vector<SourceBlock> blocks = buildBlocks(graph);
   const AddressAnalysis analysis = analyzeAddresses(desc, graph);
-  if (options.instruction_oriented) {
-    blocks = splitPerInstruction(blocks);
-  }
-  computeStaticCycles(desc, blocks);
+  const bool icache = options.level >= DetailLevel::kICache;
+  CABT_CHECK(!icache || desc.icache.enabled,
+             "icache detail level requires an enabled icache model");
+  std::vector<SourceBlock> blocks =
+      options.instruction_oriented ? instructionUnits(desc, graph, icache)
+                                   : blockUnits(graph, icache);
   if (options.debug_skew_static_cycles) {
     for (SourceBlock& b : blocks) {
       if (b.instrs.size() >= 2) {
@@ -109,34 +160,25 @@ TranslationResult translate(const arch::ArchDescription& desc,
       }
     }
   }
-  uint64_t cab_lookups_elided = 0;
-  if (options.level >= DetailLevel::kICache) {
-    CABT_CHECK(desc.icache.enabled,
-               "icache detail level requires an enabled icache model");
-    computeCacheAnalysisBlocks(desc.icache, blocks);
-    // Block-oriented translation only: the instruction-oriented
-    // (stepping) image keeps every lookup (DESIGN.md section 2.4).
-    if (!options.instruction_oriented) {
-      cab_lookups_elided = elideMruHits(desc.icache, graph, blocks);
-    }
-  }
+  // Block-oriented translation only: the instruction-oriented (stepping)
+  // image keeps every lookup (DESIGN.md section 2.4).
+  const uint64_t cab_lookups_elided =
+      icache && !options.instruction_oriented
+          ? elideMruHits(desc.icache, graph, blocks)
+          : 0;
 
-  bool has_indirect = false;
-  for (const SourceBlock& b : blocks) {
-    for (const trc::Instr& in : b.instrs) {
-      has_indirect |= in.cls() == arch::OpClass::kBranchInd;
-    }
-  }
+  const bool has_indirect =
+      std::any_of(graph.instrs().begin(), graph.instrs().end(),
+                  [](const trc::Instr& in) {
+                    return in.cls() == arch::OpClass::kBranchInd;
+                  });
 
   // ---- lowering -------------------------------------------------------------
   LowerContext ctx;
   ctx.desc = &desc;
   ctx.addresses = &analysis;
   ctx.options = options;
-  ctx.has_indirect_jumps = has_indirect;
-  ctx.source_text_base = src_text_base;
-  ctx.dispatch_reg =
-      options.dispatch_reg == 0xff ? kDispatchReg : options.dispatch_reg;
+  ctx.dispatch_reg = place.dispatch_reg;
   lowerBlocks(ctx, blocks);
   if (options.instruction_oriented) {
     for (SourceBlock& b : blocks) {
@@ -155,11 +197,11 @@ TranslationResult translate(const arch::ArchDescription& desc,
     prologue.push_back(z);
   }
   if (has_indirect) {
-    pushConst(prologue, ctx.dispatch_reg,
-              options.jump_table_base - 2u * src_text_base);
+    pushConst(prologue, place.dispatch_reg,
+              place.table_base - 2u * src_text_base);
   }
-  if (options.level >= DetailLevel::kICache) {
-    pushConst(prologue, kCacheBaseReg, options.cache_data_base);
+  if (icache) {
+    pushConst(prologue, kCacheBaseReg, kCacheDataBase);
   }
   {
     XOp b;
@@ -190,7 +232,7 @@ TranslationResult translate(const arch::ArchDescription& desc,
 
   // ---- layout -------------------------------------------------------------
   TranslationResult result;
-  uint32_t cursor = options.text_base;
+  uint32_t cursor = place.text_base;
   const auto layoutUnit = [&cursor](ScheduledBlock& sb) {
     const uint32_t start = cursor;
     for (vliw::Packet& p : sb.packets) {
@@ -202,16 +244,17 @@ TranslationResult translate(const arch::ArchDescription& desc,
   layoutUnit(prologue_sched);
   std::map<uint32_t, uint32_t> block_tgt;  // source block addr -> target
   for (size_t i = 0; i < blocks.size(); ++i) {
+    const uint32_t src = blocks[i].addr();
     const uint32_t tgt = layoutUnit(scheduled[i]);
-    block_tgt.emplace(blocks[i].addr, tgt);
+    block_tgt.emplace(src, tgt);
     BlockInfo info;
-    info.src_addr = blocks[i].addr;
+    info.src_addr = src;
     info.tgt_addr = tgt;
     info.num_instrs = static_cast<uint32_t>(blocks[i].instrs.size());
     info.static_cycles = blocks[i].static_cycles;
-    result.blocks.emplace(blocks[i].addr, info);
+    result.blocks.emplace(src, info);
     if (options.instruction_oriented) {
-      result.instr_map.emplace(blocks[i].addr, tgt);
+      result.instr_map.emplace(src, tgt);
     }
   }
   const uint32_t routine_addr = need_routine ? layoutUnit(routine_sched)
@@ -270,17 +313,18 @@ TranslationResult translate(const arch::ArchDescription& desc,
   if (need_routine) {
     append(routine_sched);
   }
-  std::vector<uint8_t> code = vliw::encodeProgram(all, options.text_base);
-  CABT_CHECK(options.text_base + code.size() == cursor,
+  std::vector<uint8_t> code = vliw::encodeProgram(all, place.text_base);
+  CABT_CHECK(place.text_base + code.size() == cursor,
              "layout and encoder disagree about code size");
+  const uint64_t code_bytes = code.size();
 
   elf::Object& image = result.image;
   image.machine = elf::Machine::kV6x;
-  image.entry = options.text_base;
+  image.entry = place.text_base;
   {
     elf::Section text;
-    text.name = options.text_section_name;
-    text.addr = options.text_base;
+    text.name = place.text_section;
+    text.addr = place.text_base;
     text.executable = true;
     text.data = std::move(code);
     image.sections.push_back(std::move(text));
@@ -306,7 +350,7 @@ TranslationResult translate(const arch::ArchDescription& desc,
   if (has_indirect) {
     elf::Section table;
     table.name = ".jumptab";
-    table.addr = options.jump_table_base;
+    table.addr = place.table_base;
     table.writable = false;
     table.data.assign(static_cast<size_t>(src_text_size) * 2, 0);
     for (const auto& [src, tgt] : block_tgt) {
@@ -321,12 +365,12 @@ TranslationResult translate(const arch::ArchDescription& desc,
   // Cache state area (paper: "At the end of the translated program space
   // for cache data is added"), initialised to the invalid/LRU-reset state
   // of the behavioural model.
-  if (options.level >= DetailLevel::kICache) {
+  if (icache) {
     elf::Section cachedata;
     cachedata.name = ".cachedata";
-    cachedata.addr = options.cache_data_base;
+    cachedata.addr = kCacheDataBase;
     cachedata.writable = true;
-    const uint32_t stride = (desc.icache.ways + 1) * 4;
+    const uint32_t stride = cacheSetStride(desc.icache);
     cachedata.data.assign(static_cast<size_t>(desc.icache.sets) * stride, 0);
     uint32_t init_lru = 0;
     for (uint32_t w = 0; w < desc.icache.ways; ++w) {
@@ -350,17 +394,16 @@ TranslationResult translate(const arch::ArchDescription& desc,
   TranslationStats& st = result.stats;
   st.blocks = blocks.size();
   st.cab_lookups_elided = cab_lookups_elided;
-  st.cabs = cab_lookups_elided;  // elided CABs left SourceBlock::cabs
+  st.cabs = cab_lookups_elided;  // elided CABs left SourceBlock::lookups
   for (const SourceBlock& b : blocks) {
     st.source_instructions += b.instrs.size();
-    st.cabs += b.cabs.size();
+    st.cabs += b.lookups.size();
   }
   for (const vliw::Packet& p : all) {
     ++st.packets;
     st.machine_ops += p.ops.size();
   }
-  st.code_bytes =
-      image.findSection(options.text_section_name)->data.size();
+  st.code_bytes = code_bytes;
   st.io_accesses_classified = analysis.io_accesses;
   st.ram_accesses_classified = analysis.ram_accesses;
   st.unknown_base_accesses = analysis.unknown_accesses;

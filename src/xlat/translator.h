@@ -6,11 +6,14 @@
 //   calculation -> insertion of cycle generation code -> insertion of
 //   dynamic correction code -> scheduling/binding -> object file.
 //
-// Decoding, basic-block construction and static cycle calculation live in
-// the shared program-analysis layer `src/core/` (core::BlockGraph): the
-// reference ISS executes from the same graph through its predecoded
-// block cache, so the translated image and the ground truth agree on
-// block boundaries and static schedules by construction (DESIGN.md).
+// Decoding, basic-block construction, static cycle calculation and the
+// cache analysis blocks live in the shared program-analysis layer
+// `src/core/`: one record per block (core::Block), computed once per
+// image and timing configuration in the shared ProgramArtifact. The
+// reference ISS executes from the same records through its block cache,
+// so the translated image and the ground truth agree on block
+// boundaries, static schedules and cache-line touches by construction
+// (DESIGN.md section 3).
 //
 // Four detail levels (paper section 3.2; level 0 is the paper's
 // "C6x without cycle information" speed baseline):
@@ -23,7 +26,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "arch/arch.h"
@@ -49,10 +51,23 @@ inline constexpr std::array<DetailLevel, 4> kDetailLevels = {
 
 const char* detailLevelName(DetailLevel level);
 
+/// Placement of the translated image in the V6X address space: code,
+/// indirect-jump table and cache state area. An instruction-oriented
+/// image is the debugger's second image (debug::translateDual) and sits
+/// beside the block-oriented one: its code goes to kInstrTextBase in
+/// section kInstrTextSection, its table to kInstrJumpTableBase, and its
+/// dispatch constant lives in kAltDispatchReg (xlat/regmap.h). Both
+/// images share the cache state area, so switching between them keeps
+/// the simulated cache consistent.
+inline constexpr uint32_t kTextBase = 0x0010'0000;
+inline constexpr uint32_t kJumpTableBase = 0x0020'0000;
+inline constexpr uint32_t kCacheDataBase = 0x0028'0000;
+inline constexpr uint32_t kInstrTextBase = 0x0030'0000;
+inline constexpr uint32_t kInstrJumpTableBase = 0x0038'0000;
+inline constexpr const char* kInstrTextSection = ".text.instr";
+
 struct TranslateOptions {
   DetailLevel level = DetailLevel::kStatic;
-  /// Base address of the translated code in the V6X address space.
-  uint32_t text_base = 0x0010'0000;
   /// Inline the cache-correction routine into blocks with at least this
   /// many source instructions instead of calling it (paper: "In large
   /// basic blocks, this code can be included into the basic block").
@@ -60,19 +75,9 @@ struct TranslateOptions {
   uint32_t inline_cache_threshold = 0;
   /// Instruction-oriented cycle generation: every source instruction
   /// becomes its own annotated unit followed by a YIELD into the debug
-  /// runtime (paper section 3.5; used for single-stepping).
+  /// runtime (paper section 3.5; used for single-stepping). The image is
+  /// placed for the debugger's dual translation (see kInstrTextBase).
   bool instruction_oriented = false;
-  /// Placement of the translator-managed data structures; the debugger
-  /// overrides these for the second image of its dual translation so
-  /// both can coexist in one address space (the cache state area is
-  /// shared on purpose).
-  uint32_t jump_table_base = 0x0020'0000;
-  uint32_t cache_data_base = 0x0028'0000;
-  /// Section name of the emitted code (".text" by default).
-  std::string text_section_name = ".text";
-  /// Register holding the indirect-jump dispatch constant; the debugger's
-  /// second image uses kAltDispatchReg so both images can coexist.
-  uint8_t dispatch_reg = 0xff;  ///< 0xff = default (kDispatchReg)
   /// Fault-injection drill for the fuzzing farm: add one bogus static
   /// cycle to every block with at least two instructions. Skews only the
   /// translated image's timing annotation — the ISS reference is

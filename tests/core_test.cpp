@@ -1,13 +1,13 @@
 // Shared block-graph layer tests.
 //
-// The central property: core::BlockGraph (now the single source of block
-// boundaries for both the ISS and the translator) produces exactly the
-// block partition and static cycle sums of the pre-refactor
-// xlat::buildBlocks / computeStaticCycles pair, which is re-implemented
-// here from first principles (decode + leaders + pipeline timer) and
-// checked against the graph on every paper workload. The predecoded
-// block cache is checked against the translator's cache-analysis blocks
-// and against ISS execution.
+// The central property: core::BlockGraph (the single source of block
+// boundaries and of every static block fact for both the ISS and the
+// translator) produces exactly the block partition, static cycles,
+// issue schedules and cache analysis blocks of an oracle re-implemented
+// here from first principles (decode + leaders + pipeline timer + the
+// fetch-line rule in plain arithmetic), checked against the graph on
+// every paper workload. The block cache is checked against ISS
+// execution.
 #include <gtest/gtest.h>
 
 #include "arch/timing.h"
@@ -20,7 +20,6 @@
 #include "trc/assembler.h"
 #include "trc/program.h"
 #include "workloads/workloads.h"
-#include "xlat/internal.h"
 
 namespace cabt::core {
 namespace {
@@ -79,8 +78,7 @@ TEST(BlockGraph, MatchesPreRefactorBlocksOnAllWorkloads) {
   for (const workloads::Workload& w : workloads::all()) {
     SCOPED_TRACE(w.name);
     const elf::Object obj = workloads::assemble(w);
-    BlockGraph graph = BlockGraph::build(obj);
-    graph.computeStaticCycles(desc);
+    const BlockGraph graph = BlockGraph::build(desc, obj);
     const std::vector<OracleBlock> oracle = oracleBlocks(obj);
 
     ASSERT_EQ(graph.blocks().size(), oracle.size());
@@ -91,8 +89,8 @@ TEST(BlockGraph, MatchesPreRefactorBlocksOnAllWorkloads) {
       EXPECT_EQ(b.addr, oracle[i].addr);
       ASSERT_EQ(b.count, oracle[i].instrs.size());
       for (size_t k = 0; k < oracle[i].instrs.size(); ++k) {
-        EXPECT_EQ(graph.begin(b)[k].addr, oracle[i].instrs[k].addr);
-        EXPECT_EQ(graph.begin(b)[k].opc, oracle[i].instrs[k].opc);
+        EXPECT_EQ(graph.instrs(b)[k].addr, oracle[i].instrs[k].addr);
+        EXPECT_EQ(graph.instrs(b)[k].opc, oracle[i].instrs[k].opc);
       }
       EXPECT_EQ(b.static_cycles, oracleStaticCycles(desc, oracle[i].instrs));
       graph_sum += b.static_cycles;
@@ -102,16 +100,70 @@ TEST(BlockGraph, MatchesPreRefactorBlocksOnAllWorkloads) {
   }
 }
 
-TEST(BlockGraph, TranslatorSourceBlocksComeFromTheGraph) {
-  for (const workloads::Workload& w : workloads::all()) {
-    SCOPED_TRACE(w.name);
-    const elf::Object obj = workloads::assemble(w);
-    const BlockGraph graph = BlockGraph::build(obj);
-    const std::vector<xlat::SourceBlock> sb = xlat::buildBlocks(obj);
-    ASSERT_EQ(sb.size(), graph.blocks().size());
-    for (size_t i = 0; i < sb.size(); ++i) {
-      EXPECT_EQ(sb[i].addr, graph.blocks()[i].addr);
-      EXPECT_EQ(sb[i].instrs.size(), graph.blocks()[i].count);
+/// The issue schedule from first principles: cycles after each
+/// instruction, issued one by one from a drained pipeline.
+std::vector<uint32_t> oracleSchedule(const arch::ArchDescription& desc,
+                                     const std::vector<trc::Instr>& instrs) {
+  arch::PipelineTimer timer(desc.pipeline);
+  std::vector<uint32_t> out;
+  for (const trc::Instr& instr : instrs) {
+    timer.issue(instr.timedOp());
+    out.push_back(static_cast<uint32_t>(timer.cycles()));
+  }
+  return out;
+}
+
+/// The fetch-line rule (DESIGN.md section 2.3) in plain arithmetic: an
+/// instruction touches the line of its first byte, and a block makes one
+/// access per run of consecutive instructions in one line.
+std::vector<CacheAnalysisBlock> oracleCabs(const arch::ICacheModel& icache,
+                                           const std::vector<trc::Instr>& b) {
+  std::vector<CacheAnalysisBlock> out;
+  for (uint32_t k = 0; k < b.size(); ++k) {
+    const uint32_t line = b[k].addr / icache.line_bytes;
+    if (k > 0 && b[k - 1].addr / icache.line_bytes == line) {
+      continue;
+    }
+    out.push_back({k, line % icache.sets, ((line / icache.sets) << 1) | 1});
+  }
+  return out;
+}
+
+TEST(BlockGraph, ScheduleAndCabsMatchFirstPrinciples) {
+  arch::ArchDescription no_icache = defaultArch();
+  no_icache.icache.enabled = false;
+  arch::ArchDescription small_lines = defaultArch();
+  small_lines.icache.line_bytes = 8;
+  small_lines.icache.sets = 16;
+  for (const arch::ArchDescription& desc :
+       {defaultArch(), small_lines, no_icache}) {
+    for (const workloads::Workload& w : workloads::all()) {
+      SCOPED_TRACE(w.name + " with " +
+                   std::to_string(desc.icache.line_bytes) + "-byte lines" +
+                   (desc.icache.enabled ? "" : ", no icache"));
+      const elf::Object obj = workloads::assemble(w);
+      const BlockGraph graph = BlockGraph::build(desc, obj);
+      const std::vector<OracleBlock> oracle = oracleBlocks(obj);
+      ASSERT_EQ(graph.blocks().size(), oracle.size());
+      size_t cabs = 0;
+      for (size_t i = 0; i < oracle.size(); ++i) {
+        const Block& b = graph.blocks()[i];
+        const std::span<const uint32_t> schedule = graph.schedule(b);
+        EXPECT_EQ(std::vector<uint32_t>(schedule.begin(), schedule.end()),
+                  oracleSchedule(desc, oracle[i].instrs));
+        const std::vector<CacheAnalysisBlock> want =
+            desc.icache.enabled ? oracleCabs(desc.icache, oracle[i].instrs)
+                                : std::vector<CacheAnalysisBlock>{};
+        const std::span<const CacheAnalysisBlock> got = graph.cabs(b);
+        ASSERT_EQ(got.size(), want.size()) << "block " << i;
+        for (size_t k = 0; k < want.size(); ++k) {
+          EXPECT_EQ(got[k].start, want[k].start);
+          EXPECT_EQ(got[k].set, want[k].set);
+          EXPECT_EQ(got[k].tag_word, want[k].tag_word);
+        }
+        cabs += got.size();
+      }
+      EXPECT_EQ(cabs > 0, desc.icache.enabled);
     }
   }
 }
@@ -127,7 +179,7 @@ done:   jl fn
         halt
 fn:     ret16
 )");
-  const BlockGraph graph = BlockGraph::build(obj);
+  const BlockGraph graph = BlockGraph::build(defaultArch(), obj);
   // Blocks: _start | loop..jnz16 | j done | nop | done: jl | halt | fn.
   ASSERT_EQ(graph.blocks().size(), 7u);
   const std::vector<Block>& b = graph.blocks();
@@ -149,7 +201,7 @@ TEST(BlockGraph, LeaderBitmapMatchesLeaderSet) {
   for (const workloads::Workload& w : workloads::all()) {
     SCOPED_TRACE(w.name);
     const elf::Object obj = workloads::assemble(w);
-    const BlockGraph graph = BlockGraph::build(obj);
+    const BlockGraph graph = BlockGraph::build(defaultArch(), obj);
     // Every 2-byte slot of .text answers exactly like the ordered set;
     // addresses outside .text answer false.
     const uint32_t first = graph.instrs().front().addr;
@@ -165,6 +217,12 @@ TEST(BlockGraph, LeaderBitmapMatchesLeaderSet) {
   }
 }
 
+/// A binder whose handlers are never run: these tests only inspect the
+/// lowered programs' shape.
+const ThreadedOp* noHandler(void*, const ThreadedOp*) { return nullptr; }
+ThreadedFn selectNoHandler(const trc::Instr&, bool) { return &noHandler; }
+const ThreadedBinder kShapeBinder{&selectNoHandler, &noHandler, false};
+
 TEST(Traces, FormsDominantChain) {
   const elf::Object obj = trc::assemble(R"(
 _start: movi d0, 100
@@ -173,27 +231,26 @@ loop:   add d1, d1, d0
         jnz16 d0, loop
         halt
 )");
-  const arch::ArchDescription desc = defaultArch();
-  const BlockGraph graph = BlockGraph::build(obj);
-  BlockCache cache(makeArtifact(desc, obj));
+  BlockCache cache(makeArtifact(defaultArch(), obj));
   // Blocks: _start | loop | halt. Seed the loop's observed outcomes so
   // the backedge dominates 4:1.
-  const int32_t loop_idx = graph.indexAt(graph.blocks()[1].addr);
-  ASSERT_EQ(loop_idx, 1);
   cache.blocks()[1].taken_count = 99;
   cache.blocks()[1].ft_count = 1;
-  const int32_t t = cache.formTrace(1);
+  const int32_t t = cache.formTrace(1, kShapeBinder);
   ASSERT_GE(t, 0);
-  const Trace& tr = cache.traces()[static_cast<size_t>(t)];
+  const ThreadedProgram& tr = cache.threaded(t);
   // The hot loop unrolls into kTraceMaxBlocks copies of itself, guarded
-  // by its own entry address at every internal boundary.
+  // by its own entry address at every internal boundary; each segment
+  // is the loop's three ops (its jnz16 ends it, no terminator).
   ASSERT_EQ(tr.segs.size(), kTraceMaxBlocks);
   const ExecBlock& loop = cache.blocks()[1];
   EXPECT_EQ(tr.addr, loop.addr());
-  EXPECT_EQ(tr.total_instrs, kTraceMaxBlocks * loop.instrs().size());
-  for (const TraceSegment& seg : tr.segs) {
-    EXPECT_EQ(seg.block, 1);
-    EXPECT_EQ(seg.entry_addr, loop.addr());
+  EXPECT_EQ(tr.total_instrs, kTraceMaxBlocks * loop.size());
+  EXPECT_EQ(tr.ops.size(), kTraceMaxBlocks * loop.size());
+  for (size_t s = 0; s < tr.segs.size(); ++s) {
+    EXPECT_EQ(tr.segs[s].block, 1);
+    EXPECT_EQ(tr.segs[s].first, s * loop.size());
+    EXPECT_EQ(tr.segs[s].entry_addr, loop.addr());
   }
 }
 
@@ -205,71 +262,19 @@ loop:   add d1, d1, d0
         jnz16 d0, loop
         halt
 )");
-  const BlockGraph graph = BlockGraph::build(obj);
   {
-    // Balanced outcomes: no dominant successor, nothing to splice.
+    // Balanced outcomes: no dominant successor, nothing to splice. The
+    // refusal is transient (kTraceUnformed), so the dispatcher retries.
     BlockCache cache(makeArtifact(defaultArch(), obj));
     cache.blocks()[1].taken_count = 50;
     cache.blocks()[1].ft_count = 50;
-    EXPECT_EQ(cache.formTrace(1), kTraceDeclined);
+    EXPECT_EQ(cache.formTrace(1, kShapeBinder), kTraceUnformed);
   }
   {
     // From the halt block (no successor at all) the trace is a single
-    // block and is declined outright.
+    // block and is refused outright.
     BlockCache cache(makeArtifact(defaultArch(), obj));
-    EXPECT_EQ(cache.formTrace(2), kTraceDeclined);
-  }
-}
-
-TEST(BlockCache, LineGroupsMatchCacheAnalysisBlocks) {
-  const arch::ArchDescription desc = defaultArch();
-  for (const workloads::Workload& w : workloads::all()) {
-    SCOPED_TRACE(w.name);
-    const elf::Object obj = workloads::assemble(w);
-    const BlockGraph graph = BlockGraph::build(obj);
-    const BlockCache cache(makeArtifact(desc, obj));
-    std::vector<xlat::SourceBlock> sb = xlat::buildBlocks(graph);
-    xlat::computeCacheAnalysisBlocks(desc.icache, sb);
-    ASSERT_EQ(cache.blocks().size(), sb.size());
-    for (size_t i = 0; i < sb.size(); ++i) {
-      const StaticBlock& st = *cache.blocks()[i].stat;
-      std::vector<size_t> starts;
-      for (size_t k = 0; k < st.new_line.size(); ++k) {
-        if (st.new_line[k] != 0) {
-          starts.push_back(k);
-        }
-      }
-      EXPECT_EQ(starts, sb[i].cab_starts);
-    }
-  }
-}
-
-TEST(BlockCache, CumulativeCyclesEndAtStaticSchedule) {
-  const arch::ArchDescription desc = defaultArch();
-  for (const workloads::Workload& w : workloads::all()) {
-    const elf::Object obj = workloads::assemble(w);
-    BlockGraph graph = BlockGraph::build(obj);
-    graph.computeStaticCycles(desc);
-    const BlockCache cache(makeArtifact(desc, obj));
-    for (size_t i = 0; i < cache.blocks().size(); ++i) {
-      const StaticBlock& st = *cache.blocks()[i].stat;
-      const Block& b = graph.blocks()[i];
-      ASSERT_FALSE(st.cum_cycles.empty());
-      // static_cycles = schedule + static branch extra >= schedule.
-      const uint32_t schedule = st.cum_cycles.back();
-      EXPECT_LE(schedule, b.static_cycles);
-      const trc::Instr& last = graph.last(b);
-      const uint32_t extra =
-          last.isControlTransfer() &&
-                  last.cls() != arch::OpClass::kBranchCond
-              ? desc.branch.unconditionalExtra(last.cls())
-              : 0;
-      EXPECT_EQ(schedule + extra, b.static_cycles);
-      // The cumulative schedule is monotone.
-      for (size_t k = 1; k < st.cum_cycles.size(); ++k) {
-        EXPECT_LE(st.cum_cycles[k - 1], st.cum_cycles[k]);
-      }
-    }
+    EXPECT_EQ(cache.formTrace(2, kShapeBinder), kTraceUnformed);
   }
 }
 

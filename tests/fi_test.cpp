@@ -17,16 +17,13 @@
 //     device's reads return 0 and drop its writes; the watchdog
 //     peripheral fires when the guest stops petting it.
 //   * Graceful degradation: recover() walks the snapshot ring newest to
-//     oldest past corrupt, unreadable and trail-divergent entries, and
+//     oldest past corrupt and trail-divergent entries, and
 //     deterministic replay from the restored entry converges on the
 //     digest of an uninterrupted clean run (one-shot faults never
 //     re-fire after a rewind).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -675,7 +672,7 @@ TEST(Watchdog, FiresOnHungGuestAndRecoveryRewindsPastTheFault) {
   const workloads::BoardImages images = makeWdImages();
 
   auto clean = snap::makeBoard(images, {}, withWatchdog());
-  clean->setCheckpointing({512, 4, ""});
+  clean->setCheckpointing({512, 4});
   clean->run();
   const snap::Observation want = snap::observe(*clean);
   const std::vector<std::pair<sim::Cycle, uint64_t>> trail =
@@ -684,7 +681,7 @@ TEST(Watchdog, FiresOnHungGuestAndRecoveryRewindsPastTheFault) {
   EXPECT_EQ(clean->watchdog().fired(), 0u);  // a petted dog never fires
 
   auto board = snap::makeBoard(images, {}, withWatchdog());
-  board->setCheckpointing({512, 4, ""});
+  board->setCheckpointing({512, 4});
   board->setExpectedTrail(trail);
   fi::Campaign camp;
   fi::FaultSpec f;
@@ -724,12 +721,12 @@ TEST(Recovery, AutoRecoverRewindsOnTrailDivergence) {
   const workloads::BoardImages images = makeWdImages();
 
   auto clean = snap::makeBoard(images, {}, withWatchdog());
-  clean->setCheckpointing({512, 4, ""});
+  clean->setCheckpointing({512, 4});
   clean->run();
   const snap::Observation want = snap::observe(*clean);
 
   auto board = snap::makeBoard(images, {}, withWatchdog());
-  board->setCheckpointing({512, 4, ""});
+  board->setCheckpointing({512, 4});
   board->setExpectedTrail(clean->digestTrail());
   platform::RecoveryConfig recovery;
   recovery.auto_recover = true;
@@ -760,7 +757,7 @@ TEST(Recovery, CorruptRingEntriesFallBackToTheNewestIntactOne) {
   const snap::Observation want = snap::observe(*clean);
 
   auto board = snap::makeBoard(images);
-  board->setCheckpointing({512, 4, ""});
+  board->setCheckpointing({512, 4});
   fi::Campaign camp;
   fi::FaultSpec f;
   f.kind = fi::FaultKind::kRingCorrupt;
@@ -788,51 +785,6 @@ TEST(Recovery, CorruptRingEntriesFallBackToTheNewestIntactOne) {
   EXPECT_EQ(rep.resume_cycle, 512u);
   board->run();
   EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");
-}
-
-TEST(Recovery, SpilledRingRetriesUnreadableFilesThenFallsBack) {
-  const auto images = workloads::BoardImages::family(1);
-  auto clean = snap::makeBoard(images);
-  clean->run();
-  const snap::Observation want = snap::observe(*clean);
-
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "fi_ring").string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
-  auto board = snap::makeBoard(images);
-  board->setCheckpointing({512, 4, dir});
-  board->run();
-  ASSERT_EQ(board->checkpoints().size(), 3u);
-  for (const platform::Checkpoint& cp : board->checkpoints()) {
-    ASSERT_FALSE(cp.path.empty());
-    EXPECT_TRUE(cp.data.empty()) << "spilled entries hold no bytes";
-  }
-  // Newest entry: gone from disk (exhausts the bounded I/O retries).
-  std::filesystem::remove(board->checkpoints().back().path);
-  // Second newest: one flipped byte (fails the integrity footer).
-  {
-    const std::string& path =
-        board->checkpoints()[board->checkpoints().size() - 2].path;
-    std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(fs.good());
-    fs.seekg(64);
-    char b = 0;
-    fs.read(&b, 1);
-    b = static_cast<char>(b ^ 0x10);
-    fs.seekp(64);
-    fs.write(&b, 1);
-  }
-  const platform::RecoveryReport rep = board->recover();
-  ASSERT_TRUE(rep.recovered) << rep.detail;
-  EXPECT_EQ(rep.entries_tried, 3u);
-  EXPECT_EQ(rep.entries_corrupt, 2u);
-  EXPECT_EQ(rep.io_retries, platform::kRecoveryIoAttempts - 1)
-      << "every attempt on the deleted file failed";
-  board->run();
-  EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -145,7 +145,7 @@ TEST(Replay, AutoSnapshotRingRetainsAndReplays) {
   const snap::Observation want = snap::observe(*ref);
 
   auto board = snap::makeBoard(images);
-  board->setCheckpointing({512, 2, ""});
+  board->setCheckpointing({512, 2});
   board->run();
   // Checkpointed execution is behaviour-neutral.
   expectMatch(want, *board);
@@ -474,7 +474,7 @@ TEST(SnapshotFormat, RecoverFallsThroughCorruptRingEntries) {
   const snap::Observation want = snap::observe(*ref);
 
   auto board = snap::makeBoard(images);
-  board->setCheckpointing({512, 4, ""});
+  board->setCheckpointing({512, 4});
   // Corrupt every ring entry recorded after cycle 600 as it is pushed
   // (same mechanism fi::Campaign ring faults use).
   size_t corrupted = 0;

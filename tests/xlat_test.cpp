@@ -1,6 +1,7 @@
-// Translator unit tests: pass-level checks (blocks, cycle calculation,
-// cache analysis blocks, address analysis) and end-to-end functional +
-// cycle equivalence of translated programs against the reference ISS.
+// Translator unit tests: the block records the passes read (blocks,
+// static cycles, cache analysis blocks), pass-level checks (address
+// analysis, MRU-hit analysis) and end-to-end functional + cycle
+// equivalence of translated programs against the reference ISS.
 #include <algorithm>
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "core/block_graph.h"
 #include "iss/iss.h"
 #include "platform/platform.h"
+#include "snap/observe.h"
 #include "trc/assembler.h"
 #include "xlat/internal.h"
 #include "xlat/translator.h"
@@ -34,13 +36,14 @@ loop:   add d1, d1, d0
 
 TEST(Blocks, BuildsBasicBlocks) {
   const elf::Object obj = trc::assemble(kLoopProgram);
-  const auto blocks = buildBlocks(obj);
+  const core::BlockGraph graph = core::BlockGraph::build(defaultArch(), obj);
+  const std::vector<core::Block>& blocks = graph.blocks();
   // _start, loop, after-jnz (stw+halt).
   ASSERT_EQ(blocks.size(), 3u);
-  EXPECT_EQ(blocks[0].instrs.size(), 2u);
-  EXPECT_EQ(blocks[1].instrs.size(), 3u);
-  EXPECT_EQ(blocks[2].instrs.size(), 2u);
-  EXPECT_TRUE(blocks[1].endsWithControlTransfer());
+  EXPECT_EQ(blocks[0].count, 2u);
+  EXPECT_EQ(blocks[1].count, 3u);
+  EXPECT_EQ(blocks[2].count, 2u);
+  EXPECT_TRUE(graph.last(blocks[1]).isControlTransfer());
 }
 
 TEST(Blocks, StaticCyclesMatchIssPerBlock) {
@@ -62,12 +65,11 @@ _start: movi d1, 3
     d.icache.enabled = false;
     return d;
   }();
-  auto blocks = buildBlocks(obj);
-  computeStaticCycles(desc, blocks);
+  const core::BlockGraph graph = core::BlockGraph::build(desc, obj);
   iss::Iss iss(desc, obj);
   EXPECT_EQ(iss.run(), iss::StopReason::kHalted);
-  ASSERT_EQ(blocks.size(), 1u);
-  EXPECT_EQ(blocks[0].static_cycles, iss.stats().cycles);
+  ASSERT_EQ(graph.blocks().size(), 1u);
+  EXPECT_EQ(graph.blocks()[0].static_cycles, iss.stats().cycles);
 }
 
 TEST(Blocks, UnconditionalBranchExtraIsStatic) {
@@ -76,11 +78,10 @@ _start: j next
 next:   halt
 )");
   const arch::ArchDescription desc = defaultArch();
-  auto blocks = buildBlocks(obj);
-  computeStaticCycles(desc, blocks);
-  ASSERT_EQ(blocks.size(), 2u);
+  const core::BlockGraph graph = core::BlockGraph::build(desc, obj);
+  ASSERT_EQ(graph.blocks().size(), 2u);
   // j: 1 issue cycle + taken_predicted_extra.
-  EXPECT_EQ(blocks[0].static_cycles,
+  EXPECT_EQ(graph.blocks()[0].static_cycles,
             1u + desc.branch.taken_predicted_extra);
 }
 
@@ -93,15 +94,16 @@ _start: nop
         nop
         halt
 )");
-  auto blocks = buildBlocks(obj);
-  computeCacheAnalysisBlocks(defaultArch().icache, blocks);
-  ASSERT_EQ(blocks.size(), 1u);
-  ASSERT_EQ(blocks[0].cabs.size(), 2u);
-  EXPECT_EQ(blocks[0].cabs[0].first_addr, 0x80000000u);
-  EXPECT_EQ(blocks[0].cabs[1].first_addr, 0x80000010u);
-  EXPECT_EQ(blocks[0].cab_starts[1], 4u);
+  const core::BlockGraph graph = core::BlockGraph::build(defaultArch(), obj);
+  ASSERT_EQ(graph.blocks().size(), 1u);
+  const std::span<const core::CacheAnalysisBlock> cabs =
+      graph.cabs(graph.blocks()[0]);
+  ASSERT_EQ(cabs.size(), 2u);
+  EXPECT_EQ(cabs[0].start, 0u);  // 0x80000000
+  EXPECT_EQ(cabs[1].start, 4u);  // the halt, 0x80000010
+  EXPECT_EQ(cabs[1].set, cabs[0].set + 1);
   // Tag word carries the valid bit.
-  EXPECT_EQ(blocks[0].cabs[0].tag_word & 1u, 1u);
+  EXPECT_EQ(cabs[0].tag_word & 1u, 1u);
 }
 
 TEST(Cabs, MixedWidthInstructionsUseFirstByteRule) {
@@ -117,10 +119,11 @@ _start: nop16
         nop           ; starts at offset 14, first byte still line 0
         halt          ; starts at offset 18 -> line 1
 )");
-  auto blocks = buildBlocks(obj);
-  computeCacheAnalysisBlocks(defaultArch().icache, blocks);
-  ASSERT_EQ(blocks[0].cabs.size(), 2u);
-  EXPECT_EQ(blocks[0].cab_starts[1], 8u);  // the halt
+  const core::BlockGraph graph = core::BlockGraph::build(defaultArch(), obj);
+  const std::span<const core::CacheAnalysisBlock> cabs =
+      graph.cabs(graph.blocks()[0]);
+  ASSERT_EQ(cabs.size(), 2u);
+  EXPECT_EQ(cabs[1].start, 8u);  // the halt
 }
 
 TEST(AddrAnalysis, ConstantPropagationFindsEffectiveAddresses) {
@@ -133,7 +136,8 @@ _start: movha a0, 0xd000
         halt
 )");
   const AddressAnalysis aa =
-      analyzeAddresses(defaultArch(), core::BlockGraph::build(obj));
+      analyzeAddresses(defaultArch(),
+                       core::BlockGraph::build(defaultArch(), obj));
   EXPECT_EQ(aa.ram_accesses, 1u);
   EXPECT_EQ(aa.unknown_accesses, 1u);
   ASSERT_TRUE(aa.known_ea.count(0x80000008));
@@ -147,7 +151,8 @@ _start: movha a0, 0xf000
         halt
 )");
   const AddressAnalysis aa =
-      analyzeAddresses(defaultArch(), core::BlockGraph::build(obj));
+      analyzeAddresses(defaultArch(),
+                       core::BlockGraph::build(defaultArch(), obj));
   EXPECT_EQ(aa.io_accesses, 1u);
   // The I/O region is identity-mapped: no MOVHA rewrite for it.
   EXPECT_TRUE(aa.movha_rewrites.empty());
@@ -159,7 +164,8 @@ _start: movha a0, 0xd000
         halt
 )");
   const AddressAnalysis aa =
-      analyzeAddresses(defaultArch(), core::BlockGraph::build(obj));
+      analyzeAddresses(defaultArch(),
+                       core::BlockGraph::build(defaultArch(), obj));
   // 0xd0000000 remaps to 0x00800000: new high immediate is 0x0080.
   ASSERT_EQ(aa.movha_rewrites.size(), 1u);
   EXPECT_EQ(aa.movha_rewrites.begin()->second, 0x0080);
@@ -177,7 +183,8 @@ join:   ldw d2, [a0]0
         halt
 )");
   const AddressAnalysis aa =
-      analyzeAddresses(defaultArch(), core::BlockGraph::build(obj));
+      analyzeAddresses(defaultArch(),
+                       core::BlockGraph::build(defaultArch(), obj));
   // a0 differs on the two paths: the access must be unknown.
   EXPECT_EQ(aa.unknown_accesses, 1u);
   EXPECT_EQ(aa.ram_accesses, 0u);
@@ -515,6 +522,46 @@ TEST(Translate, RejectsWrongMachine) {
   elf::Object obj;
   obj.machine = elf::Machine::kV6x;
   EXPECT_THROW(translate(defaultArch(), obj), Error);
+}
+
+TEST(Translate, LongBlockRunsOnTheIssButRefusesAnnotation) {
+  // One block of 40,002 instructions costs 120,010 static cycles, more
+  // than a sync start's 16-bit count carries. The reference ISS and the
+  // functional translation carry no annotation and run it; the levels
+  // that annotate refuse it with a cabt::Error.
+  std::string src = "_start: movi d1, 1\n";
+  for (int i = 0; i < 40000; ++i) {
+    src += "        mul d2, d1, d1\n";
+  }
+  src += "        halt\n";
+  const elf::Object obj = trc::assemble(src);
+  const arch::ArchDescription desc = defaultArch();
+  for (const DetailLevel level : kDetailLevels) {
+    SCOPED_TRACE(detailLevelName(level));
+    iss::IssConfig cfg = platform::issConfigFor(level);
+    iss::Iss threaded(desc, obj, nullptr, cfg);
+    cfg.use_block_cache = false;
+    iss::Iss stepping(desc, obj, nullptr, cfg);
+    ASSERT_EQ(threaded.run(), iss::StopReason::kHalted);
+    ASSERT_EQ(stepping.run(), iss::StopReason::kHalted);
+    EXPECT_EQ(threaded.stats().instructions, 40002u);
+    EXPECT_EQ(snap::firstMismatch(snap::observe(stepping),
+                                  snap::observe(threaded)),
+              "");
+    if (level == DetailLevel::kICache) {
+      EXPECT_EQ(threaded.stats().cycles, 120010u);
+    }
+    TranslateOptions opts;
+    opts.level = level;
+    if (level != DetailLevel::kFunctional) {
+      EXPECT_THROW(translate(desc, obj, opts), Error);
+      continue;
+    }
+    const TranslationResult r = translate(desc, obj, opts);
+    platform::EmulationPlatform plat(desc, r.image);
+    EXPECT_EQ(plat.run().state, vliw::RunState::kHalted);
+    EXPECT_EQ(platform::compareFinalState(desc, threaded, plat, obj), "");
+  }
 }
 
 TEST(Translate, InstructionOrientedYieldsPerInstruction) {
