@@ -59,6 +59,7 @@
 #include <exception>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,7 @@
 #include "obs/trace.h"
 #include "platform/platform.h"
 #include "snap/observe.h"
+#include "snap/recorder.h"
 #include "snap/snapshot.h"
 #include "soc/peripherals.h"
 #include "workloads/workloads.h"
@@ -161,9 +163,11 @@ struct ObsOptions {
   [[nodiscard]] bool traceWanted() const { return !trace_out.empty(); }
 
   /// After the run: export the timeline and/or the metrics registry
-  /// (plus the campaign's fi.* counters when one is armed).
+  /// (plus the recorder's and the campaign's counters when there are
+  /// any).
   void finish(const platform::ReferenceBoard& board,
               const obs::TraceSink& sink,
+              const snap::Recorder* recorder = nullptr,
               const fi::Campaign* camp = nullptr) const {
     if (traceWanted()) {
       std::ofstream out(trace_out);
@@ -176,6 +180,9 @@ struct ObsOptions {
     if (metrics_text || !metrics_out.empty()) {
       obs::MetricsRegistry reg;
       board.publishMetrics(reg);
+      if (recorder != nullptr) {
+        recorder->publishMetrics(reg);
+      }
       if (camp != nullptr) {
         camp->publishMetrics(reg);
       }
@@ -369,17 +376,20 @@ int main(int argc, char** argv) {
       if (camp.scheduled() != 0) {
         camp.arm(*board);
       }
+      std::optional<snap::Recorder> rec;
       if (interval != 0) {
-        board->setCheckpointing({interval, 1});
-      }
-      board->run();
-      for (const auto& [cycle, digest] : board->digestTrail()) {
-        std::printf("trail %llu 0x%016llx\n",
-                    static_cast<unsigned long long>(cycle),
-                    static_cast<unsigned long long>(digest));
+        rec.emplace(*board, interval, 1);
+        rec->runTo(sim::kForever);
+        for (const auto& [cycle, digest] : rec->digestTrail()) {
+          std::printf("trail %llu 0x%016llx\n",
+                      static_cast<unsigned long long>(cycle),
+                      static_cast<unsigned long long>(digest));
+        }
+      } else {
+        board->run();
       }
       printSummary(*board);
-      obs_opts.finish(*board, sink,
+      obs_opts.finish(*board, sink, rec ? &*rec : nullptr,
                       camp.scheduled() != 0 ? &camp : nullptr);
       return 0;
     }
@@ -395,20 +405,21 @@ int main(int argc, char** argv) {
       fi::Campaign camp =
           buildCampaign(fault_specs, fi_armed, board->numCores());
       camp.arm(*board);
+      std::optional<snap::Recorder> rec;
       if (interval != 0) {
-        board->setCheckpointing({interval, 4});
+        rec.emplace(*board, interval, 4);
+        rec->runTo(to);
+      } else {
+        board->runTo(to);
       }
-      board->runTo(to);
       printFired(camp, board->numCores());
-      std::printf("fi scheduled=%zu fired=%llu ring_corruptions=%llu\n",
-                  camp.scheduled(),
-                  static_cast<unsigned long long>(camp.firedCount()),
-                  static_cast<unsigned long long>(camp.ringCorruptions()));
+      std::printf("fi scheduled=%zu fired=%llu\n", camp.scheduled(),
+                  static_cast<unsigned long long>(camp.firedCount()));
       if (obs_opts.traceWanted()) {
         camp.emitTrace(sink);
       }
       printSummary(*board);
-      obs_opts.finish(*board, sink, &camp);
+      obs_opts.finish(*board, sink, rec ? &*rec : nullptr, &camp);
       return 0;
     }
 
@@ -421,11 +432,11 @@ int main(int argc, char** argv) {
       // Clean reference run: the convergence target and the expected
       // digest trail for divergence detection.
       std::unique_ptr<platform::ReferenceBoard> ref = scenario.makeBoard();
-      ref->setCheckpointing({interval, 4});
-      ref->run();
+      snap::Recorder ref_rec(*ref, interval, 4);
+      ref_rec.runTo(sim::kForever);
       const snap::Observation want = snap::observe(*ref);
       // Faulted run: same ring, trail-certified divergence detection,
-      // auto-recovery bounded by RecoveryConfig defaults.
+      // auto-recovery bounded by snap::kMaxAutoRecoveries.
       std::unique_ptr<platform::ReferenceBoard> board = scenario.makeBoard();
       obs::TraceSink sink;
       if (obs_opts.traceWanted()) {
@@ -434,12 +445,9 @@ int main(int argc, char** argv) {
       fi::Campaign camp =
           buildCampaign(fault_specs, fi_armed, board->numCores());
       camp.arm(*board);
-      board->setCheckpointing({interval, 4});
-      board->setExpectedTrail(ref->digestTrail());
-      platform::RecoveryConfig rec;
-      rec.auto_recover = true;
-      board->setRecovery(rec);
-      board->runTo(to);
+      snap::Recorder rec(*board, interval, 4, /*auto_recover=*/true);
+      rec.expectTrail(ref_rec.digestTrail());
+      rec.runTo(to);
       printFired(camp, board->numCores());
       const snap::Observation got = snap::observe(*board);
       const std::string diff = snap::firstMismatch(want, got);
@@ -447,12 +455,12 @@ int main(int argc, char** argv) {
                   "clean=0x%016llx recovered=0x%016llx %s\n",
                   scenario_name.c_str(),
                   static_cast<unsigned long long>(camp.firedCount()),
-                  board->recoveries(), board->divergences(),
+                  rec.recoveries(), rec.divergences(),
                   static_cast<unsigned long long>(want.digest),
                   static_cast<unsigned long long>(got.digest),
                   diff.empty() ? "OK" : "MISMATCH");
       printMismatch(diff);
-      obs_opts.finish(*board, sink, &camp);
+      obs_opts.finish(*board, sink, &rec, &camp);
       return diff.empty() ? 0 : 1;
     }
 
@@ -465,7 +473,7 @@ int main(int argc, char** argv) {
       std::vector<std::unique_ptr<obs::PcSampler>> samplers;
       for (size_t i = 0; i < board->numCores(); ++i) {
         samplers.push_back(std::make_unique<obs::PcSampler>(period));
-        board->attachSampler(i, samplers.back().get());
+        board->core(i).setSampler(samplers.back().get());
       }
       board->run();
       std::string folded;

@@ -1,6 +1,8 @@
 #include "fi/fi.h"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 
 #include "common/error.h"
 #include "common/strutil.h"
@@ -18,16 +20,9 @@ FaultKind parseKind(std::string_view s) {
   if (s == "mem") return FaultKind::kMemFlip;
   if (s == "buserr") return FaultKind::kBusError;
   if (s == "stall") return FaultKind::kDeviceStall;
-  if (s == "ring") return FaultKind::kRingCorrupt;
   CABT_FAIL("unknown fault kind '" << std::string(s)
                                    << "' (dreg/areg/pc/pcset/mem/buserr/"
-                                      "stall/ring)");
-}
-
-uint64_t parseU64(std::string_view s) {
-  const int64_t v = parseInt(s);
-  CABT_CHECK(v >= 0, "fault field must be non-negative: " << std::string(s));
-  return static_cast<uint64_t>(v);
+                                      "stall)");
 }
 
 }  // namespace
@@ -41,7 +36,7 @@ FaultSpec parseFaultSpec(const std::string& spec) {
   f.kind = parseKind(trim(std::string_view(spec).substr(0, at)));
   std::string_view rest = std::string_view(spec).substr(at + 1);
   const size_t colon = rest.find(':');
-  f.cycle = parseU64(trim(rest.substr(0, colon)));
+  f.cycle = parseUnsigned(trim(rest.substr(0, colon)), "fault cycle");
   if (colon != std::string_view::npos) {
     for (std::string_view kv : split(rest.substr(colon + 1), ',')) {
       kv = trim(kv);
@@ -54,19 +49,19 @@ FaultSpec parseFaultSpec(const std::string& spec) {
       const std::string_view key = trim(kv.substr(0, eq));
       const std::string_view val = trim(kv.substr(eq + 1));
       if (key == "core") {
-        f.core = static_cast<size_t>(parseU64(val));
+        f.core = parseUnsigned(val, key, SIZE_MAX);
       } else if (key == "index") {
-        f.index = static_cast<unsigned>(parseU64(val));
+        f.index = static_cast<unsigned>(parseUnsigned(val, key, UINT_MAX));
       } else if (key == "addr") {
-        f.addr = static_cast<uint32_t>(parseU64(val));
+        f.addr = static_cast<uint32_t>(parseUnsigned(val, key, UINT32_MAX));
       } else if (key == "hi") {
-        f.addr_hi = static_cast<uint32_t>(parseU64(val));
+        f.addr_hi = static_cast<uint32_t>(parseUnsigned(val, key, UINT32_MAX));
       } else if (key == "mask") {
-        f.mask = static_cast<uint32_t>(parseU64(val));
+        f.mask = static_cast<uint32_t>(parseUnsigned(val, key, UINT32_MAX));
       } else if (key == "until") {
-        f.until = parseU64(val);
+        f.until = parseUnsigned(val, key);
       } else if (key == "count") {
-        f.count = static_cast<uint32_t>(parseU64(val));
+        f.count = static_cast<uint32_t>(parseUnsigned(val, key, UINT32_MAX));
       } else if (key == "device") {
         f.device = std::string(val);
       } else {
@@ -109,9 +104,8 @@ void Campaign::arm(platform::ReferenceBoard& board) {
   injectors_.clear();
   for (size_t i = 0; i < board.numCores(); ++i) {
     injectors_.push_back(std::make_unique<CoreInjector>());
-    board.attachInjector(i, injectors_.back().get());
+    board.core(i).setInjector(injectors_.back().get());
   }
-  bool hooked_ring = false;
   for (const FaultSpec& spec : specs_) {
     switch (spec.kind) {
       case FaultKind::kDataRegFlip:
@@ -168,9 +162,6 @@ void Campaign::arm(platform::ReferenceBoard& board) {
       }
       case FaultKind::kDeviceStall:
         break;  // armed below
-      case FaultKind::kRingCorrupt:
-        hooked_ring = true;
-        break;
     }
   }
   // The bus takes the first matching window, so arming the stalls after
@@ -181,20 +172,6 @@ void Campaign::arm(platform::ReferenceBoard& board) {
     bus.armBusFault(std::move(w));
   }
   stall_windows_end_ = bus.busFaults().size();
-  if (hooked_ring) {
-    board.setCheckpointHook([this](platform::Checkpoint& cp) {
-      for (const FaultSpec& spec : specs_) {
-        if (spec.kind != FaultKind::kRingCorrupt || cp.cycle < spec.cycle ||
-            cp.cycle >= spec.until) {
-          continue;
-        }
-        const uint8_t flip =
-            spec.mask != 0 ? static_cast<uint8_t>(spec.mask) : uint8_t{0x40};
-        cp.data[spec.addr % cp.data.size()] ^= flip;
-        ++ring_corruptions_;
-      }
-    });
-  }
 }
 
 void Campaign::disarm() {
@@ -202,10 +179,9 @@ void Campaign::disarm() {
     return;
   }
   for (size_t i = 0; i < board_->numCores(); ++i) {
-    board_->attachInjector(i, nullptr);
+    board_->core(i).setInjector(nullptr);
   }
   board_->board().bus.clearBusFaults();
-  board_->setCheckpointHook(nullptr);
   board_ = nullptr;
 }
 
@@ -222,7 +198,6 @@ void Campaign::publishMetrics(obs::MetricsRegistry& reg,
   reg.setCounter(prefix + "faults_scheduled", specs_.size());
   reg.setCounter(prefix + "core_faults_fired", firedCount());
   reg.setCounter(prefix + "bus_error_fires", bus_fires_.size());
-  reg.setCounter(prefix + "ring_corruptions", ring_corruptions_);
   if (board_ != nullptr) {
     const std::vector<soc::BusFaultWindow>& windows =
         board_->board().bus.busFaults();

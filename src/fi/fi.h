@@ -16,10 +16,11 @@
 //     bus range: reads return 0, writes are dropped, nothing is raised.
 //     They are armed after every bus-error window, so an error wins over
 //     a stall on the same access (the bus takes the first matching
-//     window);
-//   * ring corruptions hook takeCheckpoint and flip a byte in the freshly
-//     recorded snapshot ring entry (breaking its FNV footer), which is how
-//     the recovery tests manufacture corrupt-ring scenarios on demand.
+//     window).
+//
+// Faults act on the running board only. Recovery from them — the
+// snapshot ring, divergence detection against a digest trail, the
+// watchdog-triggered rewind — is snap::Recorder's (src/snap/recorder.h).
 //
 // An armed campaign whose faults never fire perturbs nothing: digests and
 // bus logs are byte-identical to an FI-off run (tests/fi_test.cpp).
@@ -50,7 +51,6 @@ enum class FaultKind : uint8_t {
   kMemFlip,      // mem:   private-memory word at addr ^= mask
   kBusError,     // buserr: bus window [addr, addr_hi] errors in [cycle,until)
   kDeviceStall,  // stall: device `device` stalled in [cycle, until)
-  kRingCorrupt,  // ring:  corrupt ring entries checkpointed in [cycle, until)
 };
 
 struct FaultSpec {
@@ -58,17 +58,18 @@ struct FaultSpec {
   uint64_t cycle = 0;
   size_t core = 0;
   unsigned index = 0;   // register number
-  uint32_t addr = 0;    // mem/pcset target, buserr window lo, ring byte
+  uint32_t addr = 0;    // mem/pcset target, buserr window lo
   uint32_t addr_hi = 0; // buserr window hi (0 = addr + 3)
   uint32_t mask = 0;
-  uint64_t until = ~static_cast<uint64_t>(0);  // buserr/stall/ring window end
+  uint64_t until = ~static_cast<uint64_t>(0);  // buserr/stall window end
   uint32_t count = 1;   // buserr max fires (0 = unlimited)
   std::string device;   // stall target name
 };
 
 /// Parses "kind@cycle:key=value,..."; kinds dreg/areg/pc/pcset/mem/buserr/
-/// stall/ring, keys core/index/addr/hi/mask/until/count/device. Throws
-/// cabt::Error on malformed input.
+/// stall, keys core/index/addr/hi/mask/until/count/device. Every number
+/// is a non-negative integer that fits its field (cycle and until 64
+/// bits, addr/hi/mask/count 32). Throws cabt::Error on malformed input.
 FaultSpec parseFaultSpec(const std::string& spec);
 
 class Campaign {
@@ -80,7 +81,7 @@ class Campaign {
   /// board does not have, a register index past 15 or a device not on
   /// the bus.
   void arm(platform::ReferenceBoard& board);
-  /// Detaches everything armed (injectors, bus windows, hook).
+  /// Detaches everything armed (injectors, bus windows).
   void disarm();
 
   [[nodiscard]] size_t scheduled() const { return specs_.size(); }
@@ -89,10 +90,9 @@ class Campaign {
   [[nodiscard]] const std::vector<FiredFault>& fired(size_t core) const {
     return injectors_.at(core)->fired();
   }
-  [[nodiscard]] uint64_t ringCorruptions() const { return ring_corruptions_; }
 
   /// Publishes fi.* counters (scheduled/fired faults, bus-error fires,
-  /// device stalls, ring corruptions) under `prefix`.
+  /// device stalls) under `prefix`.
   void publishMetrics(obs::MetricsRegistry& reg,
                       const std::string& prefix = "fi.") const;
   /// Emits one timeline instant per fired fault, post-run (the injector
@@ -109,7 +109,6 @@ class Campaign {
   /// The stall windows' slots in the bus's window list: [first, end).
   size_t stall_windows_first_ = 0;
   size_t stall_windows_end_ = 0;
-  uint64_t ring_corruptions_ = 0;
 };
 
 }  // namespace cabt::fi

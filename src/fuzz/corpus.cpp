@@ -100,10 +100,10 @@ SeedCase parseSeed(const std::string& text) {
     if (key == "note") {
       c.note = value;
     } else if (key == "quantum") {
-      c.quantum = static_cast<uint64_t>(parseInt(value));
+      c.quantum = parseUnsigned(value, "seed file: quantum");
       CABT_CHECK(c.quantum > 0, "seed file: quantum must be positive");
     } else if (key == "horizon") {
-      c.horizon = static_cast<uint64_t>(parseInt(value));
+      c.horizon = parseUnsigned(value, "seed file: horizon");
     } else if (key == "fault") {
       CABT_CHECK(!value.empty(), "seed file: empty fault spec");
       c.faults.push_back(value);

@@ -290,10 +290,15 @@ std::string Mutator::makeFault(const SeedCase& c) {
   const size_t cores = std::min(c.programs.size(), kMaxFaultCores);
   const size_t core = pick(static_cast<uint32_t>(cores));
   // Land inside the case's estimated clean run (plus slack for short
-  // cases). The draw stays 64-bit, so a horizon of 2^32 or more cannot
-  // narrow the span to 0.
+  // cases). One 32-bit draw covers a span up to 2^32; a wider span
+  // takes a second draw for the high half, so faults reach its whole
+  // range while every walk over a narrower horizon stays the same.
   const uint64_t span = c.horizon > 100 ? c.horizon : 200;
-  const uint64_t cycle = rng_() % span;
+  uint64_t draw = rng_();
+  if (span > (uint64_t{1} << 32)) {
+    draw = draw << 32 | rng_();
+  }
+  const uint64_t cycle = draw % span;
   const uint32_t mask = 1u << pick(32);
   switch (pick(4)) {
     case 0:

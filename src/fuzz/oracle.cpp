@@ -58,7 +58,7 @@ snap::Observation runBoard(const arch::ArchDescription& desc,
   }
   if (coverage != nullptr) {
     for (size_t i = 0; i < board.numCores(); ++i) {
-      board.attachEdgeCoverage(i, coverage);
+      board.core(i).attachEdgeCoverage(coverage);
     }
   }
 

@@ -1,9 +1,6 @@
 #include "platform/platform.h"
 
-#include <algorithm>
-
 #include "common/strutil.h"
-#include "snap/snapshot.h"
 
 namespace cabt::platform {
 
@@ -128,13 +125,10 @@ void ReferenceBoard::init(const arch::ArchDescription& desc,
                      io->base + soc::StandardIoMap::kMailboxOffset,
                      soc::StandardIoMap::kMailboxSize);
   if (config.watchdog) {
-    watchdog_ = std::make_unique<fi::WatchdogDevice>();
+    watchdog_ = std::make_unique<soc::WatchdogDevice>();
     board_->bus.attach(watchdog_.get(),
                        io->base + soc::StandardIoMap::kWatchdogOffset,
                        soc::StandardIoMap::kWatchdogSize);
-    // The fire callback only flags; runTo() acts on the flag between
-    // chunks (it runs inside a bus advance, mid-kernel-run).
-    watchdog_->setOnFire([this](uint64_t) { watchdog_fire_pending_ = true; });
   }
   for (size_t i = 0; i < images.size(); ++i) {
     auto intc = std::make_unique<soc::InterruptController>(
@@ -169,19 +163,10 @@ sim::Process* ReferenceBoard::process(size_t i) const {
   return procs_.at(i).get();
 }
 
-void ReferenceBoard::attachInjector(size_t i, fi::CoreInjector* injector) {
-  cores_.at(i)->setInjector(injector);
-}
-
-fi::WatchdogDevice& ReferenceBoard::watchdog() {
+soc::WatchdogDevice& ReferenceBoard::watchdog() {
   CABT_CHECK(watchdog_ != nullptr,
              "board built without a watchdog (BoardConfig::watchdog)");
   return *watchdog_;
-}
-
-void ReferenceBoard::setExpectedTrail(
-    std::vector<std::pair<sim::Cycle, uint64_t>> trail) {
-  expected_trail_ = std::move(trail);
 }
 
 void ReferenceBoard::setTraceSink(obs::TraceSink* sink) {
@@ -196,14 +181,6 @@ void ReferenceBoard::setTraceSink(obs::TraceSink* sink) {
     }
     sink->setThreadName(obs::kSnapLane, "snapshots");
   }
-}
-
-void ReferenceBoard::attachSampler(size_t i, obs::PcSampler* sampler) {
-  cores_.at(i)->setSampler(sampler);
-}
-
-void ReferenceBoard::attachEdgeCoverage(size_t i, core::EdgeCoverage* cov) {
-  cores_.at(i)->attachEdgeCoverage(cov);
 }
 
 uint64_t ReferenceBoard::instructionsRetired() const {
@@ -222,163 +199,10 @@ void ReferenceBoard::publishMetrics(obs::MetricsRegistry& reg,
   }
   kernel_.publishMetrics(reg, prefix + "kernel.");
   board_->bus.publishMetrics(reg, prefix + "bus.");
-  reg.setCounter(prefix + "snap.checkpoints_retained", checkpoints_.size());
-  reg.setCounter(prefix + "snap.trail_length", digest_trail_.size());
-  if (!digest_trail_.empty()) {
-    reg.setGauge(prefix + "snap.last_checkpoint_cycle",
-                 static_cast<double>(digest_trail_.back().first));
-  }
-  reg.setCounter(prefix + "fi.recoveries", recoveries_);
-  reg.setCounter(prefix + "fi.divergences", divergences_);
   reg.setCounter(prefix + "fi.bus_fault_fires", board_->bus.busFaultFires());
   if (watchdog_ != nullptr) {
     reg.setCounter(prefix + "fi.watchdog_fired", watchdog_->fired());
   }
-}
-
-void ReferenceBoard::setCheckpointing(const CheckpointConfig& config) {
-  CABT_CHECK(config.interval == 0 || config.ring >= 1,
-             "checkpoint ring must retain at least one snapshot");
-  checkpoint_ = config;
-  checkpoints_.clear();
-  digest_trail_.clear();
-}
-
-bool ReferenceBoard::takeCheckpoint(sim::Cycle cycle) {
-  const uint64_t digest = snap::digest(*this);
-  if (!expected_trail_.empty()) {
-    // Divergence detection: the entry a known-good run recorded at this
-    // cycle must match. A cycle with no trail entry at all (the run kept
-    // going past the certified horizon, e.g. a hung guest) counts as
-    // diverged too. A diverged snapshot is not retained — keeping it
-    // would hand recover() a poisoned fallback.
-    const auto it = std::lower_bound(
-        expected_trail_.begin(), expected_trail_.end(), cycle,
-        [](const auto& e, sim::Cycle c) { return e.first < c; });
-    if (it == expected_trail_.end() || it->first != cycle ||
-        it->second != digest) {
-      ++divergences_;
-      if (trace_sink_ != nullptr) {
-        trace_sink_->instant(obs::kSnapLane, "divergence", cycle, "trail",
-                             digest_trail_.size());
-      }
-      return true;
-    }
-  }
-  checkpoints_.push_back({cycle, digest, snap::save(*this)});
-  while (checkpoints_.size() > checkpoint_.ring) {
-    checkpoints_.pop_front();
-  }
-  digest_trail_.emplace_back(cycle, checkpoints_.back().digest);
-  if (checkpoint_hook_) {
-    checkpoint_hook_(checkpoints_.back());
-  }
-  if (trace_sink_ != nullptr) {
-    // Between run() chunks, so the sequential path the sink requires.
-    trace_sink_->instant(obs::kSnapLane, "checkpoint", cycle, "trail",
-                         digest_trail_.size());
-  }
-  return false;
-}
-
-sim::Cycle ReferenceBoard::runTo(sim::Cycle limit) {
-  if (checkpoint_.interval == 0) {
-    return kernel_.run(limit);
-  }
-  // Interval-sized chunks. Chunking is behaviour-neutral: the kernel
-  // dispatches the identical (time, insertion) order whether run() is
-  // called once or per chunk.
-  // Each chunk boundary lies strictly above the earliest pending event,
-  // so every iteration dispatches at least one event.
-  while (!kernel_.idle() && kernel_.nextEventAt() <= limit) {
-    const sim::Cycle base = std::max(kernel_.now(), kernel_.nextEventAt());
-    sim::Cycle next =
-        base - base % checkpoint_.interval + checkpoint_.interval;
-    if (next < base) {  // overflow near the end of the timebase
-      next = limit;
-    }
-    const sim::Cycle chunk = std::min(next, limit);
-    kernel_.run(chunk);
-    bool diverged = false;
-    if (!kernel_.idle()) {
-      diverged = takeCheckpoint(chunk);
-    }
-    if ((diverged || watchdog_fire_pending_) && recovery_.auto_recover &&
-        recoveries_ < kMaxAutoRecoveries) {
-      // Graceful degradation between chunks: rewind to the newest intact
-      // ring entry and replay. A consumed one-shot fault does not
-      // re-fire, so the replayed timeline converges on the clean run; a
-      // deterministic hang recovers identically every time, which is why
-      // kMaxAutoRecoveries bounds the loop (beyond it the board runs on
-      // degraded).
-      const RecoveryReport rep = recover();
-      CABT_CHECK(rep.recovered,
-                 "auto-recovery exhausted the snapshot ring: " << rep.detail);
-      continue;  // resume from the restored (earlier) time
-    }
-    if (chunk >= limit) {
-      break;
-    }
-  }
-  return kernel_.now();
-}
-
-RecoveryReport ReferenceBoard::recover() {
-  RecoveryReport rep;
-  for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
-    ++rep.entries_tried;
-    // snap::restore verifies the integrity footer before mutating any
-    // state, so a corrupt entry leaves the board exactly as it was.
-    try {
-      snap::restore(*this, it->data);
-    } catch (const Error& e) {
-      ++rep.entries_corrupt;
-      rep.detail += "cp@" + std::to_string(it->cycle) + ": " + e.what() + "; ";
-      continue;
-    }
-    const uint64_t digest = snap::digest(*this);
-    if (digest != it->digest) {
-      ++rep.entries_diverged;
-      rep.detail += "cp@" + std::to_string(it->cycle) + ": digest mismatch; ";
-      continue;
-    }
-    if (!expected_trail_.empty()) {
-      // When divergence detection is armed, only rewind to a point the
-      // known-good trail certifies: an entry checkpointed after the run
-      // left the certified timeline restores fine and reproduces its own
-      // recorded digest, but resuming there would replay the failure.
-      const auto t = std::lower_bound(
-          expected_trail_.begin(), expected_trail_.end(), it->cycle,
-          [](const auto& e, sim::Cycle c) { return e.first < c; });
-      if (t == expected_trail_.end() || t->first != it->cycle ||
-          t->second != digest) {
-        ++rep.entries_diverged;
-        rep.detail +=
-            "cp@" + std::to_string(it->cycle) + ": off the expected trail; ";
-        continue;
-      }
-    }
-    // Restored and verified: discard the invalidated newer timeline.
-    const sim::Cycle cycle = it->cycle;  // erase invalidates `it`
-    checkpoints_.erase(it.base(), checkpoints_.end());
-    while (!digest_trail_.empty() && digest_trail_.back().first > cycle) {
-      digest_trail_.pop_back();
-    }
-    watchdog_fire_pending_ = false;
-    ++recoveries_;
-    rep.recovered = true;
-    rep.resume_cycle = cycle;
-    rep.digest = digest;
-    if (trace_sink_ != nullptr) {
-      trace_sink_->instant(obs::kSnapLane, "recover", cycle, "tried",
-                           rep.entries_tried);
-    }
-    return rep;
-  }
-  if (rep.detail.empty()) {
-    rep.detail = "snapshot ring is empty";
-  }
-  return rep;
 }
 
 iss::StopReason ReferenceBoard::run() {

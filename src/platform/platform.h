@@ -9,26 +9,22 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "arch/arch.h"
 #include "elf/elf.h"
-#include "fi/watchdog.h"
 #include "iss/iss.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "sim/kernel.h"
 #include "soc/interrupts.h"
 #include "soc/standard_board.h"
 #include "soc/sync_device.h"
+#include "soc/watchdog.h"
 #include "vliw/sim.h"
 #include "xlat/regmap.h"
 #include "xlat/translator.h"
@@ -193,55 +189,12 @@ struct BoardConfig {
   /// exactly quantum-invariant; with several it bounds cross-core
   /// visibility latency (see sim/kernel.h).
   sim::Cycle quantum = 1024;
-  /// Attach the watchdog peripheral (fi::WatchdogDevice) at
+  /// Attach the watchdog peripheral (soc::WatchdogDevice) at
   /// StandardIoMap::kWatchdogOffset, wired to core 0's controller on
   /// kWatchdogIrqLine. Opt-in: attaching a device changes the snapshot
   /// device set, so default boards (and their golden digests) are
   /// untouched.
   bool watchdog = false;
-};
-
-/// One periodic checkpoint: the full platform snapshot (snap::save) plus
-/// the cycle it was taken at and the rolling state digest there.
-struct Checkpoint {
-  sim::Cycle cycle = 0;
-  uint64_t digest = 0;
-  std::vector<uint8_t> data;
-};
-
-/// Periodic auto-snapshot during run()/runTo(). The board runs the
-/// kernel in interval-sized chunks — chunking never changes behaviour
-/// (the dispatch order is the comparator's total order either way) — and
-/// checkpoints between chunks, keeping the most recent `ring` snapshots
-/// and the full (cycle, digest) trail. interval = 0 disables both.
-struct CheckpointConfig {
-  sim::Cycle interval = 0;
-  size_t ring = 4;
-};
-
-/// Graceful-degradation knobs for ReferenceBoard::recover() (DESIGN.md
-/// section 12).
-struct RecoveryConfig {
-  /// Let runTo() invoke recover() on its own when a chunk boundary sees
-  /// a digest-trail divergence or a fired watchdog (checkpointing must
-  /// be enabled — recovery needs a ring to fall back into).
-  bool auto_recover = false;
-};
-
-/// Total automatic recoveries runTo() may perform before it gives up and
-/// keeps running degraded (a deterministic hang would otherwise recover
-/// forever).
-inline constexpr size_t kMaxAutoRecoveries = 4;
-
-/// What recover() did, entry by entry.
-struct RecoveryReport {
-  bool recovered = false;
-  sim::Cycle resume_cycle = 0;  ///< cycle of the restored ring entry
-  uint64_t digest = 0;          ///< digest after the restore
-  size_t entries_tried = 0;
-  size_t entries_corrupt = 0;   ///< failed integrity/restore
-  size_t entries_diverged = 0;  ///< restored but digest-mismatched
-  std::string detail;           ///< human-readable failure summary
 };
 
 /// The reference board, grown into a multi-core SoC: N ISS cores (one
@@ -268,70 +221,14 @@ class ReferenceBoard {
   /// Deterministic fast-forward: dispatches kernel events up to SoC
   /// cycle `limit` and returns the kernel's time. Calling runTo in any
   /// sequence of limits is bit-identical to one uninterrupted run — this
-  /// is how a restored snapshot replays to an arbitrary cycle. Honors
-  /// the checkpoint configuration.
-  sim::Cycle runTo(sim::Cycle limit);
+  /// is how a restored snapshot replays to an arbitrary cycle, and how
+  /// snap::Recorder runs the board in checkpoint intervals.
+  sim::Cycle runTo(sim::Cycle limit) { return kernel_.run(limit); }
 
-  /// Enables periodic auto-snapshotting (see CheckpointConfig). Call
-  /// before run()/runTo(); reconfiguring clears the ring and the trail.
-  void setCheckpointing(const CheckpointConfig& config);
-  /// The retained snapshot ring, oldest first.
-  [[nodiscard]] const std::deque<Checkpoint>& checkpoints() const {
-    return checkpoints_;
-  }
-  /// Every (cycle, digest) pair recorded at checkpoint boundaries since
-  /// checkpointing was enabled — the replay ledger golden-state checks
-  /// compare against.
-  [[nodiscard]] const std::vector<std::pair<sim::Cycle, uint64_t>>&
-  digestTrail() const {
-    return digest_trail_;
-  }
-
-  // -- fault injection & recovery (src/fi, DESIGN.md section 12) --------
-
-  /// Connects a fault injector to core `i` (Iss::setInjector); the
-  /// injector must outlive the run. nullptr detaches.
-  void attachInjector(size_t i, fi::CoreInjector* injector);
   /// The watchdog peripheral; only on boards built with
   /// BoardConfig::watchdog.
-  [[nodiscard]] fi::WatchdogDevice& watchdog();
+  [[nodiscard]] soc::WatchdogDevice& watchdog();
   [[nodiscard]] bool hasWatchdog() const { return watchdog_ != nullptr; }
-  /// True while a watchdog expiry awaits handling: runTo() either
-  /// auto-recovers on it (RecoveryConfig::auto_recover) or leaves it for
-  /// the caller; recover() clears it.
-  [[nodiscard]] bool watchdogFirePending() const {
-    return watchdog_fire_pending_;
-  }
-
-  /// Hook run after each ring entry is recorded (fault campaigns use it
-  /// to corrupt entries deterministically; tests use it to fuzz the
-  /// ring). Receives the freshly pushed entry.
-  void setCheckpointHook(std::function<void(Checkpoint&)> hook) {
-    checkpoint_hook_ = std::move(hook);
-  }
-  void setRecovery(const RecoveryConfig& config) { recovery_ = config; }
-  /// Arms digest-trail divergence detection: each checkpoint's digest is
-  /// compared against the entry with the same cycle in `trail` (from a
-  /// known-good run); a mismatch — or a checkpoint cycle the trail never
-  /// reached — marks the chunk diverged and the checkpoint is not
-  /// retained. recover() likewise only rewinds to trail-certified
-  /// entries while this is armed.
-  void setExpectedTrail(std::vector<std::pair<sim::Cycle, uint64_t>> trail);
-
-  /// Graceful degradation: walks the snapshot ring newest-to-oldest and
-  /// restores the first entry that passes the integrity footer and
-  /// reproduces its recorded digest (and matches the expected trail when
-  /// armed). On
-  /// success the board has rewound to that entry — newer ring entries and
-  /// trail suffixes are discarded, the watchdog flag is cleared — and
-  /// deterministic replay (runTo) resumes from there.
-  /// Returns a report either way; report.recovered == false means the
-  /// whole ring was exhausted.
-  RecoveryReport recover();
-  /// Completed recoveries (manual and automatic).
-  [[nodiscard]] size_t recoveries() const { return recoveries_; }
-  /// Chunks whose checkpoint digest contradicted the expected trail.
-  [[nodiscard]] size_t divergences() const { return divergences_; }
 
   /// Instructions retired summed over every core — the board's
   /// contribution to fleet-level aggregate-MIPS accounting (src/fleet,
@@ -362,19 +259,14 @@ class ReferenceBoard {
 
   /// Wires a timeline sink through the whole board: per-core slice spans
   /// and ISS instants (irq, trace_form, guard_bail) on lanes
-  /// [0, numCores) and checkpoint instants on the snap lane. Pass
-  /// nullptr to detach. Observers never feed back: attaching
-  /// a sink leaves every architectural byte — and therefore snap::digest
-  /// — unchanged.
+  /// [0, numCores), and names the snap lane, where snap::Recorder puts
+  /// its checkpoint instants. Pass nullptr to detach. Observers never
+  /// feed back: attaching a sink leaves every architectural byte — and
+  /// therefore snap::digest — unchanged.
   void setTraceSink(obs::TraceSink* sink);
-  /// Attaches a guest PC sampler to core `i` (samplers are per-core).
-  void attachSampler(size_t i, obs::PcSampler* sampler);
-  /// Attaches an edge-coverage map to core `i` (core/coverage.h; the
-  /// fuzzing farm's feedback signal). Per-core like the sampler, with
-  /// the identical observer guarantees; nullptr detaches.
-  void attachEdgeCoverage(size_t i, core::EdgeCoverage* cov);
+  [[nodiscard]] obs::TraceSink* traceSink() const { return trace_sink_; }
   /// Publishes <prefix>coreN.iss.*, <prefix>kernel.*, <prefix>bus.* and
-  /// <prefix>snap.* into `reg`.
+  /// the board's <prefix>fi.* device counters into `reg`.
   void publishMetrics(obs::MetricsRegistry& reg,
                       const std::string& prefix = "board.") const;
 
@@ -384,31 +276,16 @@ class ReferenceBoard {
   void init(const arch::ArchDescription& desc,
             const std::vector<const elf::Object*>& images,
             const BoardConfig& config);
-  /// Returns true when the checkpoint's digest contradicts the expected
-  /// trail (the diverged checkpoint is not retained).
-  bool takeCheckpoint(sim::Cycle cycle);
 
   sim::Kernel kernel_;
-  CheckpointConfig checkpoint_;
-  std::deque<Checkpoint> checkpoints_;
-  std::vector<std::pair<sim::Cycle, uint64_t>> digest_trail_;
   std::unique_ptr<soc::StandardPeripherals> board_;
   std::vector<std::unique_ptr<soc::InterruptController>> intcs_;
   std::unique_ptr<soc::ProgrammableTimer> ptimer_;
   std::unique_ptr<soc::MailboxDevice> mailbox_;
+  std::unique_ptr<soc::WatchdogDevice> watchdog_;  ///< BoardConfig::watchdog
   std::vector<std::unique_ptr<iss::Iss>> cores_;
   std::vector<std::unique_ptr<CoreProcess>> procs_;
   obs::TraceSink* trace_sink_ = nullptr;  ///< never serialized
-
-  // Fault-injection & recovery harness state (never serialized, never
-  // digested).
-  std::unique_ptr<fi::WatchdogDevice> watchdog_;  ///< BoardConfig::watchdog
-  std::function<void(Checkpoint&)> checkpoint_hook_;
-  RecoveryConfig recovery_;
-  std::vector<std::pair<sim::Cycle, uint64_t>> expected_trail_;
-  bool watchdog_fire_pending_ = false;
-  size_t recoveries_ = 0;
-  size_t divergences_ = 0;
 };
 
 /// Remap-aware equality of an ISS value and a platform value: equal, or

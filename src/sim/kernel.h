@@ -98,8 +98,8 @@ class Kernel {
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
 
-  /// Timestamp of the earliest pending event, or kForever when idle (the
-  /// platform's checkpointing loop sizes its chunks from this).
+  /// Timestamp of the earliest pending event, or kForever when idle
+  /// (snap::Recorder sizes its checkpoint chunks from this).
   [[nodiscard]] Cycle nextEventAt() const {
     return queue_.empty() ? kForever : queue_.front().at;
   }

@@ -19,8 +19,8 @@
 // what exists stays valid across a restore and the rest rebuilds lazily,
 // which is what makes a snapshot restorable into a cold process.
 //
-// Snapshots are taken between kernel runs only (the platform's
-// checkpointing loop guarantees that); the format is little-endian,
+// Snapshots are taken between kernel runs only (snap::Recorder saves
+// between its chunks, src/snap/recorder.h); the format is little-endian,
 // carries a magic/version header and an FNV-1a integrity footer, and
 // every layer frames its own section (common/serial.h).
 #pragma once

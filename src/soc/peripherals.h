@@ -265,7 +265,7 @@ struct StandardIoMap {
       (kPTimerOffset - kIntcOffset) / kIntcStride;
   static constexpr uint32_t kMailboxOffset = 0x600;
   static constexpr uint32_t kMailboxSize = 0x10;
-  /// Watchdog (fi::WatchdogDevice) — attached only on boards that opt in
+  /// Watchdog (WatchdogDevice) — attached only on boards that opt in
   /// via platform::BoardConfig::watchdog.
   static constexpr uint32_t kWatchdogOffset = 0x700;
   static constexpr uint32_t kWatchdogSize = 0x10;

@@ -1,5 +1,5 @@
-// Watchdog peripheral: fires a board-reset signal when the guest stops
-// petting it (DESIGN.md section 12).
+// Watchdog peripheral: expires when the guest stops petting it (DESIGN.md
+// section 12.3).
 //
 // Register window (word access):
 //   0x0 LOAD  (rw) timeout in SoC cycles (>= 1 to arm)
@@ -8,27 +8,25 @@
 //   0x8 CTRL  (rw) bit0 = enable; arming sets the deadline LOAD cycles out
 //   0xc FIRED (r)  total expiries since reset
 //
-// Like soc::ProgrammableTimer the deadline check is arithmetic over the
+// Like ProgrammableTimer the deadline check is arithmetic over the
 // lazily advanced SoC clock, so firing is a pure function of transaction
 // timestamps — bit-identical across both ISS engines.
-// A fired watchdog is one-shot (disarms itself): the guest-visible
-// consequence is an interrupt line raise, the board-level consequence is
-// the on-fire callback, which platform::ReferenceBoard uses to trigger
-// recovery (reset to the newest intact snapshot-ring entry) between run
-// chunks. LOAD/enable/deadline/fired counts are architectural and
-// serialized; the IRQ routing and callback are construction-time wiring.
+// A fired watchdog is one-shot (disarms itself) and raises its interrupt
+// line. The host side reads the FIRED count: snap::Recorder compares it
+// across each run chunk and treats a chunk in which it rose as a hang to
+// recover from. LOAD/enable/deadline/fired counts are architectural and
+// serialized; the IRQ routing is construction-time wiring.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/error.h"
 #include "soc/interrupts.h"
 
-namespace cabt::fi {
+namespace cabt::soc {
 
-class WatchdogDevice : public soc::Device {
+class WatchdogDevice : public Device {
  public:
   static constexpr uint32_t kLoadOffset = 0x0;
   static constexpr uint32_t kPetOffset = 0x4;
@@ -37,16 +35,13 @@ class WatchdogDevice : public soc::Device {
   static constexpr uint32_t kWindowSize = 0x10;
 
   explicit WatchdogDevice(std::string name = "watchdog")
-      : soc::Device(std::move(name)) {}
+      : Device(std::move(name)) {}
 
   /// Routes expiries to `intc` line `line`.
-  void setIrqTarget(soc::InterruptController* intc, unsigned line) {
+  void setIrqTarget(InterruptController* intc, unsigned line) {
     intc_ = intc;
     line_ = line;
   }
-  /// Board-level fire hook (reset/recovery trigger). Runs on the
-  /// sequential drain, inside a bus advance — keep it to flag-setting.
-  void setOnFire(std::function<void(uint64_t)> fn) { on_fire_ = std::move(fn); }
 
   [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] uint64_t fired() const { return fired_; }
@@ -101,14 +96,11 @@ class WatchdogDevice : public soc::Device {
       if (intc_ != nullptr) {
         intc_->raise(line_);
       }
-      if (on_fire_) {
-        on_fire_(deadline_);
-      }
     }
   }
 
   [[nodiscard]] uint64_t nextEvent() const override {
-    return enabled_ ? deadline_ : soc::kNoEvent;
+    return enabled_ ? deadline_ : kNoEvent;
   }
 
   void saveState(serial::Writer& w) const override {
@@ -125,13 +117,12 @@ class WatchdogDevice : public soc::Device {
   }
 
  private:
-  soc::InterruptController* intc_ = nullptr;
+  InterruptController* intc_ = nullptr;
   unsigned line_ = 0;
-  std::function<void(uint64_t)> on_fire_;
   uint32_t load_ = 0;
   bool enabled_ = false;
   uint64_t deadline_ = 0;
   uint64_t fired_ = 0;
 };
 
-}  // namespace cabt::fi
+}  // namespace cabt::soc

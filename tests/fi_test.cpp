@@ -16,11 +16,12 @@
 //     bus-error interrupt at block boundaries; stall windows make a
 //     device's reads return 0 and drop its writes; the watchdog
 //     peripheral fires when the guest stops petting it.
-//   * Graceful degradation: recover() walks the snapshot ring newest to
-//     oldest past corrupt and trail-divergent entries, and
+//   * Graceful degradation: snap::Recorder::recover() walks the snapshot
+//     ring newest to oldest past corrupt and trail-divergent entries, and
 //     deterministic replay from the restored entry converges on the
 //     digest of an uninterrupted clean run (one-shot faults never
-//     re-fire after a rewind).
+//     re-fire after a rewind). A chunk in which the watchdog fired never
+//     enters the ring, so a hang rewinds to the last entry before it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,12 +33,14 @@
 
 #include "fi/fi.h"
 #include "fi/inject.h"
-#include "fi/watchdog.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "platform/platform.h"
 #include "snap/observe.h"
+#include "snap/recorder.h"
 #include "snap/snapshot.h"
 #include "soc/peripherals.h"
+#include "soc/watchdog.h"
 #include "workloads/workloads.h"
 
 namespace cabt {
@@ -79,6 +82,22 @@ TEST(FaultSpecParse, RoundTripsFieldsAndRejectsGarbage) {
   EXPECT_THROW(fi::parseFaultSpec("pc@100:bogus=1"), Error);  // unknown key
   EXPECT_THROW(fi::parseFaultSpec("pc@100:mask"), Error);     // no '='
   EXPECT_THROW(fi::parseFaultSpec("pc@x"), Error);            // bad number
+}
+
+// Every number fits its own field: cycle and until take all 64 bits, and
+// a 32-bit field rejects what it cannot hold instead of wrapping.
+TEST(FaultSpecParse, NumbersKeepTheirFieldWidths) {
+  EXPECT_EQ(fi::parseFaultSpec("dreg@4294967297:index=1,mask=1").cycle,
+            4294967297u);
+  EXPECT_EQ(
+      fi::parseFaultSpec("stall@0:device=scratch,until=1099511627776").until,
+      uint64_t{1} << 40);
+  EXPECT_EQ(fi::parseFaultSpec("mem@0:addr=4294967292,mask=4294967295").mask,
+            0xffffffffu);
+  EXPECT_THROW(fi::parseFaultSpec("mem@10:addr=4294967296,mask=4"), Error);
+  EXPECT_THROW(fi::parseFaultSpec("dreg@10:index=1,mask=4294967296"), Error);
+  EXPECT_THROW(fi::parseFaultSpec("dreg@-1:index=1,mask=1"), Error);
+  EXPECT_THROW(fi::parseFaultSpec("dreg@18446744073709551616:mask=1"), Error);
 }
 
 // Campaign::arm rejects what the board cannot honour with a cabt::Error,
@@ -150,29 +169,28 @@ TEST(CoreInjector, ValidatesSchedulesAndConsumesInOrder) {
 // ---- device-level units -----------------------------------------------
 
 TEST(WatchdogUnit, FiresOnceWhenNotPetted) {
-  fi::WatchdogDevice wd;
-  uint64_t fired_at = 0;
-  wd.setOnFire([&fired_at](uint64_t at) { fired_at = at; });
-  wd.write(fi::WatchdogDevice::kLoadOffset, 100, 4, 10);
+  soc::WatchdogDevice wd;
+  wd.write(soc::WatchdogDevice::kLoadOffset, 100, 4, 10);
   EXPECT_THROW(  // arming with LOAD = 0 is a guest bug
       [] {
-        fi::WatchdogDevice zero;
-        zero.write(fi::WatchdogDevice::kCtrlOffset, 1, 4, 0);
+        soc::WatchdogDevice zero;
+        zero.write(soc::WatchdogDevice::kCtrlOffset, 1, 4, 0);
       }(),
       Error);
-  wd.write(fi::WatchdogDevice::kCtrlOffset, 1, 4, 10);  // deadline = 110
+  wd.write(soc::WatchdogDevice::kCtrlOffset, 1, 4, 10);  // deadline = 110
   EXPECT_TRUE(wd.enabled());
   wd.advanceTo(10, 50);
   EXPECT_EQ(wd.fired(), 0u);
-  wd.write(fi::WatchdogDevice::kPetOffset, 1, 4, 50);  // deadline = 150
+  wd.write(soc::WatchdogDevice::kPetOffset, 1, 4, 50);  // deadline = 150
   wd.advanceTo(50, 120);
   EXPECT_EQ(wd.fired(), 0u);
-  EXPECT_EQ(wd.read(fi::WatchdogDevice::kPetOffset, 4, 120), 30u);
-  wd.advanceTo(120, 200);  // not petted: expires at 150
+  EXPECT_EQ(wd.read(soc::WatchdogDevice::kPetOffset, 4, 120), 30u);
+  wd.advanceTo(120, 149);  // not petted: expires at 150, not before
+  EXPECT_EQ(wd.fired(), 0u);
+  wd.advanceTo(149, 150);
   EXPECT_EQ(wd.fired(), 1u);
-  EXPECT_EQ(fired_at, 150u);
   EXPECT_FALSE(wd.enabled());  // one-shot
-  wd.advanceTo(200, 400);
+  wd.advanceTo(150, 400);
   EXPECT_EQ(wd.fired(), 1u);
 }
 
@@ -672,17 +690,16 @@ TEST(Watchdog, FiresOnHungGuestAndRecoveryRewindsPastTheFault) {
   const workloads::BoardImages images = makeWdImages();
 
   auto clean = snap::makeBoard(images, {}, withWatchdog());
-  clean->setCheckpointing({512, 4});
-  clean->run();
+  snap::Recorder clean_rec(*clean, 512, 4);
+  clean_rec.runTo(sim::kForever);
   const snap::Observation want = snap::observe(*clean);
-  const std::vector<std::pair<sim::Cycle, uint64_t>> trail =
-      clean->digestTrail();
+  const snap::Trail trail = clean_rec.digestTrail();
   ASSERT_GE(trail.size(), 3u);
   EXPECT_EQ(clean->watchdog().fired(), 0u);  // a petted dog never fires
 
   auto board = snap::makeBoard(images, {}, withWatchdog());
-  board->setCheckpointing({512, 4});
-  board->setExpectedTrail(trail);
+  snap::Recorder rec(*board, 512, 4);
+  rec.expectTrail(trail);
   fi::Campaign camp;
   fi::FaultSpec f;
   f.kind = fi::FaultKind::kPcSet;
@@ -690,20 +707,19 @@ TEST(Watchdog, FiresOnHungGuestAndRecoveryRewindsPastTheFault) {
   f.addr = platform::symbolAddr(images.image(0), "hang");
   camp.add(f);
   camp.arm(*board);
-  board->runTo(4000);
+  rec.runTo(4000);
   EXPECT_EQ(camp.firedCount(), 1u);
   EXPECT_EQ(board->watchdog().fired(), 1u) << "unpetted watchdog fires";
-  EXPECT_TRUE(board->watchdogFirePending());
-  EXPECT_GE(board->divergences(), 1u);
+  EXPECT_GE(rec.divergences(), 1u);
 
-  const platform::RecoveryReport rep = board->recover();
+  const snap::RecoveryReport rep = rec.recover();
   ASSERT_TRUE(rep.recovered) << rep.detail;
-  // With a 1024-cycle quantum the chunk ending at 1024 already contains
-  // the core slice [1024, 2048) where the fault fired, so the newest
+  // With a 1024-cycle quantum the chunk ending at 1536 runs the whole
+  // core slice [1024, 2048), where the fault fired, so the newest
   // trail-certified entry is the one at 512.
   EXPECT_EQ(rep.resume_cycle, 512u);
-  EXPECT_FALSE(board->watchdogFirePending());
-  EXPECT_EQ(board->recoveries(), 1u);
+  EXPECT_EQ(board->watchdog().fired(), 0u) << "rewound watchdog state";
+  EXPECT_EQ(rec.recoveries(), 1u);
   // The pcset fault was consumed before the rewind: replay runs clean
   // and converges on the uninterrupted run.
   board->run();
@@ -712,6 +728,7 @@ TEST(Watchdog, FiresOnHungGuestAndRecoveryRewindsPastTheFault) {
 
   obs::MetricsRegistry reg;
   board->publishMetrics(reg);
+  rec.publishMetrics(reg);
   EXPECT_EQ(reg.counterOr("board.fi.recoveries"), 1u);
   EXPECT_GE(reg.counterOr("board.fi.divergences"), 1u);
   EXPECT_EQ(reg.counterOr("board.fi.watchdog_fired"), 0u);
@@ -721,16 +738,13 @@ TEST(Recovery, AutoRecoverRewindsOnTrailDivergence) {
   const workloads::BoardImages images = makeWdImages();
 
   auto clean = snap::makeBoard(images, {}, withWatchdog());
-  clean->setCheckpointing({512, 4});
-  clean->run();
+  snap::Recorder clean_rec(*clean, 512, 4);
+  clean_rec.runTo(sim::kForever);
   const snap::Observation want = snap::observe(*clean);
 
   auto board = snap::makeBoard(images, {}, withWatchdog());
-  board->setCheckpointing({512, 4});
-  board->setExpectedTrail(clean->digestTrail());
-  platform::RecoveryConfig recovery;
-  recovery.auto_recover = true;
-  board->setRecovery(recovery);
+  snap::Recorder rec(*board, 512, 4, /*auto_recover=*/true);
+  rec.expectTrail(clean_rec.digestTrail());
   fi::Campaign camp;
   fi::FaultSpec f;
   f.kind = fi::FaultKind::kPcSet;
@@ -738,18 +752,110 @@ TEST(Recovery, AutoRecoverRewindsOnTrailDivergence) {
   f.addr = platform::symbolAddr(images.image(0), "hang");
   camp.add(f);
   camp.arm(*board);
-  // run() crosses the divergent checkpoint, auto-recovers to the newest
-  // certified entry, and replays to a clean completion in one call.
-  board->run();
-  EXPECT_EQ(board->recoveries(), 1u);
-  EXPECT_EQ(board->divergences(), 1u);
+  // The run crosses the divergent checkpoint, auto-recovers to the
+  // newest certified entry, and replays to a clean completion in one
+  // call.
+  rec.runTo(sim::kForever);
+  EXPECT_EQ(rec.recoveries(), 1u);
+  EXPECT_EQ(rec.divergences(), 1u);
   EXPECT_EQ(board->watchdog().fired(), 0u)
       << "divergence detection recovered before the watchdog expired";
   EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");
 }
 
+/// The cycles of the "recover" instants on the snap lane.
+std::vector<uint64_t> recoverInstants(const obs::TraceSink& sink) {
+  std::vector<uint64_t> at;
+  for (const obs::TraceSink::Event& e : sink.events()) {
+    if (e.tid == obs::kSnapLane && std::string(e.name) == "recover") {
+      at.push_back(e.ts);
+    }
+  }
+  return at;
+}
+
+// Auto-recovery with no expected trail, where only the watchdog reports
+// the hang: the chunk the watchdog fired in never enters the ring, so
+// the one recovery rewinds to the entry at 512, before the fault, and
+// the replay runs clean. (Were the post-fire entry kept, the recovery
+// would restore the hang with the one-shot watchdog already spent, and
+// the core would spin to its instruction limit.)
+TEST(Recovery, WatchdogFireRewindsToTheEntryBeforeIt) {
+  const workloads::BoardImages images = makeWdImages();
+  platform::BoardConfig cfg = withWatchdog();
+  cfg.iss.max_instructions = 200'000;
+  auto clean = snap::makeBoard(images, {}, cfg);
+  clean->run();
+  const snap::Observation want = snap::observe(*clean);
+
+  auto board = snap::makeBoard(images, {}, cfg);
+  obs::TraceSink sink;
+  board->setTraceSink(&sink);
+  snap::Recorder rec(*board, 512, 4, /*auto_recover=*/true);
+  fi::Campaign camp;
+  camp.add(fi::parseFaultSpec(
+      "pcset@1500:addr=" +
+      std::to_string(platform::symbolAddr(images.image(0), "hang"))));
+  camp.arm(*board);
+  rec.runTo(sim::kForever);
+  EXPECT_EQ(camp.firedCount(), 1u);
+  EXPECT_EQ(rec.recoveries(), 1u);
+  EXPECT_EQ(recoverInstants(sink), std::vector<uint64_t>{512});
+  EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");
+}
+
+// Pets the watchdog 40 times, then spins without petting: a
+// deterministic hang.
+const char* kWdStop = R"(
+; wd_stop - pets the watchdog 40 times, then hangs
+_start: movha a6, 0xf000
+        movi d0, 600
+        stw d0, [a6]0x700     ; watchdog LOAD = 600 SoC cycles
+        movi d0, 1
+        stw d0, [a6]0x708     ; watchdog CTRL enable
+        movi d8, 40
+        movi d9, 0
+loop:   movi d7, 20
+inner:  add d9, d9, d7
+        addi16 d7, -1
+        jnz16 d7, inner
+        movi d1, 1
+        stw d1, [a6]0x704     ; PET
+        addi16 d8, -1
+        jnz16 d8, loop
+spin:   j16 spin              ; stops petting for good
+)";
+
+// A deterministic hang fires the watchdog again after every rewind, so
+// auto-recovery stops at kMaxAutoRecoveries and the board runs on
+// degraded. A fire before any entry is retained leaves nothing to
+// rewind to, which throws like a divergence does.
+TEST(Recovery, DeterministicHangRecoversUpToTheBound) {
+  workloads::Workload stop;
+  stop.name = "wd_stop";
+  stop.description = "watchdog petted 40 times, then a hang";
+  stop.source = kWdStop;
+  const workloads::BoardImages images({stop});
+
+  auto board = snap::makeBoard(images, {}, withWatchdog());
+  snap::Recorder rec(*board, 512, 4, /*auto_recover=*/true);
+  rec.runTo(40'000);
+  EXPECT_EQ(rec.recoveries(), snap::kMaxAutoRecoveries);
+  EXPECT_EQ(board->watchdog().fired(), 1u) << "the last fire is not rewound";
+  EXPECT_GE(board->kernel().now(), 39'000u) << "ran on, degraded";
+
+  auto late = snap::makeBoard(images, {}, withWatchdog());
+  snap::Recorder late_rec(*late, 65'536, 4, /*auto_recover=*/true);
+  EXPECT_THROW(late_rec.runTo(40'000), Error);
+  EXPECT_EQ(late_rec.recoveries(), 0u);
+}
+
 // ---- snapshot-ring corruption and graceful degradation ----------------
 
+// Entries corrupted in place in the recorder's ring: the live run is
+// untouched, and recover() walks past them (their integrity footer
+// fails before any state is mutated) to the newest intact one, from
+// which replay converges on the clean run.
 TEST(Recovery, CorruptRingEntriesFallBackToTheNewestIntactOne) {
   const auto images = workloads::BoardImages::family(1);
   auto clean = snap::makeBoard(images);
@@ -757,31 +863,32 @@ TEST(Recovery, CorruptRingEntriesFallBackToTheNewestIntactOne) {
   const snap::Observation want = snap::observe(*clean);
 
   auto board = snap::makeBoard(images);
-  board->setCheckpointing({512, 4});
-  fi::Campaign camp;
-  fi::FaultSpec f;
-  f.kind = fi::FaultKind::kRingCorrupt;
-  f.cycle = 1000;  // entries checkpointed from cycle 1000 on are corrupted
-  f.addr = 100;    // byte offset to flip (mod entry size)
-  camp.add(f);
-  camp.arm(*board);
-  board->run();
+  snap::Recorder rec(*board, 512, 4);
+  // Flips one byte of every entry checkpointed from cycle 1000 on, once,
+  // mid run and again at the end.
+  std::set<sim::Cycle> corrupted;
+  const auto corrupt_from_1000 = [&rec, &corrupted] {
+    for (snap::Checkpoint& cp : rec.checkpoints()) {
+      if (cp.cycle >= 1000 && corrupted.insert(cp.cycle).second) {
+        cp.data[100 % cp.data.size()] ^= 0x40;
+      }
+    }
+  };
+  rec.runTo(2000);
+  corrupt_from_1000();
+  rec.runTo(sim::kForever);
+  corrupt_from_1000();
   // Corrupting ring copies never touches live state: the run itself is
   // still byte-identical to the clean one. irq_ticks checkpoints at 512,
-  // 1024 and 2560; the campaign corrupted the newer two.
+  // 1024 and 2560; the newer two are corrupted.
   EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");
-  ASSERT_EQ(board->checkpoints().size(), 3u);
-  EXPECT_EQ(camp.ringCorruptions(), 2u);
-  obs::MetricsRegistry reg;
-  camp.publishMetrics(reg);
-  EXPECT_EQ(reg.counterOr("fi.ring_corruptions"), 2u);
+  ASSERT_EQ(rec.checkpoints().size(), 3u);
+  EXPECT_EQ(corrupted.size(), 2u);
 
-  // recover() walks past the two corrupt entries (their integrity
-  // footer fails before any state is mutated) to the newest intact one.
-  const platform::RecoveryReport rep = board->recover();
+  const snap::RecoveryReport rep = rec.recover();
   ASSERT_TRUE(rep.recovered) << rep.detail;
   EXPECT_EQ(rep.entries_tried, 3u);
-  EXPECT_EQ(rep.entries_corrupt, 2u);
+  EXPECT_EQ(rep.entries_corrupt, corrupted.size());
   EXPECT_EQ(rep.resume_cycle, 512u);
   board->run();
   EXPECT_EQ(snap::firstMismatch(want, snap::observe(*board)), "");

