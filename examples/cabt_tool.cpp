@@ -6,12 +6,16 @@
 //   cabt_tool program.s [--level=functional|static|branch|cache]
 //                       [--arch=description.xml] [--dump] [--rate=N]
 //
-// --dump prints the translated VLIW code as a packet listing.
+// --dump prints the translated VLIW code as a packet listing. --rate=N
+// sets the generation rate, N VLIW cycles per generated SoC cycle (a
+// whole number, default 1).
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common/strutil.h"
 #include "iss/iss.h"
 #include "platform/platform.h"
 #include "trc/assembler.h"
@@ -66,8 +70,8 @@ int main(int argc, char** argv) {
       } else if (arg.rfind("--arch=", 0) == 0) {
         arch_xml = readFile(arg.substr(7));
       } else if (arg.rfind("--rate=", 0) == 0) {
-        config.vliw_cycles_per_soc_cycle =
-            static_cast<unsigned>(parseInt(arg.substr(7)));
+        config.vliw_cycles_per_soc_cycle = static_cast<unsigned>(
+            parseUnsigned(arg.substr(7), "--rate", UINT32_MAX));
       } else if (arg == "--dump") {
         dump = true;
       } else if (!arg.empty() && arg[0] != '-') {

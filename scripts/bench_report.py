@@ -48,12 +48,14 @@ import sys
 
 # Vehicle gate: the ISS may be at most this many times faster (host MIPS)
 # than the V6X platform running the icache-level translation. Measured
-# best-of-3 rows on a 4-vCPU x86-64 host: ISS/xlat-l3 between 3x (gcd)
-# and 25x (ellip) since the V6X simulator stopped clearing per issue and
-# jumps over sync-wait stalls (one record; 7x-39x just before it), 5x-38x
-# since the translator drops provable MRU cache hits (three records),
-# 11x-48x before that; 13x-69x before the predecoded simulator (dpcm
-# 64x, ellip 69x, fir 56x, subband 52x would fail this gate).
+# best-of-3 rows on a 4-vCPU x86-64 host: ISS/xlat-l3 between 5x (dpcm)
+# and 11x (ellip) since a cache lookup is an inline compare against its
+# set's MRU word (one record; 5x-25x just before it), 3x-25x since the
+# V6X simulator stopped clearing per issue and jumps over sync-wait
+# stalls (one record; 7x-39x just before that), 5x-38x since the
+# translator drops provable MRU cache hits (three records), 11x-48x
+# before that; 13x-69x before the predecoded simulator (dpcm 64x, ellip
+# 69x, fir 56x, subband 52x would fail this gate).
 VEHICLE_MAX_SLOWDOWN = 50.0
 
 

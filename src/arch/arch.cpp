@@ -14,9 +14,6 @@ namespace {
 /// ICacheState packs a set's LRU age order into one 32-bit word, one byte
 /// per way.
 constexpr uint32_t kMaxWays = 4;
-/// Bounds the tag array an input geometry can ask for (1 MiB of tag words
-/// at 4 ways).
-constexpr uint32_t kMaxSets = 65'536;
 
 }  // namespace
 

@@ -126,6 +126,10 @@ struct BranchModel {
 /// boundary. core::BlockGraph applies this rule once, as each block's
 /// cache analysis blocks, for the ISS and the translator alike.
 struct ICacheModel {
+  /// Bounds the tag array an input geometry can ask for (1 MiB of tag
+  /// words at 4 ways) and the translated image's cache state area.
+  static constexpr uint32_t kMaxSets = 65'536;
+
   bool enabled = true;
   uint32_t sets = 64;
   uint32_t ways = 2;

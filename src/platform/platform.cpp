@@ -264,15 +264,19 @@ std::string compareFinalState(const arch::ArchDescription& desc,
       }
     }
   }
-  // The simulated cache state: one tag+valid word per way and one LRU
-  // word per set, laid out as the translator emits `.cachedata`.
+  // The simulated cache state, laid out as the translator emits
+  // `.cachedata` (xlat::cacheSetStride): per set, one tag+valid word per
+  // way, the LRU word, and the MRU word the inline lookups compare
+  // against, which must copy the tag word of the way that is not LRU.
   const std::optional<uint32_t> cache_data = platform.cacheDataAddr();
   if (cache_data.has_value() && reference.icacheOn()) {
     const arch::ICacheState& ref = reference.icache();
     const arch::ICacheModel& m = ref.model();
+    CABT_CHECK(m.ways == 2, "the translated cache simulation is 2-way (got "
+                                << m.ways << " ways)");
     const SparseMemory& mem = platform.sim().memory();
     for (uint32_t set = 0; set < m.sets; ++set) {
-      const uint32_t base = *cache_data + set * (m.ways + 1) * 4;
+      const uint32_t base = *cache_data + set * xlat::cacheSetStride(m.ways);
       const std::string where = "icache set " + std::to_string(set);
       for (uint32_t way = 0; way < m.ways; ++way) {
         const uint32_t want = ref.tagEntry(set, way);
@@ -283,11 +287,18 @@ std::string compareFinalState(const arch::ArchDescription& desc,
                  hex32(got);
         }
       }
-      const uint32_t want = ref.lruWay(set);
-      const uint32_t got = mem.read32(base + m.ways * 4) & 0xffu;
-      if (want != got) {
-        return where + " LRU way: reference " + std::to_string(want) +
-               " vs platform " + std::to_string(got);
+      const uint32_t lru_way = ref.lruWay(set);
+      const uint32_t got_lru =
+          mem.read32(base + xlat::cacheLruOffset(m.ways)) & 0xffu;
+      if (lru_way != got_lru) {
+        return where + " LRU way: reference " + std::to_string(lru_way) +
+               " vs platform " + std::to_string(got_lru);
+      }
+      const uint32_t want_mru = ref.tagEntry(set, lru_way ^ 1u);
+      const uint32_t got_mru = mem.read32(base + xlat::cacheMruOffset(m.ways));
+      if (want_mru != got_mru) {
+        return where + " MRU word: reference " + hex32(want_mru) +
+               " vs platform " + hex32(got_mru);
       }
     }
   }

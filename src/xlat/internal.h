@@ -6,7 +6,10 @@
 // record the reference ISS executes from. A translation unit
 // (SourceBlock) views the record's instructions and copies its static
 // cycles; the passes attach only per-translation state: which CABs keep
-// their lookup after the MRU-hit analysis, and the emitted code.
+// their lookup after the MRU-hit analysis, and the emitted code. Each
+// kept lookup is an inline compare against its set's MRU word plus a
+// predicated call of the one cache routine (buildCacheRoutine); both read
+// the `.cachedata` layout defined beside kCacheDataBase in translator.h.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +41,9 @@ struct XOp {
   uint32_t fixup_data = 0;  ///< kBranchToBlock: source target address;
                             ///< kRetAddr*: call id within the block
   bool volatile_mem = false;
-  bool is_call = false;  ///< segment boundary: delay slots must stay empty
+  /// A call of the cache routine (predicated on the failed MRU compare):
+  /// a segment boundary whose delay slots must stay empty.
+  bool is_call = false;
 };
 
 /// One translation unit: a graph block, or in instruction-oriented mode
@@ -63,12 +68,6 @@ struct SourceBlock {
     return last().isControlTransfer();
   }
 };
-
-/// Byte stride of one set's state in the cache data area: `ways`
-/// combined tag+valid words plus one LRU word.
-inline uint32_t cacheSetStride(const arch::ICacheModel& icache) {
-  return (icache.ways + 1) * 4;
-}
 
 /// Constant-propagation lattice value for an address register.
 struct AddrValue {
@@ -136,9 +135,12 @@ struct LowerContext {
 };
 void lowerBlocks(const LowerContext& ctx, std::vector<SourceBlock>& blocks);
 
-/// Generates the cache-correction routine (paper Fig. 4) as ops.
-std::vector<XOp> buildCacheRoutine(const arch::ICacheModel& icache,
-                                   bool inline_body);
+/// Generates the cache-correction routine (paper Fig. 4) as ops: the
+/// out-of-line slow path of a lookup, called when the inline compare
+/// against the set's MRU word fails. It also rewrites the MRU word, since
+/// both a hit in another way and a fill make the looked-up line the MRU
+/// one, and returns through kCacheRetReg.
+std::vector<XOp> buildCacheRoutine(const arch::ICacheModel& icache);
 
 /// Schedules a block's ops into execute packets (greedy in-order packing
 /// honouring unit constraints, result latencies and volatile order).

@@ -2,6 +2,13 @@
 // annotation (paper Fig. 2), dynamic branch-prediction correction
 // (section 3.4.1) and instruction-cache instrumentation (section 3.4.2,
 // Figs. 3 and 4).
+//
+// Each cache lookup has one form: an inline compare of the line's
+// tag+valid word with its set's MRU word, which passes on a hit in the
+// most recently used way (no cache word changes, no correction cycle),
+// and a call of the cache routine of Fig. 4 predicated on the compare
+// failing. The routine handles a hit in the other way and a miss, and
+// rewrites the MRU word (DESIGN.md section 2.4).
 #include "common/error.h"
 #include "common/strutil.h"
 #include "soc/sync_device.h"
@@ -194,20 +201,22 @@ class Lowerer {
   // ---- cache instrumentation (paper section 3.4.2) -----------------------
 
   void emitCabLookup(const core::CacheAnalysisBlock& cab) {
+    const uint32_t ways = ctx_.desc->icache.ways;
     // Arguments: A6 = combined tag+valid word, A7 = set byte offset.
-    push(make(VOpc::kMvk, kCacheSetReg, kNoReg, kNoReg,
-              static_cast<int32_t>(cab.set *
-                                   cacheSetStride(ctx_.desc->icache))));
+    emitConst(kCacheSetReg, cab.set * cacheSetStride(ways));
     emitConst(kCacheTagReg, cab.tag_word);
-    if (inlineCache()) {
-      for (const XOp& x : buildCacheRoutine(ctx_.desc->icache,
-                                            /*inline_body=*/true)) {
-        block_.code.push_back(x);
-      }
-      return;
-    }
-    // Call: materialise the return address (patched at emit time), branch
-    // to the routine appended after the program.
+    // Fast path: a hit in the set's MRU way changes no cache word and adds
+    // no cycle (DESIGN.md section 2.4), so compare with the MRU word and
+    // run the routine only when they differ.
+    const uint8_t t = temps_.get();
+    const uint8_t w = temps_.get();
+    push(make(VOpc::kAdd, t, kCacheBaseReg, kCacheSetReg));
+    push(make(VOpc::kLdw, w, t, kNoReg,
+              static_cast<int32_t>(cacheMruOffset(ways))));
+    push(make(VOpc::kCmpEq, vliw::regA(2), w, kCacheTagReg));
+    // Slow path: materialise the return address (patched at emit time),
+    // then branch to the routine appended after the program unless the
+    // compare passed.
     const uint32_t call_id = num_calls_++;
     XOp& lo = push(make(VOpc::kMvk, kCacheRetReg, kNoReg, kNoReg, 0));
     lo.fixup = XOp::Fixup::kRetAddrLo;
@@ -215,14 +224,11 @@ class Lowerer {
     XOp& hi = push(make(VOpc::kMvkh, kCacheRetReg, kNoReg, kNoReg, 0));
     hi.fixup = XOp::Fixup::kRetAddrHi;
     hi.fixup_data = call_id;
-    XOp& call = push(make(VOpc::kB, kNoReg));
+    MachineOp b = make(VOpc::kB, kNoReg);
+    b.pred = {PredReg::kA2, true};
+    XOp& call = push(b);
     call.fixup = XOp::Fixup::kBranchToRoutine;
     call.is_call = true;
-  }
-
-  [[nodiscard]] bool inlineCache() const {
-    const uint32_t threshold = ctx_.options.inline_cache_threshold;
-    return threshold != 0 && block_.instrs.size() >= threshold;
   }
 
   // ---- plain instruction selection ---------------------------------------
@@ -488,8 +494,7 @@ class Lowerer {
 
 }  // namespace
 
-std::vector<XOp> buildCacheRoutine(const arch::ICacheModel& icache,
-                                   bool inline_body) {
+std::vector<XOp> buildCacheRoutine(const arch::ICacheModel& icache) {
   CABT_CHECK(icache.ways == 2,
              "the generated cache-correction routine supports 2-way "
              "set-associative caches (got ways="
@@ -522,11 +527,17 @@ std::vector<XOp> buildCacheRoutine(const arch::ICacheModel& icache,
   const uint8_t va = kTempPool[7];   // victim tag word address
   const uint8_t nl2 = kTempPool[8];  // new LRU word, miss case
 
+  const auto lru_off = static_cast<int32_t>(cacheLruOffset(icache.ways));
+
   // Input: A6 = expected tag+valid word, A7 = set byte offset.
   push(make(VOpc::kAdd, t0, kCacheBaseReg, kCacheSetReg));
   push(make(VOpc::kLdw, w0, t0, kNoReg, 0));
   push(make(VOpc::kLdw, w1, t0, kNoReg, 4));
-  push(make(VOpc::kLdw, lru, t0, kNoReg, 8));
+  push(make(VOpc::kLdw, lru, t0, kNoReg, lru_off));
+  // A hit in the other way and a fill both leave the looked-up line most
+  // recently used: it becomes the set's MRU word.
+  push(make(VOpc::kStw, kCacheTagReg, t0, kNoReg,
+            static_cast<int32_t>(cacheMruOffset(icache.ways))));
   // Hit detection per way (paper Fig. 4: "if tag can be found in specified
   // set and valid bit is set").
   push(make(VOpc::kCmpEq, vliw::regA(2), w0, kCacheTagReg));
@@ -559,13 +570,13 @@ std::vector<XOp> buildCacheRoutine(const arch::ICacheModel& icache,
   // Commit: hit renews the LRU information; miss writes the new tag word
   // (with valid bit), the new LRU word, and the correction cycles.
   {
-    MachineOp s = make(VOpc::kStw, nl, t0, kNoReg, 8);
+    MachineOp s = make(VOpc::kStw, nl, t0, kNoReg, lru_off);
     s.pred = {PredReg::kA2, false};
     push(s);
     MachineOp w = make(VOpc::kStw, kCacheTagReg, va, kNoReg, 0);
     w.pred = {PredReg::kA2, true};
     push(w);
-    MachineOp l = make(VOpc::kStw, nl2, t0, kNoReg, 8);
+    MachineOp l = make(VOpc::kStw, nl2, t0, kNoReg, lru_off);
     l.pred = {PredReg::kA2, true};
     push(l);
     MachineOp c = make(VOpc::kAddk, kCorrReg, kNoReg, kNoReg,
@@ -573,9 +584,7 @@ std::vector<XOp> buildCacheRoutine(const arch::ICacheModel& icache,
     c.pred = {PredReg::kA2, true};
     push(c);
   }
-  if (!inline_body) {
-    push(make(VOpc::kBr, kNoReg, kCacheRetReg));
-  }
+  push(make(VOpc::kBr, kNoReg, kCacheRetReg));
   return out;
 }
 

@@ -7,9 +7,12 @@
 // ordering holds. Because the V6X has no interlocks, the packer is fully
 // responsible for result latencies (loads +4, multiplies +1). Runs of
 // empty slots are compressed into multi-cycle NOPs afterwards. A
-// terminating branch is followed by five empty slots; a cache-routine
-// call's delay slots are kept empty and the return address is the packet
-// that follows them.
+// terminating branch is followed by five empty slots. A cache-routine
+// call is predicated on its lookup's failed MRU compare (lower.cpp):
+// taken or not, its delay slots are kept empty, and the return address
+// is the packet that follows them, where the not-taken path also goes
+// on. The packer treats every value the routine may clobber as
+// produced at that packet.
 #include <algorithm>
 
 #include "common/error.h"

@@ -226,8 +226,7 @@ TranslationResult translate(const arch::ArchDescription& desc,
       });
   ScheduledBlock routine_sched;
   if (need_routine) {
-    routine_sched =
-        scheduleBlock(buildCacheRoutine(desc.icache, /*inline_body=*/false));
+    routine_sched = scheduleBlock(buildCacheRoutine(desc.icache));
   }
 
   // ---- layout -------------------------------------------------------------
@@ -364,20 +363,20 @@ TranslationResult translate(const arch::ArchDescription& desc,
 
   // Cache state area (paper: "At the end of the translated program space
   // for cache data is added"), initialised to the invalid/LRU-reset state
-  // of the behavioural model.
+  // of the behavioural model; the MRU words of that state are zero.
   if (icache) {
     elf::Section cachedata;
     cachedata.name = ".cachedata";
     cachedata.addr = kCacheDataBase;
     cachedata.writable = true;
-    const uint32_t stride = cacheSetStride(desc.icache);
+    const uint32_t stride = cacheSetStride(desc.icache.ways);
     cachedata.data.assign(static_cast<size_t>(desc.icache.sets) * stride, 0);
     uint32_t init_lru = 0;
     for (uint32_t w = 0; w < desc.icache.ways; ++w) {
       init_lru |= w << (8 * w);
     }
     for (uint32_t set = 0; set < desc.icache.sets; ++set) {
-      const uint32_t off = set * stride + desc.icache.ways * 4;
+      const uint32_t off = set * stride + cacheLruOffset(desc.icache.ways);
       for (int i = 0; i < 4; ++i) {
         cachedata.data[off + i] = static_cast<uint8_t>(init_lru >> (8 * i));
       }

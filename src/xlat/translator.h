@@ -21,6 +21,11 @@
 //   kStatic         per-block static cycle generation (Fig. 2)
 //   kBranchPredict  + dynamic branch-prediction correction (section 3.4.1)
 //   kICache         + dynamic instruction-cache simulation (section 3.4.2)
+//
+// At kICache each cache analysis block that the MRU-hit analysis cannot
+// elide looks its line up with an inline compare against its set's MRU
+// word; only a failing compare calls the cache routine of Fig. 4, which
+// is appended once after the program (see cacheSetStride below).
 #pragma once
 
 #include <array>
@@ -66,13 +71,28 @@ inline constexpr uint32_t kInstrTextBase = 0x0030'0000;
 inline constexpr uint32_t kInstrJumpTableBase = 0x0038'0000;
 inline constexpr const char* kInstrTextSection = ".text.instr";
 
+/// Layout of one set in the cache state area (`.cachedata`, paper
+/// section 3.4.2), in bytes from the set's start: way w's combined
+/// tag+valid word at 4*w (arch::ICacheState::tagWord), then the LRU word,
+/// then the MRU word: a copy of the tag word of the set's most recently
+/// used way, derived from the other words. Every lookup compares its tag
+/// word with the MRU word inline and calls the cache routine (paper
+/// Fig. 4) only when they differ; the routine rewrites the MRU word on
+/// every call (DESIGN.md section 2.4). The MRU word is zero at load, as
+/// in the reset state: the MRU way is the last one, holding an invalid
+/// tag. The generated routine supports 2-way caches: 16 bytes per set.
+constexpr uint32_t cacheLruOffset(uint32_t ways) { return 4 * ways; }
+constexpr uint32_t cacheMruOffset(uint32_t ways) { return 4 * ways + 4; }
+constexpr uint32_t cacheSetStride(uint32_t ways) { return 4 * ways + 8; }
+// The largest 2-way area ends exactly where the debugger's jump table
+// begins.
+static_assert(kCacheDataBase +
+                      arch::ICacheModel::kMaxSets * cacheSetStride(2) <=
+                  kInstrJumpTableBase,
+              "the cache state area overlaps the instruction jump table");
+
 struct TranslateOptions {
   DetailLevel level = DetailLevel::kStatic;
-  /// Inline the cache-correction routine into blocks with at least this
-  /// many source instructions instead of calling it (paper: "In large
-  /// basic blocks, this code can be included into the basic block").
-  /// 0 disables inlining entirely.
-  uint32_t inline_cache_threshold = 0;
   /// Instruction-oriented cycle generation: every source instruction
   /// becomes its own annotated unit followed by a YIELD into the debug
   /// runtime (paper section 3.5; used for single-stepping). The image is

@@ -318,9 +318,10 @@ _start: movi d5, 7
   EXPECT_EQ(plat.run().state, vliw::RunState::kHalted);
   ASSERT_TRUE(plat.cacheDataAddr().has_value());
   EXPECT_EQ(compareFinalState(desc, ref, plat, obj), "");
-  // Flip the valid bit of set 5, way 1 (two tag words and one LRU word
-  // per set).
-  const uint32_t word = *plat.cacheDataAddr() + 5 * 12 + 4;
+  // Flip the valid bit of set 5, way 1 (two tag words, the LRU word and
+  // the MRU word per set).
+  const uint32_t set5 = *plat.cacheDataAddr() + 5 * xlat::cacheSetStride(2);
+  const uint32_t word = set5 + 4;
   SparseMemory& mem = plat.sim().memory();
   mem.write32(word, mem.read32(word) ^ 1u);
   EXPECT_NE(compareFinalState(desc, ref, plat, obj)
@@ -328,8 +329,17 @@ _start: movi d5, 7
             std::string::npos);
   mem.write32(word, mem.read32(word) ^ 1u);
   // Make way 1 the LRU way of set 5.
-  mem.write32(word + 4, 1u);
+  const uint32_t lru = set5 + xlat::cacheLruOffset(2);
+  const uint32_t lru_word = mem.read32(lru);
+  mem.write32(lru, 1u);
   EXPECT_NE(compareFinalState(desc, ref, plat, obj).find("icache set 5 LRU"),
+            std::string::npos);
+  mem.write32(lru, lru_word);
+  // Flip the valid bit of set 5's MRU word.
+  const uint32_t mru = set5 + xlat::cacheMruOffset(2);
+  mem.write32(mru, mem.read32(mru) ^ 1u);
+  EXPECT_NE(compareFinalState(desc, ref, plat, obj)
+                .find("icache set 5 MRU word"),
             std::string::npos);
 }
 

@@ -390,6 +390,127 @@ f1:     add d1, d1, d0
 )");
 }
 
+// ---- the lookup's slow path -----------------------------------------------
+
+// Runs `program` to halt at icache level, block-oriented and through the
+// debugger's instruction-oriented stepping image, and checks both against
+// the reference: generated cycles and every cache word. The cache has 4
+// sets, so lines 64 bytes apart share a set. The programs below use no
+// load/store-class instruction, so no pair issues and a unit per
+// instruction costs what the instruction costs inside its block.
+void expectExactAtICacheLevel(std::string_view program,
+                              uint64_t icache_misses) {
+  arch::ArchDescription desc = defaultArch();
+  desc.icache.sets = 4;
+  const elf::Object obj = trc::assemble(program);
+  iss::Iss ref(desc, obj);
+  ASSERT_EQ(ref.run(), iss::StopReason::kHalted);
+  EXPECT_EQ(ref.stats().icache_misses, icache_misses);
+  for (const bool instruction_oriented : {false, true}) {
+    SCOPED_TRACE(instruction_oriented ? "instruction-oriented"
+                                      : "block-oriented");
+    TranslateOptions opts;
+    opts.level = DetailLevel::kICache;
+    opts.instruction_oriented = instruction_oriented;
+    const TranslationResult r = translate(desc, obj, opts);
+    platform::EmulationPlatform plat(desc, r.image);
+    // The stepping image yields before every instruction.
+    platform::RunResult run = plat.run();
+    for (int yields = 0; run.state == vliw::RunState::kYielded &&
+                         yields < 10'000;
+         ++yields) {
+      run = plat.run();
+    }
+    EXPECT_EQ(run.state, vliw::RunState::kHalted);
+    EXPECT_EQ(run.generated_cycles, ref.stats().cycles);
+    EXPECT_EQ(compareFinalState(desc, ref, plat, obj), "");
+  }
+}
+
+TEST(CacheLookupSlowPath, EveryWarmLookupHitsTheOtherWay) {
+  // Lines a and b (both in set 1) alternate, so each warm lookup hits
+  // the way that is not the MRU one: the inline compare fails and the
+  // routine renews the LRU and MRU words. The loop leaves through b, and
+  // c, a third line of set 1, then evicts a. A routine that left
+  // the MRU word at b after a's hit would skip b's next lookup, leave b
+  // as the LRU way, and make c evict b instead. Misses: _start's line,
+  // a, b and c.
+  expectExactAtICacheLevel(R"(
+_start: movi d0, 6
+        movi d9, 0
+        j a
+        .align 64
+        .space 16
+a:      add d1, d1, d0
+        j b
+        .align 64
+        .space 16
+b:      addi16 d0, -1
+        jne d0, d9, a
+        j c
+        .align 64
+        .space 16
+c:      add d2, d2, d1
+        halt
+)", 4);
+}
+
+TEST(CacheLookupSlowPath, EveryLookupMisses) {
+  // Three lines of set 1 cycle through its two ways, so every lookup
+  // misses and fills the LRU way; d, a fourth line of the set, misses
+  // after the loop. Misses: _start's line, 4 x 3 in the loop, and d.
+  expectExactAtICacheLevel(R"(
+_start: movi d0, 4
+        movi d9, 0
+        j a
+        .align 64
+        .space 16
+a:      add d1, d1, d0
+        j b
+        .align 64
+        .space 16
+b:      add d2, d2, d0
+        j c
+        .align 64
+        .space 16
+c:      addi16 d0, -1
+        jne d0, d9, a
+        j d
+        .align 64
+        .space 16
+d:      add d3, d3, d1
+        halt
+)", 14);
+}
+
+TEST(CacheLookup, SetOffsetsPastSixteenBitsAreMaterialized) {
+  // 4,096 sets of 4-byte lines: `far`, 8,208 bytes in, is in set 2,052,
+  // whose state starts 32,832 bytes into the cache state area, more than
+  // one mvk immediate holds. Only the block image fits the branch range
+  // here: the stepping image turns every padding nop into a unit.
+  arch::ArchDescription desc = defaultArch();
+  desc.icache.sets = 4096;
+  desc.icache.line_bytes = 4;
+  const elf::Object obj = trc::assemble(R"(
+_start: movi d0, 2
+        j far
+        .space 8200
+far:    addi16 d0, -1
+        jnz16 d0, far
+        halt
+)");
+  iss::Iss ref(desc, obj);
+  ASSERT_EQ(ref.run(), iss::StopReason::kHalted);
+  TranslateOptions opts;
+  opts.level = DetailLevel::kICache;
+  const TranslationResult r = translate(desc, obj, opts);
+  platform::EmulationPlatform plat(desc, r.image);
+  const platform::RunResult run = plat.run();
+  EXPECT_EQ(run.state, vliw::RunState::kHalted);
+  EXPECT_EQ(run.generated_cycles, ref.stats().cycles);
+  EXPECT_EQ(compareFinalState(desc, ref, plat, obj), "");
+}
+
 // ---- static MRU-hit analysis ---------------------------------------------
 
 TEST(MruAnalysis, ElidesExactlyTheProvenHits) {
@@ -498,24 +619,6 @@ TEST(Translate, StatsAreFilled) {
   for (const auto& [src, info] : r.blocks) {
     EXPECT_GT(info.static_cycles, 0u);
   }
-}
-
-TEST(Translate, InlineCacheThresholdProducesEquivalentResults) {
-  TranslateOptions inline_opts;
-  inline_opts.level = DetailLevel::kICache;
-  inline_opts.inline_cache_threshold = 1;  // inline everywhere
-  const arch::ArchDescription desc = defaultArch();
-  const elf::Object obj = trc::assemble(kLoopProgram);
-
-  iss::Iss ref(desc, obj);
-  EXPECT_EQ(ref.run(), iss::StopReason::kHalted);
-
-  const TranslationResult r = translate(desc, obj, inline_opts);
-  platform::EmulationPlatform plat(desc, r.image);
-  const platform::RunResult run = plat.run();
-  EXPECT_EQ(run.state, vliw::RunState::kHalted);
-  EXPECT_EQ(run.generated_cycles, ref.stats().cycles);
-  EXPECT_EQ(plat.srcD(1), 55u);
 }
 
 TEST(Translate, RejectsWrongMachine) {
